@@ -44,9 +44,9 @@ class WedgeSignature:
     d: int = 3
 
     def __init__(self, g: int, labels, d: int = 3) -> None:
-        if not isinstance(g, int) or g < 0:
+        if not isinstance(g, int) or isinstance(g, bool) or g < 0:
             raise ValueError(f"circle count must be a non-negative int, got {g!r}")
-        if not isinstance(d, int) or d < 3:
+        if not isinstance(d, int) or isinstance(d, bool) or d < 3:
             raise ValueError(f"sphere dimension must be an int >= 3, got {d!r}")
         labs = tuple(sorted(labels, key=lambda l: l.sort_key))
         for lab in labs:

@@ -15,7 +15,6 @@ i-th generator of pi_1(X).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Mapping, Sequence
@@ -233,10 +232,29 @@ def act(
     return MapState(state.f, tuple(out))
 
 
+def _charge_table(
+    target: TargetModel,
+    inv_action: tuple[tuple[int, ...], ...],
+    w: FreeWord,
+    reflect: bool = False,
+) -> list[int]:
+    """Charge positions: entry p is the position of w.c for c = charge[p].
+
+    With reflect, c is reflected before w acts, as act does for a loop
+    that reverses orientation.
+    """
+    pos = {c: p for p, c in enumerate(target.charge)}
+    refl = target.reflection
+    return [
+        pos[_apply_pi1_word(target, inv_action, w, refl[c] if reflect else c)]
+        for c in target.charge
+    ]
+
+
 def _orbit_count(target: TargetModel, f_words: Sequence[FreeWord]) -> int:
     """Number of orbits of the charge under the f-images of the model loops."""
     inv_action = target.inverse_action()
-    parent = {i: i for i in target.charge}
+    parent = list(range(len(target.charge)))
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -244,13 +262,14 @@ def _orbit_count(target: TargetModel, f_words: Sequence[FreeWord]) -> int:
             i = parent[i]
         return i
 
+    orbits = len(parent)
     for w in f_words:
-        for i in target.charge:
-            j = _apply_pi1_word(target, inv_action, w, i)
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
-    return len({find(i) for i in target.charge})
+        for p, q in enumerate(_charge_table(target, inv_action, w)):
+            rp, rq = find(p), find(q)
+            if rp != rq:
+                parent[rp] = rq
+                orbits -= 1
+    return orbits
 
 
 def components_formula(
@@ -290,6 +309,65 @@ def components_formula(
     return total
 
 
+def _exceeds(base: int, k: int, factor: int, cap: int) -> bool:
+    """Whether base**k * factor > cap, without building a huge power."""
+    if factor == 0:
+        return cap < 0
+    if base <= 1:
+        return base ** k * factor > cap
+    size = factor
+    for _ in range(k):
+        if size > cap:
+            break
+        size *= base
+    return size > cap
+
+
+def _component_count(m: int, k: int, tables: Sequence[Sequence[int]]) -> int:
+    """Components of the state graph of one f class.
+
+    State x has digit (x // m**s) % m at slot s.  Every loop table moves
+    one digit and every adjacent transposition swaps two; each edge is
+    merged into a flat union-find, self-loops skipped.
+    """
+    n_states = m ** k
+    if n_states == 1:   # one charge class: the cap does not bound k here
+        return 1
+    parent = list(range(n_states))
+    components = n_states
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    # Each move is a family of edges (x, x + shift): x runs over runs of
+    # `width` ids starting at offset, offset + period, ...
+    loop_pairs = sorted({(min(d, t), max(d, t)) for table in tables
+                         for d, t in enumerate(table) if d != t})
+    moves: list[tuple[int, int, int, int]] = []   # (offset, shift, width, period)
+    stride = 1
+    for slot in range(k):
+        block = stride * m
+        moves.extend((d * stride, (t - d) * stride, stride, block)
+                     for d, t in loop_pairs)
+        if slot + 1 < k:
+            # digit a at this slot and b at the next one, swapped
+            moves.extend((a * stride + b * block, (a - b) * (block - stride),
+                          stride, block * m)
+                         for a in range(m) for b in range(a + 1, m))
+        stride = block
+    for offset, shift, width, period in moves:
+        for base in range(offset, n_states, period):
+            for x in range(base, base + width):
+                rx, ry = find(x), find(x + shift)
+                if rx != ry:
+                    parent[rx] = ry
+                    components -= 1
+    return components
+
+
 def components_bruteforce(
     target: TargetModel,
     model: ManifoldModel,
@@ -301,50 +379,43 @@ def components_bruteforce(
     """Count components by exploring the state graph under generator braids.
 
     States are (f, classes) pairs; edges apply each loop generator in each
-    slot and each adjacent transposition.  Refuses with TooLarge when
-    |classes|^k * |f classes| exceeds max_states.
+    slot and each adjacent transposition, as act would.  Refuses with
+    TooLarge, before allocating anything, when |classes|^k * |f classes|
+    exceeds max_states.  The search itself visits |charge|^k * |f classes|
+    integer states: one mixed-radix id per tuple of charge positions, with
+    the f images turned once per f class into tables on those positions.
     """
     _require_hypothesis(model, force, "the brute-force component count")
     if not isinstance(k, int) or k < 0:
         raise ValueError(f"puncture count must be a non-negative int, got {k!r}")
-    size = len(target.classes) ** k * len(target.f_classes)
-    if size > max_states:
+    n, n_f = len(target.classes), len(target.f_classes)
+    if _exceeds(n, k, n_f, max_states):
         raise TooLarge(
-            f"state graph would have up to {size} states, over the cap {max_states}"
+            f"state graph would have up to {n}^{k} * {n_f} states, "
+            f"over the cap {max_states}"
         )
-    gens: list[BraidElement] = []
-    e = FreeWord()
-    for slot in range(k):
-        for j in range(1, model.g + 1):
-            words = tuple(
-                FreeWord((j,)) if i == slot else e for i in range(k)
+    if k == 0:
+        return n_f
+    m = len(target.charge)
+    if m == 0 or n_f == 0:
+        return 0
+    if model.g or k > 1:   # some generator braid exists, so act would check
+        if target.loop_rank != model.g:
+            raise SizeMismatch(
+                f"f class gives {target.loop_rank} loop images but the model "
+                f"has rank {model.g}"
             )
-            gens.append(BraidElement(words, tuple(range(k))))
-    for slot in range(k - 1):
-        perm = list(range(k))
-        perm[slot], perm[slot + 1] = perm[slot + 1], perm[slot]
-        gens.append(BraidElement((e,) * k, tuple(perm)))
-
-    states = [
-        MapState(f, tup)
-        for f in range(len(target.f_classes))
-        for tup in itertools.product(target.charge, repeat=k)
-    ]
-    parent = {s: s for s in states}
-
-    def find(s: MapState) -> MapState:
-        while parent[s] != s:
-            parent[s] = parent[parent[s]]
-            s = parent[s]
-        return s
-
-    for s in states:
-        for gen in gens:
-            t = act(model, target, gen, s, force=True)
-            rs, rt = find(s), find(t)
-            if rs != rt:
-                parent[rs] = rt
-    return len({find(s) for s in states})
+        if -1 in model.character:
+            _check_reflection_charge(target)
+    inv_action = target.inverse_action()
+    total = 0
+    for f_words in target.f_classes:
+        tables = [
+            _charge_table(target, inv_action, f_words[j], model.character[j] == -1)
+            for j in range(model.g)
+        ]
+        total += _component_count(m, k, tables)
+    return total
 
 
 def target_to_json(target: TargetModel) -> dict:

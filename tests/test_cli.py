@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 
@@ -143,6 +144,18 @@ def test_compose_invalid_json(capsys, tmp_path):
     assert err.startswith("error:io: ")
 
 
+def test_compose_rejects_bool_rank(capsys, tmp_path):
+    m1 = push_map_file(tmp_path, "m1.json", 1, 1, 1, "a1")
+    obj = json.loads(m1.read_text())
+    obj["g"] = True
+    bad = tmp_path / "bool.json"
+    bad.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, "compose", str(m1), str(bad))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:parse: ")
+    assert err.count("\n") == 1
+
+
 def test_embed_matrix_golden(capsys, tmp_path):
     m1 = push_map_file(tmp_path, "m1.json", 1, 1, 1, "a1")
     code, out, err = run_cli(capsys, "embed", "--map", str(m1))
@@ -271,6 +284,22 @@ def test_components_state_cap_env(capsys, tmp_path, monkeypatch):
                              "-g", "1", "-k", "2", "--brute-force",
                              "--assume-hypotheses")
     assert (code, out) == (0, "formula: 6, brute-force: 6, agree\n")
+
+
+def test_components_huge_k_refused_before_allocating(tmp_path):
+    # 3**1000000000 must never be built: the cap is checked by an early-exit
+    # product, so this answers at once instead of hanging
+    path = tmp_path / "trivial.json"
+    path.write_text(json.dumps(TRIVIAL_TARGET))
+    env = {k: v for k, v in os.environ.items() if k != "PUSHCALC_MAX_STATES"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "pushcalc", "components", "--target", str(path),
+         "-g", "1", "-k", "1000000000", "--brute-force", "--assume-hypotheses"],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error:too-large: ")
+    assert proc.stderr.count("\n") == 1
 
 
 def test_components_bad_env(capsys, tmp_path, monkeypatch):

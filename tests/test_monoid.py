@@ -142,6 +142,11 @@ def test_signature_validation():
         WedgeSignature(1, (P1,), d=2)
     with pytest.raises(ValueError):
         WedgeSignature(1, (P1, P1))
+    # bool is an int subclass; JSON true must not read as g = 1 or d = 1
+    with pytest.raises(ValueError):
+        WedgeSignature(True, (P1, T1))
+    with pytest.raises(ValueError):
+        WedgeSignature(1, (P1, T1), d=True)
 
 
 def test_self_map_validation():

@@ -217,6 +217,90 @@ def test_formula_equals_bruteforce_random_targets():
         assert left == oracle_components(target, k)
 
 
+def act_components(target: TargetModel, model: ManifoldModel, k: int) -> int:
+    """Oracle: union-find over MapStates, each generator braid applied by act."""
+    gens = [
+        BraidElement(tuple(FreeWord((j,)) if i == slot else E for i in range(k)),
+                     tuple(range(k)))
+        for slot in range(k) for j in range(1, model.g + 1)
+    ]
+    for slot in range(k - 1):
+        perm = list(range(k))
+        perm[slot], perm[slot + 1] = perm[slot + 1], perm[slot]
+        gens.append(BraidElement((E,) * k, tuple(perm)))
+    parent: dict[MapState, MapState] = {}
+
+    def find(s: MapState) -> MapState:
+        while parent.setdefault(s, s) != s:
+            s = parent[s]
+        return s
+
+    for f in range(len(target.f_classes)):
+        for tup in itertools.product(target.charge, repeat=k):
+            s = MapState(f, tup)
+            for gen in gens:
+                rs, rt = find(s), find(act(model, target, gen, s))
+                if rs != rt:
+                    parent[rs] = rt
+            find(s)
+    return len({find(s) for s in parent})
+
+
+def test_bruteforce_equals_act_union_find_random_targets():
+    rng = random.Random(20250301)
+    nonorientable = 0
+    for _ in range(100):
+        g = rng.randrange(0, 3)
+        h = rng.randrange(0, 3)
+        n = rng.randrange(1, 5)
+        action = []
+        for _ in range(h):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            action.append(tuple(perm))
+        reflection = list(range(n))
+        idx = list(range(n))
+        rng.shuffle(idx)
+        for a, b in zip(idx[0::2], idx[1::2]):
+            if rng.random() < 0.7:
+                reflection[a], reflection[b] = b, a
+        # the charge is a union of orbits of the action and the reflection
+        charge = set(rng.sample(range(n), rng.randrange(1, n + 1)))
+        grew = True
+        while grew:
+            grew = False
+            for perm in (*action, reflection):
+                for i in list(charge):
+                    if perm[i] not in charge:
+                        charge.add(perm[i])
+                        grew = True
+        f_classes = tuple(
+            tuple(
+                FreeWord([rng.choice([1, -1]) * rng.randrange(1, h + 1)
+                          for _ in range(rng.randrange(0, 3))] if h else [])
+                for _ in range(g)
+            )
+            for _ in range(rng.randrange(1, 3))
+        )
+        target = TargetModel(
+            pi1_gens=h,
+            classes=tuple(range(n)),
+            action=tuple(action),
+            reflection=tuple(reflection),
+            charge=tuple(sorted(charge)),
+            f_classes=f_classes,
+        )
+        character = (1,) * g
+        if g and rng.random() < 0.4:
+            character = tuple(rng.choice([1, -1]) for _ in range(g))
+            nonorientable += -1 in character
+        model = hyp_model(g, character)
+        k = rng.randrange(0, 5)
+        want = act_components(target, model, k)
+        assert components_bruteforce(target, model, k) == want, (target, model, k)
+    assert nonorientable >= 10
+
+
 # --- the action itself ---
 
 
@@ -480,6 +564,74 @@ def test_target_json_errors():
     not_perm["action"] = {"a1": ["x", "x", "z"]}
     with pytest.raises(ParseError):
         target_from_json(not_perm)
+
+
+def test_bruteforce_huge_k_refused_at_once():
+    # the bound 3**(10**9) is never built; the cap check exits early
+    with pytest.raises(TooLarge):
+        components_bruteforce(trivial_target(3), hyp_model(1), 10**9)
+    # zero or one class, or no f class, keeps the state count small for any k
+    one = make_target(1, ["x"], [(0,)], f_classes=[["a1"]])
+    assert components_bruteforce(one, hyp_model(1), 10**9) == 1
+    no_charge = make_target(1, ["x"], [(0,)], charge=(), f_classes=[["a1"]])
+    assert components_bruteforce(no_charge, hyp_model(1), 10**9) == 0
+    no_f = make_target(1, ["x", "y"], [(0, 1)], f_classes=[])
+    assert components_bruteforce(no_f, hyp_model(1), 10**9) == 0
+
+
+def test_bruteforce_k0_counts_f_classes_unchecked():
+    # no punctures, no generator braids: nothing about f or the charge is checked
+    mismatched = trivial_target(3, f_count=2, g=2)
+    assert components_bruteforce(mismatched, hyp_model(1), 0) == 2
+    open_charge = make_target(
+        1, ["x", "y"], [(0, 1)], reflection=(1, 0), charge=(0,),
+        f_classes=[["a1"], ["e"], ["a1"]],
+    )
+    assert components_bruteforce(open_charge, hyp_model(1, (-1,)), 0) == 3
+    empty = make_target(1, ["x"], [(0,)], charge=(), f_classes=[["a1"]])
+    assert components_bruteforce(empty, hyp_model(1), 0) == 1
+
+
+def test_bruteforce_empty_charge_counts_zero():
+    empty = make_target(1, ["x", "y"], [(1, 0)], charge=(), f_classes=[["a1"]])
+    for k in (1, 2, 3):
+        assert components_bruteforce(empty, hyp_model(1), k) == 0
+    # no state exists, so neither the f rank nor the reflection is checked
+    assert components_bruteforce(empty, hyp_model(2), 2) == 0
+    assert components_bruteforce(empty, hyp_model(1, (-1,)), 2) == 0
+
+
+def test_bruteforce_f_rank_checked_only_with_generators():
+    one_image = trivial_target(3, g=1)
+    # g = 0, k = 1: no generator braid, one component per (f, class)
+    assert components_bruteforce(one_image, hyp_model(0), 1) == 3
+    # g = 0, k = 2: the transposition is a generator
+    with pytest.raises(SizeMismatch):
+        components_bruteforce(one_image, hyp_model(0), 2)
+    # g >= 1, k = 1: slot loops are generators
+    with pytest.raises(SizeMismatch):
+        components_bruteforce(one_image, hyp_model(2), 1)
+    no_image = trivial_target(3, g=0)
+    with pytest.raises(SizeMismatch):
+        components_bruteforce(no_image, hyp_model(1), 1)
+
+
+def test_bruteforce_nonorientable_needs_reflection_closed_charge():
+    # the reflection swaps x and y but the charge holds only x
+    target = make_target(
+        1, ["x", "y"], [(0, 1)], reflection=(1, 0), charge=(0,),
+        f_classes=[["a1"]],
+    )
+    with pytest.raises(ValueError, match="reflection"):
+        components_bruteforce(target, hyp_model(1, (-1,)), 1)
+    # g = 0 keeps the model orientable
+    g0 = dataclasses.replace(target, f_classes=((),))
+    assert components_bruteforce(g0, hyp_model(0), 2) == 1
+    # orientable models never use the reflection
+    assert components_bruteforce(target, hyp_model(1), 2) == 1
+    # the f rank is checked before the reflection, as act does
+    with pytest.raises(SizeMismatch):
+        components_bruteforce(target, hyp_model(2, (-1, 1)), 1)
 
 
 def test_bruteforce_trivial_sizes():
