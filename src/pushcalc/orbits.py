@@ -232,29 +232,10 @@ def act(
     return MapState(state.f, tuple(out))
 
 
-def _charge_table(
-    target: TargetModel,
-    inv_action: tuple[tuple[int, ...], ...],
-    w: FreeWord,
-    reflect: bool = False,
-) -> list[int]:
-    """Charge positions: entry p is the position of w.c for c = charge[p].
-
-    With reflect, c is reflected before w acts, as act does for a loop
-    that reverses orientation.
-    """
-    pos = {c: p for p, c in enumerate(target.charge)}
-    refl = target.reflection
-    return [
-        pos[_apply_pi1_word(target, inv_action, w, refl[c] if reflect else c)]
-        for c in target.charge
-    ]
-
-
 def _orbit_count(target: TargetModel, f_words: Sequence[FreeWord]) -> int:
     """Number of orbits of the charge under the f-images of the model loops."""
     inv_action = target.inverse_action()
-    parent = list(range(len(target.charge)))
+    parent = {i: i for i in target.charge}
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -262,14 +243,13 @@ def _orbit_count(target: TargetModel, f_words: Sequence[FreeWord]) -> int:
             i = parent[i]
         return i
 
-    orbits = len(parent)
     for w in f_words:
-        for p, q in enumerate(_charge_table(target, inv_action, w)):
-            rp, rq = find(p), find(q)
-            if rp != rq:
-                parent[rp] = rq
-                orbits -= 1
-    return orbits
+        for i in target.charge:
+            j = _apply_pi1_word(target, inv_action, w, i)
+            ri, rj = find(i), find(j)
+            if ri != rj:
+                parent[ri] = rj
+    return len({find(i) for i in target.charge})
 
 
 def components_formula(
@@ -307,20 +287,6 @@ def components_formula(
         c_f = _orbit_count(target, f_words)
         total += comb(c_f + k - 1, k)
     return total
-
-
-def _exceeds(base: int, k: int, factor: int, cap: int) -> bool:
-    """Whether base**k * factor > cap, without building a huge power."""
-    if factor == 0:
-        return cap < 0
-    if base <= 1:
-        return base ** k * factor > cap
-    size = factor
-    for _ in range(k):
-        if size > cap:
-            break
-        size *= base
-    return size > cap
 
 
 def _component_count(m: int, k: int, tables: Sequence[Sequence[int]]) -> int:
@@ -379,17 +345,23 @@ def components_bruteforce(
     """Count components by exploring the state graph under generator braids.
 
     States are (f, classes) pairs; edges apply each loop generator in each
-    slot and each adjacent transposition, as act would.  Refuses with
-    TooLarge, before allocating anything, when |classes|^k * |f classes|
-    exceeds max_states.  The search itself visits |charge|^k * |f classes|
-    integer states: one mixed-radix id per tuple of charge positions, with
-    the f images turned once per f class into tables on those positions.
+    slot and each adjacent transposition.  Refuses with TooLarge, before
+    allocating anything, when |classes|^k * |f classes| exceeds max_states.
+    The search itself visits |charge|^k * |f classes| integer states: one
+    mixed-radix id per tuple of charge positions.  A loop generator moves
+    one digit by a table on the charge positions, built once per f class
+    by applying act to one-puncture states; a transposition swaps two
+    digits.
     """
     _require_hypothesis(model, force, "the brute-force component count")
     if not isinstance(k, int) or k < 0:
         raise ValueError(f"puncture count must be a non-negative int, got {k!r}")
     n, n_f = len(target.classes), len(target.f_classes)
-    if _exceeds(n, k, n_f, max_states):
+    # n**k alone passes the cap once k > cap.bit_length(): a huge k is
+    # refused without building the power.
+    if max_states < 0 or n_f and (
+        n > 1 and k > max_states.bit_length() or n ** k * n_f > max_states
+    ):
         raise TooLarge(
             f"state graph would have up to {n}^{k} * {n_f} states, "
             f"over the cap {max_states}"
@@ -399,20 +371,21 @@ def components_bruteforce(
     m = len(target.charge)
     if m == 0 or n_f == 0:
         return 0
-    if model.g or k > 1:   # some generator braid exists, so act would check
-        if target.loop_rank != model.g:
-            raise SizeMismatch(
-                f"f class gives {target.loop_rank} loop images but the model "
-                f"has rank {model.g}"
-            )
-        if -1 in model.character:
-            _check_reflection_charge(target)
-    inv_action = target.inverse_action()
+    if k > 1 and target.loop_rank != model.g:
+        # act raises this for every generator; with g = 0 only the
+        # transpositions exist, and they never reach act here.
+        raise SizeMismatch(
+            f"f class gives {target.loop_rank} loop images but the model "
+            f"has rank {model.g}"
+        )
+    pos = {c: p for p, c in enumerate(target.charge)}
+    loops = [BraidElement((FreeWord((j,)),), (0,)) for j in range(1, model.g + 1)]
     total = 0
-    for f_words in target.f_classes:
+    for f in range(n_f):
         tables = [
-            _charge_table(target, inv_action, f_words[j], model.character[j] == -1)
-            for j in range(model.g)
+            [pos[act(model, target, loop, MapState(f, (c,)), force=True).g_classes[0]]
+             for c in target.charge]
+            for loop in loops
         ]
         total += _component_count(m, k, tables)
     return total
