@@ -32,7 +32,7 @@ from .ring import (
     vec_from_json,
     vec_to_json,
 )
-from .words import FreeEndo, endo_compose, format_word, parse_word
+from .words import IDENTITY, FreeEndo, endo_compose, format_word, parse_word
 
 
 @dataclass(frozen=True)
@@ -139,6 +139,10 @@ def identity_map(sig: WedgeSignature) -> SelfMapClass:
     )
 
 
+# Terms of the ring unit: a product with it is skipped, not computed.
+_UNIT_TERMS = {IDENTITY: 1}
+
+
 def compose(outer: SelfMapClass, inner: SelfMapClass) -> SelfMapClass:
     """Composite class outer-after-inner.
 
@@ -156,8 +160,9 @@ def compose(outer: SelfMapClass, inner: SelfMapClass) -> SelfMapClass:
         acc: dict[SphereLabel, RingElem] = {}
         for m, r in inner.sphere_part[b].entries.items():
             moved = ring_endo_apply(outer.circle_part, r)
+            unit = moved.terms == _UNIT_TERMS
             for l, r_out in outer.sphere_part[m].entries.items():
-                contrib = ring_mul(r_out, moved)
+                contrib = r_out if unit else ring_mul(r_out, moved)
                 prev = acc.get(l)
                 n = contrib if prev is None else prev + contrib
                 if n:

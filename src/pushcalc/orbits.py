@@ -52,7 +52,11 @@ class TargetModel:
     f_classes: tuple[tuple[FreeWord, ...], ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.pi1_gens, int) or self.pi1_gens < 0:
+        if (
+            not isinstance(self.pi1_gens, int)
+            or isinstance(self.pi1_gens, bool)
+            or self.pi1_gens < 0
+        ):
             raise ValueError(f"pi1_gens must be a non-negative int, got {self.pi1_gens!r}")
         object.__setattr__(self, "classes", tuple(self.classes))
         n = len(self.classes)

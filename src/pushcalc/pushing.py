@@ -10,10 +10,14 @@ exactly once, positively, with empty prefix.
 Pushing a puncture around a loop word acts on the homotopy classes of
 self-maps of the punctured model (a wedge of g circles, g cells and k
 puncture spheres).  The letterwise rules live in push_letter; push_word
-folds them by composition with the first letter outermost; the closed
-form push_word_closed evaluates the same class directly from letter
-profiles and is only valid for the default model.  Braids combine k
-slot words and a permutation of the punctures; push_braid is a monoid
+folds them by composition with the first letter outermost.  That fold
+is the oracle for the closed form, which holds for every model: pushing
+along w sends the pushed sphere p to c(w)*w*p, with c the orientation
+character, and adds F_cell(w)*p to each cell, where the coefficients
+satisfy the twisted cocycle law F(uv) = F(u) + c(u)*u*F(v) and are read
+off the crossing data in one pass over the letters of w.  Braids combine
+k slot words and a permutation of the punctures; push_braid assembles
+the class of a braid directly from that closed form, is a monoid
 homomorphism from braids (under braid_mul) to self-map classes, is
 injective, and recover_braid inverts it with a full round-trip check.
 """
@@ -62,9 +66,9 @@ class ManifoldModel:
     low_handle_dim: bool = False
 
     def __post_init__(self) -> None:
-        if not isinstance(self.g, int) or self.g < 0:
+        if not isinstance(self.g, int) or isinstance(self.g, bool) or self.g < 0:
             raise ValueError(f"loop count must be a non-negative int, got {self.g!r}")
-        if not isinstance(self.d, int) or self.d < 3:
+        if not isinstance(self.d, int) or isinstance(self.d, bool) or self.d < 3:
             raise ValueError(f"dimension must be an int >= 3, got {self.d!r}")
         if len(self.character) != self.g:
             raise ValueError(
@@ -113,7 +117,7 @@ class PuncturedSignature:
     k: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.k, int) or self.k < 0:
+        if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 0:
             raise ValueError(f"puncture count must be a non-negative int, got {self.k!r}")
 
     @property
@@ -251,11 +255,51 @@ def loop_coefficient(w: FreeWord, i: int) -> RingElem:
     return RingElem([(prefix, eps) for eps, prefix in letter_profile(w, i)])
 
 
+def _slot_push(model: ManifoldModel, w: FreeWord) -> tuple[int, list[RingElem]]:
+    """Orientation sign c(w) and the cell coefficients F_1(w)..F_g(w).
+
+    One pass over the letters of w (rank already checked) with the
+    running prefix u and its sign c(u): a letter a_i adds
+    c(u)*eps*(u*prefix) for each crossing (cell, eps, prefix) of loop i,
+    and a letter A_i adds -c(u)*eps*(u*A_i*prefix).  On reduced words
+    these sums satisfy F(uv) = F(u) + c(u)*u*F(v), which is what folding
+    push_letter by compose computes, for any crossing data and character.
+    """
+    letters = w.letters
+    character = model.character
+    crossings = model.crossings
+    acc: list[dict[FreeWord, int]] = [{} for _ in range(model.g)]
+    sign = 1
+    for pos, x in enumerate(letters):
+        i = abs(x)
+        row = crossings[i - 1]
+        if row:
+            if x > 0:
+                u, s = FreeWord._wrap(letters[:pos]), sign
+            else:
+                u, s = FreeWord._wrap(letters[: pos + 1]), -sign
+            for cell, eps, prefix in row:
+                term = u * prefix if prefix.letters else u
+                coeffs = acc[cell - 1]
+                n = coeffs.get(term, 0) + s * eps
+                if n:
+                    coeffs[term] = n
+                else:
+                    del coeffs[term]
+        if character[i - 1] < 0:
+            sign = -sign
+    return sign, [RingElem._wrap(coeffs) for coeffs in acc]
+
+
 def push_word_closed(sig: PuncturedSignature, w: FreeWord, slot: int) -> SelfMapClass:
-    """Closed form of push_word for the default model.
+    """Closed form of push_word, kept to the default model.
 
     Circles fixed; the pushed puncture sphere is translated by w; cell i
-    gains loop_coefficient(w, i) times the pushed puncture sphere.
+    gains loop_coefficient(w, i) times the pushed puncture sphere, the
+    default model's case of the twisted cocycle F(uv) = F(u) + c(u)*u*F(v).
+    The class is push_braid of the braid with w in `slot`, built by the
+    same one-pass helper, so checking it against the push_word fold (now
+    only the oracle) checks that helper.
     """
     _check_slot(sig, slot)
     model = sig.model
@@ -265,34 +309,44 @@ def push_word_closed(sig: PuncturedSignature, w: FreeWord, slot: int) -> SelfMap
         )
     if w.max_generator > model.g:
         raise ValueError(f"word {w} exceeds rank {model.g}")
-    wsig = sig.wedge
-    p_slot = SphereLabel("p", slot)
-    spheres = {lab: ModuleVec.unit(lab) for lab in wsig.labels}
-    spheres[p_slot] = ModuleVec([(p_slot, RingElem.from_word(w))])
-    for i in range(1, model.g + 1):
-        f_i = loop_coefficient(w, i)
-        if f_i:
-            cell_lab = SphereLabel("t", i)
-            spheres[cell_lab] = spheres[cell_lab] + ModuleVec([(p_slot, f_i)])
-    return SelfMapClass(wsig, FreeEndo.identity(model.g), spheres)
+    words = tuple(w if i == slot else FreeWord() for i in range(1, sig.k + 1))
+    return push_braid(sig, BraidElement(words, tuple(range(sig.k))))
 
 
 def push_braid(sig: PuncturedSignature, braid: BraidElement) -> SelfMapClass:
-    """Class of a general braid: slot-word pushes around the permutation push.
+    """Class of a general braid, assembled directly from the closed form.
 
-    The permutation factor sits innermost; the slot-word factors commute
-    with each other, so only their placement relative to the permutation
-    matters, and it is pinned by the homomorphism property
+    With sigma = perm[i] + 1, p_i goes to c(w_sigma)*w_sigma*p_sigma, each
+    cell t_c goes to t_c + sum_j F_c(w_j)*p_j, and the circles are fixed.
+    c is the orientation character and F_c(w) the cell coefficients of
+    _slot_push, which obey the twisted cocycle law
+    F(uv) = F(u) + c(u)*u*F(v) for any model.  The result is the composite
+    of the slot-word pushes around the permutation push (innermost), so
     push_braid(braid_mul(a, b)) = compose(push_braid(a), push_braid(b)).
+    The letterwise fold push_word is only the oracle the tests compare
+    this with.
     """
     if braid.k != sig.k:
         raise SizeMismatch(f"braid has {braid.k} slots, signature has {sig.k}")
-    acc = push_sym(sig, braid.perm)
-    for slot in range(sig.k, 0, -1):
-        w = braid.words[slot - 1]
-        if not w.is_identity:
-            acc = compose(push_word(sig, w, slot), acc)
-    return acc
+    model = sig.model
+    for w in reversed(braid.words):  # slot k is reported first
+        if w.max_generator > model.g:
+            raise ValueError(f"word {w} exceeds rank {model.g}")
+    pushes = [_slot_push(model, w) for w in braid.words]
+    punctures = [SphereLabel("p", j) for j in range(1, sig.k + 1)]
+    spheres: dict[SphereLabel, ModuleVec] = {}
+    for i, j in enumerate(braid.perm):
+        spheres[punctures[i]] = ModuleVec._wrap(
+            {punctures[j]: RingElem.from_word(braid.words[j], pushes[j][0])}
+        )
+    for c in range(model.g):
+        cell = SphereLabel("t", c + 1)
+        entries = {cell: RingElem.one()}
+        for lab, (_, coeffs) in zip(punctures, pushes):
+            if coeffs[c]:
+                entries[lab] = coeffs[c]
+        spheres[cell] = ModuleVec._wrap(entries)
+    return SelfMapClass(sig.wedge, FreeEndo.identity(model.g), spheres)
 
 
 @dataclass(frozen=True)
@@ -363,6 +417,46 @@ class KernelReport:
         return not self.nontrivial_kernel
 
 
+def _ball_size(g: int, max_len: int) -> int:
+    """Number of reduced words of length <= max_len over F_g."""
+    if g == 0 or max_len <= 0:
+        return 1
+    if g == 1:
+        return 1 + 2 * max_len
+    return 1 + g * ((2 * g - 1) ** max_len - 1) // (g - 1)
+
+
+def _unrank_word(g: int, rank: int) -> FreeWord:
+    """The word at index `rank` of enumerate_words(g, ...), in shortlex order."""
+    branch = 2 * g - 1
+    n, level = 0, 1
+    while rank >= level:
+        rank -= level
+        level = 2 * g if n == 0 else level * branch
+        n += 1
+    alphabet = [x for i in range(1, g + 1) for x in (i, -i)]
+    letters: list[int] = []
+    for remaining in range(n - 1, -1, -1):
+        idx, rank = divmod(rank, branch ** remaining)
+        last = letters[-1] if letters else 0
+        letters.append([x for x in alphabet if x != -last][idx])
+    return FreeWord._wrap(tuple(letters))
+
+
+def _count_fits(ball_size: int, k: int, cap: int) -> bool:
+    """Whether ball_size**k * k! <= cap.
+
+    The k! factors come first and the product stops once it passes cap,
+    so a large k or ball costs a few multiplications, not the product.
+    """
+    total = 1
+    for factor in itertools.chain(range(2, k + 1), itertools.repeat(ball_size, k)):
+        if total > cap:
+            return False
+        total *= factor
+    return total <= cap
+
+
 def kernel_report(
     sig: PuncturedSignature,
     max_word_len: int,
@@ -372,38 +466,38 @@ def kernel_report(
     """Search braids with slot words up to max_word_len for kernel elements.
 
     Exhaustive when the braid count fits in max_braids, otherwise a seeded
-    sample of max_braids elements.  The identity braid is always in the
-    kernel and is not reported; any other hit is a counterexample to
+    sample of max_braids elements.  The count is worked out before
+    anything is listed: the word ball and the permutations are listed
+    only for an exhaustive search, and a sample unranks each slot word
+    from a uniform index into the ball.  The identity braid is always in
+    the kernel and is not reported; any other hit is a counterexample to
     injectivity and lands in nontrivial_kernel.
     """
     if not sig.model.is_default:
         raise ModelNotDefault("kernel search is only established for the default model")
-    ball = list(enumerate_words(sig.model.g, max_word_len))
-    perms = list(itertools.permutations(range(sig.k)))
-    total = len(ball) ** sig.k * len(perms)
+    g, k = sig.model.g, sig.k
+    ball_size = _ball_size(g, max_word_len)
     ident = identity_map(sig.wedge)
     hits: list[BraidElement] = []
-    if total <= max_braids:
+    if _count_fits(ball_size, k, max_braids):
+        ball = list(enumerate_words(g, max_word_len))
+        perms = list(itertools.permutations(range(k)))
         checked = 0
-        for words in itertools.product(ball, repeat=sig.k):
+        for words in itertools.product(ball, repeat=k):
             for perm in perms:
                 braid = BraidElement(tuple(words), perm)
                 checked += 1
                 if push_braid(sig, braid) == ident and not braid.is_identity:
                     hits.append(braid)
-        return KernelReport(
-            sig.model.g, sig.k, max_word_len, True, checked, tuple(hits)
-        )
+        return KernelReport(g, k, max_word_len, True, checked, tuple(hits))
     rng = random.Random(seed)
     for _ in range(max_braids):
-        words = tuple(rng.choice(ball) for _ in range(sig.k))
-        perm = tuple(rng.sample(range(sig.k), sig.k))
+        words = tuple(_unrank_word(g, rng.randrange(ball_size)) for _ in range(k))
+        perm = tuple(rng.sample(range(k), k))
         braid = BraidElement(words, perm)
         if push_braid(sig, braid) == ident and not braid.is_identity:
             hits.append(braid)
-    return KernelReport(
-        sig.model.g, sig.k, max_word_len, False, max_braids, tuple(hits)
-    )
+    return KernelReport(g, k, max_word_len, False, max_braids, tuple(hits))
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")

@@ -231,6 +231,27 @@ def test_kernel_json(capsys):
     assert obj["nontrivial"] == []
 
 
+def _limit_memory() -> None:
+    # A regression that lists the whole ball or every permutation again
+    # should fail with MemoryError in the child, not exhaust the machine.
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("argv", [
+    ("-g", "1", "-k", "11", "--max-len", "0"),    # 11! permutations
+    ("-g", "3", "-k", "1", "--max-len", "13"),    # 1,831,054,687 words
+])
+def test_kernel_sizes_before_listing(argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "pushcalc", "kernel", *argv, "--max-braids", "5"],
+        capture_output=True, text=True, timeout=60, preexec_fn=_limit_memory,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "mode: sampled\nchecked: 5\nkernel: trivial\n"
+
+
 def test_components_golden(capsys, tmp_path):
     path = tmp_path / "trivial.json"
     path.write_text(json.dumps(TRIVIAL_TARGET))

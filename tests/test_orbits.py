@@ -519,6 +519,9 @@ def test_target_validation_errors():
     # a non-involution reflection
     with pytest.raises(ValueError):
         make_target(0, ["x", "y", "z"], [], reflection=(1, 2, 0))
+    # bool is not a generator count, although it is an int
+    with pytest.raises(ValueError, match="pi1_gens"):
+        make_target(True, ["x", "y"], [(1, 0)])
 
 
 def test_target_json_round_trip():

@@ -259,6 +259,65 @@ def test_push_braid_examples():
         push_braid(SIG22, BraidElement.identity(3))
 
 
+def _push_braid_by_fold(sig: PuncturedSignature, braid: BraidElement) -> SelfMapClass:
+    # The construction push_braid had before its closed form: push_word
+    # folds composed around the permutation push, slot 1 outermost.
+    acc = push_sym(sig, braid.perm)
+    for slot in range(sig.k, 0, -1):
+        w = braid.words[slot - 1]
+        if not w.is_identity:
+            acc = compose(push_word(sig, w, slot), acc)
+    return acc
+
+
+def rand_model(rng: random.Random, g: int) -> ManifoldModel:
+    """Random crossing data: rows of 0-3 crossings with random cells,
+    signs and prefixes of up to 3 letters, and a random character."""
+    return ManifoldModel(
+        g=g,
+        d=3,
+        character=tuple(rng.choice((1, -1)) for _ in range(g)),
+        crossings=tuple(
+            tuple(
+                (rng.randint(1, g), rng.choice((1, -1)), rand_word(rng, g, 3))
+                for _ in range(rng.randrange(4))
+            )
+            for _ in range(g)
+        ),
+    )
+
+
+def test_push_braid_matches_fold_on_random_models():
+    rng = random.Random(120)
+    seen = {"empty row": 0, "repeated cell": 0, "prefix": 0, "non-orientable": 0}
+    for _ in range(200):
+        g = rng.randrange(0, 4)
+        k = rng.randrange(0, 5)
+        model = rand_model(rng, g) if rng.random() < 0.8 else ManifoldModel.default(g)
+        seen["empty row"] += any(not row for row in model.crossings)
+        seen["repeated cell"] += any(
+            len({c for c, _, _ in row}) < len(row) for row in model.crossings
+        )
+        seen["prefix"] += any(
+            not prefix.is_identity for row in model.crossings for _, _, prefix in row
+        )
+        seen["non-orientable"] += -1 in model.character
+        sig = PuncturedSignature(model, k)
+        braid = rand_braid(rng, g, k, 8) if g else BraidElement.identity(k)
+        assert push_braid(sig, braid) == _push_braid_by_fold(sig, braid)
+    assert min(seen.values()) >= 20, seen
+
+
+def test_push_braid_errors():
+    sig = PuncturedSignature(ManifoldModel.default(1), 2)
+    words = (parse_word("a2"), parse_word("a3"))
+    # Slots are checked from k down to 1, so slot 2 is reported.
+    with pytest.raises(ValueError, match=r"^word a3 exceeds rank 1$"):
+        push_braid(sig, BraidElement(words, (1, 0)))
+    with pytest.raises(SizeMismatch, match=r"^braid has 3 slots, signature has 2$"):
+        push_braid(sig, BraidElement.identity(3))
+
+
 def test_push_braid_homomorphism():
     rng = random.Random(116)
     for _ in range(120):
@@ -419,6 +478,37 @@ def test_kernel_report_sampled():
     assert rep.passed
 
 
+def test_kernel_report_samples_like_a_listed_ball(monkeypatch):
+    # The sampler draws an index into the ball and unranks it; it must draw
+    # the same braids as drawing from the listed ball with rng.choice.
+    import pushcalc.pushing as pushing
+    from pushcalc.words import enumerate_words
+
+    seen: list[BraidElement] = []
+    real = pushing.push_braid
+
+    def recording(sig, braid):
+        seen.append(braid)
+        return real(sig, braid)
+
+    monkeypatch.setattr(pushing, "push_braid", recording)
+    for g, k, max_len, seed in [
+        (0, 5, 2, 3), (1, 2, 3, 0), (1, 3, 1, 1), (2, 1, 3, 7),
+        (2, 2, 2, 5), (3, 1, 3, 2), (3, 2, 2, 9),
+    ]:
+        seen.clear()
+        rep = kernel_report(PuncturedSignature(ManifoldModel.default(g), k),
+                            max_len, 40, seed=seed)
+        assert not rep.exhaustive and rep.total_checked == 40 and rep.passed
+        ball = list(enumerate_words(g, max_len))
+        rng = random.Random(seed)
+        listed = []
+        for _ in range(40):
+            words = tuple(rng.choice(ball) for _ in range(k))
+            listed.append(BraidElement(words, tuple(rng.sample(range(k), k))))
+        assert seen == listed
+
+
 def test_perm_parse_format():
     assert parse_perm("(1 2)", 3) == (1, 0, 2)
     assert parse_perm("(1 2 3)", 3) == (1, 2, 0)
@@ -465,6 +555,13 @@ def test_model_validation():
         ManifoldModel(g=1, d=3, character=(1,), crossings=(((1, 3, IDENTITY),),))
     with pytest.raises(ValueError):
         PuncturedSignature(ManifoldModel.default(1), -1)
+    # bool is an int subclass; the model and signature reject it anyway
+    with pytest.raises(ValueError, match="loop count"):
+        ManifoldModel.default(True)
+    with pytest.raises(ValueError, match="dimension"):
+        ManifoldModel(g=1, d=True, character=(1,), crossings=(((1, 1, IDENTITY),),))
+    with pytest.raises(ValueError, match="puncture count"):
+        PuncturedSignature(ManifoldModel.default(1), True)
     with pytest.raises(ValueError):
         BraidElement((IDENTITY,), (0, 1))
     with pytest.raises(ValueError):
