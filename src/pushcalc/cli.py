@@ -142,11 +142,15 @@ class _CliUsage(Exception):
     pass
 
 
+# Most cells `embed --truncate` prints: the TSV is dense, one field per cell.
+TSV_MAX_CELLS = 4_000_000
+
+
 def cmd_embed(args: argparse.Namespace) -> int:
     h = _map_from_args(args)
     mat = embed(h)
     if args.truncate is not None:
-        window = materialize(mat, args.truncate)
+        window = materialize(mat, args.truncate, max_cells=TSV_MAX_CELLS)
         if args.json:
             _print_json({
                 "matrix": block_matrix_to_json(mat),

@@ -12,7 +12,7 @@ form can be checked against literal integer matrix multiplication.
 """
 from __future__ import annotations
 
-from .errors import SignatureMismatch, SizeMismatch
+from .errors import SignatureMismatch, SizeMismatch, TooLarge
 from .monoid import SelfMapClass, WedgeSignature
 from .ring import (
     ModuleVec,
@@ -34,6 +34,10 @@ from .words import (
 )
 
 IndexKey = tuple[SphereLabel, FreeWord]
+
+# Most rows materialize() lists; the columns are never more than the rows.
+# The embed suite's windows stay within 4,371 rows (radius 6 at g = 2).
+MAX_WINDOW_ROWS = 200_000
 
 
 class ShiftedBlockMatrix:
@@ -198,15 +202,51 @@ def _ball_keys(sig: WedgeSignature, radius: int) -> tuple[IndexKey, ...]:
     return tuple((lab, w) for lab in sig.labels for w in words)
 
 
-def materialize(a: ShiftedBlockMatrix, radius: int) -> TruncatedMatrix:
+def _ball_keys_count(sig: WedgeSignature, radius: int, cap: int) -> int | None:
+    """len(_ball_keys(sig, radius)), or None if it exceeds cap.
+
+    Worked out level by level without listing words; the sum stops once it
+    passes cap, so a huge radius costs a few multiplications.
+    """
+    n = len(sig.labels)
+    if sig.g <= 1:
+        words = 2 * radius * sig.g + 1
+    else:
+        words, level = 1, 2 * sig.g
+        for _ in range(radius):
+            words += level
+            if words * n > cap:
+                return None
+            level *= 2 * sig.g - 1
+    return words * n if words * n <= cap else None
+
+
+def materialize(
+    a: ShiftedBlockMatrix, radius: int, max_cells: int | None = None
+) -> TruncatedMatrix:
     """Expand the window of the infinite matrix on the radius-ball columns.
 
     The entry in row (l, v), column (b, u) is the coefficient of
     v*slope(u)^-1 in block (l, b).  The row ball is padded so every
     nonzero coordinate of every column's image is inside the window.
+    Both sides are counted before they are listed: a window of more than
+    MAX_WINDOW_ROWS rows, or of more than max_cells rows x columns when
+    given, raises TooLarge.
     """
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
+    cells = MAX_WINDOW_ROWS ** 2 if max_cells is None else max_cells
+
+    def too_large(window: str) -> TooLarge:
+        return TooLarge(
+            f"{window} would pass the cap of {MAX_WINDOW_ROWS} rows or "
+            f"{cells} cells; choose a smaller radius"
+        )
+
+    n_cols = _ball_keys_count(a.sig, radius, MAX_WINDOW_ROWS)
+    # The rows cover at least the column ball, so there are n_cols^2 cells or more.
+    if n_cols is None or n_cols * n_cols > cells:
+        raise too_large(f"window of radius {radius}")
     cols = _ball_keys(a.sig, radius)
     by_col: dict[SphereLabel, list[tuple[SphereLabel, RingElem]]] = {}
     for (l, b), r in a.blocks.items():
@@ -226,6 +266,9 @@ def materialize(a: ShiftedBlockMatrix, radius: int) -> TruncatedMatrix:
     # The pad suffices whenever the slope does not lengthen words (every
     # point-push has identity slope); a stretching slope widens the ball.
     row_radius = max(radius + max_shift(a), arising)
+    row_cap = min(MAX_WINDOW_ROWS, cells // max(n_cols, 1))
+    if _ball_keys_count(a.sig, row_radius, row_cap) is None:
+        raise too_large(f"window of radius {radius} with rows to radius {row_radius}")
     rows = _ball_keys(a.sig, row_radius)
     entries = {
         ((l, w), key): c
@@ -240,19 +283,30 @@ def is_diagonally_constant(t: TruncatedMatrix, slope: FreeEndo) -> bool:
 
     For each column (b, u) and row (l, v), the entry must match the entry
     at row (l, v*slope(u)^-1), column (b, e), whenever that reference cell
-    is also inside the window.
+    is also inside the window.  A pair of two zeros cannot break the rule,
+    so only the nonzero entries are scanned, with slope(u) computed once
+    per column word: (a) each nonzero entry is compared with its reference
+    cell, and (b) each nonzero entry ((l, w), (b, e)) of a reference column
+    is compared with ((l, w*slope(u)), (b, u)) for every column (b, u)
+    whose row is inside the window.  Together these cover every pair with
+    a nonzero side.
     """
-    row_set = set(t.rows)
-    col_set = set(t.cols)
-    for b, u in t.cols:
-        su_inv = ~endo_apply(slope, u)
-        for l, v in t.rows:
-            ref_row = (l, v * su_inv)
-            ref_col = (b, FreeWord())
-            if ref_row not in row_set or ref_col not in col_set:
-                continue
-            if t.entries.get(((l, v), (b, u)), 0) != t.entries.get((ref_row, ref_col), 0):
-                return False
+    e = FreeWord()
+    images = {u: endo_apply(slope, u) for _b, u in t.cols}
+    inverses = {u: ~su for u, su in images.items()}
+    cols_of: dict[SphereLabel, list[IndexKey]] = {}
+    for col in t.cols:
+        cols_of.setdefault(col[0], []).append(col)
+    rows, cols = t._row_set, t._col_set
+    for ((l, v), (b, u)), x in t.entries.items():
+        ref_row, ref_col = (l, v * inverses[u]), (b, e)
+        if ref_row in rows and ref_col in cols and t.entry(ref_row, ref_col) != x:
+            return False
+        if u.is_identity:
+            for col in cols_of[b]:
+                row = (l, v * images[col[1]])
+                if row in rows and t.entry(row, col) != x:
+                    return False
     return True
 
 

@@ -57,6 +57,7 @@ class HypothesisViolation(PushcalcError, ValueError):
 
 
 class TooLarge(PushcalcError, ValueError):
-    """A brute-force enumeration would exceed the state guard."""
+    """An input would exceed a size guard: the brute-force state count, the
+    parsed word length, or the truncated window size."""
 
     code = "too-large"

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import ParseError, SignatureMismatch
+from .errors import ParseError, SignatureMismatch, TooLarge
 from .ring import (
     ModuleVec,
     RingElem,
@@ -237,6 +237,6 @@ def self_map_from_json(obj: object) -> SelfMapClass:
         part = {parse_label(key): vec_from_json(val) for key, val in spheres.items()}
         return SelfMapClass(sig, endo, part)
     except ValueError as exc:
-        if isinstance(exc, ParseError):
+        if isinstance(exc, (ParseError, TooLarge)):
             raise
         raise ParseError(str(exc)) from None

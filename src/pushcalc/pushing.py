@@ -23,6 +23,7 @@ injective, and recover_braid inverts it with a full round-trip check.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import re
@@ -120,8 +121,10 @@ class PuncturedSignature:
         if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 0:
             raise ValueError(f"puncture count must be a non-negative int, got {self.k!r}")
 
-    @property
+    @functools.cached_property
     def wedge(self) -> WedgeSignature:
+        # Built once per signature; the cache lives in the instance __dict__,
+        # outside the dataclass fields, so equality and hash are unchanged.
         labels = [SphereLabel("p", i) for i in range(1, self.k + 1)]
         labels += [SphereLabel("t", j) for j in range(1, self.model.g + 1)]
         return WedgeSignature(self.model.g, labels, self.model.d)

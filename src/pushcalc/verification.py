@@ -14,6 +14,9 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .embedding import (
+    IndexKey,
+    ShiftedBlockMatrix,
+    TruncatedMatrix,
     embed,
     is_diagonally_constant,
     materialize,
@@ -249,6 +252,42 @@ def _hyp_model(g: int) -> ManifoldModel:
     return dataclasses.replace(ManifoldModel.default(g), low_handle_dim=True)
 
 
+def _window_mismatch(
+    t: TruncatedMatrix, c: ShiftedBlockMatrix
+) -> tuple[IndexKey, IndexKey] | None:
+    """First cell of window t, rows then columns, that differs from c.
+
+    Cell ((l, v), (b, u)) of c is the coefficient of v*slope(u)^-1 in block
+    (l, b), so a term (w, coef) of that block sits at row (l, w*slope(u))
+    of column (b, u) and every other cell is zero.  The expected window is
+    built from c's blocks alone, keeping the rows inside t, and compared
+    with t's nonzero entries as one dict.  It deliberately does not use
+    materialize(), which built the windows being checked.
+    """
+    by_col: dict[SphereLabel, list[tuple[SphereLabel, RingElem]]] = {}
+    for (l, b), r in c.blocks.items():
+        by_col.setdefault(b, []).append((l, r))
+    rows = frozenset(t.rows)
+    expected: dict[tuple[IndexKey, IndexKey], int] = {}
+    for col in t.cols:
+        b, u = col
+        su = endo_apply(c.slope, u)
+        for l, r in by_col.get(b, ()):
+            for w, coef in r.terms.items():
+                row = (l, w * su)
+                if row in rows:
+                    expected[(row, col)] = coef
+    if t.entries == expected:
+        return None
+    row_index = {row: i for i, row in enumerate(t.rows)}
+    col_index = {col: j for j, col in enumerate(t.cols)}
+    return min(
+        (key for key in t.entries.keys() | expected.keys()
+         if t.entries.get(key, 0) != expected.get(key, 0)),
+        key=lambda key: (row_index[key[0]], col_index[key[1]]),
+    )
+
+
 # --- suite definitions ---
 
 
@@ -410,15 +449,9 @@ def _embed_properties() -> list[Property]:
         prod = truncated_product(ta_mat, tb_mat)
         c = matrix_mul(ta_src, tb)
         radius_log.append([radius, tb_mat.row_radius, ta_mat.row_radius])
-        for row in prod.rows:
-            lab_r, v = row
-            for col in prod.cols:
-                lab_c, u = col
-                want = c.block(lab_r, lab_c).coefficient(
-                    v * ~endo_apply(c.slope, u)
-                )
-                if prod.entry(row, col) != want:
-                    return f"truncated product wrong at {row}, {col}"
+        bad = _window_mismatch(prod, c)
+        if bad is not None:
+            return f"truncated product wrong at {bad[0]}, {bad[1]}"
         return None
 
     def fails_diag(case: tuple) -> str | None:

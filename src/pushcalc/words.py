@@ -20,7 +20,7 @@ import os
 import re
 from typing import Iterable, Iterator, Sequence
 
-from .errors import ParseError
+from .errors import ParseError, TooLarge
 
 if os.environ.get("PUSHCALC_PURE"):
     from . import _purewords as _kernel
@@ -250,12 +250,19 @@ def endo_compose(outer: FreeEndo, inner: FreeEndo) -> FreeEndo:
 
 _TOKEN_RE = re.compile(r"([aA])([0-9]+)(?:\^(-?[0-9]+))?\Z")
 
+# Longest letter sequence parse_word expands, before free reduction.  A push
+# of an n-letter word holds about n coefficient terms of up to n letters, so
+# time and memory grow as n^2: `push-word` of 1,000 letters at g = 2 takes
+# under a second and 60 MB on a 2-CPU Xeon, of 10,000 letters 40 s and 3.8 GB.
+MAX_WORD_LETTERS = 1_000
+
 
 def parse_word(text: str) -> FreeWord:
     """Parse the word grammar: a1, A1 (inverse), a1^-3 (power), e (identity).
 
     Tokens are whitespace-separated; the empty string also denotes the
-    identity.
+    identity.  A word that expands to more than MAX_WORD_LETTERS letters
+    raises TooLarge before the letters are listed.
 
     >>> parse_word("a1 A2 a1^2").letters
     (1, -2, 1, 1)
@@ -277,6 +284,11 @@ def parse_word(text: str) -> FreeWord:
         if tm.group(1) == "A":
             exp = -exp
         letter = index if exp > 0 else -index
+        if len(out) + abs(exp) > MAX_WORD_LETTERS:
+            raise TooLarge(
+                f"word expands to more than {MAX_WORD_LETTERS} letters "
+                f"(at position {m.start()}); use a shorter word or a smaller exponent"
+            )
         out.extend([letter] * abs(exp))
     return FreeWord(out)
 

@@ -252,6 +252,21 @@ def test_kernel_sizes_before_listing(argv):
     assert proc.stdout == "mode: sampled\nchecked: 5\nkernel: trivial\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("push-word", "-g", "1", "-k", "1", "--slot", "1", "a1^300000000"),
+    ("embed", "-g", "2", "-k", "1", "--slot", "1", "a1", "--truncate", "12"),
+    ("embed", "-g", "2", "-k", "1", "--slot", "1", "a1", "--truncate", "1000000000"),
+])
+def test_too_large_refused_before_allocating(argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "pushcalc", *argv],
+        capture_output=True, text=True, timeout=60, preexec_fn=_limit_memory,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error:too-large: ")
+    assert proc.stderr.count("\n") == 1
+
+
 def test_components_golden(capsys, tmp_path):
     path = tmp_path / "trivial.json"
     path.write_text(json.dumps(TRIVIAL_TARGET))

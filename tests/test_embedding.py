@@ -5,7 +5,9 @@ import random
 
 import pytest
 
+from pushcalc import verification
 from pushcalc.embedding import (
+    MAX_WINDOW_ROWS,
     ShiftedBlockMatrix,
     block_matrix_to_json,
     embed,
@@ -19,10 +21,11 @@ from pushcalc.embedding import (
     to_tsv,
     truncated_product,
 )
-from pushcalc.errors import SignatureMismatch, SizeMismatch
+from pushcalc.errors import SignatureMismatch, SizeMismatch, TooLarge
 from pushcalc.monoid import SelfMapClass, WedgeSignature, compose, identity_map
 from pushcalc.ring import ModuleVec, RingElem, SphereLabel
-from pushcalc.words import IDENTITY, FreeEndo, FreeWord, parse_word
+from pushcalc.verification import _window_mismatch
+from pushcalc.words import IDENTITY, FreeEndo, FreeWord, endo_apply, parse_word
 
 P1 = SphereLabel("p", 1)
 T1 = SphereLabel("t", 1)
@@ -70,14 +73,15 @@ def rand_word(rng: random.Random, g: int, max_len: int) -> FreeWord:
     return FreeWord(rng.choice(alphabet) for _ in range(rng.randrange(max_len + 1)))
 
 
-def rand_map(rng: random.Random, sig: WedgeSignature, circle_len: int = 1) -> SelfMapClass:
+def rand_map(rng: random.Random, sig: WedgeSignature, circle_len: int = 1,
+             word_len: int = 3) -> SelfMapClass:
     endo = FreeEndo([rand_word(rng, sig.g, circle_len) for _ in range(sig.g)])
     spheres = {}
     for b in sig.labels:
         entries = []
         for l in sig.labels:
             r = RingElem(
-                [(rand_word(rng, sig.g, 3), rng.randrange(-2, 3))
+                [(rand_word(rng, sig.g, word_len), rng.randrange(-2, 3))
                  for _ in range(rng.randrange(3))]
             )
             if r:
@@ -267,3 +271,155 @@ def test_constructor_validation():
         ShiftedBlockMatrix(SIG1, FreeEndo.identity(1), {(P1, T2): RingElem.one()})
     with pytest.raises(ValueError):
         materialize(embed(identity_map(SIG1)), -1)
+
+
+def test_materialize_refuses_huge_windows_before_listing():
+    a = embed(push_alpha())
+    g2 = embed(identity_map(SIG2))
+    # Columns alone: 3 x 1,062,881 words at g = 2, radius 12.
+    for mat, radius in ((g2, 12), (g2, 10**9), (a, 10**9)):
+        with pytest.raises(TooLarge, match="window of radius"):
+            materialize(mat, radius)
+    # Few columns, but the rows reach radius 20 through a long block word.
+    long_word = embed(SelfMapClass(
+        SIG2, FreeEndo.identity(2),
+        {P1: ModuleVec([(P1, ring_of({"a1^20": 1}))]),
+         T1: ModuleVec.unit(T1), T2: ModuleVec.unit(T2)},
+    ))
+    with pytest.raises(TooLarge, match="rows to radius 20"):
+        materialize(long_word, 0)
+    # The largest window the embed suite builds (radius 4 columns, radius 6
+    # rows at g = 2) is admitted.
+    wide = embed(SelfMapClass(
+        SIG2, FreeEndo.identity(2),
+        {P1: ModuleVec([(P1, ring_of({"a1 a2": 1}))]),
+         T1: ModuleVec.unit(T1), T2: ModuleVec.unit(T2)},
+    ))
+    t = materialize(wide, 4)
+    assert (len(t.rows), len(t.cols)) == (4371, 483)
+    # The identity at g = 1 has 2 * (2r + 1) rows and columns: a cells cap of
+    # 2,826^2 admits r = 706 and refuses r = 707 (2,830^2 cells).
+    ident = embed(identity_map(SIG1))
+    t = materialize(ident, 706, max_cells=2826 ** 2)
+    assert len(t.rows) * len(t.cols) == 2826 ** 2
+    with pytest.raises(TooLarge, match="7986276 cells"):
+        materialize(ident, 707, max_cells=2826 ** 2)
+    # The cells cap also bounds the rows: push_alpha at radius 0 is 6 x 2.
+    assert materialize(a, 0, max_cells=12).rows
+    with pytest.raises(TooLarge, match="rows to radius 1"):
+        materialize(a, 0, max_cells=11)
+    # A long block word at g = 1 passes the rows cap with only two columns.
+    long_g1 = embed(SelfMapClass(
+        SIG1, FreeEndo.identity(1),
+        {P1: ModuleVec([(P1, RingElem.from_word(FreeWord((1,) * 50000)))]),
+         T1: ModuleVec.unit(T1)},
+    ))
+    assert 2 * (2 * 50000 + 1) > MAX_WINDOW_ROWS
+    with pytest.raises(TooLarge, match="rows to radius 50000"):
+        materialize(long_g1, 0)
+
+
+# --- sparse window checks against the dense cell-by-cell scans they replaced ---
+
+
+def dense_is_diagonally_constant(t, slope: FreeEndo) -> bool:
+    row_set = set(t.rows)
+    col_set = set(t.cols)
+    for b, u in t.cols:
+        su_inv = ~endo_apply(slope, u)
+        for l, v in t.rows:
+            ref_row = (l, v * su_inv)
+            ref_col = (b, FreeWord())
+            if ref_row not in row_set or ref_col not in col_set:
+                continue
+            if t.entries.get(((l, v), (b, u)), 0) != t.entries.get((ref_row, ref_col), 0):
+                return False
+    return True
+
+
+def dense_window_mismatch(t, c: ShiftedBlockMatrix):
+    for row in t.rows:
+        for col in t.cols:
+            want = c.block(row[0], col[0]).coefficient(row[1] * ~endo_apply(c.slope, col[1]))
+            if t.entry(row, col) != want:
+                return row, col
+    return None
+
+
+def perturb(rng: random.Random, t):
+    """t with one cell changed: a nonzero entry, a reference-column cell, or any cell."""
+    pick = rng.randrange(3)
+    if pick == 0 and t.entries:
+        (row, col), v = rng.choice(sorted(t.entries.items(), key=repr))
+        return t.with_entry(row, col, rng.choice([0, v + 1, -v]))
+    row = rng.choice(t.rows)
+    if pick == 1:
+        col = rng.choice([c for c in t.cols if c[1] == IDENTITY])
+    else:
+        col = rng.choice(t.cols)
+    return t.with_entry(row, col, t.entry(row, col) + rng.choice([-1, 1, 2]))
+
+
+def rand_small_pair(rng: random.Random):
+    sig = SIG1 if rng.random() < 0.6 else SIG2
+    word_len = 3 if sig is SIG1 else 1
+    return (rand_map(rng, sig, word_len=word_len),
+            rand_map(rng, sig, word_len=word_len))
+
+
+def test_sparse_diagonal_scan_matches_dense():
+    rng = random.Random(95)
+    outcomes = []
+    for i in range(240):
+        h, other = rand_small_pair(rng)
+        a = embed(h)
+        t = materialize(a, rng.choice([0, 1, 2]) if h.sig is SIG1 else rng.choice([0, 1]))
+        slope = a.slope
+        if i % 3 == 1:
+            t = perturb(rng, t)
+        elif i % 3 == 2:
+            slope = other.circle_part   # a slope the window was not built with
+        got = is_diagonally_constant(t, slope)
+        assert got == dense_is_diagonally_constant(t, slope), (i, t)
+        outcomes.append(got)
+    assert outcomes.count(True) >= 40 and outcomes.count(False) >= 40
+
+
+def test_sparse_truncated_check_matches_dense():
+    rng = random.Random(96)
+    outcomes = []
+    for i in range(240):
+        h1, h2 = rand_small_pair(rng)
+        a, b = embed(h1), embed(h2)
+        c = matrix_mul(a, b)
+        tb = materialize(b, rng.choice([0, 1]))
+        prod = truncated_product(materialize(a, tb.row_radius), tb)
+        if i % 3 == 1:
+            prod = perturb(rng, prod)
+        elif i % 3 == 2:
+            c = matrix_mul(b, a)   # usually a different product, many wrong cells
+        got = _window_mismatch(prod, c)
+        assert got == dense_window_mismatch(prod, c), i
+        outcomes.append(got is None)
+    assert outcomes.count(True) >= 40 and outcomes.count(False) >= 40
+
+
+def test_truncated_matmul_property_reports_the_dense_first_cell(monkeypatch):
+    (prop,) = [p for p in verification._embed_properties() if p.name == "truncated-matmul"]
+    rng = random.Random(97)
+    seen: list = []
+
+    def corrupted(ta, tb):
+        t = truncated_product(ta, tb)
+        row, col = rng.choice(t.rows), rng.choice(t.cols)
+        seen.append(t.with_entry(row, col, t.entry(row, col) + 3))
+        return seen[-1]
+
+    monkeypatch.setattr(verification, "truncated_product", corrupted)
+    for _ in range(30):
+        case = prop.gen(rng)
+        msg = prop.fails(case)
+        _radius, spec_a, spec_b = case
+        c = matrix_mul(embed(verification._map(spec_a)), embed(verification._map(spec_b)))
+        row, col = dense_window_mismatch(seen[-1], c)
+        assert msg == f"truncated product wrong at {row}, {col}"

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from pushcalc.errors import SignatureMismatch
+from pushcalc.errors import SignatureMismatch, TooLarge
 from pushcalc.monoid import (
     SelfMapClass,
     WedgeSignature,
@@ -308,3 +308,10 @@ def test_self_map_json_round_trip():
     for _ in range(25):
         h = rand_map(rng, sig2)
         assert self_map_from_json(self_map_to_json(h)) == h
+
+
+def test_self_map_json_long_word_is_too_large():
+    js = self_map_to_json(push_alpha())
+    js["circles"] = ["a1^300000000"]
+    with pytest.raises(TooLarge):
+        self_map_from_json(js)

@@ -1,6 +1,7 @@
 """Point-push classes: letter rules, closed forms, braids, recovery, kernel."""
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from pushcalc.errors import (
 )
 from pushcalc.monoid import (
     SelfMapClass,
+    WedgeSignature,
     compose,
     identity_map,
     verify_inverse,
@@ -538,6 +540,17 @@ def test_braid_parse_format():
         parse_braid("[a1 | e]")
     with pytest.raises(SizeMismatch):
         parse_braid("[a1 | e ; id]", k=3)
+
+
+def test_wedge_is_built_once():
+    sig = PuncturedSignature(ManifoldModel.default(2, 4), 3)
+    assert sig.wedge is sig.wedge
+    labels = [SphereLabel("p", i) for i in (1, 2, 3)] + [SphereLabel("t", j) for j in (1, 2)]
+    assert sig.wedge == WedgeSignature(2, labels, 4)
+    # The cache is not a field: equality and hash ignore whether it is filled.
+    fresh = PuncturedSignature(ManifoldModel.default(2, 4), 3)
+    assert fresh == sig and hash(fresh) == hash(sig)
+    assert [f.name for f in dataclasses.fields(sig)] == ["model", "k"]
 
 
 def test_model_validation():

@@ -5,9 +5,10 @@ import random
 
 import pytest
 
-from pushcalc.errors import ParseError
+from pushcalc.errors import ParseError, TooLarge
 from pushcalc.words import (
     IDENTITY,
+    MAX_WORD_LETTERS,
     FreeEndo,
     FreeWord,
     char_sign,
@@ -156,6 +157,16 @@ def test_parse_format_round_trip_random():
     for _ in range(300):
         w = rand_word(rng, rng.randrange(1, 5), 20)
         assert parse_word(format_word(w)) == w
+
+
+def test_parse_word_length_cap():
+    n = MAX_WORD_LETTERS
+    assert len(parse_word(f"a1^{n}")) == n
+    assert len(parse_word(f"a1^{n // 2} A2^{n // 2}")) == n
+    # The cap counts letters before reduction, and is checked before listing them.
+    for text in (f"a1^{n + 1}", f"a1^{n} A1", f"a2 a1^-{n}", "a1^300000000"):
+        with pytest.raises(TooLarge, match=f"more than {n} letters"):
+            parse_word(text)
 
 
 def test_parse_errors_carry_position():
