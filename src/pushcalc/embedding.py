@@ -53,7 +53,7 @@ class ShiftedBlockMatrix:
     ) -> None:
         if slope.rank != sig.g:
             raise ValueError(f"slope rank {slope.rank} does not match g={sig.g}")
-        allowed = set(sig.labels)
+        allowed = sig.label_set
         clean: dict[tuple[SphereLabel, SphereLabel], RingElem] = {}
         for (row, col), r in blocks.items():
             if row not in allowed or col not in allowed:

@@ -37,7 +37,13 @@ from .words import IDENTITY, FreeEndo, endo_compose, format_word, parse_word
 
 @dataclass(frozen=True)
 class WedgeSignature:
-    """g circles and a labelled set of (d-1)-spheres, d >= 3."""
+    """g circles and a labelled set of (d-1)-spheres, d >= 3.
+
+    labels is sorted into sort_key order.  label_set, the same labels as a
+    frozenset, is built once here for the membership checks of every
+    SelfMapClass and ShiftedBlockMatrix on this signature; it is not a
+    field, so equality, hash and repr see only g, labels and d.
+    """
 
     g: int
     labels: tuple[SphereLabel, ...]
@@ -52,11 +58,13 @@ class WedgeSignature:
         for lab in labs:
             if not isinstance(lab, SphereLabel):
                 raise ValueError(f"labels must be SphereLabel, got {lab!r}")
-        if len(set(labs)) != len(labs):
+        label_set = frozenset(labs)
+        if len(label_set) != len(labs):
             raise ValueError(f"duplicate sphere labels in {labs}")
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "labels", labs)
         object.__setattr__(self, "d", d)
+        object.__setattr__(self, "label_set", label_set)
 
 
 class SelfMapClass:
@@ -70,14 +78,17 @@ class SelfMapClass:
         circle_part: FreeEndo,
         sphere_part: Mapping[SphereLabel, ModuleVec],
     ) -> None:
-        if circle_part.rank != sig.g:
+        g = sig.g
+        if circle_part.rank != g:
             raise ValueError(
-                f"circle part has rank {circle_part.rank}, signature needs {sig.g}"
+                f"circle part has rank {circle_part.rank}, signature needs {g}"
             )
-        allowed = set(sig.labels)
+        allowed = sig.label_set
+        # A word is within rank g when all its letters lie in -g..g.
         for img in circle_part.images:
-            if img.max_generator > sig.g:
-                raise ValueError(f"circle image {img} uses generators beyond rank {sig.g}")
+            t = img.letters
+            if t and (max(t) > g or min(t) < -g):
+                raise ValueError(f"circle image {img} uses generators beyond rank {g}")
         dense: dict[SphereLabel, ModuleVec] = {}
         for lab in sphere_part:
             if lab not in allowed:
@@ -88,9 +99,10 @@ class SelfMapClass:
                 if tgt not in allowed:
                     raise ValueError(f"image of {lab} hits unknown label {tgt}")
                 for w in r.terms:
-                    if w.max_generator > sig.g:
+                    t = w.letters
+                    if t and (max(t) > g or min(t) < -g):
                         raise ValueError(
-                            f"image of {lab} uses generators beyond rank {sig.g}"
+                            f"image of {lab} uses generators beyond rank {g}"
                         )
             dense[lab] = vec
         self.sig = sig

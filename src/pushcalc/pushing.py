@@ -35,10 +35,13 @@ from .errors import (
     SignatureMismatch,
     SizeMismatch,
     SlotOutOfRange,
+    TooLarge,
 )
 from .monoid import SelfMapClass, WedgeSignature, compose, identity_map
 from .ring import ModuleVec, RingElem, SphereLabel
 from .words import (
+    IDENTITY,
+    MAX_WORD_LETTERS,
     FreeEndo,
     FreeWord,
     char_sign,
@@ -104,9 +107,14 @@ class ManifoldModel:
 
     @property
     def is_default(self) -> bool:
-        base = ManifoldModel.default(self.g, self.d)
-        return (
-            self.character == base.character and self.crossings == base.crossings
+        """Whether character and crossings are those of default(g, d).
+
+        Read straight off the fields: recover_braid, kernel_report and
+        push_word_closed ask once per call, so no default model is built.
+        """
+        g = self.g
+        return self.character == (1,) * g and self.crossings == tuple(
+            ((i, 1, IDENTITY),) for i in range(1, g + 1)
         )
 
 
@@ -474,10 +482,16 @@ def kernel_report(
     only for an exhaustive search, and a sample unranks each slot word
     from a uniform index into the ball.  The identity braid is always in
     the kernel and is not reported; any other hit is a counterexample to
-    injectivity and lands in nontrivial_kernel.
+    injectivity and lands in nontrivial_kernel.  A max_word_len above
+    MAX_WORD_LETTERS raises TooLarge before the ball is counted.
     """
     if not sig.model.is_default:
         raise ModelNotDefault("kernel search is only established for the default model")
+    if max_word_len > MAX_WORD_LETTERS:
+        raise TooLarge(
+            f"slot word length bound {max_word_len} is above the word cap of "
+            f"{MAX_WORD_LETTERS} letters"
+        )
     g, k = sig.model.g, sig.k
     ball_size = _ball_size(g, max_word_len)
     ident = identity_map(sig.wedge)
@@ -555,7 +569,13 @@ def format_perm(perm: tuple[int, ...]) -> str:
 
 
 def parse_braid(text: str, k: int | None = None) -> BraidElement:
-    """Parse '[w1 | w2 | ... | wk ; perm]' with words in the word grammar."""
+    """Parse '[w1 | w2 | ... | wk ; perm]' with words in the word grammar.
+
+    Besides the per-word cap of parse_word, the reduced slot words may hold
+    at most MAX_WORD_LETTERS letters together: a push costs about n^2 for
+    n letters in each slot, so many long slots are refused with TooLarge
+    as soon as the running total passes the cap.
+    """
     body = text.strip()
     if not (body.startswith("[") and body.endswith("]")):
         raise ParseError(f"braid must be bracketed, got {text!r}")
@@ -566,10 +586,20 @@ def parse_braid(text: str, k: int | None = None) -> BraidElement:
     word_texts = [t.strip() for t in words_part.split("|")]
     if word_texts == [""]:
         word_texts = []
-    words = tuple(parse_word(t) for t in word_texts)
+    words = []
+    total = 0
+    for slot, t in enumerate(word_texts, start=1):
+        w = parse_word(t)
+        total += len(w)
+        if total > MAX_WORD_LETTERS:
+            raise TooLarge(
+                f"braid slot words hold more than {MAX_WORD_LETTERS} letters together "
+                f"(at slot {slot}); use shorter words or fewer slots"
+            )
+        words.append(w)
     if k is not None and len(words) != k:
         raise SizeMismatch(f"braid has {len(words)} slots, expected {k}")
-    return BraidElement(words, parse_perm(perm_part, len(words)))
+    return BraidElement(tuple(words), parse_perm(perm_part, len(words)))
 
 
 def format_braid(braid: BraidElement) -> str:

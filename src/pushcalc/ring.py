@@ -11,7 +11,7 @@ Serialization uses shortlex term order so output is deterministic.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .errors import ParseError
@@ -25,35 +25,53 @@ from .words import (
 )
 
 
-@dataclass(frozen=True)
-class SphereLabel:
+class SphereLabel(tuple):
     """A basis sphere: p1..pk are puncture spheres, t0..tg are cell spheres.
 
     t0 is only used by custom wedges that present the lone puncture sphere
     as a zeroth cell; the punctured signatures built by pushcalc.pushing
     always use p-labels for punctures.
+
+    A label is the validated pair (kind, index) stored as an immutable
+    tuple, so hashing and equality run in C; labels are dict keys in every
+    module vector.  Being a tuple, a label also equals the plain tuple of
+    the same pair.  Order is the tuple order, which is sort_key order
+    because 'p' < 't': all puncture spheres come before all cell spheres.
+
+    >>> sorted([SphereLabel("t", 0), SphereLabel("p", 2), SphereLabel("p", 1)])
+    [SphereLabel(kind='p', index=1), SphereLabel(kind='p', index=2), SphereLabel(kind='t', index=0)]
+    >>> str(SphereLabel("t", 3))
+    't3'
     """
 
-    kind: str
-    index: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("p", "t"):
-            raise ValueError(f"label kind must be 'p' or 't', got {self.kind!r}")
-        lo = 1 if self.kind == "p" else 0
-        if self.index < lo:
-            raise ValueError(f"index {self.index} out of range for kind {self.kind!r}")
+    def __new__(cls, kind: str, index: int) -> "SphereLabel":
+        if kind not in ("p", "t"):
+            raise ValueError(f"label kind must be 'p' or 't', got {kind!r}")
+        if not isinstance(index, int) or isinstance(index, bool):
+            raise ValueError(f"label index must be an int, got {index!r}")
+        if index < (1 if kind == "p" else 0):
+            raise ValueError(f"index {index} out of range for kind {kind!r}")
+        return tuple.__new__(cls, (kind, index))
+
+    kind = property(itemgetter(0), doc="'p' for a puncture sphere, 't' for a cell sphere.")
+    index = property(itemgetter(1), doc="1-based puncture index, or cell index from 0.")
 
     @property
     def sort_key(self) -> tuple[int, int]:
         # All puncture spheres sort before all cell spheres.
-        return (0 if self.kind == "p" else 1, self.index)
+        return (0 if self[0] == "p" else 1, self[1])
 
-    def __lt__(self, other: "SphereLabel") -> bool:
-        return self.sort_key < other.sort_key
+    def __getnewargs__(self) -> tuple[str, int]:
+        # copy and pickle rebuild a label through __new__(cls, kind, index).
+        return (self[0], self[1])
+
+    def __repr__(self) -> str:
+        return f"SphereLabel(kind={self[0]!r}, index={self[1]!r})"
 
     def __str__(self) -> str:
-        return f"{self.kind}{self.index}"
+        return f"{self[0]}{self[1]}"
 
 
 _LABEL_RE = re.compile(r"([pt])([0-9]+)\Z")

@@ -72,8 +72,16 @@ class FreeWord:
 
     @property
     def max_generator(self) -> int:
+        """Largest generator index in the word, 0 for the identity.
+
+        >>> FreeWord([2, -3, 1]).max_generator
+        3
+        >>> FreeWord().max_generator
+        0
+        """
         if self._max_gen < 0:
-            self._max_gen = max((abs(x) for x in self.letters), default=0)
+            t = self.letters
+            self._max_gen = max(max(t), -min(t)) if t else 0
         return self._max_gen
 
     def __mul__(self, other: object) -> "FreeWord":

@@ -256,6 +256,10 @@ def test_kernel_sizes_before_listing(argv):
     ("push-word", "-g", "1", "-k", "1", "--slot", "1", "a1^300000000"),
     ("embed", "-g", "2", "-k", "1", "--slot", "1", "a1", "--truncate", "12"),
     ("embed", "-g", "2", "-k", "1", "--slot", "1", "a1", "--truncate", "1000000000"),
+    # 40 slots of 1,000 letters: each word is under the cap, the braid is not.
+    ("push-braid", "-g", "2", "[" + " | ".join(["a1^1000"] * 40) + " ; id]"),
+    # (2g-1)^L for the ball size alone would be a 2.3-gigabit integer.
+    ("kernel", "-g", "3", "-k", "1", "--max-len", "1000000000"),
 ])
 def test_too_large_refused_before_allocating(argv):
     proc = subprocess.run(

@@ -1,6 +1,7 @@
 """Self-map composition checked against the verbatim rank-1 coefficient law."""
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -147,6 +148,55 @@ def test_signature_validation():
         WedgeSignature(True, (P1, T1))
     with pytest.raises(ValueError):
         WedgeSignature(1, (P1, T1), d=True)
+
+
+def test_signature_label_set_is_not_a_field():
+    sig = WedgeSignature(2, (T2, P1, T1), 4)
+    assert sig.label_set == frozenset((P1, T1, T2))
+    assert [f.name for f in dataclasses.fields(sig)] == ["g", "labels", "d"]
+    assert repr(sig) == (
+        "WedgeSignature(g=2, labels=(SphereLabel(kind='p', index=1), "
+        "SphereLabel(kind='t', index=1), SphereLabel(kind='t', index=2)), d=4)"
+    )
+    twin = WedgeSignature(2, (P1, T1, T2), 4)
+    assert twin == sig and hash(twin) == hash(sig)
+    assert sig != WedgeSignature(2, (P1, T1), 4)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sig.g = 3
+
+
+def test_duplicate_label_message():
+    msg = (
+        "duplicate sphere labels in (SphereLabel(kind='p', index=1), "
+        "SphereLabel(kind='p', index=1), SphereLabel(kind='t', index=1))"
+    )
+    with pytest.raises(ValueError) as info:
+        WedgeSignature(1, (T1, P1, SphereLabel("p", 1)))
+    assert str(info.value) == msg
+
+
+@pytest.mark.parametrize("g", [0, 1, 2, 3])
+def test_rank_check_covers_both_signs(g):
+    # Letters g+1 and -(g+1) are each beyond rank g, in a circle image or
+    # in a sphere term; letters g and -g are within it.
+    sig = WedgeSignature(g, (P1, T1))
+    ident = FreeEndo.identity(g)
+    for bad in (g + 1, -(g + 1)):
+        # The offending letter alone, and after a letter within rank.
+        for word in {FreeWord([bad]), FreeWord([g, bad] if g else [bad])}:
+            if g:
+                images = list(ident.images)
+                images[-1] = word
+                with pytest.raises(ValueError, match="^circle image .* beyond rank"):
+                    SelfMapClass(sig, FreeEndo(images), {})
+            term = ModuleVec([(T1, RingElem.from_word(word))])
+            with pytest.raises(ValueError, match=r"^image of t1 uses generators beyond rank"):
+                SelfMapClass(sig, ident, {T1: term})
+    if g:
+        for ok in (FreeWord([g]), FreeWord([-g])):
+            term = ModuleVec([(T1, RingElem.from_word(ok))])
+            h = SelfMapClass(sig, FreeEndo([ok] * g), {P1: term})
+            assert h.circle_part.images == (ok,) * g and h.sphere(P1) == term
 
 
 def test_self_map_validation():

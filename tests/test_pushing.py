@@ -13,6 +13,7 @@ from pushcalc.errors import (
     SignatureMismatch,
     SizeMismatch,
     SlotOutOfRange,
+    TooLarge,
 )
 from pushcalc.monoid import (
     SelfMapClass,
@@ -289,13 +290,21 @@ def rand_model(rng: random.Random, g: int) -> ManifoldModel:
     )
 
 
-def test_push_braid_matches_fold_on_random_models():
+def random_model_cases():
+    """The 200 seeded (signature, braid) cases on random and default models."""
     rng = random.Random(120)
-    seen = {"empty row": 0, "repeated cell": 0, "prefix": 0, "non-orientable": 0}
     for _ in range(200):
         g = rng.randrange(0, 4)
         k = rng.randrange(0, 5)
         model = rand_model(rng, g) if rng.random() < 0.8 else ManifoldModel.default(g)
+        sig = PuncturedSignature(model, k)
+        yield sig, rand_braid(rng, g, k, 8) if g else BraidElement.identity(k)
+
+
+def test_push_braid_matches_fold_on_random_models():
+    seen = {"empty row": 0, "repeated cell": 0, "prefix": 0, "non-orientable": 0}
+    for sig, braid in random_model_cases():
+        model = sig.model
         seen["empty row"] += any(not row for row in model.crossings)
         seen["repeated cell"] += any(
             len({c for c, _, _ in row}) < len(row) for row in model.crossings
@@ -304,10 +313,42 @@ def test_push_braid_matches_fold_on_random_models():
             not prefix.is_identity for row in model.crossings for _, _, prefix in row
         )
         seen["non-orientable"] += -1 in model.character
-        sig = PuncturedSignature(model, k)
-        braid = rand_braid(rng, g, k, 8) if g else BraidElement.identity(k)
         assert push_braid(sig, braid) == _push_braid_by_fold(sig, braid)
     assert min(seen.values()) >= 20, seen
+
+
+def _is_default_by_rebuild(model: ManifoldModel) -> bool:
+    # The definition is_default had before it compared fields directly:
+    # build and validate the default model, then compare with it.
+    base = ManifoldModel.default(model.g, model.d)
+    return model.character == base.character and model.crossings == base.crossings
+
+
+def test_is_default_matches_rebuild_oracle():
+    verdicts = {True: 0, False: 0}
+    for sig, _ in random_model_cases():
+        verdict = sig.model.is_default
+        assert verdict is _is_default_by_rebuild(sig.model)
+        verdicts[verdict] += 1
+    assert min(verdicts.values()) >= 20, verdicts
+    # Near misses: each differs from the default in one datum.
+    near = [
+        ManifoldModel(g=2, d=3, character=(1, -1),
+                      crossings=(((1, 1, IDENTITY),), ((2, 1, IDENTITY),))),
+        ManifoldModel(g=2, d=3, character=(1, 1),
+                      crossings=(((1, 1, IDENTITY),), ((1, 1, IDENTITY),))),
+        ManifoldModel(g=2, d=3, character=(1, 1),
+                      crossings=(((1, 1, IDENTITY),), ((2, -1, IDENTITY),))),
+        ManifoldModel(g=2, d=3, character=(1, 1),
+                      crossings=(((1, 1, IDENTITY),), ((2, 1, parse_word("a1")),))),
+        ManifoldModel(g=2, d=3, character=(1, 1),
+                      crossings=(((1, 1, IDENTITY),), ((2, 1, IDENTITY),) * 2)),
+        ManifoldModel(g=2, d=3, character=(1, 1), crossings=(((1, 1, IDENTITY),), ())),
+    ]
+    for model in near:
+        assert model.is_default is False
+        assert _is_default_by_rebuild(model) is False
+    assert ManifoldModel.default(0).is_default and ManifoldModel.default(3, 5).is_default
 
 
 def test_push_braid_errors():
@@ -540,6 +581,30 @@ def test_braid_parse_format():
         parse_braid("[a1 | e]")
     with pytest.raises(SizeMismatch):
         parse_braid("[a1 | e ; id]", k=3)
+
+
+def test_braid_letter_total_is_capped():
+    # MAX_WORD_LETTERS (1,000) caps the reduced slot words together.
+    assert sum(map(len, parse_braid("[a1^500 | a2^500 ; id]").words)) == 1000
+    # Letters that cancel within a slot do not count.
+    assert parse_braid("[a1^400 A1^400 | a2^1000 ; id]").words[0] == IDENTITY
+    with pytest.raises(TooLarge, match=r"more than 1000 letters together \(at slot 2\)"):
+        parse_braid("[a1^500 | a2^501 ; id]")
+    with pytest.raises(TooLarge, match=r"\(at slot 2\)"):
+        parse_braid("[" + " | ".join(["a1^1000"] * 40) + " ; id]")
+    # Each word alone still meets the per-word cap first.
+    with pytest.raises(TooLarge, match=r"^word expands"):
+        parse_braid("[a1^1001 | e ; id]")
+
+
+def test_kernel_word_length_is_capped():
+    sig = PuncturedSignature(ManifoldModel.default(3), 1)
+    with pytest.raises(TooLarge, match=r"^slot word length bound 1001 is above"):
+        kernel_report(sig, 1001, 5)
+    with pytest.raises(TooLarge):
+        kernel_report(sig, 10**9, 5)
+    report = kernel_report(sig, 1000, 5)
+    assert (report.exhaustive, report.total_checked, report.passed) == (False, 5, True)
 
 
 def test_wedge_is_built_once():

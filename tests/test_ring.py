@@ -1,6 +1,8 @@
 """Group-ring arithmetic checked against a naive independent oracle."""
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -230,6 +232,66 @@ def test_sphere_labels():
         SphereLabel("q", 1)
     with pytest.raises(ValueError):
         SphereLabel("p", 0)
+
+
+@pytest.mark.parametrize("index", [True, False, 1.5, 1.0, "x", None, (1,)])
+def test_sphere_label_rejects_non_int_index(index):
+    with pytest.raises(ValueError, match=r"^label index must be an int, got "):
+        SphereLabel("p", index)
+    with pytest.raises(ValueError, match=r"^label index must be an int, got "):
+        SphereLabel("t", index)
+
+
+def test_sphere_label_hash_and_equality():
+    p1 = SphereLabel("p", 1)
+    assert p1 == SphereLabel("p", 1) and hash(p1) == hash(SphereLabel("p", 1))
+    assert p1 != SphereLabel("t", 1) and p1 != SphereLabel("p", 2)
+    assert (p1.kind, p1.index) == ("p", 1)
+    # A label is the tuple (kind, index), so it equals the plain pair.
+    assert p1 == ("p", 1) and hash(p1) == hash(("p", 1))
+    assert {p1: 1}[SphereLabel("p", 1)] == 1
+    assert len({SphereLabel("t", 0), SphereLabel("t", 0), SphereLabel("p", 1)}) == 2
+    with pytest.raises(AttributeError):
+        p1.kind = "t"
+    with pytest.raises(AttributeError):
+        p1.extra = 1
+
+
+def test_sphere_label_order_is_sort_key_order():
+    rng = random.Random(122)
+    labels = [SphereLabel(rng.choice("pt"), rng.randint(1, 12)) for _ in range(200)]
+    labels += [SphereLabel("t", 0)] * 3
+    by_key = sorted(labels, key=lambda l: l.sort_key)
+    assert sorted(labels) == by_key
+    assert by_key[0].kind == "p" and by_key[-1].kind == "t"
+    for a, b in zip(labels, labels[1:]):
+        assert (a < b) == (a.sort_key < b.sort_key)
+        assert (b < a) == (b.sort_key < a.sort_key)
+
+
+def test_sphere_label_text_forms():
+    # repr is byte for byte the repr of the earlier frozen-dataclass form,
+    # which error messages print inside tuples of labels.
+    assert repr(SphereLabel("p", 1)) == "SphereLabel(kind='p', index=1)"
+    assert repr(SphereLabel("t", 0)) == "SphereLabel(kind='t', index=0)"
+    assert repr((SphereLabel("p", 12), SphereLabel("t", 3))) == (
+        "(SphereLabel(kind='p', index=12), SphereLabel(kind='t', index=3))"
+    )
+    assert str(SphereLabel("p", 12)) == "p12"
+    assert f"{SphereLabel('t', 3)}" == "t3"
+
+
+def test_sphere_label_copy_and_pickle():
+    labels = [SphereLabel("p", 1), SphereLabel("t", 0), SphereLabel("t", 7)]
+    for lab in labels:
+        for clone in (copy.copy(lab), copy.deepcopy(lab),
+                      pickle.loads(pickle.dumps(lab)),
+                      pickle.loads(pickle.dumps(lab, protocol=0))):
+            assert type(clone) is SphereLabel
+            assert clone == lab and clone.kind == lab.kind and clone.index == lab.index
+    vec = ModuleVec([(labels[0], RingElem.one()), (labels[2], RingElem.from_int(3))])
+    assert copy.deepcopy(vec) == vec
+    assert pickle.loads(pickle.dumps(vec)) == vec
 
 
 def test_module_vec_arithmetic():
