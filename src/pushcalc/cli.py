@@ -20,7 +20,7 @@ from .embedding import (
     materialize,
     to_tsv,
 )
-from .errors import PushcalcError
+from .errors import PushcalcError, TooLarge
 from .monoid import compose, format_self_map, self_map_from_json, self_map_to_json
 from .orbits import components_bruteforce, components_formula, target_from_json
 from .pushing import (
@@ -78,6 +78,8 @@ def _signature(g: int, d: int, k: int) -> PuncturedSignature:
 
 def cmd_push_word(args: argparse.Namespace) -> int:
     sig = _signature(args.g, args.d, args.k)
+    if args.matrix and not args.json:
+        _check_grid(args.g + args.k)
     w = parse_word(args.word)
     h = push_word(sig, w, args.slot)
     agrees = None
@@ -142,12 +144,25 @@ class _CliUsage(Exception):
     pass
 
 
-# Most cells `embed --truncate` prints: the TSV is dense, one field per cell.
+# Most cells `embed` prints: the `--truncate` TSV and the block grid are
+# dense, one field per cell.
 TSV_MAX_CELLS = 4_000_000
+
+
+def _check_grid(n_labels: int) -> None:
+    # On a 2-CPU Xeon a grid of 2,000^2 cells prints 12 MB in about 4 s;
+    # `embed -g 10000 -k 1` printed 300 MB in 102 s.
+    if n_labels * n_labels > TSV_MAX_CELLS:
+        raise TooLarge(
+            f"the block grid would have {n_labels}^2 cells, over the cap "
+            f"{TSV_MAX_CELLS} (pass --json for the sparse form)"
+        )
 
 
 def cmd_embed(args: argparse.Namespace) -> int:
     h = _map_from_args(args)
+    if args.truncate is None and not args.json:
+        _check_grid(len(h.sig.labels))
     mat = embed(h)
     if args.truncate is not None:
         window = materialize(mat, args.truncate, max_cells=TSV_MAX_CELLS)

@@ -58,6 +58,7 @@ class HypothesisViolation(PushcalcError, ValueError):
 
 class TooLarge(PushcalcError, ValueError):
     """An input would exceed a size guard: the brute-force state count, the
-    parsed word length, or the truncated window size."""
+    parsed word length, the truncated window size, the g + k of a
+    punctured model, or the case count of a verify run."""
 
     code = "too-large"

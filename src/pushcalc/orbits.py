@@ -16,6 +16,7 @@ i-th generator of pi_1(X).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import comb
 from typing import Iterable, Mapping, Sequence
 
@@ -275,9 +276,9 @@ def components_formula(
         rank = model.g
     else:
         rank = g
-    if not isinstance(rank, int) or rank < 0:
+    if not isinstance(rank, int) or isinstance(rank, bool) or rank < 0:
         raise ValueError(f"rank must be a non-negative int, got {rank!r}")
-    if not isinstance(k, int) or k < 0:
+    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
         raise ValueError(f"puncture count must be a non-negative int, got {k!r}")
     total = 0
     for f_words in target.f_classes:
@@ -298,20 +299,13 @@ def _component_count(m: int, k: int, tables: Sequence[Sequence[int]]) -> int:
 
     State x has digit (x // m**s) % m at slot s.  Every loop table moves
     one digit and every adjacent transposition swaps two; each edge is
-    merged into a flat union-find, self-loops skipped.
+    merged into a flat union-find (path halving), self-loops skipped.
     """
     n_states = m ** k
     if n_states == 1:   # one charge class: the cap does not bound k here
         return 1
     parent = list(range(n_states))
     components = n_states
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     # Each move is a family of edges (x, x + shift): x runs over runs of
     # `width` ids starting at offset, offset + period, ...
     loop_pairs = sorted({(min(d, t), max(d, t)) for table in tables
@@ -329,12 +323,23 @@ def _component_count(m: int, k: int, tables: Sequence[Sequence[int]]) -> int:
                          for a in range(m) for b in range(a + 1, m))
         stride = block
     for offset, shift, width, period in moves:
-        for base in range(offset, n_states, period):
-            for x in range(base, base + width):
-                rx, ry = find(x), find(x + shift)
-                if rx != ry:
-                    parent[rx] = ry
-                    components -= 1
+        # The same ids either way; the inner range is the longer side.
+        if width < n_states // period:
+            runs = (range(start, n_states, period)
+                    for start in range(offset, offset + width))
+        else:
+            runs = (range(base, base + width)
+                    for base in range(offset, n_states, period))
+        for x in chain.from_iterable(runs):
+            rx = x
+            while (p := parent[rx]) != rx:
+                parent[rx] = rx = parent[p]
+            ry = x + shift
+            while (p := parent[ry]) != ry:
+                parent[ry] = ry = parent[p]
+            if rx != ry:
+                parent[rx] = ry
+                components -= 1
     return components
 
 
@@ -352,13 +357,14 @@ def components_bruteforce(
     slot and each adjacent transposition.  Refuses with TooLarge, before
     allocating anything, when |classes|^k * |f classes| exceeds max_states.
     The search itself visits |charge|^k * |f classes| integer states: one
-    mixed-radix id per tuple of charge positions.  A loop generator moves
-    one digit by a table on the charge positions, built once per f class
-    by applying act to one-puncture states; a transposition swaps two
-    digits.
+    mixed-radix id per tuple of charge positions.  A loop generator a_j
+    moves one digit by a table on the charge positions; for each f class
+    the table is read off one act call, the braid with a_j in every one of
+    |charge| slots applied to the state holding the whole charge.  A
+    transposition swaps two digits.
     """
     _require_hypothesis(model, force, "the brute-force component count")
-    if not isinstance(k, int) or k < 0:
+    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
         raise ValueError(f"puncture count must be a non-negative int, got {k!r}")
     n, n_f = len(target.classes), len(target.f_classes)
     # n**k alone passes the cap once k > cap.bit_length(): a huge k is
@@ -383,12 +389,14 @@ def components_bruteforce(
             f"has rank {model.g}"
         )
     pos = {c: p for p, c in enumerate(target.charge)}
-    loops = [BraidElement((FreeWord((j,)),), (0,)) for j in range(1, model.g + 1)]
+    identity = tuple(range(m))
+    loops = [BraidElement((FreeWord((j,)),) * m, identity)
+             for j in range(1, model.g + 1)]
     total = 0
     for f in range(n_f):
+        charge_state = MapState(f, target.charge)
         tables = [
-            [pos[act(model, target, loop, MapState(f, (c,)), force=True).g_classes[0]]
-             for c in target.charge]
+            [pos[c] for c in act(model, target, loop, charge_state, force=True).g_classes]
             for loop in loops
         ]
         total += _component_count(m, k, tables)

@@ -52,6 +52,21 @@ from .words import (
 )
 
 
+# Largest g + k of a punctured model: its wedge carries g circles and
+# g + k spheres, and every push lists them all.  On a 2-CPU Xeon
+# `push-word` answers in under half a second and 40 MB at g = 10,000,
+# k = 1, and in under a second and 65 MB at g + k = 20,000; at g = 10**8
+# it ended in MemoryError while the crossing data was built.
+MAX_MODEL_SIZE = 20_000
+
+
+def _check_model_size(size: object) -> None:
+    if isinstance(size, int) and size > MAX_MODEL_SIZE:
+        raise TooLarge(
+            f"a punctured model with g + k = {size} is over the cap {MAX_MODEL_SIZE}"
+        )
+
+
 @dataclass(frozen=True)
 class ManifoldModel:
     """Loops, orientation character, and loop-cell crossing data.
@@ -72,6 +87,7 @@ class ManifoldModel:
     def __post_init__(self) -> None:
         if not isinstance(self.g, int) or isinstance(self.g, bool) or self.g < 0:
             raise ValueError(f"loop count must be a non-negative int, got {self.g!r}")
+        _check_model_size(self.g)
         if not isinstance(self.d, int) or isinstance(self.d, bool) or self.d < 3:
             raise ValueError(f"dimension must be an int >= 3, got {self.d!r}")
         if len(self.character) != self.g:
@@ -98,6 +114,7 @@ class ManifoldModel:
 
     @classmethod
     def default(cls, g: int, d: int = 3) -> "ManifoldModel":
+        _check_model_size(g)   # before the crossing data is built
         return cls(
             g=g,
             d=d,
@@ -128,6 +145,7 @@ class PuncturedSignature:
     def __post_init__(self) -> None:
         if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 0:
             raise ValueError(f"puncture count must be a non-negative int, got {self.k!r}")
+        _check_model_size(self.model.g + self.k)   # before any label is built
 
     @functools.cached_property
     def wedge(self) -> WedgeSignature:
@@ -344,20 +362,21 @@ def push_braid(sig: PuncturedSignature, braid: BraidElement) -> SelfMapClass:
         if w.max_generator > model.g:
             raise ValueError(f"word {w} exceeds rank {model.g}")
     pushes = [_slot_push(model, w) for w in braid.words]
-    punctures = [SphereLabel("p", j) for j in range(1, sig.k + 1)]
+    wsig = sig.wedge
+    # wedge labels are sorted: p1..pk, then t1..tg
+    punctures, cells = wsig.labels[: sig.k], wsig.labels[sig.k:]
     spheres: dict[SphereLabel, ModuleVec] = {}
     for i, j in enumerate(braid.perm):
         spheres[punctures[i]] = ModuleVec._wrap(
             {punctures[j]: RingElem.from_word(braid.words[j], pushes[j][0])}
         )
-    for c in range(model.g):
-        cell = SphereLabel("t", c + 1)
+    for c, cell in enumerate(cells):
         entries = {cell: RingElem.one()}
         for lab, (_, coeffs) in zip(punctures, pushes):
             if coeffs[c]:
                 entries[lab] = coeffs[c]
         spheres[cell] = ModuleVec._wrap(entries)
-    return SelfMapClass(sig.wedge, FreeEndo.identity(model.g), spheres)
+    return SelfMapClass(wsig, FreeEndo.identity(model.g), spheres)
 
 
 @dataclass(frozen=True)
@@ -389,8 +408,8 @@ def recover_braid(sig: PuncturedSignature, h: SelfMapClass) -> BraidElement | No
     k = sig.k
     perm: list[int | None] = [None] * k
     words: list[FreeWord | None] = [None] * k
-    for i in range(1, k + 1):
-        vec = h.sphere(SphereLabel("p", i))
+    for i, p_i in enumerate(sig.wedge.labels[:k], 1):
+        vec = h.sphere(p_i)
         if len(vec.entries) != 1:
             return NotInImage(f"image of p{i} is not a single basis term")
         (lab, r), = vec.entries.items()

@@ -24,6 +24,7 @@ from .embedding import (
     to_self_map,
     truncated_product,
 )
+from .errors import TooLarge
 from .monoid import (
     SelfMapClass,
     WedgeSignature,
@@ -53,6 +54,9 @@ from .ring import ModuleVec, RingElem, SphereLabel, augment, ring_add, ring_endo
 from .words import FreeEndo, FreeWord, endo_apply, endo_compose
 
 SUITES = ("ring", "monoid", "embed", "push", "orbits", "all")
+# Most cases run_suite draws per property: `verify --suite all --seed 0`
+# takes about 3 s at 1,000 cases and 23 s at this cap on a 2-CPU Xeon.
+MAX_CASES = 10_000
 
 
 @dataclass
@@ -623,6 +627,10 @@ def run_suite(suite: str, seed: int = 0, cases: int = 100,
     """Run one named suite (or all of them) and report per-property results."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
+    if not isinstance(cases, int) or isinstance(cases, bool) or cases < 0:
+        raise ValueError(f"cases must be a non-negative int, got {cases!r}")
+    if cases > MAX_CASES:
+        raise TooLarge(f"{cases} cases per property is over the cap {MAX_CASES}")
     names = [s for s in SUITES if s != "all"] if suite == "all" else [suite]
     props: list[Property] = []
     for name in names:

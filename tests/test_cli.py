@@ -9,8 +9,10 @@ import sys
 import pytest
 
 from pushcalc.cli import main
+from pushcalc.errors import TooLarge
 from pushcalc.monoid import self_map_from_json
 from pushcalc.pushing import ManifoldModel, PuncturedSignature, push_word
+from pushcalc.verification import MAX_CASES, run_suite
 from pushcalc.words import parse_word
 
 TRIVIAL_TARGET = {
@@ -260,6 +262,16 @@ def test_kernel_sizes_before_listing(argv):
     ("push-braid", "-g", "2", "[" + " | ".join(["a1^1000"] * 40) + " ; id]"),
     # (2g-1)^L for the ball size alone would be a 2.3-gigabit integer.
     ("kernel", "-g", "3", "-k", "1", "--max-len", "1000000000"),
+    # g + k over the model cap: no crossing data or label is built.
+    ("push-word", "-g", "100000000", "-k", "1", "--slot", "1", "a1"),
+    ("push-word", "-g", "1", "-k", "100000000", "--slot", "1", "a1"),
+    ("push-braid", "-g", "100000000", "[a1 ; id]"),
+    ("kernel", "-g", "100000000", "-k", "1", "--max-len", "1", "--max-braids", "3"),
+    ("embed", "-g", "1", "-k", "100000000", "--slot", "1", "a1"),
+    ("verify", "--suite", "ring", "--cases", "100000000"),
+    # a dense block grid of 3,001^2 cells
+    ("embed", "-g", "3000", "-k", "1", "--slot", "1", "a1"),
+    ("push-word", "-g", "3000", "-k", "1", "--slot", "1", "a1", "--matrix"),
 ])
 def test_too_large_refused_before_allocating(argv):
     proc = subprocess.run(
@@ -269,6 +281,22 @@ def test_too_large_refused_before_allocating(argv):
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr.startswith("error:too-large: ")
     assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("push-word", "-g", "10000", "-k", "1", "--slot", "1", "a1"),
+    ("push-word", "-g", "1", "-k", "10000", "--slot", "1", "a1"),
+    ("push-braid", "-g", "10000", "[a1 ; id]"),
+    ("kernel", "-g", "10000", "-k", "1", "--max-len", "1", "--max-braids", "3"),
+    ("embed", "-g", "10000", "-k", "1", "--slot", "1", "a1", "--json"),
+])
+def test_large_models_under_the_cap_answer(argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "pushcalc", *argv],
+        capture_output=True, text=True, timeout=60, preexec_fn=_limit_memory,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout
 
 
 def test_components_golden(capsys, tmp_path):
@@ -402,6 +430,19 @@ def test_verify_inject_fault_fails_with_shrunk_case(capsys):
     assert "((" in bad[0]["counterexample"]
     letters = bad[0]["counterexample"].split("case ")[1]
     assert letters in ("((1, -1),)", "((-1, 1),)", "((2, -2),)", "((-2, 2),)")
+
+
+def test_verify_cases_bounds(capsys):
+    # acceptance criterion 9 runs 1,000 cases per property
+    assert MAX_CASES >= 1000
+    with pytest.raises(TooLarge, match="cases"):
+        run_suite("ring", cases=MAX_CASES + 1)
+    # a negative count used to report a vacuous pass
+    with pytest.raises(ValueError, match="cases"):
+        run_suite("ring", cases=True)
+    code, out, err = run_cli(capsys, "verify", "--suite", "ring", "--cases", "-3")
+    assert (code, out) == (1, "")
+    assert err.startswith("error:invalid: cases must be") and err.count("\n") == 1
 
 
 def test_verify_orbit_suite(capsys):

@@ -7,10 +7,12 @@ import random
 
 import pytest
 
+from pushcalc import orbits
 from pushcalc.errors import HypothesisViolation, ParseError, SizeMismatch, TooLarge
 from pushcalc.orbits import (
     MapState,
     TargetModel,
+    _component_count,
     act,
     components_bruteforce,
     components_formula,
@@ -643,3 +645,98 @@ def test_bruteforce_trivial_sizes():
     empty_f = make_target(1, ["x"], [(0,)], f_classes=[])
     assert components_bruteforce(empty_f, model, 1) == 0
     assert components_formula(empty_f, 1, 1) == 0
+
+
+# --- the integer search against its first version ---
+
+
+def component_count_nested_find(m: int, k: int, tables) -> int:
+    """_component_count as first written: a nested find, every move walked
+    as runs of `width` consecutive ids."""
+    n_states = m ** k
+    if n_states == 1:
+        return 1
+    parent = list(range(n_states))
+    components = n_states
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    loop_pairs = sorted({(min(d, t), max(d, t)) for table in tables
+                         for d, t in enumerate(table) if d != t})
+    moves = []
+    stride = 1
+    for slot in range(k):
+        block = stride * m
+        moves.extend((d * stride, (t - d) * stride, stride, block)
+                     for d, t in loop_pairs)
+        if slot + 1 < k:
+            moves.extend((a * stride + b * block, (a - b) * (block - stride),
+                          stride, block * m)
+                         for a in range(m) for b in range(a + 1, m))
+        stride = block
+    for offset, shift, width, period in moves:
+        for base in range(offset, n_states, period):
+            for x in range(base, base + width):
+                rx, ry = find(x), find(x + shift)
+                if rx != ry:
+                    parent[rx] = ry
+                    components -= 1
+    return components
+
+
+def test_component_count_matches_nested_find():
+    rng = random.Random(20261018)
+    identity_tables = strided = 0
+    for _ in range(240):
+        m = rng.randrange(1, 6)
+        k = rng.randrange(1, 7)
+        tables = []
+        for _ in range(rng.randrange(0, 4)):
+            table = list(range(m))
+            if rng.random() < 0.7:
+                rng.shuffle(table)
+            identity_tables += table == list(range(m))
+            tables.append(table)
+        # a move with fewer ids per run than runs is walked run-strided:
+        # slot-0 loops once k >= 2, slot-0 transpositions once k >= 3
+        strided += m >= 2 and k >= 3
+        want = component_count_nested_find(m, k, tables)
+        assert _component_count(m, k, tables) == want, (m, k, tables)
+    assert identity_tables >= 40 and strided >= 40
+
+
+def test_bruteforce_builds_each_table_with_one_act_call(monkeypatch):
+    calls = []
+
+    def counting_act(*args, **kwargs):
+        calls.append(args[3])
+        return act(*args, **kwargs)
+
+    monkeypatch.setattr(orbits, "act", counting_act)
+    cases = [
+        (TWO_GEN_TWO_F, 2), (CYCLE3, 1), (SPARSE_TRIVIAL, 1),
+        (trivial_target(4, f_count=3), 1), (G0_TWO_F, 0),
+    ]
+    for target, g in cases:
+        for k in range(4):
+            calls.clear()
+            components_bruteforce(target, hyp_model(g), k)
+            assert len(calls) == (len(target.f_classes) * g if k else 0)
+            # each call carries the whole charge, one slot per class
+            assert all(s.g_classes == target.charge for s in calls)
+
+
+def test_orbit_counts_reject_bool():
+    target = trivial_target(3)
+    with pytest.raises(ValueError, match="puncture count"):
+        components_bruteforce(target, hyp_model(1), True)
+    with pytest.raises(ValueError, match="puncture count"):
+        components_formula(target, hyp_model(1), True)
+    with pytest.raises(ValueError, match="puncture count"):
+        components_formula(target, 1, False)
+    with pytest.raises(ValueError, match="rank"):
+        components_formula(target, True, 2)

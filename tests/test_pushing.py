@@ -23,6 +23,7 @@ from pushcalc.monoid import (
     verify_inverse,
 )
 from pushcalc.pushing import (
+    MAX_MODEL_SIZE,
     BraidElement,
     KernelReport,
     ManifoldModel,
@@ -644,3 +645,29 @@ def test_model_validation():
         BraidElement((IDENTITY,), (0, 1))
     with pytest.raises(ValueError):
         BraidElement((IDENTITY, IDENTITY), (0, 0))
+
+
+def test_model_size_cap():
+    # g + k at the cap is allowed; one more is refused before labels exist
+    model = ManifoldModel.default(MAX_MODEL_SIZE - 1)
+    assert PuncturedSignature(model, 1).k == 1
+    with pytest.raises(TooLarge, match="g \\+ k"):
+        PuncturedSignature(model, 2)
+    with pytest.raises(TooLarge):
+        ManifoldModel.default(MAX_MODEL_SIZE + 1)
+    with pytest.raises(TooLarge):
+        PuncturedSignature(ManifoldModel.default(0), MAX_MODEL_SIZE + 1)
+    # __post_init__ checks a model built field by field, too
+    n = MAX_MODEL_SIZE + 1
+    with pytest.raises(TooLarge):
+        ManifoldModel(g=n, d=3, character=(1,) * n,
+                      crossings=tuple(((i, 1, IDENTITY),) for i in range(1, n + 1)))
+
+
+def test_push_braid_uses_the_wedge_labels():
+    # no label is built per call: every key is one of the wedge's own
+    sig = PuncturedSignature(ManifoldModel.default(2), 3)
+    h = push_braid(sig, parse_braid("[a1 | A2 a1 | e ; (1 3)]"))
+    own = {id(lab) for lab in sig.wedge.labels}
+    assert {id(lab) for lab in h.sphere_part} == own
+    assert {id(lab) for vec in h.sphere_part.values() for lab in vec.entries} <= own
