@@ -80,7 +80,6 @@ from .ring import (
     RingElem,
     SphereLabel,
     augment,
-    ring_add,
     ring_endo_apply,
     ring_from_json,
     ring_mul,
@@ -160,7 +159,6 @@ __all__ = [
     "push_word",
     "push_word_closed",
     "recover_braid",
-    "ring_add",
     "ring_endo_apply",
     "ring_from_json",
     "ring_mul",

@@ -4,9 +4,6 @@ Words are tuples of nonzero ints; the generator with index i (1-based) is
 the letter i and its inverse is -i.  A tuple is reduced when no letter is
 directly followed by its negative.  All four functions return reduced
 tuples; concat and substitute additionally assume reduced inputs.
-
-pushcalc._speedups is the compiled twin of this module.  The two must stay
-behaviourally identical (tests/test_kernel_parity.py checks this).
 """
 from __future__ import annotations
 

@@ -154,18 +154,56 @@ def identity_map(sig: WedgeSignature) -> SelfMapClass:
 # Terms of the ring unit: a product with it is skipped, not computed.
 _UNIT_TERMS = {IDENTITY: 1}
 
+# Cap on the letters compose may write by substitution (_substituted_letters).
+# A word is capped at MAX_WORD_LETTERS, but substitution multiplies lengths:
+# 60 circles of 1,000 letters composed with themselves write 60,000,000
+# letters and ran 28 s into a MemoryError under a 1 GB address-space limit.
+# At the cap (60 circles of 129 letters) `pushcalc compose` takes 0.6 s and
+# 36 MB on a 2-CPU Xeon; the tests, the verify suites and the benchmark
+# workloads never compose more than 10,001 letters.
+MAX_COMPOSE_LETTERS = 1_000_000
+
+
+def _substituted_letters(outer: SelfMapClass, inner: SelfMapClass) -> int:
+    """Letters written by substituting outer's circle images into inner's words.
+
+    The sum, over every letter of every inner circle image and of every
+    support word of an inner sphere coefficient, of the length of the outer
+    image of that letter's generator: an upper bound on the letters of the
+    substituted words, before free reduction.
+    """
+    lens = [0] * (2 * inner.sig.g + 1)   # index x and -x: the letter's generator
+    for i, img in enumerate(outer.circle_part.images, start=1):
+        lens[i] = lens[-i] = len(img)
+    length_of = lens.__getitem__
+    total = sum(sum(map(length_of, w.letters)) for w in inner.circle_part.images)
+    for vec in inner.sphere_part.values():
+        for r in vec.entries.values():
+            total += sum(sum(map(length_of, w.letters)) for w in r.terms)
+    return total
+
 
 def compose(outer: SelfMapClass, inner: SelfMapClass) -> SelfMapClass:
     """Composite class outer-after-inner.
 
     Each inner sphere term r*m (r a ring element, m a basis label) is sent
     to the outer image of m right-multiplied by the outer circle image of
-    r, and the results are summed in the module.
+    r, and the results are summed in the module.  A composite whose
+    substitution would write more than MAX_COMPOSE_LETTERS letters raises
+    TooLarge before any word is built.
     """
     if outer.sig != inner.sig:
         raise SignatureMismatch(
             f"cannot compose maps of different wedges: {outer.sig} vs {inner.sig}"
         )
+    # An identity circle part copies the inner words: nothing grows.
+    if not outer.circle_part.is_identity:
+        letters = _substituted_letters(outer, inner)
+        if letters > MAX_COMPOSE_LETTERS:
+            raise TooLarge(
+                f"the composite's words would take up to {letters} letters "
+                f"before reduction, over the cap {MAX_COMPOSE_LETTERS}"
+            )
     circ = endo_compose(outer.circle_part, inner.circle_part)
     spheres: dict[SphereLabel, ModuleVec] = {}
     for b in inner.sig.labels:

@@ -67,6 +67,12 @@ def _check_model_size(size: object) -> None:
         )
 
 
+def _check_loop_count(g: object) -> None:
+    if not isinstance(g, int) or isinstance(g, bool) or g < 0:
+        raise ValueError(f"loop count must be a non-negative int, got {g!r}")
+    _check_model_size(g)
+
+
 @dataclass(frozen=True)
 class ManifoldModel:
     """Loops, orientation character, and loop-cell crossing data.
@@ -85,9 +91,7 @@ class ManifoldModel:
     low_handle_dim: bool = False
 
     def __post_init__(self) -> None:
-        if not isinstance(self.g, int) or isinstance(self.g, bool) or self.g < 0:
-            raise ValueError(f"loop count must be a non-negative int, got {self.g!r}")
-        _check_model_size(self.g)
+        _check_loop_count(self.g)
         if not isinstance(self.d, int) or isinstance(self.d, bool) or self.d < 3:
             raise ValueError(f"dimension must be an int >= 3, got {self.d!r}")
         if len(self.character) != self.g:
@@ -114,7 +118,7 @@ class ManifoldModel:
 
     @classmethod
     def default(cls, g: int, d: int = 3) -> "ManifoldModel":
-        _check_model_size(g)   # before the crossing data is built
+        _check_loop_count(g)   # before the crossing data is built
         return cls(
             g=g,
             d=d,

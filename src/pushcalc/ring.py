@@ -192,11 +192,6 @@ class RingElem:
         return f"RingElem<{format_ring(self)}>"
 
 
-def ring_add(a: RingElem, b: RingElem) -> RingElem:
-    """Coefficientwise sum."""
-    return a + b
-
-
 def ring_mul(a: RingElem, b: RingElem) -> RingElem:
     """Convolution product: coefficient of w is the sum of a(u)b(v) over
     factorizations uv = w."""
@@ -241,11 +236,6 @@ def ring_endo_apply(phi: FreeEndo, a: RingElem) -> RingElem:
         else:
             del acc[iw]
     return RingElem._wrap(acc)
-
-
-def coefficient(a: RingElem, u: FreeWord) -> int:
-    """Stored coefficient of u in a, zero if absent."""
-    return a.coefficient(u)
 
 
 def augment(a: RingElem) -> int:

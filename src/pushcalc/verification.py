@@ -50,7 +50,7 @@ from .pushing import (
     push_word_closed,
     recover_braid,
 )
-from .ring import ModuleVec, RingElem, SphereLabel, augment, ring_add, ring_endo_apply, translate
+from .ring import ModuleVec, RingElem, SphereLabel, augment, ring_endo_apply, translate
 from .words import FreeEndo, FreeWord, endo_apply, endo_compose
 
 SUITES = ("ring", "monoid", "embed", "push", "orbits", "all")
@@ -200,7 +200,7 @@ def _map(spec: tuple) -> SelfMapClass:
     rows: dict[int, dict[int, RingElem]] = {}
     for src, tgt, ring_spec in entries:
         row = rows.setdefault(src, {})
-        row[tgt] = ring_add(row.get(tgt, RingElem.zero()), _ring(ring_spec))
+        row[tgt] = row.get(tgt, RingElem.zero()) + _ring(ring_spec)
     spheres = {
         labels[src]: ModuleVec(
             [(labels[tgt], r) for tgt, r in row.items()]
@@ -508,7 +508,7 @@ def _push_properties() -> list[Property]:
         w1, w2 = FreeWord(x), FreeWord(y)
         for i in range(1, g + 1):
             lhs = loop_coefficient(w1 * w2, i)
-            rhs = ring_add(loop_coefficient(w1, i), translate(w1, loop_coefficient(w2, i)))
+            rhs = loop_coefficient(w1, i) + translate(w1, loop_coefficient(w2, i))
             if lhs != rhs:
                 return f"crossing cocycle fails for loop {i}"
         return None

@@ -9,32 +9,20 @@ Rank is carried by context objects (endomorphisms, signatures, models), not
 by each word; applying a word to a context of too small a rank is an error
 at that boundary.
 
-The inner loops live in a small kernel with two interchangeable
-implementations: a compiled extension (pushcalc._speedups) and a pure-Python
-twin (pushcalc._purewords).  The compiled one is used when available; set
-PUSHCALC_PURE=1 to force the fallback.
+The inner loops live in a small kernel module, pushcalc._purewords, bound
+here as ``_kernel``.  FreeWord and endo_apply look its functions up on that
+binding at call time, so a caller can wrap them (to count calls, say).
 """
 from __future__ import annotations
 
-import os
 import re
 from typing import Iterable, Iterator, Sequence
 
+from . import _purewords as _kernel
 from .errors import ParseError, TooLarge
 
-if os.environ.get("PUSHCALC_PURE"):
-    from . import _purewords as _kernel
-
-    KERNEL_BACKEND = "pure-python"
-else:
-    try:
-        from . import _speedups as _kernel  # type: ignore[no-redef]
-
-        KERNEL_BACKEND = "compiled"
-    except ImportError:  # extension not built; same semantics, slower
-        from . import _purewords as _kernel  # type: ignore[no-redef]
-
-        KERNEL_BACKEND = "pure-python"
+# Name of the word kernel in use; the benchmark harness records it per run.
+KERNEL_BACKEND = "pure-python"
 
 
 class FreeWord:
@@ -131,21 +119,6 @@ def generator(i: int, sign: int = 1) -> FreeWord:
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     return FreeWord._wrap((i * sign,))
-
-
-def reduce_word(letters: Iterable[int]) -> FreeWord:
-    """Reduced word freely equal to the given letter sequence."""
-    return FreeWord(letters)
-
-
-def concat(u: FreeWord, v: FreeWord) -> FreeWord:
-    """Product uv in the free group."""
-    return u * v
-
-
-def invert(u: FreeWord) -> FreeWord:
-    """Inverse of u."""
-    return ~u
 
 
 def shortlex_key(u: FreeWord) -> tuple:

@@ -47,7 +47,7 @@ from pushcalc.pushing import (
     push_word_closed,
     recover_braid,
 )
-from pushcalc.ring import ModuleVec, RingElem, SphereLabel, ring_add, translate
+from pushcalc.ring import ModuleVec, RingElem, SphereLabel, translate
 from pushcalc.verification import run_suite
 from pushcalc.words import FreeEndo, FreeWord, endo_apply, enumerate_words, parse_word
 
@@ -169,9 +169,8 @@ def test_criterion_4_closed_form_and_cocycle():
             g = rng.choice([1, 2, 3])
             w1, w2 = rand_word(rng, g, 8), rand_word(rng, g, 8)
             for i in range(1, g + 1):
-                assert loop_coefficient(w1 * w2, i) == ring_add(
-                    loop_coefficient(w1, i),
-                    translate(w1, loop_coefficient(w2, i)),
+                assert loop_coefficient(w1 * w2, i) == (
+                    loop_coefficient(w1, i) + translate(w1, loop_coefficient(w2, i))
                 )
 
 

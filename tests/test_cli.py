@@ -274,6 +274,10 @@ def test_kernel_sizes_before_listing(argv):
     ("push-word", "-g", "3000", "-k", "1", "--slot", "1", "a1", "--matrix"),
 ])
 def test_too_large_refused_before_allocating(argv):
+    _assert_refused_in_child(argv)
+
+
+def _assert_refused_in_child(argv) -> None:
     proc = subprocess.run(
         [sys.executable, "-m", "pushcalc", *argv],
         capture_output=True, text=True, timeout=60, preexec_fn=_limit_memory,
@@ -281,6 +285,18 @@ def test_too_large_refused_before_allocating(argv):
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr.startswith("error:too-large: ")
     assert proc.stderr.count("\n") == 1
+
+
+def test_oversized_compose_refused_before_allocating(tmp_path):
+    # Each circle word is under the word cap, but substituting 60 circles of
+    # 1,000 letters into themselves would write 60,000,000 letters.
+    g = 60
+    circles = [" ".join(f"a{(i + j) % g + 1}" for j in range(1000)) for i in range(g)]
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps(
+        {"g": g, "d": 3, "labels": [], "circles": circles, "spheres": {}}
+    ))
+    _assert_refused_in_child(("compose", str(big), str(big)))
 
 
 @pytest.mark.parametrize("argv", [

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from pushcalc import monoid
 from pushcalc.errors import SignatureMismatch, TooLarge
 from pushcalc.monoid import (
     SelfMapClass,
@@ -307,6 +308,19 @@ def test_signature_mismatch():
         compose(identity_map(SIG1), other)
     with pytest.raises(SignatureMismatch):
         verify_inverse(identity_map(SIG1), other)
+
+
+def test_compose_letter_cap(monkeypatch):
+    # outer sends a1 to a1^3.  inner's circle image a1^2 and its support
+    # word A1^4 on p1 substitute to 3*2 + 3*4 = 18 letters; e adds none.
+    outer = rank1_map(3, {P1: {0: 1}}, {T1: {0: 1}})
+    inner = rank1_map(2, {P1: {-4: 1, 0: 1}}, {T1: {0: 1}})
+    want = compose(outer, inner)
+    monkeypatch.setattr(monoid, "MAX_COMPOSE_LETTERS", 18)
+    assert compose(outer, inner) == want
+    monkeypatch.setattr(monoid, "MAX_COMPOSE_LETTERS", 17)
+    with pytest.raises(TooLarge, match="up to 18 letters"):
+        compose(outer, inner)
 
 
 def test_conjugation_preserves_invertibility():

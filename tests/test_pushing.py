@@ -45,7 +45,7 @@ from pushcalc.pushing import (
     recover_braid,
 )
 from pushcalc.ring import ModuleVec, RingElem, SphereLabel
-from pushcalc.words import FreeEndo, FreeWord, IDENTITY, invert, parse_word
+from pushcalc.words import FreeEndo, FreeWord, IDENTITY, parse_word
 
 SIG11 = PuncturedSignature(ManifoldModel.default(1), 1)
 SIG21 = PuncturedSignature(ManifoldModel.default(2), 1)
@@ -198,7 +198,7 @@ def test_push_word_inverse_law():
         g = rng.randrange(1, 4)
         sig = PuncturedSignature(ManifoldModel.default(g), 1)
         w = rand_word(rng, g, 8)
-        assert verify_inverse(push_word(sig, w, 1), push_word(sig, invert(w), 1))
+        assert verify_inverse(push_word(sig, w, 1), push_word(sig, ~w, 1))
 
 
 def test_push_sym():
@@ -637,6 +637,10 @@ def test_model_validation():
     # bool is an int subclass; the model and signature reject it anyway
     with pytest.raises(ValueError, match="loop count"):
         ManifoldModel.default(True)
+    # a non-int g is refused before the crossing tuple is built from it
+    for bad in ("3", 2.0, None):
+        with pytest.raises(ValueError, match="loop count"):
+            ManifoldModel.default(bad)  # type: ignore[arg-type]
     with pytest.raises(ValueError, match="dimension"):
         ManifoldModel(g=1, d=True, character=(1,), crossings=(((1, 1, IDENTITY),),))
     with pytest.raises(ValueError, match="puncture count"):
