@@ -12,6 +12,8 @@ form can be checked against literal integer matrix multiplication.
 """
 from __future__ import annotations
 
+import functools
+
 from .errors import SignatureMismatch, SizeMismatch, TooLarge
 from .monoid import SelfMapClass, WedgeSignature
 from .ring import (
@@ -22,7 +24,6 @@ from .ring import (
     ring_endo_apply,
     ring_mul,
     ring_to_json,
-    translate_right,
 )
 from .words import (
     FreeEndo,
@@ -137,56 +138,85 @@ def max_shift(a: ShiftedBlockMatrix) -> int:
 class TruncatedMatrix:
     """Honest finite window of the infinite matrix, with integer entries.
 
-    Columns cover all (label, word) pairs with word length <= radius; rows
-    cover a larger ball so that every nonzero image coordinate of a column
-    basis vector is present.
+    Columns cover all (label, word) pairs over sig with word length <=
+    radius; rows cover the same pairs to row_radius, a larger ball, so that
+    every nonzero image coordinate of a column basis vector is present.
+    The window is held as the two radii alone: has_row and has_col test
+    membership arithmetically, and rows and cols, the two balls listed in
+    window order, are built only when read (to_tsv, a mismatch report).
+    The constructor rejects entries outside the window and non-int values.
     """
-
-    __slots__ = ("radius", "row_radius", "rows", "cols", "entries", "_row_set", "_col_set")
 
     def __init__(
         self,
+        sig: WedgeSignature,
         radius: int,
         row_radius: int,
-        rows: tuple[IndexKey, ...],
-        cols: tuple[IndexKey, ...],
         entries: dict[tuple[IndexKey, IndexKey], int],
     ) -> None:
+        self.sig = sig
         self.radius = radius
         self.row_radius = row_radius
-        self.rows = rows
-        self.cols = cols
-        self._row_set = frozenset(rows)
-        self._col_set = frozenset(cols)
         for (r, c), v in entries.items():
-            if r not in self._row_set or c not in self._col_set:
+            if not self.has_row(r) or not self.has_col(c):
                 raise ValueError(f"entry at ({r},{c}) outside the window")
             if not isinstance(v, int):
                 raise ValueError(f"entries must be int, got {v!r}")
         self.entries = {key: v for key, v in entries.items() if v}
 
+    @classmethod
+    def _wrap(cls, sig: WedgeSignature, radius: int, row_radius: int,
+              entries: dict[tuple[IndexKey, IndexKey], int]) -> "TruncatedMatrix":
+        # Internal fast path for nonzero int entries already inside the window.
+        t = cls.__new__(cls)
+        t.sig = sig
+        t.radius = radius
+        t.row_radius = row_radius
+        t.entries = entries
+        return t
+
+    @functools.cached_property
+    def rows(self) -> tuple[IndexKey, ...]:
+        return _ball_keys(self.sig, self.row_radius)
+
+    @functools.cached_property
+    def cols(self) -> tuple[IndexKey, ...]:
+        return _ball_keys(self.sig, self.radius)
+
+    def has_row(self, key: IndexKey) -> bool:
+        """key in self.rows, without listing the rows."""
+        return _in_ball(self.sig, self.row_radius, key)
+
+    def has_col(self, key: IndexKey) -> bool:
+        """key in self.cols, without listing the columns."""
+        return _in_ball(self.sig, self.radius, key)
+
     def entry(self, row: IndexKey, col: IndexKey) -> int:
-        if row not in self._row_set:
+        if not self.has_row(row):
             raise ValueError(f"row {row} outside the window")
-        if col not in self._col_set:
+        if not self.has_col(col):
             raise ValueError(f"column {col} outside the window")
         return self.entries.get((row, col), 0)
 
     def with_entry(self, row: IndexKey, col: IndexKey, value: int) -> "TruncatedMatrix":
         """Copy with one entry replaced (used as a negative control)."""
+        if not self.has_row(row) or not self.has_col(col):
+            raise ValueError(f"entry at ({row},{col}) outside the window")
+        if not isinstance(value, int):
+            raise ValueError(f"entries must be int, got {value!r}")
         new = dict(self.entries)
         if value:
             new[(row, col)] = value
         else:
             new.pop((row, col), None)
-        return TruncatedMatrix(self.radius, self.row_radius, self.rows, self.cols, new)
+        return TruncatedMatrix._wrap(self.sig, self.radius, self.row_radius, new)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedMatrix):
             return NotImplemented
         return (
-            self.rows == other.rows
-            and self.cols == other.cols
+            _ball_shape(self.sig, self.row_radius) == _ball_shape(other.sig, other.row_radius)
+            and _ball_shape(self.sig, self.radius) == _ball_shape(other.sig, other.radius)
             and self.entries == other.entries
         )
 
@@ -195,6 +225,28 @@ class TruncatedMatrix:
             f"TruncatedMatrix(radius={self.radius}, rows={len(self.rows)}, "
             f"cols={len(self.cols)}, nonzero={len(self.entries)})"
         )
+
+
+def _in_ball(sig: WedgeSignature, radius: int, key: IndexKey) -> bool:
+    """key in _ball_keys(sig, radius), without listing the ball."""
+    lab, w = key
+    if lab not in sig.label_set or not isinstance(w, FreeWord):
+        return False
+    letters = w.letters
+    return len(letters) <= radius and (
+        not letters or (max(letters) <= sig.g and min(letters) >= -sig.g)
+    )
+
+
+def _ball_shape(sig: WedgeSignature, radius: int) -> tuple:
+    """A value that is equal exactly when _ball_keys lists the same keys.
+
+    With no labels the ball is empty; at g = 0 or radius 0 it holds only
+    the identity word, whatever the other of the two is.
+    """
+    if not sig.labels:
+        return ()
+    return (sig.labels, sig.g, radius) if sig.g and radius else (sig.labels,)
 
 
 def _ball_keys(sig: WedgeSignature, radius: int) -> tuple[IndexKey, ...]:
@@ -229,9 +281,10 @@ def materialize(
     The entry in row (l, v), column (b, u) is the coefficient of
     v*slope(u)^-1 in block (l, b).  The row ball is padded so every
     nonzero coordinate of every column's image is inside the window.
-    Both sides are counted before they are listed: a window of more than
-    MAX_WINDOW_ROWS rows, or of more than max_cells rows x columns when
-    given, raises TooLarge.
+    Only the nonzero entries are built, with slope(u) computed once per
+    column word; neither ball is listed.  Both are still counted: a window
+    of more than MAX_WINDOW_ROWS rows, or of more than max_cells rows x
+    columns when given, raises TooLarge, so that to_tsv can list it.
     """
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
@@ -247,35 +300,38 @@ def materialize(
     # The rows cover at least the column ball, so there are n_cols^2 cells or more.
     if n_cols is None or n_cols * n_cols > cells:
         raise too_large(f"window of radius {radius}")
-    cols = _ball_keys(a.sig, radius)
     by_col: dict[SphereLabel, list[tuple[SphereLabel, RingElem]]] = {}
     for (l, b), r in a.blocks.items():
         by_col.setdefault(b, []).append((l, r))
+    words = tuple(enumerate_words(a.sig.g, radius))
+    images = [endo_apply(a.slope, u) for u in words]
     arising = 0
-    col_terms: dict[IndexKey, list[tuple[SphereLabel, FreeWord, int]]] = {}
-    for b, u in cols:
-        su = endo_apply(a.slope, u)
-        terms: list[tuple[SphereLabel, FreeWord, int]] = []
-        for l, r in by_col.get(b, ()):
-            for w, c in translate_right(r, su).terms.items():
-                terms.append((l, w, c))
-                if len(w) > arising:
-                    arising = len(w)
-        if terms:
-            col_terms[(b, u)] = terms
+    entries: dict[tuple[IndexKey, IndexKey], int] = {}
+    for b in a.sig.labels:
+        blocks = by_col.get(b)
+        if not blocks:
+            continue
+        for u, su in zip(words, images):
+            col = (b, u)
+            for l, r in blocks:
+                for w, c in r.terms.items():
+                    w = w * su
+                    entries[((l, w), col)] = c
+                    if len(w) > arising:
+                        arising = len(w)
     # The pad suffices whenever the slope does not lengthen words (every
     # point-push has identity slope); a stretching slope widens the ball.
     row_radius = max(radius + max_shift(a), arising)
     row_cap = min(MAX_WINDOW_ROWS, cells // max(n_cols, 1))
     if _ball_keys_count(a.sig, row_radius, row_cap) is None:
         raise too_large(f"window of radius {radius} with rows to radius {row_radius}")
-    rows = _ball_keys(a.sig, row_radius)
-    entries = {
-        ((l, w), key): c
-        for key, terms in col_terms.items()
-        for (l, w, c) in terms
-    }
-    return TruncatedMatrix(radius, row_radius, rows, cols, entries)
+    # Every entry is inside the window once the block words stay over the g
+    # generators: a row word w*slope(u) keeps any generator of w past g.
+    for (l, b), r in a.blocks.items():
+        for w in r.terms:
+            if w.max_generator > a.sig.g:
+                raise ValueError(f"block ({l},{b}) word {w} outside the window")
+    return TruncatedMatrix._wrap(a.sig, radius, row_radius, entries)
 
 
 def is_diagonally_constant(t: TruncatedMatrix, slope: FreeEndo) -> bool:
@@ -292,20 +348,17 @@ def is_diagonally_constant(t: TruncatedMatrix, slope: FreeEndo) -> bool:
     a nonzero side.
     """
     e = FreeWord()
-    images = {u: endo_apply(slope, u) for _b, u in t.cols}
+    images = {u: endo_apply(slope, u) for u in enumerate_words(t.sig.g, t.radius)}
     inverses = {u: ~su for u, su in images.items()}
-    cols_of: dict[SphereLabel, list[IndexKey]] = {}
-    for col in t.cols:
-        cols_of.setdefault(col[0], []).append(col)
-    rows, cols = t._row_set, t._col_set
+    has_row, has_col = t.has_row, t.has_col
     for ((l, v), (b, u)), x in t.entries.items():
         ref_row, ref_col = (l, v * inverses[u]), (b, e)
-        if ref_row in rows and ref_col in cols and t.entry(ref_row, ref_col) != x:
+        if has_row(ref_row) and has_col(ref_col) and t.entry(ref_row, ref_col) != x:
             return False
         if u.is_identity:
-            for col in cols_of[b]:
-                row = (l, v * images[col[1]])
-                if row in rows and t.entry(row, col) != x:
+            for uu, su in images.items():
+                row = (l, v * su)
+                if has_row(row) and t.entry(row, (b, uu)) != x:
                     return False
     return True
 
@@ -317,9 +370,9 @@ def truncated_product(ta: TruncatedMatrix, tb: TruncatedMatrix) -> TruncatedMatr
     ta's columns; otherwise the summation window clips real terms and the
     product would silently lie, so SizeMismatch is raised instead.
     """
-    ta_cols = set(ta.cols)
-    needed = {r for (r, _c) in tb.entries}
-    missing = needed - ta_cols
+    if ta.sig != tb.sig:
+        raise SignatureMismatch("matrix windows live over different wedges")
+    missing = {r for (r, _c) in tb.entries if not ta.has_col(r)}
     if missing:
         raise SizeMismatch(
             f"left window lacks {len(missing)} middle-index columns, "
@@ -337,7 +390,7 @@ def truncated_product(ta: TruncatedMatrix, tb: TruncatedMatrix) -> TruncatedMatr
                 entries[key] = n
             else:
                 del entries[key]
-    return TruncatedMatrix(tb.radius, ta.row_radius, ta.rows, tb.cols, entries)
+    return TruncatedMatrix._wrap(ta.sig, tb.radius, ta.row_radius, entries)
 
 
 def to_tsv(t: TruncatedMatrix) -> str:

@@ -163,6 +163,27 @@ _UNIT_TERMS = {IDENTITY: 1}
 # workloads never compose more than 10,001 letters.
 MAX_COMPOSE_LETTERS = 1_000_000
 
+# Cap on what compose's sphere products may write (_product_letters).  A
+# self-map at g = 2 whose p1 image has 2,000 support words, composed with
+# itself, takes 4,000,000 term pairs and ran 25 s into a MemoryError under a
+# 1 GB address-space limit; so did one of only 100 words of 1,000 letters
+# (10,000 pairs, 20,000,000 letters), so the letters count, not only the
+# pairs.  Just under the cap (280 words of 5 letters, or 22 of 1,000)
+# `pushcalc compose` takes under 3 s and 100 MB on a 2-CPU Xeon.  The
+# largest user is the push_word fold, whose coefficients hold about n^2/2
+# letters after n letters: `push-word` on four 1,000-letter words counted
+# at most 502,003 per step.  The tests, the verify suites and the benchmark
+# workloads count at most 10,003.
+MAX_COMPOSE_PRODUCT_LETTERS = 1_000_000
+
+
+def _image_lengths(outer: SelfMapClass, g: int):
+    """Length of outer's circle image of a letter's generator, by letter."""
+    lens = [0] * (2 * g + 1)   # index x and -x: the letter's generator
+    for i, img in enumerate(outer.circle_part.images, start=1):
+        lens[i] = lens[-i] = len(img)
+    return lens.__getitem__
+
 
 def _substituted_letters(outer: SelfMapClass, inner: SelfMapClass) -> int:
     """Letters written by substituting outer's circle images into inner's words.
@@ -172,14 +193,37 @@ def _substituted_letters(outer: SelfMapClass, inner: SelfMapClass) -> int:
     image of that letter's generator: an upper bound on the letters of the
     substituted words, before free reduction.
     """
-    lens = [0] * (2 * inner.sig.g + 1)   # index x and -x: the letter's generator
-    for i, img in enumerate(outer.circle_part.images, start=1):
-        lens[i] = lens[-i] = len(img)
-    length_of = lens.__getitem__
+    length_of = _image_lengths(outer, inner.sig.g)
     total = sum(sum(map(length_of, w.letters)) for w in inner.circle_part.images)
     for vec in inner.sphere_part.values():
         for r in vec.entries.values():
             total += sum(sum(map(length_of, w.letters)) for w in r.terms)
+    return total
+
+
+def _product_letters(outer: SelfMapClass, inner: SelfMapClass) -> int:
+    """Letters the ring products of compose may write, plus one per term pair.
+
+    An inner coefficient r at label m is moved along outer's circle part and
+    multiplied by every outer coefficient at m: each pair of an outer term u
+    and a moved term v writes the word u*v, of at most len(u) + len(v)
+    letters, and len(v) is at most the substituted length of v's word.
+    Summed over all pairs, with one more per pair for the word itself, this
+    bounds the products' time and memory before any is formed.
+    """
+    outer_terms: dict[SphereLabel, int] = {}
+    outer_letters: dict[SphereLabel, int] = {}
+    for m, vec in outer.sphere_part.items():
+        words = [w for r in vec.entries.values() for w in r.terms]
+        outer_terms[m] = len(words)
+        outer_letters[m] = sum(map(len, words))
+    length_of = _image_lengths(outer, inner.sig.g)
+    total = 0
+    for vec in inner.sphere_part.values():
+        for m, r in vec.entries.items():
+            moved = sum(sum(map(length_of, w.letters)) for w in r.terms)
+            total += (len(r.terms) * (outer_terms[m] + outer_letters[m])
+                      + moved * outer_terms[m])
     return total
 
 
@@ -189,8 +233,9 @@ def compose(outer: SelfMapClass, inner: SelfMapClass) -> SelfMapClass:
     Each inner sphere term r*m (r a ring element, m a basis label) is sent
     to the outer image of m right-multiplied by the outer circle image of
     r, and the results are summed in the module.  A composite whose
-    substitution would write more than MAX_COMPOSE_LETTERS letters raises
-    TooLarge before any word is built.
+    substitution would write more than MAX_COMPOSE_LETTERS letters, or whose
+    ring products more than MAX_COMPOSE_PRODUCT_LETTERS (_product_letters),
+    raises TooLarge before any word is built.
     """
     if outer.sig != inner.sig:
         raise SignatureMismatch(
@@ -204,6 +249,12 @@ def compose(outer: SelfMapClass, inner: SelfMapClass) -> SelfMapClass:
                 f"the composite's words would take up to {letters} letters "
                 f"before reduction, over the cap {MAX_COMPOSE_LETTERS}"
             )
+    written = _product_letters(outer, inner)
+    if written > MAX_COMPOSE_PRODUCT_LETTERS:
+        raise TooLarge(
+            f"the composite's sphere products would write up to {written} "
+            f"letters and words, over the cap {MAX_COMPOSE_PRODUCT_LETTERS}"
+        )
     circ = endo_compose(outer.circle_part, inner.circle_part)
     spheres: dict[SphereLabel, ModuleVec] = {}
     for b in inner.sig.labels:

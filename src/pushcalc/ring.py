@@ -11,8 +11,8 @@ Serialization uses shortlex term order so output is deterministic.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Mapping
 from operator import itemgetter
-from typing import Iterable, Mapping
 
 from .errors import ParseError
 from .words import (

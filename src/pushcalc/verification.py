@@ -51,7 +51,7 @@ from .pushing import (
     recover_braid,
 )
 from .ring import ModuleVec, RingElem, SphereLabel, augment, ring_endo_apply, translate
-from .words import FreeEndo, FreeWord, endo_apply, endo_compose
+from .words import FreeEndo, FreeWord, endo_apply, endo_compose, enumerate_words
 
 SUITES = ("ring", "monoid", "embed", "push", "orbits", "all")
 # Most cases run_suite draws per property: `verify --suite all --seed 0`
@@ -271,16 +271,16 @@ def _window_mismatch(
     by_col: dict[SphereLabel, list[tuple[SphereLabel, RingElem]]] = {}
     for (l, b), r in c.blocks.items():
         by_col.setdefault(b, []).append((l, r))
-    rows = frozenset(t.rows)
     expected: dict[tuple[IndexKey, IndexKey], int] = {}
-    for col in t.cols:
-        b, u = col
+    for u in enumerate_words(t.sig.g, t.radius):
         su = endo_apply(c.slope, u)
-        for l, r in by_col.get(b, ()):
-            for w, coef in r.terms.items():
-                row = (l, w * su)
-                if row in rows:
-                    expected[(row, col)] = coef
+        for b in t.sig.labels:
+            col = (b, u)
+            for l, r in by_col.get(b, ()):
+                for w, coef in r.terms.items():
+                    row = (l, w * su)
+                    if t.has_row(row):
+                        expected[(row, col)] = coef
     if t.entries == expected:
         return None
     row_index = {row: i for i, row in enumerate(t.rows)}

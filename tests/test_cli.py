@@ -1,10 +1,12 @@
 """Command line goldens: byte-exact output, exit codes, error prefixes."""
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,8 @@ from pushcalc.monoid import self_map_from_json
 from pushcalc.pushing import ManifoldModel, PuncturedSignature, push_word
 from pushcalc.verification import MAX_CASES, run_suite
 from pushcalc.words import parse_word
+
+GOLDEN = Path(__file__).parent / "golden"
 
 TRIVIAL_TARGET = {
     "pi1_gens": 1,
@@ -300,6 +304,45 @@ def test_oversized_compose_refused_before_allocating(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
+    ("verify", "--suite", "ring", "--cases", "2"),   # still buffered at exit
+    ("embed", "-g", "2", "-k", "1", "--slot", "1", "a1 a2", "--truncate", "2"),  # 55 KB
+])
+def test_closed_stdout_pipe_exits_without_traceback(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)   # the reader is gone before the first write
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pushcalc", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+def _sphere_terms_map(n: int, length: int) -> dict:
+    """Self-map at g = 2 whose p1 image has n distinct support words."""
+    words = itertools.islice(
+        (w for w in itertools.product(("a1", "a2", "A1", "A2"), repeat=length)
+         if all(x.swapcase() != y for x, y in zip(w, w[1:]))),
+        n,
+    )
+    return {"g": 2, "d": 3, "labels": ["p1", "t1", "t2"], "circles": ["a1", "a2"],
+            "spheres": {"p1": {"p1": [[1, " ".join(w)] for w in words]},
+                        "t1": {"t1": [[1, "e"]]}, "t2": {"t2": [[1, "e"]]}}}
+
+
+@pytest.mark.parametrize("n, length", [
+    (2000, 8),    # 4,000,000 term pairs
+    (100, 1000),  # 10,000 pairs, but of 1,000-letter words
+])
+def test_compose_of_many_sphere_terms_refused(tmp_path, n, length):
+    terms = tmp_path / "terms.json"
+    terms.write_text(json.dumps(_sphere_terms_map(n, length)))
+    _assert_refused_in_child(("compose", str(terms), str(terms)))
+
+
+@pytest.mark.parametrize("argv", [
     ("push-word", "-g", "10000", "-k", "1", "--slot", "1", "a1"),
     ("push-word", "-g", "1", "-k", "10000", "--slot", "1", "a1"),
     ("push-braid", "-g", "10000", "[a1 ; id]"),
@@ -432,6 +475,18 @@ def test_verify_pass_and_determinism(capsys):
     code2, out2, err2 = run_cli(capsys, "verify", "--suite", "ring",
                                 "--cases", "25", "--seed", "3")
     assert out2 == out
+
+
+def test_verify_all_seed0_golden():
+    # The whole report, byte for byte: every property's verdict and case
+    # count, and through radius_log the truncation windows the embed suite
+    # builds.  Run as a process, so the flush in __main__ is covered too.
+    proc = subprocess.run(
+        [sys.executable, "-m", "pushcalc", "verify", "--suite", "all", "--seed", "0"],
+        capture_output=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == (GOLDEN / "verify_all_seed0.json").read_bytes()
 
 
 def test_verify_inject_fault_fails_with_shrunk_case(capsys):

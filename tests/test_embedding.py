@@ -5,10 +5,12 @@ import random
 
 import pytest
 
-from pushcalc import verification
+from pushcalc import embedding, verification
 from pushcalc.embedding import (
     MAX_WINDOW_ROWS,
     ShiftedBlockMatrix,
+    TruncatedMatrix,
+    _ball_keys,
     block_matrix_to_json,
     embed,
     format_block_matrix,
@@ -25,7 +27,14 @@ from pushcalc.errors import SignatureMismatch, SizeMismatch, TooLarge
 from pushcalc.monoid import SelfMapClass, WedgeSignature, compose, identity_map
 from pushcalc.ring import ModuleVec, RingElem, SphereLabel
 from pushcalc.verification import _window_mismatch
-from pushcalc.words import IDENTITY, FreeEndo, FreeWord, endo_apply, parse_word
+from pushcalc.words import (
+    IDENTITY,
+    FreeEndo,
+    FreeWord,
+    endo_apply,
+    enumerate_words,
+    parse_word,
+)
 
 P1 = SphereLabel("p", 1)
 T1 = SphereLabel("t", 1)
@@ -423,3 +432,116 @@ def test_truncated_matmul_property_reports_the_dense_first_cell(monkeypatch):
         c = matrix_mul(embed(verification._map(spec_a)), embed(verification._map(spec_b)))
         row, col = dense_window_mismatch(seen[-1], c)
         assert msg == f"truncated product wrong at {row}, {col}"
+
+
+# --- window membership by radius against the listed balls ---
+
+
+def test_window_membership_matches_listed_balls():
+    rng = random.Random(98)
+    p2 = SphereLabel("p", 2)
+    sigs = [WedgeSignature(0, (P1, p2)), SIG1, SIG2]
+    unknown = SphereLabel("p", 99)
+    windows = 0
+    for sig in sigs:
+        short = 0 if sig.g == 0 else 1
+        for radius in range(4):
+            h = rand_map(rng, sig, circle_len=short, word_len=2 * short)
+            t = materialize(embed(h), radius)
+            if radius < 2:   # a derived window too: rows of a, columns of t
+                a = materialize(embed(rand_map(rng, sig, short, short)), t.row_radius)
+                derived = truncated_product(a, t)
+                checks = [t, derived, derived.with_entry(derived.rows[-1], t.cols[0], 5)]
+            else:
+                checks = [t]
+            for w in checks:
+                windows += 1
+                rows = _ball_keys(sig, w.row_radius)
+                cols = _ball_keys(sig, w.radius)
+                assert (w.rows, w.cols) == (rows, cols)
+                row_set, col_set = set(rows), set(cols)
+                probes = list(row_set | col_set)
+                for r in (w.radius, w.row_radius):
+                    # one letter too long, generator g + 1, an unknown label
+                    longest = max(enumerate_words(sig.g, r), key=len)
+                    x = longest.letters[-1] if longest.letters else 1
+                    probes += [(P1, longest * FreeWord([x])), (P1, FreeWord([sig.g + 1])),
+                               (P1, FreeWord([-sig.g - 1])), (unknown, FreeWord())]
+                for key in probes:
+                    assert w.has_row(key) == (key in row_set), key
+                    assert w.has_col(key) == (key in col_set), key
+                for row in probes:
+                    for col in (cols[0], cols[-1], (unknown, FreeWord())):
+                        if row in row_set and col in col_set:
+                            assert w.entry(row, col) == w.entries.get((row, col), 0)
+                        else:
+                            with pytest.raises(ValueError, match="outside the window"):
+                                w.entry(row, col)
+    assert windows >= 20
+
+
+def test_window_equality_matches_listed_balls():
+    # At g = 0, or at radius 0, every radius lists the same identity keys.
+    p2 = SphereLabel("p", 2)
+    sigs = [WedgeSignature(0, (P1, p2)), WedgeSignature(0, ()), WedgeSignature(1, ()),
+            WedgeSignature(2, (P1, p2)), SIG1, SIG2]
+    shapes = [(sig, r) for sig in sigs for r in range(3)]
+    for s1, r1 in shapes:
+        for s2, r2 in shapes:
+            t1 = TruncatedMatrix(s1, r1, r1, {})
+            t2 = TruncatedMatrix(s2, r2, r2, {})
+            assert (t1 == t2) == (_ball_keys(s1, r1) == _ball_keys(s2, r2)), (s1, r1, s2, r2)
+    t = materialize(embed(push_alpha()), 1)
+    assert t == TruncatedMatrix(SIG1, 1, t.row_radius, dict(t.entries))
+    assert t != t.with_entry((P1, IDENTITY), (P1, IDENTITY), 9)
+
+
+def test_window_constructor_rejects_outside_entries():
+    inside = ((P1, parse_word("a1")), (T1, IDENTITY))
+    assert TruncatedMatrix(SIG1, 0, 1, {inside: 2}).entry(*inside) == 2
+    for row, col in [
+        ((P1, parse_word("a1^2")), (T1, IDENTITY)),   # row one letter too long
+        ((P1, IDENTITY), (T1, parse_word("a1"))),     # column one letter too long
+        ((P1, parse_word("a2")), (T1, IDENTITY)),     # generator g + 1
+        ((T2, IDENTITY), (T1, IDENTITY)),             # label not in the wedge
+    ]:
+        with pytest.raises(ValueError, match="outside the window"):
+            TruncatedMatrix(SIG1, 0, 1, {(row, col): 1})
+    with pytest.raises(ValueError, match="must be int"):
+        TruncatedMatrix(SIG1, 0, 1, {inside: 1.0})
+    # A block word over generator g + 1 would put entries outside any window.
+    stray = ShiftedBlockMatrix(SIG1, FreeEndo.identity(1), {(P1, P1): ring_of({"A2": 1})})
+    with pytest.raises(ValueError, match="outside the window"):
+        materialize(stray, 0)
+    t = materialize(embed(push_alpha()), 0)
+    with pytest.raises(ValueError, match="outside the window"):
+        t.with_entry((P1, parse_word("a1^2")), (P1, IDENTITY), 1)
+    with pytest.raises(ValueError, match="must be int"):
+        t.with_entry((P1, IDENTITY), (P1, IDENTITY), "1")
+
+
+def test_truncated_product_needs_one_wedge():
+    # A product window takes its rows and columns over a single wedge.
+    t1 = materialize(embed(identity_map(SIG1)), 0)
+    t2 = materialize(embed(identity_map(SIG2)), 0)
+    with pytest.raises(SignatureMismatch):
+        truncated_product(t1, t2)
+
+
+def test_embed_properties_list_no_ball(monkeypatch):
+    calls = []
+
+    def counted(sig, radius):
+        calls.append(radius)
+        return _ball_keys(sig, radius)
+
+    monkeypatch.setattr(embedding, "_ball_keys", counted)
+    props = {p.name: p for p in verification._embed_properties()}
+    rng = random.Random(99)
+    for name in ("truncated-matmul", "diagonal-constancy"):
+        for _ in range(30):
+            assert props[name].fails(props[name].gen(rng)) is None
+    assert calls == []
+    # The counter works: a TSV lists both balls.
+    to_tsv(materialize(embed(push_alpha()), 0))
+    assert sorted(calls) == [0, 1]

@@ -19,7 +19,7 @@ from pushcalc.monoid import (
     top_homology_matrix,
     verify_inverse,
 )
-from pushcalc.ring import ModuleVec, RingElem, SphereLabel
+from pushcalc.ring import ModuleVec, RingElem, SphereLabel, ring_mul
 from pushcalc.words import FreeEndo, FreeWord, IDENTITY, parse_word
 
 P1 = SphereLabel("p", 1)
@@ -321,6 +321,45 @@ def test_compose_letter_cap(monkeypatch):
     monkeypatch.setattr(monoid, "MAX_COMPOSE_LETTERS", 17)
     with pytest.raises(TooLarge, match="up to 18 letters"):
         compose(outer, inner)
+
+
+def test_compose_product_cap(monkeypatch):
+    # outer sends a1 to a1^3 and holds e + a1^2 at p1 and e at t1.  inner's
+    # p1 image A1^4 + e moves to 12 + 0 letters, its t1 image e to none:
+    # 2 * (2 + 2) + 12 * 2 at p1, plus 1 * (1 + 0) + 0 * 1 at t1, is 33.
+    outer = rank1_map(3, {P1: {0: 1, 2: 1}}, {T1: {0: 1}})
+    inner = rank1_map(2, {P1: {-4: 1, 0: 1}}, {T1: {0: 1}})
+    want = compose(outer, inner)
+    monkeypatch.setattr(monoid, "MAX_COMPOSE_PRODUCT_LETTERS", 33)
+    assert compose(outer, inner) == want
+    monkeypatch.setattr(monoid, "MAX_COMPOSE_PRODUCT_LETTERS", 32)
+    with pytest.raises(TooLarge, match="up to 33 letters and words"):
+        compose(outer, inner)
+
+
+def test_product_bound_covers_the_ring_products(monkeypatch):
+    # Every ring product compose forms writes one word per term pair; the
+    # bound counts one per pair plus both factors' letters.
+    written = [0]
+
+    def counting_mul(a, b):
+        out = ring_mul(a, b)
+        written[0] += sum(1 + len(u * v) for u in a.terms for v in b.terms)
+        return out
+
+    monkeypatch.setattr(monoid, "ring_mul", counting_mul)
+    rng = random.Random(31)
+    sig2 = WedgeSignature(2, (P1, T1, T2))
+    tight = 0
+    for _ in range(200):
+        sig = sig2 if rng.random() < 0.5 else SIG1
+        outer, inner = rand_map(rng, sig), rand_map(rng, sig)
+        written[0] = 0
+        compose(outer, inner)
+        bound = monoid._product_letters(outer, inner)
+        assert written[0] <= bound
+        tight += written[0] == bound
+    assert tight >= 5
 
 
 def test_conjugation_preserves_invertibility():
