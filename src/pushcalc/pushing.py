@@ -19,7 +19,8 @@ off the crossing data in one pass over the letters of w.  Braids combine
 k slot words and a permutation of the punctures; push_braid assembles
 the class of a braid directly from that closed form, is a monoid
 homomorphism from braids (under braid_mul) to self-map classes, is
-injective, and recover_braid inverts it with a full round-trip check.
+injective, and recover_braid inverts it on every model, confirming each
+decoded braid against the same closed form on letter tuples.
 """
 from __future__ import annotations
 
@@ -29,6 +30,7 @@ import random
 import re
 from dataclasses import dataclass
 
+from . import words as _words
 from .errors import (
     ModelNotDefault,
     ParseError,
@@ -130,8 +132,8 @@ class ManifoldModel:
     def is_default(self) -> bool:
         """Whether character and crossings are those of default(g, d).
 
-        Read straight off the fields: recover_braid, kernel_report and
-        push_word_closed ask once per call, so no default model is built.
+        Read straight off the fields: kernel_report and push_word_closed
+        ask once per call, so no default model is built.
         """
         g = self.g
         return self.character == (1,) * g and self.crossings == tuple(
@@ -288,31 +290,37 @@ def loop_coefficient(w: FreeWord, i: int) -> RingElem:
     return RingElem([(prefix, eps) for eps, prefix in letter_profile(w, i)])
 
 
-def _slot_push(model: ManifoldModel, w: FreeWord) -> tuple[int, list[RingElem]]:
-    """Orientation sign c(w) and the cell coefficients F_1(w)..F_g(w).
+def _slot_terms(
+    model: ManifoldModel, letters: tuple[int, ...]
+) -> tuple[int, list[dict[tuple[int, ...], int]]]:
+    """Orientation sign c(w) and the cell coefficients F_1(w)..F_g(w) of
+    the reduced word with these letters, each F_c keyed by letter tuples.
 
-    One pass over the letters of w (rank already checked) with the
-    running prefix u and its sign c(u): a letter a_i adds
-    c(u)*eps*(u*prefix) for each crossing (cell, eps, prefix) of loop i,
-    and a letter A_i adds -c(u)*eps*(u*A_i*prefix).  On reduced words
-    these sums satisfy F(uv) = F(u) + c(u)*u*F(v), which is what folding
-    push_letter by compose computes, for any crossing data and character.
+    One pass over the letters (rank already checked) with the running
+    prefix u and its sign c(u): a letter a_i adds c(u)*eps*(u*prefix) for
+    each crossing (cell, eps, prefix) of loop i, and a letter A_i adds
+    -c(u)*eps*(u*A_i*prefix).  On reduced words these sums satisfy
+    F(uv) = F(u) + c(u)*u*F(v), which is what folding push_letter by
+    compose computes, for any crossing data and character.  This is the
+    one implementation of that cocycle: push_braid wraps its keys into
+    words, and recover_braid compares them with a class as they are.
     """
-    letters = w.letters
+    concat = _words._kernel.concat   # looked up per call, so it can be wrapped
     character = model.character
     crossings = model.crossings
-    acc: list[dict[FreeWord, int]] = [{} for _ in range(model.g)]
+    acc: list[dict[tuple[int, ...], int]] = [{} for _ in range(model.g)]
     sign = 1
     for pos, x in enumerate(letters):
         i = abs(x)
         row = crossings[i - 1]
         if row:
             if x > 0:
-                u, s = FreeWord._wrap(letters[:pos]), sign
+                u, s = letters[:pos], sign
             else:
-                u, s = FreeWord._wrap(letters[: pos + 1]), -sign
+                u, s = letters[: pos + 1], -sign
             for cell, eps, prefix in row:
-                term = u * prefix if prefix.letters else u
+                p = prefix.letters
+                term = concat(u, p) if p else u
                 coeffs = acc[cell - 1]
                 n = coeffs.get(term, 0) + s * eps
                 if n:
@@ -321,7 +329,7 @@ def _slot_push(model: ManifoldModel, w: FreeWord) -> tuple[int, list[RingElem]]:
                     del coeffs[term]
         if character[i - 1] < 0:
             sign = -sign
-    return sign, [RingElem._wrap(coeffs) for coeffs in acc]
+    return sign, acc
 
 
 def push_word_closed(sig: PuncturedSignature, w: FreeWord, slot: int) -> SelfMapClass:
@@ -352,7 +360,7 @@ def push_braid(sig: PuncturedSignature, braid: BraidElement) -> SelfMapClass:
     With sigma = perm[i] + 1, p_i goes to c(w_sigma)*w_sigma*p_sigma, each
     cell t_c goes to t_c + sum_j F_c(w_j)*p_j, and the circles are fixed.
     c is the orientation character and F_c(w) the cell coefficients of
-    _slot_push, which obey the twisted cocycle law
+    _slot_terms, which obey the twisted cocycle law
     F(uv) = F(u) + c(u)*u*F(v) for any model.  The result is the composite
     of the slot-word pushes around the permutation push (innermost), so
     push_braid(braid_mul(a, b)) = compose(push_braid(a), push_braid(b)).
@@ -365,7 +373,7 @@ def push_braid(sig: PuncturedSignature, braid: BraidElement) -> SelfMapClass:
     for w in reversed(braid.words):  # slot k is reported first
         if w.max_generator > model.g:
             raise ValueError(f"word {w} exceeds rank {model.g}")
-    pushes = [_slot_push(model, w) for w in braid.words]
+    pushes = [_slot_terms(model, w.letters) for w in braid.words]
     wsig = sig.wedge
     # wedge labels are sorted: p1..pk, then t1..tg
     punctures, cells = wsig.labels[: sig.k], wsig.labels[sig.k:]
@@ -375,10 +383,10 @@ def push_braid(sig: PuncturedSignature, braid: BraidElement) -> SelfMapClass:
             {punctures[j]: RingElem.from_word(braid.words[j], pushes[j][0])}
         )
     for c, cell in enumerate(cells):
-        entries = {cell: RingElem.one()}
-        for lab, (_, coeffs) in zip(punctures, pushes):
-            if coeffs[c]:
-                entries[lab] = coeffs[c]
+        entries = {cell: RingElem._wrap({IDENTITY: 1})}
+        for lab, (_, terms) in zip(punctures, pushes):
+            if terms[c]:
+                entries[lab] = RingElem._wrap(FreeWord._wrap_keys(terms[c]))
         spheres[cell] = ModuleVec._wrap(entries)
     return SelfMapClass(wsig, FreeEndo.identity(model.g), spheres)
 
@@ -396,23 +404,26 @@ class NotInImage:
 def recover_braid(sig: PuncturedSignature, h: SelfMapClass) -> BraidElement | NotInImage:
     """Decode the braid whose push is h, or explain why none exists.
 
-    The image of each puncture sphere must be a single unit-coefficient
-    group-translate of a puncture sphere (the coefficient matching the
-    orientation character of the translating word); the permutation and
-    slot words are read off those images and the candidate is confirmed
-    by a full round trip through push_braid.
+    Works on every model.  The image of each puncture sphere must be a
+    single group-translate of a puncture sphere whose coefficient is the
+    orientation character of the translating word; the permutation and
+    slot words are read off those images.  The candidate is confirmed by
+    the test push_braid(sig, candidate) == h, made on letter tuples
+    without building that class: each cell t_c must go to exactly
+    t_c + sum_j F_c(w_j)*p_j, with F_c from _slot_terms.
     """
-    model = sig.model
-    if not model.is_default:
-        raise ModelNotDefault("braid recovery is only established for the default model")
     if h.sig != sig.wedge:
         raise SignatureMismatch("class does not live on this punctured model")
     if not h.circle_part.is_identity:
         return NotInImage("circle part is not the identity")
+    model = sig.model
     k = sig.k
+    labels = sig.wedge.labels
+    punctures, cells = labels[:k], labels[k:]
     perm: list[int | None] = [None] * k
     words: list[FreeWord | None] = [None] * k
-    for i, p_i in enumerate(sig.wedge.labels[:k], 1):
+    slot_terms: list[list[dict[tuple[int, ...], int]] | None] = [None] * k
+    for i, p_i in enumerate(punctures, 1):
         vec = h.sphere(p_i)
         if len(vec.entries) != 1:
             return NotInImage(f"image of p{i} is not a single basis term")
@@ -422,17 +433,33 @@ def recover_braid(sig: PuncturedSignature, h: SelfMapClass) -> BraidElement | No
         if len(r.terms) != 1:
             return NotInImage(f"image of p{i} has {len(r.terms)} group terms")
         (u, c), = r.terms.items()
-        if c != char_sign(model.character, u):
+        sign, terms = _slot_terms(model, u.letters)
+        if c != sign:
             return NotInImage(f"image of p{i} has coefficient {c}, expected a unit")
         j = lab.index
         if words[j - 1] is not None:
             return NotInImage(f"two puncture spheres land on p{j}")
         perm[i - 1] = j - 1
         words[j - 1] = u
-    candidate = BraidElement(tuple(words), tuple(perm))  # type: ignore[arg-type]
-    if push_braid(sig, candidate) != h:
-        return NotInImage("cell images do not match the decoded braid")
-    return candidate
+        slot_terms[j - 1] = terms
+    # The puncture images match push_braid's exactly, so what is left of
+    # push_braid(sig, candidate) == h is the cells.
+    for c, cell in enumerate(cells):
+        entries = h.sphere(cell).entries
+        expected = {
+            p: terms[c] for p, terms in zip(punctures, slot_terms) if terms[c]  # type: ignore[index]
+        }
+        if (
+            len(entries) != len(expected) + 1
+            or _letter_terms(entries.get(cell)) != {(): 1}
+            or any(_letter_terms(entries.get(p)) != f for p, f in expected.items())
+        ):
+            return NotInImage("cell images do not match the decoded braid")
+    return BraidElement(tuple(words), tuple(perm))  # type: ignore[arg-type]
+
+
+def _letter_terms(r: RingElem | None) -> dict[tuple[int, ...], int] | None:
+    return None if r is None else {u.letters: n for u, n in r.terms.items()}
 
 
 @dataclass(frozen=True)
@@ -505,11 +532,15 @@ def kernel_report(
     only for an exhaustive search, and a sample unranks each slot word
     from a uniform index into the ball.  The identity braid is always in
     the kernel and is not reported; any other hit is a counterexample to
-    injectivity and lands in nontrivial_kernel.  A max_word_len above
-    MAX_WORD_LETTERS raises TooLarge before the ball is counted.
+    injectivity and lands in nontrivial_kernel.  A negative or non-int
+    bound raises ValueError, and a max_word_len above MAX_WORD_LETTERS
+    raises TooLarge, before the ball is counted.
     """
     if not sig.model.is_default:
         raise ModelNotDefault("kernel search is only established for the default model")
+    for name, value in (("max_word_len", max_word_len), ("max_braids", max_braids)):
+        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+            raise ValueError(f"{name} must be a non-negative int, got {value!r}")
     if max_word_len > MAX_WORD_LETTERS:
         raise TooLarge(
             f"slot word length bound {max_word_len} is above the word cap of "

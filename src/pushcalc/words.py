@@ -54,6 +54,22 @@ class FreeWord:
         w._hash = None
         return w
 
+    @classmethod
+    def _wrap_keys(cls, terms: dict[tuple[int, ...], int]) -> dict["FreeWord", int]:
+        # The same dict with each key, a reduced letter tuple, wrapped as a
+        # word.  The words are built inline with the hash filled in, since
+        # each is hashed as a key at once: a _wrap call per word and a
+        # first __hash__ call cost as much as the rest of the loop.
+        new = object.__new__
+        out = {}
+        for letters, n in terms.items():
+            w = new(cls)
+            w.letters = letters
+            w._max_gen = -1
+            w._hash = hash(letters)
+            out[w] = n
+        return out
+
     @property
     def is_identity(self) -> bool:
         return not self.letters
@@ -123,10 +139,10 @@ def generator(i: int, sign: int = 1) -> FreeWord:
 
 def shortlex_key(u: FreeWord) -> tuple:
     """Sort key: by length, then letterwise with a1 < A1 < a2 < A2 < ...."""
-    return (
-        len(u.letters),
-        tuple((abs(x), 0 if x > 0 else 1) for x in u.letters),
-    )
+    # One int per letter, 2i for a_i and 2i + 1 for A_i: the same order as
+    # (i, sign) pairs at a fraction of the memory, which matters when a
+    # large ring element's keys are all held at once for sorting.
+    return (len(u.letters), tuple([2 * abs(x) + (x < 0) for x in u.letters]))
 
 
 def letter_profile(u: FreeWord, i: int) -> list[tuple[int, FreeWord]]:

@@ -220,6 +220,40 @@ def test_recover_not_in_image(capsys, tmp_path):
     assert err.startswith("error:not-in-image: ")
 
 
+# The push of [a1 | e ; id] at g = 1, k = 2, with one change per case.
+RECOVER_BASE = {
+    "g": 1, "d": 3, "labels": ["p1", "p2", "t1"], "circles": ["a1"],
+    "spheres": {"p1": {"p1": [[1, "a1"]]}, "p2": {"p2": [[1, "e"]]},
+                "t1": {"p1": [[1, "e"]], "t1": [[1, "e"]]}},
+}
+
+
+@pytest.mark.parametrize("change, reason", [
+    ({"circles": ["a1^2"]}, "circle part is not the identity"),
+    ({"spheres": {"p1": {}}}, "image of p1 is not a single basis term"),
+    ({"spheres": {"p1": {"p1": [[1, "a1"]], "t1": [[1, "e"]]}}},
+     "image of p1 is not a single basis term"),
+    ({"spheres": {"p2": {"t1": [[1, "e"]]}}}, "image of p2 lands on t1"),
+    ({"spheres": {"p1": {"p1": [[1, "a1"], [1, "e"]]}}}, "image of p1 has 2 group terms"),
+    ({"spheres": {"p1": {"p1": [[-1, "a1"]]}}},
+     "image of p1 has coefficient -1, expected a unit"),
+    ({"spheres": {"p2": {"p1": [[1, "e"]]}}}, "two puncture spheres land on p1"),
+    ({"spheres": {"t1": {"t1": [[1, "e"]]}}}, "cell images do not match the decoded braid"),
+    ({"spheres": {"t1": {"p1": [[1, "e"]], "t1": [[1, "e"]], "p2": [[1, "a1"]]}}},
+     "cell images do not match the decoded braid"),
+    ({"spheres": {"t1": {"p1": [[1, "e"]], "t1": [[2, "e"]]}}},
+     "cell images do not match the decoded braid"),
+])
+def test_recover_refusal_lines(capsys, tmp_path, change, reason):
+    obj = json.loads(json.dumps(RECOVER_BASE))
+    obj["circles"] = change.get("circles", obj["circles"])
+    obj["spheres"].update(change.get("spheres", {}))
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(obj))
+    assert run_cli(capsys, "recover", "--map", str(path)) == (
+        1, "", f"error:not-in-image: {reason}\n")
+
+
 def test_kernel_golden(capsys):
     code, out, err = run_cli(capsys, "kernel", "-g", "1", "-k", "1",
                              "--max-len", "3")
@@ -235,6 +269,16 @@ def test_kernel_json(capsys):
     assert obj["exhaustive"] is True
     assert obj["checked"] == 18
     assert obj["nontrivial"] == []
+
+
+@pytest.mark.parametrize("argv, name, value", [
+    (("--max-len", "2", "--max-braids", "-1"), "max_braids", "-1"),
+    (("--max-len", "-3"), "max_word_len", "-3"),
+])
+def test_kernel_negative_sizes_refused(capsys, argv, name, value):
+    code, out, err = run_cli(capsys, "kernel", "-g", "1", "-k", "1", *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error:invalid: {name} must be a non-negative int, got {value}\n"
 
 
 def _limit_memory() -> None:

@@ -45,7 +45,7 @@ from pushcalc.pushing import (
     recover_braid,
 )
 from pushcalc.ring import ModuleVec, RingElem, SphereLabel
-from pushcalc.words import FreeEndo, FreeWord, IDENTITY, parse_word
+from pushcalc.words import FreeEndo, FreeWord, IDENTITY, char_sign, parse_word
 
 SIG11 = PuncturedSignature(ManifoldModel.default(1), 1)
 SIG21 = PuncturedSignature(ManifoldModel.default(2), 1)
@@ -450,6 +450,99 @@ def test_recover_rejections():
         recover_braid(SIG11, identity_map(SIG22.wedge))
 
 
+def _recover_braid_by_round_trip(sig: PuncturedSignature, h: SelfMapClass):
+    # recover_braid as it was before its confirmation ran on letter tuples:
+    # decode the puncture images, then compare a full push_braid with h.
+    if h.sig != sig.wedge:
+        raise SignatureMismatch("class does not live on this punctured model")
+    if not h.circle_part.is_identity:
+        return NotInImage("circle part is not the identity")
+    k = sig.k
+    perm: list = [None] * k
+    words: list = [None] * k
+    for i, p_i in enumerate(sig.wedge.labels[:k], 1):
+        vec = h.sphere(p_i)
+        if len(vec.entries) != 1:
+            return NotInImage(f"image of p{i} is not a single basis term")
+        (lab, r), = vec.entries.items()
+        if lab.kind != "p":
+            return NotInImage(f"image of p{i} lands on {lab}")
+        if len(r.terms) != 1:
+            return NotInImage(f"image of p{i} has {len(r.terms)} group terms")
+        (u, c), = r.terms.items()
+        if c != char_sign(sig.model.character, u):
+            return NotInImage(f"image of p{i} has coefficient {c}, expected a unit")
+        j = lab.index
+        if words[j - 1] is not None:
+            return NotInImage(f"two puncture spheres land on p{j}")
+        perm[i - 1] = j - 1
+        words[j - 1] = u
+    candidate = BraidElement(tuple(words), tuple(perm))
+    if push_braid(sig, candidate) != h:
+        return NotInImage("cell images do not match the decoded braid")
+    return candidate
+
+
+def _corruptions(rng: random.Random, sig: PuncturedSignature, h: SelfMapClass):
+    """(kind, map) pairs, each h plus one seeded change to one sphere image."""
+    g, k = sig.model.g, sig.k
+    punctures, cells = sig.wedge.labels[:k], sig.wedge.labels[k:]
+
+    def plus(lab, target, word, n):
+        spheres = dict(h.sphere_part)
+        spheres[lab] = spheres[lab] + ModuleVec([(target, RingElem.from_word(word, n))])
+        return SelfMapClass(h.sig, h.circle_part, spheres)
+
+    for cell in cells:
+        entries = h.sphere(cell).entries
+        hit = [lab for lab in entries if lab != cell]
+        if hit:
+            lab = rng.choice(hit)
+            u, n = rng.choice(sorted(entries[lab].terms.items(), key=lambda t: t[0].letters))
+            yield "changed term", plus(cell, lab, u, rng.choice((1, -1, 2)))
+            yield "removed term", plus(cell, lab, u, -n)
+        if punctures:
+            lab = rng.choice(punctures)
+            yield "added term", plus(cell, lab, rand_word(rng, g, 4), rng.choice((1, -1)))
+        yield "own coefficient", plus(cell, cell, rng.choice((IDENTITY, rand_word(rng, g, 2))),
+                                      rng.choice((1, -1, -2)))
+        missing = [lab for lab in sig.wedge.labels if lab not in entries]
+        if missing:
+            yield "extra label", plus(cell, rng.choice(missing), rand_word(rng, g, 3), 1)
+    if punctures:
+        p = rng.choice(punctures)
+        (lab, r), = h.sphere(p).entries.items()
+        (u, n), = r.terms.items()
+        yield "puncture sign", plus(p, lab, u, -2 * n)
+
+
+def test_recover_matches_round_trip_oracle(monkeypatch):
+    rng = random.Random(121)
+    maps = []
+    for sig, braid in random_model_cases():
+        h = push_braid(sig, braid)
+        maps.append(("valid", sig, h))
+        maps.extend((kind, sig, bad) for kind, bad in _corruptions(rng, sig, h))
+    built = []
+    init = SelfMapClass.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SelfMapClass, "__init__", counted)
+    got = [recover_braid(sig, h) for _, sig, h in maps]
+    monkeypatch.undo()
+    assert built == []   # the confirmation builds no class
+    seen: dict[str, int] = {}
+    for (kind, sig, h), res in zip(maps, got):
+        assert res == _recover_braid_by_round_trip(sig, h), (kind, sig, h)
+        # Only the valid pushes decode: a corruption leaves no braid.
+        assert isinstance(res, BraidElement) == (kind == "valid"), (kind, res)
+        seen[kind] = seen.get(kind, 0) + 1
+    assert len(seen) == 7 and min(seen.values()) >= 20, seen
+
+
 def test_non_default_model_guards():
     custom = ManifoldModel(
         g=1,
@@ -460,8 +553,8 @@ def test_non_default_model_guards():
     sig = PuncturedSignature(custom, 1)
     with pytest.raises(ModelNotDefault):
         push_word_closed(sig, parse_word("a1"), 1)
-    with pytest.raises(ModelNotDefault):
-        recover_braid(sig, identity_map(sig.wedge))
+    braid = BraidElement((parse_word("a1 a1"),), (0,))
+    assert recover_braid(sig, push_braid(sig, braid)) == braid
     with pytest.raises(ModelNotDefault):
         kernel_report(sig, 2, 100)
 

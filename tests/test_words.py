@@ -195,6 +195,24 @@ def test_enumerate_words_shortlex():
     ]
 
 
+def _shortlex_key_by_pairs(u: FreeWord) -> tuple:
+    # The key shortlex_key had before it used one int per letter.
+    return (len(u.letters), tuple((abs(x), 0 if x > 0 else 1) for x in u.letters))
+
+
+def test_shortlex_key_orders_like_letter_pairs():
+    rng = random.Random(122)
+    for g in range(1, 4):
+        alphabet = [s * i for i in range(1, g + 1) for s in (1, -1)]
+        ws = [FreeWord(rng.choice(alphabet) for _ in range(n))
+              for n in range(13) for _ in range(20)]
+        by_int = sorted(ws, key=shortlex_key)
+        assert [w.letters for w in by_int] == [
+            w.letters for w in sorted(ws, key=_shortlex_key_by_pairs)]
+        for a, b in zip(by_int, by_int[1:]):
+            assert (shortlex_key(a) == shortlex_key(b)) == (a == b)
+
+
 def test_endomorphisms():
     phi = FreeEndo([parse_word("a1 a2"), parse_word("A1")])
     assert endo_apply(phi, parse_word("a1 a2 A1")) == parse_word("a1 a2 A1 A2 A1")
