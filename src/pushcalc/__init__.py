@@ -27,7 +27,6 @@ from .embedding import (
 )
 from .errors import (
     HypothesisViolation,
-    ModelNotDefault,
     ParseError,
     PushcalcError,
     SignatureMismatch,
@@ -111,7 +110,6 @@ __all__ = [
     "KernelReport",
     "ManifoldModel",
     "MapState",
-    "ModelNotDefault",
     "ModuleVec",
     "NotInImage",
     "ParseError",

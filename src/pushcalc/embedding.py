@@ -5,34 +5,21 @@ pairs.  Each label-by-label block is diagonally constant: the entry in
 row (l, v) and column (b, u) equals the entry in row (l, v*slope(u)^-1)
 and column (b, e), where slope is the circle endomorphism.  A block is
 therefore determined by its column-e data, a single RingElem, and that
-finite data is what ShiftedBlockMatrix stores.  The product of two such
-matrices is computed in closed form on the column data; materialize()
-expands an honest finite window of the infinite matrix so the closed
-form can be checked against literal integer matrix multiplication.
+data is the class itself read by column: block (l, b) is the
+l-component of the image of b.  So ShiftedBlockMatrix is a transposed
+view of its SelfMapClass, and the product of two matrices is compose of
+their classes.  materialize() expands an honest finite window of the
+infinite matrix so the product can be checked against literal integer
+matrix multiplication.
 """
 from __future__ import annotations
 
 import functools
 
 from .errors import SignatureMismatch, SizeMismatch, TooLarge
-from .monoid import SelfMapClass, WedgeSignature
-from .ring import (
-    ModuleVec,
-    RingElem,
-    SphereLabel,
-    format_ring,
-    ring_endo_apply,
-    ring_mul,
-    ring_to_json,
-)
-from .words import (
-    FreeEndo,
-    FreeWord,
-    endo_apply,
-    endo_compose,
-    enumerate_words,
-    format_word,
-)
+from .monoid import SelfMapClass, WedgeSignature, compose
+from .ring import ModuleVec, RingElem, SphereLabel, format_ring, ring_to_json
+from .words import FreeEndo, FreeWord, endo_apply, enumerate_words, format_word
 
 IndexKey = tuple[SphereLabel, FreeWord]
 
@@ -42,9 +29,17 @@ MAX_WINDOW_ROWS = 200_000
 
 
 class ShiftedBlockMatrix:
-    """Diagonally constant block matrix, stored as column-e data per block."""
+    """Diagonally constant block matrix: a transposed view of a SelfMapClass.
 
-    __slots__ = ("sig", "slope", "blocks")
+    The one slot is the class; block (l, b) is the l-component of its
+    image of b, and the slope is its circle part.  The public constructor
+    takes the blocks keyed by (row, column) label, groups them by column
+    and validates them as a SelfMapClass, which refuses a label outside
+    the signature, a slope of the wrong rank and a word over a generator
+    past g.
+    """
+
+    __slots__ = ("self_map",)
 
     def __init__(
         self,
@@ -52,87 +47,74 @@ class ShiftedBlockMatrix:
         slope: FreeEndo,
         blocks: dict[tuple[SphereLabel, SphereLabel], RingElem],
     ) -> None:
-        if slope.rank != sig.g:
-            raise ValueError(f"slope rank {slope.rank} does not match g={sig.g}")
-        allowed = sig.label_set
-        clean: dict[tuple[SphereLabel, SphereLabel], RingElem] = {}
+        columns: dict[SphereLabel, list[tuple[SphereLabel, RingElem]]] = {}
         for (row, col), r in blocks.items():
-            if row not in allowed or col not in allowed:
-                raise ValueError(f"block ({row},{col}) outside signature labels")
-            if r:
-                clean[(row, col)] = r
-        self.sig = sig
-        self.slope = slope
-        self.blocks = clean
+            columns.setdefault(col, []).append((row, r))
+        self.self_map = SelfMapClass(
+            sig, slope, {col: ModuleVec(entries) for col, entries in columns.items()}
+        )
+
+    @property
+    def sig(self) -> WedgeSignature:
+        return self.self_map.sig
+
+    @property
+    def slope(self) -> FreeEndo:
+        return self.self_map.circle_part
 
     def block(self, row: SphereLabel, col: SphereLabel) -> RingElem:
-        return self.blocks.get((row, col), RingElem.zero())
+        return self.self_map.sphere_part[col].get(row)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ShiftedBlockMatrix):
             return NotImplemented
-        return (
-            self.sig == other.sig
-            and self.slope == other.slope
-            and self.blocks == other.blocks
-        )
+        return self.self_map == other.self_map
 
     def __repr__(self) -> str:
         return f"ShiftedBlockMatrix<{format_block_matrix(self)}>"
 
 
 def embed(h: SelfMapClass) -> ShiftedBlockMatrix:
-    """Matrix of h: block (l,b) holds the l-component of the image of b."""
-    blocks: dict[tuple[SphereLabel, SphereLabel], RingElem] = {}
-    for b in h.sig.labels:
-        for l, r in h.sphere_part[b].entries.items():
-            blocks[(l, b)] = r
-    return ShiftedBlockMatrix(h.sig, h.circle_part, blocks)
+    """Matrix of h: block (l,b) holds the l-component of the image of b.
+
+    The matrix wraps h itself; nothing is copied.
+    """
+    a = ShiftedBlockMatrix.__new__(ShiftedBlockMatrix)
+    a.self_map = h
+    return a
 
 
 def to_self_map(a: ShiftedBlockMatrix) -> SelfMapClass:
-    """Inverse of embed: reassemble the self-map class from column data."""
-    spheres: dict[SphereLabel, ModuleVec] = {}
-    for b in a.sig.labels:
-        spheres[b] = ModuleVec(
-            [(l, a.blocks[(l, bb)]) for (l, bb) in a.blocks if bb == b]
-        )
-    return SelfMapClass(a.sig, a.slope, spheres)
+    """Inverse of embed: the class the matrix is a view of."""
+    return a.self_map
 
 
 def matrix_mul(a: ShiftedBlockMatrix, b: ShiftedBlockMatrix) -> ShiftedBlockMatrix:
-    """Product on column data: col(l,b) = sum_m a_col(l,m) * slope_a(b_col(m,b))."""
-    if a.sig != b.sig:
-        raise SignatureMismatch("matrix factors live over different wedges")
-    blocks: dict[tuple[SphereLabel, SphereLabel], RingElem] = {}
-    for (m, col), rb in b.blocks.items():
-        moved = ring_endo_apply(a.slope, rb)
-        for (row, mm), ra in a.blocks.items():
-            if mm != m:
-                continue
-            contrib = ring_mul(ra, moved)
-            key = (row, col)
-            prev = blocks.get(key)
-            n = contrib if prev is None else prev + contrib
-            if n:
-                blocks[key] = n
-            else:
-                blocks.pop(key, None)
-    return ShiftedBlockMatrix(a.sig, endo_compose(a.slope, b.slope), blocks)
+    """Product a*b: col(l,b) = sum_m a_col(l,m) * slope_a(b_col(m,b)).
+
+    Read by column that sum is compose(a's class, b's class), so this is
+    that composite, with compose's signature check and TooLarge caps.
+    """
+    return embed(compose(a.self_map, b.self_map))
 
 
 def shift(a: ShiftedBlockMatrix, w: FreeWord) -> ShiftedBlockMatrix:
     """Left-translate every block's column data by w (vertical block shift)."""
-    return ShiftedBlockMatrix(
-        a.sig,
-        a.slope,
-        {key: RingElem.from_word(w) * r for key, r in a.blocks.items()},
-    )
+    wr = RingElem.from_word(w)
+    h = a.self_map
+    return embed(SelfMapClass(h.sig, h.circle_part, {
+        b: ModuleVec({l: wr * r for l, r in vec.entries.items()})
+        for b, vec in h.sphere_part.items()
+    }))
 
 
 def max_shift(a: ShiftedBlockMatrix) -> int:
     """Longest word in any block's column data (0 for the zero matrix)."""
-    return max((r.max_support_len() for r in a.blocks.values()), default=0)
+    return max(
+        (r.max_support_len()
+         for vec in a.self_map.sphere_part.values() for r in vec.entries.values()),
+        default=0,
+    )
 
 
 class TruncatedMatrix:
@@ -300,20 +282,17 @@ def materialize(
     # The rows cover at least the column ball, so there are n_cols^2 cells or more.
     if n_cols is None or n_cols * n_cols > cells:
         raise too_large(f"window of radius {radius}")
-    by_col: dict[SphereLabel, list[tuple[SphereLabel, RingElem]]] = {}
-    for (l, b), r in a.blocks.items():
-        by_col.setdefault(b, []).append((l, r))
     words = tuple(enumerate_words(a.sig.g, radius))
     images = [endo_apply(a.slope, u) for u in words]
     arising = 0
     entries: dict[tuple[IndexKey, IndexKey], int] = {}
-    for b in a.sig.labels:
-        blocks = by_col.get(b)
-        if not blocks:
+    for b, vec in a.self_map.sphere_part.items():
+        column = vec.entries
+        if not column:
             continue
         for u, su in zip(words, images):
             col = (b, u)
-            for l, r in blocks:
+            for l, r in column.items():
                 for w, c in r.terms.items():
                     w = w * su
                     entries[((l, w), col)] = c
@@ -325,12 +304,6 @@ def materialize(
     row_cap = min(MAX_WINDOW_ROWS, cells // max(n_cols, 1))
     if _ball_keys_count(a.sig, row_radius, row_cap) is None:
         raise too_large(f"window of radius {radius} with rows to radius {row_radius}")
-    # Every entry is inside the window once the block words stay over the g
-    # generators: a row word w*slope(u) keeps any generator of w past g.
-    for (l, b), r in a.blocks.items():
-        for w in r.terms:
-            if w.max_generator > a.sig.g:
-                raise ValueError(f"block ({l},{b}) word {w} outside the window")
     return TruncatedMatrix._wrap(a.sig, radius, row_radius, entries)
 
 
@@ -424,9 +397,10 @@ def block_matrix_to_json(a: ShiftedBlockMatrix) -> dict:
         "slope": [format_word(w) for w in a.slope.images],
         "blocks": {
             f"{row},{col}": ring_to_json(r)
-            for (row, col), r in sorted(
-                a.blocks.items(),
-                key=lambda kv: (kv[0][0].sort_key, kv[0][1].sort_key),
+            for row, col, r in sorted(
+                ((row, col, r) for col, vec in a.self_map.sphere_part.items()
+                 for row, r in vec.entries.items()),
+                key=lambda t: (t[0].sort_key, t[1].sort_key),
             )
         },
     }

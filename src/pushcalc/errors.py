@@ -42,13 +42,6 @@ class SlotOutOfRange(PushcalcError, ValueError):
     code = "slot-out-of-range"
 
 
-class ModelNotDefault(PushcalcError, ValueError):
-    """An operation proven only for the default manifold model was called
-    on a customized one."""
-
-    code = "model-not-default"
-
-
 class HypothesisViolation(PushcalcError, ValueError):
     """The manifold model does not satisfy the hypotheses the mapping-space
     operations require, and the caller did not opt in."""

@@ -41,8 +41,9 @@ class WedgeSignature:
 
     labels is sorted into sort_key order.  label_set, the same labels as a
     frozenset, is built once here for the membership checks of every
-    SelfMapClass and ShiftedBlockMatrix on this signature; it is not a
-    field, so equality, hash and repr see only g, labels and d.
+    SelfMapClass (and so of every ShiftedBlockMatrix) and truncation window
+    on this signature; it is not a field, so equality, hash and repr see
+    only g, labels and d.
     """
 
     g: int

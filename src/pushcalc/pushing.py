@@ -32,7 +32,6 @@ from dataclasses import dataclass
 
 from . import words as _words
 from .errors import (
-    ModelNotDefault,
     ParseError,
     SignatureMismatch,
     SizeMismatch,
@@ -126,18 +125,6 @@ class ManifoldModel:
             d=d,
             character=(1,) * g,
             crossings=tuple(((i, 1, FreeWord()),) for i in range(1, g + 1)),
-        )
-
-    @property
-    def is_default(self) -> bool:
-        """Whether character and crossings are those of default(g, d).
-
-        Read straight off the fields: kernel_report and push_word_closed
-        ask once per call, so no default model is built.
-        """
-        g = self.g
-        return self.character == (1,) * g and self.crossings == tuple(
-            ((i, 1, IDENTITY),) for i in range(1, g + 1)
         )
 
 
@@ -333,21 +320,17 @@ def _slot_terms(
 
 
 def push_word_closed(sig: PuncturedSignature, w: FreeWord, slot: int) -> SelfMapClass:
-    """Closed form of push_word, kept to the default model.
+    """Closed form of push_word, on every model.
 
-    Circles fixed; the pushed puncture sphere is translated by w; cell i
-    gains loop_coefficient(w, i) times the pushed puncture sphere, the
-    default model's case of the twisted cocycle F(uv) = F(u) + c(u)*u*F(v).
-    The class is push_braid of the braid with w in `slot`, built by the
-    same one-pass helper, so checking it against the push_word fold (now
-    only the oracle) checks that helper.
+    Circles fixed; the pushed puncture sphere p goes to c(w)*w*p; cell i
+    gains F_i(w) times p, with F the twisted cocycle
+    F(uv) = F(u) + c(u)*u*F(v) of the crossing data (on the default model
+    F_i(w) is loop_coefficient(w, i)).  The class is push_braid of the
+    braid with w in `slot`, built by the same one-pass helper, so checking
+    it against the push_word fold (now only the oracle) checks that helper.
     """
     _check_slot(sig, slot)
     model = sig.model
-    if not model.is_default:
-        raise ModelNotDefault(
-            "closed-form push is only established for the default crossing data"
-        )
     if w.max_generator > model.g:
         raise ValueError(f"word {w} exceeds rank {model.g}")
     words = tuple(w if i == slot else FreeWord() for i in range(1, sig.k + 1))
@@ -504,8 +487,8 @@ def _unrank_word(g: int, rank: int) -> FreeWord:
     return FreeWord._wrap(tuple(letters))
 
 
-def _count_fits(ball_size: int, k: int, cap: int) -> bool:
-    """Whether ball_size**k * k! <= cap.
+def _braid_count(ball_size: int, k: int, cap: int) -> int | None:
+    """ball_size**k * k!, the braids of an exhaustive search, or None above cap.
 
     The k! factors come first and the product stops once it passes cap,
     so a large k or ball costs a few multiplications, not the product.
@@ -513,9 +496,34 @@ def _count_fits(ball_size: int, k: int, cap: int) -> bool:
     total = 1
     for factor in itertools.chain(range(2, k + 1), itertools.repeat(ball_size, k)):
         if total > cap:
-            return False
+            return None
         total *= factor
-    return total <= cap
+    return total if total <= cap else None
+
+
+# Cap on the estimated work of one kernel sweep (_sweep_work).  On a 2-CPU
+# Xeon a unit took 3-7 us over 22 shapes tried (many labels, many slots,
+# long words), so a sweep just under the cap answers in under 10 s.
+# Without it `kernel -g 1 -k 19999` (20,000 braids over 20,000 labels)
+# would have run about 1.8 h, `-g 3 -k 1 --max-len 1000` about 12 min, and
+# `-g 3 -k 1 --max-len 13 --max-braids 1000000000000` listed 1.8e9 words
+# into a MemoryError; each is estimated at over 10**8 units.  The default
+# 20,000-braid sample with --max-len 4 answers up to g = k = 7 (780,000).
+MAX_KERNEL_WORK = 1_000_000
+
+
+def _sweep_work(g: int, k: int, max_len: int, braids: int) -> int:
+    """Estimated work of push_braid and the identity test on `braids` braids.
+
+    Each braid costs one unit per label of the wedge (g + k) and four for
+    itself.  Each slot costs one more unit for its word and permutation
+    entry, an eighth of a unit per cell (_slot_terms gathers g cell
+    coefficients for every slot), and about half a unit a letter plus a
+    128th of the letters squared: the cocycle's prefix terms hold about
+    max_len**2 / 2 letters.
+    """
+    per_slot = 1 + g // 8 + (max_len + max_len * max_len // 64) // 2
+    return braids * (4 + g + k + k * per_slot)
 
 
 def kernel_report(
@@ -534,10 +542,10 @@ def kernel_report(
     the kernel and is not reported; any other hit is a counterexample to
     injectivity and lands in nontrivial_kernel.  A negative or non-int
     bound raises ValueError, and a max_word_len above MAX_WORD_LETTERS
-    raises TooLarge, before the ball is counted.
+    raises TooLarge, before the ball is counted.  A sweep whose estimated
+    work (_sweep_work, over the braids it would check) passes
+    MAX_KERNEL_WORK raises TooLarge before any word is listed.
     """
-    if not sig.model.is_default:
-        raise ModelNotDefault("kernel search is only established for the default model")
     for name, value in (("max_word_len", max_word_len), ("max_braids", max_braids)):
         if not isinstance(value, int) or isinstance(value, bool) or value < 0:
             raise ValueError(f"{name} must be a non-negative int, got {value!r}")
@@ -548,9 +556,18 @@ def kernel_report(
         )
     g, k = sig.model.g, sig.k
     ball_size = _ball_size(g, max_word_len)
+    count = _braid_count(ball_size, k, max_braids)
+    braids = max_braids if count is None else count
+    work = _sweep_work(g, k, max_word_len, braids)
+    if work > MAX_KERNEL_WORK:
+        raise TooLarge(
+            f"a kernel sweep of {braids} braids at g = {g}, k = {k}, slot words "
+            f"up to {max_word_len} letters is estimated at {work} units, over "
+            f"the cap {MAX_KERNEL_WORK}; use fewer braids or shorter slot words"
+        )
     ident = identity_map(sig.wedge)
     hits: list[BraidElement] = []
-    if _count_fits(ball_size, k, max_braids):
+    if count is not None:
         ball = list(enumerate_words(g, max_word_len))
         perms = list(itertools.permutations(range(k)))
         checked = 0

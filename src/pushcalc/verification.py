@@ -268,15 +268,13 @@ def _window_mismatch(
     with t's nonzero entries as one dict.  It deliberately does not use
     materialize(), which built the windows being checked.
     """
-    by_col: dict[SphereLabel, list[tuple[SphereLabel, RingElem]]] = {}
-    for (l, b), r in c.blocks.items():
-        by_col.setdefault(b, []).append((l, r))
+    columns = to_self_map(c).sphere_part
     expected: dict[tuple[IndexKey, IndexKey], int] = {}
     for u in enumerate_words(t.sig.g, t.radius):
         su = endo_apply(c.slope, u)
         for b in t.sig.labels:
             col = (b, u)
-            for l, r in by_col.get(b, ()):
+            for l, r in columns[b].entries.items():
                 for w, coef in r.terms.items():
                     row = (l, w * su)
                     if t.has_row(row):

@@ -316,6 +316,12 @@ def test_kernel_sizes_before_listing(argv):
     ("push-braid", "-g", "100000000", "[a1 ; id]"),
     ("kernel", "-g", "100000000", "-k", "1", "--max-len", "1", "--max-braids", "3"),
     ("embed", "-g", "1", "-k", "100000000", "--slot", "1", "a1"),
+    # Kernel sweeps estimated over MAX_KERNEL_WORK: an exhaustive search of
+    # 1.8e9 braids, and samples of 20,000 braids that would run for hours
+    # (20,000 labels each) or minutes (1,000-letter slot words).
+    ("kernel", "-g", "3", "-k", "1", "--max-len", "13", "--max-braids", "1000000000000"),
+    ("kernel", "-g", "1", "-k", "19999"),
+    ("kernel", "-g", "3", "-k", "1", "--max-len", "1000"),
     ("verify", "--suite", "ring", "--cases", "100000000"),
     # a dense block grid of 3,001^2 cells
     ("embed", "-g", "3000", "-k", "1", "--slot", "1", "a1"),

@@ -1,4 +1,4 @@
-"""Block matrices: closed-form products versus honest truncated windows."""
+"""Block matrices: products by compose versus honest truncated windows."""
 from __future__ import annotations
 
 import random
@@ -132,6 +132,46 @@ def test_embed_round_trip_and_injectivity():
     for _ in range(50):
         h = rand_map(rng, SIG2)
         assert to_self_map(embed(h)) == h
+
+
+def test_matrix_is_a_view_of_its_class():
+    rng = random.Random(93)
+    for _ in range(20):
+        h = rand_map(rng, SIG2)
+        a = embed(h)
+        assert to_self_map(a) is h
+        assert a.sig is h.sig and a.slope is h.circle_part
+        for l in SIG2.labels:
+            for b in SIG2.labels:
+                assert a.block(l, b) == h.sphere_part[b].get(l)
+        # The public constructor builds the same class from the blocks.
+        blocks = {(l, b): a.block(l, b) for l in SIG2.labels for b in SIG2.labels}
+        assert ShiftedBlockMatrix(h.sig, h.circle_part, blocks) == a
+
+
+def test_matrix_mul_is_one_compose(monkeypatch):
+    calls = []
+    real = embedding.compose
+
+    def counted(outer, inner):
+        calls.append((outer, inner))
+        return real(outer, inner)
+
+    monkeypatch.setattr(embedding, "compose", counted)
+    h1, h2 = push_alpha(), push_alpha_inv()
+    c = matrix_mul(embed(h1), embed(h2))
+    assert calls == [(h1, h2)] and calls[0][0] is h1 and calls[0][1] is h2
+    assert c == embed(identity_map(SIG1))
+
+
+def test_matrix_mul_keeps_compose_caps(monkeypatch):
+    from pushcalc import monoid
+
+    a = embed(push_alpha())
+    assert matrix_mul(a, a).block(P1, T1) == ring_of({"e": 1, "a1": 1})
+    monkeypatch.setattr(monoid, "MAX_COMPOSE_PRODUCT_LETTERS", 3)
+    with pytest.raises(TooLarge, match="sphere products"):
+        matrix_mul(a, a)
 
 
 def test_matrix_mul_inverse_pair():
@@ -509,10 +549,10 @@ def test_window_constructor_rejects_outside_entries():
             TruncatedMatrix(SIG1, 0, 1, {(row, col): 1})
     with pytest.raises(ValueError, match="must be int"):
         TruncatedMatrix(SIG1, 0, 1, {inside: 1.0})
-    # A block word over generator g + 1 would put entries outside any window.
-    stray = ShiftedBlockMatrix(SIG1, FreeEndo.identity(1), {(P1, P1): ring_of({"A2": 1})})
-    with pytest.raises(ValueError, match="outside the window"):
-        materialize(stray, 0)
+    # A block word over generator g + 1 would put entries outside any window;
+    # the matrix is a view of a SelfMapClass, which refuses such a word.
+    with pytest.raises(ValueError, match="beyond rank 1"):
+        ShiftedBlockMatrix(SIG1, FreeEndo.identity(1), {(P1, P1): ring_of({"A2": 1})})
     t = materialize(embed(push_alpha()), 0)
     with pytest.raises(ValueError, match="outside the window"):
         t.with_entry((P1, parse_word("a1^2")), (P1, IDENTITY), 1)

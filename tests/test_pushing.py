@@ -8,7 +8,6 @@ import pytest
 
 from pushcalc.embedding import embed, matrix_mul
 from pushcalc.errors import (
-    ModelNotDefault,
     ParseError,
     SignatureMismatch,
     SizeMismatch,
@@ -318,40 +317,6 @@ def test_push_braid_matches_fold_on_random_models():
     assert min(seen.values()) >= 20, seen
 
 
-def _is_default_by_rebuild(model: ManifoldModel) -> bool:
-    # The definition is_default had before it compared fields directly:
-    # build and validate the default model, then compare with it.
-    base = ManifoldModel.default(model.g, model.d)
-    return model.character == base.character and model.crossings == base.crossings
-
-
-def test_is_default_matches_rebuild_oracle():
-    verdicts = {True: 0, False: 0}
-    for sig, _ in random_model_cases():
-        verdict = sig.model.is_default
-        assert verdict is _is_default_by_rebuild(sig.model)
-        verdicts[verdict] += 1
-    assert min(verdicts.values()) >= 20, verdicts
-    # Near misses: each differs from the default in one datum.
-    near = [
-        ManifoldModel(g=2, d=3, character=(1, -1),
-                      crossings=(((1, 1, IDENTITY),), ((2, 1, IDENTITY),))),
-        ManifoldModel(g=2, d=3, character=(1, 1),
-                      crossings=(((1, 1, IDENTITY),), ((1, 1, IDENTITY),))),
-        ManifoldModel(g=2, d=3, character=(1, 1),
-                      crossings=(((1, 1, IDENTITY),), ((2, -1, IDENTITY),))),
-        ManifoldModel(g=2, d=3, character=(1, 1),
-                      crossings=(((1, 1, IDENTITY),), ((2, 1, parse_word("a1")),))),
-        ManifoldModel(g=2, d=3, character=(1, 1),
-                      crossings=(((1, 1, IDENTITY),), ((2, 1, IDENTITY),) * 2)),
-        ManifoldModel(g=2, d=3, character=(1, 1), crossings=(((1, 1, IDENTITY),), ())),
-    ]
-    for model in near:
-        assert model.is_default is False
-        assert _is_default_by_rebuild(model) is False
-    assert ManifoldModel.default(0).is_default and ManifoldModel.default(3, 5).is_default
-
-
 def test_push_braid_errors():
     sig = PuncturedSignature(ManifoldModel.default(1), 2)
     words = (parse_word("a2"), parse_word("a3"))
@@ -544,6 +509,22 @@ def test_recover_matches_round_trip_oracle(monkeypatch):
 
 
 def test_non_default_model_guards():
+    # No entry point is kept to the default model.  The closed form agrees
+    # with the fold on every slot of the random-model cases ...
+    slots = 0
+    for sig, braid in random_model_cases():
+        for slot, w in enumerate(braid.words, start=1):
+            assert push_word_closed(sig, w, slot) == push_word(sig, w, slot), (sig, w)
+            slots += 1
+    assert slots >= 300, slots
+    # ... and kernel searches on custom models are exhaustive and trivial.
+    searches = 0
+    for sig, _ in random_model_cases():
+        if sig.k <= 2 and sig.model != ManifoldModel.default(sig.model.g):
+            rep = kernel_report(sig, 1, 100)
+            assert rep.exhaustive and rep.passed, sig
+            searches += 1
+    assert searches >= 40, searches
     custom = ManifoldModel(
         g=1,
         d=3,
@@ -551,12 +532,11 @@ def test_non_default_model_guards():
         crossings=(((1, 1, parse_word("a1")),),),
     )
     sig = PuncturedSignature(custom, 1)
-    with pytest.raises(ModelNotDefault):
-        push_word_closed(sig, parse_word("a1"), 1)
+    assert push_word_closed(sig, parse_word("a1"), 1) == push_word(sig, parse_word("a1"), 1)
     braid = BraidElement((parse_word("a1 a1"),), (0,))
     assert recover_braid(sig, push_braid(sig, braid)) == braid
-    with pytest.raises(ModelNotDefault):
-        kernel_report(sig, 2, 100)
+    rep = kernel_report(sig, 2, 100)
+    assert (rep.exhaustive, rep.total_checked, rep.nontrivial_kernel) == (True, 5, ())
 
 
 def test_custom_crossing_letter_rules():
@@ -701,6 +681,34 @@ def test_kernel_word_length_is_capped():
     assert (report.exhaustive, report.total_checked, report.passed) == (False, 5, True)
 
 
+def test_kernel_work_is_capped_before_listing(monkeypatch):
+    import pushcalc.pushing as pushing
+
+    def unlisted(g, max_len):
+        raise AssertionError("the ball was listed")
+
+    monkeypatch.setattr(pushing, "enumerate_words", unlisted)
+    for g, k, max_len, max_braids in [
+        (3, 1, 13, 10**12),   # exhaustive: 1,831,054,687 braids
+        (1, 19999, 4, 20000),  # 20,000 samples over 20,000 labels each
+        (3, 1, 1000, 20000),   # 20,000 samples of 1,000-letter words
+        (3, 2, 13, 10**10),
+    ]:
+        sig = PuncturedSignature(ManifoldModel.default(g), k)
+        with pytest.raises(TooLarge, match="kernel sweep"):
+            kernel_report(sig, max_len, max_braids)
+    monkeypatch.undo()
+    # The estimate counts the braids the search checks, not max_braids: an
+    # exhaustive search of a small ball answers whatever the bound.
+    rep = kernel_report(SIG11, 3, 10**12)
+    assert (rep.exhaustive, rep.total_checked, rep.passed) == (True, 7, True)
+    # The default 20,000-braid sample with words up to 4 letters stays under
+    # the cap at g and k up to 5.
+    for g in range(1, 6):
+        for k in range(1, 6):
+            assert pushing._sweep_work(g, k, 4, 20000) <= pushing.MAX_KERNEL_WORK
+
+
 def test_wedge_is_built_once():
     sig = PuncturedSignature(ManifoldModel.default(2, 4), 3)
     assert sig.wedge is sig.wedge
@@ -713,10 +721,6 @@ def test_wedge_is_built_once():
 
 
 def test_model_validation():
-    assert ManifoldModel.default(2).is_default
-    assert not ManifoldModel(
-        g=1, d=3, character=(-1,), crossings=(((1, 1, IDENTITY),),)
-    ).is_default
     with pytest.raises(ValueError):
         ManifoldModel(g=1, d=2, character=(1,), crossings=(((1, 1, IDENTITY),),))
     with pytest.raises(ValueError):
