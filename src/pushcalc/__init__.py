@@ -65,7 +65,6 @@ from .pushing import (
     braid_mul,
     format_braid,
     kernel_report,
-    loop_coefficient,
     parse_braid,
     push_braid,
     push_letter,
@@ -145,7 +144,6 @@ __all__ = [
     "identity_map",
     "is_diagonally_constant",
     "kernel_report",
-    "loop_coefficient",
     "materialize",
     "matrix_mul",
     "max_shift",

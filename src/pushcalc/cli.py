@@ -29,14 +29,13 @@ from .pushing import (
     PuncturedSignature,
     format_braid,
     kernel_report,
-    loop_coefficient,
     parse_braid,
     push_braid,
     push_word,
     push_word_closed,
     recover_braid,
 )
-from .ring import format_ring, ring_to_json
+from .ring import SphereLabel, format_ring, ring_to_json
 from .verification import SUITES, run_suite
 from .words import parse_word
 
@@ -57,15 +56,29 @@ def _print_json(obj: object) -> None:
     print(json.dumps(obj, indent=2))
 
 
+# Most digits of an integer in a JSON input.  compose multiplies two
+# coefficients and sums at most MAX_COMPOSE_PRODUCT_LETTERS products, so its
+# coefficients stay well under the 4,300 digits Python prints an int with.
+MAX_JSON_INT_DIGITS = 2_000
+
+
+def _json_int(text: str) -> int:
+    if len(text.lstrip("-")) > MAX_JSON_INT_DIGITS:
+        raise TooLarge(f"a JSON integer is over the cap of {MAX_JSON_INT_DIGITS} digits")
+    return int(text)
+
+
 def _load_json(path: str) -> object:
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise _CliIOError(f"cannot read {path}: {exc.strerror or exc}") from exc
     try:
-        return json.loads(text)
+        return json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise _CliIOError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise _CliIOError(f"{path} is not valid JSON: nested too deeply") from None
 
 
 class _CliIOError(Exception):
@@ -81,18 +94,19 @@ def cmd_push_word(args: argparse.Namespace) -> int:
     if args.matrix and not args.json:
         _check_grid(args.g + args.k)
     w = parse_word(args.word)
-    h = push_word(sig, w, args.slot)
+    h = push_word_closed(sig, w, args.slot)
     agrees = None
     if args.closed_form:
-        agrees = push_word_closed(sig, w, args.slot) == h
+        agrees = push_word(sig, w, args.slot) == h
+        p_slot = SphereLabel("p", args.slot)
+        coefficients = [h.sphere(t).get(p_slot) for t in h.sig.labels[args.k:]]
     if args.json:
         obj: dict = {"map": self_map_to_json(h)}
         if args.matrix:
             obj["matrix"] = block_matrix_to_json(embed(h))
         if args.closed_form:
             obj["loop_coefficients"] = {
-                f"f{i}": ring_to_json(loop_coefficient(w, i))
-                for i in range(1, args.g + 1)
+                f"f{i}": ring_to_json(f) for i, f in enumerate(coefficients, 1)
             }
             obj["closed_form_agrees"] = agrees
         _print_json(obj)
@@ -101,8 +115,8 @@ def cmd_push_word(args: argparse.Namespace) -> int:
         if args.matrix:
             print(format_block_matrix(embed(h)))
         if args.closed_form:
-            for i in range(1, args.g + 1):
-                print(f"f{i} = {format_ring(loop_coefficient(w, i))}")
+            for i, f in enumerate(coefficients, 1):
+                print(f"f{i} = {format_ring(f)}")
             print(f"closed-form agrees: {'yes' if agrees else 'no'}")
     return 0 if agrees in (None, True) else 1
 
@@ -137,7 +151,7 @@ def _map_from_args(args: argparse.Namespace) -> object:
     if args.g is None or args.k is None or args.slot is None:
         raise _CliUsage("word mode needs -g, -k, and --slot")
     sig = _signature(args.g, args.d, args.k)
-    return push_word(sig, parse_word(args.word), args.slot)
+    return push_word_closed(sig, parse_word(args.word), args.slot)
 
 
 class _CliUsage(Exception):
@@ -224,6 +238,7 @@ def cmd_kernel(args: argparse.Namespace) -> int:
 def cmd_components(args: argparse.Namespace) -> int:
     target = target_from_json(_load_json(args.target))
     model = ManifoldModel.default(args.g, args.d)
+    formula = None
     try:
         if args.assume_hypotheses:
             formula = components_formula(target, args.g, args.k)
@@ -240,7 +255,8 @@ def cmd_components(args: argparse.Namespace) -> int:
         hint = ""
         if exc.code == "hypothesis-violation":
             hint = " (pass --assume-hypotheses if they hold for your manifold)"
-        elif exc.code == "too-large":
+        elif exc.code == "too-large" and formula is not None:
+            # only the brute force's state cap is raised by the variable
             hint = " (raise PUSHCALC_MAX_STATES to explore a larger state graph)"
         return _die(exc.code, f"{exc}{hint}")
     if args.json:

@@ -172,8 +172,9 @@ MAX_COMPOSE_LETTERS = 1_000_000
 # pairs.  Just under the cap (280 words of 5 letters, or 22 of 1,000)
 # `pushcalc compose` takes under 3 s and 100 MB on a 2-CPU Xeon.  The
 # largest user is the push_word fold, whose coefficients hold about n^2/2
-# letters after n letters: `push-word` on four 1,000-letter words counted
-# at most 502,003 per step.  The tests, the verify suites and the benchmark
+# letters after n letters; `push-word` runs it only under --closed-form, as
+# the cross-check, and on four 1,000-letter words it counted at most
+# 502,003 per step.  The tests, the verify suites and the benchmark
 # workloads count at most 10,003.
 MAX_COMPOSE_PRODUCT_LETTERS = 1_000_000
 

@@ -26,6 +26,12 @@ from .words import FreeWord, char_sign, endo_apply, FreeEndo, parse_word
 
 DEFAULT_MAX_STATES = 1_000_000
 
+# Most bits components_formula lets a count have, checked before comb runs
+# (unbounded, comb alone ran 130 s at 10**6 orbits and k = 10**12).  Such a
+# count, summed over its f classes, has under the 4,300 digits Python prints
+# an int with, so every printed count parses back.
+MAX_COUNT_BITS = 14_000
+
 
 def _as_perm(arr: Sequence[int], n: int, what: str) -> tuple[int, ...]:
     perm = tuple(arr)
@@ -264,7 +270,8 @@ def components_formula(
 
     Passing a ManifoldModel checks its hypotheses (orientable, and g = 0 or
     declared low handle dimension); passing a bare rank opts into the
-    formula without a model.
+    formula without a model.  A count that may pass MAX_COUNT_BITS bits
+    raises TooLarge before any binomial is computed.
     """
     if isinstance(g, ManifoldModel):
         model = g
@@ -280,18 +287,18 @@ def components_formula(
         raise ValueError(f"rank must be a non-negative int, got {rank!r}")
     if not isinstance(k, int) or isinstance(k, bool) or k < 0:
         raise ValueError(f"puncture count must be a non-negative int, got {k!r}")
-    total = 0
+    orbits = []
     for f_words in target.f_classes:
         if len(f_words) != rank:
             raise SizeMismatch(
                 f"f class gives {len(f_words)} loop images but rank is {rank}"
             )
-        if k == 0:
-            total += 1
-            continue
-        c_f = _orbit_count(target, f_words)
-        total += comb(c_f + k - 1, k)
-    return total
+        orbits.append(_orbit_count(target, f_words) if k else 1)
+    # comb(c + k - 1, k) = comb(c + k - 1, c - 1) < (c + k - 1)**min(k, c - 1)
+    bits = sum(min(k, c - 1) * (c + k - 1).bit_length() for c in orbits if c > 1)
+    if bits > MAX_COUNT_BITS:
+        raise TooLarge(f"a component count of up to {bits} bits is over the cap {MAX_COUNT_BITS}")
+    return sum(comb(c + k - 1, k) for c in orbits)
 
 
 def _component_count(m: int, k: int, tables: Sequence[Sequence[int]]) -> int:
@@ -421,13 +428,13 @@ def target_to_json(target: TargetModel) -> dict:
 def _ids_to_indices(
     target_classes: Sequence[object], ids: Sequence[object], what: str
 ) -> tuple[int, ...]:
-    lookup = {c: i for i, c in enumerate(target_classes)}
-    out = []
-    for c in ids:
-        if c not in lookup:
-            raise ParseError(f"{what} names unknown class id {c!r}")
-        out.append(lookup[c])
-    return tuple(out)
+    try:
+        lookup = {c: i for i, c in enumerate(target_classes)}
+        return tuple(lookup[c] for c in ids)
+    except KeyError as exc:
+        raise ParseError(f"{what} names unknown class id {exc.args[0]!r}") from None
+    except TypeError:  # an array or object where an id belongs
+        raise ParseError("class ids must be JSON strings, numbers or literals") from None
 
 
 def target_from_json(obj: object) -> TargetModel:

@@ -48,7 +48,6 @@ from .words import (
     char_sign,
     enumerate_words,
     format_word,
-    letter_profile,
     parse_word,
 )
 
@@ -218,8 +217,9 @@ def push_letter(sig: PuncturedSignature, letter: int, slot: int) -> SelfMapClass
     Circles are fixed.  The pushed puncture sphere picks up the letter
     (signed by the orientation character); each cell the letter's loop
     crosses picks up a copy of the puncture sphere translated by the
-    crossing prefix, with the crossing sign, and for an inverse letter
-    the prefix is premultiplied by the inverse letter and negated.
+    crossing prefix, with the crossing sign.  For an inverse letter the
+    prefix is premultiplied by that letter and the sign negated and signed
+    by its character, so a letter's push inverts its inverse's on any model.
     """
     _check_slot(sig, slot)
     model = sig.model
@@ -237,7 +237,7 @@ def push_letter(sig: PuncturedSignature, letter: int, slot: int) -> SelfMapClass
         if letter > 0:
             gain = RingElem.from_word(prefix, eps)
         else:
-            gain = RingElem.from_word(lw * prefix, -eps)
+            gain = RingElem.from_word(lw * prefix, -eps * sgn)
         spheres[cell_lab] = spheres[cell_lab] + ModuleVec([(p_slot, gain)])
     return SelfMapClass(wsig, FreeEndo.identity(model.g), spheres)
 
@@ -268,15 +268,6 @@ def push_word(sig: PuncturedSignature, w: FreeWord, slot: int) -> SelfMapClass:
     return acc
 
 
-def loop_coefficient(w: FreeWord, i: int) -> RingElem:
-    """Signed sum of the letter-profile prefixes of generator i in w.
-
-    This is the cell-i coefficient of the closed-form push: it satisfies
-    the left cocycle law f(uv) = f(u) + u*f(v).
-    """
-    return RingElem([(prefix, eps) for eps, prefix in letter_profile(w, i)])
-
-
 def _slot_terms(
     model: ManifoldModel, letters: tuple[int, ...]
 ) -> tuple[int, list[dict[tuple[int, ...], int]]]:
@@ -286,7 +277,7 @@ def _slot_terms(
     One pass over the letters (rank already checked) with the running
     prefix u and its sign c(u): a letter a_i adds c(u)*eps*(u*prefix) for
     each crossing (cell, eps, prefix) of loop i, and a letter A_i adds
-    -c(u)*eps*(u*A_i*prefix).  On reduced words these sums satisfy
+    -c(u*A_i)*eps*(u*A_i*prefix).  On reduced words these sums satisfy
     F(uv) = F(u) + c(u)*u*F(v), which is what folding push_letter by
     compose computes, for any crossing data and character.  This is the
     one implementation of that cocycle: push_braid wraps its keys into
@@ -304,7 +295,7 @@ def _slot_terms(
             if x > 0:
                 u, s = letters[:pos], sign
             else:
-                u, s = letters[: pos + 1], -sign
+                u, s = letters[: pos + 1], -sign * character[i - 1]
             for cell, eps, prefix in row:
                 p = prefix.letters
                 term = concat(u, p) if p else u
@@ -324,15 +315,11 @@ def push_word_closed(sig: PuncturedSignature, w: FreeWord, slot: int) -> SelfMap
 
     Circles fixed; the pushed puncture sphere p goes to c(w)*w*p; cell i
     gains F_i(w) times p, with F the twisted cocycle
-    F(uv) = F(u) + c(u)*u*F(v) of the crossing data (on the default model
-    F_i(w) is loop_coefficient(w, i)).  The class is push_braid of the
-    braid with w in `slot`, built by the same one-pass helper, so checking
-    it against the push_word fold (now only the oracle) checks that helper.
+    F(uv) = F(u) + c(u)*u*F(v) of the crossing data.  The class is
+    push_braid of the braid with w in `slot`, so checking it against the
+    push_word fold, the oracle, checks push_braid's one-pass cocycle.
     """
-    _check_slot(sig, slot)
-    model = sig.model
-    if w.max_generator > model.g:
-        raise ValueError(f"word {w} exceeds rank {model.g}")
+    _check_slot(sig, slot)   # push_braid checks the rank
     words = tuple(w if i == slot else FreeWord() for i in range(1, sig.k + 1))
     return push_braid(sig, BraidElement(words, tuple(range(sig.k))))
 
@@ -565,27 +552,20 @@ def kernel_report(
             f"up to {max_word_len} letters is estimated at {work} units, over "
             f"the cap {MAX_KERNEL_WORK}; use fewer braids or shorter slot words"
         )
-    ident = identity_map(sig.wedge)
-    hits: list[BraidElement] = []
     if count is not None:
         ball = list(enumerate_words(g, max_word_len))
         perms = list(itertools.permutations(range(k)))
-        checked = 0
-        for words in itertools.product(ball, repeat=k):
-            for perm in perms:
-                braid = BraidElement(tuple(words), perm)
-                checked += 1
-                if push_braid(sig, braid) == ident and not braid.is_identity:
-                    hits.append(braid)
-        return KernelReport(g, k, max_word_len, True, checked, tuple(hits))
-    rng = random.Random(seed)
-    for _ in range(max_braids):
-        words = tuple(_unrank_word(g, rng.randrange(ball_size)) for _ in range(k))
-        perm = tuple(rng.sample(range(k), k))
-        braid = BraidElement(words, perm)
-        if push_braid(sig, braid) == ident and not braid.is_identity:
-            hits.append(braid)
-    return KernelReport(g, k, max_word_len, False, max_braids, tuple(hits))
+        candidates = (BraidElement(words, perm)
+                      for words in itertools.product(ball, repeat=k) for perm in perms)
+    else:
+        rng = random.Random(seed)
+        candidates = (BraidElement(
+            tuple(_unrank_word(g, rng.randrange(ball_size)) for _ in range(k)),
+            tuple(rng.sample(range(k), k)),
+        ) for _ in range(max_braids))
+    ident = identity_map(sig.wedge)
+    hits = tuple(b for b in candidates if push_braid(sig, b) == ident and not b.is_identity)
+    return KernelReport(g, k, max_word_len, count is not None, braids, hits)
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")

@@ -74,10 +74,13 @@ class SphereLabel(tuple):
         return f"{self[0]}{self[1]}"
 
 
-_LABEL_RE = re.compile(r"([pt])([0-9]+)\Z")
+# At most 9 digits of index, like a word's generator index.
+_LABEL_RE = re.compile(r"([pt])0*([0-9]{1,9})\Z")
 
 
 def parse_label(text: str) -> SphereLabel:
+    if not isinstance(text, str):
+        raise ParseError(f"a sphere label must be a string, got {type(text).__name__}")
     m = _LABEL_RE.match(text)
     if m is None:
         raise ParseError(f"bad sphere label {text!r}")
@@ -128,10 +131,6 @@ class RingElem:
     @classmethod
     def from_word(cls, w: FreeWord, c: int = 1) -> "RingElem":
         return cls._wrap({w: c} if c else {})
-
-    @classmethod
-    def from_int(cls, n: int) -> "RingElem":
-        return cls.from_word(FreeWord(), n)
 
     @property
     def is_zero(self) -> bool:
@@ -210,11 +209,6 @@ def ring_mul(a: RingElem, b: RingElem) -> RingElem:
 def translate(u: FreeWord, a: RingElem) -> RingElem:
     """Left multiplication by the group element u."""
     return RingElem._wrap({u * w: c for w, c in a.terms.items()})
-
-
-def translate_right(a: RingElem, u: FreeWord) -> RingElem:
-    """Right multiplication by the group element u (composition transport)."""
-    return RingElem._wrap({w * u: c for w, c in a.terms.items()})
 
 
 def ring_endo_apply(phi: FreeEndo, a: RingElem) -> RingElem:
@@ -351,21 +345,6 @@ class ModuleVec:
 
     def __repr__(self) -> str:
         return f"ModuleVec<{format_vec(self)}>"
-
-
-def vec_translate(u: FreeWord, v: ModuleVec) -> ModuleVec:
-    """Left multiplication by a group element, entrywise."""
-    return ModuleVec._wrap({lab: translate(u, r) for lab, r in v.entries.items()})
-
-
-def vec_endo_apply(phi: FreeEndo, v: ModuleVec) -> ModuleVec:
-    """Apply an endomorphism to every ring entry, entrywise."""
-    out = {}
-    for lab, r in v.entries.items():
-        img = ring_endo_apply(phi, r)
-        if img:
-            out[lab] = img
-    return ModuleVec._wrap(out)
 
 
 def format_vec(v: ModuleVec, lead: SphereLabel | None = None) -> str:

@@ -43,8 +43,8 @@ from .pushing import (
     BraidElement,
     ManifoldModel,
     PuncturedSignature,
+    _slot_terms,
     braid_mul,
-    loop_coefficient,
     push_braid,
     push_word,
     push_word_closed,
@@ -223,6 +223,25 @@ def _rand_braid_spec(rng: random.Random, g: int, k: int,
 def _braid(spec: tuple) -> BraidElement:
     words, perm = spec
     return BraidElement(tuple(FreeWord(ls) for ls in words), perm)
+
+
+def _rand_model_spec(rng: random.Random, g: int) -> tuple:
+    # One draw in five is the default model; the others have a random character
+    # and 0-3 crossings per loop, of random cell, sign and prefix (0-3 letters).
+    if rng.random() < 0.2:
+        return ((1,) * g, tuple(((i, 1, ()),) for i in range(1, g + 1)))
+    character = tuple(rng.choice((1, -1)) for _ in range(g))
+    return (character, tuple(
+        tuple((rng.randint(1, g), rng.choice((1, -1)), _rand_letters(rng, g, 3))
+              for _ in range(rng.randrange(4)))
+        for _ in range(g)
+    ))
+
+
+def _model(g: int, spec: tuple) -> ManifoldModel:
+    character, crossings = spec
+    rows = tuple(tuple((c, e, FreeWord(p)) for c, e, p in row) for row in crossings)
+    return ManifoldModel(g, 3, character, rows)
 
 
 def _rand_target_spec(rng: random.Random, g: int) -> tuple:
@@ -478,19 +497,19 @@ def _push_properties() -> list[Property]:
         g = rng.randrange(1, 4)
         k = rng.randrange(1, 4)
         slot = rng.randrange(1, k + 1)
-        return (g, k, slot, _rand_letters(rng, g, 8))
+        return (g, k, slot, _rand_model_spec(rng, g), _rand_letters(rng, g, 8))
 
     def fails_closed(case: tuple) -> str | None:
-        g, k, slot, letters = case
-        sig = PuncturedSignature(ManifoldModel.default(g), k)
+        g, k, slot, mspec, letters = case
+        sig = PuncturedSignature(_model(g, mspec), k)
         w = FreeWord(letters)
         if push_word_closed(sig, w, slot) != push_word(sig, w, slot):
             return "closed form disagrees with letterwise composition"
         return None
 
     def fails_inverse(case: tuple) -> str | None:
-        g, k, slot, letters = case
-        sig = PuncturedSignature(ManifoldModel.default(g), k)
+        g, k, slot, mspec, letters = case
+        sig = PuncturedSignature(_model(g, mspec), k)
         w = FreeWord(letters)
         ident = identity_map(sig.wedge)
         if compose(push_word(sig, w, slot), push_word(sig, ~w, slot)) != ident:
@@ -499,26 +518,32 @@ def _push_properties() -> list[Property]:
 
     def gen_cocycle(rng: random.Random) -> tuple:
         g = rng.randrange(1, 4)
-        return (g, _rand_letters(rng, g, 6), _rand_letters(rng, g, 6))
+        return (g, _rand_model_spec(rng, g), _rand_letters(rng, g, 6),
+                _rand_letters(rng, g, 6))
 
     def fails_cocycle(case: tuple) -> str | None:
-        g, x, y = case
+        g, mspec, x, y = case
+        model = _model(g, mspec)
         w1, w2 = FreeWord(x), FreeWord(y)
-        for i in range(1, g + 1):
-            lhs = loop_coefficient(w1 * w2, i)
-            rhs = loop_coefficient(w1, i) + translate(w1, loop_coefficient(w2, i))
-            if lhs != rhs:
-                return f"crossing cocycle fails for loop {i}"
+        (c1, f1), (c2, f2), (c12, f12) = (
+            _slot_terms(model, w.letters) for w in (w1, w2, w1 * w2))
+        if c12 != c1 * c2:
+            return "orientation sign is not multiplicative"
+        for i in range(g):
+            rhs = _ring(f1[i].items()) + c1 * translate(w1, _ring(f2[i].items()))
+            if _ring(f12[i].items()) != rhs:
+                return f"crossing cocycle fails for cell {i + 1}"
         return None
 
     def gen_braids(rng: random.Random) -> tuple:
         g = rng.randrange(1, 4)
         k = rng.randrange(1, 4)
-        return (g, k, _rand_braid_spec(rng, g, k), _rand_braid_spec(rng, g, k))
+        return (g, k, _rand_model_spec(rng, g),
+                _rand_braid_spec(rng, g, k), _rand_braid_spec(rng, g, k))
 
     def fails_braid_hom(case: tuple) -> str | None:
-        g, k, sa, sb = case
-        sig = PuncturedSignature(ManifoldModel.default(g), k)
+        g, k, mspec, sa, sb = case
+        sig = PuncturedSignature(_model(g, mspec), k)
         a, b = _braid(sa), _braid(sb)
         lhs = push_braid(sig, braid_mul(a, b))
         rhs = compose(push_braid(sig, a), push_braid(sig, b))
@@ -527,8 +552,8 @@ def _push_properties() -> list[Property]:
         return None
 
     def fails_recover(case: tuple) -> str | None:
-        g, k, sa, _ = case
-        sig = PuncturedSignature(ManifoldModel.default(g), k)
+        g, k, mspec, sa, _ = case
+        sig = PuncturedSignature(_model(g, mspec), k)
         a = _braid(sa)
         got = recover_braid(sig, push_braid(sig, a))
         if got != a:

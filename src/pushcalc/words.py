@@ -145,35 +145,16 @@ def shortlex_key(u: FreeWord) -> tuple:
     return (len(u.letters), tuple([2 * abs(x) + (x < 0) for x in u.letters]))
 
 
-def letter_profile(u: FreeWord, i: int) -> list[tuple[int, FreeWord]]:
-    """Occurrences of generator i in u, in order, as (sign, prefix) pairs.
-
-    For a positive occurrence the prefix is the part of u strictly before
-    the letter; for a negative occurrence the prefix includes the inverse
-    letter itself.  This is the decomposition the closed-form push uses.
-
-    >>> [(s, str(p)) for s, p in letter_profile(parse_word("a1 a1"), 1)]
-    [(1, 'e'), (1, 'a1')]
-    >>> [(s, str(p)) for s, p in letter_profile(parse_word("a1 a2 A1"), 1)]
-    [(1, 'e'), (-1, 'a1 a2 A1')]
-    """
-    if i < 1:
-        raise ValueError(f"generator index must be >= 1, got {i}")
-    out = []
-    ls = u.letters
-    for pos, x in enumerate(ls):
-        if x == i:
-            out.append((1, FreeWord._wrap(ls[:pos])))
-        elif x == -i:
-            out.append((-1, FreeWord._wrap(ls[: pos + 1])))
-    return out
-
-
 def char_sign(character: Sequence[int], u: FreeWord) -> int:
     """Product of the orientation signs of the letters of u.
 
     character[i-1] is the sign of generator i; letter signs are irrelevant
     since the values square to 1.  A homomorphism to {+1, -1}.
+
+    >>> char_sign((-1, 1), parse_word("a1 a2"))
+    -1
+    >>> char_sign((-1, 1), parse_word("A1 a2 a1"))
+    1
     """
     s = 1
     for x in u.letters:
@@ -232,7 +213,12 @@ class FreeEndo:
 
 
 def endo_apply(phi: FreeEndo, u: FreeWord) -> FreeWord:
-    """Image of u under phi: substitute each letter and reduce."""
+    """Image of u under phi: substitute each letter and reduce.
+
+    >>> phi = FreeEndo([parse_word("a1 a2"), parse_word("a2")])
+    >>> format_word(endo_apply(phi, parse_word("a1 A2 a1")))
+    'a1^2 a2'
+    """
     if u.max_generator > phi.rank:
         raise ValueError(
             f"word uses generator {u.max_generator} but endomorphism has rank {phi.rank}"
@@ -245,7 +231,10 @@ def endo_compose(outer: FreeEndo, inner: FreeEndo) -> FreeEndo:
     return FreeEndo(endo_apply(outer, w) for w in inner.images)
 
 
-_TOKEN_RE = re.compile(r"([aA])([0-9]+)(?:\^(-?[0-9]+))?\Z")
+# A generator index has at most 9 digits, leading zeros aside: no model has
+# a billion generators, and int() refuses over 4,300 digits with a message
+# about Python's own limit.
+_TOKEN_RE = re.compile(r"([aA])0*([0-9]{1,9})(?:\^(-?[0-9]+))?\Z")
 
 # Longest letter sequence parse_word expands, before free reduction.  A push
 # of an n-letter word holds about n coefficient terms of up to n letters, so
@@ -266,6 +255,8 @@ def parse_word(text: str) -> FreeWord:
     >>> parse_word("A1^-2") == parse_word("a1^2")
     True
     """
+    if not isinstance(text, str):
+        raise ParseError(f"a word must be a string, got {type(text).__name__}")
     out: list[int] = []
     for m in re.finditer(r"\S+", text):
         tok = m.group()
@@ -277,7 +268,9 @@ def parse_word(text: str) -> FreeWord:
         index = int(tm.group(2))
         if index == 0:
             raise ParseError("generator index 0 is not allowed", position=m.start())
-        exp = 1 if tm.group(3) is None else int(tm.group(3))
+        exp_text = tm.group(3) or "1"
+        # an exponent of ten digits or more is far over the letter cap
+        exp = int(exp_text) if len(exp_text.lstrip("-0")) < 10 else MAX_WORD_LETTERS + 1
         if tm.group(1) == "A":
             exp = -exp
         letter = index if exp > 0 else -index

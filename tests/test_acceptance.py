@@ -39,9 +39,9 @@ from pushcalc.pushing import (
     BraidElement,
     ManifoldModel,
     PuncturedSignature,
+    _slot_terms,
     braid_mul,
     kernel_report,
-    loop_coefficient,
     push_braid,
     push_word,
     push_word_closed,
@@ -88,6 +88,10 @@ def rand_word(rng: random.Random, g: int, max_len: int) -> FreeWord:
         rng.choice([1, -1]) * rng.randrange(1, g + 1)
         for _ in range(rng.randrange(0, max_len + 1))
     ])
+
+
+def _ring(terms: dict[tuple[int, ...], int]) -> RingElem:
+    return RingElem([(FreeWord(letters), n) for letters, n in terms.items()])
 
 
 def rand_ring(rng: random.Random, g: int, max_terms: int = 2,
@@ -165,13 +169,27 @@ def test_criterion_4_closed_form_and_cocycle():
             assert push_word_closed(sig2, w, 1) == push_word(sig2, w, 1)
             count += 1
         assert count == 485
+        # The twisted cocycle F(uv) = F(u) + c(u)*u*F(v) on random crossing
+        # data and orientation characters.
         for _ in range(500):
             g = rng.choice([1, 2, 3])
+            model = ManifoldModel(
+                g=g,
+                d=3,
+                character=tuple(rng.choice((1, -1)) for _ in range(g)),
+                crossings=tuple(
+                    tuple((rng.randint(1, g), rng.choice((1, -1)), rand_word(rng, g, 3))
+                          for _ in range(rng.randrange(4)))
+                    for _ in range(g)
+                ),
+            )
             w1, w2 = rand_word(rng, g, 8), rand_word(rng, g, 8)
-            for i in range(1, g + 1):
-                assert loop_coefficient(w1 * w2, i) == (
-                    loop_coefficient(w1, i) + translate(w1, loop_coefficient(w2, i))
-                )
+            (c1, f1), (c2, f2), (c12, f12) = (
+                _slot_terms(model, w.letters) for w in (w1, w2, w1 * w2)
+            )
+            assert c12 == c1 * c2
+            for i in range(g):
+                assert _ring(f12[i]) == _ring(f1[i]) + c1 * translate(w1, _ring(f2[i]))
 
 
 def test_criterion_5_embedding_and_truncation():

@@ -326,6 +326,8 @@ def test_kernel_sizes_before_listing(argv):
     # a dense block grid of 3,001^2 cells
     ("embed", "-g", "3000", "-k", "1", "--slot", "1", "a1"),
     ("push-word", "-g", "3000", "-k", "1", "--slot", "1", "a1", "--matrix"),
+    # an exponent past int()'s own 4,300-digit limit
+    ("push-word", "-g", "1", "-k", "1", "--slot", "1", "a1^" + "9" * 5000),
 ])
 def test_too_large_refused_before_allocating(argv):
     _assert_refused_in_child(argv)
@@ -368,6 +370,87 @@ def test_closed_stdout_pipe_exits_without_traceback(argv):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+def _map_json(**change) -> str:
+    # RECOVER_BASE with some fields replaced, as JSON text
+    return json.dumps({**RECOVER_BASE, **change})
+
+
+def _target_json(**change) -> str:
+    return json.dumps({**TRIVIAL_TARGET, **change})
+
+
+_SINGLETONS = list(range(200_000))
+
+
+@pytest.mark.parametrize("command, text, k, code", [
+    # 200,000 nested arrays overflow the JSON decoder's recursion
+    pytest.param("compose", "[" * 200_000, 1, "io", id="nested-compose"),
+    pytest.param("recover", "[" * 200_000, 1, "io", id="nested-recover"),
+    pytest.param("components", "[" * 200_000, 1, "io", id="nested-components"),
+    # a coefficient of 5,000 digits, past int()'s own 4,300-digit limit
+    pytest.param(
+        "compose", _map_json().replace('[[1, "a1"]]', '[[' + "9" * 5000 + ', "a1"]]'),
+        1, "too-large", id="long-coefficient",
+    ),
+    # a count of 200,000 singleton orbits at k = 10**9, never computed
+    pytest.param("components", _target_json(
+        pi1_gens=0, classes=_SINGLETONS, action={}, reflection=_SINGLETONS,
+        charge=_SINGLETONS, f_classes=[[]],
+    ), 10**9, "too-large", id="huge-count"),
+    # indices of 5,000 digits, and values of the wrong JSON type
+    pytest.param("compose", _map_json(labels=["p" + "1" * 5000, "p2", "t1"]), 1, "parse",
+                 id="long-label-index"),
+    pytest.param("recover", _map_json(circles=["a" + "1" * 5000]), 1, "parse",
+                 id="long-generator-index"),
+    pytest.param("compose", _map_json(circles=[1]), 1, "parse", id="int-word"),
+    pytest.param("compose", _map_json(labels=[1, "p2", "t1"]), 1, "parse", id="int-label"),
+    pytest.param("components", _target_json(classes=[["x"], "y", "z"]), 1, "parse",
+                 id="array-class-id"),
+    pytest.param("components", _target_json(charge=[["x"]]), 1, "parse", id="array-charge-id"),
+    pytest.param("components", _target_json(f_classes=[[1]]), 1, "parse", id="int-f-word"),
+])
+def test_malformed_json_ends_in_one_error_line(tmp_path, command, text, k, code):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    files = {
+        "compose": (str(path), str(path)),
+        "recover": ("--map", str(path)),
+        "components": ("--target", str(path), "-g", "0", "-k", str(k)),
+    }
+    proc = subprocess.run(
+        [sys.executable, "-m", "pushcalc", command, *files[command]],
+        capture_output=True, text=True, timeout=60, preexec_fn=_limit_memory,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith(f"error:{code}: ") and proc.stderr.count("\n") == 1
+    # no Python internals, and no state-cap hint for the formula's own cap
+    for leak in ("Traceback", "set_int_max_str_digits", "PUSHCALC_MAX_STATES"):
+        assert leak not in proc.stderr
+
+
+def test_push_word_answers_from_the_closed_form(capsys, monkeypatch):
+    import pushcalc.cli as cli
+    from pushcalc.monoid import identity_map
+
+    def fold(sig, w, slot):
+        raise AssertionError("the letterwise fold ran")
+
+    monkeypatch.setattr(cli, "push_word", fold)
+    code, out, err = run_cli(capsys, "push-word", "-g", "2", "-k", "1",
+                             "--slot", "1", "a1 a2 A1", "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["map"]["spheres"]["t2"] == {"p1": [[1, "a1"]], "t2": [[1, "e"]]}
+    code, out, err = run_cli(capsys, "embed", "-g", "1", "-k", "1", "--slot", "1", "a1")
+    assert (code, out, err) == (0, "[[a1, 1], [0, 1]]\n", "")
+    # --closed-form checks the answer against the fold, and the f_i lines
+    # are read from the answer: a fold that disagrees exits 1.
+    monkeypatch.setattr(cli, "push_word", lambda sig, w, slot: identity_map(sig.wedge))
+    code, out, err = run_cli(capsys, "push-word", "-g", "2", "-k", "1",
+                             "--slot", "1", "a1 a2 A1", "--closed-form")
+    assert (code, err) == (1, "")
+    assert out.endswith("f1 = 1 - a1 a2 A1\nf2 = a1\nclosed-form agrees: no\n")
 
 
 def _sphere_terms_map(n: int, length: int) -> dict:

@@ -569,6 +569,13 @@ def test_target_json_errors():
     not_perm["action"] = {"a1": ["x", "x", "z"]}
     with pytest.raises(ParseError):
         target_from_json(not_perm)
+    # JSON arrays are not ids, and an f word must be a string
+    for key, value in (("classes", [["x"], "y", "z"]), ("charge", [["x"]]),
+                       ("reflection", ["x", "y", {"z": 1}]),
+                       ("action", {"a1": [["y"], "z", "x"]}),
+                       ("f_classes", [[1]])):
+        with pytest.raises(ParseError):
+            target_from_json(dict(good, **{key: value}))
 
 
 def test_bruteforce_huge_k_refused_at_once():
@@ -582,6 +589,29 @@ def test_bruteforce_huge_k_refused_at_once():
     assert components_bruteforce(no_charge, hyp_model(1), 10**9) == 0
     no_f = make_target(1, ["x", "y"], [(0, 1)], f_classes=[])
     assert components_bruteforce(no_f, hyp_model(1), 10**9) == 0
+
+
+def test_formula_count_size_capped_before_comb(monkeypatch):
+    # 2,000 singleton orbits at k = 10**9 would be a count of about 18,000
+    # digits, past what Python prints; it is refused before comb runs.
+    wide = make_target(0, range(2000), [], f_classes=[[]])
+    real_comb = orbits.comb
+    monkeypatch.setattr(orbits, "comb", None)
+    with pytest.raises(TooLarge, match="up to 59970 bits is over the cap 14000"):
+        components_formula(wide, 0, 10**9)
+    monkeypatch.setattr(orbits, "comb", real_comb)
+    # Just under the cap, over several f classes, the count still prints.
+    for classes, f_count in ((2, 1), (3, 4), (40, 2), (2000, 3)):
+        target = make_target(0, range(classes), [], f_classes=[[]] * f_count)
+        bits = lambda k: f_count * min(k, classes - 1) * (classes + k - 1).bit_length()
+        k = 1
+        while bits(2 * k) <= orbits.MAX_COUNT_BITS:
+            k *= 2
+        count = components_formula(target, 0, k)
+        assert count == f_count * real_comb(classes + k - 1, k)
+        assert int(str(count)) == count
+        with pytest.raises(TooLarge):
+            components_formula(target, 0, 4 * k)
 
 
 def test_bruteforce_k0_counts_f_classes_unchecked():

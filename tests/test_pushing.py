@@ -28,12 +28,12 @@ from pushcalc.pushing import (
     ManifoldModel,
     NotInImage,
     PuncturedSignature,
+    _slot_terms,
     braid_inverse,
     braid_mul,
     format_braid,
     format_perm,
     kernel_report,
-    loop_coefficient,
     parse_braid,
     parse_perm,
     push_braid,
@@ -174,21 +174,68 @@ def test_closed_equals_composed_exhaustive_short():
         assert push_word(SIG21, w, 1) == push_word_closed(SIG21, w, 1)
 
 
-def test_loop_coefficient_cocycle():
-    assert loop_coefficient(parse_word("a1^2"), 1) == ring_of({"e": 1, "a1": 1})
-    assert loop_coefficient(parse_word("a1 a2 A1"), 1) == ring_of({"e": 1, "a1 a2 A1": -1})
-    assert loop_coefficient(parse_word("a1 a2 A1"), 2) == ring_of({"a1": 1})
-    assert loop_coefficient(IDENTITY, 1).is_zero
+def slot_coefficients(model: ManifoldModel, w: FreeWord) -> tuple[int, list[RingElem]]:
+    sign, terms = _slot_terms(model, w.letters)
+    return sign, [RingElem([(FreeWord(u), n) for u, n in f.items()]) for f in terms]
 
+
+NON_ORIENTABLE = ManifoldModel(
+    g=1,
+    d=3,
+    character=(-1,),
+    crossings=(((1, 1, IDENTITY),),),
+)
+
+
+def test_slot_terms_examples():
+    model = ManifoldModel.default(2)
+    assert slot_coefficients(model, parse_word("a1^2")) == (
+        1, [ring_of({"e": 1, "a1": 1}), RingElem.zero()])
+    assert slot_coefficients(model, parse_word("a1 a2 A1")) == (
+        1, [ring_of({"e": 1, "a1 a2 A1": -1}), ring_of({"a1": 1})])
+    assert slot_coefficients(model, parse_word("A1")) == (
+        1, [ring_of({"A1": -1}), RingElem.zero()])
+    assert slot_coefficients(model, parse_word("a2")) == (
+        1, [RingElem.zero(), ring_of({"e": 1})])
+    assert slot_coefficients(model, IDENTITY) == (1, [RingElem.zero()] * 2)
+    # An inverse letter carries its own character: F(A1) = -c(A1)*A1.
+    assert slot_coefficients(NON_ORIENTABLE, parse_word("A1")) == (-1, [ring_of({"A1": 1})])
+    assert slot_coefficients(NON_ORIENTABLE, parse_word("a1 A1")) == (1, [RingElem.zero()])
+    assert slot_coefficients(NON_ORIENTABLE, parse_word("a1^2")) == (
+        1, [ring_of({"e": 1, "a1": -1})])
+
+
+def test_slot_terms_cocycle():
+    # The twisted law F(uv) = F(u) + c(u)*u*F(v), with c multiplicative,
+    # on random crossing data and characters; the translate is a ring product.
     rng = random.Random(112)
+    for sig, _ in random_model_cases():
+        model = sig.model
+        n = 10 if model.g else 0
+        u, v = rand_word(rng, model.g, n), rand_word(rng, model.g, n)
+        cu, fu = slot_coefficients(model, u)
+        cv, fv = slot_coefficients(model, v)
+        cuv, fuv = slot_coefficients(model, u * v)
+        assert cuv == cu * cv == char_sign(model.character, u * v)
+        for left, a, b in zip(fuv, fu, fv):
+            assert left == a + RingElem.from_word(u, cu) * b
+
+
+def test_slot_terms_reassembles_word():
+    # On the default model a_i at position n adds the n-letter prefix to
+    # F_i and A_i adds minus the prefix through it; prefixes of a reduced
+    # word never cancel, so the cells' terms give back the word.
+    rng = random.Random(303)
     for _ in range(200):
-        g = rng.randrange(1, 4)
-        u = rand_word(rng, g, 10)
-        v = rand_word(rng, g, 10)
-        for i in range(1, g + 1):
-            left = loop_coefficient(u * v, i)
-            right = loop_coefficient(u, i) + RingElem.from_word(u) * loop_coefficient(v, i)
-            assert left == right
+        g = rng.randrange(1, 5)
+        u = rand_word(rng, g, 20)
+        _, terms = _slot_terms(ManifoldModel.default(g), u.letters)
+        placed = sorted(
+            (len(prefix), i) if n == 1 else (len(prefix) - 1, -i)
+            for i, f in enumerate(terms, start=1)
+            for prefix, n in f.items()
+        )
+        assert tuple(letter for _, letter in placed) == u.letters
 
 
 def test_push_word_inverse_law():
@@ -329,15 +376,13 @@ def test_push_braid_errors():
 
 def test_push_braid_homomorphism():
     rng = random.Random(116)
-    for _ in range(120):
-        k = rng.randrange(1, 4)
-        g = rng.randrange(1, 3)
-        sig = PuncturedSignature(ManifoldModel.default(g), k)
-        a = rand_braid(rng, g, k, 4)
-        b = rand_braid(rng, g, k, 4)
-        assert push_braid(sig, braid_mul(a, b)) == compose(
-            push_braid(sig, a), push_braid(sig, b)
-        )
+    for sig, a in random_model_cases():
+        g = sig.model.g
+        b = rand_braid(rng, g, sig.k, 4) if g else BraidElement.identity(sig.k)
+        for x, y in ((a, b), (b, a), (a, braid_inverse(a))):
+            assert push_braid(sig, braid_mul(x, y)) == compose(
+                push_braid(sig, x), push_braid(sig, y)
+            ), (sig, x, y)
 
 
 def test_embedding_consistency():
@@ -559,22 +604,22 @@ def test_custom_crossing_letter_rules():
     assert hinv.sphere(SphereLabel("t", 2)) == vec_of(
         {"t2": {"e": 1}, "p1": {"A1 a2": 1}}
     )
-    # For an orientation-preserving letter the two letter pushes are inverse
-    # even with custom crossing data.
+    # The two letter pushes are inverse with custom crossing data, for any
+    # orientation character (test_non_orientable_letter_push).
     assert verify_inverse(h, hinv)
 
 
 def test_non_orientable_letter_push():
-    model = ManifoldModel(
-        g=1,
-        d=3,
-        character=(-1,),
-        crossings=(((1, 1, IDENTITY),),),
-    )
-    sig = PuncturedSignature(model, 1)
+    sig = PuncturedSignature(NON_ORIENTABLE, 1)
     h = push_letter(sig, 1, 1)
     assert h.sphere(SphereLabel("p", 1)) == vec_of({"p1": {"a1": -1}})
     assert h.sphere(SphereLabel("t", 1)) == vec_of({"t1": {"e": 1}, "p1": {"e": 1}})
+    hinv = push_letter(sig, -1, 1)
+    assert hinv.sphere(SphereLabel("p", 1)) == vec_of({"p1": {"A1": -1}})
+    assert hinv.sphere(SphereLabel("t", 1)) == vec_of({"t1": {"e": 1}, "p1": {"A1": 1}})
+    assert verify_inverse(h, hinv)
+    a, ainv = (BraidElement((parse_word(w),), (0,)) for w in ("a1", "A1"))
+    assert compose(push_braid(sig, a), push_braid(sig, ainv)) == identity_map(sig.wedge)
 
 
 def test_kernel_report_exhaustive():

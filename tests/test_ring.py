@@ -21,11 +21,8 @@ from pushcalc.ring import (
     ring_mul,
     ring_to_json,
     translate,
-    translate_right,
-    vec_endo_apply,
     vec_from_json,
     vec_to_json,
-    vec_translate,
 )
 from pushcalc.words import IDENTITY, FreeEndo, FreeWord, parse_word
 
@@ -69,8 +66,8 @@ def rand_ring(rng: random.Random, g: int, max_terms: int, max_len: int) -> RingE
 
 def test_construction_prunes_zeros():
     a = RingElem([(parse_word("a1"), 2), (parse_word("a1"), -2), (IDENTITY, 3)])
-    assert a == RingElem.from_int(3)
-    assert not RingElem.from_int(0)
+    assert a == RingElem.from_word(IDENTITY, 3)
+    assert not RingElem.from_word(IDENTITY, 0)
     assert RingElem.zero().is_zero
     assert RingElem.from_word(parse_word("a1"), 0).is_zero
     with pytest.raises(ValueError):
@@ -92,10 +89,6 @@ def test_translate_examples():
     assert translate(alpha, one_plus) == RingElem.from_word(alpha) + RingElem.from_word(
         parse_word("a1^2")
     )
-    a2 = RingElem.from_word(parse_word("a2"))
-    assert translate_right(RingElem.one() + a2, alpha) == RingElem.from_word(
-        alpha
-    ) + RingElem.from_word(parse_word("a2 a1"))
 
 
 def test_translate_composition_laws():
@@ -107,9 +100,7 @@ def test_translate_composition_laws():
         u = FreeWord(rng.choice(alphabet) for _ in range(rng.randrange(7)))
         v = FreeWord(rng.choice(alphabet) for _ in range(rng.randrange(7)))
         assert translate(u, translate(v, a)) == translate(u * v, a)
-        assert translate_right(translate_right(a, u), v) == translate_right(a, u * v)
         assert translate(u, a) == ring_mul(RingElem.from_word(u), a)
-        assert translate_right(a, u) == ring_mul(a, RingElem.from_word(u))
 
 
 def test_ring_axioms_seeded():
@@ -144,7 +135,7 @@ def test_endo_apply_on_ring():
     collapse = FreeEndo([IDENTITY])
     a1 = RingElem.from_word(parse_word("a1"))
     inv = RingElem.from_word(parse_word("A1"))
-    assert ring_endo_apply(collapse, a1 + inv) == RingElem.from_int(2)
+    assert ring_endo_apply(collapse, a1 + inv) == RingElem.from_word(IDENTITY, 2)
     assert ring_endo_apply(collapse, a1 - RingElem.one()).is_zero
 
     rng = random.Random(74)
@@ -223,9 +214,10 @@ def test_sphere_labels():
     assert str(p2) == "p2" and str(t0) == "t0"
     assert parse_label("p2") == p2
     assert parse_label("t0") == t0
-    for bad in ("x1", "p0", "p", "t-1", "P1"):
+    for bad in ("x1", "p0", "p", "t-1", "P1", "p1000000000", "t" + "9" * 5000, 1, None):
         with pytest.raises(ParseError):
             parse_label(bad)
+    assert parse_label("p000999999999") == SphereLabel("p", 999999999)
     with pytest.raises(ValueError):
         SphereLabel("q", 1)
     with pytest.raises(ValueError):
@@ -287,7 +279,7 @@ def test_sphere_label_copy_and_pickle():
                       pickle.loads(pickle.dumps(lab, protocol=0))):
             assert type(clone) is SphereLabel
             assert clone == lab and clone.kind == lab.kind and clone.index == lab.index
-    vec = ModuleVec([(labels[0], RingElem.one()), (labels[2], RingElem.from_int(3))])
+    vec = ModuleVec([(labels[0], RingElem.one()), (labels[2], RingElem.from_word(IDENTITY, 3))])
     assert copy.deepcopy(vec) == vec
     assert pickle.loads(pickle.dumps(vec)) == vec
 
@@ -300,14 +292,6 @@ def test_module_vec_arithmetic():
     assert v.get(SphereLabel("p", 2)).is_zero
     assert v + ModuleVec([(p1, -RingElem.one())]) == ModuleVec.unit(t1)
     assert not ModuleVec.zero()
-
-    al = parse_word("a1")
-    moved = vec_translate(al, v)
-    assert moved.get(t1) == RingElem.from_word(al)
-
-    collapse = FreeEndo([IDENTITY])
-    w = ModuleVec([(p1, RingElem.from_word(al) - RingElem.one())])
-    assert not vec_endo_apply(collapse, w)
 
 
 def test_format_vec():

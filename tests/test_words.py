@@ -19,7 +19,6 @@ from pushcalc.words import (
     enumerate_words,
     format_word,
     generator,
-    letter_profile,
     parse_word,
     shortlex_key,
 )
@@ -82,38 +81,6 @@ def test_powers():
     assert u ** -2 == ~u * ~u
     assert (generator(1) ** 5).letters == (1, 1, 1, 1, 1)
     assert generator(2, -1).letters == (-2,)
-
-
-def test_letter_profile_examples():
-    prof = letter_profile(parse_word("a1 a1"), 1)
-    assert prof == [(1, IDENTITY), (1, parse_word("a1"))]
-
-    prof = letter_profile(parse_word("a1 a2 A1"), 1)
-    assert prof == [(1, IDENTITY), (-1, parse_word("a1 a2 A1"))]
-
-    assert letter_profile(parse_word("a1 a2 A1"), 2) == [(1, parse_word("a1"))]
-    assert letter_profile(parse_word("A1"), 1) == [(-1, parse_word("A1"))]
-    assert letter_profile(parse_word("a2"), 1) == []
-    with pytest.raises(ValueError):
-        letter_profile(parse_word("a1"), 0)
-
-
-def test_letter_profile_reassembles_word():
-    # Positions are recoverable from prefix lengths, so the per-generator
-    # profiles jointly determine the word.
-    rng = random.Random(303)
-    for _ in range(200):
-        g = rng.randrange(1, 5)
-        u = rand_word(rng, g, 20)
-        placed: list[tuple[int, int]] = []
-        for i in range(1, g + 1):
-            for sign, prefix in letter_profile(u, i):
-                if sign == 1:
-                    placed.append((len(prefix), i))
-                else:
-                    placed.append((len(prefix) - 1, -i))
-        placed.sort()
-        assert tuple(letter for _, letter in placed) == u.letters
 
 
 def test_char_sign_examples():
@@ -181,6 +148,21 @@ def test_parse_errors_carry_position():
         parse_word("a1^")
     with pytest.raises(ParseError):
         parse_word("a-1")
+    with pytest.raises(ParseError, match="must be a string, got int"):
+        parse_word(1)  # type: ignore[arg-type]
+
+
+def test_parse_word_digit_caps():
+    # No number reaches int()'s own 4,300-digit limit: an index of ten
+    # digits or more is a parse error, such an exponent is over the cap.
+    assert parse_word("a999999999").letters == (999999999,)
+    assert parse_word("a0001^0000000000003").letters == (1, 1, 1)
+    for text in ("a1000000000", "A" + "9" * 5000, "a" + "1" * 10 + "^2"):
+        with pytest.raises(ParseError, match="bad word token"):
+            parse_word(text)
+    for text in ("a1^" + "9" * 5000, "a1^-10000000000", "A2^" + "1" * 10):
+        with pytest.raises(TooLarge, match="more than 1000 letters"):
+            parse_word(text)
 
 
 def test_enumerate_words_shortlex():
