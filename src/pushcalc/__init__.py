@@ -5,7 +5,7 @@ The package follows the algebra bottom-up:
 - words: reduced words in a free group and endomorphisms between them
 - ring: the integral group ring of a free group and free modules over it
 - monoid: homotopy classes of self-maps of a wedge of circles and spheres
-- embedding: those self-maps as shifted block matrices over the group ring
+- embedding: matrix format and truncation windows of those self-maps
 - pushing: the point-pushing action of surface-braid-like groups on the
   punctured wedge, with braid recovery and kernel checks
 - orbits: the induced action on maps to a finite target and component counts
@@ -15,14 +15,10 @@ The package follows the algebra bottom-up:
 from __future__ import annotations
 
 from .embedding import (
-    ShiftedBlockMatrix,
     TruncatedMatrix,
-    embed,
     is_diagonally_constant,
     materialize,
-    matrix_mul,
     max_shift,
-    to_self_map,
     truncated_product,
 )
 from .errors import (
@@ -117,7 +113,6 @@ __all__ = [
     "RingElem",
     "SUITES",
     "SelfMapClass",
-    "ShiftedBlockMatrix",
     "SignatureMismatch",
     "SizeMismatch",
     "SlotOutOfRange",
@@ -134,7 +129,6 @@ __all__ = [
     "compose",
     "components_bruteforce",
     "components_formula",
-    "embed",
     "endo_apply",
     "endo_compose",
     "enumerate_words",
@@ -145,7 +139,6 @@ __all__ = [
     "is_diagonally_constant",
     "kernel_report",
     "materialize",
-    "matrix_mul",
     "max_shift",
     "parse_braid",
     "parse_word",
@@ -166,7 +159,6 @@ __all__ = [
     "state_ids",
     "target_from_json",
     "target_to_json",
-    "to_self_map",
     "top_homology_matrix",
     "translate",
     "truncated_product",

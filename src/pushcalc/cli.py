@@ -8,21 +8,21 @@ and seed.  Every error path prints a single line of the form
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 from pathlib import Path
 
-from .embedding import (
-    block_matrix_to_json,
-    embed,
-    format_block_matrix,
-    materialize,
-    to_tsv,
-)
-from .errors import PushcalcError, TooLarge
+from .embedding import block_matrix_to_json, format_block_matrix, materialize, to_tsv
+from .errors import PushcalcError, TooLarge, clip
 from .monoid import compose, format_self_map, self_map_from_json, self_map_to_json
-from .orbits import components_bruteforce, components_formula, target_from_json
+from .orbits import (
+    DEFAULT_MAX_STATES,
+    components_bruteforce,
+    components_formula,
+    target_from_json,
+)
 from .pushing import (
     ManifoldModel,
     NotInImage,
@@ -40,15 +40,21 @@ from .verification import SUITES, run_suite
 from .words import parse_word
 
 
+# Most bytes of the message in an error line.  With the longest prefix,
+# 'error:hypothesis-violation: ', the line stays under 200 bytes however
+# long the input a message repeats back.
+MAX_MESSAGE_BYTES = 170
+
+
 class _Parser(argparse.ArgumentParser):
     """Parser whose usage errors match the single-line error protocol."""
 
     def error(self, message: str) -> None:  # type: ignore[override]
-        self.exit(2, f"error:usage: {message}\n")
+        self.exit(2, f"error:usage: {clip(message, MAX_MESSAGE_BYTES)}\n")
 
 
 def _die(code: str, message: str) -> int:
-    print(f"error:{code}: {message}", file=sys.stderr)
+    print(f"error:{code}: {clip(message, MAX_MESSAGE_BYTES)}", file=sys.stderr)
     return 1
 
 
@@ -103,7 +109,7 @@ def cmd_push_word(args: argparse.Namespace) -> int:
     if args.json:
         obj: dict = {"map": self_map_to_json(h)}
         if args.matrix:
-            obj["matrix"] = block_matrix_to_json(embed(h))
+            obj["matrix"] = block_matrix_to_json(h)
         if args.closed_form:
             obj["loop_coefficients"] = {
                 f"f{i}": ring_to_json(f) for i, f in enumerate(coefficients, 1)
@@ -113,7 +119,7 @@ def cmd_push_word(args: argparse.Namespace) -> int:
     else:
         print(format_self_map(h))
         if args.matrix:
-            print(format_block_matrix(embed(h)))
+            print(format_block_matrix(h))
         if args.closed_form:
             for i, f in enumerate(coefficients, 1):
                 print(f"f{i} = {format_ring(f)}")
@@ -177,12 +183,11 @@ def cmd_embed(args: argparse.Namespace) -> int:
     h = _map_from_args(args)
     if args.truncate is None and not args.json:
         _check_grid(len(h.sig.labels))
-    mat = embed(h)
     if args.truncate is not None:
-        window = materialize(mat, args.truncate, max_cells=TSV_MAX_CELLS)
+        window = materialize(h, args.truncate, max_cells=TSV_MAX_CELLS)
         if args.json:
             _print_json({
-                "matrix": block_matrix_to_json(mat),
+                "matrix": block_matrix_to_json(h),
                 "radius": args.truncate,
                 "row_radius": window.row_radius,
                 "tsv": to_tsv(window),
@@ -190,9 +195,9 @@ def cmd_embed(args: argparse.Namespace) -> int:
         else:
             print(to_tsv(window), end="")
     elif args.json:
-        _print_json(block_matrix_to_json(mat))
+        _print_json(block_matrix_to_json(h))
     else:
-        print(format_block_matrix(mat))
+        print(format_block_matrix(h))
     return 0
 
 
@@ -238,18 +243,15 @@ def cmd_kernel(args: argparse.Namespace) -> int:
 def cmd_components(args: argparse.Namespace) -> int:
     target = target_from_json(_load_json(args.target))
     model = ManifoldModel.default(args.g, args.d)
+    if args.assume_hypotheses:
+        model = dataclasses.replace(model, low_handle_dim=True)
     formula = None
     try:
-        if args.assume_hypotheses:
-            formula = components_formula(target, args.g, args.k)
-        else:
-            formula = components_formula(target, model, args.k)
+        formula = components_formula(target, model, args.k)
         brute = None
         if args.brute_force:
-            max_states = _max_states_from_env()
             brute = components_bruteforce(
-                target, model, args.k,
-                max_states=max_states, force=args.assume_hypotheses,
+                target, model, args.k, max_states=_max_states_from_env()
             )
     except PushcalcError as exc:
         hint = ""
@@ -277,7 +279,7 @@ def cmd_components(args: argparse.Namespace) -> int:
 def _max_states_from_env() -> int:
     raw = os.environ.get("PUSHCALC_MAX_STATES")
     if raw is None:
-        return 1_000_000
+        return DEFAULT_MAX_STATES
     try:
         return int(raw)
     except ValueError:

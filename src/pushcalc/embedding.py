@@ -1,24 +1,23 @@
-"""Block-matrix picture of self-map classes over the universal cover.
+"""Matrix format and truncation windows of a self-map class.
 
-A SelfMapClass embeds as a matrix indexed by (sphere label, deck word)
-pairs.  Each label-by-label block is diagonally constant: the entry in
-row (l, v) and column (b, u) equals the entry in row (l, v*slope(u)^-1)
-and column (b, e), where slope is the circle endomorphism.  A block is
-therefore determined by its column-e data, a single RingElem, and that
-data is the class itself read by column: block (l, b) is the
-l-component of the image of b.  So ShiftedBlockMatrix is a transposed
-view of its SelfMapClass, and the product of two matrices is compose of
-their classes.  materialize() expands an honest finite window of the
-infinite matrix so the product can be checked against literal integer
-matrix multiplication.
+Over the universal cover a SelfMapClass h is a matrix indexed by (sphere
+label, deck word) pairs.  Each label-by-label block is diagonally
+constant: the entry in row (l, v) and column (b, u) equals the entry in
+row (l, v*slope(u)^-1) and column (b, e), where the slope is h's circle
+part.  A block is therefore determined by its column-e data, a single
+RingElem, and that data is the class itself read by column: block (l, b)
+is the l-component of h's image of b, and the product of two matrices is
+compose of their classes.  materialize() expands an honest finite window
+of the infinite matrix so the product can be checked against literal
+integer matrix multiplication.
 """
 from __future__ import annotations
 
 import functools
 
 from .errors import SignatureMismatch, SizeMismatch, TooLarge
-from .monoid import SelfMapClass, WedgeSignature, compose
-from .ring import ModuleVec, RingElem, SphereLabel, format_ring, ring_to_json
+from .monoid import SelfMapClass, WedgeSignature
+from .ring import SphereLabel, format_ring, ring_to_json
 from .words import FreeEndo, FreeWord, endo_apply, enumerate_words, format_word
 
 IndexKey = tuple[SphereLabel, FreeWord]
@@ -28,91 +27,11 @@ IndexKey = tuple[SphereLabel, FreeWord]
 MAX_WINDOW_ROWS = 200_000
 
 
-class ShiftedBlockMatrix:
-    """Diagonally constant block matrix: a transposed view of a SelfMapClass.
-
-    The one slot is the class; block (l, b) is the l-component of its
-    image of b, and the slope is its circle part.  The public constructor
-    takes the blocks keyed by (row, column) label, groups them by column
-    and validates them as a SelfMapClass, which refuses a label outside
-    the signature, a slope of the wrong rank and a word over a generator
-    past g.
-    """
-
-    __slots__ = ("self_map",)
-
-    def __init__(
-        self,
-        sig: WedgeSignature,
-        slope: FreeEndo,
-        blocks: dict[tuple[SphereLabel, SphereLabel], RingElem],
-    ) -> None:
-        columns: dict[SphereLabel, list[tuple[SphereLabel, RingElem]]] = {}
-        for (row, col), r in blocks.items():
-            columns.setdefault(col, []).append((row, r))
-        self.self_map = SelfMapClass(
-            sig, slope, {col: ModuleVec(entries) for col, entries in columns.items()}
-        )
-
-    @property
-    def sig(self) -> WedgeSignature:
-        return self.self_map.sig
-
-    @property
-    def slope(self) -> FreeEndo:
-        return self.self_map.circle_part
-
-    def block(self, row: SphereLabel, col: SphereLabel) -> RingElem:
-        return self.self_map.sphere_part[col].get(row)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ShiftedBlockMatrix):
-            return NotImplemented
-        return self.self_map == other.self_map
-
-    def __repr__(self) -> str:
-        return f"ShiftedBlockMatrix<{format_block_matrix(self)}>"
-
-
-def embed(h: SelfMapClass) -> ShiftedBlockMatrix:
-    """Matrix of h: block (l,b) holds the l-component of the image of b.
-
-    The matrix wraps h itself; nothing is copied.
-    """
-    a = ShiftedBlockMatrix.__new__(ShiftedBlockMatrix)
-    a.self_map = h
-    return a
-
-
-def to_self_map(a: ShiftedBlockMatrix) -> SelfMapClass:
-    """Inverse of embed: the class the matrix is a view of."""
-    return a.self_map
-
-
-def matrix_mul(a: ShiftedBlockMatrix, b: ShiftedBlockMatrix) -> ShiftedBlockMatrix:
-    """Product a*b: col(l,b) = sum_m a_col(l,m) * slope_a(b_col(m,b)).
-
-    Read by column that sum is compose(a's class, b's class), so this is
-    that composite, with compose's signature check and TooLarge caps.
-    """
-    return embed(compose(a.self_map, b.self_map))
-
-
-def shift(a: ShiftedBlockMatrix, w: FreeWord) -> ShiftedBlockMatrix:
-    """Left-translate every block's column data by w (vertical block shift)."""
-    wr = RingElem.from_word(w)
-    h = a.self_map
-    return embed(SelfMapClass(h.sig, h.circle_part, {
-        b: ModuleVec({l: wr * r for l, r in vec.entries.items()})
-        for b, vec in h.sphere_part.items()
-    }))
-
-
-def max_shift(a: ShiftedBlockMatrix) -> int:
+def max_shift(h: SelfMapClass) -> int:
     """Longest word in any block's column data (0 for the zero matrix)."""
     return max(
         (r.max_support_len()
-         for vec in a.self_map.sphere_part.values() for r in vec.entries.values()),
+         for vec in h.sphere_part.values() for r in vec.entries.values()),
         default=0,
     )
 
@@ -256,15 +175,15 @@ def _ball_keys_count(sig: WedgeSignature, radius: int, cap: int) -> int | None:
 
 
 def materialize(
-    a: ShiftedBlockMatrix, radius: int, max_cells: int | None = None
+    h: SelfMapClass, radius: int, max_cells: int | None = None
 ) -> TruncatedMatrix:
-    """Expand the window of the infinite matrix on the radius-ball columns.
+    """Expand the window of h's infinite matrix on the radius-ball columns.
 
     The entry in row (l, v), column (b, u) is the coefficient of
-    v*slope(u)^-1 in block (l, b).  The row ball is padded so every
-    nonzero coordinate of every column's image is inside the window.
-    Only the nonzero entries are built, with slope(u) computed once per
-    column word; neither ball is listed.  Both are still counted: a window
+    v*slope(u)^-1 in block (l, b), the l-component of h's image of b.
+    The row ball is padded so every nonzero coordinate of every column's
+    image is inside the window.  Only the nonzero entries are built, with
+    slope(u) computed once per column word; neither ball is listed.  Both are still counted: a window
     of more than MAX_WINDOW_ROWS rows, or of more than max_cells rows x
     columns when given, raises TooLarge, so that to_tsv can list it.
     """
@@ -278,15 +197,15 @@ def materialize(
             f"{cells} cells; choose a smaller radius"
         )
 
-    n_cols = _ball_keys_count(a.sig, radius, MAX_WINDOW_ROWS)
+    n_cols = _ball_keys_count(h.sig, radius, MAX_WINDOW_ROWS)
     # The rows cover at least the column ball, so there are n_cols^2 cells or more.
     if n_cols is None or n_cols * n_cols > cells:
         raise too_large(f"window of radius {radius}")
-    words = tuple(enumerate_words(a.sig.g, radius))
-    images = [endo_apply(a.slope, u) for u in words]
+    words = tuple(enumerate_words(h.sig.g, radius))
+    images = [endo_apply(h.circle_part, u) for u in words]
     arising = 0
     entries: dict[tuple[IndexKey, IndexKey], int] = {}
-    for b, vec in a.self_map.sphere_part.items():
+    for b, vec in h.sphere_part.items():
         column = vec.entries
         if not column:
             continue
@@ -300,11 +219,11 @@ def materialize(
                         arising = len(w)
     # The pad suffices whenever the slope does not lengthen words (every
     # point-push has identity slope); a stretching slope widens the ball.
-    row_radius = max(radius + max_shift(a), arising)
+    row_radius = max(radius + max_shift(h), arising)
     row_cap = min(MAX_WINDOW_ROWS, cells // max(n_cols, 1))
-    if _ball_keys_count(a.sig, row_radius, row_cap) is None:
+    if _ball_keys_count(h.sig, row_radius, row_cap) is None:
         raise too_large(f"window of radius {radius} with rows to radius {row_radius}")
-    return TruncatedMatrix._wrap(a.sig, radius, row_radius, entries)
+    return TruncatedMatrix._wrap(h.sig, radius, row_radius, entries)
 
 
 def is_diagonally_constant(t: TruncatedMatrix, slope: FreeEndo) -> bool:
@@ -379,26 +298,26 @@ def to_tsv(t: TruncatedMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def format_block_matrix(a: ShiftedBlockMatrix) -> str:
+def format_block_matrix(h: SelfMapClass) -> str:
     """Grid rendering of the column data, e.g. '[[a1, 1], [0, 1]]'."""
-    labels = a.sig.labels
+    labels = h.sig.labels
     rows = []
     for l in labels:
-        cells = [format_ring(a.block(l, b)) for b in labels]
+        cells = [format_ring(h.sphere_part[b].get(l)) for b in labels]
         rows.append("[" + ", ".join(cells) + "]")
     return "[" + ", ".join(rows) + "]"
 
 
-def block_matrix_to_json(a: ShiftedBlockMatrix) -> dict:
+def block_matrix_to_json(h: SelfMapClass) -> dict:
     return {
-        "g": a.sig.g,
-        "d": a.sig.d,
-        "labels": [str(lab) for lab in a.sig.labels],
-        "slope": [format_word(w) for w in a.slope.images],
+        "g": h.sig.g,
+        "d": h.sig.d,
+        "labels": [str(lab) for lab in h.sig.labels],
+        "slope": [format_word(w) for w in h.circle_part.images],
         "blocks": {
             f"{row},{col}": ring_to_json(r)
             for row, col, r in sorted(
-                ((row, col, r) for col, vec in a.self_map.sphere_part.items()
+                ((row, col, r) for col, vec in h.sphere_part.items()
                  for row, r in vec.entries.items()),
                 key=lambda t: (t[0].sort_key, t[1].sort_key),
             )

@@ -1,4 +1,4 @@
-"""Error types shared across the package.
+"""Error types and the input checks that raise them, shared across the package.
 
 Every error carries a stable machine-readable ``code`` used by the CLI's
 single-line error prefix.
@@ -55,3 +55,24 @@ class TooLarge(PushcalcError, ValueError):
     punctured model, or the case count of a verify run."""
 
     code = "too-large"
+
+
+def clip(text: str, limit: int = 80) -> str:
+    """text, or its head and tail around '...' if it is over limit bytes.
+
+    Error messages show input back through this, so that a long token
+    gives a short line.  Bytes are counted in UTF-8, with the backslash
+    escapes stderr writes for undecodable characters.
+    """
+    data = text.encode("utf-8", "backslashreplace")
+    if len(data) <= limit:
+        return text
+    half = (limit - 3) // 2
+    return (data[:half].decode("utf-8", "ignore") + "..."
+            + data[-half:].decode("utf-8", "ignore"))
+
+
+def check_count(what: str, value: object) -> None:
+    """Raise ValueError unless value is an int >= 0 (a bool is not a count)."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise ValueError(f"{what} must be a non-negative int, got {clip(repr(value))}")

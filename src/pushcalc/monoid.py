@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import ParseError, SignatureMismatch, TooLarge
+from .errors import ParseError, SignatureMismatch, TooLarge, check_count
 from .ring import (
     ModuleVec,
     RingElem,
@@ -41,9 +41,8 @@ class WedgeSignature:
 
     labels is sorted into sort_key order.  label_set, the same labels as a
     frozenset, is built once here for the membership checks of every
-    SelfMapClass (and so of every ShiftedBlockMatrix) and truncation window
-    on this signature; it is not a field, so equality, hash and repr see
-    only g, labels and d.
+    SelfMapClass and truncation window on this signature; it is not a
+    field, so equality, hash and repr see only g, labels and d.
     """
 
     g: int
@@ -51,8 +50,7 @@ class WedgeSignature:
     d: int = 3
 
     def __init__(self, g: int, labels, d: int = 3) -> None:
-        if not isinstance(g, int) or isinstance(g, bool) or g < 0:
-            raise ValueError(f"circle count must be a non-negative int, got {g!r}")
+        check_count("circle count", g)
         if not isinstance(d, int) or isinstance(d, bool) or d < 3:
             raise ValueError(f"sphere dimension must be an int >= 3, got {d!r}")
         labs = tuple(sorted(labels, key=lambda l: l.sort_key))

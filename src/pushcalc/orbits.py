@@ -20,7 +20,14 @@ from itertools import chain
 from math import comb
 from typing import Iterable, Mapping, Sequence
 
-from .errors import HypothesisViolation, ParseError, SizeMismatch, TooLarge
+from .errors import (
+    HypothesisViolation,
+    ParseError,
+    SizeMismatch,
+    TooLarge,
+    check_count,
+    clip,
+)
 from .pushing import BraidElement, ManifoldModel
 from .words import FreeWord, char_sign, endo_apply, FreeEndo, parse_word
 
@@ -59,12 +66,7 @@ class TargetModel:
     f_classes: tuple[tuple[FreeWord, ...], ...]
 
     def __post_init__(self) -> None:
-        if (
-            not isinstance(self.pi1_gens, int)
-            or isinstance(self.pi1_gens, bool)
-            or self.pi1_gens < 0
-        ):
-            raise ValueError(f"pi1_gens must be a non-negative int, got {self.pi1_gens!r}")
+        check_count("pi1_gens", self.pi1_gens)
         object.__setattr__(self, "classes", tuple(self.classes))
         n = len(self.classes)
         if len(set(self.classes)) != n:
@@ -117,7 +119,7 @@ class TargetModel:
         try:
             return self.classes.index(class_id)
         except ValueError:
-            raise ValueError(f"unknown class id {class_id!r}") from None
+            raise ValueError(f"unknown class id {clip(repr(class_id))}") from None
 
     def inverse_action(self) -> tuple[tuple[int, ...], ...]:
         out = []
@@ -159,13 +161,10 @@ def _check_state(target: TargetModel, state: MapState) -> None:
             raise ValueError(f"state class index {i} is not in the charge")
 
 
-def _require_hypothesis(model: ManifoldModel, force: bool, what: str) -> None:
-    if force or model.g == 0 or model.low_handle_dim:
+def _require_hypothesis(model: ManifoldModel, what: str) -> None:
+    if model.g == 0 or model.low_handle_dim:
         return
-    raise HypothesisViolation(
-        f"{what} requires g = 0 or a declared low handle dimension; "
-        "pass force=True to apply the formula anyway"
-    )
+    raise HypothesisViolation(f"{what} requires g = 0 or a declared low handle dimension")
 
 
 def _apply_pi1_word(
@@ -198,8 +197,6 @@ def act(
     target: TargetModel,
     braid: BraidElement,
     state: MapState,
-    *,
-    force: bool = False,
 ) -> MapState:
     """Left action of a braid on a map state.
 
@@ -207,7 +204,7 @@ def act(
     f-image of the slot-i loop word and reflected when that word reverses
     orientation.
     """
-    _require_hypothesis(model, force, "the braid action on map states")
+    _require_hypothesis(model, "the braid action on map states")
     _check_state(target, state)
     f_words = target.f_classes[state.f]
     if len(f_words) != model.g:
@@ -263,35 +260,24 @@ def _orbit_count(target: TargetModel, f_words: Sequence[FreeWord]) -> int:
     return len({find(i) for i in target.charge})
 
 
-def components_formula(
-    target: TargetModel, g: int | ManifoldModel, k: int
-) -> int:
+def components_formula(target: TargetModel, model: ManifoldModel, k: int) -> int:
     """Count components as sum over f of multichoose(orbits of charge, k).
 
-    Passing a ManifoldModel checks its hypotheses (orientable, and g = 0 or
-    declared low handle dimension); passing a bare rank opts into the
-    formula without a model.  A count that may pass MAX_COUNT_BITS bits
+    The model must satisfy the formula's hypotheses: orientable, and g = 0
+    or low_handle_dim declared.  A count that may pass MAX_COUNT_BITS bits
     raises TooLarge before any binomial is computed.
     """
-    if isinstance(g, ManifoldModel):
-        model = g
-        _require_hypothesis(model, False, "the component-count formula")
-        if any(c != 1 for c in model.character):
-            raise HypothesisViolation(
-                "the component-count formula requires an orientable model"
-            )
-        rank = model.g
-    else:
-        rank = g
-    if not isinstance(rank, int) or isinstance(rank, bool) or rank < 0:
-        raise ValueError(f"rank must be a non-negative int, got {rank!r}")
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-        raise ValueError(f"puncture count must be a non-negative int, got {k!r}")
+    _require_hypothesis(model, "the component-count formula")
+    if any(c != 1 for c in model.character):
+        raise HypothesisViolation(
+            "the component-count formula requires an orientable model"
+        )
+    check_count("puncture count", k)
     orbits = []
     for f_words in target.f_classes:
-        if len(f_words) != rank:
+        if len(f_words) != model.g:
             raise SizeMismatch(
-                f"f class gives {len(f_words)} loop images but rank is {rank}"
+                f"f class gives {len(f_words)} loop images but rank is {model.g}"
             )
         orbits.append(_orbit_count(target, f_words) if k else 1)
     # comb(c + k - 1, k) = comb(c + k - 1, c - 1) < (c + k - 1)**min(k, c - 1)
@@ -356,7 +342,6 @@ def components_bruteforce(
     k: int,
     *,
     max_states: int = DEFAULT_MAX_STATES,
-    force: bool = False,
 ) -> int:
     """Count components by exploring the state graph under generator braids.
 
@@ -370,9 +355,8 @@ def components_bruteforce(
     |charge| slots applied to the state holding the whole charge.  A
     transposition swaps two digits.
     """
-    _require_hypothesis(model, force, "the brute-force component count")
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-        raise ValueError(f"puncture count must be a non-negative int, got {k!r}")
+    _require_hypothesis(model, "the brute-force component count")
+    check_count("puncture count", k)
     n, n_f = len(target.classes), len(target.f_classes)
     # n**k alone passes the cap once k > cap.bit_length(): a huge k is
     # refused without building the power.
@@ -403,7 +387,7 @@ def components_bruteforce(
     for f in range(n_f):
         charge_state = MapState(f, target.charge)
         tables = [
-            [pos[c] for c in act(model, target, loop, charge_state, force=True).g_classes]
+            [pos[c] for c in act(model, target, loop, charge_state).g_classes]
             for loop in loops
         ]
         total += _component_count(m, k, tables)
@@ -432,7 +416,7 @@ def _ids_to_indices(
         lookup = {c: i for i, c in enumerate(target_classes)}
         return tuple(lookup[c] for c in ids)
     except KeyError as exc:
-        raise ParseError(f"{what} names unknown class id {exc.args[0]!r}") from None
+        raise ParseError(f"{what} names unknown class id {clip(repr(exc.args[0]))}") from None
     except TypeError:  # an array or object where an id belongs
         raise ParseError("class ids must be JSON strings, numbers or literals") from None
 

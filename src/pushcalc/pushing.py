@@ -37,6 +37,8 @@ from .errors import (
     SizeMismatch,
     SlotOutOfRange,
     TooLarge,
+    check_count,
+    clip,
 )
 from .monoid import SelfMapClass, WedgeSignature, compose, identity_map
 from .ring import ModuleVec, RingElem, SphereLabel
@@ -68,8 +70,7 @@ def _check_model_size(size: object) -> None:
 
 
 def _check_loop_count(g: object) -> None:
-    if not isinstance(g, int) or isinstance(g, bool) or g < 0:
-        raise ValueError(f"loop count must be a non-negative int, got {g!r}")
+    check_count("loop count", g)
     _check_model_size(g)
 
 
@@ -80,8 +81,10 @@ class ManifoldModel:
     crossings[i-1] lists the crossings of loop i as (cell, sign, prefix)
     triples with 1-based cell indices.  low_handle_dim declares that the
     model's handle dimension is small enough for the orbit-counting
-    module's hypotheses; the default models have maximal handle dimension,
-    so it is False for them and the orbit ops refuse unless forced.
+    module's hypotheses, and is the one way to opt into them (`components
+    --assume-hypotheses` sets it); the default models have maximal handle
+    dimension, so it is False for them and the orbit ops refuse them
+    unless g = 0.
     """
 
     g: int
@@ -135,8 +138,7 @@ class PuncturedSignature:
     k: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 0:
-            raise ValueError(f"puncture count must be a non-negative int, got {self.k!r}")
+        check_count("puncture count", self.k)
         _check_model_size(self.model.g + self.k)   # before any label is built
 
     @functools.cached_property
@@ -533,9 +535,8 @@ def kernel_report(
     work (_sweep_work, over the braids it would check) passes
     MAX_KERNEL_WORK raises TooLarge before any word is listed.
     """
-    for name, value in (("max_word_len", max_word_len), ("max_braids", max_braids)):
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            raise ValueError(f"{name} must be a non-negative int, got {value!r}")
+    check_count("max_word_len", max_word_len)
+    check_count("max_braids", max_braids)
     if max_word_len > MAX_WORD_LETTERS:
         raise TooLarge(
             f"slot word length bound {max_word_len} is above the word cap of "
@@ -579,7 +580,7 @@ def parse_perm(text: str, k: int) -> tuple[int, ...]:
         return tuple(perm)
     consumed = _CYCLE_RE.sub("", body).strip()
     if consumed:
-        raise ParseError(f"bad permutation syntax {text!r}")
+        raise ParseError(f"bad permutation syntax {clip(repr(text))}")
     seen: set[int] = set()
     for m in _CYCLE_RE.finditer(body):
         parts = m.group(1).split()
@@ -588,7 +589,7 @@ def parse_perm(text: str, k: int) -> tuple[int, ...]:
         try:
             entries = [int(p) for p in parts]
         except ValueError:
-            raise ParseError(f"bad cycle entry in {m.group(0)!r}") from None
+            raise ParseError(f"bad cycle entry in {clip(repr(m.group(0)))}") from None
         for x in entries:
             if not 1 <= x <= k:
                 raise ParseError(f"cycle entry {x} outside 1..{k}")
@@ -629,7 +630,7 @@ def parse_braid(text: str, k: int | None = None) -> BraidElement:
     """
     body = text.strip()
     if not (body.startswith("[") and body.endswith("]")):
-        raise ParseError(f"braid must be bracketed, got {text!r}")
+        raise ParseError(f"braid must be bracketed, got {clip(repr(text))}")
     body = body[1:-1]
     if ";" not in body:
         raise ParseError("braid needs '; perm' after the slot words")

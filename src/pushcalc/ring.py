@@ -14,7 +14,7 @@ import re
 from collections.abc import Iterable, Mapping
 from operator import itemgetter
 
-from .errors import ParseError
+from .errors import ParseError, clip
 from .words import (
     FreeEndo,
     FreeWord,
@@ -83,7 +83,7 @@ def parse_label(text: str) -> SphereLabel:
         raise ParseError(f"a sphere label must be a string, got {type(text).__name__}")
     m = _LABEL_RE.match(text)
     if m is None:
-        raise ParseError(f"bad sphere label {text!r}")
+        raise ParseError(f"bad sphere label {clip(repr(text))}")
     try:
         return SphereLabel(m.group(1), int(m.group(2)))
     except ValueError as exc:

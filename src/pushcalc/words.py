@@ -19,7 +19,7 @@ import re
 from typing import Iterable, Iterator, Sequence
 
 from . import _purewords as _kernel
-from .errors import ParseError, TooLarge
+from .errors import ParseError, TooLarge, clip
 
 # Name of the word kernel in use; the benchmark harness records it per run.
 KERNEL_BACKEND = "pure-python"
@@ -264,7 +264,7 @@ def parse_word(text: str) -> FreeWord:
             continue
         tm = _TOKEN_RE.match(tok)
         if tm is None:
-            raise ParseError(f"bad word token {tok!r}", position=m.start())
+            raise ParseError(f"bad word token {clip(repr(tok))}", position=m.start())
         index = int(tm.group(2))
         if index == 0:
             raise ParseError("generator index 0 is not allowed", position=m.start())

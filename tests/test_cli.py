@@ -1,9 +1,12 @@
 """Command line goldens: byte-exact output, exit codes, error prefixes."""
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,9 +14,11 @@ from pathlib import Path
 import pytest
 
 from pushcalc.cli import main
-from pushcalc.errors import TooLarge
+from pushcalc.errors import TooLarge, check_count, clip
 from pushcalc.monoid import self_map_from_json
-from pushcalc.pushing import ManifoldModel, PuncturedSignature, push_word
+from pushcalc.orbits import target_from_json
+from pushcalc.pushing import ManifoldModel, PuncturedSignature, parse_braid, push_word
+from pushcalc.ring import parse_label
 from pushcalc.verification import MAX_CASES, run_suite
 from pushcalc.words import parse_word
 
@@ -658,6 +663,195 @@ def test_verify_orbit_suite(capsys):
     assert {p["name"] for p in rep["properties"]} == {
         "action-axiom", "charge-preserved", "formula-vs-bruteforce",
     }
+
+
+_LONG = "9" * 5000
+
+
+@pytest.mark.parametrize("argv, files, code", [
+    pytest.param(("push-word", "-g", "1", "-k", "1", "--slot", "1", "a" + _LONG), {},
+                 "parse", id="word-generator"),
+    pytest.param(("push-word", "-g", "1", "-k", "1", "--slot", "1", "a1 " + "x" * 5000), {},
+                 "parse", id="word-token"),
+    pytest.param(("push-braid", "-g", "1", "[a1 ; " + "x" * 5000 + "]"), {},
+                 "parse", id="perm-syntax"),
+    pytest.param(("push-braid", "-g", "1", "[a1 ; (" + _LONG + ")]"), {},
+                 "parse", id="cycle-entry-unparsed"),
+    pytest.param(("push-braid", "-g", "1", "[a1 ; (" + "9" * 4000 + ")]"), {},
+                 "parse", id="cycle-entry-range"),
+    pytest.param(("push-braid", "-g", "1", "x" * 5000), {}, "parse", id="braid-brackets"),
+    pytest.param(("components", "--target", "t.json", "-g", "1", "-k", _LONG), {},
+                 "usage", id="argparse-int"),
+    pytest.param(("verify", "--suite", "x" * 5000), {}, "usage", id="argparse-choice"),
+    pytest.param(("compose", "x" * 5000 + ".json", "m.json"), {}, "io", id="file-name"),
+    pytest.param(("compose", "m.json", "m.json"),
+                 {"m.json": {**RECOVER_BASE, "labels": ["q" * 5000]}}, "parse", id="label"),
+    pytest.param(("compose", "m.json", "m.json"), {"m.json": {**RECOVER_BASE, "g": _LONG}},
+                 "parse", id="count"),
+    pytest.param(("compose", "m.json", "m.json"),
+                 {"m.json": {**RECOVER_BASE, "spheres": {"p1": {"p1": [[_LONG, "a1"]]}}}},
+                 "parse", id="coefficient"),
+    pytest.param(("components", "--target", "t.json", "-g", "1", "-k", "1"),
+                 {"t.json": {**TRIVIAL_TARGET, "charge": ["w" * 5000]}}, "parse",
+                 id="class-id"),
+])
+def test_echoed_input_is_clipped(tmp_path, monkeypatch, capsys, argv, files, code):
+    monkeypatch.chdir(tmp_path)
+    for name, obj in files.items():
+        (tmp_path / name).write_text(json.dumps(obj))
+    with pytest.raises(SystemExit) if code == "usage" else contextlib.nullcontext():
+        main(list(argv))
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith(f"error:{code}: ") and "..." in err
+    assert len(err.encode()) < 200
+
+
+@pytest.mark.parametrize("call", [
+    lambda: parse_word("a1 " + "x" * 5000),
+    lambda: parse_label("q" * 5000),
+    lambda: parse_braid("x" * 5000),
+    lambda: parse_braid("[a1 ; " + "x" * 5000 + "]"),
+    lambda: parse_braid("[a1 ; (" + _LONG + ")]"),
+    lambda: target_from_json({**TRIVIAL_TARGET, "charge": ["w" * 5000]}),
+    lambda: target_from_json(TRIVIAL_TARGET).index_of("w" * 5000),
+    lambda: check_count("cases", "x" * 5000),
+], ids=["word", "label", "braid", "perm", "cycle", "target-id", "index-of", "count"])
+def test_library_errors_clip_echoed_input(call):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert "..." in str(info.value) and len(str(info.value).encode()) < 150
+
+
+def test_clip_counts_utf8_bytes():
+    assert clip("a1 A2") == "a1 A2" and clip("x" * 80) == "x" * 80
+    assert clip("x" * 81) == "x" * 38 + "..." + "x" * 38
+    for text in ("\u00e9" * 100, "\U0001f600" * 100, "\udcff" * 100):
+        shown = clip(text)
+        assert "..." in shown
+        assert len(shown.encode("utf-8", "backslashreplace")) <= 80
+
+
+# Inputs the goldens run, as (argv, files); each file holds JSON data.
+_CONTRACT_BASES = [
+    (["push-word", "-g", "1", "-k", "2", "--slot", "1", "a1 A1^2", "--closed-form",
+      "--matrix"], {}),
+    (["push-braid", "-g", "2", "[a1 | A2^3 ; (1 2)]", "--json"], {}),
+    (["compose", "map.json", "map.json"], {"map.json": RECOVER_BASE}),
+    (["recover", "--map", "map.json", "--json"], {"map.json": RECOVER_BASE}),
+    (["embed", "--map", "map.json", "--truncate", "1"], {"map.json": RECOVER_BASE}),
+    (["embed", "-g", "2", "-k", "1", "--slot", "1", "a1 a2", "--json"], {}),
+    (["kernel", "-g", "1", "-k", "2", "--max-len", "2", "--max-braids", "50"], {}),
+    (["components", "--target", "target.json", "-g", "1", "-k", "2", "--brute-force",
+      "--assume-hypotheses"], {"target.json": CYCLE_TARGET}),
+    (["verify", "--suite", "ring", "--cases", "3", "--seed", "1"], {}),
+]
+
+# Placeholders spliced into the JSON text: a deeply nested array, and a
+# number too long for int() to parse.
+_NEST, _LONG_NUMBER = "@nest@", "@long@"
+
+
+def _hostile_arg(rng):
+    digits = "9" * rng.choice((12, 2001, 5000))
+    return rng.choice([
+        digits, "-" + digits, f"a1^{digits}", f"A1^-{digits}", "a" + digits,
+        "True", "False", "-1", "-1000000", "x" * 5000, "[" * 5000, "(" * 3000, "",
+    ])
+
+
+def _hostile_json(rng):
+    digits = "9" * rng.choice((12, 2001, 5000))
+    return rng.choice([
+        int(digits[:2001]), -int(digits[:2001]), digits, f"a1^{digits}", f"p{digits}",
+        True, False, -1, -1000000, None, "x" * 5000, {}, [], [[[]]], _NEST, _LONG_NUMBER,
+    ])
+
+
+def _json_slots(obj):
+    """(container, key) for every value inside obj."""
+    keys = obj.keys() if isinstance(obj, dict) else range(len(obj))
+    for key in list(keys):
+        yield obj, key
+        if isinstance(obj[key], (dict, list)):
+            yield from _json_slots(obj[key])
+
+
+def _contract_case(rng):
+    """One golden input with one part removed or made hostile."""
+    argv, files = rng.choice(_CONTRACT_BASES)
+    argv = list(argv)
+    files = json.loads(json.dumps(files))
+    if files and rng.random() < 0.5:
+        name = rng.choice(sorted(files))
+        container, key = rng.choice(list(_json_slots(files[name])))
+        if rng.random() < 0.25:
+            del container[key]   # a missing field
+        else:
+            container[key] = _hostile_json(rng)
+    else:
+        i = rng.randrange(1, len(argv))
+        if rng.random() < 0.25:
+            del argv[i]
+        else:
+            argv[i] = _hostile_arg(rng)
+    depth = rng.choice((50, 990, 5000))
+    texts = {name: json.dumps(obj)
+             .replace(json.dumps(_NEST), "[" * depth + "]" * depth)
+             .replace(json.dumps(_LONG_NUMBER), "9" * 5000)
+             for name, obj in files.items()}
+    return argv, texts
+
+
+_CONTRACT_CHILD = """
+import contextlib, io, json, sys
+from pushcalc.cli import main
+results = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except BaseException as exc:
+            code = f"raised {type(exc).__name__}"
+    results.append([code, out.getvalue()[:100], err.getvalue()])
+json.dump(results, sys.stdout)
+"""
+
+
+def test_cli_contract_on_hostile_inputs(tmp_path):
+    # Every run ends in an answer or in one short error line: exit 0 with
+    # output and no stderr, or a nonzero exit, no output and exactly one
+    # `error:<code>:` line of under 200 bytes.
+    rng = random.Random(20261018)
+    cases = []
+    for i in range(500):
+        argv, texts = _contract_case(rng)
+        work = tmp_path / str(i)
+        work.mkdir()
+        for name, text in texts.items():
+            (work / name).write_text(text)
+        cases.append([str(work / a) if a in texts else a for a in argv])
+    env = {k: v for k, v in os.environ.items() if k != "PUSHCALC_MAX_STATES"}
+    proc = subprocess.run(
+        [sys.executable, "-c", _CONTRACT_CHILD], input=json.dumps(cases),
+        capture_output=True, text=True, timeout=60, env=env, preexec_fn=_limit_memory,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    answers = 0
+    for argv, (code, out, err) in zip(cases, json.loads(proc.stdout)):
+        where = [a[:40] for a in argv]
+        if code == 0:
+            assert out and err == "", where
+            answers += 1
+        else:
+            assert isinstance(code, int) and out == "", (where, code, out)
+            assert re.fullmatch(r"error:[a-z-]+: [^\n]*\n", err), (where, err[:300])
+            assert len(err.encode()) < 200, (where, err[:300])
+    # both outcomes occur: most hostile inputs are refused, a few still answer
+    assert 10 <= answers <= 250
 
 
 def test_usage_errors_are_single_line():

@@ -1,4 +1,4 @@
-"""Block matrices: products by compose versus honest truncated windows."""
+"""Matrices of self-map classes: products by compose versus honest truncated windows."""
 from __future__ import annotations
 
 import random
@@ -8,18 +8,13 @@ import pytest
 from pushcalc import embedding, verification
 from pushcalc.embedding import (
     MAX_WINDOW_ROWS,
-    ShiftedBlockMatrix,
     TruncatedMatrix,
     _ball_keys,
     block_matrix_to_json,
-    embed,
     format_block_matrix,
     is_diagonally_constant,
     materialize,
-    matrix_mul,
     max_shift,
-    shift,
-    to_self_map,
     to_tsv,
     truncated_product,
 )
@@ -100,24 +95,15 @@ def rand_map(rng: random.Random, sig: WedgeSignature, circle_len: int = 1,
 
 
 def test_embed_examples():
-    a = embed(push_alpha())
-    assert a.slope == FreeEndo([parse_word("a1")])
-    assert a.block(P1, P1) == ring_of({"a1": 1})
-    assert a.block(P1, T1) == RingElem.one()
-    assert a.block(T1, P1).is_zero
-    assert a.block(T1, T1) == RingElem.one()
-    assert format_block_matrix(a) == "[[a1, 1], [0, 1]]"
-
-    ident = embed(identity_map(SIG1))
-    assert format_block_matrix(ident) == "[[1, 0], [0, 1]]"
-
-    c = embed(collapse_circle())
-    assert c.slope == FreeEndo([IDENTITY])
-    assert format_block_matrix(c) == "[[1, 0], [0, 1]]"
+    # row l, column b holds the l-component of the image of b: the p1 part of
+    # t1's image sits in row p1, column t1
+    assert format_block_matrix(push_alpha()) == "[[a1, 1], [0, 1]]"
+    assert format_block_matrix(identity_map(SIG1)) == "[[1, 0], [0, 1]]"
+    assert format_block_matrix(collapse_circle()) == "[[1, 0], [0, 1]]"
 
 
 def test_collapse_map_materializes_to_row_of_ones():
-    t = materialize(embed(collapse_circle()), 1)
+    t = materialize(collapse_circle(), 1)
     a1 = parse_word("a1")
     assert t.entry((P1, IDENTITY), (P1, IDENTITY)) == 1
     assert t.entry((P1, IDENTITY), (P1, a1)) == 1
@@ -128,89 +114,20 @@ def test_collapse_map_materializes_to_row_of_ones():
 
 
 def test_embed_round_trip_and_injectivity():
+    # The radius-0 window reads back, cell for cell, as the class's blocks,
+    # one cell per block term: no term is lost or merged with another.
     rng = random.Random(91)
     for _ in range(50):
         h = rand_map(rng, SIG2)
-        assert to_self_map(embed(h)) == h
-
-
-def test_matrix_is_a_view_of_its_class():
-    rng = random.Random(93)
-    for _ in range(20):
-        h = rand_map(rng, SIG2)
-        a = embed(h)
-        assert to_self_map(a) is h
-        assert a.sig is h.sig and a.slope is h.circle_part
-        for l in SIG2.labels:
-            for b in SIG2.labels:
-                assert a.block(l, b) == h.sphere_part[b].get(l)
-        # The public constructor builds the same class from the blocks.
-        blocks = {(l, b): a.block(l, b) for l in SIG2.labels for b in SIG2.labels}
-        assert ShiftedBlockMatrix(h.sig, h.circle_part, blocks) == a
-
-
-def test_matrix_mul_is_one_compose(monkeypatch):
-    calls = []
-    real = embedding.compose
-
-    def counted(outer, inner):
-        calls.append((outer, inner))
-        return real(outer, inner)
-
-    monkeypatch.setattr(embedding, "compose", counted)
-    h1, h2 = push_alpha(), push_alpha_inv()
-    c = matrix_mul(embed(h1), embed(h2))
-    assert calls == [(h1, h2)] and calls[0][0] is h1 and calls[0][1] is h2
-    assert c == embed(identity_map(SIG1))
-
-
-def test_matrix_mul_keeps_compose_caps(monkeypatch):
-    from pushcalc import monoid
-
-    a = embed(push_alpha())
-    assert matrix_mul(a, a).block(P1, T1) == ring_of({"e": 1, "a1": 1})
-    monkeypatch.setattr(monoid, "MAX_COMPOSE_PRODUCT_LETTERS", 3)
-    with pytest.raises(TooLarge, match="sphere products"):
-        matrix_mul(a, a)
-
-
-def test_matrix_mul_inverse_pair():
-    a, b = embed(push_alpha()), embed(push_alpha_inv())
-    ident = embed(identity_map(SIG1))
-    assert matrix_mul(a, b) == ident
-    assert matrix_mul(b, a) == ident
-    assert matrix_mul(a, ident) == a
-    assert matrix_mul(ident, a) == a
-
-
-def test_matrix_mul_matches_compose():
-    rng = random.Random(92)
-    for _ in range(100):
-        sig = SIG1 if rng.random() < 0.5 else SIG2
-        h1 = rand_map(rng, sig, circle_len=2)
-        h2 = rand_map(rng, sig, circle_len=2)
-        assert matrix_mul(embed(h1), embed(h2)) == embed(compose(h1, h2))
-
-
-def test_matrix_mul_signature_mismatch():
-    with pytest.raises(SignatureMismatch):
-        matrix_mul(embed(identity_map(SIG1)), embed(identity_map(SIG2)))
-
-
-def test_shifted_identity_blocks_compose_additively():
-    ident = embed(identity_map(SIG1))
-    al = parse_word("a1")
-    for l in range(-2, 3):
-        for k in range(-2, 3):
-            il = shift(ident, al ** l)
-            ik = shift(ident, al ** k)
-            assert matrix_mul(il, ik) == shift(ident, al ** (l + k))
-    assert max_shift(embed(push_alpha())) == 1
-    assert max_shift(ident) == 0
+        t = materialize(h, 0)
+        assert _window_mismatch(t, h) is None
+        assert len(t.entries) == sum(
+            len(r.terms) for vec in h.sphere_part.values() for r in vec.entries.values()
+        )
 
 
 def test_materialize_radius0_values():
-    t = materialize(embed(push_alpha()), 0)
+    t = materialize(push_alpha(), 0)
     assert t.radius == 0 and t.row_radius == 1
     assert t.cols == ((P1, IDENTITY), (T1, IDENTITY))
     a1 = parse_word("a1")
@@ -219,10 +136,12 @@ def test_materialize_radius0_values():
     assert t.entry((T1, IDENTITY), (T1, IDENTITY)) == 1
     assert t.entry((P1, IDENTITY), (P1, IDENTITY)) == 0
     assert len(t.entries) == 3
+    assert max_shift(push_alpha()) == 1
+    assert max_shift(identity_map(SIG1)) == 0
 
 
 def test_materialize_identity_is_identity_window():
-    t = materialize(embed(identity_map(SIG1)), 1)
+    t = materialize(identity_map(SIG1), 1)
     assert t.rows == t.cols
     for key in t.cols:
         assert t.entry(key, key) == 1
@@ -230,25 +149,24 @@ def test_materialize_identity_is_identity_window():
 
 
 def test_is_diagonally_constant():
-    a = embed(push_alpha())
+    a = push_alpha()
     t = materialize(a, 2)
-    assert is_diagonally_constant(t, a.slope)
+    assert is_diagonally_constant(t, a.circle_part)
 
-    ti = materialize(embed(identity_map(SIG1)), 1)
+    ti = materialize(identity_map(SIG1), 1)
     assert is_diagonally_constant(ti, FreeEndo.identity(1))
 
     bad = t.with_entry((P1, parse_word("a1^2")), (P1, parse_word("a1")), 7)
-    assert not is_diagonally_constant(bad, a.slope)
+    assert not is_diagonally_constant(bad, a.circle_part)
 
 
 def test_truncated_product_matches_closed_form():
     rng = random.Random(93)
     for _ in range(40):
         sig = SIG1 if rng.random() < 0.5 else SIG2
-        h1 = rand_map(rng, sig)
-        h2 = rand_map(rng, sig)
-        a, b = embed(h1), embed(h2)
-        c = matrix_mul(a, b)
+        a = rand_map(rng, sig)
+        b = rand_map(rng, sig)
+        c = compose(a, b)
         tb = materialize(b, 1)
         ta = materialize(a, tb.row_radius)
         tp = truncated_product(ta, tb)
@@ -261,7 +179,7 @@ def test_truncated_product_matches_closed_form():
 
 
 def test_truncated_product_coverage_guard():
-    a = embed(push_alpha())
+    a = push_alpha()
     tb = materialize(a, 1)
     ta = materialize(a, 0)
     with pytest.raises(SizeMismatch):
@@ -272,25 +190,24 @@ def test_vertical_finiteness_bound():
     rng = random.Random(94)
     for _ in range(20):
         h = rand_map(rng, SIG2)
-        a = embed(h)
-        t = materialize(a, 2)
+        t = materialize(h, 2)
         per_col: dict = {}
         for (row, col), v in t.entries.items():
             per_col.setdefault(col, 0)
             per_col[col] += 1
         for (b, u), count in per_col.items():
-            bound = sum(len(a.block(l, b).terms) for l in SIG2.labels)
+            bound = sum(len(r.terms) for r in h.sphere_part[b].entries.values())
             assert count <= bound
 
 
 def test_tsv_goldens():
-    ident = materialize(embed(identity_map(SIG1)), 0)
+    ident = materialize(identity_map(SIG1), 0)
     assert to_tsv(ident) == (
         "\tp1:e\tt1:e\n"
         "p1:e\t1\t0\n"
         "t1:e\t0\t1\n"
     )
-    t = materialize(embed(push_alpha()), 0)
+    t = materialize(push_alpha(), 0)
     assert to_tsv(t) == (
         "\tp1:e\tt1:e\n"
         "p1:e\t0\t1\n"
@@ -303,7 +220,7 @@ def test_tsv_goldens():
 
 
 def test_block_matrix_json():
-    js = block_matrix_to_json(embed(push_alpha()))
+    js = block_matrix_to_json(push_alpha())
     assert js["slope"] == ["a1"]
     assert js["labels"] == ["p1", "t1"]
     assert js["blocks"] == {
@@ -314,41 +231,37 @@ def test_block_matrix_json():
 
 
 def test_constructor_validation():
-    with pytest.raises(ValueError):
-        ShiftedBlockMatrix(SIG1, FreeEndo.identity(2), {})
-    with pytest.raises(ValueError):
-        ShiftedBlockMatrix(SIG1, FreeEndo.identity(1), {(P1, T2): RingElem.one()})
-    with pytest.raises(ValueError):
-        materialize(embed(identity_map(SIG1)), -1)
+    with pytest.raises(ValueError, match="radius must be >= 0"):
+        materialize(identity_map(SIG1), -1)
 
 
 def test_materialize_refuses_huge_windows_before_listing():
-    a = embed(push_alpha())
-    g2 = embed(identity_map(SIG2))
+    a = push_alpha()
+    g2 = identity_map(SIG2)
     # Columns alone: 3 x 1,062,881 words at g = 2, radius 12.
-    for mat, radius in ((g2, 12), (g2, 10**9), (a, 10**9)):
+    for h, radius in ((g2, 12), (g2, 10**9), (a, 10**9)):
         with pytest.raises(TooLarge, match="window of radius"):
-            materialize(mat, radius)
+            materialize(h, radius)
     # Few columns, but the rows reach radius 20 through a long block word.
-    long_word = embed(SelfMapClass(
+    long_word = SelfMapClass(
         SIG2, FreeEndo.identity(2),
         {P1: ModuleVec([(P1, ring_of({"a1^20": 1}))]),
          T1: ModuleVec.unit(T1), T2: ModuleVec.unit(T2)},
-    ))
+    )
     with pytest.raises(TooLarge, match="rows to radius 20"):
         materialize(long_word, 0)
     # The largest window the embed suite builds (radius 4 columns, radius 6
     # rows at g = 2) is admitted.
-    wide = embed(SelfMapClass(
+    wide = SelfMapClass(
         SIG2, FreeEndo.identity(2),
         {P1: ModuleVec([(P1, ring_of({"a1 a2": 1}))]),
          T1: ModuleVec.unit(T1), T2: ModuleVec.unit(T2)},
-    ))
+    )
     t = materialize(wide, 4)
     assert (len(t.rows), len(t.cols)) == (4371, 483)
     # The identity at g = 1 has 2 * (2r + 1) rows and columns: a cells cap of
     # 2,826^2 admits r = 706 and refuses r = 707 (2,830^2 cells).
-    ident = embed(identity_map(SIG1))
+    ident = identity_map(SIG1)
     t = materialize(ident, 706, max_cells=2826 ** 2)
     assert len(t.rows) * len(t.cols) == 2826 ** 2
     with pytest.raises(TooLarge, match="7986276 cells"):
@@ -358,11 +271,11 @@ def test_materialize_refuses_huge_windows_before_listing():
     with pytest.raises(TooLarge, match="rows to radius 1"):
         materialize(a, 0, max_cells=11)
     # A long block word at g = 1 passes the rows cap with only two columns.
-    long_g1 = embed(SelfMapClass(
+    long_g1 = SelfMapClass(
         SIG1, FreeEndo.identity(1),
         {P1: ModuleVec([(P1, RingElem.from_word(FreeWord((1,) * 50000)))]),
          T1: ModuleVec.unit(T1)},
-    ))
+    )
     assert 2 * (2 * 50000 + 1) > MAX_WINDOW_ROWS
     with pytest.raises(TooLarge, match="rows to radius 50000"):
         materialize(long_g1, 0)
@@ -386,10 +299,11 @@ def dense_is_diagonally_constant(t, slope: FreeEndo) -> bool:
     return True
 
 
-def dense_window_mismatch(t, c: ShiftedBlockMatrix):
+def dense_window_mismatch(t, c: SelfMapClass):
     for row in t.rows:
         for col in t.cols:
-            want = c.block(row[0], col[0]).coefficient(row[1] * ~endo_apply(c.slope, col[1]))
+            block = c.sphere_part[col[0]].get(row[0])
+            want = block.coefficient(row[1] * ~endo_apply(c.circle_part, col[1]))
             if t.entry(row, col) != want:
                 return row, col
     return None
@@ -421,9 +335,8 @@ def test_sparse_diagonal_scan_matches_dense():
     outcomes = []
     for i in range(240):
         h, other = rand_small_pair(rng)
-        a = embed(h)
-        t = materialize(a, rng.choice([0, 1, 2]) if h.sig is SIG1 else rng.choice([0, 1]))
-        slope = a.slope
+        t = materialize(h, rng.choice([0, 1, 2]) if h.sig is SIG1 else rng.choice([0, 1]))
+        slope = h.circle_part
         if i % 3 == 1:
             t = perturb(rng, t)
         elif i % 3 == 2:
@@ -438,15 +351,14 @@ def test_sparse_truncated_check_matches_dense():
     rng = random.Random(96)
     outcomes = []
     for i in range(240):
-        h1, h2 = rand_small_pair(rng)
-        a, b = embed(h1), embed(h2)
-        c = matrix_mul(a, b)
+        a, b = rand_small_pair(rng)
+        c = compose(a, b)
         tb = materialize(b, rng.choice([0, 1]))
         prod = truncated_product(materialize(a, tb.row_radius), tb)
         if i % 3 == 1:
             prod = perturb(rng, prod)
         elif i % 3 == 2:
-            c = matrix_mul(b, a)   # usually a different product, many wrong cells
+            c = compose(b, a)   # usually a different product, many wrong cells
         got = _window_mismatch(prod, c)
         assert got == dense_window_mismatch(prod, c), i
         outcomes.append(got is None)
@@ -469,7 +381,7 @@ def test_truncated_matmul_property_reports_the_dense_first_cell(monkeypatch):
         case = prop.gen(rng)
         msg = prop.fails(case)
         _radius, spec_a, spec_b = case
-        c = matrix_mul(embed(verification._map(spec_a)), embed(verification._map(spec_b)))
+        c = compose(verification._map(spec_a), verification._map(spec_b))
         row, col = dense_window_mismatch(seen[-1], c)
         assert msg == f"truncated product wrong at {row}, {col}"
 
@@ -487,9 +399,9 @@ def test_window_membership_matches_listed_balls():
         short = 0 if sig.g == 0 else 1
         for radius in range(4):
             h = rand_map(rng, sig, circle_len=short, word_len=2 * short)
-            t = materialize(embed(h), radius)
+            t = materialize(h, radius)
             if radius < 2:   # a derived window too: rows of a, columns of t
-                a = materialize(embed(rand_map(rng, sig, short, short)), t.row_radius)
+                a = materialize(rand_map(rng, sig, short, short), t.row_radius)
                 derived = truncated_product(a, t)
                 checks = [t, derived, derived.with_entry(derived.rows[-1], t.cols[0], 5)]
             else:
@@ -531,7 +443,7 @@ def test_window_equality_matches_listed_balls():
             t1 = TruncatedMatrix(s1, r1, r1, {})
             t2 = TruncatedMatrix(s2, r2, r2, {})
             assert (t1 == t2) == (_ball_keys(s1, r1) == _ball_keys(s2, r2)), (s1, r1, s2, r2)
-    t = materialize(embed(push_alpha()), 1)
+    t = materialize(push_alpha(), 1)
     assert t == TruncatedMatrix(SIG1, 1, t.row_radius, dict(t.entries))
     assert t != t.with_entry((P1, IDENTITY), (P1, IDENTITY), 9)
 
@@ -550,10 +462,10 @@ def test_window_constructor_rejects_outside_entries():
     with pytest.raises(ValueError, match="must be int"):
         TruncatedMatrix(SIG1, 0, 1, {inside: 1.0})
     # A block word over generator g + 1 would put entries outside any window;
-    # the matrix is a view of a SelfMapClass, which refuses such a word.
+    # a SelfMapClass refuses such a word.
     with pytest.raises(ValueError, match="beyond rank 1"):
-        ShiftedBlockMatrix(SIG1, FreeEndo.identity(1), {(P1, P1): ring_of({"A2": 1})})
-    t = materialize(embed(push_alpha()), 0)
+        SelfMapClass(SIG1, FreeEndo.identity(1), {P1: ModuleVec([(P1, ring_of({"A2": 1}))])})
+    t = materialize(push_alpha(), 0)
     with pytest.raises(ValueError, match="outside the window"):
         t.with_entry((P1, parse_word("a1^2")), (P1, IDENTITY), 1)
     with pytest.raises(ValueError, match="must be int"):
@@ -562,8 +474,8 @@ def test_window_constructor_rejects_outside_entries():
 
 def test_truncated_product_needs_one_wedge():
     # A product window takes its rows and columns over a single wedge.
-    t1 = materialize(embed(identity_map(SIG1)), 0)
-    t2 = materialize(embed(identity_map(SIG2)), 0)
+    t1 = materialize(identity_map(SIG1), 0)
+    t2 = materialize(identity_map(SIG2), 0)
     with pytest.raises(SignatureMismatch):
         truncated_product(t1, t2)
 
@@ -583,5 +495,5 @@ def test_embed_properties_list_no_ball(monkeypatch):
             assert props[name].fails(props[name].gen(rng)) is None
     assert calls == []
     # The counter works: a TSV lists both balls.
-    to_tsv(materialize(embed(push_alpha()), 0))
+    to_tsv(materialize(push_alpha(), 0))
     assert sorted(calls) == [0, 1]

@@ -164,7 +164,6 @@ BATTERY = [
 def test_battery_counts(name, target, g, k, expected):
     model = hyp_model(g)
     assert components_formula(target, model, k) == expected
-    assert components_formula(target, g, k) == expected
     assert oracle_components(target, k) == expected
     assert components_bruteforce(target, model, k) == expected
 
@@ -453,19 +452,18 @@ def test_hypothesis_gate_refuses_default_models():
             state_from_ids(target, 0, ["c0", "c1"]))
 
 
-def test_hypothesis_gate_admits_g0_flag_and_force():
+def test_hypothesis_gate_admits_g0_and_flag():
     target = trivial_target(3)
     g0 = ManifoldModel.default(0)
     assert components_formula(G0_THREE, g0, 1) == 3
+    assert components_bruteforce(G0_THREE, g0, 1) == 3
+    # low_handle_dim is the one opt-in, for all three operations
     flagged = hyp_model(1)
     assert components_formula(target, flagged, 2) == 6
-    default = ManifoldModel.default(1)
-    assert components_bruteforce(target, default, 2, force=True) == 6
-    out = act(default, target, braid("e|e", (1, 0)),
-              state_from_ids(target, 0, ["c0", "c1"]), force=True)
+    assert components_bruteforce(target, flagged, 2) == 6
+    out = act(flagged, target, braid("e|e", (1, 0)),
+              state_from_ids(target, 0, ["c0", "c1"]))
     assert state_ids(target, out) == ("c1", "c0")
-    # the bare-rank form is the formula-only opt-in
-    assert components_formula(target, 1, 2) == 6
 
 
 def test_formula_refuses_nonorientable_models():
@@ -492,7 +490,7 @@ def test_size_mismatches():
         act(model1, CYCLE3, braid("a1|e", (0, 1)),
             state_from_ids(CYCLE3, 0, ["x"]))
     with pytest.raises(SizeMismatch):
-        components_formula(CYCLE3, 2, 1)
+        components_formula(CYCLE3, hyp_model(2), 1)
 
 
 def test_state_validation():
@@ -598,7 +596,7 @@ def test_formula_count_size_capped_before_comb(monkeypatch):
     real_comb = orbits.comb
     monkeypatch.setattr(orbits, "comb", None)
     with pytest.raises(TooLarge, match="up to 59970 bits is over the cap 14000"):
-        components_formula(wide, 0, 10**9)
+        components_formula(wide, ManifoldModel.default(0), 10**9)
     monkeypatch.setattr(orbits, "comb", real_comb)
     # Just under the cap, over several f classes, the count still prints.
     for classes, f_count in ((2, 1), (3, 4), (40, 2), (2000, 3)):
@@ -607,11 +605,11 @@ def test_formula_count_size_capped_before_comb(monkeypatch):
         k = 1
         while bits(2 * k) <= orbits.MAX_COUNT_BITS:
             k *= 2
-        count = components_formula(target, 0, k)
+        count = components_formula(target, ManifoldModel.default(0), k)
         assert count == f_count * real_comb(classes + k - 1, k)
         assert int(str(count)) == count
         with pytest.raises(TooLarge):
-            components_formula(target, 0, 4 * k)
+            components_formula(target, ManifoldModel.default(0), 4 * k)
 
 
 def test_bruteforce_k0_counts_f_classes_unchecked():
@@ -674,7 +672,7 @@ def test_bruteforce_trivial_sizes():
     assert components_bruteforce(trivial_target(3, f_count=2), model, 0) == 2
     empty_f = make_target(1, ["x"], [(0,)], f_classes=[])
     assert components_bruteforce(empty_f, model, 1) == 0
-    assert components_formula(empty_f, 1, 1) == 0
+    assert components_formula(empty_f, model, 1) == 0
 
 
 # --- the integer search against its first version ---
@@ -767,6 +765,4 @@ def test_orbit_counts_reject_bool():
     with pytest.raises(ValueError, match="puncture count"):
         components_formula(target, hyp_model(1), True)
     with pytest.raises(ValueError, match="puncture count"):
-        components_formula(target, 1, False)
-    with pytest.raises(ValueError, match="rank"):
-        components_formula(target, True, 2)
+        components_formula(target, hyp_model(1), False)

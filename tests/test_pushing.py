@@ -6,7 +6,6 @@ import random
 
 import pytest
 
-from pushcalc.embedding import embed, matrix_mul
 from pushcalc.errors import (
     ParseError,
     SignatureMismatch,
@@ -383,18 +382,6 @@ def test_push_braid_homomorphism():
             assert push_braid(sig, braid_mul(x, y)) == compose(
                 push_braid(sig, x), push_braid(sig, y)
             ), (sig, x, y)
-
-
-def test_embedding_consistency():
-    rng = random.Random(117)
-    for _ in range(60):
-        g = rng.randrange(1, 3)
-        sig = PuncturedSignature(ManifoldModel.default(g), 1)
-        w = rand_word(rng, g, 8)
-        m = embed(identity_map(sig.wedge))
-        for letter in w.letters:
-            m = matrix_mul(m, embed(push_letter(sig, letter, 1)))
-        assert m == embed(push_word(sig, w, 1))
 
 
 def test_recover_round_trip():
