@@ -78,7 +78,6 @@ from .ring import (
     ring_from_json,
     ring_mul,
     ring_to_json,
-    translate,
 )
 from .verification import SUITES, run_suite
 from .words import (
@@ -160,7 +159,6 @@ __all__ = [
     "target_from_json",
     "target_to_json",
     "top_homology_matrix",
-    "translate",
     "truncated_product",
     "verify_inverse",
 ]

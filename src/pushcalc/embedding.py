@@ -18,7 +18,7 @@ import functools
 from .errors import SignatureMismatch, SizeMismatch, TooLarge
 from .monoid import SelfMapClass, WedgeSignature
 from .ring import SphereLabel, format_ring, ring_to_json
-from .words import FreeEndo, FreeWord, endo_apply, enumerate_words, format_word
+from .words import FreeEndo, FreeWord, count_words, endo_apply, enumerate_words, format_word
 
 IndexKey = tuple[SphereLabel, FreeWord]
 
@@ -99,28 +99,6 @@ class TruncatedMatrix:
             raise ValueError(f"column {col} outside the window")
         return self.entries.get((row, col), 0)
 
-    def with_entry(self, row: IndexKey, col: IndexKey, value: int) -> "TruncatedMatrix":
-        """Copy with one entry replaced (used as a negative control)."""
-        if not self.has_row(row) or not self.has_col(col):
-            raise ValueError(f"entry at ({row},{col}) outside the window")
-        if not isinstance(value, int):
-            raise ValueError(f"entries must be int, got {value!r}")
-        new = dict(self.entries)
-        if value:
-            new[(row, col)] = value
-        else:
-            new.pop((row, col), None)
-        return TruncatedMatrix._wrap(self.sig, self.radius, self.row_radius, new)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TruncatedMatrix):
-            return NotImplemented
-        return (
-            _ball_shape(self.sig, self.row_radius) == _ball_shape(other.sig, other.row_radius)
-            and _ball_shape(self.sig, self.radius) == _ball_shape(other.sig, other.radius)
-            and self.entries == other.entries
-        )
-
     def __repr__(self) -> str:
         return (
             f"TruncatedMatrix(radius={self.radius}, rows={len(self.rows)}, "
@@ -139,39 +117,9 @@ def _in_ball(sig: WedgeSignature, radius: int, key: IndexKey) -> bool:
     )
 
 
-def _ball_shape(sig: WedgeSignature, radius: int) -> tuple:
-    """A value that is equal exactly when _ball_keys lists the same keys.
-
-    With no labels the ball is empty; at g = 0 or radius 0 it holds only
-    the identity word, whatever the other of the two is.
-    """
-    if not sig.labels:
-        return ()
-    return (sig.labels, sig.g, radius) if sig.g and radius else (sig.labels,)
-
-
 def _ball_keys(sig: WedgeSignature, radius: int) -> tuple[IndexKey, ...]:
     words = list(enumerate_words(sig.g, radius))
     return tuple((lab, w) for lab in sig.labels for w in words)
-
-
-def _ball_keys_count(sig: WedgeSignature, radius: int, cap: int) -> int | None:
-    """len(_ball_keys(sig, radius)), or None if it exceeds cap.
-
-    Worked out level by level without listing words; the sum stops once it
-    passes cap, so a huge radius costs a few multiplications.
-    """
-    n = len(sig.labels)
-    if sig.g <= 1:
-        words = 2 * radius * sig.g + 1
-    else:
-        words, level = 1, 2 * sig.g
-        for _ in range(radius):
-            words += level
-            if words * n > cap:
-                return None
-            level *= 2 * sig.g - 1
-    return words * n if words * n <= cap else None
 
 
 def materialize(
@@ -183,8 +131,9 @@ def materialize(
     v*slope(u)^-1 in block (l, b), the l-component of h's image of b.
     The row ball is padded so every nonzero coordinate of every column's
     image is inside the window.  Only the nonzero entries are built, with
-    slope(u) computed once per column word; neither ball is listed.  Both are still counted: a window
-    of more than MAX_WINDOW_ROWS rows, or of more than max_cells rows x
+    slope(u) computed once per column word; neither ball is listed.  Both
+    are still counted: a window of more than MAX_WINDOW_ROWS rows (or
+    words, when there are no labels), or of more than max_cells rows x
     columns when given, raises TooLarge, so that to_tsv can list it.
     """
     if radius < 0:
@@ -197,9 +146,12 @@ def materialize(
             f"{cells} cells; choose a smaller radius"
         )
 
-    n_cols = _ball_keys_count(h.sig, radius, MAX_WINDOW_ROWS)
+    # A label-free ball has no keys but still lists its words: cap both.
+    per_word = max(len(h.sig.labels), 1)
+    n_words = count_words(h.sig.g, radius, MAX_WINDOW_ROWS // per_word)
+    n_cols = 0 if n_words is None else n_words * len(h.sig.labels)
     # The rows cover at least the column ball, so there are n_cols^2 cells or more.
-    if n_cols is None or n_cols * n_cols > cells:
+    if n_words is None or n_cols * n_cols > cells:
         raise too_large(f"window of radius {radius}")
     words = tuple(enumerate_words(h.sig.g, radius))
     images = [endo_apply(h.circle_part, u) for u in words]
@@ -221,7 +173,7 @@ def materialize(
     # point-push has identity slope); a stretching slope widens the ball.
     row_radius = max(radius + max_shift(h), arising)
     row_cap = min(MAX_WINDOW_ROWS, cells // max(n_cols, 1))
-    if _ball_keys_count(h.sig, row_radius, row_cap) is None:
+    if count_words(h.sig.g, row_radius, row_cap // per_word) is None:
         raise too_large(f"window of radius {radius} with rows to radius {row_radius}")
     return TruncatedMatrix._wrap(h.sig, radius, row_radius, entries)
 
@@ -268,7 +220,7 @@ def truncated_product(ta: TruncatedMatrix, tb: TruncatedMatrix) -> TruncatedMatr
     if missing:
         raise SizeMismatch(
             f"left window lacks {len(missing)} middle-index columns, "
-            f"e.g. {sorted(missing, key=lambda k: (k[0].sort_key, len(k[1].letters)))[0]}"
+            f"e.g. {min(missing, key=lambda k: (k[0], len(k[1])))}"
         )
     by_mid: dict[IndexKey, list[tuple[IndexKey, int]]] = {}
     for (mid, col), v in tb.entries.items():
@@ -319,7 +271,7 @@ def block_matrix_to_json(h: SelfMapClass) -> dict:
             for row, col, r in sorted(
                 ((row, col, r) for col, vec in h.sphere_part.items()
                  for row, r in vec.entries.items()),
-                key=lambda t: (t[0].sort_key, t[1].sort_key),
+                key=lambda t: t[:2],
             )
         },
     }

@@ -39,10 +39,10 @@ from .words import IDENTITY, FreeEndo, endo_compose, format_word, parse_word
 class WedgeSignature:
     """g circles and a labelled set of (d-1)-spheres, d >= 3.
 
-    labels is sorted into sort_key order.  label_set, the same labels as a
-    frozenset, is built once here for the membership checks of every
-    SelfMapClass and truncation window on this signature; it is not a
-    field, so equality, hash and repr see only g, labels and d.
+    labels is sorted into label order, punctures first.  label_set, the
+    same labels as a frozenset, is built once here for the membership
+    checks of every SelfMapClass and truncation window on this signature;
+    it is not a field, so equality, hash and repr see only g, labels and d.
     """
 
     g: int
@@ -53,10 +53,11 @@ class WedgeSignature:
         check_count("circle count", g)
         if not isinstance(d, int) or isinstance(d, bool) or d < 3:
             raise ValueError(f"sphere dimension must be an int >= 3, got {d!r}")
-        labs = tuple(sorted(labels, key=lambda l: l.sort_key))
+        labs = tuple(labels)
         for lab in labs:
             if not isinstance(lab, SphereLabel):
                 raise ValueError(f"labels must be SphereLabel, got {lab!r}")
+        labs = tuple(sorted(labs))
         label_set = frozenset(labs)
         if len(label_set) != len(labs):
             raise ValueError(f"duplicate sphere labels in {labs}")
@@ -153,7 +154,7 @@ def identity_map(sig: WedgeSignature) -> SelfMapClass:
 # Terms of the ring unit: a product with it is skipped, not computed.
 _UNIT_TERMS = {IDENTITY: 1}
 
-# Cap on the letters compose may write by substitution (_substituted_letters).
+# Cap on the letters compose may write by substitution (_compose_letters).
 # A word is capped at MAX_WORD_LETTERS, but substitution multiplies lengths:
 # 60 circles of 1,000 letters composed with themselves write 60,000,000
 # letters and ran 28 s into a MemoryError under a 1 GB address-space limit.
@@ -162,7 +163,7 @@ _UNIT_TERMS = {IDENTITY: 1}
 # workloads never compose more than 10,001 letters.
 MAX_COMPOSE_LETTERS = 1_000_000
 
-# Cap on what compose's sphere products may write (_product_letters).  A
+# Cap on what compose's sphere products may write (_compose_letters).  A
 # self-map at g = 2 whose p1 image has 2,000 support words, composed with
 # itself, takes 4,000,000 term pairs and ran 25 s into a MemoryError under a
 # 1 GB address-space limit; so did one of only 100 words of 1,000 letters
@@ -177,54 +178,38 @@ MAX_COMPOSE_LETTERS = 1_000_000
 MAX_COMPOSE_PRODUCT_LETTERS = 1_000_000
 
 
-def _image_lengths(outer: SelfMapClass, g: int):
-    """Length of outer's circle image of a letter's generator, by letter."""
-    lens = [0] * (2 * g + 1)   # index x and -x: the letter's generator
+def _compose_letters(outer: SelfMapClass, inner: SelfMapClass) -> tuple[int, int]:
+    """Letters compose may write: by substitution, and by its ring products.
+
+    One walk over the inner words, each letter counting the length of
+    outer's circle image of its generator.  The first total sums that over
+    every letter of every inner circle image and sphere coefficient word:
+    a bound on the substituted words' letters before free reduction.  The
+    second bounds the products: an inner coefficient r at label m, moved
+    along outer's circle part, is multiplied by every outer coefficient at
+    m, and each pair of an outer term u and a moved term v writes u*v, of
+    at most len(u) + len(v) letters (len(v) at most the substituted length
+    of v's word); one more per pair counts the word itself.
+    """
+    lens = [0] * (2 * inner.sig.g + 1)   # index x and -x: the letter's generator
     for i, img in enumerate(outer.circle_part.images, start=1):
         lens[i] = lens[-i] = len(img)
-    return lens.__getitem__
-
-
-def _substituted_letters(outer: SelfMapClass, inner: SelfMapClass) -> int:
-    """Letters written by substituting outer's circle images into inner's words.
-
-    The sum, over every letter of every inner circle image and of every
-    support word of an inner sphere coefficient, of the length of the outer
-    image of that letter's generator: an upper bound on the letters of the
-    substituted words, before free reduction.
-    """
-    length_of = _image_lengths(outer, inner.sig.g)
-    total = sum(sum(map(length_of, w.letters)) for w in inner.circle_part.images)
-    for vec in inner.sphere_part.values():
-        for r in vec.entries.values():
-            total += sum(sum(map(length_of, w.letters)) for w in r.terms)
-    return total
-
-
-def _product_letters(outer: SelfMapClass, inner: SelfMapClass) -> int:
-    """Letters the ring products of compose may write, plus one per term pair.
-
-    An inner coefficient r at label m is moved along outer's circle part and
-    multiplied by every outer coefficient at m: each pair of an outer term u
-    and a moved term v writes the word u*v, of at most len(u) + len(v)
-    letters, and len(v) is at most the substituted length of v's word.
-    Summed over all pairs, with one more per pair for the word itself, this
-    bounds the products' time and memory before any is formed.
-    """
+    length_of = lens.__getitem__
     outer_terms: dict[SphereLabel, int] = {}
     outer_letters: dict[SphereLabel, int] = {}
     for m, vec in outer.sphere_part.items():
         words = [w for r in vec.entries.values() for w in r.terms]
         outer_terms[m] = len(words)
         outer_letters[m] = sum(map(len, words))
-    length_of = _image_lengths(outer, inner.sig.g)
-    total = 0
+    substituted = sum(sum(map(length_of, w.letters)) for w in inner.circle_part.images)
+    products = 0
     for vec in inner.sphere_part.values():
         for m, r in vec.entries.items():
             moved = sum(sum(map(length_of, w.letters)) for w in r.terms)
-            total += (len(r.terms) * (outer_terms[m] + outer_letters[m])
-                      + moved * outer_terms[m])
-    return total
+            substituted += moved
+            products += (len(r.terms) * (outer_terms[m] + outer_letters[m])
+                         + moved * outer_terms[m])
+    return substituted, products
 
 
 def compose(outer: SelfMapClass, inner: SelfMapClass) -> SelfMapClass:
@@ -234,22 +219,20 @@ def compose(outer: SelfMapClass, inner: SelfMapClass) -> SelfMapClass:
     to the outer image of m right-multiplied by the outer circle image of
     r, and the results are summed in the module.  A composite whose
     substitution would write more than MAX_COMPOSE_LETTERS letters, or whose
-    ring products more than MAX_COMPOSE_PRODUCT_LETTERS (_product_letters),
+    ring products more than MAX_COMPOSE_PRODUCT_LETTERS (_compose_letters),
     raises TooLarge before any word is built.
     """
     if outer.sig != inner.sig:
         raise SignatureMismatch(
             f"cannot compose maps of different wedges: {outer.sig} vs {inner.sig}"
         )
+    letters, written = _compose_letters(outer, inner)
     # An identity circle part copies the inner words: nothing grows.
-    if not outer.circle_part.is_identity:
-        letters = _substituted_letters(outer, inner)
-        if letters > MAX_COMPOSE_LETTERS:
-            raise TooLarge(
-                f"the composite's words would take up to {letters} letters "
-                f"before reduction, over the cap {MAX_COMPOSE_LETTERS}"
-            )
-    written = _product_letters(outer, inner)
+    if not outer.circle_part.is_identity and letters > MAX_COMPOSE_LETTERS:
+        raise TooLarge(
+            f"the composite's words would take up to {letters} letters "
+            f"before reduction, over the cap {MAX_COMPOSE_LETTERS}"
+        )
     if written > MAX_COMPOSE_PRODUCT_LETTERS:
         raise TooLarge(
             f"the composite's sphere products would write up to {written} "

@@ -28,7 +28,7 @@ from .errors import (
     check_count,
     clip,
 )
-from .pushing import BraidElement, ManifoldModel
+from .pushing import BraidElement, ManifoldModel, _inverse_perm
 from .words import FreeWord, char_sign, endo_apply, FreeEndo, parse_word
 
 DEFAULT_MAX_STATES = 1_000_000
@@ -122,13 +122,7 @@ class TargetModel:
             raise ValueError(f"unknown class id {clip(repr(class_id))}") from None
 
     def inverse_action(self) -> tuple[tuple[int, ...], ...]:
-        out = []
-        for perm in self.action:
-            inv = [0] * len(perm)
-            for i, j in enumerate(perm):
-                inv[j] = i
-            out.append(tuple(inv))
-        return tuple(out)
+        return tuple(_inverse_perm(perm) for perm in self.action)
 
 
 @dataclass(frozen=True)
@@ -221,9 +215,7 @@ def act(
         _check_reflection_charge(target)
     phi = FreeEndo(f_words)
     inv_action = target.inverse_action()
-    inv_perm = [0] * braid.k
-    for i, j in enumerate(braid.perm):
-        inv_perm[j] = i
+    inv_perm = _inverse_perm(braid.perm)
     cset = set(target.charge)
     out = []
     for i in range(braid.k):
@@ -409,16 +401,26 @@ def target_to_json(target: TargetModel) -> dict:
     }
 
 
+_ID_KINDS = "class ids must be JSON strings, numbers or null"
+
+
+def _check_ids(ids: Sequence[object], what: str) -> None:
+    # A JSON true or false would be taken for the id 1 or 0 (True == 1).
+    if any(isinstance(c, bool) for c in ids):
+        raise ParseError(f"{what} holds true or false; {_ID_KINDS}")
+
+
 def _ids_to_indices(
     target_classes: Sequence[object], ids: Sequence[object], what: str
 ) -> tuple[int, ...]:
+    _check_ids(ids, what)
     try:
         lookup = {c: i for i, c in enumerate(target_classes)}
         return tuple(lookup[c] for c in ids)
     except KeyError as exc:
         raise ParseError(f"{what} names unknown class id {clip(repr(exc.args[0]))}") from None
     except TypeError:  # an array or object where an id belongs
-        raise ParseError("class ids must be JSON strings, numbers or literals") from None
+        raise ParseError(_ID_KINDS) from None
 
 
 def target_from_json(obj: object) -> TargetModel:
@@ -436,6 +438,7 @@ def target_from_json(obj: object) -> TargetModel:
     if not isinstance(classes, Sequence) or isinstance(classes, str):
         raise ParseError("classes must be an array of ids")
     classes = tuple(classes)
+    _check_ids(classes, "classes")
     action_obj = obj["action"]
     if not isinstance(action_obj, Mapping):
         raise ParseError("action must be an object keyed by generator names")

@@ -48,6 +48,7 @@ from .words import (
     FreeEndo,
     FreeWord,
     char_sign,
+    count_words,
     enumerate_words,
     format_word,
     parse_word,
@@ -186,13 +187,19 @@ class BraidElement:
         return format_braid(self)
 
 
+def _inverse_perm(perm: tuple[int, ...]) -> tuple[int, ...]:
+    """The inverse of a permutation of 0..n-1."""
+    inv = [0] * len(perm)
+    for i, j in enumerate(perm):
+        inv[j] = i
+    return tuple(inv)
+
+
 def braid_mul(a: BraidElement, b: BraidElement) -> BraidElement:
     """Semidirect product: (a; s)(b; r) = ((a_i b_{s^-1(i)})_i; s r)."""
     if a.k != b.k:
         raise SizeMismatch(f"braid sizes differ: {a.k} vs {b.k}")
-    inv = [0] * a.k
-    for i, j in enumerate(a.perm):
-        inv[j] = i
+    inv = _inverse_perm(a.perm)
     words = tuple(a.words[i] * b.words[inv[i]] for i in range(a.k))
     perm = tuple(a.perm[b.perm[i]] for i in range(a.k))
     return BraidElement(words, perm)
@@ -201,11 +208,8 @@ def braid_mul(a: BraidElement, b: BraidElement) -> BraidElement:
 def braid_inverse(a: BraidElement) -> BraidElement:
     """Two-sided inverse under braid_mul: slot i carries the inverse of
     the word that braid_mul would route into slot i."""
-    inv = [0] * a.k
-    for i, j in enumerate(a.perm):
-        inv[j] = i
     words = tuple(~a.words[a.perm[i]] for i in range(a.k))
-    return BraidElement(words, tuple(inv))
+    return BraidElement(words, _inverse_perm(a.perm))
 
 
 def _check_slot(sig: PuncturedSignature, slot: int) -> None:
@@ -450,15 +454,6 @@ class KernelReport:
         return not self.nontrivial_kernel
 
 
-def _ball_size(g: int, max_len: int) -> int:
-    """Number of reduced words of length <= max_len over F_g."""
-    if g == 0 or max_len <= 0:
-        return 1
-    if g == 1:
-        return 1 + 2 * max_len
-    return 1 + g * ((2 * g - 1) ** max_len - 1) // (g - 1)
-
-
 def _unrank_word(g: int, rank: int) -> FreeWord:
     """The word at index `rank` of enumerate_words(g, ...), in shortlex order."""
     branch = 2 * g - 1
@@ -543,7 +538,7 @@ def kernel_report(
             f"{MAX_WORD_LETTERS} letters"
         )
     g, k = sig.model.g, sig.k
-    ball_size = _ball_size(g, max_word_len)
+    ball_size = count_words(g, max_word_len)
     count = _braid_count(ball_size, k, max_braids)
     braids = max_braids if count is None else count
     work = _sweep_work(g, k, max_word_len, braids)

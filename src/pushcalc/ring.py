@@ -35,8 +35,8 @@ class SphereLabel(tuple):
     A label is the validated pair (kind, index) stored as an immutable
     tuple, so hashing and equality run in C; labels are dict keys in every
     module vector.  Being a tuple, a label also equals the plain tuple of
-    the same pair.  Order is the tuple order, which is sort_key order
-    because 'p' < 't': all puncture spheres come before all cell spheres.
+    the same pair.  Order is the tuple order: since 'p' < 't', all
+    puncture spheres come before all cell spheres.
 
     >>> sorted([SphereLabel("t", 0), SphereLabel("p", 2), SphereLabel("p", 1)])
     [SphereLabel(kind='p', index=1), SphereLabel(kind='p', index=2), SphereLabel(kind='t', index=0)]
@@ -57,11 +57,6 @@ class SphereLabel(tuple):
 
     kind = property(itemgetter(0), doc="'p' for a puncture sphere, 't' for a cell sphere.")
     index = property(itemgetter(1), doc="1-based puncture index, or cell index from 0.")
-
-    @property
-    def sort_key(self) -> tuple[int, int]:
-        # All puncture spheres sort before all cell spheres.
-        return (0 if self[0] == "p" else 1, self[1])
 
     def __getnewargs__(self) -> tuple[str, int]:
         # copy and pickle rebuild a label through __new__(cls, kind, index).
@@ -206,11 +201,6 @@ def ring_mul(a: RingElem, b: RingElem) -> RingElem:
     return RingElem._wrap(acc)
 
 
-def translate(u: FreeWord, a: RingElem) -> RingElem:
-    """Left multiplication by the group element u."""
-    return RingElem._wrap({u * w: c for w, c in a.terms.items()})
-
-
 def ring_endo_apply(phi: FreeEndo, a: RingElem) -> RingElem:
     """Apply an endomorphism to every support word; collided images add."""
     if phi.is_identity:
@@ -320,7 +310,7 @@ class ModuleVec:
         return self.entries.get(label, RingElem.zero())
 
     def labels(self) -> list[SphereLabel]:
-        return sorted(self.entries, key=lambda l: l.sort_key)
+        return sorted(self.entries)
 
     def __add__(self, other: object) -> "ModuleVec":
         if not isinstance(other, ModuleVec):

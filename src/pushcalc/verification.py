@@ -46,7 +46,7 @@ from .pushing import (
     push_word_closed,
     recover_braid,
 )
-from .ring import ModuleVec, RingElem, SphereLabel, augment, ring_endo_apply, translate
+from .ring import ModuleVec, RingElem, SphereLabel, augment, ring_endo_apply
 from .words import FreeEndo, FreeWord, endo_apply, endo_compose, enumerate_words
 
 SUITES = ("ring", "monoid", "embed", "push", "orbits", "all")
@@ -517,7 +517,7 @@ def _push_properties() -> list[Property]:
         if c12 != c1 * c2:
             return "orientation sign is not multiplicative"
         for i in range(g):
-            rhs = _ring(f1[i].items()) + c1 * translate(w1, _ring(f2[i].items()))
+            rhs = _ring(f1[i].items()) + RingElem.from_word(w1, c1) * _ring(f2[i].items())
             if _ring(f12[i].items()) != rhs:
                 return f"crossing cocycle fails for cell {i + 1}"
         return None

@@ -329,3 +329,20 @@ def enumerate_words(g: int, max_len: int) -> Iterator[FreeWord]:
         for w in nxt:
             yield FreeWord._wrap(w)
         level = nxt
+
+
+def count_words(g: int, max_len: int, cap: int | None = None) -> int | None:
+    """Number of words enumerate_words(g, max_len) lists, or None above cap.
+
+    >>> count_words(2, 2)   # e, 4 words of one letter, 12 of two
+    17
+    >>> count_words(2, 10**9, cap=100) is None
+    True
+    """
+    if g <= 1:
+        total = 2 * max_len * g + 1
+    elif cap is not None and max_len > cap.bit_length():
+        return None   # over 3**max_len words: the power is never built
+    else:
+        total = 1 + g * ((2 * g - 1) ** max_len - 1) // (g - 1)
+    return None if cap is not None and total > cap else total

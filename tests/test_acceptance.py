@@ -11,14 +11,11 @@ import random
 from contextlib import contextmanager
 from time import perf_counter
 
-import pytest
-
 from pushcalc.embedding import materialize, max_shift, truncated_product
 from pushcalc.monoid import (
     SelfMapClass,
     WedgeSignature,
     compose,
-    identity_map,
     top_homology_matrix,
     verify_inverse,
 )
@@ -41,7 +38,7 @@ from pushcalc.pushing import (
     push_word_closed,
     recover_braid,
 )
-from pushcalc.ring import ModuleVec, RingElem, SphereLabel, translate
+from pushcalc.ring import ModuleVec, RingElem, SphereLabel
 from pushcalc.verification import run_suite
 from pushcalc.words import FreeEndo, FreeWord, endo_apply, enumerate_words, parse_word
 
@@ -183,7 +180,7 @@ def test_criterion_4_closed_form_and_cocycle():
             )
             assert c12 == c1 * c2
             for i in range(g):
-                assert _ring(f12[i]) == _ring(f1[i]) + c1 * translate(w1, _ring(f2[i]))
+                assert _ring(f12[i]) == _ring(f1[i]) + RingElem.from_word(w1, c1) * _ring(f2[i])
 
 
 def test_criterion_5_embedding_and_truncation():

@@ -360,6 +360,22 @@ def test_oversized_compose_refused_before_allocating(tmp_path):
     _assert_refused_in_child(("compose", str(big), str(big)))
 
 
+@pytest.mark.parametrize("g, radius", [(2, 1000), (1, 100_000_000)])
+def test_label_free_window_refused_before_listing_words(tmp_path, g, radius):
+    # No labels means no keys, but the window still lists every word of
+    # both balls: 2.6e477 of them at g = 2, 2e8 at g = 1.
+    path = tmp_path / "free.json"
+    circles = [f"a{i}" for i in range(1, g + 1)]
+    path.write_text(json.dumps(
+        {"g": g, "d": 3, "labels": [], "circles": circles, "spheres": {}}))
+    _assert_refused_in_child(("embed", "--map", str(path), "--truncate", str(radius)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pushcalc", "embed", "--map", str(path), "--truncate", "1"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "\n", "")
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "--suite", "ring", "--cases", "2"),   # still buffered at exit
     ("embed", "-g", "2", "-k", "1", "--slot", "1", "a1 a2", "--truncate", "2"),  # 55 KB
@@ -587,6 +603,21 @@ def test_components_bad_target(capsys, tmp_path):
                              "-g", "1", "-k", "1", "--assume-hypotheses")
     assert code == 1
     assert err.startswith("error:parse: ")
+
+
+@pytest.mark.parametrize("classes, charge, where", [
+    ([0, 1, 2], [True, False], "charge"),   # once read as the ids 1 and 0
+    ([1, True, "z"], [1], "classes"),        # once refused as not distinct
+])
+def test_components_refuses_boolean_class_ids(capsys, tmp_path, classes, charge, where):
+    target = {"pi1_gens": 0, "classes": classes, "action": {},
+              "reflection": classes, "charge": charge, "f_classes": [[]]}
+    path = tmp_path / "bools.json"
+    path.write_text(json.dumps(target))
+    assert run_cli(capsys, "components", "--target", str(path),
+                   "-g", "0", "-k", "2", "--brute-force") == (
+        1, "", f"error:parse: {where} holds true or false; class ids must be "
+               "JSON strings, numbers or null\n")
 
 
 def test_components_json(capsys, tmp_path):

@@ -31,15 +31,13 @@ from pushcalc.words import (
     parse_word,
 )
 
+from _helpers import rand_word, ring_of
+
 P1 = SphereLabel("p", 1)
 T1 = SphereLabel("t", 1)
 T2 = SphereLabel("t", 2)
 SIG1 = WedgeSignature(1, (P1, T1))
 SIG2 = WedgeSignature(2, (P1, T1, T2))
-
-
-def ring_of(pairs: dict[str, int]) -> RingElem:
-    return RingElem([(parse_word(w), c) for w, c in pairs.items()])
 
 
 def push_alpha() -> SelfMapClass:
@@ -72,9 +70,9 @@ def collapse_circle() -> SelfMapClass:
     )
 
 
-def rand_word(rng: random.Random, g: int, max_len: int) -> FreeWord:
-    alphabet = [s * i for i in range(1, g + 1) for s in (1, -1)]
-    return FreeWord(rng.choice(alphabet) for _ in range(rng.randrange(max_len + 1)))
+def with_entry(t: TruncatedMatrix, row, col, value: int) -> TruncatedMatrix:
+    """t with one entry replaced, through the validating constructor."""
+    return TruncatedMatrix(t.sig, t.radius, t.row_radius, {**t.entries, (row, col): value})
 
 
 def rand_map(rng: random.Random, sig: WedgeSignature, circle_len: int = 1,
@@ -156,7 +154,7 @@ def test_is_diagonally_constant():
     ti = materialize(identity_map(SIG1), 1)
     assert is_diagonally_constant(ti, FreeEndo.identity(1))
 
-    bad = t.with_entry((P1, parse_word("a1^2")), (P1, parse_word("a1")), 7)
+    bad = with_entry(t, (P1, parse_word("a1^2")), (P1, parse_word("a1")), 7)
     assert not is_diagonally_constant(bad, a.circle_part)
 
 
@@ -314,13 +312,13 @@ def perturb(rng: random.Random, t):
     pick = rng.randrange(3)
     if pick == 0 and t.entries:
         (row, col), v = rng.choice(sorted(t.entries.items(), key=repr))
-        return t.with_entry(row, col, rng.choice([0, v + 1, -v]))
+        return with_entry(t, row, col, rng.choice([0, v + 1, -v]))
     row = rng.choice(t.rows)
     if pick == 1:
         col = rng.choice([c for c in t.cols if c[1] == IDENTITY])
     else:
         col = rng.choice(t.cols)
-    return t.with_entry(row, col, t.entry(row, col) + rng.choice([-1, 1, 2]))
+    return with_entry(t, row, col, t.entry(row, col) + rng.choice([-1, 1, 2]))
 
 
 def rand_small_pair(rng: random.Random):
@@ -373,7 +371,7 @@ def test_truncated_matmul_property_reports_the_dense_first_cell(monkeypatch):
     def corrupted(ta, tb):
         t = truncated_product(ta, tb)
         row, col = rng.choice(t.rows), rng.choice(t.cols)
-        seen.append(t.with_entry(row, col, t.entry(row, col) + 3))
+        seen.append(with_entry(t, row, col, t.entry(row, col) + 3))
         return seen[-1]
 
     monkeypatch.setattr(verification, "truncated_product", corrupted)
@@ -403,7 +401,7 @@ def test_window_membership_matches_listed_balls():
             if radius < 2:   # a derived window too: rows of a, columns of t
                 a = materialize(rand_map(rng, sig, short, short), t.row_radius)
                 derived = truncated_product(a, t)
-                checks = [t, derived, derived.with_entry(derived.rows[-1], t.cols[0], 5)]
+                checks = [t, derived, with_entry(derived, derived.rows[-1], t.cols[0], 5)]
             else:
                 checks = [t]
             for w in checks:
@@ -432,22 +430,6 @@ def test_window_membership_matches_listed_balls():
     assert windows >= 20
 
 
-def test_window_equality_matches_listed_balls():
-    # At g = 0, or at radius 0, every radius lists the same identity keys.
-    p2 = SphereLabel("p", 2)
-    sigs = [WedgeSignature(0, (P1, p2)), WedgeSignature(0, ()), WedgeSignature(1, ()),
-            WedgeSignature(2, (P1, p2)), SIG1, SIG2]
-    shapes = [(sig, r) for sig in sigs for r in range(3)]
-    for s1, r1 in shapes:
-        for s2, r2 in shapes:
-            t1 = TruncatedMatrix(s1, r1, r1, {})
-            t2 = TruncatedMatrix(s2, r2, r2, {})
-            assert (t1 == t2) == (_ball_keys(s1, r1) == _ball_keys(s2, r2)), (s1, r1, s2, r2)
-    t = materialize(push_alpha(), 1)
-    assert t == TruncatedMatrix(SIG1, 1, t.row_radius, dict(t.entries))
-    assert t != t.with_entry((P1, IDENTITY), (P1, IDENTITY), 9)
-
-
 def test_window_constructor_rejects_outside_entries():
     inside = ((P1, parse_word("a1")), (T1, IDENTITY))
     assert TruncatedMatrix(SIG1, 0, 1, {inside: 2}).entry(*inside) == 2
@@ -465,11 +447,6 @@ def test_window_constructor_rejects_outside_entries():
     # a SelfMapClass refuses such a word.
     with pytest.raises(ValueError, match="beyond rank 1"):
         SelfMapClass(SIG1, FreeEndo.identity(1), {P1: ModuleVec([(P1, ring_of({"A2": 1}))])})
-    t = materialize(push_alpha(), 0)
-    with pytest.raises(ValueError, match="outside the window"):
-        t.with_entry((P1, parse_word("a1^2")), (P1, IDENTITY), 1)
-    with pytest.raises(ValueError, match="must be int"):
-        t.with_entry((P1, IDENTITY), (P1, IDENTITY), "1")
 
 
 def test_truncated_product_needs_one_wedge():

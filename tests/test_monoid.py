@@ -20,7 +20,9 @@ from pushcalc.monoid import (
     verify_inverse,
 )
 from pushcalc.ring import ModuleVec, RingElem, SphereLabel, ring_mul
-from pushcalc.words import FreeEndo, FreeWord, IDENTITY, parse_word
+from pushcalc.words import FreeEndo, FreeWord, parse_word
+
+from _helpers import rand_word
 
 P1 = SphereLabel("p", 1)
 T1 = SphereLabel("t", 1)
@@ -116,11 +118,6 @@ def rand_rank1_map(rng: random.Random) -> SelfMapClass:
     )
 
 
-def rand_word(rng: random.Random, g: int, max_len: int) -> FreeWord:
-    alphabet = [s * i for i in range(1, g + 1) for s in (1, -1)]
-    return FreeWord(rng.choice(alphabet) for _ in range(rng.randrange(max_len + 1)))
-
-
 def rand_ring(rng: random.Random, g: int) -> RingElem:
     return RingElem(
         [(rand_word(rng, g, 4), rng.randrange(-3, 4)) for _ in range(rng.randrange(4))]
@@ -174,6 +171,10 @@ def test_duplicate_label_message():
     with pytest.raises(ValueError) as info:
         WedgeSignature(1, (T1, P1, SphereLabel("p", 1)))
     assert str(info.value) == msg
+    # each label's type is checked before the labels are sorted
+    for bad in ("t1", ("t", 1)):
+        with pytest.raises(ValueError, match="labels must be SphereLabel"):
+            WedgeSignature(1, (T1, bad, P1))
 
 
 @pytest.mark.parametrize("g", [0, 1, 2, 3])
@@ -356,7 +357,7 @@ def test_product_bound_covers_the_ring_products(monkeypatch):
         outer, inner = rand_map(rng, sig), rand_map(rng, sig)
         written[0] = 0
         compose(outer, inner)
-        bound = monoid._product_letters(outer, inner)
+        _, bound = monoid._compose_letters(outer, inner)
         assert written[0] <= bound
         tight += written[0] == bound
     assert tight >= 5

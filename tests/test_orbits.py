@@ -574,6 +574,12 @@ def test_target_json_errors():
                        ("f_classes", [[1]])):
         with pytest.raises(ParseError):
             target_from_json(dict(good, **{key: value}))
+    # nor are true and false, which Python would take for the ids 1 and 0
+    for key, value in (("classes", ["x", "y", True]), ("charge", [False]),
+                       ("reflection", ["x", "y", True]),
+                       ("action", {"a1": [True, "z", "x"]})):
+        with pytest.raises(ParseError, match="true or false"):
+            target_from_json(dict(good, **{key: value}))
 
 
 def test_bruteforce_huge_k_refused_at_once():

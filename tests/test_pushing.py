@@ -23,7 +23,6 @@ from pushcalc.monoid import (
 from pushcalc.pushing import (
     MAX_MODEL_SIZE,
     BraidElement,
-    KernelReport,
     ManifoldModel,
     NotInImage,
     PuncturedSignature,
@@ -45,13 +44,11 @@ from pushcalc.pushing import (
 from pushcalc.ring import ModuleVec, RingElem, SphereLabel
 from pushcalc.words import FreeEndo, FreeWord, IDENTITY, char_sign, parse_word
 
+from _helpers import rand_word, ring_of
+
 SIG11 = PuncturedSignature(ManifoldModel.default(1), 1)
 SIG21 = PuncturedSignature(ManifoldModel.default(2), 1)
 SIG22 = PuncturedSignature(ManifoldModel.default(2), 2)
-
-
-def ring_of(pairs: dict[str, int]) -> RingElem:
-    return RingElem([(parse_word(w), c) for w, c in pairs.items()])
 
 
 def vec_of(entries: dict[str, dict[str, int]]) -> ModuleVec:
@@ -68,11 +65,6 @@ def map_of(sig: PuncturedSignature, spheres: dict[str, dict[str, dict[str, int]]
         FreeEndo.identity(sig.model.g),
         {parse_label(lab): vec_of(v) for lab, v in spheres.items()},
     )
-
-
-def rand_word(rng: random.Random, g: int, max_len: int) -> FreeWord:
-    alphabet = [s * i for i in range(1, g + 1) for s in (1, -1)]
-    return FreeWord(rng.choice(alphabet) for _ in range(rng.randrange(max_len + 1)))
 
 
 def rand_braid(rng: random.Random, g: int, k: int, max_len: int) -> BraidElement:

@@ -20,7 +20,6 @@ from pushcalc.ring import (
     ring_from_json,
     ring_mul,
     ring_to_json,
-    translate,
     vec_from_json,
     vec_to_json,
 )
@@ -81,26 +80,6 @@ def test_product_examples():
     a2 = RingElem.from_word(parse_word("a2"))
     assert ring_mul(al, a2) != ring_mul(a2, al)
     assert ring_mul(al, RingElem.from_word(parse_word("A1"))) == one
-
-
-def test_translate_examples():
-    alpha = parse_word("a1")
-    one_plus = RingElem.one() + RingElem.from_word(alpha)
-    assert translate(alpha, one_plus) == RingElem.from_word(alpha) + RingElem.from_word(
-        parse_word("a1^2")
-    )
-
-
-def test_translate_composition_laws():
-    rng = random.Random(71)
-    for _ in range(150):
-        g = rng.randrange(1, 4)
-        a = rand_ring(rng, g, 6, 6)
-        alphabet = [s * i for i in range(1, g + 1) for s in (1, -1)]
-        u = FreeWord(rng.choice(alphabet) for _ in range(rng.randrange(7)))
-        v = FreeWord(rng.choice(alphabet) for _ in range(rng.randrange(7)))
-        assert translate(u, translate(v, a)) == translate(u * v, a)
-        assert translate(u, a) == ring_mul(RingElem.from_word(u), a)
 
 
 def test_ring_axioms_seeded():
@@ -245,18 +224,6 @@ def test_sphere_label_hash_and_equality():
         p1.kind = "t"
     with pytest.raises(AttributeError):
         p1.extra = 1
-
-
-def test_sphere_label_order_is_sort_key_order():
-    rng = random.Random(122)
-    labels = [SphereLabel(rng.choice("pt"), rng.randint(1, 12)) for _ in range(200)]
-    labels += [SphereLabel("t", 0)] * 3
-    by_key = sorted(labels, key=lambda l: l.sort_key)
-    assert sorted(labels) == by_key
-    assert by_key[0].kind == "p" and by_key[-1].kind == "t"
-    for a, b in zip(labels, labels[1:]):
-        assert (a < b) == (a.sort_key < b.sort_key)
-        assert (b < a) == (b.sort_key < a.sort_key)
 
 
 def test_sphere_label_text_forms():

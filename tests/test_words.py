@@ -14,6 +14,7 @@ from pushcalc.words import (
     FreeEndo,
     FreeWord,
     char_sign,
+    count_words,
     endo_apply,
     endo_compose,
     enumerate_words,
@@ -23,10 +24,7 @@ from pushcalc.words import (
     shortlex_key,
 )
 
-
-def rand_word(rng: random.Random, g: int, max_len: int) -> FreeWord:
-    alphabet = [s * i for i in range(1, g + 1) for s in (1, -1)]
-    return FreeWord(rng.choice(alphabet) for _ in range(rng.randrange(max_len + 1)))
+from _helpers import rand_word
 
 
 def test_reduce_examples():
@@ -175,6 +173,18 @@ def test_enumerate_words_shortlex():
     assert [format_word(w) for w in enumerate_words(1, 2)] == [
         "e", "a1", "A1", "a1^2", "a1^-2",
     ]
+
+
+def test_count_words_counts_the_enumerated_ball():
+    for g in range(4):
+        for max_len in range(6):
+            n = sum(1 for _ in enumerate_words(g, max_len))
+            assert count_words(g, max_len) == n
+            assert count_words(g, max_len, cap=n) == n
+            assert count_words(g, max_len, cap=n - 1) is None
+    # uncapped the count is exact at any length; capped it stops early
+    assert count_words(3, 1000) == 1 + 3 * (5**1000 - 1) // 2
+    assert count_words(3, 10**18, cap=10**6) is None
 
 
 def _shortlex_key_by_pairs(u: FreeWord) -> tuple:
