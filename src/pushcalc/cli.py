@@ -380,6 +380,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; every entry path comes here, so a closed stdout exits 1."""
+    try:
+        code = _run(argv)
+        sys.stdout.flush()   # a closed pipe fails here, not at interpreter exit
+    except BrokenPipeError:
+        # Send what is still buffered to devnull, so that the flush at exit
+        # cannot fail again, and exit as for any write error.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
+
+
+def _run(argv: list[str] | None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

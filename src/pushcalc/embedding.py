@@ -15,10 +15,19 @@ from __future__ import annotations
 
 import functools
 
+from . import words as _words
 from .errors import SignatureMismatch, SizeMismatch, TooLarge
 from .monoid import SelfMapClass, WedgeSignature
 from .ring import SphereLabel, format_ring, ring_to_json
-from .words import FreeEndo, FreeWord, count_words, endo_apply, enumerate_words, format_word
+from .words import (
+    FreeEndo,
+    FreeWord,
+    count_words,
+    endo_apply,
+    enumerate_words,
+    format_word,
+    shortlex_key,
+)
 
 IndexKey = tuple[SphereLabel, FreeWord]
 
@@ -100,10 +109,11 @@ class TruncatedMatrix:
         return self.entries.get((row, col), 0)
 
     def __repr__(self) -> str:
-        return (
-            f"TruncatedMatrix(radius={self.radius}, rows={len(self.rows)}, "
-            f"cols={len(self.cols)}, nonzero={len(self.entries)})"
-        )
+        # The balls are counted, not listed.
+        rows, cols = (len(self.sig.labels) * count_words(self.sig.g, r)
+                      for r in (self.row_radius, self.radius))
+        return (f"TruncatedMatrix(radius={self.radius}, rows={rows}, "
+                f"cols={cols}, nonzero={len(self.entries)})")
 
 
 def _in_ball(sig: WedgeSignature, radius: int, key: IndexKey) -> bool:
@@ -118,7 +128,7 @@ def _in_ball(sig: WedgeSignature, radius: int, key: IndexKey) -> bool:
 
 
 def _ball_keys(sig: WedgeSignature, radius: int) -> tuple[IndexKey, ...]:
-    words = list(enumerate_words(sig.g, radius))
+    words = list(enumerate_words(sig.g, radius)) if sig.labels else ()
     return tuple((lab, w) for lab in sig.labels for w in words)
 
 
@@ -131,8 +141,9 @@ def materialize(
     v*slope(u)^-1 in block (l, b), the l-component of h's image of b.
     The row ball is padded so every nonzero coordinate of every column's
     image is inside the window.  Only the nonzero entries are built, with
-    slope(u) computed once per column word; neither ball is listed.  Both
-    are still counted: a window of more than MAX_WINDOW_ROWS rows (or
+    slope(u) computed once per column word; neither ball is listed, and
+    the column words only when some block is nonzero.  Both balls are
+    still counted: a window of more than MAX_WINDOW_ROWS rows (or
     words, when there are no labels), or of more than max_cells rows x
     columns when given, raises TooLarge, so that to_tsv can list it.
     """
@@ -146,27 +157,26 @@ def materialize(
             f"{cells} cells; choose a smaller radius"
         )
 
-    # A label-free ball has no keys but still lists its words: cap both.
+    # A label-free ball has no keys; its words are capped as for one label.
     per_word = max(len(h.sig.labels), 1)
     n_words = count_words(h.sig.g, radius, MAX_WINDOW_ROWS // per_word)
     n_cols = 0 if n_words is None else n_words * len(h.sig.labels)
     # The rows cover at least the column ball, so there are n_cols^2 cells or more.
     if n_words is None or n_cols * n_cols > cells:
         raise too_large(f"window of radius {radius}")
-    words = tuple(enumerate_words(h.sig.g, radius))
-    images = [endo_apply(h.circle_part, u) for u in words]
+    columns = [(b, vec.entries) for b, vec in h.sphere_part.items() if vec.entries]
+    words = tuple(enumerate_words(h.sig.g, radius)) if columns else ()
+    images = [endo_apply(h.circle_part, u).letters for u in words]
+    concat = _words._kernel.concat   # looked up per call, so it can be wrapped
     arising = 0
     entries: dict[tuple[IndexKey, IndexKey], int] = {}
-    for b, vec in h.sphere_part.items():
-        column = vec.entries
-        if not column:
-            continue
+    for b, column in columns:
         for u, su in zip(words, images):
             col = (b, u)
             for l, r in column.items():
                 for w, c in r.terms.items():
-                    w = w * su
-                    entries[((l, w), col)] = c
+                    w = concat(w, su)
+                    entries[((l, FreeWord._wrap(w)), col)] = c
                     if len(w) > arising:
                         arising = len(w)
     # The pad suffices whenever the slope does not lengthen words (every
@@ -212,7 +222,9 @@ def truncated_product(ta: TruncatedMatrix, tb: TruncatedMatrix) -> TruncatedMatr
 
     Exact only if every row of tb that carries a nonzero entry is among
     ta's columns; otherwise the summation window clips real terms and the
-    product would silently lie, so SizeMismatch is raised instead.
+    product would silently lie, so SizeMismatch is raised instead.  Its
+    example is the least missing key by label, then shortlex word, so the
+    message is the same in every process.
     """
     if ta.sig != tb.sig:
         raise SignatureMismatch("matrix windows live over different wedges")
@@ -220,7 +232,7 @@ def truncated_product(ta: TruncatedMatrix, tb: TruncatedMatrix) -> TruncatedMatr
     if missing:
         raise SizeMismatch(
             f"left window lacks {len(missing)} middle-index columns, "
-            f"e.g. {min(missing, key=lambda k: (k[0], len(k[1])))}"
+            f"e.g. {min(missing, key=lambda k: (k[0], shortlex_key(k[1])))}"
         )
     by_mid: dict[IndexKey, list[tuple[IndexKey, int]]] = {}
     for (mid, col), v in tb.entries.items():

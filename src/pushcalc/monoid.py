@@ -32,7 +32,7 @@ from .ring import (
     vec_from_json,
     vec_to_json,
 )
-from .words import IDENTITY, FreeEndo, endo_compose, format_word, parse_word
+from .words import FreeEndo, endo_compose, format_word, parse_word
 
 
 @dataclass(frozen=True)
@@ -98,8 +98,7 @@ class SelfMapClass:
             for tgt, r in vec.entries.items():
                 if tgt not in allowed:
                     raise ValueError(f"image of {lab} hits unknown label {tgt}")
-                for w in r.terms:
-                    t = w.letters
+                for t in r.terms:
                     if t and (max(t) > g or min(t) < -g):
                         raise ValueError(
                             f"image of {lab} uses generators beyond rank {g}"
@@ -152,7 +151,7 @@ def identity_map(sig: WedgeSignature) -> SelfMapClass:
 
 
 # Terms of the ring unit: a product with it is skipped, not computed.
-_UNIT_TERMS = {IDENTITY: 1}
+_UNIT_TERMS = {(): 1}
 
 # Cap on the letters compose may write by substitution (_compose_letters).
 # A word is capped at MAX_WORD_LETTERS, but substitution multiplies lengths:
@@ -198,14 +197,14 @@ def _compose_letters(outer: SelfMapClass, inner: SelfMapClass) -> tuple[int, int
     outer_terms: dict[SphereLabel, int] = {}
     outer_letters: dict[SphereLabel, int] = {}
     for m, vec in outer.sphere_part.items():
-        words = [w for r in vec.entries.values() for w in r.terms]
+        words = [t for r in vec.entries.values() for t in r.terms]
         outer_terms[m] = len(words)
         outer_letters[m] = sum(map(len, words))
     substituted = sum(sum(map(length_of, w.letters)) for w in inner.circle_part.images)
     products = 0
     for vec in inner.sphere_part.values():
         for m, r in vec.entries.items():
-            moved = sum(sum(map(length_of, w.letters)) for w in r.terms)
+            moved = sum(sum(map(length_of, t)) for t in r.terms)
             substituted += moved
             products += (len(r.terms) * (outer_terms[m] + outer_letters[m])
                          + moved * outer_terms[m])

@@ -55,7 +55,8 @@ class TargetModel:
     charge are stored as indices into that tuple.  action[j] is the
     permutation induced by the (j+1)-st generator of pi_1(X); f_classes
     lists, for each candidate f, the images of the model loops as words in
-    the pi_1(X) generators.
+    the pi_1(X) generators.  charge_set, the charge as a frozenset, and
+    inv_action, the inverse permutations, are built once, outside the fields.
     """
 
     pi1_gens: int
@@ -90,13 +91,15 @@ class TargetModel:
             raise ValueError("charge indices out of range")
         if list(charge) != sorted(set(charge)):
             raise ValueError("charge must be strictly increasing class indices")
-        cset = set(charge)
+        cset = frozenset(charge)
         for j, perm in enumerate(action):
             if any(perm[i] not in cset for i in charge):
                 raise ValueError(
                     f"charge is not a union of orbits: generator {j + 1} leaves it"
                 )
         object.__setattr__(self, "charge", charge)
+        object.__setattr__(self, "charge_set", cset)
+        object.__setattr__(self, "inv_action", tuple(map(_inverse_perm, action)))
         fcs = tuple(tuple(ws) for ws in self.f_classes)
         for ws in fcs:
             for w in ws:
@@ -120,9 +123,6 @@ class TargetModel:
             return self.classes.index(class_id)
         except ValueError:
             raise ValueError(f"unknown class id {clip(repr(class_id))}") from None
-
-    def inverse_action(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(_inverse_perm(perm) for perm in self.action)
 
 
 @dataclass(frozen=True)
@@ -149,9 +149,8 @@ def state_ids(target: TargetModel, state: MapState) -> tuple[object, ...]:
 def _check_state(target: TargetModel, state: MapState) -> None:
     if not 0 <= state.f < len(target.f_classes):
         raise ValueError(f"state names f class {state.f} of {len(target.f_classes)}")
-    cset = set(target.charge)
     for i in state.g_classes:
-        if i not in cset:
+        if i not in target.charge_set:
             raise ValueError(f"state class index {i} is not in the charge")
 
 
@@ -161,25 +160,19 @@ def _require_hypothesis(model: ManifoldModel, what: str) -> None:
     raise HypothesisViolation(f"{what} requires g = 0 or a declared low handle dimension")
 
 
-def _apply_pi1_word(
-    target: TargetModel,
-    inv_action: tuple[tuple[int, ...], ...],
-    w: FreeWord,
-    idx: int,
-) -> int:
+def _apply_pi1_word(target: TargetModel, w: FreeWord, idx: int) -> int:
     """Apply the left action of the pi_1(X) word w to class index idx."""
     for letter in reversed(w.letters):
         if letter > 0:
             idx = target.action[letter - 1][idx]
         else:
-            idx = inv_action[-letter - 1][idx]
+            idx = target.inv_action[-letter - 1][idx]
     return idx
 
 
 def _check_reflection_charge(target: TargetModel) -> None:
-    cset = set(target.charge)
     for i in target.charge:
-        if target.reflection[i] not in cset:
+        if target.reflection[i] not in target.charge_set:
             raise ValueError(
                 "charge is not closed under the reflection, required for "
                 "non-orientable models"
@@ -214,9 +207,7 @@ def act(
     if not orientable:
         _check_reflection_charge(target)
     phi = FreeEndo(f_words)
-    inv_action = target.inverse_action()
     inv_perm = _inverse_perm(braid.perm)
-    cset = set(target.charge)
     out = []
     for i in range(braid.k):
         word = braid.words[i]
@@ -225,8 +216,8 @@ def act(
         idx = state.g_classes[inv_perm[i]]
         if not orientable and char_sign(model.character, word) == -1:
             idx = target.reflection[idx]
-        idx = _apply_pi1_word(target, inv_action, endo_apply(phi, word), idx)
-        if idx not in cset:
+        idx = _apply_pi1_word(target, endo_apply(phi, word), idx)
+        if idx not in target.charge_set:
             raise ValueError("action left the charge; target data is inconsistent")
         out.append(idx)
     return MapState(state.f, tuple(out))
@@ -234,7 +225,6 @@ def act(
 
 def _orbit_count(target: TargetModel, f_words: Sequence[FreeWord]) -> int:
     """Number of orbits of the charge under the f-images of the model loops."""
-    inv_action = target.inverse_action()
     parent = {i: i for i in target.charge}
 
     def find(i: int) -> int:
@@ -245,7 +235,7 @@ def _orbit_count(target: TargetModel, f_words: Sequence[FreeWord]) -> int:
 
     for w in f_words:
         for i in target.charge:
-            j = _apply_pi1_word(target, inv_action, w, i)
+            j = _apply_pi1_word(target, w, i)
             ri, rj = find(i), find(j)
             if ri != rj:
                 parent[ri] = rj

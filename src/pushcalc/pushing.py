@@ -20,7 +20,7 @@ k slot words and a permutation of the punctures; push_braid assembles
 the class of a braid directly from that closed form, is a monoid
 homomorphism from braids (under braid_mul) to self-map classes, is
 injective, and recover_braid inverts it on every model, confirming each
-decoded braid against the same closed form on letter tuples.
+decoded braid against the same closed form.
 """
 from __future__ import annotations
 
@@ -43,7 +43,6 @@ from .errors import (
 from .monoid import SelfMapClass, WedgeSignature, compose, identity_map
 from .ring import ModuleVec, RingElem, SphereLabel
 from .words import (
-    IDENTITY,
     MAX_WORD_LETTERS,
     FreeEndo,
     FreeWord,
@@ -286,8 +285,8 @@ def _slot_terms(
     -c(u*A_i)*eps*(u*A_i*prefix).  On reduced words these sums satisfy
     F(uv) = F(u) + c(u)*u*F(v), which is what folding push_letter by
     compose computes, for any crossing data and character.  This is the
-    one implementation of that cocycle: push_braid wraps its keys into
-    words, and recover_braid compares them with a class as they are.
+    one implementation of that cocycle: push_braid and recover_braid use
+    its dicts as ring terms, as they are.
     """
     concat = _words._kernel.concat   # looked up per call, so it can be wrapped
     character = model.character
@@ -340,8 +339,8 @@ def push_braid(sig: PuncturedSignature, braid: BraidElement) -> SelfMapClass:
     F(uv) = F(u) + c(u)*u*F(v) for any model.  The result is the composite
     of the slot-word pushes around the permutation push (innermost), so
     push_braid(braid_mul(a, b)) = compose(push_braid(a), push_braid(b)).
-    The letterwise fold push_word is only the oracle the tests compare
-    this with.
+    Each F_c dict is a cell entry's terms as it is.  The letterwise fold
+    push_word is only the oracle the tests compare this with.
     """
     if braid.k != sig.k:
         raise SizeMismatch(f"braid has {braid.k} slots, signature has {sig.k}")
@@ -359,10 +358,10 @@ def push_braid(sig: PuncturedSignature, braid: BraidElement) -> SelfMapClass:
             {punctures[j]: RingElem.from_word(braid.words[j], pushes[j][0])}
         )
     for c, cell in enumerate(cells):
-        entries = {cell: RingElem._wrap({IDENTITY: 1})}
+        entries = {cell: RingElem._wrap({(): 1})}
         for lab, (_, terms) in zip(punctures, pushes):
             if terms[c]:
-                entries[lab] = RingElem._wrap(FreeWord._wrap_keys(terms[c]))
+                entries[lab] = RingElem._wrap(terms[c])
         spheres[cell] = ModuleVec._wrap(entries)
     return SelfMapClass(wsig, FreeEndo.identity(model.g), spheres)
 
@@ -384,9 +383,9 @@ def recover_braid(sig: PuncturedSignature, h: SelfMapClass) -> BraidElement | No
     single group-translate of a puncture sphere whose coefficient is the
     orientation character of the translating word; the permutation and
     slot words are read off those images.  The candidate is confirmed by
-    the test push_braid(sig, candidate) == h, made on letter tuples
-    without building that class: each cell t_c must go to exactly
-    t_c + sum_j F_c(w_j)*p_j, with F_c from _slot_terms.
+    the test push_braid(sig, candidate) == h without building that class:
+    the terms of each cell t_c must be exactly {(): 1} at t_c and the
+    _slot_terms dict F_c(w_j) at each p_j where it is nonzero.
     """
     if h.sig != sig.wedge:
         raise SignatureMismatch("class does not live on this punctured model")
@@ -409,33 +408,26 @@ def recover_braid(sig: PuncturedSignature, h: SelfMapClass) -> BraidElement | No
         if len(r.terms) != 1:
             return NotInImage(f"image of p{i} has {len(r.terms)} group terms")
         (u, c), = r.terms.items()
-        sign, terms = _slot_terms(model, u.letters)
+        sign, terms = _slot_terms(model, u)
         if c != sign:
             return NotInImage(f"image of p{i} has coefficient {c}, expected a unit")
         j = lab.index
         if words[j - 1] is not None:
             return NotInImage(f"two puncture spheres land on p{j}")
         perm[i - 1] = j - 1
-        words[j - 1] = u
+        words[j - 1] = FreeWord._wrap(u)
         slot_terms[j - 1] = terms
     # The puncture images match push_braid's exactly, so what is left of
     # push_braid(sig, candidate) == h is the cells.
     for c, cell in enumerate(cells):
         entries = h.sphere(cell).entries
-        expected = {
-            p: terms[c] for p, terms in zip(punctures, slot_terms) if terms[c]  # type: ignore[index]
-        }
-        if (
-            len(entries) != len(expected) + 1
-            or _letter_terms(entries.get(cell)) != {(): 1}
-            or any(_letter_terms(entries.get(p)) != f for p, f in expected.items())
-        ):
+        expected = {cell: {(): 1}}
+        expected.update(
+            (p, terms[c]) for p, terms in zip(punctures, slot_terms) if terms[c]  # type: ignore[index]
+        )
+        if {lab: r.terms for lab, r in entries.items()} != expected:
             return NotInImage("cell images do not match the decoded braid")
     return BraidElement(tuple(words), tuple(perm))  # type: ignore[arg-type]
-
-
-def _letter_terms(r: RingElem | None) -> dict[tuple[int, ...], int] | None:
-    return None if r is None else {u.letters: n for u, n in r.terms.items()}
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
 """Integral group ring of a free group, and free modules over it.
 
-RingElem is a finitely supported map FreeWord -> nonzero int: an integer
-combination of group elements, i.e. a non-commutative Laurent polynomial
-once the rank is at least 2.  ModuleVec is a finitely supported map from
-sphere labels to RingElems; the modules it models are free, so all module
-arithmetic is entrywise.
+RingElem is a finitely supported map from reduced letter tuples (the
+letters of a FreeWord, the form the word kernel computes in) to nonzero
+ints: an integer combination of group elements, i.e. a non-commutative
+Laurent polynomial once the rank is at least 2.  ModuleVec is a finitely
+supported map from sphere labels to RingElems; the modules it models are
+free, so all module arithmetic is entrywise.
 
 Serialization uses shortlex term order so output is deterministic.
 """
@@ -14,15 +15,9 @@ import re
 from collections.abc import Iterable, Mapping
 from operator import itemgetter
 
+from . import words as _words
 from .errors import ParseError, clip
-from .words import (
-    FreeEndo,
-    FreeWord,
-    endo_apply,
-    format_word,
-    parse_word,
-    shortlex_key,
-)
+from .words import FreeEndo, FreeWord, format_word, parse_word, shortlex_key
 
 
 class SphereLabel(tuple):
@@ -86,7 +81,7 @@ def parse_label(text: str) -> SphereLabel:
 
 
 class RingElem:
-    """A finitely supported integer combination of reduced words."""
+    """Integer combination of reduced words: terms maps letter tuples to ints."""
 
     __slots__ = ("terms",)
 
@@ -95,22 +90,23 @@ class RingElem:
         terms: Mapping[FreeWord, int] | Iterable[tuple[FreeWord, int]] = (),
     ) -> None:
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[FreeWord, int] = {}
+        acc: dict[tuple[int, ...], int] = {}
         for w, c in items:
             if not isinstance(w, FreeWord):
                 raise ValueError(f"ring support must be FreeWord, got {w!r}")
             if not isinstance(c, int):
                 raise ValueError(f"coefficients must be int, got {c!r}")
-            n = acc.get(w, 0) + c
+            t = w.letters
+            n = acc.get(t, 0) + c
             if n:
-                acc[w] = n
+                acc[t] = n
             else:
-                acc.pop(w, None)
+                acc.pop(t, None)
         self.terms = acc
 
     @classmethod
-    def _wrap(cls, terms: dict[FreeWord, int]) -> "RingElem":
-        # Internal fast path: terms already canonical (no zeros).
+    def _wrap(cls, terms: dict[tuple[int, ...], int]) -> "RingElem":
+        # Internal fast path: reduced letter tuples, no zero coefficients.
         a = cls.__new__(cls)
         a.terms = terms
         return a
@@ -121,21 +117,22 @@ class RingElem:
 
     @classmethod
     def one(cls) -> "RingElem":
-        return cls.from_word(FreeWord())
+        return cls._wrap({(): 1})
 
     @classmethod
     def from_word(cls, w: FreeWord, c: int = 1) -> "RingElem":
-        return cls._wrap({w: c} if c else {})
+        return cls._wrap({w.letters: c} if c else {})
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
     def coefficient(self, u: FreeWord) -> int:
-        return self.terms.get(u, 0)
+        return self.terms.get(u.letters, 0)
 
     def items_shortlex(self) -> list[tuple[FreeWord, int]]:
-        return sorted(self.terms.items(), key=lambda t: shortlex_key(t[0]))
+        items = [(FreeWord._wrap(t), c) for t, c in self.terms.items()]
+        return sorted(items, key=lambda t: shortlex_key(t[0]))
 
     def max_support_len(self) -> int:
         return max((len(w) for w in self.terms), default=0)
@@ -189,10 +186,11 @@ class RingElem:
 def ring_mul(a: RingElem, b: RingElem) -> RingElem:
     """Convolution product: coefficient of w is the sum of a(u)b(v) over
     factorizations uv = w."""
-    acc: dict[FreeWord, int] = {}
+    concat = _words._kernel.concat   # looked up per call, so it can be wrapped
+    acc: dict[tuple[int, ...], int] = {}
     for u, cu in a.terms.items():
         for v, cv in b.terms.items():
-            w = u * v
+            w = concat(u, v)
             n = acc.get(w, 0) + cu * cv
             if n:
                 acc[w] = n
@@ -203,17 +201,19 @@ def ring_mul(a: RingElem, b: RingElem) -> RingElem:
 
 def ring_endo_apply(phi: FreeEndo, a: RingElem) -> RingElem:
     """Apply an endomorphism to every support word; collided images add."""
+    rank = phi.rank
+    for t in a.terms:
+        if t and (max(t) > rank or min(t) < -rank):
+            raise ValueError(
+                f"word uses generator {max(max(t), -min(t))} but endomorphism "
+                f"has rank {rank}"
+            )
     if phi.is_identity:
-        for w in a.terms:
-            if w.max_generator > phi.rank:
-                raise ValueError(
-                    f"word uses generator {w.max_generator} but endomorphism "
-                    f"has rank {phi.rank}"
-                )
         return a
-    acc: dict[FreeWord, int] = {}
-    for w, c in a.terms.items():
-        iw = endo_apply(phi, w)
+    substitute = _words._kernel.substitute
+    acc: dict[tuple[int, ...], int] = {}
+    for t, c in a.terms.items():
+        iw = substitute(phi._letters, t)
         n = acc.get(iw, 0) + c
         if n:
             acc[iw] = n

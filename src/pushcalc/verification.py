@@ -291,7 +291,7 @@ def _window_mismatch(
             col = (b, u)
             for l, r in c.sphere_part[b].entries.items():
                 for w, coef in r.terms.items():
-                    row = (l, w * su)
+                    row = (l, FreeWord._wrap(w) * su)
                     if t.has_row(row):
                         expected[(row, col)] = coef
     if t.entries == expected:

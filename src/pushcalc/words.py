@@ -10,8 +10,10 @@ by each word; applying a word to a context of too small a rank is an error
 at that boundary.
 
 The inner loops live in a small kernel module, pushcalc._purewords, bound
-here as ``_kernel``.  FreeWord and endo_apply look its functions up on that
-binding at call time, so a caller can wrap them (to count calls, say).
+here as ``_kernel``.  FreeWord, endo_apply and the modules that work on
+letter tuples directly (the ring products, the push cocycle) look its
+functions up on that binding at call time, so a caller can wrap them (to
+count calls, say).
 """
 from __future__ import annotations
 
@@ -53,22 +55,6 @@ class FreeWord:
         w._max_gen = -1
         w._hash = None
         return w
-
-    @classmethod
-    def _wrap_keys(cls, terms: dict[tuple[int, ...], int]) -> dict["FreeWord", int]:
-        # The same dict with each key, a reduced letter tuple, wrapped as a
-        # word.  The words are built inline with the hash filled in, since
-        # each is hashed as a key at once: a _wrap call per word and a
-        # first __hash__ call cost as much as the rest of the loop.
-        new = object.__new__
-        out = {}
-        for letters, n in terms.items():
-            w = new(cls)
-            w.letters = letters
-            w._max_gen = -1
-            w._hash = hash(letters)
-            out[w] = n
-        return out
 
     @property
     def is_identity(self) -> bool:

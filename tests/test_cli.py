@@ -362,8 +362,8 @@ def test_oversized_compose_refused_before_allocating(tmp_path):
 
 @pytest.mark.parametrize("g, radius", [(2, 1000), (1, 100_000_000)])
 def test_label_free_window_refused_before_listing_words(tmp_path, g, radius):
-    # No labels means no keys, but the window still lists every word of
-    # both balls: 2.6e477 of them at g = 2, 2e8 at g = 1.
+    # No labels means no keys, but the word balls are capped all the same:
+    # 2.6e477 words at g = 2, 2e8 at g = 1.
     path = tmp_path / "free.json"
     circles = [f"a{i}" for i in range(1, g + 1)]
     path.write_text(json.dumps(
@@ -376,16 +376,27 @@ def test_label_free_window_refused_before_listing_words(tmp_path, g, radius):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "\n", "")
 
 
-@pytest.mark.parametrize("argv", [
+_ENTRY_FORMS = {   # id suffix -> interpreter arguments
+    "": ("-m", "pushcalc"),
+    "-cli": ("-m", "pushcalc.cli"),
+    "-script": ("-c", "import sys; from pushcalc.cli import main; sys.exit(main())"),
+}
+_PIPE_ARGVS = [
     ("verify", "--suite", "ring", "--cases", "2"),   # still buffered at exit
     ("embed", "-g", "2", "-k", "1", "--slot", "1", "a1 a2", "--truncate", "2"),  # 55 KB
+]
+
+
+@pytest.mark.parametrize("entry, argv", [
+    pytest.param(entry, argv, id=f"argv{i}{suffix}")
+    for i, argv in enumerate(_PIPE_ARGVS) for suffix, entry in _ENTRY_FORMS.items()
 ])
-def test_closed_stdout_pipe_exits_without_traceback(argv):
+def test_closed_stdout_pipe_exits_without_traceback(entry, argv):
     read_end, write_end = os.pipe()
     os.close(read_end)   # the reader is gone before the first write
     try:
         proc = subprocess.run(
-            [sys.executable, "-m", "pushcalc", *argv],
+            [sys.executable, *entry, *argv],
             stdout=write_end, stderr=subprocess.PIPE, timeout=60,
         )
     finally:

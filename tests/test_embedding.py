@@ -1,7 +1,10 @@
 """Matrices of self-map classes: products by compose versus honest truncated windows."""
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -474,3 +477,62 @@ def test_embed_properties_list_no_ball(monkeypatch):
     # The counter works: a TSV lists both balls.
     to_tsv(materialize(push_alpha(), 0))
     assert sorted(calls) == [0, 1]
+
+
+def test_label_free_window_lists_no_word(monkeypatch):
+    listed = []
+
+    def counted(g, max_len):
+        listed.append(max_len)
+        return enumerate_words(g, max_len)
+
+    monkeypatch.setattr(embedding, "enumerate_words", counted)
+    free = SelfMapClass(WedgeSignature(2, ()), FreeEndo.identity(2), {})
+    t = materialize(free, 10)
+    assert to_tsv(t) == "\n"
+    assert listed == []
+    # The word cap still refuses the next radius, as with one label.
+    with pytest.raises(TooLarge, match="window of radius 11"):
+        materialize(free, 11)
+
+
+def test_window_repr_counts_the_balls():
+    t = materialize(rand_map(random.Random(7), SIG2), 2)
+    text = repr(t)
+    assert "rows" not in t.__dict__ and "cols" not in t.__dict__
+    assert text == (f"TruncatedMatrix(radius=2, rows={len(t.rows)}, "
+                    f"cols={len(t.cols)}, nonzero={len(t.entries)})")
+    free = materialize(SelfMapClass(WedgeSignature(1, ()), FreeEndo.identity(1), {}), 3)
+    assert repr(free) == "TruncatedMatrix(radius=3, rows=0, cols=0, nonzero=0)"
+
+
+_REFUSED_PRODUCT = """
+from pushcalc import embedding, errors, monoid, ring, words
+P1, T1, T2 = (ring.SphereLabel(*x) for x in (("p", 1), ("t", 1), ("t", 2)))
+sig = monoid.WedgeSignature(2, (P1, T1, T2))
+block = ring.RingElem([(words.parse_word(w), 1) for w in ("a1", "A1", "a2", "A2 a1")])
+spheres = {lab: ring.ModuleVec.unit(lab) for lab in sig.labels}
+spheres[P1] = ring.ModuleVec([(P1, block)])
+h = monoid.SelfMapClass(sig, words.FreeEndo.identity(2), spheres)
+try:
+    embedding.truncated_product(embedding.materialize(h, 0), embedding.materialize(h, 1))
+except errors.SizeMismatch as exc:
+    print(exc)
+"""
+
+
+def test_truncated_product_refusal_is_the_same_in_every_process():
+    # Labels hash through their kind strings, so the order of a set of
+    # missing keys changes with the hash seed; the example must not.  Under
+    # these three seeds a tie on length alone named a1, A1 and A2.
+    messages = {
+        subprocess.run(
+            [sys.executable, "-c", _REFUSED_PRODUCT], capture_output=True, text=True,
+            env={**os.environ, "PYTHONHASHSEED": seed}, timeout=60,
+        ).stdout
+        for seed in ("1", "6", "7")
+    }
+    assert messages == {
+        "left window lacks 25 middle-index columns, "
+        "e.g. (SphereLabel(kind='p', index=1), FreeWord('a1'))\n"
+    }

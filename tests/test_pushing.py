@@ -339,6 +339,15 @@ def random_model_cases():
         yield sig, rand_braid(rng, g, k, 8) if g else BraidElement.identity(k)
 
 
+def test_push_braid_terms_are_letter_tuples():
+    for sig, braid in random_model_cases():
+        h = push_braid(sig, braid)
+        for vec in h.sphere_part.values():
+            for r in vec.entries.values():
+                assert all(type(key) is tuple and all(type(x) is int for x in key)
+                           for key in r.terms)
+
+
 def test_push_braid_matches_fold_on_random_models():
     seen = {"empty row": 0, "repeated cell": 0, "prefix": 0, "non-orientable": 0}
     for sig, braid in random_model_cases():
@@ -458,7 +467,7 @@ def _recover_braid_by_round_trip(sig: PuncturedSignature, h: SelfMapClass):
             return NotInImage(f"image of p{i} lands on {lab}")
         if len(r.terms) != 1:
             return NotInImage(f"image of p{i} has {len(r.terms)} group terms")
-        (u, c), = r.terms.items()
+        (u, c), = r.items_shortlex()
         if c != char_sign(sig.model.character, u):
             return NotInImage(f"image of p{i} has coefficient {c}, expected a unit")
         j = lab.index
@@ -487,7 +496,8 @@ def _corruptions(rng: random.Random, sig: PuncturedSignature, h: SelfMapClass):
         hit = [lab for lab in entries if lab != cell]
         if hit:
             lab = rng.choice(hit)
-            u, n = rng.choice(sorted(entries[lab].terms.items(), key=lambda t: t[0].letters))
+            u, n = rng.choice(sorted(entries[lab].terms.items()))
+            u = FreeWord(u)
             yield "changed term", plus(cell, lab, u, rng.choice((1, -1, 2)))
             yield "removed term", plus(cell, lab, u, -n)
         if punctures:
@@ -501,7 +511,7 @@ def _corruptions(rng: random.Random, sig: PuncturedSignature, h: SelfMapClass):
     if punctures:
         p = rng.choice(punctures)
         (lab, r), = h.sphere(p).entries.items()
-        (u, n), = r.terms.items()
+        (u, n), = r.items_shortlex()
         yield "puncture sign", plus(p, lab, u, -2 * n)
 
 
