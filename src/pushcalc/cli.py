@@ -35,7 +35,7 @@ from .pushing import (
     push_word_closed,
     recover_braid,
 )
-from .ring import SphereLabel, format_ring, ring_to_json
+from .ring import format_ring, ring_to_json
 from .verification import SUITES, run_suite
 from .words import parse_word
 
@@ -98,14 +98,14 @@ def _signature(g: int, d: int, k: int) -> PuncturedSignature:
 def cmd_push_word(args: argparse.Namespace) -> int:
     sig = _signature(args.g, args.d, args.k)
     if args.matrix and not args.json:
-        _check_grid(args.g + args.k)
+        _check_grid(len(sig.wedge.labels))
     w = parse_word(args.word)
     h = push_word_closed(sig, w, args.slot)
     agrees = None
     if args.closed_form:
         agrees = push_word(sig, w, args.slot) == h
-        p_slot = SphereLabel("p", args.slot)
-        coefficients = [h.sphere(t).get(p_slot) for t in h.sig.labels[args.k:]]
+        p_slot = sig.punctures[args.slot - 1]
+        coefficients = [h.sphere(t).get(p_slot) for t in sig.cells]
     if args.json:
         obj: dict = {"map": self_map_to_json(h)}
         if args.matrix:

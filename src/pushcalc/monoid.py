@@ -252,7 +252,7 @@ def compose(outer: SelfMapClass, inner: SelfMapClass) -> SelfMapClass:
                     acc[l] = n
                 else:
                     acc.pop(l, None)
-        spheres[b] = ModuleVec(acc)
+        spheres[b] = ModuleVec._wrap(acc)   # nonzero entries on outer's labels
     return SelfMapClass._wrap(outer.sig, circ, spheres)
 
 

@@ -179,6 +179,13 @@ def _check_reflection_charge(target: TargetModel) -> None:
             )
 
 
+def _check_loop_rank(target: TargetModel, model: ManifoldModel) -> None:
+    """Every f class must give one loop image per loop of the model."""
+    rank = target.loop_rank
+    if rank not in (None, model.g):
+        raise SizeMismatch(f"f class gives {rank} loop images but the model has rank {model.g}")
+
+
 def act(
     model: ManifoldModel,
     target: TargetModel,
@@ -193,11 +200,8 @@ def act(
     """
     _require_hypothesis(model, "the braid action on map states")
     _check_state(target, state)
+    _check_loop_rank(target, model)
     f_words = target.f_classes[state.f]
-    if len(f_words) != model.g:
-        raise SizeMismatch(
-            f"f class gives {len(f_words)} loop images but the model has rank {model.g}"
-        )
     if braid.k != len(state.g_classes):
         raise SizeMismatch(
             f"braid on {braid.k} punctures applied to a state with "
@@ -255,13 +259,8 @@ def components_formula(target: TargetModel, model: ManifoldModel, k: int) -> int
             "the component-count formula requires an orientable model"
         )
     check_count("puncture count", k)
-    orbits = []
-    for f_words in target.f_classes:
-        if len(f_words) != model.g:
-            raise SizeMismatch(
-                f"f class gives {len(f_words)} loop images but rank is {model.g}"
-            )
-        orbits.append(_orbit_count(target, f_words) if k else 1)
+    _check_loop_rank(target, model)
+    orbits = [_orbit_count(target, f_words) if k else 1 for f_words in target.f_classes]
     # comb(c + k - 1, k) = comb(c + k - 1, c - 1) < (c + k - 1)**min(k, c - 1)
     bits = sum(min(k, c - 1) * (c + k - 1).bit_length() for c in orbits if c > 1)
     if bits > MAX_COUNT_BITS:
@@ -354,13 +353,10 @@ def components_bruteforce(
     m = len(target.charge)
     if m == 0 or n_f == 0:
         return 0
-    if k > 1 and target.loop_rank != model.g:
-        # act raises this for every generator; with g = 0 only the
+    if k > 1:
+        # act checks this for every generator; with g = 0 only the
         # transpositions exist, and they never reach act here.
-        raise SizeMismatch(
-            f"f class gives {target.loop_rank} loop images but the model "
-            f"has rank {model.g}"
-        )
+        _check_loop_rank(target, model)
     pos = {c: p for p, c in enumerate(target.charge)}
     identity = tuple(range(m))
     loops = [BraidElement((FreeWord((j,)),) * m, identity)

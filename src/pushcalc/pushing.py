@@ -132,7 +132,9 @@ class ManifoldModel:
 
 @dataclass(frozen=True)
 class PuncturedSignature:
-    """A manifold model with k punctures removed."""
+    """A manifold model with k punctures removed.
+
+    It owns the wedge's label order: punctures p1..pk, then cells t1..tg."""
 
     model: ManifoldModel
     k: int
@@ -141,13 +143,18 @@ class PuncturedSignature:
         check_count("puncture count", self.k)
         _check_model_size(self.model.g + self.k)   # before any label is built
 
+    # Cached in the instance __dict__, not in the fields: equality and hash are unchanged.
+    @functools.cached_property
+    def punctures(self) -> tuple[SphereLabel, ...]:
+        return tuple(SphereLabel("p", i) for i in range(1, self.k + 1))
+
+    @functools.cached_property
+    def cells(self) -> tuple[SphereLabel, ...]:
+        return tuple(SphereLabel("t", j) for j in range(1, self.model.g + 1))
+
     @functools.cached_property
     def wedge(self) -> WedgeSignature:
-        # Built once per signature; the cache lives in the instance __dict__,
-        # outside the dataclass fields, so equality and hash are unchanged.
-        labels = [SphereLabel("p", i) for i in range(1, self.k + 1)]
-        labels += [SphereLabel("t", j) for j in range(1, self.model.g + 1)]
-        return WedgeSignature(self.model.g, labels, self.model.d)
+        return WedgeSignature(self.model.g, self.punctures + self.cells, self.model.d)
 
 
 @dataclass(frozen=True)
@@ -231,31 +238,30 @@ def push_letter(sig: PuncturedSignature, letter: int, slot: int) -> SelfMapClass
     i = abs(letter)
     if not (isinstance(letter, int) and letter != 0 and i <= model.g):
         raise ValueError(f"letter {letter!r} outside rank {model.g}")
-    wsig = sig.wedge
     lw = FreeWord([letter])
     sgn = char_sign(model.character, lw)
-    p_slot = SphereLabel("p", slot)
-    spheres = {lab: ModuleVec.unit(lab) for lab in wsig.labels}
+    p_slot = sig.punctures[slot - 1]
+    spheres = {lab: ModuleVec.unit(lab) for lab in sig.wedge.labels}
     spheres[p_slot] = ModuleVec([(p_slot, RingElem.from_word(lw, sgn))])
     for cell, eps, prefix in model.crossings[i - 1]:
-        cell_lab = SphereLabel("t", cell)
+        cell_lab = sig.cells[cell - 1]
         if letter > 0:
             gain = RingElem.from_word(prefix, eps)
         else:
             gain = RingElem.from_word(lw * prefix, -eps * sgn)
         spheres[cell_lab] = spheres[cell_lab] + ModuleVec([(p_slot, gain)])
-    return SelfMapClass(wsig, FreeEndo.identity(model.g), spheres)
+    return SelfMapClass(sig.wedge, FreeEndo.identity(model.g), spheres)
 
 
 def push_sym(sig: PuncturedSignature, perm: tuple[int, ...]) -> SelfMapClass:
     """Class of the puncture permutation: p_i goes to p_{perm(i)}, rest fixed."""
     if sorted(perm) != list(range(sig.k)):
         raise SizeMismatch(f"perm {perm} is not a permutation of 0..{sig.k - 1}")
-    wsig = sig.wedge
-    spheres = {lab: ModuleVec.unit(lab) for lab in wsig.labels}
-    for i in range(sig.k):
-        spheres[SphereLabel("p", i + 1)] = ModuleVec.unit(SphereLabel("p", perm[i] + 1))
-    return SelfMapClass(wsig, FreeEndo.identity(sig.model.g), spheres)
+    punctures = sig.punctures
+    spheres = {lab: ModuleVec.unit(lab) for lab in sig.cells}
+    for i, j in enumerate(perm):
+        spheres[punctures[i]] = ModuleVec.unit(punctures[j])
+    return SelfMapClass(sig.wedge, FreeEndo.identity(sig.model.g), spheres)
 
 
 def push_word(sig: PuncturedSignature, w: FreeWord, slot: int) -> SelfMapClass:
@@ -349,9 +355,7 @@ def push_braid(sig: PuncturedSignature, braid: BraidElement) -> SelfMapClass:
         if w.max_generator > model.g:
             raise ValueError(f"word {w} exceeds rank {model.g}")
     pushes = [_slot_terms(model, w.letters) for w in braid.words]
-    wsig = sig.wedge
-    # wedge labels are sorted: p1..pk, then t1..tg
-    punctures, cells = wsig.labels[: sig.k], wsig.labels[sig.k:]
+    punctures, cells = sig.punctures, sig.cells
     spheres: dict[SphereLabel, ModuleVec] = {}
     for i, j in enumerate(braid.perm):
         spheres[punctures[i]] = ModuleVec._wrap(
@@ -363,7 +367,7 @@ def push_braid(sig: PuncturedSignature, braid: BraidElement) -> SelfMapClass:
             if terms[c]:
                 entries[lab] = RingElem._wrap(terms[c])
         spheres[cell] = ModuleVec._wrap(entries)
-    return SelfMapClass(wsig, FreeEndo.identity(model.g), spheres)
+    return SelfMapClass(sig.wedge, FreeEndo.identity(model.g), spheres)
 
 
 @dataclass(frozen=True)
@@ -393,8 +397,7 @@ def recover_braid(sig: PuncturedSignature, h: SelfMapClass) -> BraidElement | No
         return NotInImage("circle part is not the identity")
     model = sig.model
     k = sig.k
-    labels = sig.wedge.labels
-    punctures, cells = labels[:k], labels[k:]
+    punctures, cells = sig.punctures, sig.cells
     perm: list[int | None] = [None] * k
     words: list[FreeWord | None] = [None] * k
     slot_terms: list[list[dict[tuple[int, ...], int]] | None] = [None] * k

@@ -9,6 +9,7 @@ fails) before being reported.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import random
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -46,7 +47,7 @@ from .pushing import (
     push_word_closed,
     recover_braid,
 )
-from .ring import ModuleVec, RingElem, SphereLabel, augment, ring_endo_apply
+from .ring import ModuleVec, RingElem, augment, ring_endo_apply
 from .words import FreeEndo, FreeWord, endo_apply, endo_compose, enumerate_words
 
 SUITES = ("ring", "monoid", "embed", "push", "orbits", "all")
@@ -170,13 +171,6 @@ def _ring(spec: tuple) -> RingElem:
     return RingElem([(FreeWord(ls), c) for ls, c in spec])
 
 
-def _labels(g: int, k: int) -> tuple[SphereLabel, ...]:
-    return tuple(
-        [SphereLabel("p", i) for i in range(1, k + 1)]
-        + [SphereLabel("t", i) for i in range(1, g + 1)]
-    )
-
-
 def _rand_map_spec(rng: random.Random, g: int, k: int) -> tuple:
     n = g + k
     circ = tuple(_rand_letters(rng, g, 2) for _ in range(g))
@@ -189,22 +183,19 @@ def _rand_map_spec(rng: random.Random, g: int, k: int) -> tuple:
     return (g, k, circ, entries)
 
 
+@functools.cache   # the suites draw g <= 2 and k <= 2: a handful of wedges
+def _wedge(g: int, k: int) -> WedgeSignature:
+    return PuncturedSignature(ManifoldModel.default(g), k).wedge
+
+
 def _map(spec: tuple) -> SelfMapClass:
     g, k, circ, entries = spec
-    labels = _labels(g, k)
-    sig = WedgeSignature(g, labels)
-    rows: dict[int, dict[int, RingElem]] = {}
+    sig = _wedge(g, k)
+    labels = sig.labels
+    terms = {lab: [] for lab in labels}
     for src, tgt, ring_spec in entries:
-        row = rows.setdefault(src, {})
-        row[tgt] = row.get(tgt, RingElem.zero()) + _ring(ring_spec)
-    spheres = {
-        labels[src]: ModuleVec(
-            [(labels[tgt], r) for tgt, r in row.items()]
-        )
-        for src, row in rows.items()
-    }
-    for lab in labels:
-        spheres.setdefault(lab, ModuleVec([]))
+        terms[labels[src]].append((labels[tgt], _ring(ring_spec)))
+    spheres = {lab: ModuleVec(vec) for lab, vec in terms.items()}   # sums repeats
     return SelfMapClass(sig, FreeEndo([FreeWord(ls) for ls in circ]), spheres)
 
 

@@ -7,6 +7,7 @@ import json
 import os
 import random
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -915,3 +916,32 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "(a1, a1·p1, t1 + p1)\n"
+
+
+def readme_examples() -> list[tuple[list[str], str]]:
+    """argv and the text below it, for each `$ pushcalc` example in README.md."""
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    examples = []
+    for block in re.findall(r"^```\n(.*?)^```$", text, re.M | re.S):
+        for chunk in re.split(r"^\$ ", block, flags=re.M)[1:]:
+            command, _, output = chunk.partition("\n")
+            argv = shlex.split(command)
+            assert argv[0] == "pushcalc", command
+            examples.append((argv[1:], output.rstrip("\n") + "\n"))
+    return examples
+
+
+def test_readme_examples_print_what_they_show(capsys):
+    # Examples that read a file (the JSON inputs) are left out.
+    examples = [(argv, shown) for argv, shown in readme_examples()
+                if not any(arg.endswith(".json") for arg in argv)]
+    assert len(examples) >= 8
+    for argv, shown in examples:
+        _, out, err = run_cli(capsys, *argv)
+        # A line "..." elides the rest of the output: compare up to it.
+        lines = shown.splitlines(keepends=True)
+        elided = next((i for i, line in enumerate(lines) if line.strip() == "..."), None)
+        if elided is None:
+            assert out + err == shown, argv
+        else:
+            assert (out + err).startswith("".join(lines[:elided])), argv

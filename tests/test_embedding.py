@@ -536,3 +536,22 @@ def test_truncated_product_refusal_is_the_same_in_every_process():
         "left window lacks 25 middle-index columns, "
         "e.g. (SphereLabel(kind='p', index=1), FreeWord('a1'))\n"
     }
+
+
+def test_diagonal_check_lists_the_ball_only_for_a_reference_column(monkeypatch):
+    listed = []
+
+    def counted(g, max_len):
+        listed.append(max_len)
+        return enumerate_words(g, max_len)
+
+    monkeypatch.setattr(embedding, "enumerate_words", counted)
+    free = SelfMapClass(WedgeSignature(2, ()), FreeEndo.identity(2), {})
+    assert is_diagonally_constant(materialize(free, 10), free.circle_part)
+    assert listed == []
+    # A window with a nonzero reference column lists its column ball once.
+    h = push_alpha()
+    t = materialize(h, 2)
+    listed.clear()
+    assert is_diagonally_constant(t, h.circle_part)
+    assert listed == [2]

@@ -772,3 +772,20 @@ def test_orbit_counts_reject_bool():
         components_formula(target, hyp_model(1), True)
     with pytest.raises(ValueError, match="puncture count"):
         components_formula(target, hyp_model(1), False)
+
+
+def test_loop_rank_mismatch_reads_the_same_in_every_count():
+    # f classes of one loop image against a model with two loops
+    target = trivial_target(3, g=1)
+    model = hyp_model(2)
+    state = state_from_ids(target, 0, ["c0", "c1"])
+    messages = set()
+    for count in (
+        lambda: act(model, target, braid("e|e", (1, 0)), state),
+        lambda: components_formula(target, model, 2),
+        lambda: components_bruteforce(target, model, 2),
+    ):
+        with pytest.raises(SizeMismatch) as exc:
+            count()
+        messages.add(str(exc.value))
+    assert messages == {"f class gives 1 loop images but the model has rank 2"}

@@ -806,3 +806,33 @@ def test_push_braid_uses_the_wedge_labels():
     own = {id(lab) for lab in sig.wedge.labels}
     assert {id(lab) for lab in h.sphere_part} == own
     assert {id(lab) for vec in h.sphere_part.values() for lab in vec.entries} <= own
+
+
+def test_signature_owns_the_label_order():
+    for g, k in [(0, 1), (1, 0), (2, 3), (3, 11)]:
+        sig = PuncturedSignature(ManifoldModel.default(g), k)
+        assert sig.punctures == tuple(SphereLabel("p", i) for i in range(1, k + 1))
+        assert sig.cells == tuple(SphereLabel("t", j) for j in range(1, g + 1))
+        assert sig.punctures + sig.cells == sig.wedge.labels
+        assert sig.punctures is sig.punctures and sig.cells is sig.cells
+
+
+def test_pushes_build_no_label_once_the_signature_has_them(monkeypatch):
+    sig = PuncturedSignature(ManifoldModel.default(2), 3)
+    assert sig.wedge.labels   # fills the label caches
+    b = parse_braid("[a1 A2 | a2^2 | e ; (1 3 2)]")
+    built = []
+    original = SphereLabel.__new__
+
+    def counted(cls, kind, index):
+        built.append((kind, index))
+        return original(cls, kind, index)
+
+    monkeypatch.setattr(SphereLabel, "__new__", staticmethod(counted))
+    assert SphereLabel("p", 1) == ("p", 1) and built == [("p", 1)]   # the counter works
+    built.clear()
+    push_letter(sig, 1, 2)
+    push_letter(sig, -2, 3)
+    push_sym(sig, (2, 0, 1))
+    assert recover_braid(sig, push_braid(sig, b)) == b
+    assert built == []
