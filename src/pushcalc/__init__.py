@@ -38,7 +38,6 @@ from .monoid import (
     self_map_from_json,
     self_map_to_json,
     top_homology_matrix,
-    verify_inverse,
 )
 from .orbits import (
     MapState,
@@ -46,10 +45,7 @@ from .orbits import (
     act,
     components_bruteforce,
     components_formula,
-    state_from_ids,
-    state_ids,
     target_from_json,
-    target_to_json,
 )
 from .pushing import (
     BraidElement,
@@ -57,14 +53,12 @@ from .pushing import (
     ManifoldModel,
     NotInImage,
     PuncturedSignature,
-    braid_inverse,
     braid_mul,
     format_braid,
     kernel_report,
     parse_braid,
     push_braid,
     push_letter,
-    push_sym,
     push_word,
     push_word_closed,
     recover_braid,
@@ -89,7 +83,6 @@ from .words import (
     endo_compose,
     enumerate_words,
     format_word,
-    generator,
     parse_word,
 )
 
@@ -122,7 +115,6 @@ __all__ = [
     "WedgeSignature",
     "act",
     "augment",
-    "braid_inverse",
     "braid_mul",
     "char_sign",
     "compose",
@@ -133,7 +125,6 @@ __all__ = [
     "enumerate_words",
     "format_braid",
     "format_word",
-    "generator",
     "identity_map",
     "is_diagonally_constant",
     "kernel_report",
@@ -143,7 +134,6 @@ __all__ = [
     "parse_word",
     "push_braid",
     "push_letter",
-    "push_sym",
     "push_word",
     "push_word_closed",
     "recover_braid",
@@ -154,11 +144,7 @@ __all__ = [
     "run_suite",
     "self_map_from_json",
     "self_map_to_json",
-    "state_from_ids",
-    "state_ids",
     "target_from_json",
-    "target_to_json",
     "top_homology_matrix",
     "truncated_product",
-    "verify_inverse",
 ]

@@ -203,10 +203,8 @@ def cmd_embed(args: argparse.Namespace) -> int:
 
 def cmd_recover(args: argparse.Namespace) -> int:
     h = self_map_from_json(_load_json(args.map))
-    g = h.sig.g
     k = sum(1 for lab in h.sig.labels if lab.kind == "p")
-    sig = PuncturedSignature(ManifoldModel.default(g, h.sig.d), k)
-    got = recover_braid(sig, h)
+    got = recover_braid(_signature(h.sig.g, h.sig.d, k), h)
     if isinstance(got, NotInImage):
         return _die("not-in-image", got.reason)
     if args.json:

@@ -54,7 +54,7 @@ class TruncatedMatrix:
     The window is held as the two radii alone: has_row and has_col test
     membership arithmetically, and rows and cols, the two balls listed in
     window order, are built only when read (to_tsv, a mismatch report).
-    The constructor rejects entries outside the window and non-int values.
+    entries holds only the nonzero int entries, all inside the window.
     """
 
     def __init__(
@@ -67,23 +67,7 @@ class TruncatedMatrix:
         self.sig = sig
         self.radius = radius
         self.row_radius = row_radius
-        for (r, c), v in entries.items():
-            if not self.has_row(r) or not self.has_col(c):
-                raise ValueError(f"entry at ({r},{c}) outside the window")
-            if not isinstance(v, int):
-                raise ValueError(f"entries must be int, got {v!r}")
-        self.entries = {key: v for key, v in entries.items() if v}
-
-    @classmethod
-    def _wrap(cls, sig: WedgeSignature, radius: int, row_radius: int,
-              entries: dict[tuple[IndexKey, IndexKey], int]) -> "TruncatedMatrix":
-        # Internal fast path for nonzero int entries already inside the window.
-        t = cls.__new__(cls)
-        t.sig = sig
-        t.radius = radius
-        t.row_radius = row_radius
-        t.entries = entries
-        return t
+        self.entries = entries
 
     @functools.cached_property
     def rows(self) -> tuple[IndexKey, ...]:
@@ -185,7 +169,7 @@ def materialize(
     row_cap = min(MAX_WINDOW_ROWS, cells // max(n_cols, 1))
     if count_words(h.sig.g, row_radius, row_cap // per_word) is None:
         raise too_large(f"window of radius {radius} with rows to radius {row_radius}")
-    return TruncatedMatrix._wrap(h.sig, radius, row_radius, entries)
+    return TruncatedMatrix(h.sig, radius, row_radius, entries)
 
 
 def is_diagonally_constant(t: TruncatedMatrix, slope: FreeEndo) -> bool:
@@ -250,7 +234,7 @@ def truncated_product(ta: TruncatedMatrix, tb: TruncatedMatrix) -> TruncatedMatr
                 entries[key] = n
             else:
                 del entries[key]
-    return TruncatedMatrix._wrap(ta.sig, tb.radius, ta.row_radius, entries)
+    return TruncatedMatrix(ta.sig, tb.radius, ta.row_radius, entries)
 
 
 def to_tsv(t: TruncatedMatrix) -> str:

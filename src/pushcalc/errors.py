@@ -50,9 +50,18 @@ class HypothesisViolation(PushcalcError, ValueError):
 
 
 class TooLarge(PushcalcError, ValueError):
-    """An input would exceed a size guard: the brute-force state count, the
-    parsed word length, the truncated window size, the g + k of a
-    punctured model, or the case count of a verify run."""
+    """An input would exceed a size guard.  The message states the value of
+    the cap it would pass; the caps, by module, are:
+
+    - pushing: MAX_MODEL_SIZE (g + k) and MAX_KERNEL_WORK (kernel sweep);
+    - words: MAX_WORD_LETTERS (a parsed word, or a braid's slot words);
+    - monoid: MAX_COMPOSE_LETTERS and MAX_COMPOSE_PRODUCT_LETTERS (compose);
+    - embedding: MAX_WINDOW_ROWS (truncated window);
+    - orbits: DEFAULT_MAX_STATES (brute-force states, or PUSHCALC_MAX_STATES)
+      and MAX_COUNT_BITS (formula count);
+    - verification: MAX_CASES (cases of a verify run);
+    - cli: MAX_JSON_INT_DIGITS (JSON integers) and TSV_MAX_CELLS (block grid).
+    """
 
     code = "too-large"
 

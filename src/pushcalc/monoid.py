@@ -270,14 +270,6 @@ def top_homology_matrix(h: SelfMapClass) -> list[list[int]]:
     ]
 
 
-def verify_inverse(h1: SelfMapClass, h2: SelfMapClass) -> bool:
-    """True iff h1 and h2 compose to the identity in both orders."""
-    if h1.sig != h2.sig:
-        raise SignatureMismatch("candidate inverses must share a signature")
-    ident = identity_map(h1.sig)
-    return compose(h1, h2) == ident and compose(h2, h1) == ident
-
-
 def format_self_map(h: SelfMapClass) -> str:
     """Tuple rendering: circle images, then each sphere image led by its
     own label, e.g. '(a1, a1·p1, t1 + p1)'."""

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 from math import comb
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import (
     HypothesisViolation,
@@ -118,12 +118,6 @@ class TargetModel:
         """Number of loop images each f candidate provides, None if no candidates."""
         return len(self.f_classes[0]) if self.f_classes else None
 
-    def index_of(self, class_id: object) -> int:
-        try:
-            return self.classes.index(class_id)
-        except ValueError:
-            raise ValueError(f"unknown class id {clip(repr(class_id))}") from None
-
 
 @dataclass(frozen=True)
 class MapState:
@@ -134,16 +128,6 @@ class MapState:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "g_classes", tuple(self.g_classes))
-
-
-def state_from_ids(target: TargetModel, f: int, ids: Iterable[object]) -> MapState:
-    """Build a MapState from class ids instead of indices."""
-    return MapState(f, tuple(target.index_of(c) for c in ids))
-
-
-def state_ids(target: TargetModel, state: MapState) -> tuple[object, ...]:
-    """The class ids carried by a state, in puncture order."""
-    return tuple(target.classes[i] for i in state.g_classes)
 
 
 def _check_state(target: TargetModel, state: MapState) -> None:
@@ -370,21 +354,6 @@ def components_bruteforce(
         ]
         total += _component_count(m, k, tables)
     return total
-
-
-def target_to_json(target: TargetModel) -> dict:
-    """JSON form: permutations and the charge are written with class ids."""
-    return {
-        "pi1_gens": target.pi1_gens,
-        "classes": list(target.classes),
-        "action": {
-            f"a{j + 1}": [target.classes[i] for i in perm]
-            for j, perm in enumerate(target.action)
-        },
-        "reflection": [target.classes[i] for i in target.reflection],
-        "charge": [target.classes[i] for i in target.charge],
-        "f_classes": [[str(w) for w in ws] for ws in target.f_classes],
-    }
 
 
 _ID_KINDS = "class ids must be JSON strings, numbers or null"

@@ -179,10 +179,6 @@ class BraidElement:
     def k(self) -> int:
         return len(self.words)
 
-    @classmethod
-    def identity(cls, k: int) -> "BraidElement":
-        return cls(tuple(FreeWord() for _ in range(k)), tuple(range(k)))
-
     @property
     def is_identity(self) -> bool:
         return all(w.is_identity for w in self.words) and self.perm == tuple(
@@ -209,13 +205,6 @@ def braid_mul(a: BraidElement, b: BraidElement) -> BraidElement:
     words = tuple(a.words[i] * b.words[inv[i]] for i in range(a.k))
     perm = tuple(a.perm[b.perm[i]] for i in range(a.k))
     return BraidElement(words, perm)
-
-
-def braid_inverse(a: BraidElement) -> BraidElement:
-    """Two-sided inverse under braid_mul: slot i carries the inverse of
-    the word that braid_mul would route into slot i."""
-    words = tuple(~a.words[a.perm[i]] for i in range(a.k))
-    return BraidElement(words, _inverse_perm(a.perm))
 
 
 def _check_slot(sig: PuncturedSignature, slot: int) -> None:
@@ -251,17 +240,6 @@ def push_letter(sig: PuncturedSignature, letter: int, slot: int) -> SelfMapClass
             gain = RingElem.from_word(lw * prefix, -eps * sgn)
         spheres[cell_lab] = spheres[cell_lab] + ModuleVec([(p_slot, gain)])
     return SelfMapClass(sig.wedge, FreeEndo.identity(model.g), spheres)
-
-
-def push_sym(sig: PuncturedSignature, perm: tuple[int, ...]) -> SelfMapClass:
-    """Class of the puncture permutation: p_i goes to p_{perm(i)}, rest fixed."""
-    if sorted(perm) != list(range(sig.k)):
-        raise SizeMismatch(f"perm {perm} is not a permutation of 0..{sig.k - 1}")
-    punctures = sig.punctures
-    spheres = {lab: ModuleVec.unit(lab) for lab in sig.cells}
-    for i, j in enumerate(perm):
-        spheres[punctures[i]] = ModuleVec.unit(punctures[j])
-    return SelfMapClass(sig.wedge, FreeEndo.identity(sig.model.g), spheres)
 
 
 def push_word(sig: PuncturedSignature, w: FreeWord, slot: int) -> SelfMapClass:

@@ -123,13 +123,6 @@ class RingElem:
     def from_word(cls, w: FreeWord, c: int = 1) -> "RingElem":
         return cls._wrap({w.letters: c} if c else {})
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coefficient(self, u: FreeWord) -> int:
-        return self.terms.get(u.letters, 0)
-
     def items_shortlex(self) -> list[tuple[FreeWord, int]]:
         items = [(FreeWord._wrap(t), c) for t, c in self.terms.items()]
         return sorted(items, key=lambda t: shortlex_key(t[0]))
@@ -229,7 +222,7 @@ def augment(a: RingElem) -> int:
 
 def format_ring(a: RingElem) -> str:
     """Human-readable form in shortlex term order, e.g. '1 + 2 a1 - a2'."""
-    if a.is_zero:
+    if not a:
         return "0"
     parts: list[str] = []
     for w, c in a.items_shortlex():

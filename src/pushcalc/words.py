@@ -114,15 +114,6 @@ class FreeWord:
 IDENTITY = FreeWord()
 
 
-def generator(i: int, sign: int = 1) -> FreeWord:
-    """The generator with index i (or its inverse for sign = -1)."""
-    if i < 1:
-        raise ValueError(f"generator index must be >= 1, got {i}")
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    return FreeWord._wrap((i * sign,))
-
-
 def shortlex_key(u: FreeWord) -> tuple:
     """Sort key: by length, then letterwise with a1 < A1 < a2 < A2 < ...."""
     # One int per letter, 2i for a_i and 2i + 1 for A_i: the same order as
@@ -182,9 +173,6 @@ class FreeEndo:
     @property
     def is_identity(self) -> bool:
         return self._is_id
-
-    def __call__(self, u: FreeWord) -> FreeWord:
-        return endo_apply(self, u)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FreeEndo):

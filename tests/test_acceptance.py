@@ -17,7 +17,6 @@ from pushcalc.monoid import (
     WedgeSignature,
     compose,
     top_homology_matrix,
-    verify_inverse,
 )
 from pushcalc.orbits import (
     MapState,
@@ -41,6 +40,8 @@ from pushcalc.pushing import (
 from pushcalc.ring import ModuleVec, RingElem, SphereLabel
 from pushcalc.verification import run_suite
 from pushcalc.words import FreeEndo, FreeWord, endo_apply, enumerate_words, parse_word
+
+from _helpers import coefficient, verify_inverse
 
 A = parse_word("a1")
 P1 = SphereLabel("p", 1)
@@ -200,9 +201,8 @@ def test_criterion_5_embedding_and_truncation():
             def honest(row, col):
                 # block (l, b) of c's matrix is the l-component of c's image of b
                 (lab_r, v), (lab_c, u) = row, col
-                return c.sphere_part[lab_c].get(lab_r).coefficient(
-                    v * ~endo_apply(c.circle_part, u)
-                )
+                return coefficient(c.sphere_part[lab_c].get(lab_r),
+                                   v * ~endo_apply(c.circle_part, u))
 
             for (row, col), value in prod.entries.items():
                 assert value == honest(row, col)

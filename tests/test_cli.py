@@ -757,9 +757,8 @@ def test_echoed_input_is_clipped(tmp_path, monkeypatch, capsys, argv, files, cod
     lambda: parse_braid("[a1 ; " + "x" * 5000 + "]"),
     lambda: parse_braid("[a1 ; (" + _LONG + ")]"),
     lambda: target_from_json({**TRIVIAL_TARGET, "charge": ["w" * 5000]}),
-    lambda: target_from_json(TRIVIAL_TARGET).index_of("w" * 5000),
     lambda: check_count("cases", "x" * 5000),
-], ids=["word", "label", "braid", "perm", "cycle", "target-id", "index-of", "count"])
+], ids=["word", "label", "braid", "perm", "cycle", "target-id", "count"])
 def test_library_errors_clip_echoed_input(call):
     with pytest.raises(ValueError) as info:
         call()

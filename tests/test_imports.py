@@ -1,4 +1,4 @@
-"""Every name a source or test file imports is used in that file."""
+"""Every name a source, test or benchmark file imports is used in that file."""
 from __future__ import annotations
 
 import ast
@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").glob("*.py")])
+FILES = sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").glob("*.py"),
+                *(ROOT / "perfbench").glob("*.py")])
 
 
 def unused_imports(source: str) -> list[str]:

@@ -17,12 +17,11 @@ from pushcalc.monoid import (
     self_map_from_json,
     self_map_to_json,
     top_homology_matrix,
-    verify_inverse,
 )
 from pushcalc.ring import ModuleVec, RingElem, SphereLabel, ring_mul
-from pushcalc.words import FreeEndo, FreeWord, parse_word
+from pushcalc.words import FreeEndo, FreeWord, endo_apply, parse_word
 
-from _helpers import rand_word
+from _helpers import rand_word, verify_inverse
 
 P1 = SphereLabel("p", 1)
 T1 = SphereLabel("t", 1)
@@ -287,7 +286,7 @@ def test_compose_functorialities():
         a, b = rand_map(rng, sig2), rand_map(rng, sig2)
         ab = compose(a, b)
         assert ab.circle_part == FreeEndo(
-            [a.circle_part(w) for w in b.circle_part.images]
+            [endo_apply(a.circle_part, w) for w in b.circle_part.images]
         )
         ma, mb = top_homology_matrix(a), top_homology_matrix(b)
         prod = [

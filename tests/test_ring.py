@@ -63,8 +63,8 @@ def test_construction_prunes_zeros():
     a = RingElem([(parse_word("a1"), 2), (parse_word("a1"), -2), (IDENTITY, 3)])
     assert a == RingElem.from_word(IDENTITY, 3)
     assert not RingElem.from_word(IDENTITY, 0)
-    assert RingElem.zero().is_zero
-    assert RingElem.from_word(parse_word("a1"), 0).is_zero
+    assert not RingElem.zero()
+    assert not RingElem.from_word(parse_word("a1"), 0)
     with pytest.raises(ValueError):
         RingElem([("a1", 1)])  # type: ignore[list-item]
 
@@ -130,7 +130,7 @@ def test_endo_apply_on_ring():
     a1 = RingElem.from_word(parse_word("a1"))
     inv = RingElem.from_word(parse_word("A1"))
     assert ring_endo_apply(collapse, a1 + inv) == RingElem.from_word(IDENTITY, 2)
-    assert ring_endo_apply(collapse, a1 - RingElem.one()).is_zero
+    assert not ring_endo_apply(collapse, a1 - RingElem.one())
 
     rng = random.Random(74)
     for _ in range(100):
@@ -160,16 +160,6 @@ def test_augment_is_a_ring_homomorphism():
         assert augment(a + b) == augment(a) + augment(b)
         assert augment(ring_mul(a, b)) == augment(a) * augment(b)
     assert augment(RingElem.one()) == 1
-
-
-def test_coefficient_lookup():
-    one = RingElem.one()
-    al = RingElem.from_word(parse_word("a1"))
-    sq = ring_mul(one + al, one + al)
-    assert sq.coefficient(parse_word("a1")) == 2
-    assert sq.coefficient(IDENTITY) == 1
-    assert sq.coefficient(parse_word("a1^2")) == 1
-    assert sq.coefficient(parse_word("a2")) == 0
 
 
 def test_ring_json_round_trip():
@@ -271,7 +261,7 @@ def test_module_vec_arithmetic():
     t1 = SphereLabel("t", 1)
     v = ModuleVec.unit(t1) + ModuleVec.unit(p1)
     assert v.get(p1) == RingElem.one()
-    assert v.get(SphereLabel("p", 2)).is_zero
+    assert not v.get(SphereLabel("p", 2))
     assert v + ModuleVec([(p1, -RingElem.one())]) == ModuleVec.unit(t1)
     assert not ModuleVec.zero()
 
