@@ -16,6 +16,7 @@ the closed forms in pushcalc.pushing.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -66,6 +67,12 @@ class WedgeSignature:
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "label_set", label_set)
 
+    # Cached in the instance __dict__ like label_set; FreeEndo is immutable, so
+    # every identity class and push on this signature shares the one object.
+    @functools.cached_property
+    def identity_endo(self) -> FreeEndo:
+        return FreeEndo.identity(self.g)
+
 
 class SelfMapClass:
     """Circle endomorphism plus the module image of every basis sphere."""
@@ -115,8 +122,16 @@ class SelfMapClass:
         circle_part: FreeEndo,
         sphere_part: dict[SphereLabel, ModuleVec],
     ) -> "SelfMapClass":
-        # Internal fast path for data already known to satisfy the
-        # signature (composites of validated maps).
+        # Trusted fast path: no check runs.  Its only callers establish the
+        # class by their own checks, and a tier-1 test re-validates each
+        # one's output (tests/test_trusted_constructor.py lists them).
+        # compose: a composite of validated maps on one signature.
+        # push_braid: the circle part is the wedge's identity_endo; keys and
+        # targets are the wedge's own puncture and cell labels;
+        # every label has an image, since braid.perm is a permutation
+        # (BraidElement checks it) and every cell is written; each term is a
+        # prefix of a rank-checked slot word, possibly joined to a crossing
+        # prefix, whose rank ManifoldModel checked.
         h = cls.__new__(cls)
         h.sig = sig
         h.circle_part = circle_part
@@ -145,7 +160,7 @@ def identity_map(sig: WedgeSignature) -> SelfMapClass:
     """The class of the identity map: identity endo, unit sphere images."""
     return SelfMapClass(
         sig,
-        FreeEndo.identity(sig.g),
+        sig.identity_endo,
         {lab: ModuleVec.unit(lab) for lab in sig.labels},
     )
 

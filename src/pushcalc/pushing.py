@@ -44,7 +44,6 @@ from .monoid import SelfMapClass, WedgeSignature, compose, identity_map
 from .ring import ModuleVec, RingElem, SphereLabel
 from .words import (
     MAX_WORD_LETTERS,
-    FreeEndo,
     FreeWord,
     char_sign,
     count_words,
@@ -239,7 +238,7 @@ def push_letter(sig: PuncturedSignature, letter: int, slot: int) -> SelfMapClass
         else:
             gain = RingElem.from_word(lw * prefix, -eps * sgn)
         spheres[cell_lab] = spheres[cell_lab] + ModuleVec([(p_slot, gain)])
-    return SelfMapClass(sig.wedge, FreeEndo.identity(model.g), spheres)
+    return SelfMapClass(sig.wedge, sig.wedge.identity_endo, spheres)
 
 
 def push_word(sig: PuncturedSignature, w: FreeWord, slot: int) -> SelfMapClass:
@@ -325,6 +324,12 @@ def push_braid(sig: PuncturedSignature, braid: BraidElement) -> SelfMapClass:
     push_braid(braid_mul(a, b)) = compose(push_braid(a), push_braid(b)).
     Each F_c dict is a cell entry's terms as it is.  The letterwise fold
     push_word is only the oracle the tests compare this with.
+
+    The class is built with the trusted SelfMapClass._wrap: the checks
+    here (braid size, slot word rank), BraidElement's permutation check
+    and ManifoldModel's crossing-prefix rank check already establish
+    everything SelfMapClass's constructor would check again, and the
+    circle part is the signature's shared identity_endo.
     """
     if braid.k != sig.k:
         raise SizeMismatch(f"braid has {braid.k} slots, signature has {sig.k}")
@@ -345,7 +350,7 @@ def push_braid(sig: PuncturedSignature, braid: BraidElement) -> SelfMapClass:
             if terms[c]:
                 entries[lab] = RingElem._wrap(terms[c])
         spheres[cell] = ModuleVec._wrap(entries)
-    return SelfMapClass(sig.wedge, FreeEndo.identity(model.g), spheres)
+    return SelfMapClass._wrap(sig.wedge, sig.wedge.identity_endo, spheres)
 
 
 @dataclass(frozen=True)
@@ -459,10 +464,11 @@ def _braid_count(ball_size: int, k: int, cap: int) -> int | None:
 
 
 # Cap on the estimated work of one kernel sweep (_sweep_work).  On a 2-CPU
-# Xeon a unit took 3-7 us over 22 shapes tried (many labels, many slots,
-# long words), so a sweep just under the cap answers in under 10 s.
-# Without it `kernel -g 1 -k 19999` (20,000 braids over 20,000 labels)
-# would have run about 1.8 h, `-g 3 -k 1 --max-len 1000` about 12 min, and
+# Xeon a unit took 0.7-4.5 us of CPU over 22 shapes tried (many labels,
+# many slots, long words), and three `kernel` runs just under the cap took
+# 3.6-4.3 s, so a sweep under the cap answers in under 5 s.  Without it
+# `kernel -g 1 -k 19999` (20,000 braids over 20,000 labels) would run
+# about 1.7 h, `-g 3 -k 1 --max-len 1000` about 4 min, and
 # `-g 3 -k 1 --max-len 13 --max-braids 1000000000000` listed 1.8e9 words
 # into a MemoryError; each is estimated at over 10**8 units.  The default
 # 20,000-braid sample with --max-len 4 answers up to g = k = 7 (780,000).

@@ -32,6 +32,14 @@ def verify_inverse(h1: SelfMapClass, h2: SelfMapClass) -> bool:
     return compose(h1, h2) == ident and compose(h2, h1) == ident
 
 
+def assert_revalidates(h: SelfMapClass) -> None:
+    """The slow oracle of a class built by the trusted SelfMapClass._wrap:
+    the validating constructor accepts its data and gives the same class,
+    and its keys are in the dense label order that constructor writes."""
+    assert SelfMapClass(h.sig, h.circle_part, dict(h.sphere_part)) == h
+    assert list(h.sphere_part) == list(h.sig.labels)
+
+
 def identity_braid(k: int) -> BraidElement:
     return BraidElement((FreeWord(),) * k, tuple(range(k)))
 

@@ -21,7 +21,7 @@ from pushcalc.monoid import (
 from pushcalc.ring import ModuleVec, RingElem, SphereLabel, ring_mul
 from pushcalc.words import FreeEndo, FreeWord, endo_apply, parse_word
 
-from _helpers import rand_word, verify_inverse
+from _helpers import assert_revalidates, rand_word, verify_inverse
 
 P1 = SphereLabel("p", 1)
 T1 = SphereLabel("t", 1)
@@ -277,6 +277,17 @@ def test_associativity_random():
         for _ in range(60):
             a, b, c = (rand_map(rng, sig) for _ in range(3))
             assert compose(a, compose(b, c)) == compose(compose(a, b), c)
+
+
+def test_compose_output_passes_revalidation():
+    # compose builds its class with the trusted SelfMapClass._wrap; the
+    # validating constructor must accept every composite it returns.
+    rng = random.Random(86)
+    for sig in (SIG1, WedgeSignature(2, (P1, T1, T2)), WedgeSignature(2, ())):
+        for _ in range(40):
+            a, b = rand_map(rng, sig), rand_map(rng, sig)
+            for h in (compose(a, b), compose(b, a), compose(identity_map(sig), a)):
+                assert_revalidates(h)
 
 
 def test_compose_functorialities():

@@ -42,6 +42,7 @@ from pushcalc.ring import ModuleVec, RingElem, SphereLabel
 from pushcalc.words import FreeEndo, FreeWord, IDENTITY, char_sign, parse_word
 
 from _helpers import (
+    assert_revalidates,
     braid_inverse,
     identity_braid,
     push_sym,
@@ -366,6 +367,55 @@ def test_push_braid_matches_fold_on_random_models():
         seen["non-orientable"] += -1 in model.character
         assert push_braid(sig, braid) == _push_braid_by_fold(sig, braid)
     assert min(seen.values()) >= 20, seen
+
+
+def test_push_braid_output_passes_revalidation(monkeypatch):
+    # push_braid builds its class with the trusted SelfMapClass._wrap; the
+    # validating constructor must accept every class it returns, on
+    # crossing data with prefixes, repeated cells and non-orientable loops.
+    for sig, braid in random_model_cases():
+        h = push_braid(sig, braid)
+        assert h.sig is sig.wedge
+        assert_revalidates(h)
+    import pushcalc.pushing as pushing
+    checked = []
+
+    def revalidated(sig, braid):
+        h = push_braid(sig, braid)
+        assert_revalidates(h)
+        checked.append(braid)
+        return h
+
+    monkeypatch.setattr(pushing, "push_braid", revalidated)
+    model = ManifoldModel(g=2, d=3, character=(1, -1), crossings=(
+        ((2, -1, parse_word("a2")), (1, 1, IDENTITY)), ((2, 1, parse_word("A1")),)))
+    for sig in (SIG22, PuncturedSignature(model, 3)):
+        checked.clear()
+        assert kernel_report(sig, 3, 200, seed=7).passed
+        assert len(checked) == 200
+
+
+def test_push_braid_shares_the_identity_circle_part(monkeypatch):
+    sig = PuncturedSignature(ManifoldModel.default(2), 3)
+    braids = [parse_braid(t) for t in
+              ("[a1 A2 | a2^2 | e ; (1 3 2)]", "[e | e | e ; id]", "[A1 | a1 a2 | A2 ; (1 2)]")]
+    first = push_braid(sig, braids[0])
+    built = []
+    original = FreeEndo.__init__
+
+    def counted(self, images):
+        built.append(self)
+        original(self, images)
+
+    monkeypatch.setattr(FreeEndo, "__init__", counted)
+    FreeEndo([])
+    assert len(built) == 1   # the counter works
+    built.clear()
+    for b in braids:
+        assert push_braid(sig, b).circle_part is first.circle_part
+    assert built == []
+    assert first.circle_part is identity_map(sig.wedge).circle_part
+    assert first.circle_part == FreeEndo.identity(2)
 
 
 def test_push_braid_errors():
