@@ -29,7 +29,7 @@ from .errors import (
     clip,
 )
 from .pushing import BraidElement, ManifoldModel, _inverse_perm
-from .words import FreeWord, char_sign, endo_apply, FreeEndo, parse_word
+from .words import FreeWord, parse_word
 
 DEFAULT_MAX_STATES = 1_000_000
 
@@ -57,6 +57,10 @@ class TargetModel:
     lists, for each candidate f, the images of the model loops as words in
     the pi_1(X) generators.  charge_set, the charge as a frozenset, and
     inv_action, the inverse permutations, are built once, outside the fields.
+
+    A braid moves a puncture's class letter by letter (see act).  When the
+    reflection commutes with the action, the component counts are orbit
+    counts of the paper's action.
     """
 
     pi1_gens: int
@@ -154,15 +158,6 @@ def _apply_pi1_word(target: TargetModel, w: FreeWord, idx: int) -> int:
     return idx
 
 
-def _check_reflection_charge(target: TargetModel) -> None:
-    for i in target.charge:
-        if target.reflection[i] not in target.charge_set:
-            raise ValueError(
-                "charge is not closed under the reflection, required for "
-                "non-orientable models"
-            )
-
-
 def _check_loop_rank(target: TargetModel, model: ManifoldModel) -> None:
     """Every f class must give one loop image per loop of the model."""
     rank = target.loop_rank
@@ -178,9 +173,12 @@ def act(
 ) -> MapState:
     """Left action of a braid on a map state.
 
-    Puncture i receives the class of puncture perm^-1(i), pushed by the
-    f-image of the slot-i loop word and reflected when that word reverses
-    orientation.
+    Puncture i receives the class of puncture perm^-1(i), moved by the
+    slot-i loop word one letter at a time, last letter first: a_j reflects
+    when c(a_j) = -1, then acts by f(a_j), and A_j undoes that step.  This
+    is a group action on every target.  When the reflection commutes with
+    the pi_1 action it is the paper's action: reflect when c(w) = -1, then
+    act by f(w).
     """
     _require_hypothesis(model, "the braid action on map states")
     _check_state(target, state)
@@ -191,10 +189,12 @@ def act(
             f"braid on {braid.k} punctures applied to a state with "
             f"{len(state.g_classes)} classes"
         )
-    orientable = all(c == 1 for c in model.character)
-    if not orientable:
-        _check_reflection_charge(target)
-    phi = FreeEndo(f_words)
+    if any(c != 1 for c in model.character) and any(
+        target.reflection[i] not in target.charge_set for i in target.charge
+    ):
+        raise ValueError(
+            "charge is not closed under the reflection, required for non-orientable models"
+        )
     inv_perm = _inverse_perm(braid.perm)
     out = []
     for i in range(braid.k):
@@ -202,11 +202,13 @@ def act(
         if word.max_generator > model.g:
             raise ValueError(f"slot word {word} exceeds rank {model.g}")
         idx = state.g_classes[inv_perm[i]]
-        if not orientable and char_sign(model.character, word) == -1:
-            idx = target.reflection[idx]
-        idx = _apply_pi1_word(target, endo_apply(phi, word), idx)
-        if idx not in target.charge_set:
-            raise ValueError("action left the charge; target data is inconsistent")
+        for x in reversed(word.letters):
+            flip = model.character[abs(x) - 1] == -1
+            if flip and x > 0:
+                idx = target.reflection[idx]
+            idx = _apply_pi1_word(target, f_words[x - 1] if x > 0 else ~f_words[-x - 1], idx)
+            if flip and x < 0:
+                idx = target.reflection[idx]
         out.append(idx)
     return MapState(state.f, tuple(out))
 

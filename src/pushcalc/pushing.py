@@ -45,6 +45,7 @@ from .ring import ModuleVec, RingElem, SphereLabel
 from .words import (
     MAX_WORD_LETTERS,
     FreeWord,
+    _unrank_word,
     char_sign,
     count_words,
     enumerate_words,
@@ -430,23 +431,6 @@ class KernelReport:
     @property
     def passed(self) -> bool:
         return not self.nontrivial_kernel
-
-
-def _unrank_word(g: int, rank: int) -> FreeWord:
-    """The word at index `rank` of enumerate_words(g, ...), in shortlex order."""
-    branch = 2 * g - 1
-    n, level = 0, 1
-    while rank >= level:
-        rank -= level
-        level = 2 * g if n == 0 else level * branch
-        n += 1
-    alphabet = [x for i in range(1, g + 1) for x in (i, -i)]
-    letters: list[int] = []
-    for remaining in range(n - 1, -1, -1):
-        idx, rank = divmod(rank, branch ** remaining)
-        last = letters[-1] if letters else 0
-        letters.append([x for x in alphabet if x != -last][idx])
-    return FreeWord._wrap(tuple(letters))
 
 
 def _braid_count(ball_size: int, k: int, cap: int) -> int | None:

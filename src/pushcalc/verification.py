@@ -575,7 +575,7 @@ def _orbits_properties() -> list[Property]:
         g, tspec, (f, classes), sa, _ = case
         target = _target(tspec)
         out = act(_hyp_model(g), target, _braid(sa), MapState(f, classes))
-        if any(i not in set(target.charge) for i in out.g_classes):
+        if any(i not in target.charge_set for i in out.g_classes):
             return "action left the charge"
         return None
 

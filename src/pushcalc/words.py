@@ -5,6 +5,9 @@ index i (1-based) is the letter i and its inverse is -i.  Reduction to this
 canonical form happens on construction, so ``==`` on FreeWord is equality in
 the group.
 
+A FreeWord holds nothing but that tuple.  enumerate_words, count_words
+and _unrank_word alone know the shortlex ball: they list, count, unrank it.
+
 Rank is carried by context objects (endomorphisms, signatures, models), not
 by each word; applying a word to a context of too small a rank is an error
 at that boundary.
@@ -36,7 +39,7 @@ class FreeWord:
     True
     """
 
-    __slots__ = ("letters", "_max_gen", "_hash")
+    __slots__ = ("letters",)
 
     def __init__(self, letters: Iterable[int] = ()) -> None:
         raw = tuple(letters)
@@ -44,16 +47,12 @@ class FreeWord:
             if not isinstance(x, int) or x == 0:
                 raise ValueError(f"bad letter {x!r}: letters are nonzero ints")
         self.letters = _kernel.reduce_letters(raw)
-        self._max_gen = -1
-        self._hash = None
 
     @classmethod
     def _wrap(cls, letters: tuple[int, ...]) -> "FreeWord":
         # Internal fast path for letters already known to be reduced.
         w = cls.__new__(cls)
         w.letters = letters
-        w._max_gen = -1
-        w._hash = None
         return w
 
     @property
@@ -69,10 +68,8 @@ class FreeWord:
         >>> FreeWord().max_generator
         0
         """
-        if self._max_gen < 0:
-            t = self.letters
-            self._max_gen = max(max(t), -min(t)) if t else 0
-        return self._max_gen
+        t = self.letters
+        return max(max(t), -min(t)) if t else 0
 
     def __mul__(self, other: object) -> "FreeWord":
         if not isinstance(other, FreeWord):
@@ -100,9 +97,7 @@ class FreeWord:
         return self.letters == other.letters
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(self.letters)
-        return self._hash
+        return hash(self.letters)
 
     def __str__(self) -> str:
         return format_word(self)
@@ -177,10 +172,10 @@ class FreeEndo:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FreeEndo):
             return NotImplemented
-        return self.images == other.images
+        return self._letters == other._letters
 
     def __hash__(self) -> int:
-        return hash(self.images)
+        return hash(self._letters)
 
     def __repr__(self) -> str:
         return f"FreeEndo([{', '.join(format_word(w) for w in self.images)}])"
@@ -284,25 +279,38 @@ def format_word(u: FreeWord) -> str:
     return " ".join(parts)
 
 
+def _alphabet(g: int) -> list[int]:
+    """The letters of F_g in shortlex order: a1 < A1 < a2 < A2 < ...."""
+    return [x for i in range(1, g + 1) for x in (i, -i)]
+
+
 def enumerate_words(g: int, max_len: int) -> Iterator[FreeWord]:
     """All reduced words of length <= max_len over F_g, in shortlex order."""
     if g < 0:
         raise ValueError(f"rank must be >= 0, got {g}")
-    alphabet = []
-    for i in range(1, g + 1):
-        alphabet += [i, -i]
+    alphabet = _alphabet(g)
     level: list[tuple[int, ...]] = [()]
     yield FreeWord._wrap(())
     for _ in range(max_len):
-        nxt = []
-        for w in level:
-            last = w[-1] if w else 0
-            for x in alphabet:
-                if x != -last:
-                    nxt.append(w + (x,))
-        for w in nxt:
-            yield FreeWord._wrap(w)
-        level = nxt
+        level = [w + (x,) for w in level for x in alphabet if not w or x != -w[-1]]
+        yield from map(FreeWord._wrap, level)
+
+
+def _unrank_word(g: int, rank: int) -> FreeWord:
+    """The word at index `rank` of enumerate_words(g, ...), in shortlex order."""
+    branch = 2 * g - 1
+    n, level = 0, 1
+    while rank >= level:
+        rank -= level
+        level = 2 * g if n == 0 else level * branch
+        n += 1
+    alphabet = _alphabet(g)
+    letters: list[int] = []
+    for remaining in range(n - 1, -1, -1):
+        idx, rank = divmod(rank, branch ** remaining)
+        last = letters[-1] if letters else 0
+        letters.append([x for x in alphabet if x != -last][idx])
+    return FreeWord._wrap(tuple(letters))
 
 
 def count_words(g: int, max_len: int, cap: int | None = None) -> int | None:

@@ -443,6 +443,25 @@ _SINGLETONS = list(range(200_000))
                  id="array-class-id"),
     pytest.param("components", _target_json(charge=[["x"]]), 1, "parse", id="array-charge-id"),
     pytest.param("components", _target_json(f_classes=[[1]]), 1, "parse", id="int-f-word"),
+    # a value of the wrong JSON shape where the parser expects another
+    *(pytest.param("components", _target_json(**{key: value}), 1, "parse", id=name)
+      for name, key, value in (
+          ("negative-pi1-gens", "pi1_gens", -1),
+          ("string-classes", "classes", "xyz"),
+          ("string-reflection", "reflection", "x"),
+          ("string-charge", "charge", "x"),
+          ("string-f-classes", "f_classes", "a1"),
+          ("string-f-class", "f_classes", ["a1"]),
+          ("array-action", "action", ["x", "y", "z"]),
+          ("string-action-row", "action", {"a1": "xyz"}),
+          ("extra-action-key", "action", {"a1": ["x", "y", "z"], "a2": ["x", "y", "z"]}),
+      )),
+    pytest.param("compose", "[]", 1, "parse", id="array-map"),
+    pytest.param("recover", json.dumps({k: v for k, v in RECOVER_BASE.items() if k != "d"}),
+                 1, "parse", id="missing-map-key"),
+    pytest.param("compose", _map_json(labels="p1"), 1, "parse", id="string-labels"),
+    pytest.param("recover", _map_json(circles="a1"), 1, "parse", id="string-circles"),
+    pytest.param("compose", _map_json(spheres=[]), 1, "parse", id="array-spheres"),
 ])
 def test_malformed_json_ends_in_one_error_line(tmp_path, command, text, k, code):
     path = tmp_path / "input.json"

@@ -421,29 +421,35 @@ def test_act_reflection_on_reversing_loops():
 
 
 def test_act_is_an_action_nonorientable():
-    # reflection (w x)(y z) commutes with the a1 action (w y)(x z)
     rng = random.Random(29)
     model = hyp_model(1, character=(-1,))
-    target = make_target(
+    # reflection (w x)(y z) commutes with the a1 action (w y)(x z)
+    commuting = make_target(
         1, ["w", "x", "y", "z"], [(2, 3, 0, 1)],
         reflection=(1, 0, 3, 2), f_classes=[["a1"]],
     )
-    for _ in range(100):
-        k = rng.randrange(1, 4)
-        s = MapState(0, tuple(rng.choice(target.charge) for _ in range(k)))
+    # reflection (0 1) does not commute with the a1 action (0 1 2)
+    skew = make_target(1, [0, 1, 2], [(1, 2, 0)], reflection=(1, 0, 2), f_classes=[["a1"]])
+    a1 = braid("a1", (0,))
+    assert act(model, skew, braid_mul(a1, a1), MapState(0, (0,))) == \
+        act(model, skew, a1, act(model, skew, a1, MapState(0, (0,)))) == MapState(0, (0,))
 
-        def rand_braid() -> BraidElement:
-            words = tuple(
-                FreeWord([rng.choice([1, -1]) for _ in range(rng.randrange(0, 4))])
-                for _ in range(k)
-            )
-            perm = list(range(k))
-            rng.shuffle(perm)
-            return BraidElement(words, tuple(perm))
+    def rand_braid(k: int) -> BraidElement:
+        words = tuple(
+            FreeWord([rng.choice([1, -1]) for _ in range(rng.randrange(0, 4))])
+            for _ in range(k)
+        )
+        perm = list(range(k))
+        rng.shuffle(perm)
+        return BraidElement(words, tuple(perm))
 
-        b1, b2 = rand_braid(), rand_braid()
-        assert act(model, target, braid_mul(b1, b2), s) == \
-            act(model, target, b1, act(model, target, b2, s))
+    for target in (commuting, skew):
+        for _ in range(100):
+            k = rng.randrange(1, 4)
+            s = MapState(0, tuple(rng.choice(target.charge) for _ in range(k)))
+            b1, b2 = rand_braid(k), rand_braid(k)
+            assert act(model, target, braid_mul(b1, b2), s) == \
+                act(model, target, b1, act(model, target, b2, s))
 
 
 def test_bruteforce_nonorientable_reflection_merges_orbits():
@@ -596,6 +602,22 @@ def test_target_json_errors():
                        ("action", {"a1": [["y"], "z", "x"]}),
                        ("f_classes", [[1]])):
         with pytest.raises(ParseError):
+            target_from_json(dict(good, **{key: value}))
+    # a value of the wrong JSON shape, each refused by its own check
+    for key, value, message in (
+        ("pi1_gens", -1, "pi1_gens must be a non-negative integer"),
+        ("pi1_gens", "1", "pi1_gens must be a non-negative integer"),
+        ("classes", "xyz", "classes must be an array"),
+        ("reflection", "x", "reflection must be an array"),
+        ("charge", "x", "charge must be an array"),
+        ("f_classes", "a1", "f_classes must be an array"),
+        ("f_classes", ["a1"], "each f class must be an array"),
+        ("action", ["y", "z", "x"], "action must be an object"),
+        ("action", {"a1": "yzx"}, "action of a1 must be an array"),
+        ("action", {"a1": ["y", "z", "x"], "a2": ["x", "y", "z"]},
+         r"action has unexpected keys: \['a2'\]"),
+    ):
+        with pytest.raises(ParseError, match=message):
             target_from_json(dict(good, **{key: value}))
     # nor are true and false, which Python would take for the ids 1 and 0
     for key, value in (("classes", ["x", "y", True]), ("charge", [False]),

@@ -184,6 +184,14 @@ def test_count_words_counts_the_enumerated_ball():
     assert count_words(3, 10**18, cap=10**6) is None
 
 
+def test_unrank_word_decodes_the_enumerated_ball():
+    # the sampled kernel sweep draws each slot word by its rank in the ball
+    for g in range(1, 4):
+        ball = list(enumerate_words(g, 4))
+        assert len(ball) == count_words(g, 4)
+        assert [words._unrank_word(g, r) for r in range(len(ball))] == ball
+
+
 def _shortlex_key_by_pairs(u: FreeWord) -> tuple:
     # The key shortlex_key had before it used one int per letter.
     return (len(u.letters), tuple((abs(x), 0 if x > 0 else 1) for x in u.letters))
