@@ -279,9 +279,12 @@ def _max_states_from_env() -> int:
     if raw is None:
         return DEFAULT_MAX_STATES
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
-        raise _CliIOError(f"PUSHCALC_MAX_STATES must be an integer, got {raw!r}") from None
+        cap = -1   # refused with the negative ones
+    if cap < 0:
+        raise _CliIOError(f"PUSHCALC_MAX_STATES must be a non-negative integer, got {raw!r}")
+    return cap
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

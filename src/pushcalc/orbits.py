@@ -16,7 +16,8 @@ i-th generator of pi_1(X).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from bisect import bisect_left
+from itertools import combinations_with_replacement
 from math import comb
 from typing import Mapping, Sequence
 
@@ -257,49 +258,37 @@ def components_formula(target: TargetModel, model: ManifoldModel, k: int) -> int
 def _component_count(m: int, k: int, tables: Sequence[Sequence[int]]) -> int:
     """Components of the state graph of one f class.
 
-    State x has digit (x // m**s) % m at slot s.  Every loop table moves
-    one digit and every adjacent transposition swaps two; each edge is
-    merged into a flat union-find (path halving), self-loops skipped.
+    Adjacent transpositions join every reordering of a tuple of charge
+    positions, so the search runs on their orbits: the multisets of k
+    positions, each a sorted tuple with a flat index.  A loop table moves
+    one element d to table[d]: each distinct element of each multiset is
+    walked through each table, and every edge that moves an element is
+    merged into a flat union-find (path halving).
     """
-    n_states = m ** k
-    if n_states == 1:   # one charge class: the cap does not bound k here
+    if m == 1:   # one multiset: the cap does not bound k here
         return 1
-    parent = list(range(n_states))
-    components = n_states
-    # Each move is a family of edges (x, x + shift): x runs over runs of
-    # `width` ids starting at offset, offset + period, ...
-    loop_pairs = sorted({(min(d, t), max(d, t)) for table in tables
-                         for d, t in enumerate(table) if d != t})
-    moves: list[tuple[int, int, int, int]] = []   # (offset, shift, width, period)
-    stride = 1
-    for slot in range(k):
-        block = stride * m
-        moves.extend((d * stride, (t - d) * stride, stride, block)
-                     for d, t in loop_pairs)
-        if slot + 1 < k:
-            # digit a at this slot and b at the next one, swapped
-            moves.extend((a * stride + b * block, (a - b) * (block - stride),
-                          stride, block * m)
-                         for a in range(m) for b in range(a + 1, m))
-        stride = block
-    for offset, shift, width, period in moves:
-        # The same ids either way; the inner range is the longer side.
-        if width < n_states // period:
-            runs = (range(start, n_states, period)
-                    for start in range(offset, offset + width))
-        else:
-            runs = (range(base, base + width)
-                    for base in range(offset, n_states, period))
-        for x in chain.from_iterable(runs):
-            rx = x
-            while (p := parent[rx]) != rx:
-                parent[rx] = rx = parent[p]
-            ry = x + shift
-            while (p := parent[ry]) != ry:
-                parent[ry] = ry = parent[p]
-            if rx != ry:
-                parent[rx] = ry
-                components -= 1
+    index = {ms: x for x, ms in enumerate(combinations_with_replacement(range(m), k))}
+    parent = list(range(len(index)))
+    components = len(index)
+    for ms, x in index.items():
+        rx = x
+        while (p := parent[rx]) != rx:
+            parent[rx] = rx = parent[p]
+        for i, d in enumerate(ms):
+            if i and ms[i - 1] == d:   # each distinct element once
+                continue
+            rest = ms[:i] + ms[i + 1:]
+            for table in tables:
+                t = table[d]
+                if t == d:
+                    continue
+                j = bisect_left(rest, t)
+                ry = index[rest[:j] + (t,) + rest[j:]]
+                while (p := parent[ry]) != ry:
+                    parent[ry] = ry = parent[p]
+                if rx != ry:   # rx stays the root of x
+                    parent[ry] = rx
+                    components -= 1
     return components
 
 
@@ -315,12 +304,13 @@ def components_bruteforce(
     States are (f, classes) pairs; edges apply each loop generator in each
     slot and each adjacent transposition.  Refuses with TooLarge, before
     allocating anything, when |classes|^k * |f classes| exceeds max_states.
-    The search itself visits |charge|^k * |f classes| integer states: one
-    mixed-radix id per tuple of charge positions.  A loop generator a_j
-    moves one digit by a table on the charge positions; for each f class
-    the table is read off one act call, the braid with a_j in every one of
-    |charge| slots applied to the state holding the whole charge.  A
-    transposition swaps two digits.
+    The search itself visits multichoose(|charge|, k) * |f classes|
+    states: the transpositions join every reordering of a tuple of charge
+    positions, so each state is one multiset of k positions.  A loop
+    generator a_j moves one element of a multiset by a table on the charge
+    positions; for each f class the table is read off one act call, the
+    braid with a_j in every one of |charge| slots applied to the state
+    holding the whole charge.
     """
     _require_hypothesis(model, "the brute-force component count")
     check_count("puncture count", k)

@@ -617,12 +617,16 @@ def test_components_huge_k_refused_before_allocating(tmp_path):
 def test_components_bad_env(capsys, tmp_path, monkeypatch):
     path = tmp_path / "trivial.json"
     path.write_text(json.dumps(TRIVIAL_TARGET))
-    monkeypatch.setenv("PUSHCALC_MAX_STATES", "lots")
-    code, out, err = run_cli(capsys, "components", "--target", str(path),
-                             "-g", "1", "-k", "2", "--brute-force",
-                             "--assume-hypotheses")
-    assert code == 1
-    assert err.startswith("error:io: ")
+    # a negative cap is refused like a non-integer, not taken as a cap
+    # that every state graph is over
+    for raw in ("lots", "-3"):
+        monkeypatch.setenv("PUSHCALC_MAX_STATES", raw)
+        code, out, err = run_cli(capsys, "components", "--target", str(path),
+                                 "-g", "1", "-k", "2", "--brute-force",
+                                 "--assume-hypotheses")
+        assert (code, out) == (1, "")
+        assert err == ("error:io: PUSHCALC_MAX_STATES must be a non-negative "
+                       f"integer, got {raw!r}\n")
 
 
 def test_components_bad_target(capsys, tmp_path):

@@ -726,12 +726,14 @@ def test_bruteforce_trivial_sizes():
     assert components_formula(empty_f, model, 1) == 0
 
 
-# --- the integer search against its first version ---
+# --- the multiset search against the tuple graph ---
 
 
 def component_count_nested_find(m: int, k: int, tables) -> int:
-    """_component_count as first written: a nested find, every move walked
-    as runs of `width` consecutive ids."""
+    """The tuple graph _component_count first searched: one mixed-radix id
+    per tuple of charge positions, loop tables moving one digit and adjacent
+    transpositions swapping two, every move walked as runs of `width`
+    consecutive ids into a nested find."""
     n_states = m ** k
     if n_states == 1:
         return 1
@@ -769,7 +771,7 @@ def component_count_nested_find(m: int, k: int, tables) -> int:
 
 def test_component_count_matches_nested_find():
     rng = random.Random(20261018)
-    identity_tables = strided = 0
+    identity_tables = repeats = fixed = 0
     for _ in range(240):
         m = rng.randrange(1, 6)
         k = rng.randrange(1, 7)
@@ -780,12 +782,39 @@ def test_component_count_matches_nested_find():
                 rng.shuffle(table)
             identity_tables += table == list(range(m))
             tables.append(table)
-        # a move with fewer ids per run than runs is walked run-strided:
-        # slot-0 loops once k >= 2, slot-0 transpositions once k >= 3
-        strided += m >= 2 and k >= 3
+        if m >= 2 and tables:
+            # every multiset repeats an element: its second copy is skipped
+            repeats += k > m
+            # a table that fixes an element gives no edge there
+            fixed += any(t[d] == d for t in tables for d in range(m))
         want = component_count_nested_find(m, k, tables)
         assert _component_count(m, k, tables) == want, (m, k, tables)
-    assert identity_tables >= 40 and strided >= 40
+    assert identity_tables >= 40 and repeats >= 40 and fixed >= 80
+
+
+def test_bruteforce_near_cap_equals_formula():
+    # 10**6 tuples of charge positions, at the default cap: 5,005 multisets.
+    # The orbits of (a1, a2) are {0, 1, 2}, {3, 4}, {5, 6}, {7}, {8}, {9}.
+    target = make_target(
+        2, range(10),
+        [(1, 2, 0, 4, 3, 5, 6, 7, 8, 9), (0, 1, 2, 3, 4, 6, 5, 7, 8, 9)],
+        f_classes=[["a1", "a2"]],
+    )
+    model = hyp_model(2)
+    assert components_bruteforce(target, model, 6) == components_formula(target, model, 6) \
+        == oracle_components(target, 6) == 462
+
+
+def test_bruteforce_nonorientable_skew_reflection_matches_act():
+    # reflection (0 1) does not commute with the a1 action (0 1 2 3)
+    target = make_target(
+        2, range(4), [(1, 2, 3, 0), (2, 1, 0, 3)],
+        reflection=(1, 0, 2, 3), f_classes=[["a1", "a2"]],
+    )
+    a1, refl = target.action[0], target.reflection
+    assert [a1[refl[i]] for i in range(4)] != [refl[a1[i]] for i in range(4)]
+    model = hyp_model(2, character=(-1, 1))
+    assert components_bruteforce(target, model, 5) == act_components(target, model, 5) == 6
 
 
 def test_bruteforce_builds_each_table_with_one_act_call(monkeypatch):
