@@ -64,7 +64,6 @@ from .pushing import (
     recover_braid,
 )
 from .ring import (
-    ModuleVec,
     RingElem,
     SphereLabel,
     augment,
@@ -97,7 +96,6 @@ __all__ = [
     "KernelReport",
     "ManifoldModel",
     "MapState",
-    "ModuleVec",
     "NotInImage",
     "ParseError",
     "PuncturedSignature",

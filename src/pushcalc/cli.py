@@ -35,7 +35,7 @@ from .pushing import (
     push_word_closed,
     recover_braid,
 )
-from .ring import format_ring, ring_to_json
+from .ring import RingElem, format_ring, ring_to_json
 from .verification import SUITES, run_suite
 from .words import parse_word
 
@@ -105,7 +105,7 @@ def cmd_push_word(args: argparse.Namespace) -> int:
     if args.closed_form:
         agrees = push_word(sig, w, args.slot) == h
         p_slot = sig.punctures[args.slot - 1]
-        coefficients = [h.sphere(t).get(p_slot) for t in sig.cells]
+        coefficients = [h.sphere(t).get(p_slot, RingElem.zero()) for t in sig.cells]
     if args.json:
         obj: dict = {"map": self_map_to_json(h)}
         if args.matrix:

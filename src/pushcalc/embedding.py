@@ -18,7 +18,7 @@ import functools
 from . import words as _words
 from .errors import SignatureMismatch, SizeMismatch, TooLarge
 from .monoid import SelfMapClass, WedgeSignature
-from .ring import SphereLabel, format_ring, ring_to_json
+from .ring import RingElem, SphereLabel, format_ring, ring_to_json
 from .words import (
     FreeEndo,
     FreeWord,
@@ -40,7 +40,7 @@ def max_shift(h: SelfMapClass) -> int:
     """Longest word in any block's column data (0 for the zero matrix)."""
     return max(
         (r.max_support_len()
-         for vec in h.sphere_part.values() for r in vec.entries.values()),
+         for vec in h.sphere_part.values() for r in vec.values()),
         default=0,
     )
 
@@ -148,7 +148,7 @@ def materialize(
     # The rows cover at least the column ball, so there are n_cols^2 cells or more.
     if n_words is None or n_cols * n_cols > cells:
         raise too_large(f"window of radius {radius}")
-    columns = [(b, vec.entries) for b, vec in h.sphere_part.items() if vec.entries]
+    columns = [(b, vec) for b, vec in h.sphere_part.items() if vec]
     words = tuple(enumerate_words(h.sig.g, radius)) if columns else ()
     images = [endo_apply(h.circle_part, u).letters for u in words]
     concat = _words._kernel.concat   # looked up per call, so it can be wrapped
@@ -255,7 +255,7 @@ def format_block_matrix(h: SelfMapClass) -> str:
     labels = h.sig.labels
     rows = []
     for l in labels:
-        cells = [format_ring(h.sphere_part[b].get(l)) for b in labels]
+        cells = [format_ring(h.sphere_part[b].get(l, RingElem.zero())) for b in labels]
         rows.append("[" + ", ".join(cells) + "]")
     return "[" + ", ".join(rows) + "]"
 
@@ -270,7 +270,7 @@ def block_matrix_to_json(h: SelfMapClass) -> dict:
             f"{row},{col}": ring_to_json(r)
             for row, col, r in sorted(
                 ((row, col, r) for col, vec in h.sphere_part.items()
-                 for row, r in vec.entries.items()),
+                 for row, r in vec.items()),
                 key=lambda t: t[:2],
             )
         },

@@ -22,7 +22,6 @@ from typing import Mapping
 
 from .errors import ParseError, SignatureMismatch, TooLarge, check_count
 from .ring import (
-    ModuleVec,
     RingElem,
     SphereLabel,
     augment,
@@ -75,7 +74,16 @@ class WedgeSignature:
 
 
 class SelfMapClass:
-    """Circle endomorphism plus the module image of every basis sphere."""
+    """Circle endomorphism plus the module image of every basis sphere.
+
+    sphere_part maps each of the signature's labels, in label order, to its
+    image: a dict from the labels it hits to their nonzero RingElem
+    coefficients.  The constructor is the one check of an image: every
+    target is a SphereLabel of the signature and every coefficient a
+    RingElem within rank g.  It copies the caller's dicts, fills a missing
+    label with the zero image {} and drops zero coefficients, so == compares
+    the images entry by entry.
+    """
 
     __slots__ = ("sig", "circle_part", "sphere_part")
 
@@ -83,7 +91,7 @@ class SelfMapClass:
         self,
         sig: WedgeSignature,
         circle_part: FreeEndo,
-        sphere_part: Mapping[SphereLabel, ModuleVec],
+        sphere_part: Mapping[SphereLabel, Mapping[SphereLabel, RingElem]],
     ) -> None:
         g = sig.g
         if circle_part.rank != g:
@@ -96,20 +104,25 @@ class SelfMapClass:
             t = img.letters
             if t and (max(t) > g or min(t) < -g):
                 raise ValueError(f"circle image {img} uses generators beyond rank {g}")
-        dense: dict[SphereLabel, ModuleVec] = {}
+        dense: dict[SphereLabel, dict[SphereLabel, RingElem]] = {}
         for lab in sphere_part:
             if lab not in allowed:
                 raise ValueError(f"sphere image given for unknown label {lab}")
         for lab in sig.labels:
-            vec = sphere_part.get(lab, ModuleVec.zero())
-            for tgt, r in vec.entries.items():
-                if tgt not in allowed:
+            vec: dict[SphereLabel, RingElem] = {}
+            for tgt, r in sphere_part.get(lab, {}).items():
+                # A plain tuple equals its label, so membership alone is not enough.
+                if not isinstance(tgt, SphereLabel) or tgt not in allowed:
                     raise ValueError(f"image of {lab} hits unknown label {tgt}")
+                if not isinstance(r, RingElem):
+                    raise ValueError(f"image of {lab} has a non-RingElem entry {r!r}")
                 for t in r.terms:
                     if t and (max(t) > g or min(t) < -g):
                         raise ValueError(
                             f"image of {lab} uses generators beyond rank {g}"
                         )
+                if r:
+                    vec[tgt] = r
             dense[lab] = vec
         self.sig = sig
         self.circle_part = circle_part
@@ -120,7 +133,7 @@ class SelfMapClass:
         cls,
         sig: WedgeSignature,
         circle_part: FreeEndo,
-        sphere_part: dict[SphereLabel, ModuleVec],
+        sphere_part: dict[SphereLabel, dict[SphereLabel, RingElem]],
     ) -> "SelfMapClass":
         # Trusted fast path: no check runs.  Its only callers establish the
         # class by their own checks, and a tier-1 test re-validates each
@@ -138,7 +151,7 @@ class SelfMapClass:
         h.sphere_part = sphere_part
         return h
 
-    def sphere(self, label: SphereLabel) -> ModuleVec:
+    def sphere(self, label: SphereLabel) -> dict[SphereLabel, RingElem]:
         if label not in self.sphere_part:
             raise ValueError(f"label {label} not in signature")
         return self.sphere_part[label]
@@ -161,7 +174,7 @@ def identity_map(sig: WedgeSignature) -> SelfMapClass:
     return SelfMapClass(
         sig,
         sig.identity_endo,
-        {lab: ModuleVec.unit(lab) for lab in sig.labels},
+        {lab: {lab: RingElem.one()} for lab in sig.labels},
     )
 
 
@@ -212,13 +225,13 @@ def _compose_letters(outer: SelfMapClass, inner: SelfMapClass) -> tuple[int, int
     outer_terms: dict[SphereLabel, int] = {}
     outer_letters: dict[SphereLabel, int] = {}
     for m, vec in outer.sphere_part.items():
-        words = [t for r in vec.entries.values() for t in r.terms]
+        words = [t for r in vec.values() for t in r.terms]
         outer_terms[m] = len(words)
         outer_letters[m] = sum(map(len, words))
     substituted = sum(sum(map(length_of, w.letters)) for w in inner.circle_part.images)
     products = 0
     for vec in inner.sphere_part.values():
-        for m, r in vec.entries.items():
+        for m, r in vec.items():
             moved = sum(sum(map(length_of, t)) for t in r.terms)
             substituted += moved
             products += (len(r.terms) * (outer_terms[m] + outer_letters[m])
@@ -253,13 +266,13 @@ def compose(outer: SelfMapClass, inner: SelfMapClass) -> SelfMapClass:
             f"letters and words, over the cap {MAX_COMPOSE_PRODUCT_LETTERS}"
         )
     circ = endo_compose(outer.circle_part, inner.circle_part)
-    spheres: dict[SphereLabel, ModuleVec] = {}
+    spheres: dict[SphereLabel, dict[SphereLabel, RingElem]] = {}
     for b in inner.sig.labels:
         acc: dict[SphereLabel, RingElem] = {}
-        for m, r in inner.sphere_part[b].entries.items():
+        for m, r in inner.sphere_part[b].items():
             moved = ring_endo_apply(outer.circle_part, r)
             unit = moved.terms == _UNIT_TERMS
-            for l, r_out in outer.sphere_part[m].entries.items():
+            for l, r_out in outer.sphere_part[m].items():
                 contrib = r_out if unit else ring_mul(r_out, moved)
                 prev = acc.get(l)
                 n = contrib if prev is None else prev + contrib
@@ -267,7 +280,7 @@ def compose(outer: SelfMapClass, inner: SelfMapClass) -> SelfMapClass:
                     acc[l] = n
                 else:
                     acc.pop(l, None)
-        spheres[b] = ModuleVec._wrap(acc)   # nonzero entries on outer's labels
+        spheres[b] = acc   # nonzero entries on outer's labels
     return SelfMapClass._wrap(outer.sig, circ, spheres)
 
 
@@ -280,7 +293,7 @@ def top_homology_matrix(h: SelfMapClass) -> list[list[int]]:
     """
     labels = h.sig.labels
     return [
-        [augment(h.sphere_part[b].get(l)) for b in labels]
+        [augment(h.sphere_part[b].get(l, RingElem.zero())) for b in labels]
         for l in labels
     ]
 
@@ -324,7 +337,12 @@ def self_map_from_json(obj: object) -> SelfMapClass:
     try:
         sig = WedgeSignature(g, [parse_label(s) for s in raw_labels], d)
         endo = FreeEndo([parse_word(w) for w in circles])
-        part = {parse_label(key): vec_from_json(val) for key, val in spheres.items()}
+        part = {}
+        for key, val in spheres.items():
+            lab = parse_label(key)
+            if lab in part:
+                raise ParseError(f"duplicate sphere image for label {lab}")
+            part[lab] = vec_from_json(val)
         return SelfMapClass(sig, endo, part)
     except ValueError as exc:
         if isinstance(exc, (ParseError, TooLarge)):

@@ -41,7 +41,7 @@ from .errors import (
     clip,
 )
 from .monoid import SelfMapClass, WedgeSignature, compose, identity_map
-from .ring import ModuleVec, RingElem, SphereLabel
+from .ring import RingElem, SphereLabel
 from .words import (
     MAX_WORD_LETTERS,
     FreeWord,
@@ -230,15 +230,15 @@ def push_letter(sig: PuncturedSignature, letter: int, slot: int) -> SelfMapClass
     lw = FreeWord([letter])
     sgn = char_sign(model.character, lw)
     p_slot = sig.punctures[slot - 1]
-    spheres = {lab: ModuleVec.unit(lab) for lab in sig.wedge.labels}
-    spheres[p_slot] = ModuleVec([(p_slot, RingElem.from_word(lw, sgn))])
+    spheres = {lab: {lab: RingElem.one()} for lab in sig.wedge.labels}
+    spheres[p_slot] = {p_slot: RingElem.from_word(lw, sgn)}
     for cell, eps, prefix in model.crossings[i - 1]:
-        cell_lab = sig.cells[cell - 1]
+        image = spheres[sig.cells[cell - 1]]
         if letter > 0:
             gain = RingElem.from_word(prefix, eps)
         else:
             gain = RingElem.from_word(lw * prefix, -eps * sgn)
-        spheres[cell_lab] = spheres[cell_lab] + ModuleVec([(p_slot, gain)])
+        image[p_slot] = image.get(p_slot, RingElem.zero()) + gain
     return SelfMapClass(sig.wedge, sig.wedge.identity_endo, spheres)
 
 
@@ -340,17 +340,17 @@ def push_braid(sig: PuncturedSignature, braid: BraidElement) -> SelfMapClass:
             raise ValueError(f"word {w} exceeds rank {model.g}")
     pushes = [_slot_terms(model, w.letters) for w in braid.words]
     punctures, cells = sig.punctures, sig.cells
-    spheres: dict[SphereLabel, ModuleVec] = {}
+    spheres: dict[SphereLabel, dict[SphereLabel, RingElem]] = {}
     for i, j in enumerate(braid.perm):
-        spheres[punctures[i]] = ModuleVec._wrap(
-            {punctures[j]: RingElem.from_word(braid.words[j], pushes[j][0])}
-        )
+        spheres[punctures[i]] = {
+            punctures[j]: RingElem.from_word(braid.words[j], pushes[j][0])
+        }
     for c, cell in enumerate(cells):
         entries = {cell: RingElem._wrap({(): 1})}
         for lab, (_, terms) in zip(punctures, pushes):
             if terms[c]:
                 entries[lab] = RingElem._wrap(terms[c])
-        spheres[cell] = ModuleVec._wrap(entries)
+        spheres[cell] = entries
     return SelfMapClass._wrap(sig.wedge, sig.wedge.identity_endo, spheres)
 
 
@@ -387,9 +387,9 @@ def recover_braid(sig: PuncturedSignature, h: SelfMapClass) -> BraidElement | No
     slot_terms: list[list[dict[tuple[int, ...], int]] | None] = [None] * k
     for i, p_i in enumerate(punctures, 1):
         vec = h.sphere(p_i)
-        if len(vec.entries) != 1:
+        if len(vec) != 1:
             return NotInImage(f"image of p{i} is not a single basis term")
-        (lab, r), = vec.entries.items()
+        (lab, r), = vec.items()
         if lab.kind != "p":
             return NotInImage(f"image of p{i} lands on {lab}")
         if len(r.terms) != 1:
@@ -407,7 +407,7 @@ def recover_braid(sig: PuncturedSignature, h: SelfMapClass) -> BraidElement | No
     # The puncture images match push_braid's exactly, so what is left of
     # push_braid(sig, candidate) == h is the cells.
     for c, cell in enumerate(cells):
-        entries = h.sphere(cell).entries
+        entries = h.sphere(cell)
         expected = {cell: {(): 1}}
         expected.update(
             (p, terms[c]) for p, terms in zip(punctures, slot_terms) if terms[c]  # type: ignore[index]

@@ -3,9 +3,9 @@
 RingElem is a finitely supported map from reduced letter tuples (the
 letters of a FreeWord, the form the word kernel computes in) to nonzero
 ints: an integer combination of group elements, i.e. a non-commutative
-Laurent polynomial once the rank is at least 2.  ModuleVec is a finitely
-supported map from sphere labels to RingElems; the modules it models are
-free, so all module arithmetic is entrywise.
+Laurent polynomial once the rank is at least 2.  A vector of the free
+module on the sphere labels is a plain dict from SphereLabel to nonzero
+RingElem; format_vec, vec_to_json and vec_from_json read and write it.
 
 Serialization uses shortlex term order so output is deterministic.
 """
@@ -28,8 +28,8 @@ class SphereLabel(tuple):
     always use p-labels for punctures.
 
     A label is the validated pair (kind, index) stored as an immutable
-    tuple, so hashing and equality run in C; labels are dict keys in every
-    module vector.  Being a tuple, a label also equals the plain tuple of
+    tuple, so hashing and equality run in C; labels are the keys of every
+    sphere image dict.  Being a tuple, a label also equals the plain tuple of
     the same pair.  Order is the tuple order: since 'p' < 't', all
     puncture spheres come before all cell spheres.
 
@@ -220,11 +220,21 @@ def augment(a: RingElem) -> int:
     return sum(a.terms.values())
 
 
+def _join_signed(terms: Iterable[tuple[str, bool]]) -> str:
+    """'x' or '-x' for the first (body, positive) term, then '+ x' or '- x';
+    no terms give '0'."""
+    parts: list[str] = []
+    for body, positive in terms:
+        if not parts:
+            parts.append(body if positive else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if positive else f"- {body}")
+    return " ".join(parts) or "0"
+
+
 def format_ring(a: RingElem) -> str:
     """Human-readable form in shortlex term order, e.g. '1 + 2 a1 - a2'."""
-    if not a:
-        return "0"
-    parts: list[str] = []
+    terms = []
     for w, c in a.items_shortlex():
         mag = abs(c)
         if w.is_identity:
@@ -233,11 +243,8 @@ def format_ring(a: RingElem) -> str:
             body = format_word(w)
         else:
             body = f"{mag} {format_word(w)}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
+        terms.append((body, c > 0))
+    return _join_signed(terms)
 
 
 def ring_to_json(a: RingElem) -> list:
@@ -261,90 +268,19 @@ def ring_from_json(obj: object) -> RingElem:
     return RingElem(terms)
 
 
-class ModuleVec:
-    """A finitely supported map from sphere labels to ring elements."""
-
-    __slots__ = ("entries",)
-
-    def __init__(
-        self,
-        entries: Mapping[SphereLabel, RingElem] | Iterable[tuple[SphereLabel, RingElem]] = (),
-    ) -> None:
-        items = entries.items() if isinstance(entries, Mapping) else entries
-        acc: dict[SphereLabel, RingElem] = {}
-        for lab, r in items:
-            if not isinstance(lab, SphereLabel):
-                raise ValueError(f"keys must be SphereLabel, got {lab!r}")
-            if not isinstance(r, RingElem):
-                raise ValueError(f"entries must be RingElem, got {r!r}")
-            prev = acc.get(lab)
-            n = r if prev is None else prev + r
-            if n:
-                acc[lab] = n
-            else:
-                acc.pop(lab, None)
-        self.entries = acc
-
-    @classmethod
-    def _wrap(cls, entries: dict[SphereLabel, RingElem]) -> "ModuleVec":
-        v = cls.__new__(cls)
-        v.entries = entries
-        return v
-
-    @classmethod
-    def zero(cls) -> "ModuleVec":
-        return cls._wrap({})
-
-    @classmethod
-    def unit(cls, label: SphereLabel) -> "ModuleVec":
-        return cls._wrap({label: RingElem.one()})
-
-    def get(self, label: SphereLabel) -> RingElem:
-        return self.entries.get(label, RingElem.zero())
-
-    def labels(self) -> list[SphereLabel]:
-        return sorted(self.entries)
-
-    def __add__(self, other: object) -> "ModuleVec":
-        if not isinstance(other, ModuleVec):
-            return NotImplemented
-        acc = dict(self.entries)
-        for lab, r in other.entries.items():
-            prev = acc.get(lab)
-            n = r if prev is None else prev + r
-            if n:
-                acc[lab] = n
-            else:
-                acc.pop(lab, None)
-        return ModuleVec._wrap(acc)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ModuleVec):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __bool__(self) -> bool:
-        return bool(self.entries)
-
-    def __repr__(self) -> str:
-        return f"ModuleVec<{format_vec(self)}>"
-
-
-def format_vec(v: ModuleVec, lead: SphereLabel | None = None) -> str:
+def format_vec(v: dict[SphereLabel, RingElem], lead: SphereLabel | None = None) -> str:
     """Human-readable form, e.g. 't1 + p1', 'a1·p1', '(1 + a1)·p1'.
 
     When lead is given and present in v, its term is printed first; tuple
     renderings use this so the image of a basis sphere starts with its own
     label.  Remaining labels follow in canonical order (punctures first).
     """
-    if not v.entries:
-        return "0"
-    order = v.labels()
-    if lead is not None and lead in v.entries:
+    order = sorted(v)
+    if lead is not None and lead in v:
         order = [lead] + [lab for lab in order if lab != lead]
-    parts: list[str] = []
+    terms = []
     for lab in order:
-        r = v.entries[lab]
+        r = v[lab]
         items = r.items_shortlex()
         if len(items) == 1:
             w, c = items[0]
@@ -354,27 +290,24 @@ def format_vec(v: ModuleVec, lead: SphereLabel | None = None) -> str:
             if not w.is_identity:
                 pieces.append(format_word(w))
             pieces.append(str(lab))
-            body = "·".join(pieces)
-            positive = c > 0
+            terms.append(("·".join(pieces), c > 0))
         else:
-            body = f"({format_ring(r)})·{lab}"
-            positive = True
-        if not parts:
-            parts.append(body if positive else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if positive else f"- {body}")
-    return " ".join(parts)
+            terms.append((f"({format_ring(r)})·{lab}", True))
+    return _join_signed(terms)
 
 
-def vec_to_json(v: ModuleVec) -> dict:
+def vec_to_json(v: dict[SphereLabel, RingElem]) -> dict:
     """JSON form: object mapping label strings to ring arrays."""
-    return {str(lab): ring_to_json(v.entries[lab]) for lab in v.labels()}
+    return {str(lab): ring_to_json(v[lab]) for lab in sorted(v)}
 
 
-def vec_from_json(obj: object) -> ModuleVec:
+def vec_from_json(obj: object) -> dict[SphereLabel, RingElem]:
+    """The dict of a JSON vector; keys naming one label ('p1', 'p01') add."""
     if not isinstance(obj, dict):
         raise ParseError(f"module vector must be a JSON object, got {type(obj).__name__}")
-    entries = []
+    acc: dict[SphereLabel, RingElem] = {}
     for key, val in obj.items():
-        entries.append((parse_label(key), ring_from_json(val)))
-    return ModuleVec(entries)
+        lab = parse_label(key)
+        r = ring_from_json(val)
+        acc[lab] = acc[lab] + r if lab in acc else r
+    return {lab: r for lab, r in acc.items() if r}

@@ -47,7 +47,7 @@ from .pushing import (
     push_word_closed,
     recover_braid,
 )
-from .ring import ModuleVec, RingElem, augment, ring_endo_apply
+from .ring import RingElem, augment, ring_endo_apply
 from .words import FreeEndo, FreeWord, endo_apply, endo_compose, enumerate_words
 
 SUITES = ("ring", "monoid", "embed", "push", "orbits", "all")
@@ -192,10 +192,10 @@ def _map(spec: tuple) -> SelfMapClass:
     g, k, circ, entries = spec
     sig = _wedge(g, k)
     labels = sig.labels
-    terms = {lab: [] for lab in labels}
+    spheres: dict = {lab: {} for lab in labels}
     for src, tgt, ring_spec in entries:
-        terms[labels[src]].append((labels[tgt], _ring(ring_spec)))
-    spheres = {lab: ModuleVec(vec) for lab, vec in terms.items()}   # sums repeats
+        vec = spheres[labels[src]]   # repeated targets add; SelfMapClass drops zeros
+        vec[labels[tgt]] = vec.get(labels[tgt], RingElem.zero()) + _ring(ring_spec)
     return SelfMapClass(sig, FreeEndo([FreeWord(ls) for ls in circ]), spheres)
 
 
@@ -280,7 +280,7 @@ def _window_mismatch(
         su = endo_apply(c.circle_part, u)
         for b in t.sig.labels:
             col = (b, u)
-            for l, r in c.sphere_part[b].entries.items():
+            for l, r in c.sphere_part[b].items():
                 for w, coef in r.terms.items():
                     row = (l, FreeWord._wrap(w) * su)
                     if t.has_row(row):

@@ -6,7 +6,7 @@ import random
 from pushcalc.errors import SignatureMismatch, SizeMismatch
 from pushcalc.monoid import SelfMapClass, compose, identity_map
 from pushcalc.pushing import BraidElement, PuncturedSignature, _inverse_perm
-from pushcalc.ring import ModuleVec, RingElem
+from pushcalc.ring import RingElem
 from pushcalc.words import FreeEndo, FreeWord, parse_word
 
 
@@ -57,7 +57,7 @@ def push_sym(sig: PuncturedSignature, perm: tuple[int, ...]) -> SelfMapClass:
     if sorted(perm) != list(range(sig.k)):
         raise SizeMismatch(f"perm {perm} is not a permutation of 0..{sig.k - 1}")
     punctures = sig.punctures
-    spheres = {lab: ModuleVec.unit(lab) for lab in sig.cells}
+    spheres = {lab: {lab: RingElem.one()} for lab in sig.cells}
     for i, j in enumerate(perm):
-        spheres[punctures[i]] = ModuleVec.unit(punctures[j])
+        spheres[punctures[i]] = {punctures[j]: RingElem.one()}
     return SelfMapClass(sig.wedge, FreeEndo.identity(sig.model.g), spheres)

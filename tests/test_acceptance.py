@@ -37,7 +37,7 @@ from pushcalc.pushing import (
     push_word_closed,
     recover_braid,
 )
-from pushcalc.ring import ModuleVec, RingElem, SphereLabel
+from pushcalc.ring import RingElem, SphereLabel
 from pushcalc.verification import run_suite
 from pushcalc.words import FreeEndo, FreeWord, endo_apply, enumerate_words, parse_word
 
@@ -69,8 +69,8 @@ def rank1_map(p_ring: RingElem, t_p_ring: RingElem) -> SelfMapClass:
         SIG11.wedge,
         FreeEndo([A]),
         {
-            P1: ModuleVec([(P1, p_ring)]),
-            T1: ModuleVec([(T1, RingElem.one()), (P1, t_p_ring)]),
+            P1: {P1: p_ring},
+            T1: {T1: RingElem.one(), P1: t_p_ring},
         },
     )
 
@@ -102,9 +102,7 @@ def rand_map(rng: random.Random, g: int, k: int,
     )
     sig = WedgeSignature(g, labels)
     spheres = {
-        src: ModuleVec([
-            (tgt, rand_ring(rng, g)) for tgt in labels if rng.random() < 0.4
-        ])
+        src: {tgt: rand_ring(rng, g) for tgt in labels if rng.random() < 0.4}
         for src in labels
     }
     circ = FreeEndo([rand_word(rng, g, circ_len) for _ in range(g)])
@@ -201,7 +199,7 @@ def test_criterion_5_embedding_and_truncation():
             def honest(row, col):
                 # block (l, b) of c's matrix is the l-component of c's image of b
                 (lab_r, v), (lab_c, u) = row, col
-                return coefficient(c.sphere_part[lab_c].get(lab_r),
+                return coefficient(c.sphere_part[lab_c].get(lab_r, RingElem.zero()),
                                    v * ~endo_apply(c.circle_part, u))
 
             for (row, col), value in prod.entries.items():

@@ -174,6 +174,17 @@ def test_embed_matrix_golden(capsys, tmp_path):
     assert (code, out, err) == (0, "[[a1, 1], [0, 1]]\n", "")
 
 
+def test_two_keys_naming_one_sphere_refused(capsys, tmp_path):
+    # "p1" and "p01" both name p1: the map is refused, not read as one of them.
+    obj = {"g": 1, "d": 3, "labels": ["p1", "t1"], "circles": ["a1"],
+           "spheres": {"p1": {"p1": [[1, "a1"]]}, "p01": {"p1": [[1, "e"]]},
+                       "t1": {"t1": [[1, "e"]]}}}
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(obj))
+    assert run_cli(capsys, "embed", "--map", str(path)) == (
+        1, "", "error:parse: duplicate sphere image for label p1\n")
+
+
 def test_embed_word_mode_tsv_golden(capsys):
     code, out, err = run_cli(capsys, "embed", "-g", "1", "-k", "1",
                              "--slot", "1", "a1", "--truncate", "1")

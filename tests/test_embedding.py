@@ -23,7 +23,7 @@ from pushcalc.embedding import (
 )
 from pushcalc.errors import SignatureMismatch, SizeMismatch, TooLarge
 from pushcalc.monoid import SelfMapClass, WedgeSignature, compose, identity_map
-from pushcalc.ring import ModuleVec, RingElem, SphereLabel
+from pushcalc.ring import RingElem, SphereLabel
 from pushcalc.verification import _window_mismatch
 from pushcalc.words import (
     IDENTITY,
@@ -48,8 +48,8 @@ def push_alpha() -> SelfMapClass:
         SIG1,
         FreeEndo([parse_word("a1")]),
         {
-            P1: ModuleVec([(P1, ring_of({"a1": 1}))]),
-            T1: ModuleVec([(P1, ring_of({"e": 1})), (T1, ring_of({"e": 1}))]),
+            P1: {P1: ring_of({"a1": 1})},
+            T1: {P1: ring_of({"e": 1}), T1: ring_of({"e": 1})},
         },
     )
 
@@ -59,8 +59,8 @@ def push_alpha_inv() -> SelfMapClass:
         SIG1,
         FreeEndo([parse_word("a1")]),
         {
-            P1: ModuleVec([(P1, ring_of({"A1": 1}))]),
-            T1: ModuleVec([(P1, ring_of({"A1": -1})), (T1, ring_of({"e": 1}))]),
+            P1: {P1: ring_of({"A1": 1})},
+            T1: {P1: ring_of({"A1": -1}), T1: ring_of({"e": 1})},
         },
     )
 
@@ -69,7 +69,7 @@ def collapse_circle() -> SelfMapClass:
     return SelfMapClass(
         SIG1,
         FreeEndo([IDENTITY]),
-        {P1: ModuleVec.unit(P1), T1: ModuleVec.unit(T1)},
+        {P1: {P1: RingElem.one()}, T1: {T1: RingElem.one()}},
     )
 
 
@@ -95,7 +95,7 @@ def rand_map(rng: random.Random, sig: WedgeSignature, circle_len: int = 1,
             )
             if r:
                 entries.append((l, r))
-        spheres[b] = ModuleVec(entries)
+        spheres[b] = dict(entries)
     return SelfMapClass(sig, endo, spheres)
 
 
@@ -127,7 +127,7 @@ def test_embed_round_trip_and_injectivity():
         t = materialize(h, 0)
         assert _window_mismatch(t, h) is None
         assert len(t.entries) == sum(
-            len(r.terms) for vec in h.sphere_part.values() for r in vec.entries.values()
+            len(r.terms) for vec in h.sphere_part.values() for r in vec.values()
         )
 
 
@@ -201,7 +201,7 @@ def test_vertical_finiteness_bound():
             per_col.setdefault(col, 0)
             per_col[col] += 1
         for (b, u), count in per_col.items():
-            bound = sum(len(r.terms) for r in h.sphere_part[b].entries.values())
+            bound = sum(len(r.terms) for r in h.sphere_part[b].values())
             assert count <= bound
 
 
@@ -250,8 +250,8 @@ def test_materialize_refuses_huge_windows_before_listing():
     # Few columns, but the rows reach radius 20 through a long block word.
     long_word = SelfMapClass(
         SIG2, FreeEndo.identity(2),
-        {P1: ModuleVec([(P1, ring_of({"a1^20": 1}))]),
-         T1: ModuleVec.unit(T1), T2: ModuleVec.unit(T2)},
+        {P1: {P1: ring_of({"a1^20": 1})},
+         T1: {T1: RingElem.one()}, T2: {T2: RingElem.one()}},
     )
     with pytest.raises(TooLarge, match="rows to radius 20"):
         materialize(long_word, 0)
@@ -259,8 +259,8 @@ def test_materialize_refuses_huge_windows_before_listing():
     # rows at g = 2) is admitted.
     wide = SelfMapClass(
         SIG2, FreeEndo.identity(2),
-        {P1: ModuleVec([(P1, ring_of({"a1 a2": 1}))]),
-         T1: ModuleVec.unit(T1), T2: ModuleVec.unit(T2)},
+        {P1: {P1: ring_of({"a1 a2": 1})},
+         T1: {T1: RingElem.one()}, T2: {T2: RingElem.one()}},
     )
     t = materialize(wide, 4)
     assert (len(t.rows), len(t.cols)) == (4371, 483)
@@ -278,8 +278,8 @@ def test_materialize_refuses_huge_windows_before_listing():
     # A long block word at g = 1 passes the rows cap with only two columns.
     long_g1 = SelfMapClass(
         SIG1, FreeEndo.identity(1),
-        {P1: ModuleVec([(P1, RingElem.from_word(FreeWord((1,) * 50000)))]),
-         T1: ModuleVec.unit(T1)},
+        {P1: {P1: RingElem.from_word(FreeWord((1,) * 50000))},
+         T1: {T1: RingElem.one()}},
     )
     assert 2 * (2 * 50000 + 1) > MAX_WINDOW_ROWS
     with pytest.raises(TooLarge, match="rows to radius 50000"):
@@ -307,7 +307,7 @@ def dense_is_diagonally_constant(t, slope: FreeEndo) -> bool:
 def dense_window_mismatch(t, c: SelfMapClass):
     for row in t.rows:
         for col in t.cols:
-            block = c.sphere_part[col[0]].get(row[0])
+            block = c.sphere_part[col[0]].get(row[0], RingElem.zero())
             want = coefficient(block, row[1] * ~endo_apply(c.circle_part, col[1]))
             if t.entry(row, col) != want:
                 return row, col
@@ -438,7 +438,7 @@ def test_window_membership_matches_listed_balls():
     # A block word over generator g + 1 would put entries outside any window;
     # a SelfMapClass refuses such a word.
     with pytest.raises(ValueError, match="beyond rank 1"):
-        SelfMapClass(SIG1, FreeEndo.identity(1), {P1: ModuleVec([(P1, ring_of({"A2": 1}))])})
+        SelfMapClass(SIG1, FreeEndo.identity(1), {P1: {P1: ring_of({"A2": 1})}})
 
 
 def test_truncated_product_needs_one_wedge():
@@ -500,8 +500,8 @@ from pushcalc import embedding, errors, monoid, ring, words
 P1, T1, T2 = (ring.SphereLabel(*x) for x in (("p", 1), ("t", 1), ("t", 2)))
 sig = monoid.WedgeSignature(2, (P1, T1, T2))
 block = ring.RingElem([(words.parse_word(w), 1) for w in ("a1", "A1", "a2", "A2 a1")])
-spheres = {lab: ring.ModuleVec.unit(lab) for lab in sig.labels}
-spheres[P1] = ring.ModuleVec([(P1, block)])
+spheres = {lab: {lab: ring.RingElem.one()} for lab in sig.labels}
+spheres[P1] = {P1: block}
 h = monoid.SelfMapClass(sig, words.FreeEndo.identity(2), spheres)
 try:
     embedding.truncated_product(embedding.materialize(h, 0), embedding.materialize(h, 1))

@@ -18,7 +18,7 @@ from pushcalc.monoid import (
     self_map_to_json,
     top_homology_matrix,
 )
-from pushcalc.ring import ModuleVec, RingElem, SphereLabel, ring_mul
+from pushcalc.ring import RingElem, SphereLabel, ring_mul
 from pushcalc.words import FreeEndo, FreeWord, endo_apply, parse_word
 
 from _helpers import assert_revalidates, rand_word, verify_inverse
@@ -43,8 +43,8 @@ def rank1_map(k: int, p_img: dict[SphereLabel, dict[int, int]],
         SIG1,
         FreeEndo([alpha_power(k)]),
         {
-            P1: ModuleVec([(lab, ring_of(e)) for lab, e in p_img.items()]),
-            T1: ModuleVec([(lab, ring_of(e)) for lab, e in t_img.items()]),
+            P1: {lab: ring_of(e) for lab, e in p_img.items()},
+            T1: {lab: ring_of(e) for lab, e in t_img.items()},
         },
     )
 
@@ -61,9 +61,10 @@ def push_alpha_inv() -> SelfMapClass:
 
 # --- independent oracle: the rank-1 coefficient formula, transcribed directly ---
 
-def _exps(r: RingElem) -> dict[int, int]:
+def _exps(h: SelfMapClass, b: SphereLabel, l: SphereLabel) -> dict[int, int]:
+    """Exponent -> coefficient of the l-component of h's image of b."""
     out: dict[int, int] = {}
-    for w, c in r.terms.items():
+    for w, c in h.sphere_part[b].get(l, RingElem.zero()).terms.items():
         assert all(abs(x) == 1 for x in w)
         out[sum(w)] = c
     return out
@@ -76,10 +77,10 @@ def _circle_exp(h: SelfMapClass) -> int:
 def oracle_compose_rank1(outer: SelfMapClass, inner: SelfMapClass) -> SelfMapClass:
     k = _circle_exp(outer)
     kp = _circle_exp(inner)
-    m, n = _exps(outer.sphere_part[P1].get(P1)), _exps(outer.sphere_part[P1].get(T1))
-    r, s = _exps(outer.sphere_part[T1].get(P1)), _exps(outer.sphere_part[T1].get(T1))
-    mp, np_ = _exps(inner.sphere_part[P1].get(P1)), _exps(inner.sphere_part[P1].get(T1))
-    rp, sp = _exps(inner.sphere_part[T1].get(P1)), _exps(inner.sphere_part[T1].get(T1))
+    m, n = _exps(outer, P1, P1), _exps(outer, P1, T1)
+    r, s = _exps(outer, T1, P1), _exps(outer, T1, T1)
+    mp, np_ = _exps(inner, P1, P1), _exps(inner, P1, T1)
+    rp, sp = _exps(inner, T1, P1), _exps(inner, T1, T1)
 
     def cross(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
         out: dict[int, int] = {}
@@ -126,7 +127,7 @@ def rand_ring(rng: random.Random, g: int) -> RingElem:
 def rand_map(rng: random.Random, sig: WedgeSignature) -> SelfMapClass:
     endo = FreeEndo([rand_word(rng, sig.g, 4) for _ in range(sig.g)])
     spheres = {
-        b: ModuleVec([(l, rand_ring(rng, sig.g)) for l in sig.labels])
+        b: {l: rand_ring(rng, sig.g) for l in sig.labels}
         for b in sig.labels
     }
     return SelfMapClass(sig, endo, spheres)
@@ -190,12 +191,12 @@ def test_rank_check_covers_both_signs(g):
                 images[-1] = word
                 with pytest.raises(ValueError, match="^circle image .* beyond rank"):
                     SelfMapClass(sig, FreeEndo(images), {})
-            term = ModuleVec([(T1, RingElem.from_word(word))])
+            term = {T1: RingElem.from_word(word)}
             with pytest.raises(ValueError, match=r"^image of t1 uses generators beyond rank"):
                 SelfMapClass(sig, ident, {T1: term})
     if g:
         for ok in (FreeWord([g]), FreeWord([-g])):
-            term = ModuleVec([(T1, RingElem.from_word(ok))])
+            term = {T1: RingElem.from_word(ok)}
             h = SelfMapClass(sig, FreeEndo([ok] * g), {P1: term})
             assert h.circle_part.images == (ok,) * g and h.sphere(P1) == term
 
@@ -209,24 +210,49 @@ def test_self_map_validation():
         SelfMapClass(
             SIG1,
             FreeEndo([parse_word("a1")]),
-            {P1: ModuleVec.unit(T2)},
+            {P1: {T2: RingElem.one()}},
         )
     with pytest.raises(ValueError):
         SelfMapClass(
             SIG1,
             FreeEndo([parse_word("a1")]),
-            {T2: ModuleVec.unit(P1)},
+            {T2: {P1: RingElem.one()}},
         )
     # missing sphere images densify to zero
     h = SelfMapClass(SIG1, FreeEndo([parse_word("a1")]), {})
     assert not h.sphere(P1)
 
 
+def test_sphere_images_are_checked_and_copied():
+    ident = FreeEndo.identity(1)
+    one = RingElem.one()
+    # A plain tuple equals and hashes like its label, but is not one.
+    assert ("p", 1) == P1 and hash(("p", 1)) == hash(P1)
+    with pytest.raises(ValueError, match=r"^image of t1 hits unknown label \('p', 1\)$"):
+        SelfMapClass(SIG1, ident, {T1: {("p", 1): one}})
+    for bad in (1, "a1", parse_word("a1"), {(): 1}):
+        with pytest.raises(ValueError, match="^image of p1 has a non-RingElem entry"):
+            SelfMapClass(SIG1, ident, {P1: {P1: bad}})
+    # A zero entry is dropped, so equality stays structural.
+    zero = one - one
+    h = SelfMapClass(SIG1, ident, {P1: {P1: one, T1: zero}, T1: {T1: zero}})
+    assert h.sphere(P1) == {P1: one} and h.sphere(T1) == {}
+    assert h == SelfMapClass(SIG1, ident, {P1: {P1: one}})
+    # The class keeps copies: changing the caller's dicts leaves it alone.
+    image = {P1: one}
+    spheres = {P1: image, T1: {T1: one}}
+    h = SelfMapClass(SIG1, ident, spheres)
+    assert h.sphere_part[P1] is not image and h.sphere_part is not spheres
+    image[T1] = one
+    spheres[T1] = {}
+    assert h == identity_map(SIG1)
+
+
 def test_identity_map():
     ident = identity_map(SIG1)
     assert ident.circle_part.is_identity
-    assert ident.sphere(P1) == ModuleVec.unit(P1)
-    assert ident.sphere(T1) == ModuleVec.unit(T1)
+    assert ident.sphere(P1) == {P1: RingElem.one()}
+    assert ident.sphere(T1) == {T1: RingElem.one()}
     assert format_self_map(ident) == "(a1, p1, t1)"
 
     sig0 = WedgeSignature(0, (P1,))
@@ -378,24 +404,24 @@ def test_conjugation_preserves_invertibility():
     swap = SelfMapClass(
         sig2,
         FreeEndo([parse_word("a2"), parse_word("a1")]),
-        {P1: ModuleVec.unit(P1), T1: ModuleVec.unit(T2), T2: ModuleVec.unit(T1)},
+        {P1: {P1: RingElem.one()}, T1: {T2: RingElem.one()}, T2: {T1: RingElem.one()}},
     )
     shift = SelfMapClass(
         sig2,
         FreeEndo.identity(2),
         {
-            P1: ModuleVec([(P1, RingElem.from_word(parse_word("a1")))]),
-            T1: ModuleVec.unit(T1),
-            T2: ModuleVec.unit(T2),
+            P1: {P1: RingElem.from_word(parse_word("a1"))},
+            T1: {T1: RingElem.one()},
+            T2: {T2: RingElem.one()},
         },
     )
     shift_inv = SelfMapClass(
         sig2,
         FreeEndo.identity(2),
         {
-            P1: ModuleVec([(P1, RingElem.from_word(parse_word("A1")))]),
-            T1: ModuleVec.unit(T1),
-            T2: ModuleVec.unit(T2),
+            P1: {P1: RingElem.from_word(parse_word("A1"))},
+            T1: {T1: RingElem.one()},
+            T2: {T2: RingElem.one()},
         },
     )
     assert verify_inverse(swap, swap)

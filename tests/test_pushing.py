@@ -38,7 +38,7 @@ from pushcalc.pushing import (
     push_word_closed,
     recover_braid,
 )
-from pushcalc.ring import ModuleVec, RingElem, SphereLabel
+from pushcalc.ring import RingElem, SphereLabel
 from pushcalc.words import FreeEndo, FreeWord, IDENTITY, char_sign, parse_word
 
 from _helpers import (
@@ -56,10 +56,10 @@ SIG21 = PuncturedSignature(ManifoldModel.default(2), 1)
 SIG22 = PuncturedSignature(ManifoldModel.default(2), 2)
 
 
-def vec_of(entries: dict[str, dict[str, int]]) -> ModuleVec:
+def vec_of(entries: dict[str, dict[str, int]]) -> dict[SphereLabel, RingElem]:
     from pushcalc.ring import parse_label
 
-    return ModuleVec([(parse_label(lab), ring_of(r)) for lab, r in entries.items()])
+    return {parse_label(lab): ring_of(r) for lab, r in entries.items()}
 
 
 def map_of(sig: PuncturedSignature, spheres: dict[str, dict[str, dict[str, int]]]) -> SelfMapClass:
@@ -246,8 +246,8 @@ def test_push_word_inverse_law():
 def test_push_sym():
     assert push_sym(SIG22, (0, 1)) == identity_map(SIG22.wedge)
     swap = push_sym(SIG22, (1, 0))
-    assert swap.sphere(SphereLabel("p", 1)) == ModuleVec.unit(SphereLabel("p", 2))
-    assert swap.sphere(SphereLabel("p", 2)) == ModuleVec.unit(SphereLabel("p", 1))
+    assert swap.sphere(SphereLabel("p", 1)) == {SphereLabel("p", 2): RingElem.one()}
+    assert swap.sphere(SphereLabel("p", 2)) == {SphereLabel("p", 1): RingElem.one()}
     assert compose(swap, swap) == identity_map(SIG22.wedge)
 
     rng = random.Random(114)
@@ -348,7 +348,7 @@ def test_push_braid_terms_are_letter_tuples():
     for sig, braid in random_model_cases():
         h = push_braid(sig, braid)
         for vec in h.sphere_part.values():
-            for r in vec.entries.values():
+            for r in vec.values():
                 assert all(type(key) is tuple and all(type(x) is int for x in key)
                            for key in r.terms)
 
@@ -481,8 +481,8 @@ def test_recover_rejections():
         SIG11.wedge,
         FreeEndo([parse_word("a1^2")]),
         {
-            SphereLabel("p", 1): ModuleVec.unit(SphereLabel("p", 1)),
-            SphereLabel("t", 1): ModuleVec.unit(SphereLabel("t", 1)),
+            SphereLabel("p", 1): {SphereLabel("p", 1): RingElem.one()},
+            SphereLabel("t", 1): {SphereLabel("t", 1): RingElem.one()},
         },
     )
     assert isinstance(recover_braid(SIG11, twisted), NotInImage)
@@ -514,9 +514,9 @@ def _recover_braid_by_round_trip(sig: PuncturedSignature, h: SelfMapClass):
     words: list = [None] * k
     for i, p_i in enumerate(sig.wedge.labels[:k], 1):
         vec = h.sphere(p_i)
-        if len(vec.entries) != 1:
+        if len(vec) != 1:
             return NotInImage(f"image of p{i} is not a single basis term")
-        (lab, r), = vec.entries.items()
+        (lab, r), = vec.items()
         if lab.kind != "p":
             return NotInImage(f"image of p{i} lands on {lab}")
         if len(r.terms) != 1:
@@ -542,11 +542,12 @@ def _corruptions(rng: random.Random, sig: PuncturedSignature, h: SelfMapClass):
 
     def plus(lab, target, word, n):
         spheres = dict(h.sphere_part)
-        spheres[lab] = spheres[lab] + ModuleVec([(target, RingElem.from_word(word, n))])
+        image = spheres[lab] = dict(spheres[lab])
+        image[target] = image.get(target, RingElem.zero()) + RingElem.from_word(word, n)
         return SelfMapClass(h.sig, h.circle_part, spheres)
 
     for cell in cells:
-        entries = h.sphere(cell).entries
+        entries = h.sphere(cell)
         hit = [lab for lab in entries if lab != cell]
         if hit:
             lab = rng.choice(hit)
@@ -564,7 +565,7 @@ def _corruptions(rng: random.Random, sig: PuncturedSignature, h: SelfMapClass):
             yield "extra label", plus(cell, rng.choice(missing), rand_word(rng, g, 3), 1)
     if punctures:
         p = rng.choice(punctures)
-        (lab, r), = h.sphere(p).entries.items()
+        (lab, r), = h.sphere(p).items()
         (u, n), = r.items_shortlex()
         yield "puncture sign", plus(p, lab, u, -2 * n)
 
@@ -859,7 +860,7 @@ def test_push_braid_uses_the_wedge_labels():
     h = push_braid(sig, parse_braid("[a1 | A2 a1 | e ; (1 3)]"))
     own = {id(lab) for lab in sig.wedge.labels}
     assert {id(lab) for lab in h.sphere_part} == own
-    assert {id(lab) for vec in h.sphere_part.values() for lab in vec.entries} <= own
+    assert {id(lab) for vec in h.sphere_part.values() for lab in vec} <= own
 
 
 def test_signature_owns_the_label_order():
