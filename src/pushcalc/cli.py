@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .embedding import block_matrix_to_json, format_block_matrix, materialize, to_tsv
-from .errors import PushcalcError, TooLarge, clip
+from .errors import ParseError, PushcalcError, TooLarge, clip
 from .monoid import compose, format_self_map, self_map_from_json, self_map_to_json
 from .orbits import (
     DEFAULT_MAX_STATES,
@@ -74,13 +74,25 @@ def _json_int(text: str) -> int:
     return int(text)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
+    # json.loads would keep the last value of a repeated key without a word.
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen: set[str] = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ParseError(f"duplicate key {clip(repr(key))}")
+            seen.add(key)
+    return obj
+
+
 def _load_json(path: str) -> object:
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise _CliIOError(f"cannot read {path}: {exc.strerror or exc}") from exc
     try:
-        return json.loads(text, parse_int=_json_int)
+        return json.loads(text, parse_int=_json_int, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise _CliIOError(f"{path} is not valid JSON: {exc}") from exc
     except RecursionError:

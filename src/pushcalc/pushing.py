@@ -79,12 +79,19 @@ class ManifoldModel:
     """Loops, orientation character, and loop-cell crossing data.
 
     crossings[i-1] lists the crossings of loop i as (cell, sign, prefix)
-    triples with 1-based cell indices.  low_handle_dim declares that the
-    model's handle dimension is small enough for the orbit-counting
-    module's hypotheses, and is the one way to opt into them (`components
-    --assume-hypotheses` sets it); the default models have maximal handle
-    dimension, so it is False for them and the orbit ops refuse them
-    unless g = 0.
+    triples with 1-based cell indices.  The model is plain when each loop
+    crosses exactly one cell, with an empty prefix, and no two loops cross
+    the same cell; its character and signs may be anything, and every
+    default model is plain.  On a plain model the cell coefficient F_c(w)
+    of a reduced word w has one term per letter a_i or A_i of the one loop
+    i crossing c, and those terms are distinct prefixes of w, so
+    _slot_terms writes each term once (see _plain_steps).
+
+    low_handle_dim declares that the model's handle dimension is small
+    enough for the orbit-counting module's hypotheses, and is the one way
+    to opt into them (`components --assume-hypotheses` sets it); the
+    default models have maximal handle dimension, so it is False for them
+    and the orbit ops refuse them unless g = 0.
     """
 
     g: int
@@ -128,6 +135,26 @@ class ManifoldModel:
             character=(1,) * g,
             crossings=tuple(((i, 1, FreeWord()),) for i in range(1, g + 1)),
         )
+
+    # Cached in the instance __dict__, like PuncturedSignature's labels.
+    @functools.cached_property
+    def _plain_steps(self) -> dict[int, tuple[int, int, int, int]] | None:
+        """Per signed letter x of a plain model: (cell index from 0, prefix
+        offset, signed crossing sign, character), so that x at position pos
+        of a word adds c(u)*e times letters[:pos + offset] to that cell, u
+        being the letters before x; None if the model is not plain."""
+        steps: dict[int, tuple[int, int, int, int]] = {}
+        seen: set[int] = set()
+        for i, (row, ch) in enumerate(zip(self.crossings, self.character), 1):
+            if len(row) != 1:
+                return None
+            (cell, eps, prefix), = row
+            if prefix.letters or cell in seen:
+                return None
+            seen.add(cell)
+            steps[i] = (cell - 1, 0, eps, ch)
+            steps[-i] = (cell - 1, 1, -eps * ch, ch)
+        return steps
 
 
 @dataclass(frozen=True)
@@ -271,7 +298,31 @@ def _slot_terms(
     compose computes, for any crossing data and character.  This is the
     one implementation of that cocycle: push_braid and recover_braid use
     its dicts as ring terms, as they are.
+
+    On a plain model (see ManifoldModel) cell c hears only from the one
+    loop i crossing it, with an empty prefix: a_i at position n adds the
+    n-letter prefix and A_i the (n+1)-letter one.  Two such terms could
+    only meet if A_i were followed by a_i, which a reduced word never
+    has, so each term is written once with no sum.  Any other model runs
+    _accumulated_terms, where terms may add up and cancel.
     """
+    steps = model._plain_steps
+    if steps is None:
+        return _accumulated_terms(model, letters)
+    acc: list[dict[tuple[int, ...], int]] = [{} for _ in range(model.g)]
+    sign = 1
+    for pos, x in enumerate(letters):
+        cell, off, e, ch = steps[x]
+        acc[cell][letters[:pos + off]] = sign * e
+        sign *= ch
+    return sign, acc
+
+
+def _accumulated_terms(
+    model: ManifoldModel, letters: tuple[int, ...]
+) -> tuple[int, list[dict[tuple[int, ...], int]]]:
+    """_slot_terms on any model: each crossing's term is added into its
+    cell's dict, and a sum of zero is dropped."""
     concat = _words._kernel.concat   # looked up per call, so it can be wrapped
     character = model.character
     crossings = model.crossings
@@ -407,14 +458,32 @@ def recover_braid(sig: PuncturedSignature, h: SelfMapClass) -> BraidElement | No
     # The puncture images match push_braid's exactly, so what is left of
     # push_braid(sig, candidate) == h is the cells.
     for c, cell in enumerate(cells):
-        entries = h.sphere(cell)
-        expected = {cell: {(): 1}}
-        expected.update(
-            (p, terms[c]) for p, terms in zip(punctures, slot_terms) if terms[c]  # type: ignore[index]
-        )
-        if {lab: r.terms for lab, r in entries.items()} != expected:
+        if not _cell_matches(h.sphere(cell), cell, c, punctures, slot_terms):  # type: ignore[arg-type]
             return NotInImage("cell images do not match the decoded braid")
     return BraidElement(tuple(words), tuple(perm))  # type: ignore[arg-type]
+
+
+def _cell_matches(
+    entries: dict[SphereLabel, RingElem],
+    cell: SphereLabel,
+    c: int,
+    punctures: tuple[SphereLabel, ...],
+    slot_terms: list[list[dict[tuple[int, ...], int]]],
+) -> bool:
+    """Whether a cell's image is push_braid's: {(): 1} at the cell, the
+    nonzero F_c(w_j) at each p_j, and no other entry."""
+    r = entries.get(cell)
+    if r is None or r.terms != {(): 1}:
+        return False
+    count = 1
+    for p, terms in zip(punctures, slot_terms):
+        f = terms[c]
+        if f:
+            r = entries.get(p)
+            if r is None or r.terms != f:
+                return False
+            count += 1
+    return len(entries) == count
 
 
 @dataclass(frozen=True)

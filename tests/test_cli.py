@@ -185,6 +185,35 @@ def test_two_keys_naming_one_sphere_refused(capsys, tmp_path):
         1, "", "error:parse: duplicate sphere image for label p1\n")
 
 
+def test_repeated_json_key_in_a_map_refused(capsys, tmp_path):
+    # json.loads alone keeps the second "p1" image, and embed answered with it.
+    text = ('{"g": 1, "d": 3, "labels": ["p1", "t1"], "circles": ["a1"], '
+            '"spheres": {"p1": {"p1": [[1, "a1"]]}, "p1": {"p1": [[1, "e"]]}, '
+            '"t1": {"t1": [[1, "e"]]}}}')
+    path = tmp_path / "map.json"
+    path.write_text(text)
+    assert run_cli(capsys, "embed", "--map", str(path)) == (
+        1, "", "error:parse: duplicate key 'p1'\n")
+
+
+def test_repeated_json_key_in_a_target_refused(capsys, tmp_path):
+    # The key's echo is clipped like every other echo of input.
+    key = "charge" + "x" * 200
+    text = json.dumps(TRIVIAL_TARGET)[:-1] + f', "{key}": 1, "{key}": 2}}'
+    path = tmp_path / "target.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "components", "--target", str(path),
+                             "-g", "1", "-k", "1", "--assume-hypotheses")
+    assert (code, out) == (1, "")
+    assert err == f"error:parse: duplicate key {clip(repr(key))}\n"
+    # The literal case: a second "charge" no longer wins.
+    text = json.dumps(TRIVIAL_TARGET)[:-1] + ', "charge": ["x", "x", "y"]}'
+    path.write_text(text)
+    assert run_cli(capsys, "components", "--target", str(path),
+                   "-g", "1", "-k", "1", "--assume-hypotheses") == (
+        1, "", "error:parse: duplicate key 'charge'\n")
+
+
 def test_embed_word_mode_tsv_golden(capsys):
     code, out, err = run_cli(capsys, "embed", "-g", "1", "-k", "1",
                              "--slot", "1", "a1", "--truncate", "1")

@@ -248,6 +248,16 @@ def test_sphere_images_are_checked_and_copied():
     assert h == identity_map(SIG1)
 
 
+def test_sphere_part_and_images_must_be_mappings():
+    ident = FreeEndo.identity(1)
+    for bad in ([(P1, RingElem.one())], 5, None):
+        with pytest.raises(ValueError, match=r"^image of p1 must be a mapping, got "):
+            SelfMapClass(SIG1, ident, {P1: bad})
+    for bad in ([{P1: RingElem.one()}], None):
+        with pytest.raises(ValueError, match=r"^sphere part must be a mapping, got "):
+            SelfMapClass(SIG1, ident, bad)
+
+
 def test_identity_map():
     ident = identity_map(SIG1)
     assert ident.circle_part.is_identity

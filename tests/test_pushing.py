@@ -25,6 +25,7 @@ from pushcalc.pushing import (
     ManifoldModel,
     NotInImage,
     PuncturedSignature,
+    _accumulated_terms,
     _slot_terms,
     braid_mul,
     format_braid,
@@ -234,6 +235,61 @@ def test_slot_terms_reassembles_word():
         assert tuple(letter for _, letter in placed) == u.letters
 
 
+def rand_plain_model(rng: random.Random, g: int) -> ManifoldModel:
+    """Loop i crosses cell cells[i-1] once with an empty prefix: permuted
+    cells, random signs and a random character."""
+    cells = rng.sample(range(1, g + 1), g)
+    return ManifoldModel(
+        g=g,
+        d=3,
+        character=tuple(rng.choice((1, -1)) for _ in range(g)),
+        crossings=tuple(((c, rng.choice((1, -1)), IDENTITY),) for c in cells),
+    )
+
+
+def rand_reduced_letters(rng: random.Random, g: int, n: int) -> tuple[int, ...]:
+    """A reduced word of exactly n letters over rank g >= 1."""
+    letters: list[int] = []
+    while len(letters) < n:
+        x = rng.choice((1, -1)) * rng.randint(1, g)
+        if not letters or letters[-1] != -x:
+            letters.append(x)
+    return tuple(letters)
+
+
+def test_plain_terms_match_the_accumulating_loop():
+    # On a plain model _slot_terms writes each term once; the accumulating
+    # loop, which adds and cancels, is the oracle.
+    rng = random.Random(131)
+    for _ in range(600):
+        g = rng.randint(1, 5)
+        model = rand_plain_model(rng, g)
+        assert model._plain_steps is not None
+        letters = rand_reduced_letters(rng, g, rng.randint(0, 25))
+        assert _slot_terms(model, letters) == _accumulated_terms(model, letters)
+    assert ManifoldModel.default(0)._plain_steps == {}
+    assert _slot_terms(ManifoldModel.default(0), ()) == (1, [])
+
+
+def test_models_that_are_not_plain():
+    e, a1 = IDENTITY, parse_word("a1")
+    # Loops 1 and 2 both cross cell 1: in A1 a2 the two terms are both the
+    # prefix A1, with opposite signs, and cancel, so terms can collide.
+    shared = ManifoldModel(g=2, d=3, character=(1, 1),
+                           crossings=(((1, 1, e),), ((1, 1, e),)))
+    assert shared._plain_steps is None
+    assert _slot_terms(shared, (-1, 2)) == (1, [{}, {}])
+    assert _slot_terms(shared, (-1, 2)) == _accumulated_terms(shared, (-1, 2))
+    for crossings in (
+        (((1, 1, e), (2, -1, e)), ((2, 1, e),)),   # two crossings on loop 1
+        (((1, 1, e),), ((2, 1, a1),)),             # a non-empty prefix
+        (((1, 1, e),), ()),                        # loop 2 crosses no cell
+    ):
+        model = ManifoldModel(g=2, d=3, character=(1, -1), crossings=crossings)
+        assert model._plain_steps is None, crossings
+    assert ManifoldModel.default(3)._plain_steps is not None
+
+
 def test_push_word_inverse_law():
     rng = random.Random(113)
     for _ in range(60):
@@ -354,9 +410,11 @@ def test_push_braid_terms_are_letter_tuples():
 
 
 def test_push_braid_matches_fold_on_random_models():
-    seen = {"empty row": 0, "repeated cell": 0, "prefix": 0, "non-orientable": 0}
+    seen = {"empty row": 0, "repeated cell": 0, "prefix": 0, "non-orientable": 0,
+            "plain": 0}
     for sig, braid in random_model_cases():
         model = sig.model
+        seen["plain"] += model._plain_steps is not None
         seen["empty row"] += any(not row for row in model.crossings)
         seen["repeated cell"] += any(
             len({c for c, _, _ in row}) < len(row) for row in model.crossings
