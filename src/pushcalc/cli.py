@@ -1,8 +1,9 @@
 """Command line interface.
 
 One subcommand per invocation; output is deterministic for fixed flags
-and seed.  Every error path prints a single line of the form
-``error:<code>: message`` to stderr and exits nonzero.
+and seed.  Every refusal, argparse's included, is raised as a
+PushcalcError or ValueError, and _run alone prints it as a single line
+``error:<code>: message`` to stderr: exit 2 for a usage error, else 1.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .embedding import block_matrix_to_json, format_block_matrix, materialize, to_tsv
-from .errors import ParseError, PushcalcError, TooLarge, clip
+from .errors import HypothesisViolation, ParseError, PushcalcError, TooLarge, clip
 from .monoid import compose, format_self_map, self_map_from_json, self_map_to_json
 from .orbits import (
     DEFAULT_MAX_STATES,
@@ -46,16 +47,19 @@ from .words import parse_word
 MAX_MESSAGE_BYTES = 170
 
 
+class _CliError(PushcalcError):
+    """A refusal by the CLI itself: 'usage', 'io' or 'not-in-image'."""
+
+    def __init__(self, code: str, message: str) -> None:
+        super().__init__(message)
+        self.code = code
+
+
 class _Parser(argparse.ArgumentParser):
-    """Parser whose usage errors match the single-line error protocol."""
+    """Parser whose usage errors are raised to _run, not printed."""
 
     def error(self, message: str) -> None:  # type: ignore[override]
-        self.exit(2, f"error:usage: {clip(message, MAX_MESSAGE_BYTES)}\n")
-
-
-def _die(code: str, message: str) -> int:
-    print(f"error:{code}: {clip(message, MAX_MESSAGE_BYTES)}", file=sys.stderr)
-    return 1
+        raise _CliError("usage", message)
 
 
 def _print_json(obj: object) -> None:
@@ -90,17 +94,13 @@ def _load_json(path: str) -> object:
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise _CliIOError(f"cannot read {path}: {exc.strerror or exc}") from exc
+        raise _CliError("io", f"cannot read {path}: {exc.strerror or exc}") from exc
     try:
         return json.loads(text, parse_int=_json_int, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
-        raise _CliIOError(f"{path} is not valid JSON: {exc}") from exc
+        raise _CliError("io", f"{path} is not valid JSON: {exc}") from exc
     except RecursionError:
-        raise _CliIOError(f"{path} is not valid JSON: nested too deeply") from None
-
-
-class _CliIOError(Exception):
-    pass
+        raise _CliError("io", f"{path} is not valid JSON: nested too deeply") from None
 
 
 def _signature(g: int, d: int, k: int) -> PuncturedSignature:
@@ -162,18 +162,17 @@ def cmd_compose(args: argparse.Namespace) -> int:
 
 
 def _map_from_args(args: argparse.Namespace) -> object:
+    word_mode = (args.word, args.g, args.k, args.slot)
     if args.map is not None:
+        if any(x is not None for x in word_mode):
+            raise _CliError("usage", "--map takes no word, -g, -k or --slot")
         return self_map_from_json(_load_json(args.map))
     if args.word is None:
-        raise _CliUsage("either --map FILE or a word with -g/-k/--slot is required")
-    if args.g is None or args.k is None or args.slot is None:
-        raise _CliUsage("word mode needs -g, -k, and --slot")
+        raise _CliError("usage", "either --map FILE or a word with -g/-k/--slot is required")
+    if None in word_mode:
+        raise _CliError("usage", "word mode needs -g, -k, and --slot")
     sig = _signature(args.g, args.d, args.k)
     return push_word_closed(sig, parse_word(args.word), args.slot)
-
-
-class _CliUsage(Exception):
-    pass
 
 
 # Most cells `embed` prints: the `--truncate` TSV and the block grid are
@@ -218,7 +217,7 @@ def cmd_recover(args: argparse.Namespace) -> int:
     k = sum(1 for lab in h.sig.labels if lab.kind == "p")
     got = recover_braid(_signature(h.sig.g, h.sig.d, k), h)
     if isinstance(got, NotInImage):
-        return _die("not-in-image", got.reason)
+        raise _CliError("not-in-image", got.reason)
     if args.json:
         _print_json({"braid": format_braid(got)})
     else:
@@ -255,22 +254,21 @@ def cmd_components(args: argparse.Namespace) -> int:
     model = ManifoldModel.default(args.g, args.d)
     if args.assume_hypotheses:
         model = dataclasses.replace(model, low_handle_dim=True)
-    formula = None
     try:
         formula = components_formula(target, model, args.k)
-        brute = None
-        if args.brute_force:
-            brute = components_bruteforce(
-                target, model, args.k, max_states=_max_states_from_env()
-            )
-    except PushcalcError as exc:
-        hint = ""
-        if exc.code == "hypothesis-violation":
-            hint = " (pass --assume-hypotheses if they hold for your manifold)"
-        elif exc.code == "too-large" and formula is not None:
-            # only the brute force's state cap is raised by the variable
-            hint = " (raise PUSHCALC_MAX_STATES to explore a larger state graph)"
-        return _die(exc.code, f"{exc}{hint}")
+    except HypothesisViolation as exc:
+        raise HypothesisViolation(
+            f"{exc} (pass --assume-hypotheses if they hold for your manifold)"
+        ) from exc
+    brute = None
+    if args.brute_force:
+        max_states = _max_states_from_env()
+        try:
+            brute = components_bruteforce(target, model, args.k, max_states=max_states)
+        except TooLarge as exc:
+            raise TooLarge(
+                f"{exc} (raise PUSHCALC_MAX_STATES to explore a larger state graph)"
+            ) from exc
     if args.json:
         obj: dict = {"formula": formula}
         if brute is not None:
@@ -295,7 +293,7 @@ def _max_states_from_env() -> int:
     except ValueError:
         cap = -1   # refused with the negative ones
     if cap < 0:
-        raise _CliIOError(f"PUSHCALC_MAX_STATES must be a non-negative integer, got {raw!r}")
+        raise _CliError("io", f"PUSHCALC_MAX_STATES must be a non-negative integer, got {raw!r}")
     return cap
 
 
@@ -312,11 +310,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="pushcalc", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def model_flags(p: argparse.ArgumentParser, *, need_k: bool = True) -> None:
+    def model_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("-g", type=int, required=True, help="number of handles")
         p.add_argument("-d", type=int, default=3, help="ambient dimension (default 3)")
-        if need_k:
-            p.add_argument("-k", type=int, required=True, help="number of punctures")
+        p.add_argument("-k", type=int, required=True, help="number of punctures")
 
     p = sub.add_parser("push-word", help="push a puncture around a loop word")
     model_flags(p)
@@ -371,9 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("components", help="count components of a mapping space")
     p.add_argument("--target", required=True, help="target model JSON file")
-    p.add_argument("-g", type=int, required=True)
-    p.add_argument("-d", type=int, default=3)
-    p.add_argument("-k", type=int, required=True)
+    model_flags(p)
     p.add_argument("--brute-force", action="store_true",
                    help="also count by exploring the state graph")
     p.add_argument("--assume-hypotheses", action="store_true",
@@ -407,19 +402,16 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _run(argv: list[str] | None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Answer, or print the one error line of any refusal."""
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except _CliUsage as exc:
-        print(f"error:usage: {exc}", file=sys.stderr)
-        return 2
-    except _CliIOError as exc:
-        return _die("io", str(exc))
     except PushcalcError as exc:
-        return _die(exc.code, str(exc))
+        code, message = exc.code, str(exc)
     except ValueError as exc:
-        return _die("invalid", str(exc))
+        code, message = "invalid", str(exc)
+    print(f"error:{code}: {clip(message, MAX_MESSAGE_BYTES)}", file=sys.stderr)
+    return 2 if code == "usage" else 1
 
 
 if __name__ == "__main__":

@@ -109,7 +109,7 @@ class ManifoldModel:
                 f"character has {len(self.character)} signs, expected {self.g}"
             )
         for c in self.character:
-            if c not in (1, -1):
+            if isinstance(c, bool) or c not in (1, -1):
                 raise ValueError(f"character signs must be +1 or -1, got {c!r}")
         if len(self.crossings) != self.g:
             raise ValueError(
@@ -117,9 +117,10 @@ class ManifoldModel:
             )
         for row in self.crossings:
             for cell, eps, prefix in row:
-                if not (isinstance(cell, int) and 1 <= cell <= self.g):
+                if not (isinstance(cell, int) and not isinstance(cell, bool)
+                        and 1 <= cell <= self.g):
                     raise ValueError(f"crossed cell {cell!r} out of range 1..{self.g}")
-                if eps not in (1, -1):
+                if isinstance(eps, bool) or eps not in (1, -1):
                     raise ValueError(f"crossing sign must be +1 or -1, got {eps!r}")
                 if not isinstance(prefix, FreeWord):
                     raise ValueError(f"crossing prefix must be FreeWord, got {prefix!r}")
@@ -235,7 +236,7 @@ def braid_mul(a: BraidElement, b: BraidElement) -> BraidElement:
 
 
 def _check_slot(sig: PuncturedSignature, slot: int) -> None:
-    if not (isinstance(slot, int) and 1 <= slot <= sig.k):
+    if not (isinstance(slot, int) and not isinstance(slot, bool) and 1 <= slot <= sig.k):
         raise SlotOutOfRange(f"slot {slot} outside 1..{sig.k}")
 
 
@@ -252,7 +253,8 @@ def push_letter(sig: PuncturedSignature, letter: int, slot: int) -> SelfMapClass
     _check_slot(sig, slot)
     model = sig.model
     i = abs(letter)
-    if not (isinstance(letter, int) and letter != 0 and i <= model.g):
+    if not (isinstance(letter, int) and not isinstance(letter, bool)
+            and letter != 0 and i <= model.g):
         raise ValueError(f"letter {letter!r} outside rank {model.g}")
     lw = FreeWord([letter])
     sgn = char_sign(model.character, lw)

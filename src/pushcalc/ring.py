@@ -12,7 +12,7 @@ Serialization uses shortlex term order so output is deterministic.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 from operator import itemgetter
 
 from . import words as _words
@@ -81,20 +81,20 @@ def parse_label(text: str) -> SphereLabel:
 
 
 class RingElem:
-    """Integer combination of reduced words: terms maps letter tuples to ints."""
+    """Integer combination of reduced words: terms maps letter tuples to ints.
+
+    Built from (FreeWord, int) pairs; the coefficients of a repeated word
+    add up, and a word whose sum is zero is dropped.
+    """
 
     __slots__ = ("terms",)
 
-    def __init__(
-        self,
-        terms: Mapping[FreeWord, int] | Iterable[tuple[FreeWord, int]] = (),
-    ) -> None:
-        items = terms.items() if isinstance(terms, Mapping) else terms
+    def __init__(self, terms: Iterable[tuple[FreeWord, int]] = ()) -> None:
         acc: dict[tuple[int, ...], int] = {}
-        for w, c in items:
+        for w, c in terms:
             if not isinstance(w, FreeWord):
                 raise ValueError(f"ring support must be FreeWord, got {w!r}")
-            if not isinstance(c, int):
+            if not isinstance(c, int) or isinstance(c, bool):
                 raise ValueError(f"coefficients must be int, got {c!r}")
             t = w.letters
             n = acc.get(t, 0) + c

@@ -44,7 +44,7 @@ class FreeWord:
     def __init__(self, letters: Iterable[int] = ()) -> None:
         raw = tuple(letters)
         for x in raw:
-            if not isinstance(x, int) or x == 0:
+            if not isinstance(x, int) or isinstance(x, bool) or x == 0:
                 raise ValueError(f"bad letter {x!r}: letters are nonzero ints")
         self.letters = _kernel.reduce_letters(raw)
 

@@ -1,7 +1,7 @@
 """Command line goldens: byte-exact output, exit codes, error prefixes."""
 from __future__ import annotations
 
-import contextlib
+import ast
 import itertools
 import json
 import os
@@ -237,6 +237,17 @@ def test_embed_usage_error(capsys):
     code, out, err = run_cli(capsys, "embed")
     assert code == 2
     assert err.startswith("error:usage: ")
+
+
+@pytest.mark.parametrize("extra", [
+    ("a7",), ("-g", "5"), ("-k", "3"), ("--slot", "9"),
+    ("-g", "5", "-k", "3", "--slot", "9", "a7"),
+], ids=["word", "g", "k", "slot", "all"])
+def test_embed_map_refuses_word_mode_flags(capsys, tmp_path, extra):
+    # A word-mode flag beside --map would otherwise be dropped without a word.
+    m1 = push_map_file(tmp_path, "m1.json", 1, 1, 1, "a1")
+    assert run_cli(capsys, "embed", "--map", str(m1), *extra) == (
+        2, "", "error:usage: --map takes no word, -g, -k or --slot\n")
 
 
 def test_recover_golden(capsys, tmp_path):
@@ -805,8 +816,7 @@ def test_echoed_input_is_clipped(tmp_path, monkeypatch, capsys, argv, files, cod
     monkeypatch.chdir(tmp_path)
     for name, obj in files.items():
         (tmp_path / name).write_text(json.dumps(obj))
-    with pytest.raises(SystemExit) if code == "usage" else contextlib.nullcontext():
-        main(list(argv))
+    assert main(list(argv)) == (2 if code == "usage" else 1)
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1
     assert err.startswith(f"error:{code}: ") and "..." in err
@@ -1007,3 +1017,45 @@ def test_readme_examples_print_what_they_show(capsys):
             assert out + err == shown, argv
         else:
             assert (out + err).startswith("".join(lines[:elided])), argv
+
+
+def stderr_writers(source: str) -> set[str]:
+    """Outermost functions of source that name sys.stderr, or call an exit
+    method with a message, as argparse's exit(status, message) does."""
+    writers = set()
+
+    def visit(node: ast.AST, where: str) -> None:
+        if isinstance(node, ast.Attribute) and node.attr in ("stderr", "__stderr__"):
+            writers.add(where)
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "exit" and len(node.args) + len(node.keywords) > 1):
+            writers.add(where)
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if where == "<module>" and isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = child.name
+            visit(child, inner)
+
+    visit(ast.parse(source), "<module>")
+    return writers
+
+
+def test_stderr_checker_sees_each_way_of_writing():
+    source = (
+        "import sys\n"
+        "def _run():\n"
+        "    print('error:x: y', file=sys.stderr)\n"
+        "def die():\n"
+        "    sys.stderr.write('error:x: y')\n"
+        "class Parser:\n"
+        "    def error(self, message):\n"
+        "        self.exit(2, message)\n"
+        "def quiet():\n"
+        "    sys.exit(1)\n"
+    )
+    assert stderr_writers(source) == {"_run", "die", "Parser"}
+
+
+def test_run_alone_writes_error_lines():
+    source = (Path(__file__).resolve().parent.parent / "src" / "pushcalc" / "cli.py").read_text()
+    assert stderr_writers(source) == {"_run"}

@@ -895,6 +895,23 @@ def test_model_validation():
         BraidElement((IDENTITY, IDENTITY), (0, 0))
 
 
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: FreeWord([True, 2]), ValueError, "bad letter True"),
+    (lambda: RingElem([(parse_word("a1"), True)]), ValueError, "coefficients"),
+    (lambda: ManifoldModel(1, 3, (True,), (((1, 1, IDENTITY),),)), ValueError, "character"),
+    (lambda: ManifoldModel(1, 3, (1,), (((True, 1, IDENTITY),),)), ValueError, "crossed cell"),
+    (lambda: ManifoldModel(1, 3, (1,), (((1, True, IDENTITY),),)), ValueError, "crossing sign"),
+    (lambda: push_letter(SIG11, True, 1), ValueError, "letter True"),
+    (lambda: push_letter(SIG11, 1, True), SlotOutOfRange, "slot True"),
+    (lambda: push_word(SIG11, parse_word("a1"), True), SlotOutOfRange, "slot True"),
+], ids=["letter", "coefficient", "character", "cell", "sign", "push-letter",
+        "push-letter-slot", "push-word-slot"])
+def test_bool_is_not_an_int(call, error, match):
+    # bool is an int subclass, and True == 1 would pass each range check.
+    with pytest.raises(error, match=match):
+        call()
+
+
 def test_model_size_cap():
     # g + k at the cap is allowed; one more is refused before labels exist
     model = ManifoldModel.default(MAX_MODEL_SIZE - 1)
