@@ -166,12 +166,14 @@ def _map_from_args(args: argparse.Namespace) -> object:
     if args.map is not None:
         if any(x is not None for x in word_mode):
             raise _CliError("usage", "--map takes no word, -g, -k or --slot")
+        if args.d is not None:
+            raise _CliError("usage", "--map takes no -d: the map file gives the dimension")
         return self_map_from_json(_load_json(args.map))
     if args.word is None:
         raise _CliError("usage", "either --map FILE or a word with -g/-k/--slot is required")
     if None in word_mode:
         raise _CliError("usage", "word mode needs -g, -k, and --slot")
-    sig = _signature(args.g, args.d, args.k)
+    sig = _signature(args.g, 3 if args.d is None else args.d, args.k)
     return push_word_closed(sig, parse_word(args.word), args.slot)
 
 
@@ -343,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("embed", help="matrix form of a self-map")
     p.add_argument("--map", default=None, help="self-map JSON file")
     p.add_argument("-g", type=int, default=None)
-    p.add_argument("-d", type=int, default=3)
+    p.add_argument("-d", type=int, default=None, help="ambient dimension (default 3)")
     p.add_argument("-k", type=int, default=None)
     p.add_argument("--slot", type=int, default=None)
     p.add_argument("word", nargs="?", default=None)

@@ -16,8 +16,7 @@ i-th generator of pi_1(X).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from bisect import bisect_left
-from itertools import combinations_with_replacement
+from itertools import chain
 from math import comb
 from typing import Mapping, Sequence
 
@@ -260,35 +259,48 @@ def _component_count(m: int, k: int, tables: Sequence[Sequence[int]]) -> int:
 
     Adjacent transpositions join every reordering of a tuple of charge
     positions, so the search runs on their orbits: the multisets of k
-    positions, each a sorted tuple with a flat index.  A loop table moves
-    one element d to table[d]: each distinct element of each multiset is
-    walked through each table, and every edge that moves an element is
-    merged into a flat union-find (path halving).
+    positions.  A loop table moves one element d to t = table[d]: every
+    (k-1)-multiset y gives the edge y + d -- y + t, and each edge is merged
+    into a flat union-find (path halving).
+
+    No multiset is built as a tuple: the search numbers them.  Level j
+    numbers the j-multisets in colex order, where y + e, for a (j-1)-multiset
+    y and e >= max(y), gets comb(e + j - 1, j) plus the number of y.  Column d
+    of level j lists the number of y + d for each (j-1)-multiset y, in y's
+    order.  The y with max(y) <= d give one run of numbers.  A y with
+    max(y) = e > d is y' + e, and y + d gets comb(e + j - 1, j) plus entry y'
+    of column d one level down.  Only the positions some table moves get a
+    column, and the k-level columns hold at most m * multichoose(m, k - 1)
+    <= m**k ints.
     """
     if m == 1:   # one multiset: the cap does not bound k here
         return 1
-    index = {ms: x for x, ms in enumerate(combinations_with_replacement(range(m), k))}
-    parent = list(range(len(index)))
-    components = len(index)
-    for ms, x in index.items():
-        rx = x
+    components = comb(m + k - 1, k)
+    moves = {(d, t) if d < t else (t, d)
+             for table in tables for d, t in enumerate(table) if t != d}
+    if not moves:   # no edge: each multiset is a component
+        return components
+    edges = moves   # at k = 1 a multiset is its one position
+    if k > 1:
+        cols = {d: [d] for move in moves for d in move}
+        for j in range(2, k + 1):
+            # start[e]: the first number of a j-multiset with max e;
+            # below[e]: how many (j-2)-multisets y' have max(y') <= e
+            start = [comb(e + j - 1, j) for e in range(m + 1)]
+            below = [comb(e + j - 2, j - 2) for e in range(m)]
+            for d, col in cols.items():
+                cols[d] = [*range(start[d], start[d + 1]),
+                           *[start[e] + z for e in range(d + 1, m) for z in col[:below[e]]]]
+        edges = chain.from_iterable(zip(cols[d], cols[t]) for d, t in moves)
+    parent = list(range(components))
+    for rx, ry in edges:
         while (p := parent[rx]) != rx:
             parent[rx] = rx = parent[p]
-        for i, d in enumerate(ms):
-            if i and ms[i - 1] == d:   # each distinct element once
-                continue
-            rest = ms[:i] + ms[i + 1:]
-            for table in tables:
-                t = table[d]
-                if t == d:
-                    continue
-                j = bisect_left(rest, t)
-                ry = index[rest[:j] + (t,) + rest[j:]]
-                while (p := parent[ry]) != ry:
-                    parent[ry] = ry = parent[p]
-                if rx != ry:   # rx stays the root of x
-                    parent[ry] = rx
-                    components -= 1
+        while (p := parent[ry]) != ry:
+            parent[ry] = ry = parent[p]
+        if rx != ry:
+            parent[ry] = rx
+            components -= 1
     return components
 
 
@@ -310,7 +322,10 @@ def components_bruteforce(
     generator a_j moves one element of a multiset by a table on the charge
     positions; for each f class the table is read off one act call, the
     braid with a_j in every one of |charge| slots applied to the state
-    holding the whole charge.
+    holding the whole charge.  The multisets are numbered level by level,
+    and a table of at most |charge| * multichoose(|charge|, k - 1) <=
+    |classes|^k ints gives the number of each multiset plus one position,
+    so the cap bounds it too.
     """
     _require_hypothesis(model, "the brute-force component count")
     check_count("puncture count", k)

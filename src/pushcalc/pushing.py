@@ -109,7 +109,7 @@ class ManifoldModel:
                 f"character has {len(self.character)} signs, expected {self.g}"
             )
         for c in self.character:
-            if isinstance(c, bool) or c not in (1, -1):
+            if not isinstance(c, int) or isinstance(c, bool) or c not in (1, -1):
                 raise ValueError(f"character signs must be +1 or -1, got {c!r}")
         if len(self.crossings) != self.g:
             raise ValueError(
@@ -120,7 +120,7 @@ class ManifoldModel:
                 if not (isinstance(cell, int) and not isinstance(cell, bool)
                         and 1 <= cell <= self.g):
                     raise ValueError(f"crossed cell {cell!r} out of range 1..{self.g}")
-                if isinstance(eps, bool) or eps not in (1, -1):
+                if not isinstance(eps, int) or isinstance(eps, bool) or eps not in (1, -1):
                     raise ValueError(f"crossing sign must be +1 or -1, got {eps!r}")
                 if not isinstance(prefix, FreeWord):
                     raise ValueError(f"crossing prefix must be FreeWord, got {prefix!r}")

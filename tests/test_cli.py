@@ -250,6 +250,25 @@ def test_embed_map_refuses_word_mode_flags(capsys, tmp_path, extra):
         2, "", "error:usage: --map takes no word, -g, -k or --slot\n")
 
 
+def test_embed_map_refuses_dimension(capsys, tmp_path):
+    # The map file gives the dimension; a -d beside it was silently dropped.
+    m1 = push_map_file(tmp_path, "m1.json", 1, 1, 1, "a1")
+    for d in ("3", "7"):
+        assert run_cli(capsys, "embed", "--map", str(m1), "-d", d) == (
+            2, "", "error:usage: --map takes no -d: the map file gives the dimension\n")
+    # the older refusal still comes first
+    assert run_cli(capsys, "embed", "--map", str(m1), "-d", "7", "-g", "1") == (
+        2, "", "error:usage: --map takes no word, -g, -k or --slot\n")
+    # word mode keeps its default dimension, and takes another one
+    _, three, _ = run_cli(capsys, "embed", "-g", "1", "-k", "1", "--slot", "1", "a1", "--json")
+    _, explicit, _ = run_cli(capsys, "embed", "-g", "1", "-k", "1", "--slot", "1", "a1",
+                             "-d", "3", "--json")
+    code, seven, err = run_cli(capsys, "embed", "-g", "1", "-k", "1", "--slot", "1", "a1",
+                               "-d", "7", "--json")
+    assert three == explicit and (code, err) == (0, "")
+    assert json.loads(seven)["d"] == 7 and json.loads(three)["d"] == 3
+
+
 def test_recover_golden(capsys, tmp_path):
     m1 = push_map_file(tmp_path, "m1.json", 1, 1, 1, "a1")
     code, out, err = run_cli(capsys, "recover", "--map", str(m1))

@@ -4,6 +4,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
+from math import comb
 
 import pytest
 
@@ -783,13 +784,71 @@ def test_component_count_matches_nested_find():
             identity_tables += table == list(range(m))
             tables.append(table)
         if m >= 2 and tables:
-            # every multiset repeats an element: its second copy is skipped
+            # cases where every multiset repeats an element
             repeats += k > m
-            # a table that fixes an element gives no edge there
+            # cases where a table fixes an element
             fixed += any(t[d] == d for t in tables for d in range(m))
         want = component_count_nested_find(m, k, tables)
         assert _component_count(m, k, tables) == want, (m, k, tables)
     assert identity_tables >= 40 and repeats >= 40 and fixed >= 80
+
+
+def component_count_sorted_tuples(m: int, k: int, tables) -> int:
+    """The multiset graph on sorted tuples: each element of each multiset
+    is moved through each table, and the moved tuple is sorted again."""
+    index = {ms: x for x, ms in enumerate(itertools.combinations_with_replacement(range(m), k))}
+    parent = list(range(len(index)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for ms, x in index.items():
+        for i, d in enumerate(ms):
+            for table in tables:
+                y = index[tuple(sorted(ms[:i] + (table[d],) + ms[i + 1:]))]
+                parent[find(x)] = find(y)
+    return len({find(x) for x in range(len(index))})
+
+
+def test_component_count_matches_sorted_tuples_on_wider_charges():
+    # Shapes past the nested-find oracle's m**k tuples: up to 12**4.
+    rng = random.Random(1018)
+    permutations = others = 0
+    for _ in range(60):
+        m = rng.randrange(6, 13)
+        k = rng.randrange(2, 5)
+        tables = []
+        for _ in range(rng.randrange(1, 4)):
+            if rng.random() < 0.5:
+                table = rng.sample(range(m), m)
+                permutations += 1
+            else:   # not a permutation: two positions may go to one
+                table = [rng.randrange(m) if rng.random() < 0.3 else d for d in range(m)]
+                others += sorted(table) != list(range(m))
+            tables.append(table)
+        want = component_count_sorted_tuples(m, k, tables)
+        assert _component_count(m, k, tables) == want, (m, k, tables)
+    assert permutations >= 30 and others >= 30
+
+
+def test_bruteforce_wide_charge_equals_formula():
+    # 300 classes at k = 2: 45,150 multisets.  a1 turns 3-cycles on the
+    # first 240 classes and a2 swaps pairs of 3-cycles there, so the orbits
+    # are 40 of 6 classes plus 60 fixed classes.
+    a1, a2 = list(range(300)), list(range(300))
+    for i in range(0, 240, 3):
+        a1[i:i + 3] = [i + 1, i + 2, i]
+    for i in range(0, 240, 6):
+        a2[i:i + 6] = [i + 3, i + 4, i + 5, i, i + 1, i + 2]
+    target = make_target(2, range(300), [a1, a2], f_classes=[["a1", "a2"], ["a2", "e"]])
+    model = hyp_model(2)
+    # f 0 sees the 100 orbits; f 1 moves only by a2, which leaves 180 orbits
+    want = comb(101, 2) + comb(181, 2)
+    assert components_formula(target, model, 2) == want == 21340
+    assert components_bruteforce(target, model, 2) == want
 
 
 def test_bruteforce_near_cap_equals_formula():

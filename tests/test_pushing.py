@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -910,6 +911,21 @@ def test_bool_is_not_an_int(call, error, match):
     # bool is an int subclass, and True == 1 would pass each range check.
     with pytest.raises(error, match=match):
         call()
+
+
+@pytest.mark.parametrize("character, eps, match", [
+    ((1.0,), 1, "character signs must be \\+1 or -1, got 1.0"),
+    ((-1.0,), 1, "character signs must be \\+1 or -1, got -1.0"),
+    ((Fraction(1),), 1, "character signs must be \\+1 or -1, got Fraction"),
+    ((1,), -1.0, "crossing sign must be \\+1 or -1, got -1.0"),
+    ((1,), Fraction(-1), "crossing sign must be \\+1 or -1, got Fraction"),
+], ids=["character-float", "character-negative-float", "character-fraction",
+        "sign-float", "sign-fraction"])
+def test_signs_must_be_ints(character, eps, match):
+    # 1.0 == 1 would pass the range check, and push_word would then print
+    # a float coefficient.
+    with pytest.raises(ValueError, match=match):
+        ManifoldModel(1, 3, character, (((1, eps, IDENTITY),),))
 
 
 def test_model_size_cap():
