@@ -40,9 +40,14 @@ DEFAULT_MAX_STATES = 1_000_000
 MAX_COUNT_BITS = 14_000
 
 
+def _is_int(x: object) -> bool:
+    """True for an int that is not a bool (True == 1 would pass as index 1)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _as_perm(arr: Sequence[int], n: int, what: str) -> tuple[int, ...]:
     perm = tuple(arr)
-    if len(perm) != n or sorted(perm) != list(range(n)):
+    if len(perm) != n or not all(map(_is_int, perm)) or sorted(perm) != list(range(n)):
         raise ValueError(f"{what} is not a permutation of {n} classes")
     return perm
 
@@ -88,10 +93,7 @@ class TargetModel:
             raise ValueError("reflection must be an involution")
         object.__setattr__(self, "reflection", refl)
         charge = tuple(self.charge)
-        if any(
-            not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < n
-            for i in charge
-        ):
+        if any(not _is_int(i) or not 0 <= i < n for i in charge):
             raise ValueError("charge indices out of range")
         if list(charge) != sorted(set(charge)):
             raise ValueError("charge must be strictly increasing class indices")
@@ -135,11 +137,13 @@ class MapState:
 
 
 def _check_state(target: TargetModel, state: MapState) -> None:
-    if not 0 <= state.f < len(target.f_classes):
-        raise ValueError(f"state names f class {state.f} of {len(target.f_classes)}")
+    if not _is_int(state.f) or not 0 <= state.f < len(target.f_classes):
+        raise ValueError(
+            f"state names f class {clip(repr(state.f))} of {len(target.f_classes)}"
+        )
     for i in state.g_classes:
-        if i not in target.charge_set:
-            raise ValueError(f"state class index {i} is not in the charge")
+        if not _is_int(i) or i not in target.charge_set:
+            raise ValueError(f"state class index {clip(repr(i))} is not in the charge")
 
 
 def _require_hypothesis(model: ManifoldModel, what: str) -> None:
@@ -163,6 +167,34 @@ def _check_loop_rank(target: TargetModel, model: ManifoldModel) -> None:
     rank = target.loop_rank
     if rank not in (None, model.g):
         raise SizeMismatch(f"f class gives {rank} loop images but the model has rank {model.g}")
+
+
+def _check_reflection_closed(model: ManifoldModel, target: TargetModel) -> None:
+    """A non-orientable model reflects classes, so the charge must be closed
+    under the reflection."""
+    if any(c != 1 for c in model.character) and any(
+        target.reflection[i] not in target.charge_set for i in target.charge
+    ):
+        raise ValueError(
+            "charge is not closed under the reflection, required for non-orientable models"
+        )
+
+
+def _move(
+    model: ManifoldModel,
+    target: TargetModel,
+    f_words: Sequence[FreeWord],
+    x: int,
+    idx: int,
+) -> int:
+    """One letter x of act's walk, applied to class index idx."""
+    flip = model.character[abs(x) - 1] == -1
+    if flip and x > 0:
+        idx = target.reflection[idx]
+    idx = _apply_pi1_word(target, f_words[x - 1] if x > 0 else ~f_words[-x - 1], idx)
+    if flip and x < 0:
+        idx = target.reflection[idx]
+    return idx
 
 
 def act(
@@ -189,12 +221,7 @@ def act(
             f"braid on {braid.k} punctures applied to a state with "
             f"{len(state.g_classes)} classes"
         )
-    if any(c != 1 for c in model.character) and any(
-        target.reflection[i] not in target.charge_set for i in target.charge
-    ):
-        raise ValueError(
-            "charge is not closed under the reflection, required for non-orientable models"
-        )
+    _check_reflection_closed(model, target)
     inv_perm = _inverse_perm(braid.perm)
     out = []
     for i in range(braid.k):
@@ -203,12 +230,7 @@ def act(
             raise ValueError(f"slot word {word} exceeds rank {model.g}")
         idx = state.g_classes[inv_perm[i]]
         for x in reversed(word.letters):
-            flip = model.character[abs(x) - 1] == -1
-            if flip and x > 0:
-                idx = target.reflection[idx]
-            idx = _apply_pi1_word(target, f_words[x - 1] if x > 0 else ~f_words[-x - 1], idx)
-            if flip and x < 0:
-                idx = target.reflection[idx]
+            idx = _move(model, target, f_words, x, idx)
         out.append(idx)
     return MapState(state.f, tuple(out))
 
@@ -320,16 +342,17 @@ def components_bruteforce(
     states: the transpositions join every reordering of a tuple of charge
     positions, so each state is one multiset of k positions.  A loop
     generator a_j moves one element of a multiset by a table on the charge
-    positions; for each f class the table is read off one act call, the
-    braid with a_j in every one of |charge| slots applied to the state
-    holding the whole charge.  The multisets are numbered level by level,
-    and a table of at most |charge| * multichoose(|charge|, k - 1) <=
-    |classes|^k ints gives the number of each multiset plus one position,
-    so the cap bounds it too.
+    positions; for each f class, entry p of the table is act's one-letter
+    step a_j applied to charge class p.  The multisets are numbered level
+    by level, and a table of at most |charge| * multichoose(|charge|, k - 1)
+    <= |classes|^k ints gives the number of each multiset plus one
+    position, so the cap bounds it too.
     """
     _require_hypothesis(model, "the brute-force component count")
     check_count("puncture count", k)
     n, n_f = len(target.classes), len(target.f_classes)
+    if not _is_int(max_states):
+        raise ValueError(f"max_states must be an int, got {clip(repr(max_states))}")
     # n**k alone passes the cap once k > cap.bit_length(): a huge k is
     # refused without building the power.
     if max_states < 0 or n_f and (
@@ -344,21 +367,16 @@ def components_bruteforce(
     m = len(target.charge)
     if m == 0 or n_f == 0:
         return 0
-    if k > 1:
-        # act checks this for every generator; with g = 0 only the
-        # transpositions exist, and they never reach act here.
+    # act's checks, once and in act's order, for the generators that
+    # exist: slot loops when g > 0, transpositions when k > 1.
+    if k > 1 or model.g:
         _check_loop_rank(target, model)
+    _check_reflection_closed(model, target)
     pos = {c: p for p, c in enumerate(target.charge)}
-    identity = tuple(range(m))
-    loops = [BraidElement((FreeWord((j,)),) * m, identity)
-             for j in range(1, model.g + 1)]
     total = 0
-    for f in range(n_f):
-        charge_state = MapState(f, target.charge)
-        tables = [
-            [pos[c] for c in act(model, target, loop, charge_state).g_classes]
-            for loop in loops
-        ]
+    for f_words in target.f_classes:
+        tables = [[pos[_move(model, target, f_words, j, c)] for c in target.charge]
+                  for j in range(1, model.g + 1)]
         total += _component_count(m, k, tables)
     return total
 
@@ -394,7 +412,7 @@ def target_from_json(obj: object) -> TargetModel:
     if missing:
         raise ParseError(f"target model is missing keys: {sorted(missing)}")
     pi1_gens = obj["pi1_gens"]
-    if not isinstance(pi1_gens, int) or isinstance(pi1_gens, bool) or pi1_gens < 0:
+    if not _is_int(pi1_gens) or pi1_gens < 0:
         raise ParseError("pi1_gens must be a non-negative integer")
     classes = obj["classes"]
     if not isinstance(classes, Sequence) or isinstance(classes, str):

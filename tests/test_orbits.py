@@ -507,6 +507,12 @@ def test_bruteforce_state_cap():
     with pytest.raises(TooLarge):
         components_bruteforce(target, hyp_model(1), 3, max_states=10)
     assert components_bruteforce(target, hyp_model(1), 3, max_states=27) == 10
+    with pytest.raises(TooLarge):
+        components_bruteforce(target, hyp_model(1), 3, max_states=-1)
+    # True would be a cap of 1, and a float has no bit_length
+    for cap in (True, 2.5, 27.0, "27", None):
+        with pytest.raises(ValueError, match="max_states must be an int"):
+            components_bruteforce(target, hyp_model(1), 3, max_states=cap)
 
 
 def test_size_mismatches():
@@ -527,6 +533,14 @@ def test_state_validation():
         act(hyp_model(1), CYCLE3, braid("e", (0,)), MapState(1, (0,)))
     with pytest.raises(ValueError):
         act(hyp_model(1), SUB_CHARGE, braid("e", (0,)), MapState(0, (2,)))
+    # True == 1 and 1.0 == 1, but neither is an index
+    two_f = dataclasses.replace(CYCLE3, f_classes=CYCLE3.f_classes * 2)
+    for f in (True, 1.0, "1"):
+        with pytest.raises(ValueError, match="state names f class"):
+            act(hyp_model(1), two_f, braid("e", (0,)), MapState(f, (0,)))
+    for i in (True, 1.0, "1"):
+        with pytest.raises(ValueError, match="state class index"):
+            act(hyp_model(1), CYCLE3, braid("a1", (0,)), MapState(0, (i,)))
 
 
 # --- target validation and JSON ---
@@ -548,6 +562,12 @@ def test_target_validation_errors():
     # a non-involution reflection
     with pytest.raises(ValueError):
         make_target(0, ["x", "y", "z"], [], reflection=(1, 2, 0))
+    # a bool or float entry is not a class index, although True == 1.0 == 1
+    for bad in ((True, False), (1.0, 0), (1, False)):
+        with pytest.raises(ValueError, match="action of generator 1 is not a permutation"):
+            make_target(1, ["x", "y"], [bad])
+        with pytest.raises(ValueError, match="reflection is not a permutation"):
+            make_target(0, ["x", "y"], [], reflection=bad)
     # bool is not a generator count, although it is an int
     with pytest.raises(ValueError, match="pi1_gens"):
         make_target(True, ["x", "y"], [(1, 0)])
@@ -876,25 +896,118 @@ def test_bruteforce_nonorientable_skew_reflection_matches_act():
     assert components_bruteforce(target, model, 5) == act_components(target, model, 5) == 6
 
 
-def test_bruteforce_builds_each_table_with_one_act_call(monkeypatch):
-    calls = []
+def random_table_target(rng: random.Random, g: int) -> tuple[TargetModel, str]:
+    """A seeded target for g model loops, with its reflection's kind:
+    "identity", "commuting" (classes (x, s), the reflection flips s and each
+    generator moves x and maybe s) or "random" (any involution)."""
+    h = rng.randrange(0, 4)
+    kind = rng.choice(["identity", "commuting", "random"])
+    if kind == "commuting":
+        half = rng.randrange(1, 4)
+        n = 2 * half
+        action = []
+        for _ in range(h):
+            p, flip = rng.sample(range(half), half), rng.randrange(2)
+            action.append(tuple(2 * p[x // 2] + (x % 2 ^ flip) for x in range(n)))
+        reflection = [x ^ 1 for x in range(n)]
+    else:
+        n = rng.randrange(1, 7)
+        action = [tuple(rng.sample(range(n), n)) for _ in range(h)]
+        reflection = list(range(n))
+        if kind == "random":
+            idx = rng.sample(range(n), n)
+            for a, b in zip(idx[0::2], idx[1::2]):
+                if rng.random() < 0.7:
+                    reflection[a], reflection[b] = b, a
+    # the charge is a union of orbits of the action and the reflection
+    charge = set(rng.sample(range(n), rng.randrange(1, n + 1)))
+    grew = True
+    while grew:
+        grew = False
+        for perm in (*action, reflection):
+            for i in list(charge):
+                if perm[i] not in charge:
+                    charge.add(perm[i])
+                    grew = True
+    f_classes = tuple(
+        tuple(
+            FreeWord([rng.choice([1, -1]) * rng.randrange(1, h + 1)
+                      for _ in range(rng.randrange(0, 4))] if h else [])
+            for _ in range(g)
+        )
+        for _ in range(rng.randrange(1, 4))
+    )
+    target = TargetModel(
+        pi1_gens=h,
+        classes=tuple(range(n)),
+        action=tuple(action),
+        reflection=tuple(reflection),
+        charge=tuple(sorted(charge)),
+        f_classes=f_classes,
+    )
+    return target, kind
 
-    def counting_act(*args, **kwargs):
-        calls.append(args[3])
-        return act(*args, **kwargs)
 
-    monkeypatch.setattr(orbits, "act", counting_act)
+def test_bruteforce_tables_equal_act_on_the_whole_charge(monkeypatch):
+    # Each loop table is read off act: the braid with a_j in every slot
+    # applied to the state that holds the whole charge.
+    seen = []
+
+    def recording_count(m, k, tables):
+        seen.append(tables)
+        return _component_count(m, k, tables)
+
+    monkeypatch.setattr(orbits, "_component_count", recording_count)
+    rng = random.Random(20261018)
+    kinds: dict[tuple[str, bool], int] = {}
+    for _ in range(320):
+        g = rng.randrange(0, 4)
+        target, kind = random_table_target(rng, g)
+        refl = target.reflection
+        commutes = all(p[refl[i]] == refl[p[i]]
+                       for p in target.action for i in range(len(refl)))
+        character = (1,) * g
+        if g and rng.random() < 0.5:
+            character = tuple(rng.choice([1, -1]) for _ in range(g))
+        model = hyp_model(g, character)
+        k = rng.randrange(1, 5)
+        seen.clear()
+        components_bruteforce(target, model, k)
+        m = len(target.charge)
+        pos = {c: p for p, c in enumerate(target.charge)}
+        want = [
+            [[pos[c] for c in act(model, target,
+                                   BraidElement((FreeWord((j,)),) * m, tuple(range(m))),
+                                   MapState(f, target.charge)).g_classes]
+             for j in range(1, g + 1)]
+            for f in range(len(target.f_classes))
+        ]
+        assert seen == want, (target, model, k)
+        if -1 in character:
+            kinds[kind, commutes] = kinds.get((kind, commutes), 0) + 1
+    # non-orientable models meet reflections that commute with the action
+    # (trivially or not) and reflections that do not
+    assert kinds.get(("identity", True), 0) >= 10
+    assert kinds.get(("commuting", True), 0) >= 10
+    assert kinds.get(("random", False), 0) >= 10
+
+
+def test_bruteforce_makes_no_act_call(monkeypatch):
+    def no_act(*args, **kwargs):
+        raise AssertionError("components_bruteforce called act")
+
+    monkeypatch.setattr(orbits, "act", no_act)
     cases = [
-        (TWO_GEN_TWO_F, 2), (CYCLE3, 1), (SPARSE_TRIVIAL, 1),
-        (trivial_target(4, f_count=3), 1), (G0_TWO_F, 0),
+        (TWO_GEN_TWO_F, hyp_model(2)), (CYCLE3, hyp_model(1)),
+        (SPARSE_TRIVIAL, hyp_model(1)), (G0_TWO_F, hyp_model(0)),
+        (make_target(2, range(4), [(1, 2, 3, 0), (2, 1, 0, 3)],
+                     reflection=(1, 0, 2, 3), f_classes=[["a1", "a2"]]),
+         hyp_model(2, (-1, 1))),
     ]
-    for target, g in cases:
+    for target, model in cases:
         for k in range(4):
-            calls.clear()
-            components_bruteforce(target, hyp_model(g), k)
-            assert len(calls) == (len(target.f_classes) * g if k else 0)
-            # each call carries the whole charge, one slot per class
-            assert all(s.g_classes == target.charge for s in calls)
+            # act_components calls this module's act, not orbits.act
+            assert components_bruteforce(target, model, k) == act_components(target, model, k)
 
 
 def test_orbit_counts_reject_bool():
