@@ -77,7 +77,6 @@ from .words import (
     KERNEL_BACKEND,
     FreeEndo,
     FreeWord,
-    char_sign,
     endo_apply,
     endo_compose,
     enumerate_words,
@@ -114,7 +113,6 @@ __all__ = [
     "act",
     "augment",
     "braid_mul",
-    "char_sign",
     "compose",
     "components_bruteforce",
     "components_formula",

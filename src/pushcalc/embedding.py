@@ -105,10 +105,7 @@ def _in_ball(sig: WedgeSignature, radius: int, key: IndexKey) -> bool:
     lab, w = key
     if lab not in sig.label_set or not isinstance(w, FreeWord):
         return False
-    letters = w.letters
-    return len(letters) <= radius and (
-        not letters or (max(letters) <= sig.g and min(letters) >= -sig.g)
-    )
+    return len(w) <= radius and w.max_generator <= sig.g
 
 
 def _ball_keys(sig: WedgeSignature, radius: int) -> tuple[IndexKey, ...]:

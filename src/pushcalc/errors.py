@@ -1,7 +1,8 @@
 """Error types and the input checks that raise them, shared across the package.
 
 Every error carries a stable machine-readable ``code`` used by the CLI's
-single-line error prefix.
+single-line error prefix.  is_int is the one test of an int that is not a
+bool; check_count and check_dimension build on it.
 """
 from __future__ import annotations
 
@@ -81,7 +82,18 @@ def clip(text: str, limit: int = 80) -> str:
             + data[-half:].decode("utf-8", "ignore"))
 
 
+def is_int(x: object) -> bool:
+    """True for an int that is not a bool (True == 1 would pass as index 1)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def check_count(what: str, value: object) -> None:
     """Raise ValueError unless value is an int >= 0 (a bool is not a count)."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+    if not is_int(value) or value < 0:
         raise ValueError(f"{what} must be a non-negative int, got {clip(repr(value))}")
+
+
+def check_dimension(what: str, d: object) -> None:
+    """Raise ValueError unless d is an int >= 3; what names it in the message."""
+    if not is_int(d) or d < 3:
+        raise ValueError(f"{what} must be an int >= 3, got {d!r}")

@@ -20,7 +20,7 @@ import functools
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-from .errors import ParseError, SignatureMismatch, TooLarge, check_count
+from .errors import ParseError, SignatureMismatch, TooLarge, check_count, check_dimension
 from .ring import (
     RingElem,
     SphereLabel,
@@ -32,7 +32,7 @@ from .ring import (
     vec_from_json,
     vec_to_json,
 )
-from .words import FreeEndo, endo_compose, format_word, parse_word
+from .words import FreeEndo, _max_generator, endo_compose, format_word, parse_word
 
 
 @dataclass(frozen=True)
@@ -51,8 +51,7 @@ class WedgeSignature:
 
     def __init__(self, g: int, labels, d: int = 3) -> None:
         check_count("circle count", g)
-        if not isinstance(d, int) or isinstance(d, bool) or d < 3:
-            raise ValueError(f"sphere dimension must be an int >= 3, got {d!r}")
+        check_dimension("sphere dimension", d)
         labs = tuple(labels)
         for lab in labs:
             if not isinstance(lab, SphereLabel):
@@ -99,10 +98,8 @@ class SelfMapClass:
                 f"circle part has rank {circle_part.rank}, signature needs {g}"
             )
         allowed = sig.label_set
-        # A word is within rank g when all its letters lie in -g..g.
         for img in circle_part.images:
-            t = img.letters
-            if t and (max(t) > g or min(t) < -g):
+            if img.max_generator > g:
                 raise ValueError(f"circle image {img} uses generators beyond rank {g}")
         if not isinstance(sphere_part, Mapping):
             raise ValueError(
@@ -127,7 +124,7 @@ class SelfMapClass:
                 if not isinstance(r, RingElem):
                     raise ValueError(f"image of {lab} has a non-RingElem entry {r!r}")
                 for t in r.terms:
-                    if t and (max(t) > g or min(t) < -g):
+                    if _max_generator(t) > g:
                         raise ValueError(
                             f"image of {lab} uses generators beyond rank {g}"
                         )

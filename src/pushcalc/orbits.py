@@ -27,6 +27,7 @@ from .errors import (
     TooLarge,
     check_count,
     clip,
+    is_int,
 )
 from .pushing import BraidElement, ManifoldModel, _inverse_perm
 from .words import FreeWord, parse_word
@@ -40,14 +41,17 @@ DEFAULT_MAX_STATES = 1_000_000
 MAX_COUNT_BITS = 14_000
 
 
-def _is_int(x: object) -> bool:
-    """True for an int that is not a bool (True == 1 would pass as index 1)."""
-    return isinstance(x, int) and not isinstance(x, bool)
+def _as_tuple(value: object, what: str) -> tuple:
+    """tuple(value), or a ValueError naming the field if it is not iterable."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise ValueError(f"{what} must be a sequence, got {type(value).__name__}") from None
 
 
 def _as_perm(arr: Sequence[int], n: int, what: str) -> tuple[int, ...]:
-    perm = tuple(arr)
-    if len(perm) != n or not all(map(_is_int, perm)) or sorted(perm) != list(range(n)):
+    perm = _as_tuple(arr, what)
+    if len(perm) != n or not all(map(is_int, perm)) or sorted(perm) != list(range(n)):
         raise ValueError(f"{what} is not a permutation of {n} classes")
     return perm
 
@@ -77,12 +81,17 @@ class TargetModel:
 
     def __post_init__(self) -> None:
         check_count("pi1_gens", self.pi1_gens)
-        object.__setattr__(self, "classes", tuple(self.classes))
-        n = len(self.classes)
-        if len(set(self.classes)) != n:
+        classes = _as_tuple(self.classes, "classes")
+        object.__setattr__(self, "classes", classes)
+        n = len(classes)
+        try:
+            distinct = len(set(classes)) == n
+        except TypeError:
+            raise ValueError("class ids must be hashable") from None
+        if not distinct:
             raise ValueError("class ids must be distinct")
         action = tuple(_as_perm(p, n, f"action of generator {j + 1}")
-                       for j, p in enumerate(self.action))
+                       for j, p in enumerate(_as_tuple(self.action, "action")))
         if len(action) != self.pi1_gens:
             raise ValueError(
                 f"action table has {len(action)} entries for {self.pi1_gens} generators"
@@ -92,8 +101,8 @@ class TargetModel:
         if any(refl[refl[i]] != i for i in range(n)):
             raise ValueError("reflection must be an involution")
         object.__setattr__(self, "reflection", refl)
-        charge = tuple(self.charge)
-        if any(not _is_int(i) or not 0 <= i < n for i in charge):
+        charge = _as_tuple(self.charge, "charge")
+        if any(not is_int(i) or not 0 <= i < n for i in charge):
             raise ValueError("charge indices out of range")
         if list(charge) != sorted(set(charge)):
             raise ValueError("charge must be strictly increasing class indices")
@@ -106,7 +115,8 @@ class TargetModel:
         object.__setattr__(self, "charge", charge)
         object.__setattr__(self, "charge_set", cset)
         object.__setattr__(self, "inv_action", tuple(map(_inverse_perm, action)))
-        fcs = tuple(tuple(ws) for ws in self.f_classes)
+        fcs = tuple(_as_tuple(ws, "each f class")
+                    for ws in _as_tuple(self.f_classes, "f_classes"))
         for ws in fcs:
             for w in ws:
                 if not isinstance(w, FreeWord):
@@ -133,16 +143,16 @@ class MapState:
     g_classes: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "g_classes", tuple(self.g_classes))
+        object.__setattr__(self, "g_classes", _as_tuple(self.g_classes, "g_classes"))
 
 
 def _check_state(target: TargetModel, state: MapState) -> None:
-    if not _is_int(state.f) or not 0 <= state.f < len(target.f_classes):
+    if not is_int(state.f) or not 0 <= state.f < len(target.f_classes):
         raise ValueError(
             f"state names f class {clip(repr(state.f))} of {len(target.f_classes)}"
         )
     for i in state.g_classes:
-        if not _is_int(i) or i not in target.charge_set:
+        if not is_int(i) or i not in target.charge_set:
             raise ValueError(f"state class index {clip(repr(i))} is not in the charge")
 
 
@@ -351,7 +361,7 @@ def components_bruteforce(
     _require_hypothesis(model, "the brute-force component count")
     check_count("puncture count", k)
     n, n_f = len(target.classes), len(target.f_classes)
-    if not _is_int(max_states):
+    if not is_int(max_states):
         raise ValueError(f"max_states must be an int, got {clip(repr(max_states))}")
     # n**k alone passes the cap once k > cap.bit_length(): a huge k is
     # refused without building the power.
@@ -412,7 +422,7 @@ def target_from_json(obj: object) -> TargetModel:
     if missing:
         raise ParseError(f"target model is missing keys: {sorted(missing)}")
     pi1_gens = obj["pi1_gens"]
-    if not _is_int(pi1_gens) or pi1_gens < 0:
+    if not is_int(pi1_gens) or pi1_gens < 0:
         raise ParseError("pi1_gens must be a non-negative integer")
     classes = obj["classes"]
     if not isinstance(classes, Sequence) or isinstance(classes, str):

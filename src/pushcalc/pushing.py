@@ -38,7 +38,9 @@ from .errors import (
     SlotOutOfRange,
     TooLarge,
     check_count,
+    check_dimension,
     clip,
+    is_int,
 )
 from .monoid import SelfMapClass, WedgeSignature, compose, identity_map
 from .ring import RingElem, SphereLabel
@@ -46,7 +48,6 @@ from .words import (
     MAX_WORD_LETTERS,
     FreeWord,
     _unrank_word,
-    char_sign,
     count_words,
     enumerate_words,
     format_word,
@@ -72,6 +73,11 @@ def _check_model_size(size: object) -> None:
 def _check_loop_count(g: object) -> None:
     check_count("loop count", g)
     _check_model_size(g)
+
+
+def _check_sign(what: str, x: object) -> None:
+    if not is_int(x) or x not in (1, -1):
+        raise ValueError(f"{what} must be +1 or -1, got {x!r}")
 
 
 @dataclass(frozen=True)
@@ -102,26 +108,22 @@ class ManifoldModel:
 
     def __post_init__(self) -> None:
         _check_loop_count(self.g)
-        if not isinstance(self.d, int) or isinstance(self.d, bool) or self.d < 3:
-            raise ValueError(f"dimension must be an int >= 3, got {self.d!r}")
+        check_dimension("dimension", self.d)
         if len(self.character) != self.g:
             raise ValueError(
                 f"character has {len(self.character)} signs, expected {self.g}"
             )
         for c in self.character:
-            if not isinstance(c, int) or isinstance(c, bool) or c not in (1, -1):
-                raise ValueError(f"character signs must be +1 or -1, got {c!r}")
+            _check_sign("character signs", c)
         if len(self.crossings) != self.g:
             raise ValueError(
                 f"crossing data for {len(self.crossings)} loops, expected {self.g}"
             )
         for row in self.crossings:
             for cell, eps, prefix in row:
-                if not (isinstance(cell, int) and not isinstance(cell, bool)
-                        and 1 <= cell <= self.g):
+                if not (is_int(cell) and 1 <= cell <= self.g):
                     raise ValueError(f"crossed cell {cell!r} out of range 1..{self.g}")
-                if not isinstance(eps, int) or isinstance(eps, bool) or eps not in (1, -1):
-                    raise ValueError(f"crossing sign must be +1 or -1, got {eps!r}")
+                _check_sign("crossing sign", eps)
                 if not isinstance(prefix, FreeWord):
                     raise ValueError(f"crossing prefix must be FreeWord, got {prefix!r}")
                 if prefix.max_generator > self.g:
@@ -200,8 +202,9 @@ class BraidElement:
         for w in self.words:
             if not isinstance(w, FreeWord):
                 raise ValueError(f"slot words must be FreeWord, got {w!r}")
-        if sorted(self.perm) != list(range(len(self.perm))):
-            raise ValueError(f"perm {self.perm} is not a permutation of 0..k-1")
+        perm = self.perm
+        if not all(map(is_int, perm)) or sorted(perm) != list(range(len(perm))):
+            raise ValueError(f"perm {perm} is not a permutation of 0..k-1")
 
     @property
     def k(self) -> int:
@@ -236,7 +239,7 @@ def braid_mul(a: BraidElement, b: BraidElement) -> BraidElement:
 
 
 def _check_slot(sig: PuncturedSignature, slot: int) -> None:
-    if not (isinstance(slot, int) and not isinstance(slot, bool) and 1 <= slot <= sig.k):
+    if not (is_int(slot) and 1 <= slot <= sig.k):
         raise SlotOutOfRange(f"slot {slot} outside 1..{sig.k}")
 
 
@@ -252,12 +255,11 @@ def push_letter(sig: PuncturedSignature, letter: int, slot: int) -> SelfMapClass
     """
     _check_slot(sig, slot)
     model = sig.model
-    i = abs(letter)
-    if not (isinstance(letter, int) and not isinstance(letter, bool)
-            and letter != 0 and i <= model.g):
+    if not (is_int(letter) and 0 < abs(letter) <= model.g):
         raise ValueError(f"letter {letter!r} outside rank {model.g}")
+    i = abs(letter)
     lw = FreeWord([letter])
-    sgn = char_sign(model.character, lw)
+    sgn = model.character[i - 1]
     p_slot = sig.punctures[slot - 1]
     spheres = {lab: {lab: RingElem.one()} for lab in sig.wedge.labels}
     spheres[p_slot] = {p_slot: RingElem.from_word(lw, sgn)}

@@ -16,8 +16,8 @@ from collections.abc import Iterable
 from operator import itemgetter
 
 from . import words as _words
-from .errors import ParseError, clip
-from .words import FreeEndo, FreeWord, format_word, parse_word, shortlex_key
+from .errors import ParseError, clip, is_int
+from .words import FreeEndo, FreeWord, _check_rank, format_word, parse_word, shortlex_key
 
 
 class SphereLabel(tuple):
@@ -44,7 +44,7 @@ class SphereLabel(tuple):
     def __new__(cls, kind: str, index: int) -> "SphereLabel":
         if kind not in ("p", "t"):
             raise ValueError(f"label kind must be 'p' or 't', got {kind!r}")
-        if not isinstance(index, int) or isinstance(index, bool):
+        if not is_int(index):
             raise ValueError(f"label index must be an int, got {index!r}")
         if index < (1 if kind == "p" else 0):
             raise ValueError(f"index {index} out of range for kind {kind!r}")
@@ -94,7 +94,7 @@ class RingElem:
         for w, c in terms:
             if not isinstance(w, FreeWord):
                 raise ValueError(f"ring support must be FreeWord, got {w!r}")
-            if not isinstance(c, int) or isinstance(c, bool):
+            if not is_int(c):
                 raise ValueError(f"coefficients must be int, got {c!r}")
             t = w.letters
             n = acc.get(t, 0) + c
@@ -194,13 +194,8 @@ def ring_mul(a: RingElem, b: RingElem) -> RingElem:
 
 def ring_endo_apply(phi: FreeEndo, a: RingElem) -> RingElem:
     """Apply an endomorphism to every support word; collided images add."""
-    rank = phi.rank
     for t in a.terms:
-        if t and (max(t) > rank or min(t) < -rank):
-            raise ValueError(
-                f"word uses generator {max(max(t), -min(t))} but endomorphism "
-                f"has rank {rank}"
-            )
+        _check_rank(phi, t)
     if phi.is_identity:
         return a
     substitute = _words._kernel.substitute
@@ -260,7 +255,7 @@ def ring_from_json(obj: object) -> RingElem:
         if not (isinstance(pair, list) and len(pair) == 2):
             raise ParseError(f"ring term must be [coefficient, word], got {pair!r}")
         c, ws = pair
-        if not isinstance(c, int) or isinstance(c, bool):
+        if not is_int(c):
             raise ParseError(f"ring coefficient must be an integer, got {c!r}")
         if not isinstance(ws, str):
             raise ParseError(f"ring word must be a string, got {ws!r}")

@@ -10,7 +10,8 @@ and _unrank_word alone know the shortlex ball: they list, count, unrank it.
 
 Rank is carried by context objects (endomorphisms, signatures, models), not
 by each word; applying a word to a context of too small a rank is an error
-at that boundary.
+at that boundary.  Every such check reads a word's rank from one formula,
+_max_generator, on its letter tuple.
 
 The inner loops live in a small kernel module, pushcalc._purewords, bound
 here as ``_kernel``.  FreeWord, endo_apply and the modules that work on
@@ -21,13 +22,19 @@ count calls, say).
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from . import _purewords as _kernel
-from .errors import ParseError, TooLarge, clip
+from .errors import ParseError, TooLarge, clip, is_int
 
 # Name of the word kernel in use; the benchmark harness records it per run.
 KERNEL_BACKEND = "pure-python"
+
+
+def _max_generator(t: tuple[int, ...]) -> int:
+    """Largest generator index in a letter tuple, 0 for the empty one: a
+    word lies within rank g exactly when this is at most g."""
+    return max(max(t), -min(t)) if t else 0
 
 
 class FreeWord:
@@ -44,7 +51,7 @@ class FreeWord:
     def __init__(self, letters: Iterable[int] = ()) -> None:
         raw = tuple(letters)
         for x in raw:
-            if not isinstance(x, int) or isinstance(x, bool) or x == 0:
+            if not is_int(x) or x == 0:
                 raise ValueError(f"bad letter {x!r}: letters are nonzero ints")
         self.letters = _kernel.reduce_letters(raw)
 
@@ -68,8 +75,7 @@ class FreeWord:
         >>> FreeWord().max_generator
         0
         """
-        t = self.letters
-        return max(max(t), -min(t)) if t else 0
+        return _max_generator(self.letters)
 
     def __mul__(self, other: object) -> "FreeWord":
         if not isinstance(other, FreeWord):
@@ -117,30 +123,6 @@ def shortlex_key(u: FreeWord) -> tuple:
     return (len(u.letters), tuple([2 * abs(x) + (x < 0) for x in u.letters]))
 
 
-def char_sign(character: Sequence[int], u: FreeWord) -> int:
-    """Product of the orientation signs of the letters of u.
-
-    character[i-1] is the sign of generator i; letter signs are irrelevant
-    since the values square to 1.  A homomorphism to {+1, -1}.
-
-    >>> char_sign((-1, 1), parse_word("a1 a2"))
-    -1
-    >>> char_sign((-1, 1), parse_word("A1 a2 a1"))
-    1
-    """
-    s = 1
-    for x in u.letters:
-        i = abs(x)
-        if i > len(character):
-            raise ValueError(f"letter {x} outside character of rank {len(character)}")
-        c = character[i - 1]
-        if c not in (1, -1):
-            raise ValueError(f"character values must be +1 or -1, got {c!r}")
-        if c < 0:
-            s = -s
-    return s
-
-
 class FreeEndo:
     """An endomorphism of F_g, given by the images of the g generators."""
 
@@ -181,6 +163,13 @@ class FreeEndo:
         return f"FreeEndo([{', '.join(format_word(w) for w in self.images)}])"
 
 
+def _check_rank(phi: FreeEndo, t: tuple[int, ...]) -> None:
+    """Raise ValueError if the letter tuple t uses a generator beyond phi's rank."""
+    top = _max_generator(t)
+    if top > phi.rank:
+        raise ValueError(f"word uses generator {top} but endomorphism has rank {phi.rank}")
+
+
 def endo_apply(phi: FreeEndo, u: FreeWord) -> FreeWord:
     """Image of u under phi: substitute each letter and reduce.
 
@@ -188,10 +177,7 @@ def endo_apply(phi: FreeEndo, u: FreeWord) -> FreeWord:
     >>> format_word(endo_apply(phi, parse_word("a1 A2 a1")))
     'a1^2 a2'
     """
-    if u.max_generator > phi.rank:
-        raise ValueError(
-            f"word uses generator {u.max_generator} but endomorphism has rank {phi.rank}"
-        )
+    _check_rank(phi, u.letters)
     return FreeWord._wrap(_kernel.substitute(phi._letters, u.letters))
 
 

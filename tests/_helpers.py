@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from typing import Sequence
 
 from pushcalc.errors import SignatureMismatch, SizeMismatch
 from pushcalc.monoid import SelfMapClass, compose, identity_map
@@ -13,6 +14,26 @@ from pushcalc.words import FreeEndo, FreeWord, parse_word
 def rand_word(rng: random.Random, g: int, max_len: int) -> FreeWord:
     alphabet = [s * i for i in range(1, g + 1) for s in (1, -1)]
     return FreeWord(rng.choice(alphabet) for _ in range(rng.randrange(max_len + 1)))
+
+
+def char_sign(character: Sequence[int], u: FreeWord) -> int:
+    """Product of the orientation signs of the letters of u: the oracle for
+    the sign _slot_terms computes in its one pass.
+
+    character[i-1] is the sign of generator i; letter signs are irrelevant
+    since the values square to 1.  A homomorphism to {+1, -1}.
+    """
+    s = 1
+    for x in u.letters:
+        i = abs(x)
+        if i > len(character):
+            raise ValueError(f"letter {x} outside character of rank {len(character)}")
+        c = character[i - 1]
+        if c not in (1, -1):
+            raise ValueError(f"character values must be +1 or -1, got {c!r}")
+        if c < 0:
+            s = -s
+    return s
 
 
 def ring_of(pairs: dict[str, int]) -> RingElem:

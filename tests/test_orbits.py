@@ -541,6 +541,9 @@ def test_state_validation():
     for i in (True, 1.0, "1"):
         with pytest.raises(ValueError, match="state class index"):
             act(hyp_model(1), CYCLE3, braid("a1", (0,)), MapState(0, (i,)))
+    # a non-iterable class list is a ValueError naming the field, not a TypeError
+    with pytest.raises(ValueError, match="g_classes must be a sequence, got int"):
+        MapState(0, 5)
 
 
 # --- target validation and JSON ---
@@ -571,6 +574,20 @@ def test_target_validation_errors():
     # bool is not a generator count, although it is an int
     with pytest.raises(ValueError, match="pi1_gens"):
         make_target(True, ["x", "y"], [(1, 0)])
+    # a field that is not iterable, or ids that cannot be hashed, are
+    # ValueErrors naming the field, not TypeErrors
+    fields = dict(pi1_gens=1, classes=("x", "y"), action=((1, 0),), reflection=(0, 1),
+                  charge=(0, 1), f_classes=((parse_word("a1"),),))
+    for field, value, match in [
+        ("action", (5,), "action of generator 1 must be a sequence, got int"),
+        ("reflection", None, "reflection must be a sequence, got NoneType"),
+        ("charge", None, "charge must be a sequence, got NoneType"),
+        ("f_classes", (5,), "each f class must be a sequence, got int"),
+        ("classes", ([0], [1]), "class ids must be hashable"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            TargetModel(**{**fields, field: value})
+    assert TargetModel(**fields).classes == ("x", "y")
 
 
 def test_target_json_round_trip():

@@ -41,11 +41,12 @@ from pushcalc.pushing import (
     recover_braid,
 )
 from pushcalc.ring import RingElem, SphereLabel
-from pushcalc.words import FreeEndo, FreeWord, IDENTITY, char_sign, parse_word
+from pushcalc.words import FreeEndo, FreeWord, IDENTITY, parse_word
 
 from _helpers import (
     assert_revalidates,
     braid_inverse,
+    char_sign,
     identity_braid,
     push_sym,
     rand_word,
@@ -120,6 +121,10 @@ def test_letter_validation():
         push_letter(SIG11, 2, 1)
     with pytest.raises(ValueError):
         push_letter(SIG11, 0, 1)
+    # a letter that is not an int is refused before abs() is taken of it
+    for bad in ("a1", None):
+        with pytest.raises(ValueError, match="outside rank 1"):
+            push_letter(SIG11, bad, 1)  # type: ignore[arg-type]
 
 
 def test_word_power_formula():
@@ -905,8 +910,12 @@ def test_model_validation():
     (lambda: push_letter(SIG11, True, 1), ValueError, "letter True"),
     (lambda: push_letter(SIG11, 1, True), SlotOutOfRange, "slot True"),
     (lambda: push_word(SIG11, parse_word("a1"), True), SlotOutOfRange, "slot True"),
+    (lambda: BraidElement((IDENTITY, IDENTITY), (True, False)), ValueError,
+     "is not a permutation of 0..k-1"),
+    (lambda: BraidElement((IDENTITY, IDENTITY), (1.0, 0.0)), ValueError,
+     "is not a permutation of 0..k-1"),
 ], ids=["letter", "coefficient", "character", "cell", "sign", "push-letter",
-        "push-letter-slot", "push-word-slot"])
+        "push-letter-slot", "push-word-slot", "braid-perm-bool", "braid-perm-float"])
 def test_bool_is_not_an_int(call, error, match):
     # bool is an int subclass, and True == 1 would pass each range check.
     with pytest.raises(error, match=match):

@@ -13,7 +13,6 @@ from pushcalc.words import (
     MAX_WORD_LETTERS,
     FreeEndo,
     FreeWord,
-    char_sign,
     count_words,
     endo_apply,
     endo_compose,
@@ -23,7 +22,7 @@ from pushcalc.words import (
     shortlex_key,
 )
 
-from _helpers import rand_word
+from _helpers import char_sign, rand_word
 
 
 def test_reduce_examples():
