@@ -2,7 +2,8 @@
 
 Every error carries a stable machine-readable ``code`` used by the CLI's
 single-line error prefix.  is_int is the one test of an int that is not a
-bool; check_count and check_dimension build on it.
+bool; check_count and check_dimension build on it.  The shape rules live
+here too: as_tuple (a sequence), check_type (a class) and is_permutation.
 """
 from __future__ import annotations
 
@@ -97,3 +98,22 @@ def check_dimension(what: str, d: object) -> None:
     """Raise ValueError unless d is an int >= 3; what names it in the message."""
     if not is_int(d) or d < 3:
         raise ValueError(f"{what} must be an int >= 3, got {d!r}")
+
+
+def as_tuple(what: str, value: object) -> tuple:
+    """tuple(value), or a ValueError naming the field if it is not iterable."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise ValueError(f"{what} must be a sequence, got {type(value).__name__}") from None
+
+
+def check_type(what: str, value: object, cls: type) -> None:
+    """Raise ValueError unless value is an instance of cls."""
+    if not isinstance(value, cls):
+        raise ValueError(f"{what} must be {cls.__name__}, got {value!r}")
+
+
+def is_permutation(p: tuple) -> bool:
+    """True if p holds the ints 0..len(p)-1, each once."""
+    return all(map(is_int, p)) and sorted(p) == list(range(len(p)))

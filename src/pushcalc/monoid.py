@@ -20,7 +20,8 @@ import functools
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-from .errors import ParseError, SignatureMismatch, TooLarge, check_count, check_dimension
+from .errors import (ParseError, SignatureMismatch, TooLarge, as_tuple, check_count,
+                     check_dimension, check_type)
 from .ring import (
     RingElem,
     SphereLabel,
@@ -52,10 +53,9 @@ class WedgeSignature:
     def __init__(self, g: int, labels, d: int = 3) -> None:
         check_count("circle count", g)
         check_dimension("sphere dimension", d)
-        labs = tuple(labels)
+        labs = as_tuple("labels", labels)
         for lab in labs:
-            if not isinstance(lab, SphereLabel):
-                raise ValueError(f"labels must be SphereLabel, got {lab!r}")
+            check_type("labels", lab, SphereLabel)
         labs = tuple(sorted(labs))
         label_set = frozenset(labs)
         if len(label_set) != len(labs):
@@ -92,6 +92,8 @@ class SelfMapClass:
         circle_part: FreeEndo,
         sphere_part: Mapping[SphereLabel, Mapping[SphereLabel, RingElem]],
     ) -> None:
+        check_type("signature", sig, WedgeSignature)
+        check_type("circle part", circle_part, FreeEndo)
         g = sig.g
         if circle_part.rank != g:
             raise ValueError(

@@ -25,9 +25,12 @@ from .errors import (
     ParseError,
     SizeMismatch,
     TooLarge,
+    as_tuple,
     check_count,
+    check_type,
     clip,
     is_int,
+    is_permutation,
 )
 from .pushing import BraidElement, ManifoldModel, _inverse_perm
 from .words import FreeWord, parse_word
@@ -41,17 +44,9 @@ DEFAULT_MAX_STATES = 1_000_000
 MAX_COUNT_BITS = 14_000
 
 
-def _as_tuple(value: object, what: str) -> tuple:
-    """tuple(value), or a ValueError naming the field if it is not iterable."""
-    try:
-        return tuple(value)
-    except TypeError:
-        raise ValueError(f"{what} must be a sequence, got {type(value).__name__}") from None
-
-
 def _as_perm(arr: Sequence[int], n: int, what: str) -> tuple[int, ...]:
-    perm = _as_tuple(arr, what)
-    if len(perm) != n or not all(map(is_int, perm)) or sorted(perm) != list(range(n)):
+    perm = as_tuple(what, arr)
+    if len(perm) != n or not is_permutation(perm):
         raise ValueError(f"{what} is not a permutation of {n} classes")
     return perm
 
@@ -81,7 +76,7 @@ class TargetModel:
 
     def __post_init__(self) -> None:
         check_count("pi1_gens", self.pi1_gens)
-        classes = _as_tuple(self.classes, "classes")
+        classes = as_tuple("classes", self.classes)
         object.__setattr__(self, "classes", classes)
         n = len(classes)
         try:
@@ -91,7 +86,7 @@ class TargetModel:
         if not distinct:
             raise ValueError("class ids must be distinct")
         action = tuple(_as_perm(p, n, f"action of generator {j + 1}")
-                       for j, p in enumerate(_as_tuple(self.action, "action")))
+                       for j, p in enumerate(as_tuple("action", self.action)))
         if len(action) != self.pi1_gens:
             raise ValueError(
                 f"action table has {len(action)} entries for {self.pi1_gens} generators"
@@ -101,7 +96,7 @@ class TargetModel:
         if any(refl[refl[i]] != i for i in range(n)):
             raise ValueError("reflection must be an involution")
         object.__setattr__(self, "reflection", refl)
-        charge = _as_tuple(self.charge, "charge")
+        charge = as_tuple("charge", self.charge)
         if any(not is_int(i) or not 0 <= i < n for i in charge):
             raise ValueError("charge indices out of range")
         if list(charge) != sorted(set(charge)):
@@ -115,12 +110,11 @@ class TargetModel:
         object.__setattr__(self, "charge", charge)
         object.__setattr__(self, "charge_set", cset)
         object.__setattr__(self, "inv_action", tuple(map(_inverse_perm, action)))
-        fcs = tuple(_as_tuple(ws, "each f class")
-                    for ws in _as_tuple(self.f_classes, "f_classes"))
+        fcs = tuple(as_tuple("each f class", ws)
+                    for ws in as_tuple("f_classes", self.f_classes))
         for ws in fcs:
             for w in ws:
-                if not isinstance(w, FreeWord):
-                    raise ValueError(f"f class entries must be FreeWord, got {w!r}")
+                check_type("f class entries", w, FreeWord)
                 if w.max_generator > self.pi1_gens:
                     raise ValueError(
                         f"f class word {w} exceeds pi1 rank {self.pi1_gens}"
@@ -143,7 +137,7 @@ class MapState:
     g_classes: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "g_classes", _as_tuple(self.g_classes, "g_classes"))
+        object.__setattr__(self, "g_classes", as_tuple("g_classes", self.g_classes))
 
 
 def _check_state(target: TargetModel, state: MapState) -> None:

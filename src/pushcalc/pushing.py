@@ -37,10 +37,13 @@ from .errors import (
     SizeMismatch,
     SlotOutOfRange,
     TooLarge,
+    as_tuple,
     check_count,
     check_dimension,
+    check_type,
     clip,
     is_int,
+    is_permutation,
 )
 from .monoid import SelfMapClass, WedgeSignature, compose, identity_map
 from .ring import RingElem, SphereLabel
@@ -109,25 +112,28 @@ class ManifoldModel:
     def __post_init__(self) -> None:
         _check_loop_count(self.g)
         check_dimension("dimension", self.d)
-        if len(self.character) != self.g:
-            raise ValueError(
-                f"character has {len(self.character)} signs, expected {self.g}"
-            )
-        for c in self.character:
+        character = as_tuple("character", self.character)
+        if len(character) != self.g:
+            raise ValueError(f"character has {len(character)} signs, expected {self.g}")
+        for c in character:
             _check_sign("character signs", c)
-        if len(self.crossings) != self.g:
-            raise ValueError(
-                f"crossing data for {len(self.crossings)} loops, expected {self.g}"
-            )
-        for row in self.crossings:
-            for cell, eps, prefix in row:
+        crossings = as_tuple("crossings", self.crossings)
+        if len(crossings) != self.g:
+            raise ValueError(f"crossing data for {len(crossings)} loops, expected {self.g}")
+        rows = []
+        for row in crossings:
+            rows.append([])
+            for crossing in as_tuple("each crossing row", row):
+                cell, eps, prefix = crossing = as_tuple("each crossing", crossing)
                 if not (is_int(cell) and 1 <= cell <= self.g):
                     raise ValueError(f"crossed cell {cell!r} out of range 1..{self.g}")
                 _check_sign("crossing sign", eps)
-                if not isinstance(prefix, FreeWord):
-                    raise ValueError(f"crossing prefix must be FreeWord, got {prefix!r}")
+                check_type("crossing prefix", prefix, FreeWord)
                 if prefix.max_generator > self.g:
                     raise ValueError(f"crossing prefix {prefix} exceeds rank {self.g}")
+                rows[-1].append(crossing)
+        object.__setattr__(self, "character", character)
+        object.__setattr__(self, "crossings", tuple(map(tuple, rows)))
 
     @classmethod
     def default(cls, g: int, d: int = 3) -> "ManifoldModel":
@@ -171,6 +177,7 @@ class PuncturedSignature:
 
     def __post_init__(self) -> None:
         check_count("puncture count", self.k)
+        check_type("model", self.model, ManifoldModel)
         _check_model_size(self.model.g + self.k)   # before any label is built
 
     # Cached in the instance __dict__, not in the fields: equality and hash are unchanged.
@@ -195,16 +202,15 @@ class BraidElement:
     perm: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.words) != len(self.perm):
-            raise ValueError(
-                f"{len(self.words)} words but permutation of size {len(self.perm)}"
-            )
-        for w in self.words:
-            if not isinstance(w, FreeWord):
-                raise ValueError(f"slot words must be FreeWord, got {w!r}")
-        perm = self.perm
-        if not all(map(is_int, perm)) or sorted(perm) != list(range(len(perm))):
-            raise ValueError(f"perm {perm} is not a permutation of 0..k-1")
+        words, perm = as_tuple("slot words", self.words), as_tuple("perm", self.perm)
+        if len(words) != len(perm):
+            raise ValueError(f"{len(words)} words but permutation of size {len(perm)}")
+        for w in words:
+            check_type("slot words", w, FreeWord)
+        if not is_permutation(perm):
+            raise ValueError(f"perm {self.perm} is not a permutation of 0..k-1")
+        object.__setattr__(self, "words", words)
+        object.__setattr__(self, "perm", perm)
 
     @property
     def k(self) -> int:

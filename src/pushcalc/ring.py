@@ -16,7 +16,7 @@ from collections.abc import Iterable
 from operator import itemgetter
 
 from . import words as _words
-from .errors import ParseError, clip, is_int
+from .errors import ParseError, as_tuple, check_type, clip, is_int
 from .words import FreeEndo, FreeWord, _check_rank, format_word, parse_word, shortlex_key
 
 
@@ -91,9 +91,9 @@ class RingElem:
 
     def __init__(self, terms: Iterable[tuple[FreeWord, int]] = ()) -> None:
         acc: dict[tuple[int, ...], int] = {}
-        for w, c in terms:
-            if not isinstance(w, FreeWord):
-                raise ValueError(f"ring support must be FreeWord, got {w!r}")
+        for term in as_tuple("ring terms", terms):
+            w, c = as_tuple("each ring term", term)
+            check_type("ring support", w, FreeWord)
             if not is_int(c):
                 raise ValueError(f"coefficients must be int, got {c!r}")
             t = w.letters

@@ -25,7 +25,7 @@ import re
 from typing import Iterable, Iterator
 
 from . import _purewords as _kernel
-from .errors import ParseError, TooLarge, clip, is_int
+from .errors import ParseError, TooLarge, as_tuple, check_type, clip, is_int
 
 # Name of the word kernel in use; the benchmark harness records it per run.
 KERNEL_BACKEND = "pure-python"
@@ -49,7 +49,7 @@ class FreeWord:
     __slots__ = ("letters",)
 
     def __init__(self, letters: Iterable[int] = ()) -> None:
-        raw = tuple(letters)
+        raw = as_tuple("letters", letters)
         for x in raw:
             if not is_int(x) or x == 0:
                 raise ValueError(f"bad letter {x!r}: letters are nonzero ints")
@@ -129,10 +129,9 @@ class FreeEndo:
     __slots__ = ("images", "_letters", "_is_id")
 
     def __init__(self, images: Iterable[FreeWord]) -> None:
-        imgs = tuple(images)
+        imgs = as_tuple("endomorphism images", images)
         for w in imgs:
-            if not isinstance(w, FreeWord):
-                raise ValueError(f"endomorphism images must be FreeWord, got {w!r}")
+            check_type("endomorphism images", w, FreeWord)
         self.images = imgs
         self._letters = tuple(w.letters for w in imgs)
         self._is_id = all(

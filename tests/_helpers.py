@@ -1,8 +1,9 @@
 """Builders and oracles shared by the test modules."""
 from __future__ import annotations
 
+import ast
 import random
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from pushcalc.errors import SignatureMismatch, SizeMismatch
 from pushcalc.monoid import SelfMapClass, compose, identity_map
@@ -82,3 +83,19 @@ def push_sym(sig: PuncturedSignature, perm: tuple[int, ...]) -> SelfMapClass:
     for i, j in enumerate(perm):
         spheres[punctures[i]] = {punctures[j]: RingElem.one()}
     return SelfMapClass(sig.wedge, FreeEndo.identity(sig.model.g), spheres)
+
+
+def walk_sites(source: str, module: str) -> Iterator[tuple[ast.AST, str]]:
+    """Every node of the source, in preorder, with the name of its outermost
+    enclosing function or class: 'module.name', or 'module' at top level."""
+
+    def visit(node: ast.AST, where: str) -> Iterator[tuple[ast.AST, str]]:
+        yield node, where
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if where == module and isinstance(
+                    child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{module}.{child.name}"
+            yield from visit(child, inner)
+
+    yield from visit(ast.parse(source), module)

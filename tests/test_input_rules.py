@@ -6,6 +6,16 @@
 - A sign is +1 or -1: pushing._check_sign.
 - A word is within rank g: words._max_generator, on a letter tuple.
 
+The shape rules:
+
+- A value is of a class: errors.check_type.  SelfMapClass's constructor
+  is the one check of an image, and keeps its own type tests with their
+  messages.
+- A value is a sequence: errors.as_tuple.  TargetModel's test that class
+  ids are hashable and orbits._ids_to_indices's test of JSON ids are
+  different rules that also catch a TypeError.
+- A tuple is a permutation of 0..n-1: errors.is_permutation.
+
 A site that writes one of these out again, instead of calling its home,
 fails here.
 """
@@ -14,6 +24,8 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
+from _helpers import walk_sites
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "pushcalc"
 
@@ -21,6 +33,9 @@ HOMES = {
     "bool test": {"errors.is_int", "orbits._check_ids"},
     "sign test": {"pushing._check_sign"},
     "rank formula": {"words._max_generator"},
+    "type test": {"errors.check_type", "monoid.SelfMapClass"},
+    "sequence test": {"errors.as_tuple", "orbits.TargetModel", "orbits._ids_to_indices"},
+    "permutation test": {"errors.is_permutation"},
 }
 
 
@@ -28,9 +43,9 @@ def _names(node: ast.AST) -> set[str]:
     return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
 
 
-def _is_min_call(node: ast.AST) -> bool:
+def _is_call(node: ast.AST, name: str) -> bool:
     return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-            and node.func.id == "min")
+            and node.func.id == name)
 
 
 def _is_negation(node: ast.AST) -> bool:
@@ -42,17 +57,28 @@ def _is_sign_pair(node: ast.AST) -> bool:
     return isinstance(node, ast.Tuple) and ast.unparse(node) in ("(1, -1)", "(-1, 1)")
 
 
+def _is_not_isinstance(node: ast.AST) -> bool:
+    return (isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not)
+            and _is_call(node.operand, "isinstance"))
+
+
+def _is_range_list(node: ast.AST) -> bool:
+    """list(range(...))"""
+    return _is_call(node, "list") and bool(node.args) and _is_call(node.args[0], "range")
+
+
 def rule_sites(source: str, module: str) -> list[tuple[str, str]]:
     """(rule, 'module.function') for every place the source writes out a
-    rule, named after its outermost enclosing function ('module' at top
-    level).  A bool test is isinstance with bool among its types; a sign
-    test is `in` or `not in` against (1, -1); a rank formula is a min()
-    call that is negated or compared with a negated value."""
+    rule, named after its outermost enclosing function or class ('module'
+    at top level).  A bool test is isinstance with bool among its types; a
+    sign test is `in` or `not in` against (1, -1); a rank formula is a min()
+    call that is negated or compared with a negated value.  A type test is
+    an `if` on `not isinstance(...)` whose body raises ValueError; a
+    sequence test is a `try` that catches TypeError; a permutation test
+    compares sorted(...) with list(range(...))."""
     sites = []
-
-    def visit(node: ast.AST, where: str) -> None:
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and node.func.id == "isinstance" and len(node.args) == 2
+    for node, where in walk_sites(source, module):
+        if (_is_call(node, "isinstance") and len(node.args) == 2
                 and "bool" in _names(node.args[1])):
             sites.append(("bool test", where))
         if isinstance(node, ast.Compare):
@@ -60,19 +86,22 @@ def rule_sites(source: str, module: str) -> list[tuple[str, str]]:
             for op, left, right in zip(node.ops, ops, ops[1:]):
                 if isinstance(op, (ast.In, ast.NotIn)) and _is_sign_pair(right):
                     sites.append(("sign test", where))
-                if (_is_min_call(left) and _is_negation(right)
-                        or _is_negation(left) and _is_min_call(right)):
+                if (_is_call(left, "min") and _is_negation(right)
+                        or _is_negation(left) and _is_call(right, "min")):
                     sites.append(("rank formula", where))
-        if _is_negation(node) and _is_min_call(node.operand):
+                if (_is_call(left, "sorted") and _is_range_list(right)
+                        or _is_range_list(left) and _is_call(right, "sorted")):
+                    sites.append(("permutation test", where))
+        if _is_negation(node) and _is_call(node.operand, "min"):
             sites.append(("rank formula", where))
-        for child in ast.iter_child_nodes(node):
-            inner = where
-            if where == module and isinstance(
-                    child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                inner = f"{module}.{child.name}"
-            visit(child, inner)
-
-    visit(ast.parse(source), module)
+        if (isinstance(node, ast.If)
+                and any(map(_is_not_isinstance, ast.walk(node.test)))
+                and any(isinstance(st, ast.Raise) and _is_call(st.exc, "ValueError")
+                        for st in node.body)):
+            sites.append(("type test", where))
+        if isinstance(node, ast.Try) and any(
+                h.type is not None and "TypeError" in _names(h.type) for h in node.handlers):
+            sites.append(("sequence test", where))
     return sites
 
 
@@ -107,6 +136,43 @@ def test_checker_sees_each_rule_written_out():
         ("rank formula", "errors.Word"),
     ]
     assert stray_sites(rule_sites(source, "errors"))[0] == ("bool test", "errors.count")
+
+
+def test_checker_sees_each_shape_rule_written_out():
+    source = (
+        "def check_type(what, x, cls):\n"
+        "    if not isinstance(x, cls):\n"
+        "        raise ValueError(what)\n"
+        "class Word:\n"
+        "    def __init__(self, w):\n"
+        "        if len(w) > 3 or not isinstance(w, tuple):\n"
+        "            raise ValueError('w')\n"
+        "def as_tuple(what, x):\n"
+        "    try:\n"
+        "        return tuple(x)\n"
+        "    except (KeyError, TypeError):\n"
+        "        raise ValueError(what)\n"
+        "def is_permutation(p):\n"
+        "    return sorted(p) == list(range(len(p))) or list(range(3)) != sorted(p)\n"
+        "def fine(x, p):\n"
+        "    if not isinstance(x, str):\n"
+        "        raise ParseError('x')\n"
+        "    if not isinstance(x, int):\n"
+        "        return None\n"
+        "    try:\n"
+        "        return {}[x]\n"
+        "    except KeyError:\n"
+        "        pass\n"
+        "    return sorted(p) == list(p) and sorted(p) != range(3)\n"
+    )
+    assert rule_sites(source, "errors") == [
+        ("type test", "errors.check_type"),
+        ("type test", "errors.Word"),
+        ("sequence test", "errors.as_tuple"),
+        ("permutation test", "errors.is_permutation"),
+        ("permutation test", "errors.is_permutation"),
+    ]
+    assert stray_sites(rule_sites(source, "errors")) == [("type test", "errors.Word")]
 
 
 def test_each_rule_has_one_home():

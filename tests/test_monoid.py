@@ -146,6 +146,8 @@ def test_signature_validation():
         WedgeSignature(True, (P1, T1))
     with pytest.raises(ValueError):
         WedgeSignature(1, (P1, T1), d=True)
+    with pytest.raises(ValueError, match="^labels must be a sequence, got NoneType$"):
+        WedgeSignature(1, None)
 
 
 def test_signature_label_set_is_not_a_field():
@@ -204,6 +206,10 @@ def test_rank_check_covers_both_signs(g):
 def test_self_map_validation():
     with pytest.raises(ValueError):
         SelfMapClass(SIG1, FreeEndo([]), {})
+    with pytest.raises(ValueError, match="^signature must be WedgeSignature, got None$"):
+        SelfMapClass(None, FreeEndo([parse_word("a1")]), {})
+    with pytest.raises(ValueError, match="^circle part must be FreeEndo, got None$"):
+        SelfMapClass(SIG1, None, {})
     with pytest.raises(ValueError):
         SelfMapClass(SIG1, FreeEndo([parse_word("a2")]), {})
     with pytest.raises(ValueError):

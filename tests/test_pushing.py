@@ -899,6 +899,28 @@ def test_model_validation():
         BraidElement((IDENTITY,), (0, 1))
     with pytest.raises(ValueError):
         BraidElement((IDENTITY, IDENTITY), (0, 0))
+    # a field of the wrong shape names the field
+    with pytest.raises(ValueError, match="^model must be ManifoldModel, got None$"):
+        PuncturedSignature(None, 1)
+    with pytest.raises(ValueError, match="^slot words must be a sequence, got NoneType$"):
+        BraidElement(None, (0,))
+    with pytest.raises(ValueError, match="^perm must be a sequence, got NoneType$"):
+        BraidElement((IDENTITY,), None)
+    with pytest.raises(ValueError, match="^character must be a sequence, got NoneType$"):
+        ManifoldModel(1, 3, None, (((1, 1, IDENTITY),),))
+    with pytest.raises(ValueError, match="^each crossing row must be a sequence, got int$"):
+        ManifoldModel(1, 3, (1,), (5,))
+    with pytest.raises(ValueError, match="^each crossing must be a sequence, got int$"):
+        ManifoldModel(1, 3, (1,), ((5,),))
+    # sequence fields are stored as tuples, so a model or braid built from
+    # lists equals, and hashes like, the one built from tuples
+    listed = ManifoldModel(1, 3, [1], [[[1, 1, IDENTITY]]])
+    assert listed == ManifoldModel.default(1)
+    assert hash(PuncturedSignature(listed, 1)) == hash(SIG11)
+    braid = BraidElement([parse_word("a1")], [0])
+    assert braid == BraidElement((parse_word("a1"),), (0,))
+    assert hash(braid) == hash(BraidElement((parse_word("a1"),), (0,)))
+    assert recover_braid(SIG11, push_braid(SIG11, braid)) == braid
 
 
 @pytest.mark.parametrize("call, error, match", [

@@ -66,6 +66,8 @@ def test_construction_prunes_zeros():
     assert not RingElem.from_word(parse_word("a1"), 0)
     with pytest.raises(ValueError):
         RingElem([("a1", 1)])  # type: ignore[list-item]
+    with pytest.raises(ValueError, match="^each ring term must be a sequence, got FreeWord$"):
+        RingElem([parse_word("a1")])  # type: ignore[list-item]
 
 
 def test_product_examples():

@@ -9,6 +9,8 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
+from _helpers import walk_sites
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "pushcalc"
 
@@ -21,21 +23,11 @@ ALLOWED = {
 
 def wrap_users(source: str, module: str) -> list[str]:
     """'module.function' for every read of SelfMapClass._wrap, call or alias,
-    named after its outermost enclosing function ('module' at top level)."""
-    users = []
-
-    def visit(node: ast.AST, where: str) -> None:
-        if (isinstance(node, ast.Attribute) and node.attr == "_wrap"
-                and isinstance(node.value, ast.Name) and node.value.id == "SelfMapClass"):
-            users.append(where)
-        for child in ast.iter_child_nodes(node):
-            inner = where
-            if where == module and isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                inner = f"{module}.{child.name}"
-            visit(child, inner)
-
-    visit(ast.parse(source), module)
-    return users
+    named after its outermost enclosing function or class ('module' at top
+    level)."""
+    return [where for node, where in walk_sites(source, module)
+            if isinstance(node, ast.Attribute) and node.attr == "_wrap"
+            and isinstance(node.value, ast.Name) and node.value.id == "SelfMapClass"]
 
 
 def test_checker_sees_calls_and_aliases():

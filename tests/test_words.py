@@ -39,6 +39,10 @@ def test_constructor_rejects_bad_letters():
         FreeWord([0])
     with pytest.raises(ValueError):
         FreeWord([1.5])  # type: ignore[list-item]
+    with pytest.raises(ValueError, match="^letters must be a sequence, got NoneType$"):
+        FreeWord(None)  # type: ignore[arg-type]
+    with pytest.raises(ValueError, match="^endomorphism images must be a sequence, got int$"):
+        FreeEndo(5)  # type: ignore[arg-type]
 
 
 def test_reduce_idempotent_and_fully_reduced():
