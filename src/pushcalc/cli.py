@@ -311,38 +311,37 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="pushcalc", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    json_flag = argparse.ArgumentParser(add_help=False)
+    json_flag.add_argument("--json", action="store_true")
 
     def model_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("-g", type=int, required=True, help="number of handles")
         p.add_argument("-d", type=int, default=3, help="ambient dimension (default 3)")
         p.add_argument("-k", type=int, required=True, help="number of punctures")
 
-    p = sub.add_parser("push-word", help="push a puncture around a loop word")
+    p = sub.add_parser("push-word", parents=[json_flag], help="push a puncture around a loop word")
     model_flags(p)
     p.add_argument("--slot", type=int, required=True, help="which puncture moves")
     p.add_argument("word", help="loop word, e.g. 'a1 A2'")
     p.add_argument("--closed-form", action="store_true",
                    help="also evaluate the closed form and report agreement")
     p.add_argument("--matrix", action="store_true", help="also print the matrix form")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_push_word)
 
-    p = sub.add_parser("push-braid", help="push punctures along a braid")
+    p = sub.add_parser("push-braid", parents=[json_flag], help="push punctures along a braid")
     p.add_argument("-g", type=int, required=True)
     p.add_argument("-d", type=int, default=3)
     p.add_argument("-k", type=int, default=None,
                    help="expected puncture count (checked against the braid)")
     p.add_argument("braid", help="braid text, e.g. '[a1 | e ; (1 2)]'")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_push_braid)
 
-    p = sub.add_parser("compose", help="compose two self-map JSON files")
+    p = sub.add_parser("compose", parents=[json_flag], help="compose two self-map JSON files")
     p.add_argument("outer", help="JSON file of the map applied second")
     p.add_argument("inner", help="JSON file of the map applied first")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_compose)
 
-    p = sub.add_parser("embed", help="matrix form of a self-map")
+    p = sub.add_parser("embed", parents=[json_flag], help="matrix form of a self-map")
     p.add_argument("--map", default=None, help="self-map JSON file")
     p.add_argument("-g", type=int, default=None)
     p.add_argument("-d", type=int, default=None, help="ambient dimension (default 3)")
@@ -351,31 +350,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("word", nargs="?", default=None)
     p.add_argument("--truncate", type=int, default=None, metavar="RADIUS",
                    help="print the finite window as TSV")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_embed)
 
-    p = sub.add_parser("recover", help="recover the braid behind a self-map")
+    p = sub.add_parser("recover", parents=[json_flag], help="recover the braid behind a self-map")
     p.add_argument("--map", required=True, help="self-map JSON file")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_recover)
 
-    p = sub.add_parser("kernel", help="search for braids acting trivially")
+    p = sub.add_parser("kernel", parents=[json_flag], help="search for braids acting trivially")
     model_flags(p)
     p.add_argument("--max-len", type=int, default=4, help="slot word length bound")
     p.add_argument("--max-braids", type=int, default=20000,
                    help="exhaustive below this count, sampled above")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_kernel)
 
-    p = sub.add_parser("components", help="count components of a mapping space")
+    p = sub.add_parser("components", parents=[json_flag],
+                       help="count components of a mapping space")
     p.add_argument("--target", required=True, help="target model JSON file")
     model_flags(p)
     p.add_argument("--brute-force", action="store_true",
                    help="also count by exploring the state graph")
     p.add_argument("--assume-hypotheses", action="store_true",
                    help="assert the counting hypotheses hold for your manifold")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_components)
 
     p = sub.add_parser("verify", help="run seeded property suites")

@@ -39,8 +39,7 @@ MAX_WINDOW_ROWS = 200_000
 def max_shift(h: SelfMapClass) -> int:
     """Longest word in any block's column data (0 for the zero matrix)."""
     return max(
-        (r.max_support_len()
-         for vec in h.sphere_part.values() for r in vec.values()),
+        (len(w) for vec in h.sphere_part.values() for r in vec.values() for w in r.terms),
         default=0,
     )
 

@@ -44,6 +44,13 @@ DEFAULT_MAX_STATES = 1_000_000
 MAX_COUNT_BITS = 14_000
 
 
+def _as_ids(what: str, value: object) -> tuple:
+    """as_tuple, refusing a str or bytes, whose characters would pass for ids."""
+    if isinstance(value, (str, bytes)):
+        raise ValueError(f"{what} must be a sequence of ids, got {type(value).__name__}")
+    return as_tuple(what, value)
+
+
 def _as_perm(arr: Sequence[int], n: int, what: str) -> tuple[int, ...]:
     perm = as_tuple(what, arr)
     if len(perm) != n or not is_permutation(perm):
@@ -76,7 +83,7 @@ class TargetModel:
 
     def __post_init__(self) -> None:
         check_count("pi1_gens", self.pi1_gens)
-        classes = as_tuple("classes", self.classes)
+        classes = _as_ids("classes", self.classes)
         object.__setattr__(self, "classes", classes)
         n = len(classes)
         try:
@@ -137,7 +144,7 @@ class MapState:
     g_classes: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "g_classes", as_tuple("g_classes", self.g_classes))
+        object.__setattr__(self, "g_classes", _as_ids("g_classes", self.g_classes))
 
 
 def _check_state(target: TargetModel, state: MapState) -> None:
@@ -407,6 +414,13 @@ def _ids_to_indices(
         raise ParseError(_ID_KINDS) from None
 
 
+def _json_array(value: object, message: str) -> Sequence:
+    """value if it is a JSON array (a sequence, not a string), else ParseError."""
+    if not isinstance(value, Sequence) or isinstance(value, str):
+        raise ParseError(message)
+    return value
+
+
 def target_from_json(obj: object) -> TargetModel:
     """Parse and validate the JSON form of a TargetModel."""
     if not isinstance(obj, Mapping):
@@ -418,10 +432,7 @@ def target_from_json(obj: object) -> TargetModel:
     pi1_gens = obj["pi1_gens"]
     if not is_int(pi1_gens) or pi1_gens < 0:
         raise ParseError("pi1_gens must be a non-negative integer")
-    classes = obj["classes"]
-    if not isinstance(classes, Sequence) or isinstance(classes, str):
-        raise ParseError("classes must be an array of ids")
-    classes = tuple(classes)
+    classes = tuple(_json_array(obj["classes"], "classes must be an array of ids"))
     _check_ids(classes, "classes")
     action_obj = obj["action"]
     if not isinstance(action_obj, Mapping):
@@ -431,26 +442,16 @@ def target_from_json(obj: object) -> TargetModel:
         key = f"a{j}"
         if key not in action_obj:
             raise ParseError(f"action is missing generator {key}")
-        row = action_obj[key]
-        if not isinstance(row, Sequence) or isinstance(row, str):
-            raise ParseError(f"action of {key} must be an array of class ids")
+        row = _json_array(action_obj[key], f"action of {key} must be an array of class ids")
         action.append(_ids_to_indices(classes, row, f"action of {key}"))
     if len(action_obj) != pi1_gens:
         extra = set(action_obj) - {f"a{j}" for j in range(1, pi1_gens + 1)}
         raise ParseError(f"action has unexpected keys: {sorted(extra)}")
-    refl = obj["reflection"]
-    if not isinstance(refl, Sequence) or isinstance(refl, str):
-        raise ParseError("reflection must be an array of class ids")
-    charge = obj["charge"]
-    if not isinstance(charge, Sequence) or isinstance(charge, str):
-        raise ParseError("charge must be an array of class ids")
-    fcs_obj = obj["f_classes"]
-    if not isinstance(fcs_obj, Sequence) or isinstance(fcs_obj, str):
-        raise ParseError("f_classes must be an array of word arrays")
+    refl = _json_array(obj["reflection"], "reflection must be an array of class ids")
+    charge = _json_array(obj["charge"], "charge must be an array of class ids")
     f_classes = []
-    for ws in fcs_obj:
-        if not isinstance(ws, Sequence) or isinstance(ws, str):
-            raise ParseError("each f class must be an array of words")
+    for ws in _json_array(obj["f_classes"], "f_classes must be an array of word arrays"):
+        ws = _json_array(ws, "each f class must be an array of words")
         f_classes.append(tuple(parse_word(w) for w in ws))
     try:
         return TargetModel(

@@ -124,7 +124,11 @@ class ManifoldModel:
         for row in crossings:
             rows.append([])
             for crossing in as_tuple("each crossing row", row):
-                cell, eps, prefix = crossing = as_tuple("each crossing", crossing)
+                crossing = as_tuple("each crossing", crossing)
+                try:
+                    cell, eps, prefix = crossing
+                except ValueError:
+                    raise ValueError("each crossing must be a (cell, sign, prefix) triple") from None
                 if not (is_int(cell) and 1 <= cell <= self.g):
                     raise ValueError(f"crossed cell {cell!r} out of range 1..{self.g}")
                 _check_sign("crossing sign", eps)
@@ -132,6 +136,7 @@ class ManifoldModel:
                 if prefix.max_generator > self.g:
                     raise ValueError(f"crossing prefix {prefix} exceeds rank {self.g}")
                 rows[-1].append(crossing)
+        check_type("low_handle_dim", self.low_handle_dim, bool)
         object.__setattr__(self, "character", character)
         object.__setattr__(self, "crossings", tuple(map(tuple, rows)))
 

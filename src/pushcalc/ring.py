@@ -21,20 +21,17 @@ from .words import FreeEndo, FreeWord, _check_rank, format_word, parse_word, sho
 
 
 class SphereLabel(tuple):
-    """A basis sphere: p1..pk are puncture spheres, t0..tg are cell spheres.
+    """A basis sphere: p1..pk are puncture spheres, t1..tg are cell spheres.
 
-    t0 is only used by custom wedges that present the lone puncture sphere
-    as a zeroth cell; the punctured signatures built by pushcalc.pushing
-    always use p-labels for punctures.
+    Both kinds count from 1, so p0 and t0 are refused.  A label is the
+    validated pair (kind, index) stored as an immutable tuple, so hashing
+    and equality run in C; labels are the keys of every sphere image dict.
+    Being a tuple, a label also equals the plain tuple of the same pair.
+    Order is the tuple order: since 'p' < 't', all puncture spheres come
+    before all cell spheres.
 
-    A label is the validated pair (kind, index) stored as an immutable
-    tuple, so hashing and equality run in C; labels are the keys of every
-    sphere image dict.  Being a tuple, a label also equals the plain tuple of
-    the same pair.  Order is the tuple order: since 'p' < 't', all
-    puncture spheres come before all cell spheres.
-
-    >>> sorted([SphereLabel("t", 0), SphereLabel("p", 2), SphereLabel("p", 1)])
-    [SphereLabel(kind='p', index=1), SphereLabel(kind='p', index=2), SphereLabel(kind='t', index=0)]
+    >>> sorted([SphereLabel("t", 1), SphereLabel("p", 2), SphereLabel("p", 1)])
+    [SphereLabel(kind='p', index=1), SphereLabel(kind='p', index=2), SphereLabel(kind='t', index=1)]
     >>> str(SphereLabel("t", 3))
     't3'
     """
@@ -46,12 +43,12 @@ class SphereLabel(tuple):
             raise ValueError(f"label kind must be 'p' or 't', got {kind!r}")
         if not is_int(index):
             raise ValueError(f"label index must be an int, got {index!r}")
-        if index < (1 if kind == "p" else 0):
+        if index < 1:
             raise ValueError(f"index {index} out of range for kind {kind!r}")
         return tuple.__new__(cls, (kind, index))
 
     kind = property(itemgetter(0), doc="'p' for a puncture sphere, 't' for a cell sphere.")
-    index = property(itemgetter(1), doc="1-based puncture index, or cell index from 0.")
+    index = property(itemgetter(1), doc="1-based puncture or cell index.")
 
     def __getnewargs__(self) -> tuple[str, int]:
         # copy and pickle rebuild a label through __new__(cls, kind, index).
@@ -92,7 +89,11 @@ class RingElem:
     def __init__(self, terms: Iterable[tuple[FreeWord, int]] = ()) -> None:
         acc: dict[tuple[int, ...], int] = {}
         for term in as_tuple("ring terms", terms):
-            w, c = as_tuple("each ring term", term)
+            term = as_tuple("each ring term", term)
+            try:
+                w, c = term
+            except ValueError:
+                raise ValueError("each ring term must be a (word, coefficient) pair") from None
             check_type("ring support", w, FreeWord)
             if not is_int(c):
                 raise ValueError(f"coefficients must be int, got {c!r}")
@@ -126,9 +127,6 @@ class RingElem:
     def items_shortlex(self) -> list[tuple[FreeWord, int]]:
         items = [(FreeWord._wrap(t), c) for t, c in self.terms.items()]
         return sorted(items, key=lambda t: shortlex_key(t[0]))
-
-    def max_support_len(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
 
     def __add__(self, other: object) -> "RingElem":
         if not isinstance(other, RingElem):

@@ -48,7 +48,7 @@ from .pushing import (
     recover_braid,
 )
 from .ring import RingElem, augment, ring_endo_apply
-from .words import FreeEndo, FreeWord, endo_apply, endo_compose, enumerate_words
+from .words import FreeEndo, FreeWord, endo_apply, endo_compose, enumerate_words, shortlex_key
 
 SUITES = ("ring", "monoid", "embed", "push", "orbits", "all")
 # Most cases run_suite draws per property: `verify --suite all --seed 0`
@@ -265,7 +265,7 @@ def _hyp_model(g: int) -> ManifoldModel:
 def _window_mismatch(
     t: TruncatedMatrix, c: SelfMapClass
 ) -> tuple[IndexKey, IndexKey] | None:
-    """First cell of window t, rows then columns, that differs from c's matrix.
+    """First cell of window t, in window order, that differs from c's matrix.
 
     Cell ((l, v), (b, u)) is the coefficient of v*slope(u)^-1 in block
     (l, b), the l-component of c's image of b, with slope c's circle part.
@@ -273,7 +273,8 @@ def _window_mismatch(
     column (b, u) and every other cell is zero.  The expected window is
     built from c's blocks alone, keeping the rows inside t, and compared
     with t's nonzero entries as one dict.  It deliberately does not use
-    materialize(), which built the windows being checked.
+    materialize(), which built the windows being checked.  Window order
+    is by row, then column, each by label, then shortlex word.
     """
     expected: dict[tuple[IndexKey, IndexKey], int] = {}
     for u in enumerate_words(t.sig.g, t.radius):
@@ -287,12 +288,10 @@ def _window_mismatch(
                         expected[(row, col)] = coef
     if t.entries == expected:
         return None
-    row_index = {row: i for i, row in enumerate(t.rows)}
-    col_index = {col: j for j, col in enumerate(t.cols)}
     return min(
         (key for key in t.entries.keys() | expected.keys()
          if t.entries.get(key, 0) != expected.get(key, 0)),
-        key=lambda key: (row_index[key[0]], col_index[key[1]]),
+        key=lambda key: [(lab, shortlex_key(w)) for lab, w in key],
     )
 
 

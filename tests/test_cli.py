@@ -237,6 +237,8 @@ def test_embed_usage_error(capsys):
     code, out, err = run_cli(capsys, "embed")
     assert code == 2
     assert err.startswith("error:usage: ")
+    assert run_cli(capsys, "embed", "a1", "-g", "1") == (
+        2, "", "error:usage: word mode needs -g, -k, and --slot\n")
 
 
 @pytest.mark.parametrize("extra", [
@@ -751,6 +753,22 @@ def test_verify_pass_and_determinism(capsys):
     assert out2 == out
 
 
+@pytest.mark.parametrize("argv, golden", [
+    (("push-word", "-g", "1", "-k", "1", "--slot", "1", "a1", "--matrix", "--json"),
+     "push_word_matrix.json"),
+    (("push-braid", "-g", "1", "[a1 | e ; (1 2)]", "--json"), "push_braid.json"),
+    (("compose", "{m1}", "{m2}", "--json"), "compose.json"),
+    (("embed", "--map", "{m1}", "--truncate", "1", "--json"), "embed_truncate.json"),
+])
+def test_json_answers_golden(capsys, tmp_path, argv, golden):
+    # Byte for byte, as --json prints them; m1 and m2 push along a1 and A1.
+    files = {"{m1}": str(push_map_file(tmp_path, "m1.json", 1, 1, 1, "a1")),
+             "{m2}": str(push_map_file(tmp_path, "m2.json", 1, 1, 1, "A1"))}
+    code, out, err = run_cli(capsys, *(files.get(a, a) for a in argv))
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / golden).read_text()
+
+
 def test_verify_all_seed0_golden():
     # The whole report, byte for byte: every property's verdict and case
     # count, and through radius_log the truncation windows the embed suite
@@ -785,6 +803,8 @@ def test_verify_cases_bounds(capsys):
     # a negative count used to report a vacuous pass
     with pytest.raises(ValueError, match="cases"):
         run_suite("ring", cases=True)
+    with pytest.raises(ValueError, match="^unknown suite 'nope'; choose from "):
+        run_suite("nope")
     code, out, err = run_cli(capsys, "verify", "--suite", "ring", "--cases", "-3")
     assert (code, out) == (1, "")
     assert err.startswith("error:invalid: cases must be") and err.count("\n") == 1

@@ -227,6 +227,8 @@ def test_self_map_validation():
     # missing sphere images densify to zero
     h = SelfMapClass(SIG1, FreeEndo([parse_word("a1")]), {})
     assert not h.sphere(P1)
+    with pytest.raises(ValueError, match="^label t2 not in signature$"):
+        h.sphere(T2)
 
 
 def test_sphere_images_are_checked_and_copied():

@@ -544,6 +544,12 @@ def test_state_validation():
     # a non-iterable class list is a ValueError naming the field, not a TypeError
     with pytest.raises(ValueError, match="g_classes must be a sequence, got int"):
         MapState(0, 5)
+    # a string's characters are not class indices
+    for text in ("ab", b"ab"):
+        with pytest.raises(ValueError, match="^g_classes must be a sequence of ids, got "):
+            MapState(0, text)
+    with pytest.raises(ValueError, match="^slot word a2 exceeds rank 1$"):
+        act(hyp_model(1), CYCLE3, braid("a2", (0,)), MapState(0, (0,)))
 
 
 # --- target validation and JSON ---
@@ -584,6 +590,9 @@ def test_target_validation_errors():
         ("charge", None, "charge must be a sequence, got NoneType"),
         ("f_classes", (5,), "each f class must be a sequence, got int"),
         ("classes", ([0], [1]), "class ids must be hashable"),
+        ("classes", "xy", "^classes must be a sequence of ids, got str$"),
+        ("classes", b"xy", "^classes must be a sequence of ids, got bytes$"),
+        ("charge", (1, 0), "^charge must be strictly increasing class indices$"),
     ]:
         with pytest.raises(ValueError, match=match):
             TargetModel(**{**fields, field: value})

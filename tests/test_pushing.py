@@ -125,6 +125,8 @@ def test_letter_validation():
     for bad in ("a1", None):
         with pytest.raises(ValueError, match="outside rank 1"):
             push_letter(SIG11, bad, 1)  # type: ignore[arg-type]
+    with pytest.raises(ValueError, match="^word a1 A2 exceeds rank 1$"):
+        push_word(SIG11, parse_word("a1 A2"), 1)
 
 
 def test_word_power_formula():
@@ -787,6 +789,7 @@ def test_perm_parse_format():
     assert format_perm((1, 2, 0)) == "(1 2 3)"
     assert format_perm((0, 1)) == "id"
     assert parse_perm(format_perm((3, 2, 1, 0)), 4) == (3, 2, 1, 0)
+    assert parse_perm("(1 2)()", 2) == (1, 0)   # an empty cycle moves nothing
     for bad in ("(1 5)", "(1 1)", "(x)", "1 2"):
         with pytest.raises(ParseError):
             parse_perm(bad, 3)
@@ -808,6 +811,7 @@ def test_braid_parse_format():
         parse_braid("[a1 | e]")
     with pytest.raises(SizeMismatch):
         parse_braid("[a1 | e ; id]", k=3)
+    assert parse_braid("[ ; id]") == BraidElement((), ())
 
 
 def test_braid_letter_total_is_capped():
@@ -912,6 +916,16 @@ def test_model_validation():
         ManifoldModel(1, 3, (1,), (5,))
     with pytest.raises(ValueError, match="^each crossing must be a sequence, got int$"):
         ManifoldModel(1, 3, (1,), ((5,),))
+    for crossing in [(1, 1), (1, 1, IDENTITY, 0)]:
+        with pytest.raises(ValueError,
+                           match=r"^each crossing must be a \(cell, sign, prefix\) triple$"):
+            ManifoldModel(1, 3, (1,), ((crossing,),))
+    with pytest.raises(ValueError, match="^crossing prefix a2 exceeds rank 1$"):
+        ManifoldModel(1, 3, (1,), (((1, 1, parse_word("a2")),),))
+    # only a bool opts into the orbit hypotheses; "no" would be true
+    for flag in ("no", 1, None):
+        with pytest.raises(ValueError, match="^low_handle_dim must be bool, got "):
+            ManifoldModel(1, 3, (1,), (((1, 1, IDENTITY),),), flag)
     # sequence fields are stored as tuples, so a model or braid built from
     # lists equals, and hashes like, the one built from tuples
     listed = ManifoldModel(1, 3, [1], [[[1, 1, IDENTITY]]])

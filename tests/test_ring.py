@@ -68,6 +68,11 @@ def test_construction_prunes_zeros():
         RingElem([("a1", 1)])  # type: ignore[list-item]
     with pytest.raises(ValueError, match="^each ring term must be a sequence, got FreeWord$"):
         RingElem([parse_word("a1")])  # type: ignore[list-item]
+    for term in [(parse_word("a1"),), (parse_word("a1"), 1, 2)]:
+        with pytest.raises(ValueError, match=r"^each ring term must be a \(word, coefficient\) pair$"):
+            RingElem([term])  # type: ignore[list-item]
+    # scaling by 0 stores no zero coefficient
+    assert (RingElem.from_word(parse_word("a1"), 2) * 0).terms == {}
 
 
 def test_product_examples():
@@ -192,21 +197,22 @@ def test_format_ring():
 
 
 def test_sphere_labels():
-    p1, p2, t0, t1 = (
-        SphereLabel("p", 1), SphereLabel("p", 2), SphereLabel("t", 0), SphereLabel("t", 1),
+    p1, p2, t1, t2 = (
+        SphereLabel("p", 1), SphereLabel("p", 2), SphereLabel("t", 1), SphereLabel("t", 2),
     )
-    assert sorted([t1, p2, t0, p1]) == [p1, p2, t0, t1]
-    assert str(p2) == "p2" and str(t0) == "t0"
+    assert sorted([t2, p2, t1, p1]) == [p1, p2, t1, t2]
+    assert str(p2) == "p2" and str(t1) == "t1"
     assert parse_label("p2") == p2
-    assert parse_label("t0") == t0
-    for bad in ("x1", "p0", "p", "t-1", "P1", "p1000000000", "t" + "9" * 5000, 1, None):
+    assert parse_label("t1") == t1
+    for bad in ("x1", "p0", "t0", "t00", "p", "t-1", "P1", "p1000000000", "t" + "9" * 5000, 1, None):
         with pytest.raises(ParseError):
             parse_label(bad)
     assert parse_label("p000999999999") == SphereLabel("p", 999999999)
     with pytest.raises(ValueError):
         SphereLabel("q", 1)
-    with pytest.raises(ValueError):
-        SphereLabel("p", 0)
+    for kind in ("p", "t"):
+        with pytest.raises(ValueError, match=rf"^index 0 out of range for kind '{kind}'$"):
+            SphereLabel(kind, 0)
 
 
 @pytest.mark.parametrize("index", [True, False, 1.5, 1.0, "x", None, (1,)])
@@ -225,7 +231,7 @@ def test_sphere_label_hash_and_equality():
     # A label is the tuple (kind, index), so it equals the plain pair.
     assert p1 == ("p", 1) and hash(p1) == hash(("p", 1))
     assert {p1: 1}[SphereLabel("p", 1)] == 1
-    assert len({SphereLabel("t", 0), SphereLabel("t", 0), SphereLabel("p", 1)}) == 2
+    assert len({SphereLabel("t", 1), SphereLabel("t", 1), SphereLabel("p", 1)}) == 2
     with pytest.raises(AttributeError):
         p1.kind = "t"
     with pytest.raises(AttributeError):
@@ -236,7 +242,7 @@ def test_sphere_label_text_forms():
     # repr is byte for byte the repr of the earlier frozen-dataclass form,
     # which error messages print inside tuples of labels.
     assert repr(SphereLabel("p", 1)) == "SphereLabel(kind='p', index=1)"
-    assert repr(SphereLabel("t", 0)) == "SphereLabel(kind='t', index=0)"
+    assert repr(SphereLabel("t", 2)) == "SphereLabel(kind='t', index=2)"
     assert repr((SphereLabel("p", 12), SphereLabel("t", 3))) == (
         "(SphereLabel(kind='p', index=12), SphereLabel(kind='t', index=3))"
     )
@@ -245,7 +251,7 @@ def test_sphere_label_text_forms():
 
 
 def test_sphere_label_copy_and_pickle():
-    labels = [SphereLabel("p", 1), SphereLabel("t", 0), SphereLabel("t", 7)]
+    labels = [SphereLabel("p", 1), SphereLabel("t", 1), SphereLabel("t", 7)]
     for lab in labels:
         for clone in (copy.copy(lab), copy.deepcopy(lab),
                       pickle.loads(pickle.dumps(lab)),

@@ -173,6 +173,8 @@ def test_enumerate_words_shortlex():
     assert [format_word(w) for w in enumerate_words(1, 2)] == [
         "e", "a1", "A1", "a1^2", "a1^-2",
     ]
+    with pytest.raises(ValueError, match="^rank must be >= 0, got -1$"):
+        list(enumerate_words(-1, 2))
 
 
 def test_count_words_counts_the_enumerated_ball():
