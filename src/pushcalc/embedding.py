@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 
 from . import words as _words
-from .errors import SignatureMismatch, SizeMismatch, TooLarge
+from .errors import SignatureMismatch, SizeMismatch, TooLarge, check_count
 from .monoid import SelfMapClass, WedgeSignature
 from .ring import RingElem, SphereLabel, format_ring, ring_to_json
 from .words import (
@@ -127,8 +127,7 @@ def materialize(
     words, when there are no labels), or of more than max_cells rows x
     columns when given, raises TooLarge, so that to_tsv can list it.
     """
-    if radius < 0:
-        raise ValueError(f"radius must be >= 0, got {radius}")
+    check_count("radius", radius)
     cells = MAX_WINDOW_ROWS ** 2 if max_cells is None else max_cells
 
     def too_large(window: str) -> TooLarge:

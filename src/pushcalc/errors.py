@@ -1,11 +1,14 @@
 """Error types and the input checks that raise them, shared across the package.
 
-Every error carries a stable machine-readable ``code`` used by the CLI's
-single-line error prefix.  is_int is the one test of an int that is not a
-bool; check_count and check_dimension build on it.  The shape rules live
-here too: as_tuple (a sequence), check_type (a class) and is_permutation.
+Every error has a stable ``code`` for the CLI's one-line error prefix.
+is_int tests an int that is not a bool; check_count and check_dimension
+build on it.  Shape rules: as_tuple, check_type, is_permutation.  Reader
+rules: check_text, json_array, json_object, json_fields and parsing.
 """
 from __future__ import annotations
+
+from contextlib import contextmanager
+from typing import Iterator
 
 
 class PushcalcError(Exception):
@@ -117,3 +120,43 @@ def check_type(what: str, value: object, cls: type) -> None:
 def is_permutation(p: tuple) -> bool:
     """True if p holds the ints 0..len(p)-1, each once."""
     return all(map(is_int, p)) and sorted(p) == list(range(len(p)))
+
+
+def check_text(what: str, text: object) -> None:
+    """Raise ParseError unless text is a str; what names it in the message."""
+    if not isinstance(text, str):
+        raise ParseError(f"{what} must be a string, got {type(text).__name__}")
+
+
+def json_array(value: object, message: str) -> list:
+    """value if it is a JSON array, else ParseError(message)."""
+    if not isinstance(value, list):
+        raise ParseError(message)
+    return value
+
+
+def json_object(value: object, message: str) -> dict:
+    """value if it is a JSON object, else ParseError(message)."""
+    if not isinstance(value, dict):
+        raise ParseError(message)
+    return value
+
+
+def json_fields(obj: object, what: str, names: tuple[str, ...]) -> list:
+    """The values of the named keys of the JSON object obj, in order."""
+    json_object(obj, f"{what} must be a JSON object, got {type(obj).__name__}")
+    missing = set(names) - set(obj)
+    if missing:
+        raise ParseError(f"{what} is missing keys: {sorted(missing)}")
+    return [obj[name] for name in names]
+
+
+@contextmanager
+def parsing() -> Iterator[None]:
+    """Turn a plain ValueError raised inside into a ParseError; a PushcalcError passes."""
+    try:
+        yield
+    except PushcalcError:
+        raise
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None

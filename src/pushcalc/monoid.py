@@ -21,7 +21,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .errors import (ParseError, SignatureMismatch, TooLarge, as_tuple, check_count,
-                     check_dimension, check_type)
+                     check_dimension, check_type, json_array, json_fields, json_object, parsing)
 from .ring import (
     RingElem,
     SphereLabel,
@@ -328,21 +328,12 @@ def self_map_to_json(h: SelfMapClass) -> dict:
 
 
 def self_map_from_json(obj: object) -> SelfMapClass:
-    if not isinstance(obj, dict):
-        raise ParseError(f"self-map must be a JSON object, got {type(obj).__name__}")
-    try:
-        g = obj["g"]
-        d = obj["d"]
-        raw_labels = obj["labels"]
-        circles = obj["circles"]
-        spheres = obj["spheres"]
-    except KeyError as exc:
-        raise ParseError(f"self-map JSON missing key {exc.args[0]!r}") from None
-    if not isinstance(raw_labels, list) or not isinstance(circles, list):
-        raise ParseError("self-map 'labels' and 'circles' must be arrays")
-    if not isinstance(spheres, dict):
-        raise ParseError("self-map 'spheres' must be an object")
-    try:
+    g, d, raw_labels, circles, spheres = json_fields(
+        obj, "self-map", ("g", "d", "labels", "circles", "spheres"))
+    for array in (raw_labels, circles):
+        json_array(array, "self-map 'labels' and 'circles' must be arrays")
+    json_object(spheres, "self-map 'spheres' must be an object")
+    with parsing():
         sig = WedgeSignature(g, [parse_label(s) for s in raw_labels], d)
         endo = FreeEndo([parse_word(w) for w in circles])
         part = {}
@@ -352,7 +343,3 @@ def self_map_from_json(obj: object) -> SelfMapClass:
                 raise ParseError(f"duplicate sphere image for label {lab}")
             part[lab] = vec_from_json(val)
         return SelfMapClass(sig, endo, part)
-    except ValueError as exc:
-        if isinstance(exc, (ParseError, TooLarge)):
-            raise
-        raise ParseError(str(exc)) from None

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 from math import comb
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .errors import (
     HypothesisViolation,
@@ -31,6 +31,10 @@ from .errors import (
     clip,
     is_int,
     is_permutation,
+    json_array,
+    json_fields,
+    json_object,
+    parsing,
 )
 from .pushing import BraidElement, ManifoldModel, _inverse_perm
 from .words import FreeWord, parse_word
@@ -414,46 +418,32 @@ def _ids_to_indices(
         raise ParseError(_ID_KINDS) from None
 
 
-def _json_array(value: object, message: str) -> Sequence:
-    """value if it is a JSON array (a sequence, not a string), else ParseError."""
-    if not isinstance(value, Sequence) or isinstance(value, str):
-        raise ParseError(message)
-    return value
-
-
 def target_from_json(obj: object) -> TargetModel:
     """Parse and validate the JSON form of a TargetModel."""
-    if not isinstance(obj, Mapping):
-        raise ParseError("target model must be a JSON object")
-    required = {"pi1_gens", "classes", "action", "reflection", "charge", "f_classes"}
-    missing = required - set(obj)
-    if missing:
-        raise ParseError(f"target model is missing keys: {sorted(missing)}")
-    pi1_gens = obj["pi1_gens"]
+    pi1_gens, classes, action_obj, refl, charge, f_json = json_fields(
+        obj, "target model", ("pi1_gens", "classes", "action", "reflection", "charge", "f_classes"))
     if not is_int(pi1_gens) or pi1_gens < 0:
         raise ParseError("pi1_gens must be a non-negative integer")
-    classes = tuple(_json_array(obj["classes"], "classes must be an array of ids"))
+    classes = tuple(json_array(classes, "classes must be an array of ids"))
     _check_ids(classes, "classes")
-    action_obj = obj["action"]
-    if not isinstance(action_obj, Mapping):
-        raise ParseError("action must be an object keyed by generator names")
+    json_object(action_obj, "action must be an object keyed by generator names")
     action = []
     for j in range(1, pi1_gens + 1):
         key = f"a{j}"
         if key not in action_obj:
             raise ParseError(f"action is missing generator {key}")
-        row = _json_array(action_obj[key], f"action of {key} must be an array of class ids")
+        row = json_array(action_obj[key], f"action of {key} must be an array of class ids")
         action.append(_ids_to_indices(classes, row, f"action of {key}"))
     if len(action_obj) != pi1_gens:
         extra = set(action_obj) - {f"a{j}" for j in range(1, pi1_gens + 1)}
         raise ParseError(f"action has unexpected keys: {sorted(extra)}")
-    refl = _json_array(obj["reflection"], "reflection must be an array of class ids")
-    charge = _json_array(obj["charge"], "charge must be an array of class ids")
+    json_array(refl, "reflection must be an array of class ids")
+    json_array(charge, "charge must be an array of class ids")
     f_classes = []
-    for ws in _json_array(obj["f_classes"], "f_classes must be an array of word arrays"):
-        ws = _json_array(ws, "each f class must be an array of words")
+    for ws in json_array(f_json, "f_classes must be an array of word arrays"):
+        ws = json_array(ws, "each f class must be an array of words")
         f_classes.append(tuple(parse_word(w) for w in ws))
-    try:
+    with parsing():
         return TargetModel(
             pi1_gens=pi1_gens,
             classes=classes,
@@ -464,7 +454,3 @@ def target_from_json(obj: object) -> TargetModel:
             ),
             f_classes=tuple(f_classes),
         )
-    except ValueError as exc:
-        if isinstance(exc, ParseError):
-            raise
-        raise ParseError(str(exc)) from exc

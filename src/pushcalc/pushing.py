@@ -40,6 +40,7 @@ from .errors import (
     as_tuple,
     check_count,
     check_dimension,
+    check_text,
     check_type,
     clip,
     is_int,
@@ -670,6 +671,7 @@ def parse_braid(text: str, k: int | None = None) -> BraidElement:
     n letters in each slot, so many long slots are refused with TooLarge
     as soon as the running total passes the cap.
     """
+    check_text("a braid", text)
     body = text.strip()
     if not (body.startswith("[") and body.endswith("]")):
         raise ParseError(f"braid must be bracketed, got {clip(repr(text))}")

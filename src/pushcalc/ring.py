@@ -16,7 +16,8 @@ from collections.abc import Iterable
 from operator import itemgetter
 
 from . import words as _words
-from .errors import ParseError, as_tuple, check_type, clip, is_int
+from .errors import (ParseError, as_tuple, check_text, check_type, clip, is_int, json_array,
+                     json_object, parsing)
 from .words import FreeEndo, FreeWord, _check_rank, format_word, parse_word, shortlex_key
 
 
@@ -66,15 +67,12 @@ _LABEL_RE = re.compile(r"([pt])0*([0-9]{1,9})\Z")
 
 
 def parse_label(text: str) -> SphereLabel:
-    if not isinstance(text, str):
-        raise ParseError(f"a sphere label must be a string, got {type(text).__name__}")
+    check_text("a sphere label", text)
     m = _LABEL_RE.match(text)
     if m is None:
         raise ParseError(f"bad sphere label {clip(repr(text))}")
-    try:
+    with parsing():
         return SphereLabel(m.group(1), int(m.group(2)))
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
 
 
 class RingElem:
@@ -246,19 +244,14 @@ def ring_to_json(a: RingElem) -> list:
 
 
 def ring_from_json(obj: object) -> RingElem:
-    if not isinstance(obj, list):
-        raise ParseError(f"ring element must be a JSON array, got {type(obj).__name__}")
     terms = []
-    for pair in obj:
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise ParseError(f"ring term must be [coefficient, word], got {pair!r}")
-        c, ws = pair
-        if not is_int(c):
-            raise ParseError(f"ring coefficient must be an integer, got {c!r}")
-        if not isinstance(ws, str):
-            raise ParseError(f"ring word must be a string, got {ws!r}")
-        terms.append((parse_word(ws), c))
-    return RingElem(terms)
+    for pair in json_array(obj, f"ring element must be a JSON array, got {type(obj).__name__}"):
+        bad_term = f"ring term must be [coefficient, word], got {pair!r}"
+        if len(json_array(pair, bad_term)) != 2:
+            raise ParseError(bad_term)
+        terms.append((parse_word(pair[1]), pair[0]))
+    with parsing():
+        return RingElem(terms)
 
 
 def format_vec(v: dict[SphereLabel, RingElem], lead: SphereLabel | None = None) -> str:
@@ -296,10 +289,9 @@ def vec_to_json(v: dict[SphereLabel, RingElem]) -> dict:
 
 def vec_from_json(obj: object) -> dict[SphereLabel, RingElem]:
     """The dict of a JSON vector; keys naming one label ('p1', 'p01') add."""
-    if not isinstance(obj, dict):
-        raise ParseError(f"module vector must be a JSON object, got {type(obj).__name__}")
     acc: dict[SphereLabel, RingElem] = {}
-    for key, val in obj.items():
+    message = f"module vector must be a JSON object, got {type(obj).__name__}"
+    for key, val in json_object(obj, message).items():
         lab = parse_label(key)
         r = ring_from_json(val)
         acc[lab] = acc[lab] + r if lab in acc else r

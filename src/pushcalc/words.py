@@ -25,7 +25,8 @@ import re
 from typing import Iterable, Iterator
 
 from . import _purewords as _kernel
-from .errors import ParseError, TooLarge, as_tuple, check_type, clip, is_int
+from .errors import (ParseError, TooLarge, as_tuple, check_count, check_text, check_type, clip,
+                     is_int)
 
 # Name of the word kernel in use; the benchmark harness records it per run.
 KERNEL_BACKEND = "pure-python"
@@ -89,10 +90,7 @@ class FreeWord:
         if not isinstance(n, int):
             return NotImplemented
         base = self.letters if n >= 0 else _kernel.invert(self.letters)
-        out: tuple[int, ...] = ()
-        for _ in range(abs(n)):
-            out = _kernel.concat(out, base)
-        return FreeWord._wrap(out)
+        return FreeWord._wrap(_kernel.reduce_letters(base * abs(n)))
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -209,8 +207,7 @@ def parse_word(text: str) -> FreeWord:
     >>> parse_word("A1^-2") == parse_word("a1^2")
     True
     """
-    if not isinstance(text, str):
-        raise ParseError(f"a word must be a string, got {type(text).__name__}")
+    check_text("a word", text)
     out: list[int] = []
     for m in re.finditer(r"\S+", text):
         tok = m.group()
@@ -271,8 +268,8 @@ def _alphabet(g: int) -> list[int]:
 
 def enumerate_words(g: int, max_len: int) -> Iterator[FreeWord]:
     """All reduced words of length <= max_len over F_g, in shortlex order."""
-    if g < 0:
-        raise ValueError(f"rank must be >= 0, got {g}")
+    check_count("rank", g)
+    check_count("max_len", max_len)
     alphabet = _alphabet(g)
     level: list[tuple[int, ...]] = [()]
     yield FreeWord._wrap(())

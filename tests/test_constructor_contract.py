@@ -6,6 +6,11 @@ a valid value of that field (the empty word, a count of 10**100), or raises
 ValueError, which the CLI prints as one error line.  It never raises any
 other exception.  A class in pushcalc.__all__ with no row in CONSTRUCTORS
 must be on EXEMPT, so a new public class cannot skip the battery.
+
+Every reader, each parse_* and *_from_json function in pushcalc.__all__
+and ring.parse_label and ring.vec_from_json, gets every value of BATTERY as
+its input.  It either returns or raises ParseError or TooLarge, which the
+CLI prints as one error line.  A new public reader joins by its name.
 """
 from __future__ import annotations
 
@@ -26,7 +31,9 @@ from pushcalc import (
     SphereLabel,
     TargetModel,
     WedgeSignature,
+    ring,
 )
+from pushcalc.errors import ParseError, TooLarge
 
 P1, T1 = SphereLabel("p", 1), SphereLabel("t", 1)
 
@@ -87,6 +94,31 @@ def test_wrong_shapes_raise_value_error(cls, field):
         try:
             cls(**{**CONSTRUCTORS[cls], field: value})
         except ValueError:
+            pass
+        except Exception as exc:   # anything else is what this test reports
+            escaped.append(f"{value!r:.40}: {type(exc).__name__}: {exc}")
+    assert escaped == []
+
+
+READERS = [getattr(pushcalc, name) for name in sorted(pushcalc.__all__)
+           if name.startswith("parse_") or name.endswith("_from_json")]
+READERS += [ring.parse_label, ring.vec_from_json]
+
+
+def test_every_reader_is_found():
+    assert {fn.__name__ for fn in READERS} >= {
+        "parse_braid", "parse_word", "ring_from_json", "self_map_from_json",
+        "target_from_json", "parse_label", "vec_from_json",
+    }
+
+
+@pytest.mark.parametrize("reader", READERS, ids=lambda fn: fn.__name__)
+def test_readers_raise_parse_error(reader):
+    escaped = []
+    for value in BATTERY:
+        try:
+            reader(value)
+        except (ParseError, TooLarge):
             pass
         except Exception as exc:   # anything else is what this test reports
             escaped.append(f"{value!r:.40}: {type(exc).__name__}: {exc}")

@@ -236,8 +236,9 @@ def test_block_matrix_json():
 
 
 def test_constructor_validation():
-    with pytest.raises(ValueError, match="radius must be >= 0"):
-        materialize(identity_map(SIG1), -1)
+    for radius in (-1, 1.5, "1", True):
+        with pytest.raises(ValueError, match="^radius must be a non-negative int, got "):
+            materialize(identity_map(SIG1), radius)
 
 
 def test_materialize_refuses_huge_windows_before_listing():

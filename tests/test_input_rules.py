@@ -16,6 +16,14 @@ The shape rules:
   different rules that also catch a TypeError.
 - A tuple is a permutation of 0..n-1: errors.is_permutation.
 
+The reader rules:
+
+- A reader's input is of a type: errors.check_text (a str), errors.json_array
+  (a list) and errors.json_object (a dict), each raising ParseError.
+- A constructor's ValueError becomes a ParseError with its message:
+  errors.parsing.  pushing.parse_perm's handler of int() raises a message of
+  its own, so it is a different rule.
+
 A site that writes one of these out again, instead of calling its home,
 fails here.
 """
@@ -36,6 +44,8 @@ HOMES = {
     "type test": {"errors.check_type", "monoid.SelfMapClass"},
     "sequence test": {"errors.as_tuple", "orbits.TargetModel", "orbits._ids_to_indices"},
     "permutation test": {"errors.is_permutation"},
+    "reader type test": {"errors.check_text", "errors.json_array", "errors.json_object"},
+    "translation": {"errors.parsing"},
 }
 
 
@@ -67,6 +77,21 @@ def _is_range_list(node: ast.AST) -> bool:
     return _is_call(node, "list") and bool(node.args) and _is_call(node.args[0], "range")
 
 
+def _raises(node: ast.AST, name: str) -> bool:
+    """The body of node holds a `raise name(...)`."""
+    return any(isinstance(st, ast.Raise) and _is_call(st.exc, name) for st in node.body)
+
+
+def _is_translation(node: ast.AST) -> bool:
+    """`except ValueError as exc:` whose body raises ParseError(str(exc))."""
+    if not (isinstance(node, ast.ExceptHandler) and node.name is not None
+            and node.type is not None and "ValueError" in _names(node.type)):
+        return False
+    raised = f"ParseError(str({node.name}))"
+    return any(isinstance(st, ast.Raise) and st.exc is not None
+               and ast.unparse(st.exc) == raised for st in node.body)
+
+
 def rule_sites(source: str, module: str) -> list[tuple[str, str]]:
     """(rule, 'module.function') for every place the source writes out a
     rule, named after its outermost enclosing function or class ('module'
@@ -75,7 +100,10 @@ def rule_sites(source: str, module: str) -> list[tuple[str, str]]:
     call that is negated or compared with a negated value.  A type test is
     an `if` on `not isinstance(...)` whose body raises ValueError; a
     sequence test is a `try` that catches TypeError; a permutation test
-    compares sorted(...) with list(range(...))."""
+    compares sorted(...) with list(range(...)).  A reader type test is an
+    `if` on `not isinstance(...)` whose body raises ParseError; a
+    translation is an `except ValueError as exc` that raises
+    ParseError(str(exc))."""
     sites = []
     for node, where in walk_sites(source, module):
         if (_is_call(node, "isinstance") and len(node.args) == 2
@@ -94,11 +122,13 @@ def rule_sites(source: str, module: str) -> list[tuple[str, str]]:
                     sites.append(("permutation test", where))
         if _is_negation(node) and _is_call(node.operand, "min"):
             sites.append(("rank formula", where))
-        if (isinstance(node, ast.If)
-                and any(map(_is_not_isinstance, ast.walk(node.test)))
-                and any(isinstance(st, ast.Raise) and _is_call(st.exc, "ValueError")
-                        for st in node.body)):
-            sites.append(("type test", where))
+        if isinstance(node, ast.If) and any(map(_is_not_isinstance, ast.walk(node.test))):
+            if _raises(node, "ValueError"):
+                sites.append(("type test", where))
+            if _raises(node, "ParseError"):
+                sites.append(("reader type test", where))
+        if _is_translation(node):
+            sites.append(("translation", where))
         if isinstance(node, ast.Try) and any(
                 h.type is not None and "TypeError" in _names(h.type) for h in node.handlers):
             sites.append(("sequence test", where))
@@ -155,8 +185,6 @@ def test_checker_sees_each_shape_rule_written_out():
         "def is_permutation(p):\n"
         "    return sorted(p) == list(range(len(p))) or list(range(3)) != sorted(p)\n"
         "def fine(x, p):\n"
-        "    if not isinstance(x, str):\n"
-        "        raise ParseError('x')\n"
         "    if not isinstance(x, int):\n"
         "        return None\n"
         "    try:\n"
@@ -173,6 +201,40 @@ def test_checker_sees_each_shape_rule_written_out():
         ("permutation test", "errors.is_permutation"),
     ]
     assert stray_sites(rule_sites(source, "errors")) == [("type test", "errors.Word")]
+
+
+def test_checker_sees_each_reader_rule_written_out():
+    source = (
+        "def check_text(what, x):\n"
+        "    if not isinstance(x, str):\n"
+        "        raise ParseError(what)\n"
+        "def ring_from_json(obj):\n"
+        "    if len(obj) != 2 or not isinstance(obj, list):\n"
+        "        raise ParseError('obj')\n"
+        "@contextmanager\n"
+        "def parsing():\n"
+        "    try:\n"
+        "        yield\n"
+        "    except (KeyError, ValueError) as exc:\n"
+        "        raise ParseError(str(exc)) from None\n"
+        "def fine(parts):\n"
+        "    try:\n"
+        "        return [int(p) for p in parts]\n"
+        "    except ValueError:\n"
+        "        raise ParseError('bad cycle entry')\n"
+        "    except ValueError as exc:\n"
+        "        raise ParseError(f'bad entry: {exc}')\n"
+        "    except KeyError as exc:\n"
+        "        raise ParseError(str(exc))\n"
+    )
+    assert rule_sites(source, "errors") == [
+        ("reader type test", "errors.check_text"),
+        ("reader type test", "errors.ring_from_json"),
+        ("translation", "errors.parsing"),
+    ]
+    assert stray_sites(rule_sites(source, "errors")) == [
+        ("reader type test", "errors.ring_from_json"),
+    ]
 
 
 def test_each_rule_has_one_home():

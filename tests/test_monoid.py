@@ -7,7 +7,7 @@ import random
 import pytest
 
 from pushcalc import monoid
-from pushcalc.errors import SignatureMismatch, TooLarge
+from pushcalc.errors import ParseError, SignatureMismatch, TooLarge
 from pushcalc.monoid import (
     SelfMapClass,
     WedgeSignature,
@@ -473,3 +473,28 @@ def test_self_map_json_long_word_is_too_large():
     js["circles"] = ["a1^300000000"]
     with pytest.raises(TooLarge):
         self_map_from_json(js)
+
+
+def test_self_map_json_errors():
+    good = self_map_to_json(identity_map(SIG1))
+    for obj, message in (([], "^self-map must be a JSON object, got list$"),
+                         (None, "^self-map must be a JSON object, got NoneType$")):
+        with pytest.raises(ParseError, match=message):
+            self_map_from_json(obj)
+    for key in good:
+        with pytest.raises(ParseError, match=rf"^self-map is missing keys: \['{key}'\]$"):
+            self_map_from_json({k: v for k, v in good.items() if k != key})
+    # a value of the wrong JSON shape, each refused by its own check
+    for key, value, message in (
+        ("labels", "p1 t1", "^self-map 'labels' and 'circles' must be arrays$"),
+        ("circles", {"a1": 1}, "^self-map 'labels' and 'circles' must be arrays$"),
+        ("spheres", [], "^self-map 'spheres' must be an object$"),
+        ("spheres", dict(good["spheres"], p01={}), "^duplicate sphere image for label p1$"),
+        # the constructors' refusals arrive as ParseError with their messages
+        ("labels", ["p1", "p1", "t1"], "^duplicate sphere labels in "),
+        ("circles", ["a1", "a1"], "^circle part has rank 2, signature needs 1$"),
+        ("d", 2, "^sphere dimension must be an int >= 3, got 2$"),
+    ):
+        with pytest.raises(ParseError, match=message) as info:
+            self_map_from_json(dict(good, **{key: value}))
+        assert type(info.value) is ParseError

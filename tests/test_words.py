@@ -79,6 +79,10 @@ def test_powers():
     assert u ** 0 == IDENTITY
     assert u ** 3 == u * u * u
     assert u ** -2 == ~u * ~u
+    # a conjugate cancels at each junction: (a1 a2 A1)^3 = a1 a2^3 A1
+    c = parse_word("a1 a2 A1")
+    assert c ** 3 == c * c * c == parse_word("a1 a2^3 A1")
+    assert c ** -2 == ~c * ~c
 
 
 def test_char_sign_examples():
@@ -173,8 +177,12 @@ def test_enumerate_words_shortlex():
     assert [format_word(w) for w in enumerate_words(1, 2)] == [
         "e", "a1", "A1", "a1^2", "a1^-2",
     ]
-    with pytest.raises(ValueError, match="^rank must be >= 0, got -1$"):
-        list(enumerate_words(-1, 2))
+    for g in (-1, 1.5, "2", True):
+        with pytest.raises(ValueError, match="^rank must be a non-negative int, got "):
+            list(enumerate_words(g, 2))
+    for max_len in (-1, 1.5, "2", True):
+        with pytest.raises(ValueError, match="^max_len must be a non-negative int, got "):
+            list(enumerate_words(2, max_len))
 
 
 def test_count_words_counts_the_enumerated_ball():
@@ -262,7 +270,7 @@ def test_word_operations_call_the_kernel_binding(monkeypatch):
     assert run(lambda: FreeWord([1, 2, -2])) == (FreeWord._wrap((1,)), ["reduce_letters"])
     assert run(lambda: u * v) == (FreeWord._wrap((1, 3)), ["concat"])
     assert run(lambda: ~u) == (FreeWord._wrap((-2, -1)), ["invert"])
-    assert run(lambda: u ** 2) == (FreeWord._wrap((1, 2, 1, 2)), ["concat", "concat"])
-    assert run(lambda: u ** -1) == (FreeWord._wrap((-2, -1)), ["concat", "invert"])
+    assert run(lambda: u ** 2) == (FreeWord._wrap((1, 2, 1, 2)), ["reduce_letters"])
+    assert run(lambda: u ** -1) == (FreeWord._wrap((-2, -1)), ["invert", "reduce_letters"])
     phi = FreeEndo([FreeWord._wrap((2,)), FreeWord._wrap((1,))])
     assert run(lambda: endo_apply(phi, u)) == (FreeWord._wrap((2, 1)), ["substitute"])
