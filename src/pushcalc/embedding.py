@@ -129,6 +129,7 @@ def materialize(
     """
     check_count("radius", radius)
     cells = MAX_WINDOW_ROWS ** 2 if max_cells is None else max_cells
+    check_count("max_cells", cells)
 
     def too_large(window: str) -> TooLarge:
         return TooLarge(

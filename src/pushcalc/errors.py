@@ -59,7 +59,8 @@ class TooLarge(PushcalcError, ValueError):
     the cap it would pass; the caps, by module, are:
 
     - pushing: MAX_MODEL_SIZE (g + k) and MAX_KERNEL_WORK (kernel sweep);
-    - words: MAX_WORD_LETTERS (a parsed word, or a braid's slot words);
+    - words: MAX_WORD_LETTERS (a parsed word, or a braid's slot words) and
+      MAX_POWER_LETTERS (the letters a power of a word lists);
     - monoid: MAX_COMPOSE_LETTERS and MAX_COMPOSE_PRODUCT_LETTERS (compose);
     - embedding: MAX_WINDOW_ROWS (truncated window);
     - orbits: DEFAULT_MAX_STATES (brute-force states, or PUSHCALC_MAX_STATES)

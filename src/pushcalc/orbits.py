@@ -16,6 +16,7 @@ i-th generator of pi_1(X).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 from math import comb
 from typing import Sequence
@@ -291,6 +292,41 @@ def components_formula(target: TargetModel, model: ManifoldModel, k: int) -> int
     return sum(comb(c + k - 1, k) for c in orbits)
 
 
+# Colex tables of at most CACHED_TABLE_INTS ints are kept for the life of
+# the process, the CACHED_TABLES most recently used: 32,768 ints at most.
+CACHED_TABLES = 32
+CACHED_TABLE_INTS = 1_024
+
+
+def _colex_columns(m: int, k: int, positions: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Column d of the k-multisets of m positions, for each d in positions.
+
+    Level j numbers the j-multisets in colex order, where y + e, for a
+    (j-1)-multiset y and e >= max(y), gets comb(e + j - 1, j) plus the number
+    of y.  Column d of level j lists the number of y + d for each
+    (j-1)-multiset y, in y's order.  The y with max(y) <= d give one run of
+    numbers.  A y with max(y) = e > d is y' + e, and y + d gets
+    comb(e + j - 1, j) plus entry y' of column d one level down.  A column
+    of level k holds multichoose(m, k - 1) ints.
+    """
+    cols = [(d,) for d in positions]
+    for j in range(2, k + 1):
+        # start[e]: the first number of a j-multiset with max e;
+        # below[e]: how many (j-2)-multisets y' have max(y') <= e
+        start = [comb(e + j - 1, j) for e in range(m + 1)]
+        below = [comb(e + j - 2, j - 2) for e in range(m)]
+        cols = [(*range(start[d], start[d + 1]),
+                 *[start[e] + z for e in range(d + 1, m) for z in col[:below[e]]])
+                for d, col in zip(positions, cols)]
+    return tuple(cols)
+
+
+@lru_cache(maxsize=CACHED_TABLES)
+def _cached_columns(m: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """_colex_columns of every position, for a table of at most CACHED_TABLE_INTS ints."""
+    return _colex_columns(m, k, range(m))
+
+
 def _component_count(m: int, k: int, tables: Sequence[Sequence[int]]) -> int:
     """Components of the state graph of one f class.
 
@@ -300,15 +336,11 @@ def _component_count(m: int, k: int, tables: Sequence[Sequence[int]]) -> int:
     (k-1)-multiset y gives the edge y + d -- y + t, and each edge is merged
     into a flat union-find (path halving).
 
-    No multiset is built as a tuple: the search numbers them.  Level j
-    numbers the j-multisets in colex order, where y + e, for a (j-1)-multiset
-    y and e >= max(y), gets comb(e + j - 1, j) plus the number of y.  Column d
-    of level j lists the number of y + d for each (j-1)-multiset y, in y's
-    order.  The y with max(y) <= d give one run of numbers.  A y with
-    max(y) = e > d is y' + e, and y + d gets comb(e + j - 1, j) plus entry y'
-    of column d one level down.  Only the positions some table moves get a
-    column, and the k-level columns hold at most m * multichoose(m, k - 1)
-    <= m**k ints.
+    No multiset is built as a tuple: the search numbers them in colex order,
+    and column d of _colex_columns lists the numbers of y + d.  The columns
+    of all m positions, m * multichoose(m, k - 1) <= m**k ints, are shared
+    through _cached_columns when they fit CACHED_TABLE_INTS; a larger table
+    is built per call, for the positions some table moves only.
     """
     if m == 1:   # one multiset: the cap does not bound k here
         return 1
@@ -319,15 +351,11 @@ def _component_count(m: int, k: int, tables: Sequence[Sequence[int]]) -> int:
         return components
     edges = moves   # at k = 1 a multiset is its one position
     if k > 1:
-        cols = {d: [d] for move in moves for d in move}
-        for j in range(2, k + 1):
-            # start[e]: the first number of a j-multiset with max e;
-            # below[e]: how many (j-2)-multisets y' have max(y') <= e
-            start = [comb(e + j - 1, j) for e in range(m + 1)]
-            below = [comb(e + j - 2, j - 2) for e in range(m)]
-            for d, col in cols.items():
-                cols[d] = [*range(start[d], start[d + 1]),
-                           *[start[e] + z for e in range(d + 1, m) for z in col[:below[e]]]]
+        if m * comb(m + k - 2, k - 1) <= CACHED_TABLE_INTS:
+            cols = _cached_columns(m, k)
+        else:
+            moved = sorted({d for move in moves for d in move})
+            cols = dict(zip(moved, _colex_columns(m, k, moved)))
         edges = chain.from_iterable(zip(cols[d], cols[t]) for d, t in moves)
     parent = list(range(components))
     for rx, ry in edges:
@@ -361,7 +389,10 @@ def components_bruteforce(
     step a_j applied to charge class p.  The multisets are numbered level
     by level, and a table of at most |charge| * multichoose(|charge|, k - 1)
     <= |classes|^k ints gives the number of each multiset plus one
-    position, so the cap bounds it too.
+    position, so the cap bounds it too.  The table depends only on |charge|
+    and k: one of at most CACHED_TABLE_INTS (1,024) ints is kept for the
+    process, the CACHED_TABLES (32) most recently used, so at most 32,768
+    ints are retained; a larger one is built per call.
     """
     _require_hypothesis(model, "the brute-force component count")
     check_count("puncture count", k)

@@ -672,6 +672,8 @@ def parse_braid(text: str, k: int | None = None) -> BraidElement:
     as soon as the running total passes the cap.
     """
     check_text("a braid", text)
+    if k is not None:
+        check_count("puncture count", k)
     body = text.strip()
     if not (body.startswith("[") and body.endswith("]")):
         raise ParseError(f"braid must be bracketed, got {clip(repr(text))}")

@@ -239,6 +239,9 @@ def test_constructor_validation():
     for radius in (-1, 1.5, "1", True):
         with pytest.raises(ValueError, match="^radius must be a non-negative int, got "):
             materialize(identity_map(SIG1), radius)
+    for max_cells in (-1, 1.5, "5", True):
+        with pytest.raises(ValueError, match="^max_cells must be a non-negative int, got "):
+            materialize(identity_map(SIG1), 1, max_cells)
 
 
 def test_materialize_refuses_huge_windows_before_listing():

@@ -83,6 +83,17 @@ def test_powers():
     c = parse_word("a1 a2 A1")
     assert c ** 3 == c * c * c == parse_word("a1 a2^3 A1")
     assert c ** -2 == ~c * ~c
+    # a bool is not an exponent, as a float is not
+    for n in (True, 1.5):
+        with pytest.raises(TypeError):
+            u ** n
+    # the letters a power lists are capped before any is listed
+    assert len(u ** 32000) == 64000
+    assert len(u ** -500000) == words.MAX_POWER_LETTERS == 1_000_000
+    for n in (500001, -500001, 10**9, 10**100):
+        with pytest.raises(TooLarge, match="over the cap 1000000$"):
+            u ** n
+    assert IDENTITY ** 10**100 == IDENTITY
 
 
 def test_char_sign_examples():
