@@ -151,8 +151,10 @@ class SelfMapClass:
         # targets are the wedge's own puncture and cell labels;
         # every label has an image, since braid.perm is a permutation
         # (BraidElement checks it) and every cell is written; each term is a
-        # prefix of a rank-checked slot word, possibly joined to a crossing
-        # prefix, whose rank ManifoldModel checked.
+        # prefix of a slot word, possibly joined to a crossing prefix, whose
+        # rank ManifoldModel checked.  The slot word's rank is checked by
+        # pushing._slot_terms as it walks the word, or was checked by the
+        # walk that filled the model's last-push record.
         h = cls.__new__(cls)
         h.sig = sig
         h.circle_part = circle_part

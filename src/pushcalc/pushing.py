@@ -289,7 +289,7 @@ def push_word(sig: PuncturedSignature, w: FreeWord, slot: int) -> SelfMapClass:
     """Fold push_letter over the letters of w, first letter outermost."""
     _check_slot(sig, slot)
     if w.max_generator > sig.model.g:
-        raise ValueError(f"word {w} exceeds rank {sig.model.g}")
+        raise _rank_error(sig.model, w.letters)
     acc = identity_map(sig.wedge)
     letter_maps: dict[int, SelfMapClass] = {}
     for letter in w.letters:
@@ -306,14 +306,16 @@ def _slot_terms(
     """Orientation sign c(w) and the cell coefficients F_1(w)..F_g(w) of
     the reduced word with these letters, each F_c keyed by letter tuples.
 
-    One pass over the letters (rank already checked) with the running
-    prefix u and its sign c(u): a letter a_i adds c(u)*eps*(u*prefix) for
-    each crossing (cell, eps, prefix) of loop i, and a letter A_i adds
+    One pass over the letters with the running prefix u and its sign c(u):
+    a letter a_i adds c(u)*eps*(u*prefix) for each crossing
+    (cell, eps, prefix) of loop i, and a letter A_i adds
     -c(u*A_i)*eps*(u*A_i*prefix).  On reduced words these sums satisfy
     F(uv) = F(u) + c(u)*u*F(v), which is what folding push_letter by
     compose computes, for any crossing data and character.  This is the
-    one implementation of that cocycle: push_braid and recover_braid use
-    its dicts as ring terms, as they are.
+    one implementation of that cocycle, and its result is what the
+    model's last-push record holds (see _last_push).  A letter beyond the
+    model's rank raises ValueError as the pass reaches it, on both paths,
+    so the rank is checked with no pass of its own.
 
     On a plain model (see ManifoldModel) cell c hears only from the one
     loop i crossing it, with an empty prefix: a_i at position n adds the
@@ -327,11 +329,18 @@ def _slot_terms(
         return _accumulated_terms(model, letters)
     acc: list[dict[tuple[int, ...], int]] = [{} for _ in range(model.g)]
     sign = 1
-    for pos, x in enumerate(letters):
-        cell, off, e, ch = steps[x]
-        acc[cell][letters[:pos + off]] = sign * e
-        sign *= ch
+    try:
+        for pos, x in enumerate(letters):
+            cell, off, e, ch = steps[x]
+            acc[cell][letters[:pos + off]] = sign * e
+            sign *= ch
+    except KeyError:
+        raise _rank_error(model, letters) from None
     return sign, acc
+
+
+def _rank_error(model: ManifoldModel, letters: tuple[int, ...]) -> ValueError:
+    return ValueError(f"word {FreeWord._wrap(letters)} exceeds rank {model.g}")
 
 
 def _accumulated_terms(
@@ -340,12 +349,13 @@ def _accumulated_terms(
     """_slot_terms on any model: each crossing's term is added into its
     cell's dict, and a sum of zero is dropped."""
     concat = _words._kernel.concat   # looked up per call, so it can be wrapped
-    character = model.character
-    crossings = model.crossings
-    acc: list[dict[tuple[int, ...], int]] = [{} for _ in range(model.g)]
+    g, character, crossings = model.g, model.character, model.crossings
+    acc: list[dict[tuple[int, ...], int]] = [{} for _ in range(g)]
     sign = 1
     for pos, x in enumerate(letters):
         i = abs(x)
+        if i > g:
+            raise _rank_error(model, letters)
         row = crossings[i - 1]
         if row:
             if x > 0:
@@ -390,7 +400,10 @@ def push_braid(sig: PuncturedSignature, braid: BraidElement) -> SelfMapClass:
     F(uv) = F(u) + c(u)*u*F(v) for any model.  The result is the composite
     of the slot-word pushes around the permutation push (innermost), so
     push_braid(braid_mul(a, b)) = compose(push_braid(a), push_braid(b)).
-    Each F_c dict is a cell entry's terms as it is.  The letterwise fold
+    Each slot word's cocycle is computed once, by _slot_terms as it walks
+    the word (which also checks its rank), or taken from the model's
+    record of its last push; the record then holds this braid's words, and
+    each cell entry gets a copy of its F_c dict.  The letterwise fold
     push_word is only the oracle the tests compare this with.
 
     The class is built with the trusted SelfMapClass._wrap: the checks
@@ -402,10 +415,15 @@ def push_braid(sig: PuncturedSignature, braid: BraidElement) -> SelfMapClass:
     if braid.k != sig.k:
         raise SizeMismatch(f"braid has {braid.k} slots, signature has {sig.k}")
     model = sig.model
+    last = _last_push(model)
+    record: dict[tuple[int, ...], tuple[int, list[dict[tuple[int, ...], int]]]] = {}
     for w in reversed(braid.words):  # slot k is reported first
-        if w.max_generator > model.g:
-            raise ValueError(f"word {w} exceeds rank {model.g}")
-    pushes = [_slot_terms(model, w.letters) for w in braid.words]
+        letters = w.letters
+        if letters not in record:
+            entry = last.get(letters)
+            record[letters] = _slot_terms(model, letters) if entry is None else entry
+    vars(model)["_last_push"] = record
+    pushes = [record[w.letters] for w in braid.words]
     punctures, cells = sig.punctures, sig.cells
     spheres: dict[SphereLabel, dict[SphereLabel, RingElem]] = {}
     for i, j in enumerate(braid.perm):
@@ -416,9 +434,27 @@ def push_braid(sig: PuncturedSignature, braid: BraidElement) -> SelfMapClass:
         entries = {cell: RingElem._wrap({(): 1})}
         for lab, (_, terms) in zip(punctures, pushes):
             if terms[c]:
-                entries[lab] = RingElem._wrap(terms[c])
+                entries[lab] = RingElem._wrap(terms[c].copy())
         spheres[cell] = entries
     return SelfMapClass._wrap(sig.wedge, sig.wedge.identity_endo, spheres)
+
+
+def _last_push(
+    model: ManifoldModel,
+) -> dict[tuple[int, ...], tuple[int, list[dict[tuple[int, ...], int]]]]:
+    """The model's record of its last push_braid: slot word letters ->
+    _slot_terms of that word, for that braid's words only.
+
+    It lives in the instance __dict__, like _plain_steps, so equality,
+    hash and repr are unchanged.  An entry is a pure function of the model
+    and the letters, so an entry left by any earlier push is still right;
+    the record holds at most one braid's cocycle, no more than the class
+    that push returned, and threads sharing a model need no lock: a push
+    replaces the record in one store.  Its dicts are never handed out:
+    push_braid's cells get copies and recover_braid only compares with
+    them.
+    """
+    return vars(model).get("_last_push", {})
 
 
 @dataclass(frozen=True)
@@ -440,13 +476,16 @@ def recover_braid(sig: PuncturedSignature, h: SelfMapClass) -> BraidElement | No
     slot words are read off those images.  The candidate is confirmed by
     the test push_braid(sig, candidate) == h without building that class:
     the terms of each cell t_c must be exactly {(): 1} at t_c and the
-    _slot_terms dict F_c(w_j) at each p_j where it is nonzero.
+    _slot_terms dict F_c(w_j) at each p_j where it is nonzero.  A word of
+    the model's last push_braid takes its cocycle from that push's record
+    (see _last_push); any other word is walked by _slot_terms.
     """
     if h.sig != sig.wedge:
         raise SignatureMismatch("class does not live on this punctured model")
     if not h.circle_part.is_identity:
         return NotInImage("circle part is not the identity")
     model = sig.model
+    last = _last_push(model)
     k = sig.k
     punctures, cells = sig.punctures, sig.cells
     perm: list[int | None] = [None] * k
@@ -462,7 +501,8 @@ def recover_braid(sig: PuncturedSignature, h: SelfMapClass) -> BraidElement | No
         if len(r.terms) != 1:
             return NotInImage(f"image of p{i} has {len(r.terms)} group terms")
         (u, c), = r.terms.items()
-        sign, terms = _slot_terms(model, u)
+        entry = last.get(u)
+        sign, terms = _slot_terms(model, u) if entry is None else entry
         if c != sign:
             return NotInImage(f"image of p{i} has coefficient {c}, expected a unit")
         j = lab.index

@@ -19,6 +19,8 @@ from pushcalc.monoid import (
     WedgeSignature,
     compose,
     identity_map,
+    self_map_from_json,
+    self_map_to_json,
 )
 from pushcalc.pushing import (
     MAX_MODEL_SIZE,
@@ -443,6 +445,9 @@ def test_push_braid_output_passes_revalidation(monkeypatch):
         h = push_braid(sig, braid)
         assert h.sig is sig.wedge
         assert_revalidates(h)
+    # A push that follows a write into an earlier push's terms.
+    for _, _, _, again in _pushes_after_a_write():
+        assert_revalidates(again)
     import pushcalc.pushing as pushing
     checked = []
 
@@ -484,14 +489,86 @@ def test_push_braid_shares_the_identity_circle_part(monkeypatch):
     assert first.circle_part == FreeEndo.identity(2)
 
 
+# g = 1, non-orientable, one crossing read after a1: not a plain model,
+# so _slot_terms runs _accumulated_terms on it.
+TWISTED = ManifoldModel(g=1, d=3, character=(-1,), crossings=(((1, 1, parse_word("a1")),),))
+
+
 def test_push_braid_errors():
-    sig = PuncturedSignature(ManifoldModel.default(1), 2)
     words = (parse_word("a2"), parse_word("a3"))
-    # Slots are checked from k down to 1, so slot 2 is reported.
-    with pytest.raises(ValueError, match=r"^word a3 exceeds rank 1$"):
-        push_braid(sig, BraidElement(words, (1, 0)))
-    with pytest.raises(SizeMismatch, match=r"^braid has 3 slots, signature has 2$"):
-        push_braid(sig, identity_braid(3))
+    # The rank is checked as each slot word is walked, on the plain path
+    # and on the general one; slots are walked from k down to 1, so slot 2
+    # is reported.
+    for model in (ManifoldModel.default(1), TWISTED):
+        sig = PuncturedSignature(model, 2)
+        with pytest.raises(ValueError, match=r"^word a3 exceeds rank 1$"):
+            push_braid(sig, BraidElement(words, (1, 0)))
+        with pytest.raises(ValueError, match=r"^word a3 exceeds rank 1$"):
+            push_word_closed(sig, words[1], 2)
+        with pytest.raises(SizeMismatch, match=r"^braid has 3 slots, signature has 2$"):
+            push_braid(sig, identity_braid(3))
+
+
+def _pushes_after_a_write():
+    """(sig, h, before, again): h = push_braid(sig, b) with one cell term
+    doubled in place after `before`, a copy of h, was read off it, and
+    `again` a second push_braid(sig, b)."""
+    for model, text in ((ManifoldModel.default(2), "[a1 A2 a1 | a2 A1 ; (1 2)]"),
+                        (TWISTED, "[a1 a1 | A1 ; (1 2)]")):
+        sig = PuncturedSignature(model, 2)
+        b = parse_braid(text)
+        h = push_braid(sig, b)
+        before = self_map_from_json(self_map_to_json(h))
+        terms = h.sphere(sig.cells[0])[sig.punctures[0]].terms
+        u = min(terms)
+        terms[u] *= 2
+        yield sig, h, before, push_braid(sig, b)
+
+
+def test_push_braid_keeps_its_record_private():
+    # push_braid keeps each slot word's cocycle for recover_braid and the
+    # next push; a write into the class it returned reaches neither.
+    for sig, h, before, again in _pushes_after_a_write():
+        assert h != before
+        assert recover_braid(sig, h) == NotInImage("cell images do not match the decoded braid")
+        assert again == before
+
+
+def test_recover_braid_after_other_pushes(monkeypatch):
+    texts = ("[a1 | a2 A1 | e ; id]", "[a1 | a1 a1 | A2 ; (1 2 3)]",
+             "[a2 A1 | a1 | a2 ; (1 3)]")
+    twisted = ManifoldModel(g=2, d=3, character=(1, -1), crossings=(
+        ((2, -1, parse_word("a2")), (1, 1, IDENTITY)), ((2, 1, parse_word("A1")),)))
+    for model in (ManifoldModel.default(2), twisted):
+        sig = PuncturedSignature(model, 3)
+        a, b, c = (parse_braid(t) for t in texts)
+        ha, hb, hc = (push_braid(sig, x) for x in (a, b, c))
+        # c's words are the model's last push; a and b share only some.
+        for h, braid in ((hc, c), (ha, a), (hb, b)):
+            assert recover_braid(sig, h) == braid
+        # A class read from JSON, which no push on this model preceded.
+        d = parse_braid("[A2 A1 | a2 a2 | a1 A2 ; (2 3)]")
+        other = PuncturedSignature(dataclasses.replace(model), 3)
+        read = self_map_from_json(self_map_to_json(push_braid(other, d)))
+        assert recover_braid(sig, read) == d
+
+    # A round trip walks each distinct slot word once.
+    import pushcalc.pushing as pushing
+    walked = []
+    slot_terms = pushing._slot_terms
+
+    def counted(model, letters):
+        walked.append(letters)
+        return slot_terms(model, letters)
+
+    monkeypatch.setattr(pushing, "_slot_terms", counted)
+    sig = PuncturedSignature(ManifoldModel.default(2), 4)
+    b = parse_braid("[a1 A2 | a2 | a1 A2 | e ; (1 2)(3 4)]")
+    assert recover_braid(sig, push_braid(sig, b)) == b
+    assert sorted(walked) == sorted({w.letters for w in b.words})
+    walked.clear()
+    assert recover_braid(sig, push_braid(sig, b)) == b
+    assert walked == []
 
 
 def test_push_braid_homomorphism():
