@@ -23,6 +23,7 @@ from .embedding import (
 )
 from .errors import (
     HypothesisViolation,
+    NotInImage,
     ParseError,
     PushcalcError,
     SignatureMismatch,
@@ -51,7 +52,6 @@ from .pushing import (
     BraidElement,
     KernelReport,
     ManifoldModel,
-    NotInImage,
     PuncturedSignature,
     braid_mul,
     format_braid,

@@ -26,7 +26,6 @@ from .orbits import (
 )
 from .pushing import (
     ManifoldModel,
-    NotInImage,
     PuncturedSignature,
     format_braid,
     kernel_report,
@@ -48,7 +47,7 @@ MAX_MESSAGE_BYTES = 170
 
 
 class _CliError(PushcalcError):
-    """A refusal by the CLI itself: 'usage', 'io' or 'not-in-image'."""
+    """A refusal by the CLI itself: 'usage' (argv) or 'io' (files and environment)."""
 
     def __init__(self, code: str, message: str) -> None:
         super().__init__(message)
@@ -218,8 +217,6 @@ def cmd_recover(args: argparse.Namespace) -> int:
     h = self_map_from_json(_load_json(args.map))
     k = sum(1 for lab in h.sig.labels if lab.kind == "p")
     got = recover_braid(_signature(h.sig.g, h.sig.d, k), h)
-    if isinstance(got, NotInImage):
-        raise _CliError("not-in-image", got.reason)
     if args.json:
         _print_json({"braid": format_braid(got)})
     else:
@@ -271,19 +268,19 @@ def cmd_components(args: argparse.Namespace) -> int:
             raise TooLarge(
                 f"{exc} (raise PUSHCALC_MAX_STATES to explore a larger state graph)"
             ) from exc
+    agree = brute in (None, formula)
     if args.json:
         obj: dict = {"formula": formula}
         if brute is not None:
             obj["brute_force"] = brute
-            obj["agree"] = formula == brute
+            obj["agree"] = agree
         _print_json(obj)
-        return 0 if brute in (None, formula) else 1
-    if brute is None:
+    elif brute is None:
         print(f"formula: {formula}")
-        return 0
-    verdict = "agree" if formula == brute else "DISAGREE"
-    print(f"formula: {formula}, brute-force: {brute}, {verdict}")
-    return 0 if formula == brute else 1
+    else:
+        verdict = "agree" if agree else "DISAGREE"
+        print(f"formula: {formula}, brute-force: {brute}, {verdict}")
+    return 0 if agree else 1
 
 
 def _max_states_from_env() -> int:

@@ -47,6 +47,12 @@ class SlotOutOfRange(PushcalcError, ValueError):
     code = "slot-out-of-range"
 
 
+class NotInImage(PushcalcError, ValueError):
+    """A self-map class is not the push of any braid; the message says why."""
+
+    code = "not-in-image"
+
+
 class HypothesisViolation(PushcalcError, ValueError):
     """The manifold model does not satisfy the hypotheses the mapping-space
     operations require, and the caller did not opt in."""

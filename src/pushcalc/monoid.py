@@ -143,18 +143,10 @@ class SelfMapClass:
         circle_part: FreeEndo,
         sphere_part: dict[SphereLabel, dict[SphereLabel, RingElem]],
     ) -> "SelfMapClass":
-        # Trusted fast path: no check runs.  Its only callers establish the
-        # class by their own checks, and a tier-1 test re-validates each
-        # one's output (tests/test_trusted_constructor.py lists them).
-        # compose: a composite of validated maps on one signature.
-        # push_braid: the circle part is the wedge's identity_endo; keys and
-        # targets are the wedge's own puncture and cell labels;
-        # every label has an image, since braid.perm is a permutation
-        # (BraidElement checks it) and every cell is written; each term is a
-        # prefix of a slot word, possibly joined to a crossing prefix, whose
-        # rank ManifoldModel checked.  The slot word's rank is checked by
-        # pushing._slot_terms as it walks the word, or was checked by the
-        # walk that filled the model's last-push record.
+        # Trusted fast path: no check runs.  A caller establishes the class
+        # by its own checks and says which in its docstring; the callers,
+        # and the test that re-validates each one's output, are listed in
+        # tests/test_trusted_constructor.py.
         h = cls.__new__(cls)
         h.sig = sig
         h.circle_part = circle_part
@@ -257,7 +249,9 @@ def compose(outer: SelfMapClass, inner: SelfMapClass) -> SelfMapClass:
     r, and the results are summed in the module.  A composite whose
     substitution would write more than MAX_COMPOSE_LETTERS letters, or whose
     ring products more than MAX_COMPOSE_PRODUCT_LETTERS (_compose_letters),
-    raises TooLarge before any word is built.
+    raises TooLarge before any word is built.  The result is built with the
+    trusted SelfMapClass._wrap: a composite of two validated classes on one
+    signature is a valid class.
     """
     if outer.sig != inner.sig:
         raise SignatureMismatch(

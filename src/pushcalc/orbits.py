@@ -349,14 +349,12 @@ def _component_count(m: int, k: int, tables: Sequence[Sequence[int]]) -> int:
              for table in tables for d, t in enumerate(table) if t != d}
     if not moves:   # no edge: each multiset is a component
         return components
-    edges = moves   # at k = 1 a multiset is its one position
-    if k > 1:
-        if m * comb(m + k - 2, k - 1) <= CACHED_TABLE_INTS:
-            cols = _cached_columns(m, k)
-        else:
-            moved = sorted({d for move in moves for d in move})
-            cols = dict(zip(moved, _colex_columns(m, k, moved)))
-        edges = chain.from_iterable(zip(cols[d], cols[t]) for d, t in moves)
+    if m * comb(m + k - 2, k - 1) <= CACHED_TABLE_INTS:
+        cols = _cached_columns(m, k)
+    else:
+        moved = sorted({d for move in moves for d in move})
+        cols = dict(zip(moved, _colex_columns(m, k, moved)))
+    edges = chain.from_iterable(zip(cols[d], cols[t]) for d, t in moves)
     parent = list(range(components))
     for rx, ry in edges:
         while (p := parent[rx]) != rx:

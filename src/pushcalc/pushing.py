@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 from . import words as _words
 from .errors import (
+    NotInImage,
     ParseError,
     SignatureMismatch,
     SizeMismatch,
@@ -457,18 +458,8 @@ def _last_push(
     return vars(model).get("_last_push", {})
 
 
-@dataclass(frozen=True)
-class NotInImage:
-    """Diagnostic result: the class is not a push of any braid."""
-
-    reason: str
-
-    def __bool__(self) -> bool:
-        return False
-
-
-def recover_braid(sig: PuncturedSignature, h: SelfMapClass) -> BraidElement | NotInImage:
-    """Decode the braid whose push is h, or explain why none exists.
+def recover_braid(sig: PuncturedSignature, h: SelfMapClass) -> BraidElement:
+    """Decode the braid whose push is h, or raise NotInImage saying why not.
 
     Works on every model.  The image of each puncture sphere must be a
     single group-translate of a puncture sphere whose coefficient is the
@@ -483,7 +474,7 @@ def recover_braid(sig: PuncturedSignature, h: SelfMapClass) -> BraidElement | No
     if h.sig != sig.wedge:
         raise SignatureMismatch("class does not live on this punctured model")
     if not h.circle_part.is_identity:
-        return NotInImage("circle part is not the identity")
+        raise NotInImage("circle part is not the identity")
     model = sig.model
     last = _last_push(model)
     k = sig.k
@@ -494,20 +485,20 @@ def recover_braid(sig: PuncturedSignature, h: SelfMapClass) -> BraidElement | No
     for i, p_i in enumerate(punctures, 1):
         vec = h.sphere(p_i)
         if len(vec) != 1:
-            return NotInImage(f"image of p{i} is not a single basis term")
+            raise NotInImage(f"image of p{i} is not a single basis term")
         (lab, r), = vec.items()
         if lab.kind != "p":
-            return NotInImage(f"image of p{i} lands on {lab}")
+            raise NotInImage(f"image of p{i} lands on {lab}")
         if len(r.terms) != 1:
-            return NotInImage(f"image of p{i} has {len(r.terms)} group terms")
+            raise NotInImage(f"image of p{i} has {len(r.terms)} group terms")
         (u, c), = r.terms.items()
         entry = last.get(u)
         sign, terms = _slot_terms(model, u) if entry is None else entry
         if c != sign:
-            return NotInImage(f"image of p{i} has coefficient {c}, expected a unit")
+            raise NotInImage(f"image of p{i} has coefficient {c}, expected a unit")
         j = lab.index
         if words[j - 1] is not None:
-            return NotInImage(f"two puncture spheres land on p{j}")
+            raise NotInImage(f"two puncture spheres land on p{j}")
         perm[i - 1] = j - 1
         words[j - 1] = FreeWord._wrap(u)
         slot_terms[j - 1] = terms
@@ -515,7 +506,7 @@ def recover_braid(sig: PuncturedSignature, h: SelfMapClass) -> BraidElement | No
     # push_braid(sig, candidate) == h is the cells.
     for c, cell in enumerate(cells):
         if not _cell_matches(h.sphere(cell), cell, c, punctures, slot_terms):  # type: ignore[arg-type]
-            return NotInImage("cell images do not match the decoded braid")
+            raise NotInImage("cell images do not match the decoded braid")
     return BraidElement(tuple(words), tuple(perm))  # type: ignore[arg-type]
 
 

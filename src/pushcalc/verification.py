@@ -21,7 +21,7 @@ from .embedding import (
     materialize,
     truncated_product,
 )
-from .errors import TooLarge, check_count
+from .errors import NotInImage, TooLarge, check_count
 from .monoid import (
     SelfMapClass,
     WedgeSignature,
@@ -50,7 +50,6 @@ from .pushing import (
 from .ring import RingElem, augment, ring_endo_apply
 from .words import FreeEndo, FreeWord, endo_apply, endo_compose, enumerate_words, shortlex_key
 
-SUITES = ("ring", "monoid", "embed", "push", "orbits", "all")
 # Most cases run_suite draws per property: `verify --suite all --seed 0`
 # takes about 3 s at 1,000 cases and 23 s at this cap on a 2-CPU Xeon.
 MAX_CASES = 10_000
@@ -532,7 +531,11 @@ def _push_properties() -> list[Property]:
         g, k, mspec, sa, _ = case
         sig = PuncturedSignature(_model(g, mspec), k)
         a = _braid(sa)
-        got = recover_braid(sig, push_braid(sig, a))
+        h = push_braid(sig, a)
+        try:
+            got = recover_braid(sig, h)
+        except NotInImage:
+            got = None
         if got != a:
             return "braid recovery does not round trip"
         return None
@@ -620,6 +623,7 @@ _SUITE_BUILDERS: dict[str, Callable[[], list[Property]]] = {
     "push": _push_properties,
     "orbits": _orbits_properties,
 }
+SUITES = (*_SUITE_BUILDERS, "all")
 
 
 def run_suite(suite: str, seed: int = 0, cases: int = 100,
@@ -630,10 +634,10 @@ def run_suite(suite: str, seed: int = 0, cases: int = 100,
     check_count("cases", cases)
     if cases > MAX_CASES:
         raise TooLarge(f"{cases} cases per property is over the cap {MAX_CASES}")
-    names = [s for s in SUITES if s != "all"] if suite == "all" else [suite]
+    builders = _SUITE_BUILDERS.values() if suite == "all" else [_SUITE_BUILDERS[suite]]
     props: list[Property] = []
-    for name in names:
-        props.extend(_SUITE_BUILDERS[name]())
+    for build in builders:
+        props.extend(build())
     if inject_fault:
         props.append(_negative_control())
     results = [_run_property(p, seed, cases) for p in props]

@@ -349,6 +349,29 @@ def test_kernel_json(capsys):
     assert obj["nontrivial"] == []
 
 
+def test_kernel_lists_the_hits_it_finds(capsys, monkeypatch):
+    # A push that sends each one-letter braid to the identity: the sweep
+    # reports both hits and exits 1, in text and in JSON.
+    import pushcalc.pushing as pushing
+    from pushcalc.monoid import identity_map
+
+    push_braid = pushing.push_braid
+
+    def collapsed(sig, braid):
+        if sum(len(w.letters) for w in braid.words) == 1:
+            return identity_map(sig.wedge)
+        return push_braid(sig, braid)
+
+    monkeypatch.setattr(pushing, "push_braid", collapsed)
+    argv = ("kernel", "-g", "1", "-k", "1", "--max-len", "1")
+    assert run_cli(capsys, *argv) == (1, (
+        "mode: exhaustive\nchecked: 3\nkernel: nontrivial (2 found)\n"
+        "  [a1 ; id]\n  [A1 ; id]\n"), "")
+    code, out, err = run_cli(capsys, *argv, "--json")
+    assert (code, err) == (1, "")
+    assert json.loads(out)["nontrivial"] == ["[a1 ; id]", "[A1 ; id]"]
+
+
 @pytest.mark.parametrize("argv, name, value", [
     (("--max-len", "2", "--max-braids", "-1"), "max_braids", "-1"),
     (("--max-len", "-3"), "max_word_len", "-3"),
@@ -554,6 +577,19 @@ def test_malformed_json_ends_in_one_error_line(tmp_path, command, text, k, code)
         assert leak not in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ("recover", "--map", "nested.json"),
+    ("compose", "nested.json", "nested.json"),
+    ("components", "--target", "nested.json", "-g", "1", "-k", "1"),
+])
+def test_deeply_nested_json_in_process(capsys, tmp_path, monkeypatch, argv):
+    # The decoder's RecursionError ends in the one io line, in this process.
+    monkeypatch.chdir(tmp_path)
+    Path("nested.json").write_text("[" * 100_000 + "]" * 100_000)
+    assert run_cli(capsys, *argv) == (
+        1, "", "error:io: nested.json is not valid JSON: nested too deeply\n")
+
+
 def test_push_word_answers_from_the_closed_form(capsys, monkeypatch):
     import pushcalc.cli as cli
     from pushcalc.monoid import identity_map
@@ -735,6 +771,20 @@ def test_components_json(capsys, tmp_path):
                              "--assume-hypotheses", "--json")
     assert (code, err) == (0, "")
     assert json.loads(out) == {"formula": 6, "brute_force": 6, "agree": True}
+
+
+def test_components_disagreement_exits_1(capsys, tmp_path, monkeypatch):
+    import pushcalc.cli as cli
+
+    monkeypatch.setattr(cli, "components_bruteforce", lambda *args, **kwargs: 7)
+    path = tmp_path / "trivial.json"
+    path.write_text(json.dumps(TRIVIAL_TARGET))
+    argv = ("components", "--target", str(path), "-g", "1", "-k", "2", "--brute-force",
+            "--assume-hypotheses")
+    assert run_cli(capsys, *argv) == (1, "formula: 6, brute-force: 7, DISAGREE\n", "")
+    code, out, err = run_cli(capsys, *argv, "--json")
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"formula": 6, "brute_force": 7, "agree": False}
 
 
 def test_verify_pass_and_determinism(capsys):
