@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from .embedding import (
     TruncatedMatrix,
-    is_diagonally_constant,
     materialize,
     max_shift,
     truncated_product,
@@ -122,7 +121,6 @@ __all__ = [
     "format_braid",
     "format_word",
     "identity_map",
-    "is_diagonally_constant",
     "kernel_report",
     "materialize",
     "max_shift",

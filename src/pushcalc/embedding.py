@@ -20,7 +20,6 @@ from .errors import SignatureMismatch, SizeMismatch, TooLarge, check_count
 from .monoid import SelfMapClass, WedgeSignature
 from .ring import RingElem, SphereLabel, format_ring, ring_to_json
 from .words import (
-    FreeEndo,
     FreeWord,
     count_words,
     endo_apply,
@@ -166,39 +165,6 @@ def materialize(
     if count_words(h.sig.g, row_radius, row_cap // per_word) is None:
         raise too_large(f"window of radius {radius} with rows to radius {row_radius}")
     return TruncatedMatrix(h.sig, radius, row_radius, entries)
-
-
-def is_diagonally_constant(t: TruncatedMatrix, slope: FreeEndo) -> bool:
-    """Check the slope rule on every entry pair inside the window.
-
-    For each column (b, u) and row (l, v), the entry must match the entry
-    at row (l, v*slope(u)^-1), column (b, e), whenever that reference cell
-    is also inside the window.  A pair of two zeros cannot break the rule,
-    so only the nonzero entries are scanned: (a) each nonzero entry is
-    compared with its reference cell, and (b) each nonzero entry
-    ((l, w), (b, e)) of a reference column is compared with
-    ((l, w*slope(u)), (b, u)) for every column (b, u) whose row is inside
-    the window.  Together these cover every pair with a nonzero side.
-    slope(u)^-1 is computed once per column word of a nonzero entry, and
-    the column ball is listed, with its slope images, only for (b).
-    """
-    e = FreeWord()
-    inverse = functools.cache(lambda u: ~endo_apply(slope, u))
-    images = None
-    has_row, has_col = t.has_row, t.has_col
-    for ((l, v), (b, u)), x in t.entries.items():
-        ref_row, ref_col = (l, v * inverse(u)), (b, e)
-        if has_row(ref_row) and has_col(ref_col) and t.entry(ref_row, ref_col) != x:
-            return False
-        if u.is_identity:
-            if images is None:
-                images = [(uu, endo_apply(slope, uu))
-                          for uu in enumerate_words(t.sig.g, t.radius)]
-            for uu, su in images:
-                row = (l, v * su)
-                if has_row(row) and t.entry(row, (b, uu)) != x:
-                    return False
-    return True
 
 
 def truncated_product(ta: TruncatedMatrix, tb: TruncatedMatrix) -> TruncatedMatrix:

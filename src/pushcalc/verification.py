@@ -8,6 +8,7 @@ fails) before being reported.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import functools
 import random
@@ -17,7 +18,6 @@ from typing import Callable, Iterator
 from .embedding import (
     IndexKey,
     TruncatedMatrix,
-    is_diagonally_constant,
     materialize,
     truncated_product,
 )
@@ -140,10 +140,13 @@ def _run_property(prop: Property, seed: int, cases: int) -> PropertyResult:
         case = prop.gen(rng)
         msg = prop.fails(case)
         if msg is not None:
+            # copied before the shrinker reruns the check, so a log that the
+            # check keeps in extra holds the drawn cases only
+            extra = copy.deepcopy(prop.extra)
             small = _shrink(case, prop.fails)
             detail = prop.fails(small) or msg
             return PropertyResult(
-                prop.name, i + 1, False, f"{detail}; case {small!r}", prop.extra
+                prop.name, i + 1, False, f"{detail}; case {small!r}", extra
             )
     return PropertyResult(prop.name, n, True, None, prop.extra)
 
@@ -416,10 +419,10 @@ def _monoid_properties() -> list[Property]:
 
 
 def _embed_properties() -> list[Property]:
-    def gen_pair(rng: random.Random) -> tuple:
+    def gen_map(rng: random.Random) -> tuple:
         g = rng.randrange(1, 3)
         k = rng.randrange(0, 3)
-        return (_rand_map_spec(rng, g, k), _rand_map_spec(rng, g, k))
+        return (_rand_map_spec(rng, g, k),)
 
     def fails_round_trip(case: tuple) -> str | None:
         # the radius-0 window holds every block term once, read back cell by cell
@@ -454,17 +457,17 @@ def _embed_properties() -> list[Property]:
         return None
 
     def fails_diag(case: tuple) -> str | None:
+        # radius 1 adds the columns u != e, where the slope shifts each block
         a = _map(case[0])
-        t = materialize(a, 1)
-        if not is_diagonally_constant(t, a.circle_part):
+        if _window_mismatch(materialize(a, 1), a) is not None:
             return "materialized window is not diagonally constant"
         return None
 
     return [
-        Property("embedding-round-trip", gen_pair, fails_round_trip),
+        Property("embedding-round-trip", gen_map, fails_round_trip),
         Property("truncated-matmul", gen_short, fails_truncated, cap=60,
                  extra={"radius_log": radius_log}),
-        Property("diagonal-constancy", gen_pair, fails_diag, cap=100),
+        Property("diagonal-constancy", gen_map, fails_diag, cap=100),
     ]
 
 

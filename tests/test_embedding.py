@@ -15,7 +15,6 @@ from pushcalc.embedding import (
     _ball_keys,
     block_matrix_to_json,
     format_block_matrix,
-    is_diagonally_constant,
     materialize,
     max_shift,
     to_tsv,
@@ -153,18 +152,6 @@ def test_materialize_identity_is_identity_window():
     assert len(t.entries) == len(t.cols)
 
 
-def test_is_diagonally_constant():
-    a = push_alpha()
-    t = materialize(a, 2)
-    assert is_diagonally_constant(t, a.circle_part)
-
-    ti = materialize(identity_map(SIG1), 1)
-    assert is_diagonally_constant(ti, FreeEndo.identity(1))
-
-    bad = with_entry(t, (P1, parse_word("a1^2")), (P1, parse_word("a1")), 7)
-    assert not is_diagonally_constant(bad, a.circle_part)
-
-
 def test_truncated_product_matches_closed_form():
     rng = random.Random(93)
     for _ in range(40):
@@ -290,22 +277,7 @@ def test_materialize_refuses_huge_windows_before_listing():
         materialize(long_g1, 0)
 
 
-# --- sparse window checks against the dense cell-by-cell scans they replaced ---
-
-
-def dense_is_diagonally_constant(t, slope: FreeEndo) -> bool:
-    row_set = set(t.rows)
-    col_set = set(t.cols)
-    for b, u in t.cols:
-        su_inv = ~endo_apply(slope, u)
-        for l, v in t.rows:
-            ref_row = (l, v * su_inv)
-            ref_col = (b, FreeWord())
-            if ref_row not in row_set or ref_col not in col_set:
-                continue
-            if t.entries.get(((l, v), (b, u)), 0) != t.entries.get((ref_row, ref_col), 0):
-                return False
-    return True
+# --- the sparse window check against the dense cell-by-cell scan it replaced ---
 
 
 def dense_window_mismatch(t, c: SelfMapClass):
@@ -339,39 +311,32 @@ def rand_small_pair(rng: random.Random):
             rand_map(rng, sig, word_len=word_len))
 
 
-def test_sparse_diagonal_scan_matches_dense():
-    rng = random.Random(95)
+def test_sparse_truncated_check_matches_dense():
+    # The embed suite's windows: truncated products, then windows that
+    # materialize() lists directly.  Each is checked as built, with one cell
+    # changed, and against another class.
+    rng = random.Random(96)
     outcomes = []
-    for i in range(240):
-        h, other = rand_small_pair(rng)
-        t = materialize(h, rng.choice([0, 1, 2]) if h.sig is SIG1 else rng.choice([0, 1]))
-        slope = h.circle_part
+    for i in range(480):
+        a, b = rand_small_pair(rng)
+        if i < 240:
+            c = compose(a, b)
+            tb = materialize(b, rng.choice([0, 1]))
+            t = truncated_product(materialize(a, tb.row_radius), tb)
+            other = compose(b, a)   # usually a different product, many wrong cells
+        else:
+            c = a
+            t = materialize(a, rng.choice([0, 1, 2]) if a.sig is SIG1 else rng.choice([0, 1]))
+            other = SelfMapClass(a.sig, b.circle_part, a.sphere_part)   # another slope
         if i % 3 == 1:
             t = perturb(rng, t)
         elif i % 3 == 2:
-            slope = other.circle_part   # a slope the window was not built with
-        got = is_diagonally_constant(t, slope)
-        assert got == dense_is_diagonally_constant(t, slope), (i, t)
-        outcomes.append(got)
-    assert outcomes.count(True) >= 40 and outcomes.count(False) >= 40
-
-
-def test_sparse_truncated_check_matches_dense():
-    rng = random.Random(96)
-    outcomes = []
-    for i in range(240):
-        a, b = rand_small_pair(rng)
-        c = compose(a, b)
-        tb = materialize(b, rng.choice([0, 1]))
-        prod = truncated_product(materialize(a, tb.row_radius), tb)
-        if i % 3 == 1:
-            prod = perturb(rng, prod)
-        elif i % 3 == 2:
-            c = compose(b, a)   # usually a different product, many wrong cells
-        got = _window_mismatch(prod, c)
-        assert got == dense_window_mismatch(prod, c), i
+            c = other
+        got = _window_mismatch(t, c)
+        assert got == dense_window_mismatch(t, c), i
         outcomes.append(got is None)
-    assert outcomes.count(True) >= 40 and outcomes.count(False) >= 40
+    assert outcomes[:240].count(True) >= 40 and outcomes[:240].count(False) >= 40
+    assert outcomes[240:].count(True) >= 40 and outcomes[240:].count(False) >= 40
 
 
 def test_truncated_matmul_property_reports_the_dense_first_cell(monkeypatch):
@@ -393,6 +358,23 @@ def test_truncated_matmul_property_reports_the_dense_first_cell(monkeypatch):
         c = compose(verification._map(spec_a), verification._map(spec_b))
         row, col = dense_window_mismatch(seen[-1], c)
         assert msg == f"truncated product wrong at {row}, {col}"
+
+
+def test_embed_suite_catches_a_slope_fault(monkeypatch):
+    # materialize() places every column as if the slope were the identity;
+    # _window_mismatch binds its own endo_apply, so the oracle is unharmed.
+    # The radius-0 round trip has no column the slope moves, so it passes.
+    monkeypatch.setattr(embedding, "endo_apply", lambda endo, w: w)
+    report = verification.run_suite("embed", 0, 100)
+    results = {r.name: r for r in report.results}
+    assert [r.name for r in report.results if not r.ok] == [
+        "truncated-matmul", "diagonal-constancy"]
+    assert results["embedding-round-trip"].ok
+    assert results["diagonal-constancy"].counterexample.startswith(
+        "materialized window is not diagonally constant; case ")
+    # The log lists the drawn cases only, none of the shrinker's reruns.
+    matmul = results["truncated-matmul"]
+    assert len(matmul.extra["radius_log"]) == matmul.cases
 
 
 # --- window membership by radius against the listed balls ---
@@ -529,22 +511,3 @@ def test_truncated_product_refusal_is_the_same_in_every_process():
         "left window lacks 25 middle-index columns, "
         "e.g. (SphereLabel(kind='p', index=1), FreeWord('a1'))\n"
     }
-
-
-def test_diagonal_check_lists_the_ball_only_for_a_reference_column(monkeypatch):
-    listed = []
-
-    def counted(g, max_len):
-        listed.append(max_len)
-        return enumerate_words(g, max_len)
-
-    monkeypatch.setattr(embedding, "enumerate_words", counted)
-    free = SelfMapClass(WedgeSignature(2, ()), FreeEndo.identity(2), {})
-    assert is_diagonally_constant(materialize(free, 10), free.circle_part)
-    assert listed == []
-    # A window with a nonzero reference column lists its column ball once.
-    h = push_alpha()
-    t = materialize(h, 2)
-    listed.clear()
-    assert is_diagonally_constant(t, h.circle_part)
-    assert listed == [2]
