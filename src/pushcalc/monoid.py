@@ -33,7 +33,7 @@ from .ring import (
     vec_from_json,
     vec_to_json,
 )
-from .words import FreeEndo, _max_generator, endo_compose, format_word, parse_word
+from .words import FreeEndo, _check_rank, endo_compose, format_word, parse_word
 
 
 @dataclass(frozen=True)
@@ -101,8 +101,7 @@ class SelfMapClass:
             )
         allowed = sig.label_set
         for img in circle_part.images:
-            if img.max_generator > g:
-                raise ValueError(f"circle image {img} uses generators beyond rank {g}")
+            _check_rank("circle image", img.letters, g)
         if not isinstance(sphere_part, Mapping):
             raise ValueError(
                 f"sphere part must be a mapping, got {type(sphere_part).__name__}"
@@ -118,6 +117,7 @@ class SelfMapClass:
                     f"image of {lab} must be a mapping, got {type(image).__name__}"
                 )
             vec: dict[SphereLabel, RingElem] = {}
+            term_word = f"image of {lab}: word"
             for tgt, r in image.items():
                 # A plain tuple equals its label, so membership alone is not enough.
                 if not isinstance(tgt, SphereLabel) or tgt not in allowed:
@@ -125,10 +125,7 @@ class SelfMapClass:
                 if not isinstance(r, RingElem):
                     raise ValueError(f"image of {lab} has a non-RingElem entry {r!r}")
                 for t in r.terms:
-                    if _max_generator(t) > g:
-                        raise ValueError(
-                            f"image of {lab} uses generators beyond rank {g}"
-                        )
+                    _check_rank(term_word, t, g)
                 if r:
                     vec[tgt] = r
             dense[lab] = vec

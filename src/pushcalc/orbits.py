@@ -38,7 +38,7 @@ from .errors import (
     parsing,
 )
 from .pushing import BraidElement, ManifoldModel, _inverse_perm
-from .words import FreeWord, parse_word
+from .words import FreeWord, _check_rank, parse_word
 
 DEFAULT_MAX_STATES = 1_000_000
 
@@ -127,10 +127,7 @@ class TargetModel:
         for ws in fcs:
             for w in ws:
                 check_type("f class entries", w, FreeWord)
-                if w.max_generator > self.pi1_gens:
-                    raise ValueError(
-                        f"f class word {w} exceeds pi1 rank {self.pi1_gens}"
-                    )
+                _check_rank("f class word", w.letters, self.pi1_gens)
         if len({len(ws) for ws in fcs}) > 1:
             raise ValueError("all f classes must give the same number of loop images")
         object.__setattr__(self, "f_classes", fcs)
@@ -242,8 +239,7 @@ def act(
     out = []
     for i in range(braid.k):
         word = braid.words[i]
-        if word.max_generator > model.g:
-            raise ValueError(f"slot word {word} exceeds rank {model.g}")
+        _check_rank("slot word", word.letters, model.g)
         idx = state.g_classes[inv_perm[i]]
         for x in reversed(word.letters):
             idx = _move(model, target, f_words, x, idx)
@@ -342,8 +338,6 @@ def _component_count(m: int, k: int, tables: Sequence[Sequence[int]]) -> int:
     through _cached_columns when they fit CACHED_TABLE_INTS; a larger table
     is built per call, for the positions some table moves only.
     """
-    if m == 1:   # one multiset: the cap does not bound k here
-        return 1
     components = comb(m + k - 1, k)
     moves = {(d, t) if d < t else (t, d)
              for table in tables for d, t in enumerate(table) if t != d}

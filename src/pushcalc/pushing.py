@@ -52,6 +52,7 @@ from .ring import RingElem, SphereLabel
 from .words import (
     MAX_WORD_LETTERS,
     FreeWord,
+    _check_rank,
     _unrank_word,
     count_words,
     enumerate_words,
@@ -135,8 +136,7 @@ class ManifoldModel:
                     raise ValueError(f"crossed cell {cell!r} out of range 1..{self.g}")
                 _check_sign("crossing sign", eps)
                 check_type("crossing prefix", prefix, FreeWord)
-                if prefix.max_generator > self.g:
-                    raise ValueError(f"crossing prefix {prefix} exceeds rank {self.g}")
+                _check_rank("crossing prefix", prefix.letters, self.g)
                 rows[-1].append(crossing)
         check_type("low_handle_dim", self.low_handle_dim, bool)
         object.__setattr__(self, "character", character)
@@ -268,10 +268,9 @@ def push_letter(sig: PuncturedSignature, letter: int, slot: int) -> SelfMapClass
     """
     _check_slot(sig, slot)
     model = sig.model
-    if not (is_int(letter) and 0 < abs(letter) <= model.g):
-        raise ValueError(f"letter {letter!r} outside rank {model.g}")
-    i = abs(letter)
     lw = FreeWord([letter])
+    _check_rank("letter", lw.letters, model.g)
+    i = abs(letter)
     sgn = model.character[i - 1]
     p_slot = sig.punctures[slot - 1]
     spheres = {lab: {lab: RingElem.one()} for lab in sig.wedge.labels}
@@ -289,8 +288,7 @@ def push_letter(sig: PuncturedSignature, letter: int, slot: int) -> SelfMapClass
 def push_word(sig: PuncturedSignature, w: FreeWord, slot: int) -> SelfMapClass:
     """Fold push_letter over the letters of w, first letter outermost."""
     _check_slot(sig, slot)
-    if w.max_generator > sig.model.g:
-        raise _rank_error(sig.model, w.letters)
+    _check_rank("word", w.letters, sig.model.g)
     acc = identity_map(sig.wedge)
     letter_maps: dict[int, SelfMapClass] = {}
     for letter in w.letters:
@@ -336,12 +334,8 @@ def _slot_terms(
             acc[cell][letters[:pos + off]] = sign * e
             sign *= ch
     except KeyError:
-        raise _rank_error(model, letters) from None
+        raise _words._rank_error("word", letters, model.g) from None
     return sign, acc
-
-
-def _rank_error(model: ManifoldModel, letters: tuple[int, ...]) -> ValueError:
-    return ValueError(f"word {FreeWord._wrap(letters)} exceeds rank {model.g}")
 
 
 def _accumulated_terms(
@@ -356,7 +350,7 @@ def _accumulated_terms(
     for pos, x in enumerate(letters):
         i = abs(x)
         if i > g:
-            raise _rank_error(model, letters)
+            raise _words._rank_error("word", letters, model.g)
         row = crossings[i - 1]
         if row:
             if x > 0:

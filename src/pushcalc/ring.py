@@ -191,7 +191,7 @@ def ring_mul(a: RingElem, b: RingElem) -> RingElem:
 def ring_endo_apply(phi: FreeEndo, a: RingElem) -> RingElem:
     """Apply an endomorphism to every support word; collided images add."""
     for t in a.terms:
-        _check_rank(phi, t)
+        _check_rank("word", t, phi.rank)
     if phi.is_identity:
         return a
     substitute = _words._kernel.substitute

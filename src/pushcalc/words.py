@@ -10,8 +10,9 @@ and _unrank_word alone know the shortlex ball: they list, count, unrank it.
 
 Rank is carried by context objects (endomorphisms, signatures, models), not
 by each word; applying a word to a context of too small a rank is an error
-at that boundary.  Every such check reads a word's rank from one formula,
-_max_generator, on its letter tuple.
+at that boundary.  Every such check is _check_rank, which reads a word's
+rank from one formula, _max_generator, on its letter tuple, and refuses it
+with one message, "<what> <word> exceeds rank <g>" (_rank_error).
 
 The inner loops live in a small kernel module, pushcalc._purewords, bound
 here as ``_kernel``.  FreeWord, endo_apply and the modules that work on
@@ -40,6 +41,17 @@ def _max_generator(t: tuple[int, ...]) -> int:
     """Largest generator index in a letter tuple, 0 for the empty one: a
     word lies within rank g exactly when this is at most g."""
     return max(max(t), -min(t)) if t else 0
+
+
+def _rank_error(what: str, letters: tuple[int, ...], g: int) -> ValueError:
+    """The one refusal of a word beyond rank g: '<what> <word> exceeds rank <g>'."""
+    return ValueError(f"{what} {FreeWord._wrap(letters)} exceeds rank {g}")
+
+
+def _check_rank(what: str, letters: tuple[int, ...], g: int) -> None:
+    """Raise _rank_error if the letter tuple uses a generator beyond rank g."""
+    if _max_generator(letters) > g:
+        raise _rank_error(what, letters, g)
 
 
 class FreeWord:
@@ -170,13 +182,6 @@ class FreeEndo:
         return f"FreeEndo([{', '.join(format_word(w) for w in self.images)}])"
 
 
-def _check_rank(phi: FreeEndo, t: tuple[int, ...]) -> None:
-    """Raise ValueError if the letter tuple t uses a generator beyond phi's rank."""
-    top = _max_generator(t)
-    if top > phi.rank:
-        raise ValueError(f"word uses generator {top} but endomorphism has rank {phi.rank}")
-
-
 def endo_apply(phi: FreeEndo, u: FreeWord) -> FreeWord:
     """Image of u under phi: substitute each letter and reduce.
 
@@ -184,7 +189,7 @@ def endo_apply(phi: FreeEndo, u: FreeWord) -> FreeWord:
     >>> format_word(endo_apply(phi, parse_word("a1 A2 a1")))
     'a1^2 a2'
     """
-    _check_rank(phi, u.letters)
+    _check_rank("word", u.letters, phi.rank)
     return FreeWord._wrap(_kernel.substitute(phi._letters, u.letters))
 
 

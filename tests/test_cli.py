@@ -196,6 +196,14 @@ def test_repeated_json_key_in_a_map_refused(capsys, tmp_path):
         1, "", "error:parse: duplicate key 'p1'\n")
 
 
+def test_circle_image_beyond_rank_refused(capsys, tmp_path):
+    obj = {"g": 2, "d": 3, "labels": ["p1"], "circles": ["a1", "a3"], "spheres": {}}
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(obj))
+    assert run_cli(capsys, "compose", str(path), str(path)) == (
+        1, "", "error:parse: circle image a3 exceeds rank 2\n")
+
+
 def test_repeated_json_key_in_a_target_refused(capsys, tmp_path):
     # The key's echo is clipped like every other echo of input.
     key = "charge" + "x" * 200

@@ -423,7 +423,7 @@ def test_window_membership_matches_listed_balls():
     assert windows >= 20
     # A block word over generator g + 1 would put entries outside any window;
     # a SelfMapClass refuses such a word.
-    with pytest.raises(ValueError, match="beyond rank 1"):
+    with pytest.raises(ValueError, match="exceeds rank 1"):
         SelfMapClass(SIG1, FreeEndo.identity(1), {P1: {P1: ring_of({"A2": 1})}})
 
 

@@ -5,6 +5,9 @@
   is the one other function that may test for bool.
 - A sign is +1 or -1: pushing._check_sign.
 - A word is within rank g: words._max_generator, on a letter tuple.
+- A word beyond rank g is refused: words._check_rank, with one message.
+  embedding._in_ball reads the rank too, but answers a membership question
+  and refuses nothing, so it is the one other function that may compare it.
 
 The shape rules:
 
@@ -41,6 +44,7 @@ HOMES = {
     "bool test": {"errors.is_int", "orbits._check_ids"},
     "sign test": {"pushing._check_sign"},
     "rank formula": {"words._max_generator"},
+    "rank check": {"words._check_rank", "embedding._in_ball"},
     "type test": {"errors.check_type", "monoid.SelfMapClass"},
     "sequence test": {"errors.as_tuple", "orbits.TargetModel", "orbits._ids_to_indices"},
     "permutation test": {"errors.is_permutation"},
@@ -72,6 +76,12 @@ def _is_not_isinstance(node: ast.AST) -> bool:
             and _is_call(node.operand, "isinstance"))
 
 
+def _is_rank_read(node: ast.AST) -> bool:
+    """_max_generator(...) or x.max_generator"""
+    return (_is_call(node, "_max_generator")
+            or isinstance(node, ast.Attribute) and node.attr == "max_generator")
+
+
 def _is_range_list(node: ast.AST) -> bool:
     """list(range(...))"""
     return _is_call(node, "list") and bool(node.args) and _is_call(node.args[0], "range")
@@ -97,7 +107,9 @@ def rule_sites(source: str, module: str) -> list[tuple[str, str]]:
     rule, named after its outermost enclosing function or class ('module'
     at top level).  A bool test is isinstance with bool among its types; a
     sign test is `in` or `not in` against (1, -1); a rank formula is a min()
-    call that is negated or compared with a negated value.  A type test is
+    call that is negated or compared with a negated value; a rank check is
+    a comparison with a _max_generator(...) or .max_generator operand.  A
+    type test is
     an `if` on `not isinstance(...)` whose body raises ValueError; a
     sequence test is a `try` that catches TypeError; a permutation test
     compares sorted(...) with list(range(...)).  A reader type test is an
@@ -117,6 +129,8 @@ def rule_sites(source: str, module: str) -> list[tuple[str, str]]:
                 if (_is_call(left, "min") and _is_negation(right)
                         or _is_negation(left) and _is_call(right, "min")):
                     sites.append(("rank formula", where))
+                if _is_rank_read(left) or _is_rank_read(right):
+                    sites.append(("rank check", where))
                 if (_is_call(left, "sorted") and _is_range_list(right)
                         or _is_range_list(left) and _is_call(right, "sorted")):
                     sites.append(("permutation test", where))
@@ -153,7 +167,9 @@ def test_checker_sees_each_rule_written_out():
         "class Word:\n"
         "    def ok(self, g):\n"
         "        return min(self.t) >= -g\n"
-        "fine = isinstance(1, int) and min(3, 4) < 5 and -max(1, 2)\n"
+        "def push(w, g):\n"
+        "    return w.max_generator > g or g < _max_generator(w.t)\n"
+        "fine = isinstance(1, int) and min(3, 4) < 5 and -max(1, 2) and _max_generator(t)\n"
     )
     assert rule_sites(source, "errors") == [
         ("bool test", "errors.is_int"),
@@ -164,6 +180,8 @@ def test_checker_sees_each_rule_written_out():
         ("rank formula", "errors.rank"),
         ("rank formula", "errors.rank"),
         ("rank formula", "errors.Word"),
+        ("rank check", "errors.push"),
+        ("rank check", "errors.push"),
     ]
     assert stray_sites(rule_sites(source, "errors"))[0] == ("bool test", "errors.count")
 

@@ -125,7 +125,7 @@ def test_letter_validation():
         push_letter(SIG11, 0, 1)
     # a letter that is not an int is refused before abs() is taken of it
     for bad in ("a1", None):
-        with pytest.raises(ValueError, match="outside rank 1"):
+        with pytest.raises(ValueError, match="bad letter"):
             push_letter(SIG11, bad, 1)  # type: ignore[arg-type]
     with pytest.raises(ValueError, match="^word a1 A2 exceeds rank 1$"):
         push_word(SIG11, parse_word("a1 A2"), 1)
