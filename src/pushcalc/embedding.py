@@ -91,9 +91,7 @@ class TruncatedMatrix:
         return self.entries.get((row, col), 0)
 
     def __repr__(self) -> str:
-        # The balls are counted, not listed.
-        rows, cols = (len(self.sig.labels) * count_words(self.sig.g, r)
-                      for r in (self.row_radius, self.radius))
+        rows, cols = (_ball_size(self.sig, r) for r in (self.row_radius, self.radius))
         return (f"TruncatedMatrix(radius={self.radius}, rows={rows}, "
                 f"cols={cols}, nonzero={len(self.entries)})")
 
@@ -109,6 +107,12 @@ def _in_ball(sig: WedgeSignature, radius: int, key: IndexKey) -> bool:
 def _ball_keys(sig: WedgeSignature, radius: int) -> tuple[IndexKey, ...]:
     words = list(enumerate_words(sig.g, radius)) if sig.labels else ()
     return tuple((lab, w) for lab in sig.labels for w in words)
+
+
+def _ball_size(sig: WedgeSignature, radius: int, cap: int | None = None) -> int | None:
+    """len(_ball_keys(sig, radius)), or None if its words * max(labels, 1) pass cap."""
+    words = count_words(sig.g, radius, None if cap is None else cap // max(len(sig.labels), 1))
+    return None if words is None else words * len(sig.labels)
 
 
 def materialize(
@@ -136,12 +140,9 @@ def materialize(
             f"{cells} cells; choose a smaller radius"
         )
 
-    # A label-free ball has no keys; its words are capped as for one label.
-    per_word = max(len(h.sig.labels), 1)
-    n_words = count_words(h.sig.g, radius, MAX_WINDOW_ROWS // per_word)
-    n_cols = 0 if n_words is None else n_words * len(h.sig.labels)
+    n_cols = _ball_size(h.sig, radius, MAX_WINDOW_ROWS)
     # The rows cover at least the column ball, so there are n_cols^2 cells or more.
-    if n_words is None or n_cols * n_cols > cells:
+    if n_cols is None or n_cols * n_cols > cells:
         raise too_large(f"window of radius {radius}")
     columns = [(b, vec) for b, vec in h.sphere_part.items() if vec]
     words = tuple(enumerate_words(h.sig.g, radius)) if columns else ()
@@ -162,7 +163,7 @@ def materialize(
     # point-push has identity slope); a stretching slope widens the ball.
     row_radius = max(radius + max_shift(h), arising)
     row_cap = min(MAX_WINDOW_ROWS, cells // max(n_cols, 1))
-    if count_words(h.sig.g, row_radius, row_cap // per_word) is None:
+    if _ball_size(h.sig, row_radius, row_cap) is None:
         raise too_large(f"window of radius {radius} with rows to radius {row_radius}")
     return TruncatedMatrix(h.sig, radius, row_radius, entries)
 

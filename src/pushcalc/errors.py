@@ -4,11 +4,12 @@ Every error has a stable ``code`` for the CLI's one-line error prefix.
 is_int tests an int that is not a bool; check_count and check_dimension
 build on it.  Shape rules: as_tuple, check_type, is_permutation.  Reader
 rules: check_text, json_array, json_object, json_fields and parsing.
+Size rules: capped_product here, and embedding._ball_size for a window ball.
 """
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterator
+from typing import Iterator, Sequence
 
 
 class PushcalcError(Exception):
@@ -96,6 +97,22 @@ def clip(text: str, limit: int = 80) -> str:
 def is_int(x: object) -> bool:
     """True for an int that is not a bool (True == 1 would pass as index 1)."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def capped_product(powers: Sequence[tuple[int, int]], cap: int) -> int | None:
+    """The product of base**exp over (base, exp) pairs of ints >= 0, or None if it
+    passes cap.  A base of 0 gives 0; a base over 1 is multiplied in one at a time."""
+    if any(base == 0 and exp for base, exp in powers):
+        return 0 if cap >= 0 else None
+    total = 1
+    for base, exp in powers:
+        if base > 1 and exp > cap.bit_length():
+            return None   # base**exp >= 2**exp > cap, and the power is never built
+        for _ in range(exp if base > 1 else 0):
+            total *= base
+            if total > cap:
+                return None
+    return total if total <= cap else None
 
 
 def check_count(what: str, value: object) -> None:

@@ -27,6 +27,7 @@ from .errors import (
     SizeMismatch,
     TooLarge,
     as_tuple,
+    capped_product,
     check_count,
     check_type,
     clip,
@@ -332,11 +333,12 @@ def _component_count(m: int, k: int, tables: Sequence[Sequence[int]]) -> int:
     (k-1)-multiset y gives the edge y + d -- y + t, and each edge is merged
     into a flat union-find (path halving).
 
-    No multiset is built as a tuple: the search numbers them in colex order,
-    and column d of _colex_columns lists the numbers of y + d.  The columns
-    of all m positions, m * multichoose(m, k - 1) <= m**k ints, are shared
-    through _cached_columns when they fit CACHED_TABLE_INTS; a larger table
-    is built per call, for the positions some table moves only.
+    No multiset is built as a tuple: the search numbers them in colex order, and
+    column d of _colex_columns lists the numbers of y + d.  The columns of all
+    m positions, m * multichoose(m, k - 1) <= m**k ints (inside the state cap
+    components_bruteforce checks with errors.capped_product), are shared through
+    _cached_columns when they fit CACHED_TABLE_INTS; a larger table is built
+    per call, for the positions some table moves only.
     """
     components = comb(m + k - 1, k)
     moves = {(d, t) if d < t else (t, d)
@@ -370,10 +372,10 @@ def components_bruteforce(
 ) -> int:
     """Count components by exploring the state graph under generator braids.
 
-    States are (f, classes) pairs; edges apply each loop generator in each
-    slot and each adjacent transposition.  Refuses with TooLarge, before
-    allocating anything, when |classes|^k * |f classes| exceeds max_states.
-    The search itself visits multichoose(|charge|, k) * |f classes|
+    States are (f, classes) pairs; edges apply each loop generator in each slot
+    and each adjacent transposition.  Refuses with TooLarge, before allocating
+    anything, when errors.capped_product finds |classes|^k * |f classes| over
+    max_states.  The search itself visits multichoose(|charge|, k) * |f classes|
     states: the transpositions join every reordering of a tuple of charge
     positions, so each state is one multiset of k positions.  A loop
     generator a_j moves one element of a multiset by a table on the charge
@@ -391,11 +393,7 @@ def components_bruteforce(
     n, n_f = len(target.classes), len(target.f_classes)
     if not is_int(max_states):
         raise ValueError(f"max_states must be an int, got {clip(repr(max_states))}")
-    # n**k alone passes the cap once k > cap.bit_length(): a huge k is
-    # refused without building the power.
-    if max_states < 0 or n_f and (
-        n > 1 and k > max_states.bit_length() or n ** k * n_f > max_states
-    ):
+    if max_states < 0 or capped_product([(n, k), (n_f, 1)], max_states) is None:
         raise TooLarge(
             f"state graph would have up to {n}^{k} * {n_f} states, "
             f"over the cap {max_states}"

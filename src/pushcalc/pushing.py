@@ -39,6 +39,7 @@ from .errors import (
     SlotOutOfRange,
     TooLarge,
     as_tuple,
+    capped_product,
     check_count,
     check_dimension,
     check_text,
@@ -543,20 +544,6 @@ class KernelReport:
         return not self.nontrivial_kernel
 
 
-def _braid_count(ball_size: int, k: int, cap: int) -> int | None:
-    """ball_size**k * k!, the braids of an exhaustive search, or None above cap.
-
-    The k! factors come first and the product stops once it passes cap,
-    so a large k or ball costs a few multiplications, not the product.
-    """
-    total = 1
-    for factor in itertools.chain(range(2, k + 1), itertools.repeat(ball_size, k)):
-        if total > cap:
-            return None
-        total *= factor
-    return total if total <= cap else None
-
-
 # Cap on the estimated work of one kernel sweep (_sweep_work).  On a 2-CPU
 # Xeon a unit took 0.7-4.5 us of CPU over 22 shapes tried (many labels,
 # many slots, long words), and three `kernel` runs just under the cap took
@@ -612,7 +599,7 @@ def kernel_report(
         )
     g, k = sig.model.g, sig.k
     ball_size = count_words(g, max_word_len)
-    count = _braid_count(ball_size, k, max_braids)
+    count = capped_product([(ball_size, k), *((f, 1) for f in range(2, k + 1))], max_braids)
     braids = max_braids if count is None else count
     work = _sweep_work(g, k, max_word_len, braids)
     if work > MAX_KERNEL_WORK:

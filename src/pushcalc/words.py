@@ -26,8 +26,8 @@ import re
 from typing import Iterable, Iterator
 
 from . import _purewords as _kernel
-from .errors import (ParseError, TooLarge, as_tuple, check_count, check_text, check_type, clip,
-                     is_int)
+from .errors import (ParseError, TooLarge, as_tuple, capped_product, check_count, check_text,
+                     check_type, clip, is_int)
 
 # Name of the word kernel in use; the benchmark harness records it per run.
 KERNEL_BACKEND = "pure-python"
@@ -320,8 +320,8 @@ def count_words(g: int, max_len: int, cap: int | None = None) -> int | None:
     """
     if g <= 1:
         total = 2 * max_len * g + 1
-    elif cap is not None and max_len > cap.bit_length():
-        return None   # over 3**max_len words: the power is never built
+    elif cap is not None and capped_product([(2 * g - 1, max_len)], cap) is None:
+        return None   # the ball outnumbers the power, so it passes cap too
     else:
         total = 1 + g * ((2 * g - 1) ** max_len - 1) // (g - 1)
     return None if cap is not None and total > cap else total

@@ -27,6 +27,14 @@ The reader rules:
   errors.parsing.  pushing.parse_perm's handler of int() raises a message of
   its own, so it is a different rule.
 
+The size rules:
+
+- A product of powers against its cap, without building a product that
+  passes it: errors.capped_product.
+- The keys of a window ball: embedding._ball_size, the one reader of
+  words.count_words in embedding; pushing.kernel_report counts its slot
+  word ball with count_words as well.
+
 A site that writes one of these out again, instead of calling its home,
 fails here.
 """
@@ -50,6 +58,8 @@ HOMES = {
     "permutation test": {"errors.is_permutation"},
     "reader type test": {"errors.check_text", "errors.json_array", "errors.json_object"},
     "translation": {"errors.parsing"},
+    "capped product": {"errors.capped_product"},
+    "ball size": {"embedding._ball_size", "pushing.kernel_report"},
 }
 
 
@@ -80,6 +90,13 @@ def _is_rank_read(node: ast.AST) -> bool:
     """_max_generator(...) or x.max_generator"""
     return (_is_call(node, "_max_generator")
             or isinstance(node, ast.Attribute) and node.attr == "max_generator")
+
+
+def _is_power(node: ast.AST) -> bool:
+    """Some part of node is a ** or a .bit_length() call."""
+    return any(isinstance(n, ast.BinOp) and isinstance(n.op, ast.Pow)
+               or isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+               and n.func.attr == "bit_length" for n in ast.walk(node))
 
 
 def _is_range_list(node: ast.AST) -> bool:
@@ -115,7 +132,9 @@ def rule_sites(source: str, module: str) -> list[tuple[str, str]]:
     compares sorted(...) with list(range(...)).  A reader type test is an
     `if` on `not isinstance(...)` whose body raises ParseError; a
     translation is an `except ValueError as exc` that raises
-    ParseError(str(exc))."""
+    ParseError(str(exc)).  A capped product is a comparison with an operand
+    that holds a ** or a .bit_length() call; a ball size is a call of
+    count_words."""
     sites = []
     for node, where in walk_sites(source, module):
         if (_is_call(node, "isinstance") and len(node.args) == 2
@@ -123,6 +142,8 @@ def rule_sites(source: str, module: str) -> list[tuple[str, str]]:
             sites.append(("bool test", where))
         if isinstance(node, ast.Compare):
             ops = [node.left, *node.comparators]
+            if any(map(_is_power, ops)):
+                sites.append(("capped product", where))
             for op, left, right in zip(node.ops, ops, ops[1:]):
                 if isinstance(op, (ast.In, ast.NotIn)) and _is_sign_pair(right):
                     sites.append(("sign test", where))
@@ -134,6 +155,9 @@ def rule_sites(source: str, module: str) -> list[tuple[str, str]]:
                 if (_is_call(left, "sorted") and _is_range_list(right)
                         or _is_range_list(left) and _is_call(right, "sorted")):
                     sites.append(("permutation test", where))
+        if isinstance(node, ast.Call) and "count_words" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            sites.append(("ball size", where))
         if _is_negation(node) and _is_call(node.operand, "min"):
             sites.append(("rank formula", where))
         if isinstance(node, ast.If) and any(map(_is_not_isinstance, ast.walk(node.test))):
@@ -252,6 +276,42 @@ def test_checker_sees_each_reader_rule_written_out():
     ]
     assert stray_sites(rule_sites(source, "errors")) == [
         ("reader type test", "errors.ring_from_json"),
+    ]
+
+
+def test_checker_sees_each_size_rule_written_out():
+    products = (
+        "def capped_product(powers, cap):\n"
+        "    return any(e > cap.bit_length() for b, e in powers)\n"
+        "def count_words(g, n, cap):\n"
+        "    return n > cap.bit_length() or 1 + (2 * g - 1) ** n > cap\n"
+        "def fine(x, cap):\n"
+        "    return x ** 2 + cap.bit_length() and x * x > cap\n"
+    )
+    assert rule_sites(products, "errors") == [
+        ("capped product", "errors.capped_product"),
+        ("capped product", "errors.count_words"),
+        ("capped product", "errors.count_words"),
+    ]
+    assert stray_sites(rule_sites(products, "errors")) == [
+        ("capped product", "errors.count_words"),
+        ("capped product", "errors.count_words"),
+    ]
+    balls = (
+        "def _ball_size(sig, r):\n"
+        "    return count_words(sig.g, r) * len(sig.labels)\n"
+        "class TruncatedMatrix:\n"
+        "    def __repr__(self):\n"
+        "        return str(_words.count_words(self.g, 2))\n"
+        "def fine(sig):\n"
+        "    return _ball_size(sig, 2) + len(enumerate_words(sig.g, 2))\n"
+    )
+    assert rule_sites(balls, "embedding") == [
+        ("ball size", "embedding._ball_size"),
+        ("ball size", "embedding.TruncatedMatrix"),
+    ]
+    assert stray_sites(rule_sites(balls, "embedding")) == [
+        ("ball size", "embedding.TruncatedMatrix"),
     ]
 
 

@@ -13,8 +13,8 @@ def _positive_right(ring_mul):
     return lambda a, b: ring_mul(a, RingElem._wrap({t: abs(c) for t, c in b.terms.items()}))
 
 
-def _swapped(endo_compose):
-    return lambda outer, inner: endo_compose(inner, outer)
+def _swapped(op):
+    return lambda a, b: op(b, a)
 
 
 def _negated(slot_terms):
@@ -35,6 +35,7 @@ def _plus_one(orbit_count):
     ("monoid", monoid, "endo_compose", _swapped, ["compose-associative", "circle-functor"]),
     ("push", pushing, "_slot_terms", _negated, ["closed-form-agrees"]),
     ("orbits", orbits, "_orbit_count", _plus_one, ["formula-vs-bruteforce"]),
+    ("monoid", monoid, "ring_mul", _swapped, ["compose-product-order"]),
 ])
 def test_suite_catches_a_planted_fault(monkeypatch, suite, module, name, fault, failing):
     assert verification.run_suite(suite, 0, 100).ok
