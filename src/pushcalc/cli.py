@@ -116,7 +116,7 @@ def cmd_push_word(args: argparse.Namespace) -> int:
     if args.closed_form:
         agrees = push_word(sig, w, args.slot) == h
         p_slot = sig.punctures[args.slot - 1]
-        coefficients = [h.sphere(t).get(p_slot, RingElem.zero()) for t in sig.cells]
+        coefficients = [h.sphere_part[t].get(p_slot, RingElem.zero()) for t in sig.cells]
     if args.json:
         obj: dict = {"map": self_map_to_json(h)}
         if args.matrix:
@@ -321,7 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slot", type=int, required=True, help="which puncture moves")
     p.add_argument("word", help="loop word, e.g. 'a1 A2'")
     p.add_argument("--closed-form", action="store_true",
-                   help="also evaluate the closed form and report agreement")
+                   help="also print the loop coefficients f_i and cross-check the answer "
+                        "against the letterwise composite of single-letter pushes")
     p.add_argument("--matrix", action="store_true", help="also print the matrix form")
     p.set_defaults(func=cmd_push_word)
 

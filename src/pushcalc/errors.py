@@ -101,17 +101,17 @@ def is_int(x: object) -> bool:
 
 def capped_product(powers: Sequence[tuple[int, int]], cap: int) -> int | None:
     """The product of base**exp over (base, exp) pairs of ints >= 0, or None if it
-    passes cap.  A base of 0 gives 0; a base over 1 is multiplied in one at a time."""
-    if any(base == 0 and exp for base, exp in powers):
-        return 0 if cap >= 0 else None
+    passes cap.  A bit-length screen comes first, so no power passes twice cap's bits."""
+    bits = 0
+    for base, exp in powers:
+        if base == 0 and exp:
+            return 0 if cap >= 0 else None
+        bits += exp * (base.bit_length() - 1)
+    if bits > cap.bit_length():   # the product is at least 2**bits
+        return None
     total = 1
     for base, exp in powers:
-        if base > 1 and exp > cap.bit_length():
-            return None   # base**exp >= 2**exp > cap, and the power is never built
-        for _ in range(exp if base > 1 else 0):
-            total *= base
-            if total > cap:
-                return None
+        total *= base ** exp
     return total if total <= cap else None
 
 

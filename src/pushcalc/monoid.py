@@ -150,11 +150,6 @@ class SelfMapClass:
         h.sphere_part = sphere_part
         return h
 
-    def sphere(self, label: SphereLabel) -> dict[SphereLabel, RingElem]:
-        if label not in self.sphere_part:
-            raise ValueError(f"label {label} not in signature")
-        return self.sphere_part[label]
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SelfMapClass):
             return NotImplemented

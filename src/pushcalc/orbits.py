@@ -393,7 +393,7 @@ def components_bruteforce(
     n, n_f = len(target.classes), len(target.f_classes)
     if not is_int(max_states):
         raise ValueError(f"max_states must be an int, got {clip(repr(max_states))}")
-    if max_states < 0 or capped_product([(n, k), (n_f, 1)], max_states) is None:
+    if capped_product([(n, k), (n_f, 1)], max_states) is None:
         raise TooLarge(
             f"state graph would have up to {n}^{k} * {n_f} states, "
             f"over the cap {max_states}"

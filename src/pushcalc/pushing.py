@@ -70,8 +70,8 @@ from .words import (
 MAX_MODEL_SIZE = 20_000
 
 
-def _check_model_size(size: object) -> None:
-    if isinstance(size, int) and size > MAX_MODEL_SIZE:
+def _check_model_size(size: int) -> None:
+    if size > MAX_MODEL_SIZE:
         raise TooLarge(
             f"a punctured model with g + k = {size} is over the cap {MAX_MODEL_SIZE}"
         )
@@ -478,7 +478,7 @@ def recover_braid(sig: PuncturedSignature, h: SelfMapClass) -> BraidElement:
     words: list[FreeWord | None] = [None] * k
     slot_terms: list[list[dict[tuple[int, ...], int]] | None] = [None] * k
     for i, p_i in enumerate(punctures, 1):
-        vec = h.sphere(p_i)
+        vec = h.sphere_part[p_i]
         if len(vec) != 1:
             raise NotInImage(f"image of p{i} is not a single basis term")
         (lab, r), = vec.items()
@@ -500,7 +500,7 @@ def recover_braid(sig: PuncturedSignature, h: SelfMapClass) -> BraidElement:
     # The puncture images match push_braid's exactly, so what is left of
     # push_braid(sig, candidate) == h is the cells.
     for c, cell in enumerate(cells):
-        if not _cell_matches(h.sphere(cell), cell, c, punctures, slot_terms):  # type: ignore[arg-type]
+        if not _cell_matches(h.sphere_part[cell], cell, c, punctures, slot_terms):  # type: ignore[arg-type]
             raise NotInImage("cell images do not match the decoded braid")
     return BraidElement(tuple(words), tuple(perm))  # type: ignore[arg-type]
 

@@ -119,6 +119,21 @@ def test_push_word_slot_error(capsys):
     assert err.startswith("error:slot-out-of-range: ")
 
 
+@pytest.mark.parametrize("command", [
+    [], ["push-word"], ["push-braid"], ["compose"], ["embed"], ["recover"], ["kernel"],
+    ["components"], ["verify"],
+])
+def test_help_exits_zero_with_usage(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(" ".join(["usage: pushcalc", *command]))
+    if command == ["push-word"]:
+        # argparse wraps the help to the terminal's width
+        assert "letterwise composite" in " ".join(out.split())
+
+
 def test_push_braid_golden(capsys):
     code, out, err = run_cli(capsys, "push-braid", "-g", "1", "[a1 | e ; (1 2)]")
     assert (code, err) == (0, "")

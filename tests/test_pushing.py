@@ -312,8 +312,8 @@ def test_push_word_inverse_law():
 def test_push_sym():
     assert push_sym(SIG22, (0, 1)) == identity_map(SIG22.wedge)
     swap = push_sym(SIG22, (1, 0))
-    assert swap.sphere(SphereLabel("p", 1)) == {SphereLabel("p", 2): RingElem.one()}
-    assert swap.sphere(SphereLabel("p", 2)) == {SphereLabel("p", 1): RingElem.one()}
+    assert swap.sphere_part[SphereLabel("p", 1)] == {SphereLabel("p", 2): RingElem.one()}
+    assert swap.sphere_part[SphereLabel("p", 2)] == {SphereLabel("p", 1): RingElem.one()}
     assert compose(swap, swap) == identity_map(SIG22.wedge)
 
     rng = random.Random(114)
@@ -519,7 +519,7 @@ def _pushes_after_a_write():
         b = parse_braid(text)
         h = push_braid(sig, b)
         before = self_map_from_json(self_map_to_json(h))
-        terms = h.sphere(sig.cells[0])[sig.punctures[0]].terms
+        terms = h.sphere_part[sig.cells[0]][sig.punctures[0]].terms
         u = min(terms)
         terms[u] *= 2
         yield sig, h, before, push_braid(sig, b)
@@ -661,7 +661,7 @@ def _recover_braid_by_round_trip(sig: PuncturedSignature, h: SelfMapClass):
     perm: list = [None] * k
     words: list = [None] * k
     for i, p_i in enumerate(sig.wedge.labels[:k], 1):
-        vec = h.sphere(p_i)
+        vec = h.sphere_part[p_i]
         if len(vec) != 1:
             raise NotInImage(f"image of p{i} is not a single basis term")
         (lab, r), = vec.items()
@@ -695,7 +695,7 @@ def _corruptions(rng: random.Random, sig: PuncturedSignature, h: SelfMapClass):
         return SelfMapClass(h.sig, h.circle_part, spheres)
 
     for cell in cells:
-        entries = h.sphere(cell)
+        entries = h.sphere_part[cell]
         hit = [lab for lab in entries if lab != cell]
         if hit:
             lab = rng.choice(hit)
@@ -713,7 +713,7 @@ def _corruptions(rng: random.Random, sig: PuncturedSignature, h: SelfMapClass):
             yield "extra label", plus(cell, rng.choice(missing), rand_word(rng, g, 3), 1)
     if punctures:
         p = rng.choice(punctures)
-        (lab, r), = h.sphere(p).items()
+        (lab, r), = h.sphere_part[p].items()
         (u, n), = r.items_shortlex()
         yield "puncture sign", plus(p, lab, u, -2 * n)
 
@@ -798,10 +798,10 @@ def test_custom_crossing_letter_rules():
     )
     sig = PuncturedSignature(model, 1)
     h = push_letter(sig, 1, 1)
-    assert h.sphere(SphereLabel("t", 1)) == vec_of({"t1": {"e": 1}, "p1": {"e": 1}})
-    assert h.sphere(SphereLabel("t", 2)) == vec_of({"t2": {"e": 1}, "p1": {"a2": -1}})
+    assert h.sphere_part[SphereLabel("t", 1)] == vec_of({"t1": {"e": 1}, "p1": {"e": 1}})
+    assert h.sphere_part[SphereLabel("t", 2)] == vec_of({"t2": {"e": 1}, "p1": {"a2": -1}})
     hinv = push_letter(sig, -1, 1)
-    assert hinv.sphere(SphereLabel("t", 2)) == vec_of(
+    assert hinv.sphere_part[SphereLabel("t", 2)] == vec_of(
         {"t2": {"e": 1}, "p1": {"A1 a2": 1}}
     )
     # The two letter pushes are inverse with custom crossing data, for any
@@ -812,11 +812,11 @@ def test_custom_crossing_letter_rules():
 def test_non_orientable_letter_push():
     sig = PuncturedSignature(NON_ORIENTABLE, 1)
     h = push_letter(sig, 1, 1)
-    assert h.sphere(SphereLabel("p", 1)) == vec_of({"p1": {"a1": -1}})
-    assert h.sphere(SphereLabel("t", 1)) == vec_of({"t1": {"e": 1}, "p1": {"e": 1}})
+    assert h.sphere_part[SphereLabel("p", 1)] == vec_of({"p1": {"a1": -1}})
+    assert h.sphere_part[SphereLabel("t", 1)] == vec_of({"t1": {"e": 1}, "p1": {"e": 1}})
     hinv = push_letter(sig, -1, 1)
-    assert hinv.sphere(SphereLabel("p", 1)) == vec_of({"p1": {"A1": -1}})
-    assert hinv.sphere(SphereLabel("t", 1)) == vec_of({"t1": {"e": 1}, "p1": {"A1": 1}})
+    assert hinv.sphere_part[SphereLabel("p", 1)] == vec_of({"p1": {"A1": -1}})
+    assert hinv.sphere_part[SphereLabel("t", 1)] == vec_of({"t1": {"e": 1}, "p1": {"A1": 1}})
     assert verify_inverse(h, hinv)
     a, ainv = (BraidElement((parse_word(w),), (0,)) for w in ("a1", "A1"))
     assert compose(push_braid(sig, a), push_braid(sig, ainv)) == identity_map(sig.wedge)
@@ -1121,3 +1121,15 @@ def test_pushes_build_no_label_once_the_signature_has_them(monkeypatch):
     push_sym(sig, (2, 0, 1))
     assert recover_braid(sig, push_braid(sig, b)) == b
     assert built == []
+
+
+def test_reprs_str_and_hash_read_as_documented():
+    a1, a2 = parse_word("a1"), parse_word("a2")
+    assert repr(RingElem([(a1, 2), (IDENTITY, -1)])) == "RingElem<-1 + 2 a1>"
+    endo = FreeEndo([a1 * a2, a2])
+    assert repr(endo) == "FreeEndo([a1 a2, a2])"
+    twin = FreeEndo([parse_word("a1 a2"), parse_word("a2")])
+    assert twin == endo and hash(twin) == hash(endo)
+    assert repr(push_braid(SIG11, parse_braid("[a1 ; id]"))) == "SelfMapClass(a1, a1·p1, t1 + p1)"
+    braid = parse_braid("[a1 | e ; (1 2)]")
+    assert str(braid) == format_braid(braid) == "[a1 | e ; (1 2)]"
