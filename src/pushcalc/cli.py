@@ -66,7 +66,7 @@ def _print_json(obj: object) -> None:
 
 
 # Most digits of an integer in a JSON input.  compose multiplies two
-# coefficients and sums at most MAX_COMPOSE_PRODUCT_LETTERS products, so its
+# coefficients and sums at most MAX_COMPOSE_LETTERS products, so its
 # coefficients stay well under the 4,300 digits Python prints an int with.
 MAX_JSON_INT_DIGITS = 2_000
 
@@ -139,7 +139,7 @@ def cmd_push_word(args: argparse.Namespace) -> int:
 
 
 def cmd_push_braid(args: argparse.Namespace) -> int:
-    braid = parse_braid(args.braid, k=args.k)
+    braid = parse_braid(args.braid)
     sig = _signature(args.g, args.d, braid.k)
     h = push_braid(sig, braid)
     if args.json:
@@ -329,8 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("push-braid", parents=[json_flag], help="push punctures along a braid")
     p.add_argument("-g", type=int, required=True)
     p.add_argument("-d", type=int, default=3)
-    p.add_argument("-k", type=int, default=None,
-                   help="expected puncture count (checked against the braid)")
     p.add_argument("braid", help="braid text, e.g. '[a1 | e ; (1 2)]'")
     p.set_defaults(func=cmd_push_braid)
 

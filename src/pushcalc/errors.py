@@ -68,7 +68,7 @@ class TooLarge(PushcalcError, ValueError):
     - pushing: MAX_MODEL_SIZE (g + k) and MAX_KERNEL_WORK (kernel sweep);
     - words: MAX_WORD_LETTERS (a parsed word, or a braid's slot words) and
       MAX_POWER_LETTERS (the letters a power of a word lists);
-    - monoid: MAX_COMPOSE_LETTERS and MAX_COMPOSE_PRODUCT_LETTERS (compose);
+    - monoid: MAX_COMPOSE_LETTERS (the letters compose may write);
     - embedding: MAX_WINDOW_ROWS (truncated window);
     - orbits: DEFAULT_MAX_STATES (brute-force states, or PUSHCALC_MAX_STATES)
       and MAX_COUNT_BITS (formula count);

@@ -175,28 +175,23 @@ def identity_map(sig: WedgeSignature) -> SelfMapClass:
 # Terms of the ring unit: a product with it is skipped, not computed.
 _UNIT_TERMS = {(): 1}
 
-# Cap on the letters compose may write by substitution (_compose_letters).
-# A word is capped at MAX_WORD_LETTERS, but substitution multiplies lengths:
-# 60 circles of 1,000 letters composed with themselves write 60,000,000
-# letters and ran 28 s into a MemoryError under a 1 GB address-space limit.
-# At the cap (60 circles of 129 letters) `pushcalc compose` takes 0.6 s and
-# 36 MB on a 2-CPU Xeon; the tests, the verify suites and the benchmark
-# workloads never compose more than 10,001 letters.
+# Cap on the letters compose may write (_compose_letters), by substitution
+# and by its sphere products.  A word is capped at MAX_WORD_LETTERS, but
+# substitution multiplies lengths: 60 circles of 1,000 letters composed with
+# themselves write 60,000,000 letters and ran 28 s into a MemoryError under
+# a 1 GB address-space limit.  At the cap (60 circles of 129 letters)
+# `pushcalc compose` takes 0.6 s and 36 MB on a 2-CPU Xeon.  The products
+# grow too: a self-map at g = 2 whose p1 image has 2,000 support words,
+# composed with itself, takes 4,000,000 term pairs and ran 25 s into a
+# MemoryError under the same limit; so did one of only 100 words of 1,000
+# letters (10,000 pairs, 20,000,000 letters), so the letters count, not only
+# the pairs.  Just under the cap (280 words of 5 letters, or 22 of 1,000)
+# `pushcalc compose` takes under 3 s and 100 MB.  The largest user is the
+# push_word fold, whose coefficients hold about n^2/2 letters after n
+# letters; `push-word` runs it only under --closed-form, as the cross-check,
+# and on four 1,000-letter words it counted at most 502,003 per step.  The
+# tests, the verify suites and the benchmark workloads count at most 10,003.
 MAX_COMPOSE_LETTERS = 1_000_000
-
-# Cap on what compose's sphere products may write (_compose_letters).  A
-# self-map at g = 2 whose p1 image has 2,000 support words, composed with
-# itself, takes 4,000,000 term pairs and ran 25 s into a MemoryError under a
-# 1 GB address-space limit; so did one of only 100 words of 1,000 letters
-# (10,000 pairs, 20,000,000 letters), so the letters count, not only the
-# pairs.  Just under the cap (280 words of 5 letters, or 22 of 1,000)
-# `pushcalc compose` takes under 3 s and 100 MB on a 2-CPU Xeon.  The
-# largest user is the push_word fold, whose coefficients hold about n^2/2
-# letters after n letters; `push-word` runs it only under --closed-form, as
-# the cross-check, and on four 1,000-letter words it counted at most
-# 502,003 per step.  The tests, the verify suites and the benchmark
-# workloads count at most 10,003.
-MAX_COMPOSE_PRODUCT_LETTERS = 1_000_000
 
 
 def _compose_letters(outer: SelfMapClass, inner: SelfMapClass) -> tuple[int, int]:
@@ -239,10 +234,10 @@ def compose(outer: SelfMapClass, inner: SelfMapClass) -> SelfMapClass:
     Each inner sphere term r*m (r a ring element, m a basis label) is sent
     to the outer image of m right-multiplied by the outer circle image of
     r, and the results are summed in the module.  A composite whose
-    substitution would write more than MAX_COMPOSE_LETTERS letters, or whose
-    ring products more than MAX_COMPOSE_PRODUCT_LETTERS (_compose_letters),
-    raises TooLarge before any word is built.  The result is built with the
-    trusted SelfMapClass._wrap: a composite of two validated classes on one
+    substitution or whose ring products would write more than
+    MAX_COMPOSE_LETTERS letters (_compose_letters) raises TooLarge before
+    any word is built.  The result is built with the trusted
+    SelfMapClass._wrap: a composite of two validated classes on one
     signature is a valid class.
     """
     if outer.sig != inner.sig:
@@ -256,10 +251,10 @@ def compose(outer: SelfMapClass, inner: SelfMapClass) -> SelfMapClass:
             f"the composite's words would take up to {letters} letters "
             f"before reduction, over the cap {MAX_COMPOSE_LETTERS}"
         )
-    if written > MAX_COMPOSE_PRODUCT_LETTERS:
+    if written > MAX_COMPOSE_LETTERS:
         raise TooLarge(
             f"the composite's sphere products would write up to {written} "
-            f"letters and words, over the cap {MAX_COMPOSE_PRODUCT_LETTERS}"
+            f"letters and words, over the cap {MAX_COMPOSE_LETTERS}"
         )
     circ = endo_compose(outer.circle_part, inner.circle_part)
     spheres: dict[SphereLabel, dict[SphereLabel, RingElem]] = {}

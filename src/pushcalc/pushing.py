@@ -675,7 +675,7 @@ def format_perm(perm: tuple[int, ...]) -> str:
     return "".join(cycles) if cycles else "id"
 
 
-def parse_braid(text: str, k: int | None = None) -> BraidElement:
+def parse_braid(text: str) -> BraidElement:
     """Parse '[w1 | w2 | ... | wk ; perm]' with words in the word grammar.
 
     Besides the per-word cap of parse_word, the reduced slot words may hold
@@ -684,8 +684,6 @@ def parse_braid(text: str, k: int | None = None) -> BraidElement:
     as soon as the running total passes the cap.
     """
     check_text("a braid", text)
-    if k is not None:
-        check_count("puncture count", k)
     body = text.strip()
     if not (body.startswith("[") and body.endswith("]")):
         raise ParseError(f"braid must be bracketed, got {clip(repr(text))}")
@@ -707,8 +705,6 @@ def parse_braid(text: str, k: int | None = None) -> BraidElement:
                 f"(at slot {slot}); use shorter words or fewer slots"
             )
         words.append(w)
-    if k is not None and len(words) != k:
-        raise SizeMismatch(f"braid has {len(words)} slots, expected {k}")
     return BraidElement(tuple(words), parse_perm(perm_part, len(words)))
 
 

@@ -234,6 +234,10 @@ def _model(g: int, spec: tuple) -> ManifoldModel:
 
 
 def _rand_target_spec(rng: random.Random, g: int) -> tuple:
+    # The charge, the closure of a random nonempty set of classes under the
+    # action, is a union of its orbits; the reflection is a random
+    # involution that pairs classes inside the charge and, separately,
+    # outside it.  So the charge is closed under both.
     h = rng.randrange(0, 3)
     n = rng.randrange(1, 5)
     action = []
@@ -245,23 +249,37 @@ def _rand_target_spec(rng: random.Random, g: int) -> tuple:
         tuple(_rand_letters(rng, h, 3) if h else () for _ in range(g))
         for _ in range(rng.randrange(1, 3))
     )
-    return (h, n, tuple(action), f_classes)
+    reached = {i for i in range(n) if rng.random() < 0.5} or {rng.randrange(n)}
+    todo = list(reached)
+    while todo:
+        c = todo.pop()
+        new = {perm[c] for perm in action} - reached
+        reached |= new
+        todo += new
+    charge = tuple(sorted(reached))
+    reflection = list(range(n))
+    for part in (list(charge), [i for i in range(n) if i not in reached]):
+        rng.shuffle(part)
+        for a, b in zip(part[::2], part[1::2]):
+            reflection[a], reflection[b] = b, a
+    return (h, n, tuple(action), tuple(reflection), charge, f_classes)
 
 
 def _target(spec: tuple) -> TargetModel:
-    h, n, action, f_classes = spec
+    h, n, action, reflection, charge, f_classes = spec
     return TargetModel(
         pi1_gens=h,
         classes=tuple(range(n)),
         action=action,
-        reflection=tuple(range(n)),
-        charge=tuple(range(n)),
+        reflection=reflection,
+        charge=charge,
         f_classes=tuple(tuple(FreeWord(ls) for ls in ws) for ws in f_classes),
     )
 
 
-def _hyp_model(g: int) -> ManifoldModel:
-    return dataclasses.replace(ManifoldModel.default(g), low_handle_dim=True)
+def _hyp_model(character: tuple[int, ...]) -> ManifoldModel:
+    return dataclasses.replace(ManifoldModel.default(len(character)),
+                               character=character, low_handle_dim=True)
 
 
 def _window_mismatch(
@@ -586,20 +604,25 @@ def _push_properties() -> list[Property]:
 
 def _orbits_properties() -> list[Property]:
     def gen_axiom(rng: random.Random) -> tuple:
+        # Half the models are non-orientable, so act's reflection step runs.
         g = rng.randrange(1, 3)
+        character = [1] * g
+        if rng.random() < 0.5:
+            character = [rng.choice((1, -1)) for _ in range(g)]
+            character[rng.randrange(g)] = -1
         tspec = _rand_target_spec(rng, g)
         k = rng.randrange(1, 4)
-        n = tspec[1]
-        state = (rng.randrange(0, len(tspec[3])),
-                 tuple(rng.randrange(0, n) for _ in range(k)))
-        return (g, tspec, state,
+        charge = tspec[4]
+        state = (rng.randrange(0, len(tspec[5])),
+                 tuple(rng.choice(charge) for _ in range(k)))
+        return (tuple(character), tspec, state,
                 _rand_braid_spec(rng, g, k, max_len=3),
                 _rand_braid_spec(rng, g, k, max_len=3))
 
     def fails_axiom(case: tuple) -> str | None:
-        g, tspec, (f, classes), sa, sb = case
+        character, tspec, (f, classes), sa, sb = case
         target = _target(tspec)
-        model = _hyp_model(g)
+        model = _hyp_model(character)
         s = MapState(f, classes)
         a, b = _braid(sa), _braid(sb)
         combined = act(model, target, braid_mul(a, b), s)
@@ -609,9 +632,9 @@ def _orbits_properties() -> list[Property]:
         return None
 
     def fails_charge(case: tuple) -> str | None:
-        g, tspec, (f, classes), sa, _ = case
+        character, tspec, (f, classes), sa, _ = case
         target = _target(tspec)
-        out = act(_hyp_model(g), target, _braid(sa), MapState(f, classes))
+        out = act(_hyp_model(character), target, _braid(sa), MapState(f, classes))
         if any(i not in target.charge_set for i in out.g_classes):
             return "action left the charge"
         return None
@@ -623,7 +646,7 @@ def _orbits_properties() -> list[Property]:
     def fails_counts(case: tuple) -> str | None:
         g, tspec, k = case
         target = _target(tspec)
-        model = _hyp_model(g)
+        model = _hyp_model((1,) * g)   # the formula refuses non-orientable models
         formula = components_formula(target, model, k)
         brute = components_bruteforce(target, model, k)
         if formula != brute:

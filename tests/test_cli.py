@@ -4,6 +4,7 @@ from __future__ import annotations
 import ast
 import itertools
 import json
+import math
 import os
 import random
 import re
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from pushcalc.cli import main
+from pushcalc.cli import MAX_JSON_INT_DIGITS, TSV_MAX_CELLS, _check_grid, main
 from pushcalc.errors import TooLarge, check_count, clip
 from pushcalc.monoid import self_map_from_json
 from pushcalc.orbits import target_from_json
@@ -138,13 +139,6 @@ def test_push_braid_golden(capsys):
     code, out, err = run_cli(capsys, "push-braid", "-g", "1", "[a1 | e ; (1 2)]")
     assert (code, err) == (0, "")
     assert out == "(a1, p2, a1·p1, t1 + p1)\n"
-
-
-def test_push_braid_size_check(capsys):
-    code, out, err = run_cli(capsys, "push-braid", "-g", "1", "-k", "3",
-                             "[a1 | e ; (1 2)]")
-    assert code == 1
-    assert err.startswith("error:size-mismatch: ")
 
 
 def test_compose_inverse_pair(capsys, tmp_path):
@@ -495,6 +489,35 @@ def test_label_free_window_refused_before_listing_words(tmp_path, g, radius):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "\n", "")
 
 
+def test_json_integer_cap_edge(capsys, tmp_path):
+    ident = push_map_file(tmp_path, "id.json", 1, 1, 1, "e")
+    obj = json.loads(ident.read_text())
+    big = tmp_path / "big.json"
+    coef = int("9" * MAX_JSON_INT_DIGITS)
+    obj["spheres"]["p1"]["p1"] = [[coef, "e"]]
+    big.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, "compose", str(big), str(ident))
+    assert (code, err) == (0, "")
+    assert str(coef) in out
+    obj["spheres"]["p1"]["p1"] = [[10 * coef, "e"]]
+    big.write_text(json.dumps(obj))
+    assert run_cli(capsys, "compose", str(big), str(ident)) == (1, "", (
+        f"error:too-large: a JSON integer is over the cap of {MAX_JSON_INT_DIGITS} digits\n"))
+
+
+def test_block_grid_cap_edge(capsys):
+    side = math.isqrt(TSV_MAX_CELLS)
+    assert side * side == TSV_MAX_CELLS
+    _check_grid(side)   # the widest grid printed; its 12 MB stay unprinted here
+    argv = ("embed", "-g", str(side), "-k", "1", "--slot", "1", "a1")   # side + 1 labels
+    assert run_cli(capsys, *argv) == (1, "", (
+        f"error:too-large: the block grid would have {side + 1}^2 cells, over the cap "
+        f"{TSV_MAX_CELLS} (pass --json for the sparse form)\n"))
+    code, out, err = run_cli(capsys, *argv, "--json")
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)["labels"]) == side + 1
+
+
 _ENTRY_FORMS = {   # id suffix -> interpreter arguments
     "": ("-m", "pushcalc"),
     "-cli": ("-m", "pushcalc.cli"),
@@ -758,6 +781,14 @@ def test_components_bad_env(capsys, tmp_path, monkeypatch):
         assert (code, out) == (1, "")
         assert err == ("error:io: PUSHCALC_MAX_STATES must be a non-negative "
                        f"integer, got {raw!r}\n")
+
+
+def test_components_rank_mismatch(capsys, tmp_path):
+    path = tmp_path / "trivial.json"
+    path.write_text(json.dumps(TRIVIAL_TARGET))
+    assert run_cli(capsys, "components", "--target", str(path), "-g", "2", "-k", "2",
+                   "--assume-hypotheses") == (
+        1, "", "error:size-mismatch: f class gives 1 loop images but the model has rank 2\n")
 
 
 def test_components_bad_target(capsys, tmp_path):

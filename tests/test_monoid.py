@@ -383,9 +383,9 @@ def test_compose_product_cap(monkeypatch):
     outer = rank1_map(3, {P1: {0: 1, 2: 1}}, {T1: {0: 1}})
     inner = rank1_map(2, {P1: {-4: 1, 0: 1}}, {T1: {0: 1}})
     want = compose(outer, inner)
-    monkeypatch.setattr(monoid, "MAX_COMPOSE_PRODUCT_LETTERS", 33)
+    monkeypatch.setattr(monoid, "MAX_COMPOSE_LETTERS", 33)
     assert compose(outer, inner) == want
-    monkeypatch.setattr(monoid, "MAX_COMPOSE_PRODUCT_LETTERS", 32)
+    monkeypatch.setattr(monoid, "MAX_COMPOSE_LETTERS", 32)
     with pytest.raises(TooLarge, match="up to 33 letters and words"):
         compose(outer, inner)
 

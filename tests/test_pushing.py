@@ -899,12 +899,6 @@ def test_braid_parse_format():
         parse_braid("a1 | e ; id")
     with pytest.raises(ParseError):
         parse_braid("[a1 | e]")
-    with pytest.raises(SizeMismatch):
-        parse_braid("[a1 | e ; id]", k=3)
-    for k in (True, "x", 1.5, -1):
-        with pytest.raises(ValueError, match="^puncture count must be a non-negative int, got "):
-            parse_braid("[a1 ; id]", k=k)
-    assert parse_braid("[a1 ; id]", k=1) == BraidElement((parse_word("a1"),), (0,))
     assert parse_braid("[ ; id]") == BraidElement((), ())
 
 

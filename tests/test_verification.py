@@ -1,13 +1,15 @@
 """Each property suite can fail: a planted fault is caught by exactly the
 properties that should see it.  A fault is patched where the suite reads the
-name: on verification for the names it imports, and on words._kernel for the
-word kernel.  (A slope fault in the embed suite is in test_embedding.py.)"""
+name: on verification for the names it imports, on words._kernel for the
+word kernel, and on orbits for _move, which act reads from there at call
+time.  (A slope fault in the embed suite is in test_embedding.py.)"""
 from __future__ import annotations
 
 import pytest
 
 from pushcalc import monoid, orbits, pushing, ring, verification, words
 from pushcalc.monoid import SelfMapClass
+from pushcalc.orbits import MapState
 from pushcalc.pushing import BraidElement
 from pushcalc.ring import RingElem
 
@@ -90,6 +92,25 @@ def _reversed_perm(recover_braid):
     return recover
 
 
+def _leaves_the_charge(act):
+    # every class goes to the largest class outside the charge, if there is one
+    def leave(model, target, braid, state):
+        outside = [i for i in range(len(target.classes)) if i not in target.charge_set]
+        if not outside:
+            return act(model, target, braid, state)
+        return MapState(state.f, (outside[-1],) * braid.k)
+    return leave
+
+
+def _no_reflection_after_an_inverse_letter(move):
+    def step(model, target, f_words, x, idx):
+        idx = move(model, target, f_words, x, idx)
+        if x < 0 and model.character[-x - 1] == -1:
+            idx = target.reflection[idx]   # undoes move's last step
+        return idx
+    return step
+
+
 @pytest.mark.parametrize("suite, module, name, fault, failing", [
     ("ring", ring, "ring_mul", _positive_right,
      ["ring-associativity", "ring-distributivity", "augmentation-homomorphism",
@@ -111,6 +132,8 @@ def _reversed_perm(recover_braid):
     ("push", verification, "braid_mul", _swapped, ["braid-homomorphism"]),
     ("push", verification, "recover_braid", _reversed_perm, ["recover-round-trip"]),
     ("orbits", verification, "braid_mul", _swapped, ["action-axiom"]),
+    ("orbits", verification, "act", _leaves_the_charge, ["charge-preserved"]),
+    ("orbits", orbits, "_move", _no_reflection_after_an_inverse_letter, ["action-axiom"]),
 ])
 def test_suite_catches_a_planted_fault(monkeypatch, suite, module, name, fault, failing):
     assert verification.run_suite(suite, 0, 100).ok
