@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import NoReturn, TextIO
 
 from .embedding import block_matrix_to_json, format_block_matrix, materialize, to_tsv
 from .errors import HypothesisViolation, ParseError, PushcalcError, TooLarge, clip
@@ -382,17 +383,39 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command; every entry path comes here, so a closed stdout exits 1."""
+    """Run one command and flush stdout; every entry path comes here.
+
+    A closed stdout exits 1, and a closed stderr keeps the refusal's own
+    code.  main returns its code and never ends the process itself.
+    """
     try:
         code = _run(argv)
         sys.stdout.flush()   # a closed pipe fails here, not at interpreter exit
     except BrokenPipeError:
-        # Send what is still buffered to devnull, so that the flush at exit
-        # cannot fail again, and exit as for any write error.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+        _drop_buffered(sys.stdout)
         return 1
     return code
+
+
+def entry() -> NoReturn:
+    """The process entry of `python -m pushcalc`, `python -m pushcalc.cli`
+    and the installed `pushcalc` script.
+
+    Ends the process with main's code as soon as it returns, skipping
+    interpreter teardown (about 10 ms): main has flushed stdout, stderr is
+    line-buffered and gets only whole lines, and pushcalc registers no
+    atexit hook and writes no files, so no output depends on teardown.
+    """
+    os._exit(main())
+
+
+def _drop_buffered(stream: TextIO) -> None:
+    """Point a stream whose reader has gone at devnull and flush it there,
+    so that no later flush fails on what it still buffers."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
+    stream.flush()
 
 
 def _run(argv: list[str] | None) -> int:
@@ -404,9 +427,12 @@ def _run(argv: list[str] | None) -> int:
         code, message = exc.code, str(exc)
     except ValueError as exc:
         code, message = "invalid", str(exc)
-    print(f"error:{code}: {clip(message, MAX_MESSAGE_BYTES)}", file=sys.stderr)
+    try:
+        print(f"error:{code}: {clip(message, MAX_MESSAGE_BYTES)}", file=sys.stderr)
+    except BrokenPipeError:
+        _drop_buffered(sys.stderr)
     return 2 if code == "usage" else 1
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

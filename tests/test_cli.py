@@ -522,7 +522,12 @@ _ENTRY_FORMS = {   # id suffix -> interpreter arguments
     "": ("-m", "pushcalc"),
     "-cli": ("-m", "pushcalc.cli"),
     "-script": ("-c", "import sys; from pushcalc.cli import main; sys.exit(main())"),
+    # what the installed `pushcalc` script runs
+    "-entry": ("-c", "import sys; from pushcalc.cli import entry; sys.exit(entry())"),
 }
+# The child's streams as a user gets them: block-buffered stdout, whatever
+# PYTHONUNBUFFERED the test run has.
+_BUFFERED_ENV = {key: val for key, val in os.environ.items() if key != "PYTHONUNBUFFERED"}
 _PIPE_ARGVS = [
     ("verify", "--suite", "ring", "--cases", "2"),   # still buffered at exit
     ("embed", "-g", "2", "-k", "1", "--slot", "1", "a1 a2", "--truncate", "2"),  # 55 KB
@@ -534,16 +539,56 @@ _PIPE_ARGVS = [
     for i, argv in enumerate(_PIPE_ARGVS) for suffix, entry in _ENTRY_FORMS.items()
 ])
 def test_closed_stdout_pipe_exits_without_traceback(entry, argv):
+    proc = _run_with_reader_gone("stdout", entry, argv)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+def _run_with_reader_gone(stream: str, entry, argv) -> subprocess.CompletedProcess:
+    """Run the CLI with stream ('stdout' or 'stderr') a pipe whose reader is
+    gone before the first write, and the other stream captured."""
     read_end, write_end = os.pipe()
-    os.close(read_end)   # the reader is gone before the first write
+    os.close(read_end)
+    pipes = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, stream: write_end}
     try:
-        proc = subprocess.run(
-            [sys.executable, *entry, *argv],
-            stdout=write_end, stderr=subprocess.PIPE, timeout=60,
-        )
+        return subprocess.run([sys.executable, *entry, *argv], **pipes,
+                              env=_BUFFERED_ENV, timeout=60)
     finally:
         os.close(write_end)
-    assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+@pytest.mark.parametrize("entry, argv, code", [
+    pytest.param(entry, argv, code, id=f"{name}{suffix}")
+    for name, argv, code in (
+        ("parse", ("push-word", "-g", "1", "-k", "1", "--slot", "1", "a0"), 1),
+        ("usage", ("bogus",), 2),
+    )
+    for suffix, entry in _ENTRY_FORMS.items()
+])
+def test_closed_stderr_pipe_keeps_the_refusal_code(entry, argv, code):
+    proc = _run_with_reader_gone("stderr", entry, argv)
+    assert (proc.returncode, proc.stdout) == (code, b"")
+
+
+@pytest.mark.parametrize("entry, argv", [
+    pytest.param(entry, argv, id=f"{name}{suffix}")
+    for name, argv in (
+        ("tsv", _PIPE_ARGVS[1]),   # 55 KB, past stdout's 8 KB buffer
+        ("json", ("push-word", "-g", "2", "-k", "1", "--slot", "1", "a1 a2",
+                  "--closed-form", "--matrix", "--json")),
+        ("parse", ("push-word", "-g", "1", "-k", "1", "--slot", "1", "a0")),
+        ("usage", ("push-word", "-g", "1", "a1")),
+        ("too-large", ("push-word", "-g", "1", "-k", "1", "--slot", "1", "a1^300000000")),
+    )
+    for suffix, entry in _ENTRY_FORMS.items()
+])
+def test_each_entry_form_prints_what_main_prints(capsys, entry, argv):
+    # The entry ends the process without interpreter teardown; nothing of
+    # the answer or the error line may be lost on the way.
+    proc = subprocess.run([sys.executable, *entry, *argv], capture_output=True,
+                          env=_BUFFERED_ENV, timeout=60)
+    code, out, err = run_cli(capsys, *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), err.encode())
+    assert out or err
 
 
 def _map_json(**change) -> str:
