@@ -423,6 +423,8 @@ def _run(argv: list[str] | None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:   # argparse has printed --help
+        return exc.code
     except PushcalcError as exc:
         code, message = exc.code, str(exc)
     except ValueError as exc:

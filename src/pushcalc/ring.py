@@ -254,15 +254,15 @@ def ring_from_json(obj: object) -> RingElem:
         return RingElem(terms)
 
 
-def format_vec(v: dict[SphereLabel, RingElem], lead: SphereLabel | None = None) -> str:
+def format_vec(v: dict[SphereLabel, RingElem], lead: SphereLabel) -> str:
     """Human-readable form, e.g. 't1 + p1', 'a1·p1', '(1 + a1)·p1'.
 
-    When lead is given and present in v, its term is printed first; tuple
-    renderings use this so the image of a basis sphere starts with its own
-    label.  Remaining labels follow in canonical order (punctures first).
+    When lead is present in v, its term is printed first; tuple renderings
+    use this so the image of a basis sphere starts with its own label.
+    Remaining labels follow in canonical order (punctures first).
     """
     order = sorted(v)
-    if lead is not None and lead in v:
+    if lead in v:
         order = [lead] + [lab for lab in order if lab != lead]
     terms = []
     for lab in order:

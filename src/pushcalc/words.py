@@ -32,10 +32,6 @@ from .errors import (ParseError, TooLarge, as_tuple, capped_product, check_count
 # Name of the word kernel in use; the benchmark harness records it per run.
 KERNEL_BACKEND = "pure-python"
 
-# Most letters FreeWord.__pow__ lists before its one reduction: 10**6 letters
-# reduce in under 0.1 s on a 2-CPU Xeon, while w ** 10**9 would not fit in memory.
-MAX_POWER_LETTERS = 1_000_000
-
 
 def _max_generator(t: tuple[int, ...]) -> int:
     """Largest generator index in a letter tuple, 0 for the empty one: a
@@ -101,18 +97,6 @@ class FreeWord:
 
     def __invert__(self) -> "FreeWord":
         return FreeWord._wrap(_kernel.invert(self.letters))
-
-    def __pow__(self, n: object) -> "FreeWord":
-        if not is_int(n):
-            return NotImplemented
-        listed = len(self.letters) * abs(n)
-        if listed > MAX_POWER_LETTERS:
-            raise TooLarge(f"a {len(self.letters)}-letter word to the power {clip(repr(n))} "
-                           f"would list {clip(str(listed))} letters, over the cap {MAX_POWER_LETTERS}")
-        if not self.letters:   # no letters to repeat, however large n is
-            return self
-        base = self.letters if n >= 0 else _kernel.invert(self.letters)
-        return FreeWord._wrap(_kernel.reduce_letters(base * abs(n)))
 
     def __len__(self) -> int:
         return len(self.letters)

@@ -30,7 +30,7 @@ SIG1 = WedgeSignature(1, (P1, T1))
 
 
 def alpha_power(n: int) -> FreeWord:
-    return parse_word("a1") ** n
+    return parse_word(f"a1^{n}")
 
 
 def ring_of(exps: dict[int, int]) -> RingElem:

@@ -132,9 +132,8 @@ def test_letter_validation():
 
 
 def test_word_power_formula():
-    al = parse_word("a1")
     for n in range(1, 9):
-        h = push_word(SIG11, al ** n, 1)
+        h = push_word(SIG11, parse_word(f"a1^{n}"), 1)
         assert h == map_of(
             SIG11,
             {

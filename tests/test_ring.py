@@ -269,13 +269,13 @@ def test_format_vec():
     one = RingElem.one()
     al = RingElem.from_word(parse_word("a1"))
     v = {t1: one, p1: one}
-    assert format_vec(v) == "p1 + t1"
+    assert format_vec(v, lead=p1) == "p1 + t1"
     assert format_vec(v, lead=t1) == "t1 + p1"
-    assert format_vec({p1: al}) == "a1·p1"
-    assert format_vec({p1: one + al}) == "(1 + a1)·p1"
+    assert format_vec({p1: al}, lead=t1) == "a1·p1"   # a lead absent from v
+    assert format_vec({p1: one + al}, lead=p1) == "(1 + a1)·p1"
     assert format_vec({t1: one, p1: -al}, lead=t1) == "t1 - a1·p1"
-    assert format_vec({p1: 2 * al}) == "2·a1·p1"
-    assert format_vec({}) == "0"
+    assert format_vec({p1: 2 * al}, lead=p1) == "2·a1·p1"
+    assert format_vec({}, lead=p1) == "0"
 
 
 def test_module_vec_json_round_trip():

@@ -74,28 +74,6 @@ def test_group_axioms_seeded():
         assert ~u == FreeWord(-x for x in reversed(u.letters))
 
 
-def test_powers():
-    u = parse_word("a1 a2")
-    assert u ** 0 == IDENTITY
-    assert u ** 3 == u * u * u
-    assert u ** -2 == ~u * ~u
-    # a conjugate cancels at each junction: (a1 a2 A1)^3 = a1 a2^3 A1
-    c = parse_word("a1 a2 A1")
-    assert c ** 3 == c * c * c == parse_word("a1 a2^3 A1")
-    assert c ** -2 == ~c * ~c
-    # a bool is not an exponent, as a float is not
-    for n in (True, 1.5):
-        with pytest.raises(TypeError):
-            u ** n
-    # the letters a power lists are capped before any is listed
-    assert len(u ** 32000) == 64000
-    assert len(u ** -500000) == words.MAX_POWER_LETTERS == 1_000_000
-    for n in (500001, -500001, 10**9, 10**100):
-        with pytest.raises(TooLarge, match="over the cap 1000000$"):
-            u ** n
-    assert IDENTITY ** 10**100 == IDENTITY
-
-
 def test_char_sign_examples():
     assert char_sign((1, 1), parse_word("a1 A2 a1")) == 1
     assert char_sign((-1, 1), parse_word("a1 a2")) == -1
@@ -281,7 +259,5 @@ def test_word_operations_call_the_kernel_binding(monkeypatch):
     assert run(lambda: FreeWord([1, 2, -2])) == (FreeWord._wrap((1,)), ["reduce_letters"])
     assert run(lambda: u * v) == (FreeWord._wrap((1, 3)), ["concat"])
     assert run(lambda: ~u) == (FreeWord._wrap((-2, -1)), ["invert"])
-    assert run(lambda: u ** 2) == (FreeWord._wrap((1, 2, 1, 2)), ["reduce_letters"])
-    assert run(lambda: u ** -1) == (FreeWord._wrap((-2, -1)), ["invert", "reduce_letters"])
     phi = FreeEndo([FreeWord._wrap((2,)), FreeWord._wrap((1,))])
     assert run(lambda: endo_apply(phi, u)) == (FreeWord._wrap((2, 1)), ["substitute"])
