@@ -11,134 +11,89 @@ The package follows the algebra bottom-up:
 - orbits: the induced action on maps to a finite target and component counts
 - verification: randomized property suites with shrinking over all layers
 - cli: the command line entry point (also ``python -m pushcalc``)
+
+``import pushcalc`` loads none of these modules.  Each public name loads
+its home module on first use (``pushcalc.run_suite`` imports
+``pushcalc.verification``), so a command line run pays only for the
+modules its subcommand uses.
 """
 from __future__ import annotations
 
-from .embedding import (
-    TruncatedMatrix,
-    materialize,
-    max_shift,
-    truncated_product,
-)
-from .errors import (
-    HypothesisViolation,
-    NotInImage,
-    ParseError,
-    PushcalcError,
-    SignatureMismatch,
-    SizeMismatch,
-    SlotOutOfRange,
-    TooLarge,
-)
-from .monoid import (
-    SelfMapClass,
-    WedgeSignature,
-    compose,
-    identity_map,
-    self_map_from_json,
-    self_map_to_json,
-    top_homology_matrix,
-)
-from .orbits import (
-    MapState,
-    TargetModel,
-    act,
-    components_bruteforce,
-    components_formula,
-    target_from_json,
-)
-from .pushing import (
-    BraidElement,
-    KernelReport,
-    ManifoldModel,
-    PuncturedSignature,
-    braid_mul,
-    format_braid,
-    kernel_report,
-    parse_braid,
-    push_braid,
-    push_letter,
-    push_word,
-    push_word_closed,
-    recover_braid,
-)
-from .ring import (
-    RingElem,
-    SphereLabel,
-    augment,
-    ring_endo_apply,
-    ring_from_json,
-    ring_mul,
-    ring_to_json,
-)
-from .verification import SUITES, run_suite
-from .words import (
-    KERNEL_BACKEND,
-    FreeEndo,
-    FreeWord,
-    endo_apply,
-    endo_compose,
-    enumerate_words,
-    format_word,
-    parse_word,
-)
-
 __version__ = "0.1.0"
 
-__all__ = [
-    "BraidElement",
-    "FreeEndo",
-    "FreeWord",
-    "HypothesisViolation",
-    "KERNEL_BACKEND",
-    "KernelReport",
-    "ManifoldModel",
-    "MapState",
-    "NotInImage",
-    "ParseError",
-    "PuncturedSignature",
-    "PushcalcError",
-    "RingElem",
-    "SUITES",
-    "SelfMapClass",
-    "SignatureMismatch",
-    "SizeMismatch",
-    "SlotOutOfRange",
-    "SphereLabel",
-    "TargetModel",
-    "TooLarge",
-    "TruncatedMatrix",
-    "WedgeSignature",
-    "act",
-    "augment",
-    "braid_mul",
-    "compose",
-    "components_bruteforce",
-    "components_formula",
-    "endo_apply",
-    "endo_compose",
-    "enumerate_words",
-    "format_braid",
-    "format_word",
-    "identity_map",
-    "kernel_report",
-    "materialize",
-    "max_shift",
-    "parse_braid",
-    "parse_word",
-    "push_braid",
-    "push_letter",
-    "push_word",
-    "push_word_closed",
-    "recover_braid",
-    "ring_endo_apply",
-    "ring_from_json",
-    "ring_mul",
-    "ring_to_json",
-    "run_suite",
-    "self_map_from_json",
-    "self_map_to_json",
-    "target_from_json",
-    "top_homology_matrix",
-    "truncated_product",
-]
+# Each public name and the module that defines it, in __all__ order.
+_HOMES = {
+    "BraidElement": "pushing",
+    "FreeEndo": "words",
+    "FreeWord": "words",
+    "HypothesisViolation": "errors",
+    "KERNEL_BACKEND": "words",
+    "KernelReport": "pushing",
+    "ManifoldModel": "pushing",
+    "MapState": "orbits",
+    "NotInImage": "errors",
+    "ParseError": "errors",
+    "PuncturedSignature": "pushing",
+    "PushcalcError": "errors",
+    "RingElem": "ring",
+    "SUITES": "verification",
+    "SelfMapClass": "monoid",
+    "SignatureMismatch": "errors",
+    "SizeMismatch": "errors",
+    "SlotOutOfRange": "errors",
+    "SphereLabel": "ring",
+    "TargetModel": "orbits",
+    "TooLarge": "errors",
+    "TruncatedMatrix": "embedding",
+    "WedgeSignature": "monoid",
+    "act": "orbits",
+    "augment": "ring",
+    "braid_mul": "pushing",
+    "compose": "monoid",
+    "components_bruteforce": "orbits",
+    "components_formula": "orbits",
+    "endo_apply": "words",
+    "endo_compose": "words",
+    "enumerate_words": "words",
+    "format_braid": "pushing",
+    "format_word": "words",
+    "identity_map": "monoid",
+    "kernel_report": "pushing",
+    "materialize": "embedding",
+    "max_shift": "embedding",
+    "parse_braid": "pushing",
+    "parse_word": "words",
+    "push_braid": "pushing",
+    "push_letter": "pushing",
+    "push_word": "pushing",
+    "push_word_closed": "pushing",
+    "recover_braid": "pushing",
+    "ring_endo_apply": "ring",
+    "ring_from_json": "ring",
+    "ring_mul": "ring",
+    "ring_to_json": "ring",
+    "run_suite": "verification",
+    "self_map_from_json": "monoid",
+    "self_map_to_json": "monoid",
+    "target_from_json": "orbits",
+    "top_homology_matrix": "monoid",
+    "truncated_product": "embedding",
+}
+
+__all__ = list(_HOMES)
+
+
+def __getattr__(name: str) -> object:
+    """Import a public name's home module on first use and keep the value."""
+    try:
+        home = _HOMES[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    from importlib import import_module
+
+    value = globals()[name] = getattr(import_module(f".{home}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

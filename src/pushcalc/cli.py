@@ -4,41 +4,24 @@ One subcommand per invocation; output is deterministic for fixed flags
 and seed.  Every refusal, argparse's included, is raised as a
 PushcalcError or ValueError, and _run alone prints it as a single line
 ``error:<code>: message`` to stderr: exit 2 for a usage error, else 1.
+
+A run loads only what its subcommand uses: each cmd_* imports the
+modules it calls when it runs, and each subcommand's flags are added
+when that subcommand parses.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import os
 import sys
 from pathlib import Path
-from typing import NoReturn, TextIO
+from typing import TYPE_CHECKING, Callable, NoReturn, TextIO
 
-from .embedding import block_matrix_to_json, format_block_matrix, materialize, to_tsv
 from .errors import HypothesisViolation, ParseError, PushcalcError, TooLarge, clip
-from .monoid import compose, format_self_map, self_map_from_json, self_map_to_json
-from .orbits import (
-    DEFAULT_MAX_STATES,
-    components_bruteforce,
-    components_formula,
-    target_from_json,
-)
-from .pushing import (
-    ManifoldModel,
-    PuncturedSignature,
-    format_braid,
-    kernel_report,
-    parse_braid,
-    push_braid,
-    push_word,
-    push_word_closed,
-    recover_braid,
-)
-from .ring import RingElem, format_ring, ring_to_json
-from .verification import SUITES, run_suite
-from .words import parse_word
+
+if TYPE_CHECKING:
+    from .pushing import PuncturedSignature
 
 
 # Most bytes of the message in an error line.  With the longest prefix,
@@ -56,13 +39,30 @@ class _CliError(PushcalcError):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Parser whose usage errors are raised to _run, not printed."""
+    """Parser whose usage errors are raised to _run, not printed.
+
+    `flags` adds the parser's own arguments the first time it parses, so
+    a run builds only the flags of the one subcommand it names.
+    """
+
+    def __init__(self, *args, flags: Callable[[argparse.ArgumentParser], None] | None = None,
+                 **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._flags = flags
+
+    def parse_known_args(self, args=None, namespace=None):  # type: ignore[override]
+        if self._flags is not None:
+            flags, self._flags = self._flags, None
+            flags(self)
+        return super().parse_known_args(args, namespace)
 
     def error(self, message: str) -> None:  # type: ignore[override]
         raise _CliError("usage", message)
 
 
 def _print_json(obj: object) -> None:
+    import json
+
     print(json.dumps(obj, indent=2))
 
 
@@ -91,6 +91,8 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
 
 
 def _load_json(path: str) -> object:
+    import json
+
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -104,10 +106,17 @@ def _load_json(path: str) -> object:
 
 
 def _signature(g: int, d: int, k: int) -> PuncturedSignature:
+    from .pushing import ManifoldModel, PuncturedSignature
+
     return PuncturedSignature(ManifoldModel.default(g, d), k)
 
 
 def cmd_push_word(args: argparse.Namespace) -> int:
+    from .monoid import format_self_map, self_map_to_json
+    from .pushing import push_word, push_word_closed
+    from .ring import RingElem, format_ring, ring_to_json
+    from .words import parse_word
+
     sig = _signature(args.g, args.d, args.k)
     if args.matrix and not args.json:
         _check_grid(len(sig.wedge.labels))
@@ -121,6 +130,8 @@ def cmd_push_word(args: argparse.Namespace) -> int:
     if args.json:
         obj: dict = {"map": self_map_to_json(h)}
         if args.matrix:
+            from .embedding import block_matrix_to_json
+
             obj["matrix"] = block_matrix_to_json(h)
         if args.closed_form:
             obj["loop_coefficients"] = {
@@ -131,6 +142,8 @@ def cmd_push_word(args: argparse.Namespace) -> int:
     else:
         print(format_self_map(h))
         if args.matrix:
+            from .embedding import format_block_matrix
+
             print(format_block_matrix(h))
         if args.closed_form:
             for i, f in enumerate(coefficients, 1):
@@ -140,6 +153,9 @@ def cmd_push_word(args: argparse.Namespace) -> int:
 
 
 def cmd_push_braid(args: argparse.Namespace) -> int:
+    from .monoid import format_self_map, self_map_to_json
+    from .pushing import format_braid, parse_braid, push_braid
+
     braid = parse_braid(args.braid)
     sig = _signature(args.g, args.d, braid.k)
     h = push_braid(sig, braid)
@@ -151,6 +167,8 @@ def cmd_push_braid(args: argparse.Namespace) -> int:
 
 
 def cmd_compose(args: argparse.Namespace) -> int:
+    from .monoid import compose, format_self_map, self_map_from_json, self_map_to_json
+
     outer = self_map_from_json(_load_json(args.outer))
     inner = self_map_from_json(_load_json(args.inner))
     h = compose(outer, inner)
@@ -168,11 +186,16 @@ def _map_from_args(args: argparse.Namespace) -> object:
             raise _CliError("usage", "--map takes no word, -g, -k or --slot")
         if args.d is not None:
             raise _CliError("usage", "--map takes no -d: the map file gives the dimension")
+        from .monoid import self_map_from_json
+
         return self_map_from_json(_load_json(args.map))
     if args.word is None:
         raise _CliError("usage", "either --map FILE or a word with -g/-k/--slot is required")
     if None in word_mode:
         raise _CliError("usage", "word mode needs -g, -k, and --slot")
+    from .pushing import push_word_closed
+    from .words import parse_word
+
     sig = _signature(args.g, 3 if args.d is None else args.d, args.k)
     return push_word_closed(sig, parse_word(args.word), args.slot)
 
@@ -193,6 +216,8 @@ def _check_grid(n_labels: int) -> None:
 
 
 def cmd_embed(args: argparse.Namespace) -> int:
+    from .embedding import block_matrix_to_json, format_block_matrix, materialize, to_tsv
+
     h = _map_from_args(args)
     if args.truncate is None and not args.json:
         _check_grid(len(h.sig.labels))
@@ -215,6 +240,9 @@ def cmd_embed(args: argparse.Namespace) -> int:
 
 
 def cmd_recover(args: argparse.Namespace) -> int:
+    from .monoid import self_map_from_json
+    from .pushing import format_braid, recover_braid
+
     h = self_map_from_json(_load_json(args.map))
     k = sum(1 for lab in h.sig.labels if lab.kind == "p")
     got = recover_braid(_signature(h.sig.g, h.sig.d, k), h)
@@ -226,6 +254,8 @@ def cmd_recover(args: argparse.Namespace) -> int:
 
 
 def cmd_kernel(args: argparse.Namespace) -> int:
+    from .pushing import format_braid, kernel_report
+
     sig = _signature(args.g, args.d, args.k)
     report = kernel_report(sig, args.max_len, args.max_braids, seed=args.seed)
     if args.json:
@@ -250,6 +280,11 @@ def cmd_kernel(args: argparse.Namespace) -> int:
 
 
 def cmd_components(args: argparse.Namespace) -> int:
+    import dataclasses
+
+    from .orbits import components_bruteforce, components_formula, target_from_json
+    from .pushing import ManifoldModel
+
     target = target_from_json(_load_json(args.target))
     model = ManifoldModel.default(args.g, args.d)
     if args.assume_hypotheses:
@@ -285,6 +320,8 @@ def cmd_components(args: argparse.Namespace) -> int:
 
 
 def _max_states_from_env() -> int:
+    from .orbits import DEFAULT_MAX_STATES
+
     raw = os.environ.get("PUSHCALC_MAX_STATES")
     if raw is None:
         return DEFAULT_MAX_STATES
@@ -298,6 +335,8 @@ def _max_states_from_env() -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .verification import run_suite
+
     report = run_suite(
         args.suite, seed=args.seed, cases=args.cases,
         inject_fault=args.inject_fault,
@@ -306,19 +345,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="pushcalc", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-    json_flag = argparse.ArgumentParser(add_help=False)
-    json_flag.add_argument("--json", action="store_true")
+def _model_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("-g", type=int, required=True, help="number of handles")
+    p.add_argument("-d", type=int, default=3, help="ambient dimension (default 3)")
+    p.add_argument("-k", type=int, required=True, help="number of punctures")
 
-    def model_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("-g", type=int, required=True, help="number of handles")
-        p.add_argument("-d", type=int, default=3, help="ambient dimension (default 3)")
-        p.add_argument("-k", type=int, required=True, help="number of punctures")
 
-    p = sub.add_parser("push-word", parents=[json_flag], help="push a puncture around a loop word")
-    model_flags(p)
+def _push_word_flags(p: argparse.ArgumentParser) -> None:
+    _model_flags(p)
     p.add_argument("--slot", type=int, required=True, help="which puncture moves")
     p.add_argument("word", help="loop word, e.g. 'a1 A2'")
     p.add_argument("--closed-form", action="store_true",
@@ -327,18 +361,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", action="store_true", help="also print the matrix form")
     p.set_defaults(func=cmd_push_word)
 
-    p = sub.add_parser("push-braid", parents=[json_flag], help="push punctures along a braid")
+
+def _push_braid_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("-g", type=int, required=True)
     p.add_argument("-d", type=int, default=3)
     p.add_argument("braid", help="braid text, e.g. '[a1 | e ; (1 2)]'")
     p.set_defaults(func=cmd_push_braid)
 
-    p = sub.add_parser("compose", parents=[json_flag], help="compose two self-map JSON files")
+
+def _compose_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("outer", help="JSON file of the map applied second")
     p.add_argument("inner", help="JSON file of the map applied first")
     p.set_defaults(func=cmd_compose)
 
-    p = sub.add_parser("embed", parents=[json_flag], help="matrix form of a self-map")
+
+def _embed_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--map", default=None, help="self-map JSON file")
     p.add_argument("-g", type=int, default=None)
     p.add_argument("-d", type=int, default=None, help="ambient dimension (default 3)")
@@ -349,29 +386,34 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the finite window as TSV")
     p.set_defaults(func=cmd_embed)
 
-    p = sub.add_parser("recover", parents=[json_flag], help="recover the braid behind a self-map")
+
+def _recover_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--map", required=True, help="self-map JSON file")
     p.set_defaults(func=cmd_recover)
 
-    p = sub.add_parser("kernel", parents=[json_flag], help="search for braids acting trivially")
-    model_flags(p)
+
+def _kernel_flags(p: argparse.ArgumentParser) -> None:
+    _model_flags(p)
     p.add_argument("--max-len", type=int, default=4, help="slot word length bound")
     p.add_argument("--max-braids", type=int, default=20000,
                    help="exhaustive below this count, sampled above")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_kernel)
 
-    p = sub.add_parser("components", parents=[json_flag],
-                       help="count components of a mapping space")
+
+def _components_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--target", required=True, help="target model JSON file")
-    model_flags(p)
+    _model_flags(p)
     p.add_argument("--brute-force", action="store_true",
                    help="also count by exploring the state graph")
     p.add_argument("--assume-hypotheses", action="store_true",
                    help="assert the counting hypotheses hold for your manifold")
     p.set_defaults(func=cmd_components)
 
-    p = sub.add_parser("verify", help="run seeded property suites")
+
+def _verify_flags(p: argparse.ArgumentParser) -> None:
+    from .verification import SUITES
+
     p.add_argument("--suite", choices=SUITES, default="all")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cases", type=int, default=100)
@@ -379,6 +421,28 @@ def build_parser() -> argparse.ArgumentParser:
                    help="add a deliberately false property (negative control)")
     p.set_defaults(func=cmd_verify)
 
+
+def build_parser() -> argparse.ArgumentParser:
+    """The pushcalc parser; each subcommand's flags are added when it parses."""
+    parser = _Parser(prog="pushcalc", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    json_flag = argparse.ArgumentParser(add_help=False)
+    json_flag.add_argument("--json", action="store_true")
+    sub.add_parser("push-word", parents=[json_flag], flags=_push_word_flags,
+                   help="push a puncture around a loop word")
+    sub.add_parser("push-braid", parents=[json_flag], flags=_push_braid_flags,
+                   help="push punctures along a braid")
+    sub.add_parser("compose", parents=[json_flag], flags=_compose_flags,
+                   help="compose two self-map JSON files")
+    sub.add_parser("embed", parents=[json_flag], flags=_embed_flags,
+                   help="matrix form of a self-map")
+    sub.add_parser("recover", parents=[json_flag], flags=_recover_flags,
+                   help="recover the braid behind a self-map")
+    sub.add_parser("kernel", parents=[json_flag], flags=_kernel_flags,
+                   help="search for braids acting trivially")
+    sub.add_parser("components", parents=[json_flag], flags=_components_flags,
+                   help="count components of a mapping space")
+    sub.add_parser("verify", flags=_verify_flags, help="run seeded property suites")
     return parser
 
 
