@@ -15,12 +15,15 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from pathlib import Path
-from typing import TYPE_CHECKING, Callable, NoReturn, TextIO
+from collections.abc import Callable
 
 from .errors import HypothesisViolation, ParseError, PushcalcError, TooLarge, clip
 
+# typing.TYPE_CHECKING without importing typing, which no run needs.
+TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from typing import NoReturn, TextIO
+
     from .pushing import PuncturedSignature
 
 
@@ -94,7 +97,8 @@ def _load_json(path: str) -> object:
     import json
 
     try:
-        text = Path(path).read_text()
+        with open(path) as file:
+            text = file.read()
     except OSError as exc:
         raise _CliError("io", f"cannot read {path}: {exc.strerror or exc}") from exc
     try:
@@ -280,15 +284,14 @@ def cmd_kernel(args: argparse.Namespace) -> int:
 
 
 def cmd_components(args: argparse.Namespace) -> int:
-    import dataclasses
-
     from .orbits import components_bruteforce, components_formula, target_from_json
     from .pushing import ManifoldModel
 
     target = target_from_json(_load_json(args.target))
     model = ManifoldModel.default(args.g, args.d)
     if args.assume_hypotheses:
-        model = dataclasses.replace(model, low_handle_dim=True)
+        model = ManifoldModel(model.g, model.d, model.character, model.crossings,
+                              low_handle_dim=True)
     try:
         formula = components_formula(target, model, args.k)
     except HypothesisViolation as exc:

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Mapping
-from dataclasses import dataclass
 
-from .errors import (ParseError, SignatureMismatch, TooLarge, as_tuple, check_count,
-                     check_dimension, check_type, json_array, json_fields, json_object, parsing)
+from .errors import (FrozenRecord, ParseError, SignatureMismatch, TooLarge, as_tuple,
+                     check_count, check_dimension, check_type, json_array, json_fields,
+                     json_object, parsing)
 from .ring import (
     RingElem,
     SphereLabel,
@@ -36,14 +36,14 @@ from .ring import (
 from .words import FreeEndo, _check_rank, endo_compose, format_word, parse_word
 
 
-@dataclass(frozen=True)
-class WedgeSignature:
+class WedgeSignature(FrozenRecord):
     """g circles and a labelled set of (d-1)-spheres, d >= 3.
 
     labels is sorted into label order, punctures first.  label_set, the
     same labels as a frozenset, is built once here for the membership
     checks of every SelfMapClass and truncation window on this signature;
-    it is not a field, so equality, hash and repr see only g, labels and d.
+    it lives in the instance __dict__, and equality, hash and repr read
+    only g, labels and d.
     """
 
     g: int
@@ -64,6 +64,16 @@ class WedgeSignature:
         object.__setattr__(self, "labels", labs)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "label_set", label_set)
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.g, self.labels, self.d) == (other.g, other.labels, other.d)
+
+    def __hash__(self) -> int:
+        return hash((self.g, self.labels, self.d))
 
     # Cached in the instance __dict__ like label_set; FreeEndo is immutable, so
     # every identity class and push on this signature shares the one object.

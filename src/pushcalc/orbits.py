@@ -15,13 +15,13 @@ i-th generator of pi_1(X).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from functools import lru_cache
 from itertools import chain
 from math import comb
-from typing import Sequence
 
 from .errors import (
+    FrozenRecord,
     HypothesisViolation,
     ParseError,
     SizeMismatch,
@@ -64,8 +64,7 @@ def _as_perm(arr: Sequence[int], n: int, what: str) -> tuple[int, ...]:
     return perm
 
 
-@dataclass(frozen=True)
-class TargetModel:
+class TargetModel(FrozenRecord):
     """Finite target data: classes P, pi_1 action, reflection, charge, f list.
 
     classes are arbitrary distinct hashable ids; all permutations and the
@@ -73,7 +72,9 @@ class TargetModel:
     permutation induced by the (j+1)-st generator of pi_1(X); f_classes
     lists, for each candidate f, the images of the model loops as words in
     the pi_1(X) generators.  charge_set, the charge as a frozenset, and
-    inv_action, the inverse permutations, are built once, outside the fields.
+    inv_action, the inverse permutations, are built once and live in the
+    instance __dict__; equality, hash and repr read only the six values
+    the constructor takes.
 
     A braid moves a puncture's class letter by letter (see act).  When the
     reflection commutes with the action, the component counts are orbit
@@ -87,10 +88,17 @@ class TargetModel:
     charge: tuple[int, ...]
     f_classes: tuple[tuple[FreeWord, ...], ...]
 
-    def __post_init__(self) -> None:
-        check_count("pi1_gens", self.pi1_gens)
-        classes = _as_ids("classes", self.classes)
-        object.__setattr__(self, "classes", classes)
+    def __init__(
+        self,
+        pi1_gens: int,
+        classes: tuple[object, ...],
+        action: tuple[tuple[int, ...], ...],
+        reflection: tuple[int, ...],
+        charge: tuple[int, ...],
+        f_classes: tuple[tuple[FreeWord, ...], ...],
+    ) -> None:
+        check_count("pi1_gens", pi1_gens)
+        classes = _as_ids("classes", classes)
         n = len(classes)
         try:
             distinct = len(set(classes)) == n
@@ -99,17 +107,15 @@ class TargetModel:
         if not distinct:
             raise ValueError("class ids must be distinct")
         action = tuple(_as_perm(p, n, f"action of generator {j + 1}")
-                       for j, p in enumerate(as_tuple("action", self.action)))
-        if len(action) != self.pi1_gens:
+                       for j, p in enumerate(as_tuple("action", action)))
+        if len(action) != pi1_gens:
             raise ValueError(
-                f"action table has {len(action)} entries for {self.pi1_gens} generators"
+                f"action table has {len(action)} entries for {pi1_gens} generators"
             )
-        object.__setattr__(self, "action", action)
-        refl = _as_perm(self.reflection, n, "reflection")
+        refl = _as_perm(reflection, n, "reflection")
         if any(refl[refl[i]] != i for i in range(n)):
             raise ValueError("reflection must be an involution")
-        object.__setattr__(self, "reflection", refl)
-        charge = as_tuple("charge", self.charge)
+        charge = as_tuple("charge", charge)
         if any(not is_int(i) or not 0 <= i < n for i in charge):
             raise ValueError("charge indices out of range")
         if list(charge) != sorted(set(charge)):
@@ -120,18 +126,34 @@ class TargetModel:
                 raise ValueError(
                     f"charge is not a union of orbits: generator {j + 1} leaves it"
                 )
-        object.__setattr__(self, "charge", charge)
-        object.__setattr__(self, "charge_set", cset)
-        object.__setattr__(self, "inv_action", tuple(map(_inverse_perm, action)))
         fcs = tuple(as_tuple("each f class", ws)
-                    for ws in as_tuple("f_classes", self.f_classes))
+                    for ws in as_tuple("f_classes", f_classes))
         for ws in fcs:
             for w in ws:
                 check_type("f class entries", w, FreeWord)
-                _check_rank("f class word", w.letters, self.pi1_gens)
+                _check_rank("f class word", w.letters, pi1_gens)
         if len({len(ws) for ws in fcs}) > 1:
             raise ValueError("all f classes must give the same number of loop images")
+        object.__setattr__(self, "pi1_gens", pi1_gens)
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "action", action)
+        object.__setattr__(self, "reflection", refl)
+        object.__setattr__(self, "charge", charge)
         object.__setattr__(self, "f_classes", fcs)
+        object.__setattr__(self, "charge_set", cset)
+        object.__setattr__(self, "inv_action", tuple(map(_inverse_perm, action)))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.pi1_gens, self.classes, self.action, self.reflection, self.charge,
+                 self.f_classes)
+                == (other.pi1_gens, other.classes, other.action, other.reflection,
+                    other.charge, other.f_classes))
+
+    def __hash__(self) -> int:
+        return hash((self.pi1_gens, self.classes, self.action, self.reflection, self.charge,
+                     self.f_classes))
 
     @property
     def loop_rank(self) -> int | None:
@@ -139,15 +161,23 @@ class TargetModel:
         return len(self.f_classes[0]) if self.f_classes else None
 
 
-@dataclass(frozen=True)
-class MapState:
+class MapState(FrozenRecord):
     """A component label: an f candidate index plus one charge class per puncture."""
 
     f: int
     g_classes: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "g_classes", _as_ids("g_classes", self.g_classes))
+    def __init__(self, f: int, g_classes: tuple[int, ...]) -> None:
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "g_classes", _as_ids("g_classes", g_classes))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.f, self.g_classes) == (other.f, other.g_classes)
+
+    def __hash__(self) -> int:
+        return hash((self.f, self.g_classes))
 
 
 def _check_state(target: TargetModel, state: MapState) -> None:

@@ -26,12 +26,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-import random
 import re
-from dataclasses import dataclass
 
 from . import words as _words
 from .errors import (
+    FrozenRecord,
     NotInImage,
     ParseError,
     SignatureMismatch,
@@ -87,8 +86,7 @@ def _check_sign(what: str, x: object) -> None:
         raise ValueError(f"{what} must be +1 or -1, got {x!r}")
 
 
-@dataclass(frozen=True)
-class ManifoldModel:
+class ManifoldModel(FrozenRecord):
     """Loops, orientation character, and loop-cell crossing data.
 
     crossings[i-1] lists the crossings of loop i as (cell, sign, prefix)
@@ -113,17 +111,24 @@ class ManifoldModel:
     crossings: tuple[tuple[tuple[int, int, FreeWord], ...], ...]
     low_handle_dim: bool = False
 
-    def __post_init__(self) -> None:
-        _check_loop_count(self.g)
-        check_dimension("dimension", self.d)
-        character = as_tuple("character", self.character)
-        if len(character) != self.g:
-            raise ValueError(f"character has {len(character)} signs, expected {self.g}")
+    def __init__(
+        self,
+        g: int,
+        d: int,
+        character: tuple[int, ...],
+        crossings: tuple[tuple[tuple[int, int, FreeWord], ...], ...],
+        low_handle_dim: bool = False,
+    ) -> None:
+        _check_loop_count(g)
+        check_dimension("dimension", d)
+        character = as_tuple("character", character)
+        if len(character) != g:
+            raise ValueError(f"character has {len(character)} signs, expected {g}")
         for c in character:
             _check_sign("character signs", c)
-        crossings = as_tuple("crossings", self.crossings)
-        if len(crossings) != self.g:
-            raise ValueError(f"crossing data for {len(crossings)} loops, expected {self.g}")
+        crossings = as_tuple("crossings", crossings)
+        if len(crossings) != g:
+            raise ValueError(f"crossing data for {len(crossings)} loops, expected {g}")
         rows = []
         for row in crossings:
             rows.append([])
@@ -133,15 +138,27 @@ class ManifoldModel:
                     cell, eps, prefix = crossing
                 except ValueError:
                     raise ValueError("each crossing must be a (cell, sign, prefix) triple") from None
-                if not (is_int(cell) and 1 <= cell <= self.g):
-                    raise ValueError(f"crossed cell {cell!r} out of range 1..{self.g}")
+                if not (is_int(cell) and 1 <= cell <= g):
+                    raise ValueError(f"crossed cell {cell!r} out of range 1..{g}")
                 _check_sign("crossing sign", eps)
                 check_type("crossing prefix", prefix, FreeWord)
-                _check_rank("crossing prefix", prefix.letters, self.g)
+                _check_rank("crossing prefix", prefix.letters, g)
                 rows[-1].append(crossing)
-        check_type("low_handle_dim", self.low_handle_dim, bool)
+        check_type("low_handle_dim", low_handle_dim, bool)
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "d", d)
         object.__setattr__(self, "character", character)
         object.__setattr__(self, "crossings", tuple(map(tuple, rows)))
+        object.__setattr__(self, "low_handle_dim", low_handle_dim)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.g, self.d, self.character, self.crossings, self.low_handle_dim)
+                == (other.g, other.d, other.character, other.crossings, other.low_handle_dim))
+
+    def __hash__(self) -> int:
+        return hash((self.g, self.d, self.character, self.crossings, self.low_handle_dim))
 
     @classmethod
     def default(cls, g: int, d: int = 3) -> "ManifoldModel":
@@ -174,8 +191,7 @@ class ManifoldModel:
         return steps
 
 
-@dataclass(frozen=True)
-class PuncturedSignature:
+class PuncturedSignature(FrozenRecord):
     """A manifold model with k punctures removed.
 
     It owns the wedge's label order: punctures p1..pk, then cells t1..tg."""
@@ -183,12 +199,22 @@ class PuncturedSignature:
     model: ManifoldModel
     k: int
 
-    def __post_init__(self) -> None:
-        check_count("puncture count", self.k)
-        check_type("model", self.model, ManifoldModel)
-        _check_model_size(self.model.g + self.k)   # before any label is built
+    def __init__(self, model: ManifoldModel, k: int) -> None:
+        check_count("puncture count", k)
+        check_type("model", model, ManifoldModel)
+        _check_model_size(model.g + k)   # before any label is built
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "k", k)
 
-    # Cached in the instance __dict__, not in the fields: equality and hash are unchanged.
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.model, self.k) == (other.model, other.k)
+
+    def __hash__(self) -> int:
+        return hash((self.model, self.k))
+
+    # Cached in the instance __dict__: equality, hash and repr read only model and k.
     @functools.cached_property
     def punctures(self) -> tuple[SphereLabel, ...]:
         return tuple(SphereLabel("p", i) for i in range(1, self.k + 1))
@@ -202,23 +228,32 @@ class PuncturedSignature:
         return WedgeSignature(self.model.g, self.punctures + self.cells, self.model.d)
 
 
-@dataclass(frozen=True)
-class BraidElement:
+class BraidElement(FrozenRecord):
     """k slot words plus a puncture permutation (stored 0-indexed)."""
 
     words: tuple[FreeWord, ...]
     perm: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        words, perm = as_tuple("slot words", self.words), as_tuple("perm", self.perm)
-        if len(words) != len(perm):
-            raise ValueError(f"{len(words)} words but permutation of size {len(perm)}")
-        for w in words:
+    def __init__(self, words: tuple[FreeWord, ...], perm: tuple[int, ...]) -> None:
+        slot_words, perm_tuple = as_tuple("slot words", words), as_tuple("perm", perm)
+        if len(slot_words) != len(perm_tuple):
+            raise ValueError(
+                f"{len(slot_words)} words but permutation of size {len(perm_tuple)}"
+            )
+        for w in slot_words:
             check_type("slot words", w, FreeWord)
-        if not is_permutation(perm):
-            raise ValueError(f"perm {self.perm} is not a permutation of 0..k-1")
-        object.__setattr__(self, "words", words)
-        object.__setattr__(self, "perm", perm)
+        if not is_permutation(perm_tuple):
+            raise ValueError(f"perm {perm} is not a permutation of 0..k-1")
+        object.__setattr__(self, "words", slot_words)
+        object.__setattr__(self, "perm", perm_tuple)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.words, self.perm) == (other.words, other.perm)
+
+    def __hash__(self) -> int:
+        return hash((self.words, self.perm))
 
     @property
     def k(self) -> int:
@@ -528,8 +563,7 @@ def _cell_matches(
     return len(entries) == count
 
 
-@dataclass(frozen=True)
-class KernelReport:
+class KernelReport(FrozenRecord):
     """Result of searching for braids that push to the identity class."""
 
     g: int
@@ -538,6 +572,27 @@ class KernelReport:
     exhaustive: bool
     total_checked: int
     nontrivial_kernel: tuple[BraidElement, ...]
+
+    def __init__(self, g: int, k: int, max_word_len: int, exhaustive: bool,
+                 total_checked: int, nontrivial_kernel: tuple[BraidElement, ...]) -> None:
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "max_word_len", max_word_len)
+        object.__setattr__(self, "exhaustive", exhaustive)
+        object.__setattr__(self, "total_checked", total_checked)
+        object.__setattr__(self, "nontrivial_kernel", nontrivial_kernel)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.g, self.k, self.max_word_len, self.exhaustive, self.total_checked,
+                 self.nontrivial_kernel)
+                == (other.g, other.k, other.max_word_len, other.exhaustive,
+                    other.total_checked, other.nontrivial_kernel))
+
+    def __hash__(self) -> int:
+        return hash((self.g, self.k, self.max_word_len, self.exhaustive, self.total_checked,
+                     self.nontrivial_kernel))
 
     @property
     def passed(self) -> bool:
@@ -614,6 +669,8 @@ def kernel_report(
         candidates = (BraidElement(words, perm)
                       for words in itertools.product(ball, repeat=k) for perm in perms)
     else:
+        import random
+
         rng = random.Random(seed)
         candidates = (BraidElement(
             tuple(_unrank_word(g, rng.randrange(ball_size)) for _ in range(k)),

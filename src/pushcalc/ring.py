@@ -138,26 +138,9 @@ class RingElem:
                 del acc[w]
         return RingElem._wrap(acc)
 
-    def __neg__(self) -> "RingElem":
-        return RingElem._wrap({w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other: object) -> "RingElem":
-        if not isinstance(other, RingElem):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other: object) -> "RingElem":
         if isinstance(other, RingElem):
             return ring_mul(self, other)
-        if isinstance(other, int):
-            if not other:
-                return RingElem.zero()
-            return RingElem._wrap({w: c * other for w, c in self.terms.items()})
-        return NotImplemented
-
-    def __rmul__(self, other: object) -> "RingElem":
-        if isinstance(other, int):
-            return self.__mul__(other)
         return NotImplemented
 
     def __eq__(self, other: object) -> bool:

@@ -9,11 +9,9 @@ fails) before being reported.
 from __future__ import annotations
 
 import copy
-import dataclasses
 import functools
 import random
-from dataclasses import dataclass
-from typing import Callable, Iterator
+from collections.abc import Callable, Iterator
 
 from .embedding import (
     IndexKey,
@@ -21,7 +19,7 @@ from .embedding import (
     materialize,
     truncated_product,
 )
-from .errors import NotInImage, TooLarge, check_count
+from .errors import NotInImage, Record, TooLarge, check_count
 from .monoid import (
     SelfMapClass,
     WedgeSignature,
@@ -55,13 +53,20 @@ from .words import FreeEndo, FreeWord, endo_apply, endo_compose, enumerate_words
 MAX_CASES = 10_000
 
 
-@dataclass
-class PropertyResult:
+class PropertyResult(Record):
     name: str
     cases: int
     ok: bool
     counterexample: str | None = None
     extra: dict | None = None
+
+    def __init__(self, name: str, cases: int, ok: bool, counterexample: str | None = None,
+                 extra: dict | None = None) -> None:
+        self.name = name
+        self.cases = cases
+        self.ok = ok
+        self.counterexample = counterexample
+        self.extra = extra
 
     def to_json(self) -> dict:
         out = {
@@ -75,12 +80,18 @@ class PropertyResult:
         return out
 
 
-@dataclass
-class SuiteReport:
+class SuiteReport(Record):
     suite: str
     seed: int
     requested_cases: int
     results: list[PropertyResult]
+
+    def __init__(self, suite: str, seed: int, requested_cases: int,
+                 results: list[PropertyResult]) -> None:
+        self.suite = suite
+        self.seed = seed
+        self.requested_cases = requested_cases
+        self.results = results
 
     @property
     def ok(self) -> bool:
@@ -96,13 +107,21 @@ class SuiteReport:
         }
 
 
-@dataclass
-class Property:
+class Property(Record):
     name: str
     gen: Callable[[random.Random], tuple]
     fails: Callable[[tuple], str | None]
     cap: int | None = None
     extra: dict | None = None
+
+    def __init__(self, name: str, gen: Callable[[random.Random], tuple],
+                 fails: Callable[[tuple], str | None], cap: int | None = None,
+                 extra: dict | None = None) -> None:
+        self.name = name
+        self.gen = gen
+        self.fails = fails
+        self.cap = cap
+        self.extra = extra
 
 
 def _shrink_structural(case: object) -> Iterator[object]:
@@ -278,8 +297,9 @@ def _target(spec: tuple) -> TargetModel:
 
 
 def _hyp_model(character: tuple[int, ...]) -> ManifoldModel:
-    return dataclasses.replace(ManifoldModel.default(len(character)),
-                               character=character, low_handle_dim=True)
+    default = ManifoldModel.default(len(character))
+    return ManifoldModel(default.g, default.d, character, default.crossings,
+                         low_handle_dim=True)
 
 
 def _window_mismatch(

@@ -23,7 +23,7 @@ count calls, say).
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from . import _purewords as _kernel
 from .errors import (ParseError, TooLarge, as_tuple, capped_product, check_count, check_text,

@@ -94,3 +94,23 @@ def test_unknown_name_and_dir():
     assert str(exc.value) == "module 'pushcalc' has no attribute 'nope'"
     listing = dir(pushcalc)
     assert "__all__" in listing and set(pushcalc.__all__) <= set(listing)
+
+
+# Standard-library modules no request loads, beyond what a bare `python -S`
+# start with the modules the CLI always uses loads: dataclasses and what it
+# pulls in, pathlib, typing, and random (verify draws its cases with it).
+AVOIDED = {"dataclasses", "inspect", "ast", "dis", "tokenize", "pathlib", "typing", "random"}
+
+
+@pytest.fixture(scope="module")
+def bare_start() -> set[str]:
+    return imported(["-S", "-c", "import argparse, re, contextlib"])
+
+
+@pytest.mark.parametrize("argv", [a for a, _ in REQUESTS], ids=" ".join)
+def test_each_subcommand_loads_no_avoided_stdlib_module(tmp_path, bare_start, argv):
+    (tmp_path / "map.json").write_text(json.dumps(MAP))
+    (tmp_path / "target.json").write_text(json.dumps(TARGET))
+    loaded = imported(["-S", "-m", "pushcalc", *argv], cwd=tmp_path)
+    allowed = {"random"} if argv[0] == "verify" else set()
+    assert (loaded - bare_start) & AVOIDED <= allowed
