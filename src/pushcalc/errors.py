@@ -5,12 +5,13 @@ is_int tests an int that is not a bool; check_count and check_dimension
 build on it.  Shape rules: as_tuple, check_type, is_permutation.  Reader
 rules: check_text, json_array, json_object, json_fields and parsing.
 Size rules: capped_product here, and embedding._ball_size for a window ball.
-Record and FrozenRecord are the bases of the package's record classes.
+Record and FrozenRecord, the bases of the record classes, supply repr, == and hash.
 """
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
+from operator import attrgetter
 
 
 class PushcalcError(Exception):
@@ -190,10 +191,10 @@ class _DataclassFields:
     """A record class's ``__dataclass_fields__``, so that dataclasses.fields,
     dataclasses.replace and dataclasses.is_dataclass work on it.
 
-    The first read on a class builds a plain dataclass with the same
-    annotated fields and defaults, and keeps that dataclass's Field objects
-    for the class.  Only a caller of dataclasses reads it, so only such a
-    caller pays for importing dataclasses.
+    The first read on a class builds a plain dataclass with the same fields
+    (inherited ones too) and defaults, and keeps that dataclass's Field
+    objects for the class.  Only a caller of dataclasses reads it, so only
+    such a caller pays for importing dataclasses.
     """
 
     def __init__(self) -> None:
@@ -204,9 +205,11 @@ class _DataclassFields:
         if fields is None:
             from dataclasses import make_dataclass
 
-            own = vars(cls)
-            spec = [(name, kind, own[name]) if name in own else (name, kind)
-                    for name, kind in cls.__annotations__.items()]
+            kinds: dict[str, object] = {}
+            for klass in reversed(cls.__mro__):
+                kinds.update(vars(klass).get("__annotations__", {}))
+            spec = [(name, kinds[name], getattr(cls, name)) if hasattr(cls, name)
+                    else (name, kinds[name]) for name in cls.__match_args__]
             fields = self.fields[cls] = make_dataclass(cls.__name__, spec).__dataclass_fields__
         return fields
 
@@ -214,28 +217,36 @@ class _DataclassFields:
 class Record:
     """Base of a class whose annotated class attributes are its fields.
 
-    A subclass writes its own __init__.  The fields, in annotation order,
-    are its __match_args__; repr shows them as ``Name(field=value, ...)``
-    and == compares them between two instances of the same class.  A value
-    cached in the instance __dict__ under another name is not a field.
+    The fields, the base's and then the class's own new annotations in
+    order, are its __match_args__.  The base supplies repr, as
+    ``Name(field=value, ...)``, and == between two instances of the same
+    class, from the fields; a subclass writes only its __init__ and checks.
+    A value cached in the instance __dict__ under another name is not a field.
     """
 
     __dataclass_fields__ = _DataclassFields()
     __match_args__ = ()
 
     def __init_subclass__(cls) -> None:
-        cls.__match_args__ = tuple(cls.__annotations__)
+        names = cls.__match_args__   # the base's fields
+        cls.__match_args__ = names = names + tuple(
+            name for name in cls.__annotations__ if name not in names)
+        # The field values as a tuple, for == and hash.
+        cls._field_values = staticmethod(
+            attrgetter(*names) if len(names) > 1
+            else lambda obj: tuple(getattr(obj, name) for name in names))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
         return f"{type(self).__qualname__}({fields})"
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if other.__class__ is not self.__class__:
             return NotImplemented
-        names = self.__match_args__
-        return (tuple(getattr(self, name) for name in names)
-                == tuple(getattr(other, name) for name in names))
+        values = self._field_values
+        return values(self) == values(other)
 
 
 def _frozen_error(verb: str, name: str) -> Exception:
@@ -246,11 +257,14 @@ def _frozen_error(verb: str, name: str) -> Exception:
 
 class FrozenRecord(Record):
     """A Record that refuses assignment and deletion of any attribute with
-    dataclasses.FrozenInstanceError.  Its __init__ sets each field with
-    object.__setattr__; a subclass writes its own == and hash over its fields."""
+    dataclasses.FrozenInstanceError, and hashes as the tuple of its fields.
+    Its __init__ sets each field with object.__setattr__."""
 
     def __setattr__(self, name: str, value: object) -> None:
         raise _frozen_error("assign to", name)
 
     def __delattr__(self, name: str) -> None:
         raise _frozen_error("delete", name)
+
+    def __hash__(self) -> int:
+        return hash(self._field_values(self))

@@ -65,16 +65,6 @@ class WedgeSignature(FrozenRecord):
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "label_set", label_set)
 
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.g, self.labels, self.d) == (other.g, other.labels, other.d)
-
-    def __hash__(self) -> int:
-        return hash((self.g, self.labels, self.d))
-
     # Cached in the instance __dict__ like label_set; FreeEndo is immutable, so
     # every identity class and push on this signature shares the one object.
     @functools.cached_property

@@ -143,18 +143,6 @@ class TargetModel(FrozenRecord):
         object.__setattr__(self, "charge_set", cset)
         object.__setattr__(self, "inv_action", tuple(map(_inverse_perm, action)))
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.pi1_gens, self.classes, self.action, self.reflection, self.charge,
-                 self.f_classes)
-                == (other.pi1_gens, other.classes, other.action, other.reflection,
-                    other.charge, other.f_classes))
-
-    def __hash__(self) -> int:
-        return hash((self.pi1_gens, self.classes, self.action, self.reflection, self.charge,
-                     self.f_classes))
-
     @property
     def loop_rank(self) -> int | None:
         """Number of loop images each f candidate provides, None if no candidates."""
@@ -170,14 +158,6 @@ class MapState(FrozenRecord):
     def __init__(self, f: int, g_classes: tuple[int, ...]) -> None:
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "g_classes", _as_ids("g_classes", g_classes))
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.f, self.g_classes) == (other.f, other.g_classes)
-
-    def __hash__(self) -> int:
-        return hash((self.f, self.g_classes))
 
 
 def _check_state(target: TargetModel, state: MapState) -> None:

@@ -151,15 +151,6 @@ class ManifoldModel(FrozenRecord):
         object.__setattr__(self, "crossings", tuple(map(tuple, rows)))
         object.__setattr__(self, "low_handle_dim", low_handle_dim)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.g, self.d, self.character, self.crossings, self.low_handle_dim)
-                == (other.g, other.d, other.character, other.crossings, other.low_handle_dim))
-
-    def __hash__(self) -> int:
-        return hash((self.g, self.d, self.character, self.crossings, self.low_handle_dim))
-
     @classmethod
     def default(cls, g: int, d: int = 3) -> "ManifoldModel":
         _check_loop_count(g)   # before the crossing data is built
@@ -206,14 +197,6 @@ class PuncturedSignature(FrozenRecord):
         object.__setattr__(self, "model", model)
         object.__setattr__(self, "k", k)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.model, self.k) == (other.model, other.k)
-
-    def __hash__(self) -> int:
-        return hash((self.model, self.k))
-
     # Cached in the instance __dict__: equality, hash and repr read only model and k.
     @functools.cached_property
     def punctures(self) -> tuple[SphereLabel, ...]:
@@ -246,14 +229,6 @@ class BraidElement(FrozenRecord):
             raise ValueError(f"perm {perm} is not a permutation of 0..k-1")
         object.__setattr__(self, "words", slot_words)
         object.__setattr__(self, "perm", perm_tuple)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.words, self.perm) == (other.words, other.perm)
-
-    def __hash__(self) -> int:
-        return hash((self.words, self.perm))
 
     @property
     def k(self) -> int:
@@ -581,18 +556,6 @@ class KernelReport(FrozenRecord):
         object.__setattr__(self, "exhaustive", exhaustive)
         object.__setattr__(self, "total_checked", total_checked)
         object.__setattr__(self, "nontrivial_kernel", nontrivial_kernel)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.g, self.k, self.max_word_len, self.exhaustive, self.total_checked,
-                 self.nontrivial_kernel)
-                == (other.g, other.k, other.max_word_len, other.exhaustive,
-                    other.total_checked, other.nontrivial_kernel))
-
-    def __hash__(self) -> int:
-        return hash((self.g, self.k, self.max_word_len, self.exhaustive, self.total_checked,
-                     self.nontrivial_kernel))
 
     @property
     def passed(self) -> bool:

@@ -2,12 +2,18 @@
 fields: repr, == and hash agree with a frozen dataclass twin built here,
 assignment and deletion raise FrozenInstanceError, dataclasses.fields and
 dataclasses.replace work on them, and a value cached in the instance
-__dict__ changes neither equality nor hash.
+__dict__ changes neither equality nor hash.  A subclass keeps these fields,
+the three mutable verify records compare like a dataclass and do not hash,
+and no record writes its own == or hash: errors.Record and FrozenRecord
+supply them.
 """
 from __future__ import annotations
 
 import dataclasses
+import importlib
+import inspect
 import itertools
+import pkgutil
 import random
 
 import pytest
@@ -23,7 +29,9 @@ from pushcalc import (
     WedgeSignature,
     push_braid,
 )
+from pushcalc.errors import FrozenRecord, Record
 from pushcalc.ring import SphereLabel
+from pushcalc.verification import Property, PropertyResult, SuiteReport
 
 from _helpers import rand_word
 
@@ -53,6 +61,12 @@ TWINS = {cls: dataclasses.make_dataclass(cls.__name__, [name for name, _ in fiel
 def twin(value: object) -> object:
     cls = type(value)
     return TWINS[cls](*(getattr(value, name) for name, _ in FIELDS[cls]))
+
+
+def init_params(cls: type) -> list:
+    """__init__'s parameters after self, as (name, default) pairs, MISSING for none."""
+    params = list(inspect.signature(cls.__init__).parameters.values())[1:]
+    return [(p.name, MISSING if p.default is p.empty else p.default) for p in params]
 
 
 def _perm(rng: random.Random, k: int) -> tuple[int, ...]:
@@ -150,6 +164,9 @@ def test_fields_and_replace(cls):
     fields = dataclasses.fields(cls)
     assert [(f.name, f.default) for f in fields] == FIELDS[cls]
     assert all(f.init and f.repr and f.compare for f in fields)
+    # __init__ takes the fields in order, with the defaults fields() reports.
+    assert (init_params(cls) == [(f.name, f.default) for f in fields]
+            and cls.__match_args__ == tuple(f.name for f in fields))
     values = instances(cls)
     for value in values[:10]:
         assert dataclasses.fields(value) == fields
@@ -191,3 +208,143 @@ def test_filling_a_cache_changes_neither_equality_nor_hash():
     assert repr(sig) == repr(fresh)
     assert wedge == WedgeSignature(wedge.g, wedge.labels, wedge.d)
     assert hash(wedge) == hash(WedgeSignature(wedge.g, wedge.labels, wedge.d))
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
+def test_a_subclass_keeps_the_fields(cls):
+    sub, twin_sub = type("Sub", (cls,), {}), type("Sub", (TWINS[cls],), {})
+    names = [name for name, _ in FIELDS[cls]]
+    assert sub.__match_args__ == twin_sub.__match_args__ == tuple(names)
+    assert [(f.name, f.default) for f in dataclasses.fields(sub)] == FIELDS[cls]
+    assert [f.name for f in dataclasses.fields(twin_sub)] == names
+
+    def args(value: object) -> list:
+        return [getattr(value, name) for name in names]
+
+    bases = instances(cls)
+    subs = [sub(*args(value)) for value in bases]
+    twins = [twin_sub(*args(value)) for value in bases]
+    for a, ta, base in zip(subs, twins, bases):
+        assert type(a) is sub and repr(a) == repr(ta)
+        assert hash(a) == hash(ta)
+        assert a.__eq__(base) is NotImplemented and a != base
+    for (a, ta), (b, tb) in itertools.product(zip(subs, twins), repeat=2):
+        assert (a == b) == (ta == tb)
+        assert (a != b) == (ta != tb)
+    copy = dataclasses.replace(subs[0])
+    assert type(copy) is sub and copy == subs[0] and copy is not subs[0]
+    name, replaced = names[-1], 0
+    for other in bases:
+        try:
+            changed = dataclasses.replace(subs[0], **{name: getattr(other, name)})
+        except ValueError:
+            continue
+        replaced += 1
+        assert type(changed) is sub
+        assert twin_sub(*args(changed)) == dataclasses.replace(twins[0],
+                                                               **{name: getattr(other, name)})
+    assert replaced
+
+
+def test_a_subclass_adds_its_own_fields_after_the_base():
+    class Tagged(MapState):
+        tag: str = ""
+        f: int   # a base field declared again keeps its place
+
+        def __init__(self, f: int, g_classes: tuple[int, ...], tag: str = "") -> None:
+            super().__init__(f, g_classes)
+            object.__setattr__(self, "tag", tag)
+
+    @dataclasses.dataclass(frozen=True)
+    class TaggedTwin(TWINS[MapState]):
+        tag: str = ""
+
+    assert Tagged.__match_args__ == TaggedTwin.__match_args__ == ("f", "g_classes", "tag")
+    assert ([(f.name, f.default) for f in dataclasses.fields(Tagged)]
+            == [("f", MISSING), ("g_classes", MISSING), ("tag", "")])
+    assert init_params(Tagged) == [(f.name, f.default) for f in dataclasses.fields(Tagged)]
+    value = Tagged(1, (0, 2), "x")
+    assert repr(value).endswith("Tagged(f=1, g_classes=(0, 2), tag='x')")
+    assert hash(value) == hash(TaggedTwin(1, (0, 2), "x"))
+    assert value == Tagged(1, (0, 2), "x") and value != Tagged(1, (0, 2))
+    assert dataclasses.replace(value, f=0) == Tagged(0, (0, 2), "x")
+
+
+def _record_subclasses(cls: type) -> set:
+    found = set()
+    for sub in cls.__subclasses__():
+        found |= {sub} | _record_subclasses(sub)
+    return found
+
+
+def test_no_record_writes_its_own_eq_or_hash():
+    import pushcalc
+
+    for module in pkgutil.iter_modules(pushcalc.__path__):
+        if module.name != "__main__":
+            importlib.import_module(f"pushcalc.{module.name}")
+    records = {cls for cls in _record_subclasses(Record)
+               if cls.__module__.startswith("pushcalc.")} - {FrozenRecord}
+    assert set(CLASSES) | set(VERIFY_FIELDS) <= records
+    assert [cls.__qualname__ for cls in records
+            if "__eq__" in vars(cls) or "__hash__" in vars(cls)] == []
+
+
+# The three verify records: mutable, so compared with a plain (unfrozen,
+# unhashable) dataclass twin.
+VERIFY_FIELDS = {
+    PropertyResult: [("name", MISSING), ("cases", MISSING), ("ok", MISSING),
+                     ("counterexample", None), ("extra", None)],
+    SuiteReport: [("suite", MISSING), ("seed", MISSING), ("requested_cases", MISSING),
+                  ("results", MISSING)],
+    Property: [("name", MISSING), ("gen", MISSING), ("fails", MISSING), ("cap", None),
+               ("extra", None)],
+}
+VERIFY_TWINS = {cls: dataclasses.make_dataclass(cls.__name__, [name for name, _ in fields])
+                for cls, fields in VERIFY_FIELDS.items()}
+
+
+def build_record(cls: type, rng: random.Random) -> object:
+    """A seeded verify record; few enough shapes that equal pairs occur."""
+    extra = rng.choice((None, {"states": 1}))
+    if cls is PropertyResult:
+        return PropertyResult(rng.choice("ab"), rng.randrange(2), rng.random() < 0.5,
+                              rng.choice((None, "case")), extra)
+    if cls is SuiteReport:
+        return SuiteReport(rng.choice(("ring", "all")), rng.randrange(2), 3,
+                           [build_record(PropertyResult, rng) for _ in range(rng.randrange(2))])
+    assert cls is Property
+    return Property(rng.choice("ab"), rng.choice((len, repr)), rng.choice((len, repr)),
+                    rng.choice((None, 5)), extra)
+
+
+@pytest.mark.parametrize("cls", list(VERIFY_FIELDS), ids=lambda cls: cls.__name__)
+def test_verify_records_compare_like_a_dataclass(cls):
+    rng = random.Random(f"verify-records:{cls.__name__}")
+    values = [build_record(cls, rng) for _ in range(30)]
+    names = [name for name, _ in VERIFY_FIELDS[cls]]
+
+    def twin_of(value: object) -> object:
+        return VERIFY_TWINS[cls](*(getattr(value, name) for name in names))
+
+    fields = dataclasses.fields(cls)
+    assert [(f.name, f.default) for f in fields] == VERIFY_FIELDS[cls]
+    assert (init_params(cls) == [(f.name, f.default) for f in fields]
+            and cls.__match_args__ == tuple(names))
+    equal_pairs = 0
+    for a, b in itertools.product(values, repeat=2):
+        assert (a == b) == (twin_of(a) == twin_of(b))
+        assert (a != b) == (twin_of(a) != twin_of(b))
+        equal_pairs += a is not b and a == b
+    assert equal_pairs
+    for a in values:
+        assert repr(a) == repr(twin_of(a))
+        assert a.__eq__(twin_of(a)) is NotImplemented and a != twin_of(a)
+        with pytest.raises(TypeError, match="unhashable type"):
+            hash(a)
+    value, copy = values[0], dataclasses.replace(values[0])
+    assert copy == value and copy is not value
+    setattr(value, names[1], 7)
+    assert getattr(value, names[1]) == 7 and value != copy
+    assert twin_of(value) == dataclasses.replace(twin_of(copy), **{names[1]: 7})
+
