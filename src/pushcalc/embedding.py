@@ -21,6 +21,7 @@ from .monoid import SelfMapClass, WedgeSignature
 from .ring import RingElem, SphereLabel, format_ring, ring_to_json
 from .words import (
     FreeWord,
+    _max_generator,
     count_words,
     endo_apply,
     enumerate_words,
@@ -101,7 +102,7 @@ def _in_ball(sig: WedgeSignature, radius: int, key: IndexKey) -> bool:
     lab, w = key
     if lab not in sig.label_set or not isinstance(w, FreeWord):
         return False
-    return len(w) <= radius and w.max_generator <= sig.g
+    return len(w) <= radius and _max_generator(w.letters) <= sig.g
 
 
 def _ball_keys(sig: WedgeSignature, radius: int) -> tuple[IndexKey, ...]:

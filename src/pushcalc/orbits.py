@@ -143,11 +143,6 @@ class TargetModel(FrozenRecord):
         object.__setattr__(self, "charge_set", cset)
         object.__setattr__(self, "inv_action", tuple(map(_inverse_perm, action)))
 
-    @property
-    def loop_rank(self) -> int | None:
-        """Number of loop images each f candidate provides, None if no candidates."""
-        return len(self.f_classes[0]) if self.f_classes else None
-
 
 class MapState(FrozenRecord):
     """A component label: an f candidate index plus one charge class per puncture."""
@@ -187,8 +182,9 @@ def _apply_pi1_word(target: TargetModel, w: FreeWord, idx: int) -> int:
 
 
 def _check_loop_rank(target: TargetModel, model: ManifoldModel) -> None:
-    """Every f class must give one loop image per loop of the model."""
-    rank = target.loop_rank
+    """Every f class must give one loop image per loop of the model (the
+    TargetModel constructor makes them all give the same number)."""
+    rank = len(target.f_classes[0]) if target.f_classes else None
     if rank not in (None, model.g):
         raise SizeMismatch(f"f class gives {rank} loop images but the model has rank {model.g}")
 
@@ -305,8 +301,8 @@ CACHED_TABLES = 32
 CACHED_TABLE_INTS = 1_024
 
 
-def _colex_columns(m: int, k: int, positions: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """Column d of the k-multisets of m positions, for each d in positions.
+def _colex_columns(m: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """Column d of the k-multisets of m positions, for each position d.
 
     Level j numbers the j-multisets in colex order, where y + e, for a
     (j-1)-multiset y and e >= max(y), gets comb(e + j - 1, j) plus the number
@@ -316,7 +312,7 @@ def _colex_columns(m: int, k: int, positions: Sequence[int]) -> tuple[tuple[int,
     comb(e + j - 1, j) plus entry y' of column d one level down.  A column
     of level k holds multichoose(m, k - 1) ints.
     """
-    cols = [(d,) for d in positions]
+    cols = [(d,) for d in range(m)]
     for j in range(2, k + 1):
         # start[e]: the first number of a j-multiset with max e;
         # below[e]: how many (j-2)-multisets y' have max(y') <= e
@@ -324,14 +320,12 @@ def _colex_columns(m: int, k: int, positions: Sequence[int]) -> tuple[tuple[int,
         below = [comb(e + j - 2, j - 2) for e in range(m)]
         cols = [(*range(start[d], start[d + 1]),
                  *[start[e] + z for e in range(d + 1, m) for z in col[:below[e]]])
-                for d, col in zip(positions, cols)]
+                for d, col in enumerate(cols)]
     return tuple(cols)
 
 
-@lru_cache(maxsize=CACHED_TABLES)
-def _cached_columns(m: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """_colex_columns of every position, for a table of at most CACHED_TABLE_INTS ints."""
-    return _colex_columns(m, k, range(m))
+# _colex_columns for a table of at most CACHED_TABLE_INTS ints.
+_cached_columns = lru_cache(maxsize=CACHED_TABLES)(_colex_columns)
 
 
 def _component_count(m: int, k: int, tables: Sequence[Sequence[int]]) -> int:
@@ -348,18 +342,15 @@ def _component_count(m: int, k: int, tables: Sequence[Sequence[int]]) -> int:
     m positions, m * multichoose(m, k - 1) <= m**k ints (inside the state cap
     components_bruteforce checks with errors.capped_product), are shared through
     _cached_columns when they fit CACHED_TABLE_INTS; a larger table is built
-    per call, for the positions some table moves only.
+    whole per call.
     """
     components = comb(m + k - 1, k)
     moves = {(d, t) if d < t else (t, d)
              for table in tables for d, t in enumerate(table) if t != d}
     if not moves:   # no edge: each multiset is a component
         return components
-    if m * comb(m + k - 2, k - 1) <= CACHED_TABLE_INTS:
-        cols = _cached_columns(m, k)
-    else:
-        moved = sorted({d for move in moves for d in move})
-        cols = dict(zip(moved, _colex_columns(m, k, moved)))
+    build = _cached_columns if m * comb(m + k - 2, k - 1) <= CACHED_TABLE_INTS else _colex_columns
+    cols = build(m, k)
     edges = chain.from_iterable(zip(cols[d], cols[t]) for d, t in moves)
     parent = list(range(components))
     for rx, ry in edges:

@@ -14,23 +14,68 @@ at that boundary.  Every such check is _check_rank, which reads a word's
 rank from one formula, _max_generator, on its letter tuple, and refuses it
 with one message, "<what> <word> exceeds rank <g>" (_rank_error).
 
-The inner loops live in a small kernel module, pushcalc._purewords, bound
-here as ``_kernel``.  FreeWord, endo_apply and the modules that work on
-letter tuples directly (the ring products, the push cocycle) look its
-functions up on that binding at call time, so a caller can wrap them (to
-count calls, say).
+The inner loops are the four functions of the class ``_kernel``.  FreeWord,
+endo_apply and the modules that work on letter tuples directly (the ring
+products, the push cocycle) look them up on that class at call time, so a
+caller can wrap them (to count calls, say).
 """
 from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Iterator
 
-from . import _purewords as _kernel
 from .errors import (ParseError, TooLarge, as_tuple, capped_product, check_count, check_text,
                      check_type, clip, is_int)
 
 # Name of the word kernel in use; the benchmark harness records it per run.
 KERNEL_BACKEND = "pure-python"
+
+
+class _kernel:
+    """The word kernel: reduction, concatenation, inversion, substitution.
+
+    Each function returns a reduced letter tuple; concat and substitute
+    assume reduced inputs.
+    """
+
+    @staticmethod
+    def reduce_letters(letters):
+        out = []
+        for x in letters:
+            if out and out[-1] == -x:
+                out.pop()
+            else:
+                out.append(x)
+        return tuple(out)
+
+    @staticmethod
+    def concat(a, b):
+        i = len(a)
+        j = 0
+        n = len(b)
+        while i > 0 and j < n and a[i - 1] == -b[j]:
+            i -= 1
+            j += 1
+        return a[:i] + b[j:]
+
+    @staticmethod
+    def invert(a):
+        return tuple(-x for x in reversed(a))
+
+    @staticmethod
+    def substitute(images, letters):
+        out = []
+        for x in letters:
+            if x > 0:
+                img = images[x - 1]
+            else:
+                img = tuple(-y for y in reversed(images[-x - 1]))
+            for y in img:
+                if out and out[-1] == -y:
+                    out.pop()
+                else:
+                    out.append(y)
+        return tuple(out)
 
 
 def _max_generator(t: tuple[int, ...]) -> int:
@@ -78,17 +123,6 @@ class FreeWord:
     @property
     def is_identity(self) -> bool:
         return not self.letters
-
-    @property
-    def max_generator(self) -> int:
-        """Largest generator index in the word, 0 for the identity.
-
-        >>> FreeWord([2, -3, 1]).max_generator
-        3
-        >>> FreeWord().max_generator
-        0
-        """
-        return _max_generator(self.letters)
 
     def __mul__(self, other: object) -> "FreeWord":
         if not isinstance(other, FreeWord):

@@ -26,7 +26,7 @@ TARGET = {"pi1_gens": 1, "classes": ["x"], "action": {"a1": ["x"]}, "reflection"
 
 # Every run loads the package, the CLI and the error classes.
 START = {"pushcalc", "pushcalc.cli", "pushcalc.errors"}
-ALGEBRA = START | {"pushcalc._purewords", "pushcalc.words", "pushcalc.ring", "pushcalc.monoid"}
+ALGEBRA = START | {"pushcalc.words", "pushcalc.ring", "pushcalc.monoid"}
 PUSH = ALGEBRA | {"pushcalc.pushing"}
 EMBED = {"pushcalc.embedding"}
 ORBITS = {"pushcalc.orbits"}

@@ -7,7 +7,11 @@ import pytest
 
 import pushcalc
 from pushcalc import words
+from pushcalc.embedding import materialize
 from pushcalc.errors import ParseError, TooLarge
+from pushcalc.monoid import WedgeSignature, identity_map
+from pushcalc.pushing import ManifoldModel, _slot_terms
+from pushcalc.ring import RingElem, SphereLabel, ring_endo_apply, ring_mul
 from pushcalc.words import (
     IDENTITY,
     MAX_WORD_LETTERS,
@@ -261,3 +265,14 @@ def test_word_operations_call_the_kernel_binding(monkeypatch):
     assert run(lambda: ~u) == (FreeWord._wrap((-2, -1)), ["invert"])
     phi = FreeEndo([FreeWord._wrap((2,)), FreeWord._wrap((1,))])
     assert run(lambda: endo_apply(phi, u)) == (FreeWord._wrap((2, 1)), ["substitute"])
+    # the four loops over letter tuples: the ring product and endomorphism,
+    # a window's nonzero column, and a crossing with a prefix
+    a, b = RingElem._wrap({(1, 2): 1}), RingElem._wrap({(-2, 3): 2})
+    assert run(lambda: ring_mul(a, b)) == (RingElem._wrap({(1, 3): 2}), ["concat"])
+    assert run(lambda: ring_endo_apply(phi, a)) == (RingElem._wrap({(2, 1): 1}), ["substitute"])
+    p1 = (SphereLabel("p", 1), IDENTITY)
+    window = identity_map(WedgeSignature(1, [p1[0]]))
+    assert run(lambda: materialize(window, 0).entries) == ({(p1, p1): 1}, ["concat", "substitute"])
+    prefixed = ManifoldModel(g=1, d=3, character=(1,), crossings=(((1, 1, parse_word("a1")),),))
+    assert prefixed._plain_steps is None
+    assert run(lambda: _slot_terms(prefixed, (1,))) == ((1, [{(1,): 1}]), ["concat"])
