@@ -41,6 +41,32 @@ class _CliError(PushcalcError):
         self.code = code
 
 
+def _terminal_columns() -> int:
+    """The width shutil.get_terminal_size() reports, without importing shutil
+    (and the bz2, lzma and fnmatch it loads)."""
+    try:
+        columns = int(os.environ["COLUMNS"])
+    except (KeyError, ValueError):
+        columns = 0
+    if columns > 0:
+        return columns
+    try:
+        return os.get_terminal_size(sys.__stdout__.fileno()).columns or 80
+    except (AttributeError, ValueError, OSError):
+        return 80
+
+
+class _Formatter(argparse.HelpFormatter):
+    """argparse's help formatter, with its default width worked out by
+    _terminal_columns: argparse builds one for every flag it adds, and its
+    own imports shutil."""
+
+    def __init__(self, prog: str, **kwargs) -> None:
+        if kwargs.get("width") is None:
+            kwargs["width"] = _terminal_columns() - 2   # argparse's own margin
+        super().__init__(prog, **kwargs)
+
+
 class _Parser(argparse.ArgumentParser):
     """Parser whose usage errors are raised to _run, not printed.
 
@@ -50,6 +76,7 @@ class _Parser(argparse.ArgumentParser):
 
     def __init__(self, *args, flags: Callable[[argparse.ArgumentParser], None] | None = None,
                  **kwargs) -> None:
+        kwargs.setdefault("formatter_class", _Formatter)
         super().__init__(*args, **kwargs)
         self._flags = flags
 
@@ -429,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     """The pushcalc parser; each subcommand's flags are added when it parses."""
     parser = _Parser(prog="pushcalc", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    json_flag = argparse.ArgumentParser(add_help=False)
+    json_flag = argparse.ArgumentParser(add_help=False, formatter_class=_Formatter)
     json_flag.add_argument("--json", action="store_true")
     sub.add_parser("push-word", parents=[json_flag], flags=_push_word_flags,
                    help="push a puncture around a loop word")

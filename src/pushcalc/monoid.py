@@ -205,23 +205,31 @@ def _compose_letters(outer: SelfMapClass, inner: SelfMapClass) -> tuple[int, int
     along outer's circle part, is multiplied by every outer coefficient at
     m, and each pair of an outer term u and a moved term v writes u*v, of
     at most len(u) + len(v) letters (len(v) at most the substituted length
-    of v's word); one more per pair counts the word itself.
+    of v's word); one more per pair counts the word itself.  When outer's
+    circle part is the identity, as in every push_word fold step, each
+    letter counts 1, so a word counts its length and no letter is walked.
     """
-    lens = [0] * (2 * inner.sig.g + 1)   # index x and -x: the letter's generator
-    for i, img in enumerate(outer.circle_part.images, start=1):
-        lens[i] = lens[-i] = len(img)
-    length_of = lens.__getitem__
+    if outer.circle_part.is_identity:
+        length = len
+    else:
+        lens = [0] * (2 * inner.sig.g + 1)   # index x and -x: the letter's generator
+        for i, img in enumerate(outer.circle_part.images, start=1):
+            lens[i] = lens[-i] = len(img)
+        length_of = lens.__getitem__
+
+        def length(letters: tuple[int, ...]) -> int:
+            return sum(map(length_of, letters))
     outer_terms: dict[SphereLabel, int] = {}
     outer_letters: dict[SphereLabel, int] = {}
     for m, vec in outer.sphere_part.items():
         words = [t for r in vec.values() for t in r.terms]
         outer_terms[m] = len(words)
         outer_letters[m] = sum(map(len, words))
-    substituted = sum(sum(map(length_of, w.letters)) for w in inner.circle_part.images)
+    substituted = sum(length(w.letters) for w in inner.circle_part.images)
     products = 0
     for vec in inner.sphere_part.values():
         for m, r in vec.items():
-            moved = sum(sum(map(length_of, t)) for t in r.terms)
+            moved = sum(map(length, r.terms))
             substituted += moved
             products += (len(r.terms) * (outer_terms[m] + outer_letters[m])
                          + moved * outer_terms[m])
@@ -236,9 +244,11 @@ def compose(outer: SelfMapClass, inner: SelfMapClass) -> SelfMapClass:
     r, and the results are summed in the module.  A composite whose
     substitution or whose ring products would write more than
     MAX_COMPOSE_LETTERS letters (_compose_letters) raises TooLarge before
-    any word is built.  The result is built with the trusted
-    SelfMapClass._wrap: a composite of two validated classes on one
-    signature is a valid class.
+    any word is built.  An identity outer circle part, which every push
+    class has, leaves the inner circle part as it is: the composite shares
+    it, since a FreeEndo is immutable, and no endo_compose runs.  The
+    result is built with the trusted SelfMapClass._wrap: a composite of two
+    validated classes on one signature is a valid class.
     """
     if outer.sig != inner.sig:
         raise SignatureMismatch(
@@ -246,7 +256,8 @@ def compose(outer: SelfMapClass, inner: SelfMapClass) -> SelfMapClass:
         )
     letters, written = _compose_letters(outer, inner)
     # An identity circle part copies the inner words: nothing grows.
-    if not outer.circle_part.is_identity and letters > MAX_COMPOSE_LETTERS:
+    identity = outer.circle_part.is_identity
+    if not identity and letters > MAX_COMPOSE_LETTERS:
         raise TooLarge(
             f"the composite's words would take up to {letters} letters "
             f"before reduction, over the cap {MAX_COMPOSE_LETTERS}"
@@ -256,7 +267,7 @@ def compose(outer: SelfMapClass, inner: SelfMapClass) -> SelfMapClass:
             f"the composite's sphere products would write up to {written} "
             f"letters and words, over the cap {MAX_COMPOSE_LETTERS}"
         )
-    circ = endo_compose(outer.circle_part, inner.circle_part)
+    circ = inner.circle_part if identity else endo_compose(outer.circle_part, inner.circle_part)
     spheres: dict[SphereLabel, dict[SphereLabel, RingElem]] = {}
     for b in inner.sig.labels:
         acc: dict[SphereLabel, RingElem] = {}

@@ -1,6 +1,7 @@
 """Command line goldens: byte-exact output, exit codes, error prefixes."""
 from __future__ import annotations
 
+import argparse
 import ast
 import itertools
 import json
@@ -15,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from pushcalc import cli
 from pushcalc.cli import MAX_JSON_INT_DIGITS, TSV_MAX_CELLS, _check_grid, main
 from pushcalc.errors import TooLarge, check_count, clip
 from pushcalc.monoid import self_map_from_json
@@ -130,6 +132,28 @@ def test_help_exits_zero_with_usage(capsys, monkeypatch, command):
     monkeypatch.setenv("COLUMNS", "80")
     golden = GOLDEN / "help" / f"{command[0] if command else 'pushcalc'}.txt"
     assert run_cli(capsys, *command, "--help") == (0, golden.read_bytes().decode(), "")
+
+
+@pytest.mark.parametrize("columns", [None, "120", " 50 ", "0", "-3", "wide"])
+@pytest.mark.parametrize("stdout", ["captured", "none", "terminal"])
+def test_help_width_is_argparse_default(monkeypatch, columns, stdout):
+    # The CLI's formatter reads the width without shutil; it must read what
+    # argparse's own formatter reads through shutil.get_terminal_size.
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+    if stdout == "none":
+        monkeypatch.setattr(sys, "__stdout__", None)
+    elif stdout == "terminal":   # a new pseudo-terminal reports 0 columns
+        leader, follower = os.openpty()
+        monkeypatch.setattr(sys, "__stdout__", open(follower, "w"))
+    try:
+        assert cli._Formatter("pushcalc")._width == argparse.HelpFormatter("pushcalc")._width
+    finally:
+        if stdout == "terminal":
+            sys.__stdout__.close()
+            os.close(leader)
 
 
 # Each line of usage_errors.txt is 'argv<TAB>error line', argv in shell quoting.

@@ -98,8 +98,10 @@ def test_unknown_name_and_dir():
 
 # Standard-library modules no request loads, beyond what a bare `python -S`
 # start with the modules the CLI always uses loads: dataclasses and what it
-# pulls in, pathlib, typing, and random (verify draws its cases with it).
-AVOIDED = {"dataclasses", "inspect", "ast", "dis", "tokenize", "pathlib", "typing", "random"}
+# pulls in, pathlib, typing, random (verify draws its cases with it), and
+# shutil, which argparse's own help formatter imports for the terminal width.
+AVOIDED = {"dataclasses", "inspect", "ast", "dis", "tokenize", "pathlib", "typing", "random",
+           "shutil"}
 
 
 @pytest.fixture(scope="module")

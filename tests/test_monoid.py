@@ -19,7 +19,7 @@ from pushcalc.monoid import (
     top_homology_matrix,
 )
 from pushcalc.ring import RingElem, SphereLabel, ring_mul
-from pushcalc.words import FreeEndo, FreeWord, endo_apply, parse_word
+from pushcalc.words import FreeEndo, FreeWord, endo_apply, endo_compose, parse_word
 
 from _helpers import assert_revalidates, rand_word, verify_inverse
 
@@ -413,6 +413,70 @@ def test_product_bound_covers_the_ring_products(monkeypatch):
         assert written[0] <= bound
         tight += written[0] == bound
     assert tight >= 5
+
+
+def walk_letters(outer: SelfMapClass, inner: SelfMapClass) -> tuple[int, int]:
+    """_compose_letters as a walk over every letter of the inner words, each
+    counting the length of outer's circle image of its generator."""
+    image_len = {i: len(img) for i, img in enumerate(outer.circle_part.images, start=1)}
+
+    def moved(letters: tuple[int, ...]) -> int:
+        return sum(image_len[abs(x)] for x in letters)
+
+    substituted = sum(moved(w.letters) for w in inner.circle_part.images)
+    products = 0
+    for vec in inner.sphere_part.values():
+        for m, r in vec.items():
+            words = [t for r_out in outer.sphere_part[m].values() for t in r_out.terms]
+            n = sum(moved(t) for t in r.terms)
+            substituted += n
+            products += len(r.terms) * (len(words) + sum(map(len, words))) + n * len(words)
+    return substituted, products
+
+
+def fast_path_pairs(identity: bool):
+    """Seeded (outer, inner) pairs whose outer circle part is, or is not, the
+    identity, on three signatures."""
+    rng = random.Random(88)
+    for sig in (SIG1, WedgeSignature(2, (P1, T1, T2)), WedgeSignature(2, ())):
+        n = 0
+        while n < 40:
+            outer, inner = rand_map(rng, sig), rand_map(rng, sig)
+            if identity:
+                outer = SelfMapClass(sig, FreeEndo.identity(sig.g), outer.sphere_part)
+            elif outer.circle_part.is_identity:
+                continue
+            n += 1
+            yield outer, inner
+
+
+def fast_path_mismatch(identity: bool) -> str | None:
+    for outer, inner in fast_path_pairs(identity):
+        if monoid._compose_letters(outer, inner) != walk_letters(outer, inner):
+            return f"letter counts of {outer!r} after {inner!r}"
+        if compose(outer, inner).circle_part != endo_compose(outer.circle_part,
+                                                             inner.circle_part):
+            return f"circle part of {outer!r} after {inner!r}"
+    return None
+
+
+@pytest.mark.parametrize("identity", [True, False], ids=["identity", "general"])
+def test_compose_fast_paths_agree_with_a_letter_walk(identity):
+    # an identity outer circle part takes compose's and _compose_letters'
+    # identity paths; a general one takes the substituting paths
+    assert fast_path_mismatch(identity) is None
+
+
+def test_letter_walk_sees_an_off_by_one_on_the_identity_path(monkeypatch):
+    letters = monoid._compose_letters
+
+    def off_by_one(outer, inner):
+        substituted, products = letters(outer, inner)
+        return substituted + outer.circle_part.is_identity, products
+
+    monkeypatch.setattr(monoid, "_compose_letters", off_by_one)
+    assert fast_path_mismatch(False) is None
+    assert fast_path_mismatch(True).startswith("letter counts")
 
 
 def test_conjugation_preserves_invertibility():
