@@ -43,7 +43,11 @@ class _CliError(PushcalcError):
 
 def _terminal_columns() -> int:
     """The width shutil.get_terminal_size() reports, without importing shutil
-    (and the bz2, lzma and fnmatch it loads)."""
+    (and the bz2, lzma and fnmatch it loads).
+
+    A terminal that reports 0 columns gives 80 from Python 3.11 on and 0
+    before, as shutil does on each.
+    """
     try:
         columns = int(os.environ["COLUMNS"])
     except (KeyError, ValueError):
@@ -51,9 +55,12 @@ def _terminal_columns() -> int:
     if columns > 0:
         return columns
     try:
-        return os.get_terminal_size(sys.__stdout__.fileno()).columns or 80
+        columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
     except (AttributeError, ValueError, OSError):
         return 80
+    if sys.version_info >= (3, 11):
+        return columns or 80
+    return columns
 
 
 class _Formatter(argparse.HelpFormatter):

@@ -245,10 +245,10 @@ def compose(outer: SelfMapClass, inner: SelfMapClass) -> SelfMapClass:
     substitution or whose ring products would write more than
     MAX_COMPOSE_LETTERS letters (_compose_letters) raises TooLarge before
     any word is built.  An identity outer circle part, which every push
-    class has, leaves the inner circle part as it is: the composite shares
-    it, since a FreeEndo is immutable, and no endo_compose runs.  The
-    result is built with the trusted SelfMapClass._wrap: a composite of two
-    validated classes on one signature is a valid class.
+    class has, leaves the inner circle part as it is: endo_compose returns
+    it, and the composite shares it.  The result is built with the trusted
+    SelfMapClass._wrap: a composite of two validated classes on one
+    signature is a valid class.
     """
     if outer.sig != inner.sig:
         raise SignatureMismatch(
@@ -256,8 +256,7 @@ def compose(outer: SelfMapClass, inner: SelfMapClass) -> SelfMapClass:
         )
     letters, written = _compose_letters(outer, inner)
     # An identity circle part copies the inner words: nothing grows.
-    identity = outer.circle_part.is_identity
-    if not identity and letters > MAX_COMPOSE_LETTERS:
+    if not outer.circle_part.is_identity and letters > MAX_COMPOSE_LETTERS:
         raise TooLarge(
             f"the composite's words would take up to {letters} letters "
             f"before reduction, over the cap {MAX_COMPOSE_LETTERS}"
@@ -267,7 +266,7 @@ def compose(outer: SelfMapClass, inner: SelfMapClass) -> SelfMapClass:
             f"the composite's sphere products would write up to {written} "
             f"letters and words, over the cap {MAX_COMPOSE_LETTERS}"
         )
-    circ = inner.circle_part if identity else endo_compose(outer.circle_part, inner.circle_part)
+    circ = endo_compose(outer.circle_part, inner.circle_part)
     spheres: dict[SphereLabel, dict[SphereLabel, RingElem]] = {}
     for b in inner.sig.labels:
         acc: dict[SphereLabel, RingElem] = {}

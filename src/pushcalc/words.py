@@ -212,7 +212,16 @@ def endo_apply(phi: FreeEndo, u: FreeWord) -> FreeWord:
 
 
 def endo_compose(outer: FreeEndo, inner: FreeEndo) -> FreeEndo:
-    """Composite endomorphism: apply inner first, then outer."""
+    """Composite endomorphism: apply inner first, then outer.
+
+    An identity outer, as every push class's circle part is, gives inner
+    itself (a FreeEndo is immutable), once its words are checked to lie
+    within outer's rank as endo_apply checks them.
+    """
+    if outer.is_identity:
+        for letters in inner._letters:
+            _check_rank("word", letters, outer.rank)
+        return inner
     return FreeEndo(endo_apply(outer, w) for w in inner.images)
 
 

@@ -454,8 +454,10 @@ def fast_path_mismatch(identity: bool) -> str | None:
     for outer, inner in fast_path_pairs(identity):
         if monoid._compose_letters(outer, inner) != walk_letters(outer, inner):
             return f"letter counts of {outer!r} after {inner!r}"
-        if compose(outer, inner).circle_part != endo_compose(outer.circle_part,
-                                                             inner.circle_part):
+        # endo_compose as a substitution of every inner word, with no shortcut
+        substituted = FreeEndo(endo_apply(outer.circle_part, w)
+                               for w in inner.circle_part.images)
+        if compose(outer, inner).circle_part != substituted:
             return f"circle part of {outer!r} after {inner!r}"
     return None
 
@@ -477,6 +479,18 @@ def test_letter_walk_sees_an_off_by_one_on_the_identity_path(monkeypatch):
     monkeypatch.setattr(monoid, "_compose_letters", off_by_one)
     assert fast_path_mismatch(False) is None
     assert fast_path_mismatch(True).startswith("letter counts")
+
+
+def test_substitution_sees_an_off_by_one_on_the_identity_circle_path(monkeypatch):
+    # an identity shortcut that appends a letter to the last inner image
+    def off_by_one(outer, inner):
+        if not outer.is_identity or not inner.rank:
+            return endo_compose(outer, inner)
+        return FreeEndo(inner.images[:-1] + (inner.images[-1] * FreeWord([1]),))
+
+    monkeypatch.setattr(monoid, "endo_compose", off_by_one)
+    assert fast_path_mismatch(False) is None
+    assert fast_path_mismatch(True).startswith("circle part")
 
 
 def test_conjugation_preserves_invertibility():

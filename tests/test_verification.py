@@ -268,3 +268,19 @@ def test_case_builder_draws_as_its_choice_and_randrange_form(builder, copy, args
         rng, ref = random.Random(seed), random.Random(seed)
         assert [builder(rng, *args) for _ in range(25)] == [copy(ref, *args) for _ in range(25)]
         assert rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("g", [0, -1])
+def test_letters_without_a_generator_are_refused(g):
+    # max_len 0 draws no letter; a drawn letter at g < 1 raises as randrange did
+    assert verification._rand_letters(random.Random(0), g, 0) == ()
+    rng = random.Random(0)
+    while True:
+        state = rng.getstate()
+        try:
+            _letters(rng, g, 3)
+        except ValueError:
+            break
+    rng.setstate(state)
+    with pytest.raises(ValueError):
+        verification._rand_letters(rng, g, 3)

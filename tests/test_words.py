@@ -235,6 +235,24 @@ def test_endomorphisms():
         endo_apply(FreeEndo([parse_word("a1")]), parse_word("a2"))
 
 
+def test_endo_compose_with_an_identity_outer_is_the_substitution():
+    # the identity outer returns inner itself; it must equal substituting
+    # each inner word, and refuse a word beyond its rank as endo_apply does
+    rng = random.Random(607)
+    for _ in range(100):
+        g = rng.randrange(0, 4)
+        psi = FreeEndo([rand_word(rng, g, 4) for _ in range(g)])
+        substituted = FreeEndo([endo_apply(FreeEndo.identity(g), w) for w in psi.images])
+        assert endo_compose(FreeEndo.identity(g), psi) is psi
+        assert endo_compose(FreeEndo.identity(g), psi) == substituted
+    wide = FreeEndo([parse_word("a1"), parse_word("a1 A3")])
+    with pytest.raises(ValueError) as shortcut:
+        endo_compose(FreeEndo.identity(2), wide)
+    with pytest.raises(ValueError) as walk:
+        endo_apply(FreeEndo.identity(2), wide.images[1])
+    assert str(shortcut.value) == str(walk.value) == "word a1 A3 exceeds rank 2"
+
+
 def test_words_are_hashable_and_interchangeable():
     a = parse_word("a1 a2 A2")
     b = parse_word("a1")
