@@ -60,10 +60,7 @@ class WedgeSignature(FrozenRecord):
         label_set = frozenset(labs)
         if len(label_set) != len(labs):
             raise ValueError(f"duplicate sphere labels in {labs}")
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "labels", labs)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "label_set", label_set)
+        self._set_fields(g, labs, d, label_set=label_set)
 
     # Cached in the instance __dict__ like label_set; FreeEndo is immutable, so
     # every identity class and push on this signature shares the one object.

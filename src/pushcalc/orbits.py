@@ -134,14 +134,8 @@ class TargetModel(FrozenRecord):
                 _check_rank("f class word", w.letters, pi1_gens)
         if len({len(ws) for ws in fcs}) > 1:
             raise ValueError("all f classes must give the same number of loop images")
-        object.__setattr__(self, "pi1_gens", pi1_gens)
-        object.__setattr__(self, "classes", classes)
-        object.__setattr__(self, "action", action)
-        object.__setattr__(self, "reflection", refl)
-        object.__setattr__(self, "charge", charge)
-        object.__setattr__(self, "f_classes", fcs)
-        object.__setattr__(self, "charge_set", cset)
-        object.__setattr__(self, "inv_action", tuple(map(_inverse_perm, action)))
+        self._set_fields(pi1_gens, classes, action, refl, charge, fcs, charge_set=cset,
+                         inv_action=tuple(map(_inverse_perm, action)))
 
 
 class MapState(FrozenRecord):
@@ -151,8 +145,7 @@ class MapState(FrozenRecord):
     g_classes: tuple[int, ...]
 
     def __init__(self, f: int, g_classes: tuple[int, ...]) -> None:
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "g_classes", _as_ids("g_classes", g_classes))
+        self._set_fields(f, _as_ids("g_classes", g_classes))
 
 
 def _check_state(target: TargetModel, state: MapState) -> None:

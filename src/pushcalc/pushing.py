@@ -145,11 +145,7 @@ class ManifoldModel(FrozenRecord):
                 _check_rank("crossing prefix", prefix.letters, g)
                 rows[-1].append(crossing)
         check_type("low_handle_dim", low_handle_dim, bool)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "character", character)
-        object.__setattr__(self, "crossings", tuple(map(tuple, rows)))
-        object.__setattr__(self, "low_handle_dim", low_handle_dim)
+        self._set_fields(g, d, character, tuple(map(tuple, rows)), low_handle_dim)
 
     @classmethod
     def default(cls, g: int, d: int = 3) -> "ManifoldModel":
@@ -194,8 +190,7 @@ class PuncturedSignature(FrozenRecord):
         check_count("puncture count", k)
         check_type("model", model, ManifoldModel)
         _check_model_size(model.g + k)   # before any label is built
-        object.__setattr__(self, "model", model)
-        object.__setattr__(self, "k", k)
+        self._set_fields(model, k)
 
     # Cached in the instance __dict__: equality, hash and repr read only model and k.
     @functools.cached_property
@@ -227,8 +222,7 @@ class BraidElement(FrozenRecord):
             check_type("slot words", w, FreeWord)
         if not is_permutation(perm_tuple):
             raise ValueError(f"perm {perm} is not a permutation of 0..k-1")
-        object.__setattr__(self, "words", slot_words)
-        object.__setattr__(self, "perm", perm_tuple)
+        self._set_fields(slot_words, perm_tuple)
 
     @property
     def k(self) -> int:
@@ -550,12 +544,7 @@ class KernelReport(FrozenRecord):
 
     def __init__(self, g: int, k: int, max_word_len: int, exhaustive: bool,
                  total_checked: int, nontrivial_kernel: tuple[BraidElement, ...]) -> None:
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "max_word_len", max_word_len)
-        object.__setattr__(self, "exhaustive", exhaustive)
-        object.__setattr__(self, "total_checked", total_checked)
-        object.__setattr__(self, "nontrivial_kernel", nontrivial_kernel)
+        self._set_fields(g, k, max_word_len, exhaustive, total_checked, nontrivial_kernel)
 
     @property
     def passed(self) -> bool:

@@ -63,11 +63,7 @@ class PropertyResult(Record):
 
     def __init__(self, name: str, cases: int, ok: bool, counterexample: str | None = None,
                  extra: dict | None = None) -> None:
-        self.name = name
-        self.cases = cases
-        self.ok = ok
-        self.counterexample = counterexample
-        self.extra = extra
+        self._set_fields(name, cases, ok, counterexample, extra)
 
     def to_json(self) -> dict:
         out = {
@@ -89,10 +85,7 @@ class SuiteReport(Record):
 
     def __init__(self, suite: str, seed: int, requested_cases: int,
                  results: list[PropertyResult]) -> None:
-        self.suite = suite
-        self.seed = seed
-        self.requested_cases = requested_cases
-        self.results = results
+        self._set_fields(suite, seed, requested_cases, results)
 
     @property
     def ok(self) -> bool:
@@ -118,11 +111,7 @@ class Property(Record):
     def __init__(self, name: str, gen: Callable[[random.Random], tuple],
                  fails: Callable[[tuple], str | None], cap: int | None = None,
                  extra: dict | None = None) -> None:
-        self.name = name
-        self.gen = gen
-        self.fails = fails
-        self.cap = cap
-        self.extra = extra
+        self._set_fields(name, gen, fails, cap, extra)
 
 
 def _shrink_structural(case: object) -> Iterator[object]:

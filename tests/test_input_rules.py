@@ -35,6 +35,11 @@ The size rules:
   words.count_words in embedding; pushing.kernel_report counts its slot
   word ball with count_words as well.
 
+The record rule:
+
+- A record stores its fields through its base: errors.Record._set_fields,
+  the one user of object.__setattr__.  No record class assigns self.<name>.
+
 A site that writes one of these out again, instead of calling its home,
 fails here.
 """
@@ -60,6 +65,7 @@ HOMES = {
     "translation": {"errors.parsing"},
     "capped product": {"errors.capped_product"},
     "ball size": {"embedding._ball_size", "pushing.kernel_report"},
+    "field store": {"errors.Record"},
 }
 
 
@@ -104,6 +110,29 @@ def _is_range_list(node: ast.AST) -> bool:
     return _is_call(node, "list") and bool(node.args) and _is_call(node.args[0], "range")
 
 
+def _is_field_store(node: ast.AST) -> bool:
+    """object.__setattr__, called or not, or .update(...) on vars(...) or on a .__dict__"""
+    if (isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+            and isinstance(node.value, ast.Name) and node.value.id == "object"):
+        return True
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+        return False
+    owner = node.func.value
+    return node.func.attr == "update" and (
+        _is_call(owner, "vars") or isinstance(owner, ast.Attribute) and owner.attr == "__dict__")
+
+
+def _self_stores(node: ast.AST) -> int:
+    """How many self.<name> assignments node makes, if it is a class whose
+    bases name a Record; 0 for any other node."""
+    if not (isinstance(node, ast.ClassDef)
+            and any(ast.unparse(base).endswith("Record") for base in node.bases)):
+        return 0
+    return sum(isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+               and isinstance(n.value, ast.Name) and n.value.id == "self"
+               for n in ast.walk(node))
+
+
 def _raises(node: ast.AST, name: str) -> bool:
     """The body of node holds a `raise name(...)`."""
     return any(isinstance(st, ast.Raise) and _is_call(st.exc, name) for st in node.body)
@@ -134,7 +163,9 @@ def rule_sites(source: str, module: str) -> list[tuple[str, str]]:
     translation is an `except ValueError as exc` that raises
     ParseError(str(exc)).  A capped product is a comparison with an operand
     that holds a ** or a .bit_length() call; a ball size is a call of
-    count_words."""
+    count_words.  A field store is a use of object.__setattr__, an update of
+    vars(...) or of a __dict__, or a self.<name> assignment in a class
+    whose bases name a Record."""
     sites = []
     for node, where in walk_sites(source, module):
         if (_is_call(node, "isinstance") and len(node.args) == 2
@@ -170,6 +201,9 @@ def rule_sites(source: str, module: str) -> list[tuple[str, str]]:
         if isinstance(node, ast.Try) and any(
                 h.type is not None and "TypeError" in _names(h.type) for h in node.handlers):
             sites.append(("sequence test", where))
+        if _is_field_store(node):
+            sites.append(("field store", where))
+        sites += [("field store", where)] * _self_stores(node)
     return sites
 
 
@@ -194,6 +228,19 @@ def test_checker_sees_each_rule_written_out():
         "def push(w, g):\n"
         "    return w.max_generator > g or g < _max_generator(w.t)\n"
         "fine = isinstance(1, int) and min(3, 4) < 5 and -max(1, 2) and _max_generator(t)\n"
+        "class Record:\n"
+        "    def _set_fields(self, *values):\n"
+        "        store = object.__setattr__\n"
+        "class Model(errors.FrozenRecord):\n"
+        "    def __init__(self, g, k):\n"
+        "        object.__setattr__(self, 'g', g)\n"
+        "        vars(self).update(k=k)\n"
+        "        self.__dict__.update(k=k)\n"
+        "        self.d, self.labels = 3, ()\n"
+        "class Cache:\n"
+        "    def __init__(self, t):\n"
+        "        self.t = t\n"
+        "        object.__getattribute__(self, 't') and vars(self).get('t')\n"
     )
     assert rule_sites(source, "errors") == [
         ("bool test", "errors.is_int"),
@@ -206,8 +253,16 @@ def test_checker_sees_each_rule_written_out():
         ("rank formula", "errors.Word"),
         ("rank check", "errors.push"),
         ("rank check", "errors.push"),
+        ("field store", "errors.Record"),
+        ("field store", "errors.Model"),
+        ("field store", "errors.Model"),
+        ("field store", "errors.Model"),
+        ("field store", "errors.Model"),
+        ("field store", "errors.Model"),
     ]
     assert stray_sites(rule_sites(source, "errors"))[0] == ("bool test", "errors.count")
+    assert [where for rule, where in stray_sites(rule_sites(source, "errors"))
+            if rule == "field store"] == ["errors.Model"] * 5
 
 
 def test_checker_sees_each_shape_rule_written_out():

@@ -5,7 +5,8 @@ dataclasses.replace work on them, and a value cached in the instance
 __dict__ changes neither equality nor hash.  A subclass keeps these fields,
 the three mutable verify records compare like a dataclass and do not hash,
 and no record writes its own == or hash: errors.Record and FrozenRecord
-supply them.
+supply them.  copy, deepcopy and pickle give back an equal record with the
+same instance __dict__, caches included.
 """
 from __future__ import annotations
 
@@ -13,8 +14,10 @@ import dataclasses
 import importlib
 import inspect
 import itertools
+import pickle
 import pkgutil
 import random
+from copy import copy as shallow_copy, deepcopy
 
 import pytest
 
@@ -31,7 +34,7 @@ from pushcalc import (
 )
 from pushcalc.errors import FrozenRecord, Record
 from pushcalc.ring import SphereLabel
-from pushcalc.verification import Property, PropertyResult, SuiteReport
+from pushcalc.verification import _SUITE_BUILDERS, Property, PropertyResult, SuiteReport
 
 from _helpers import rand_word
 
@@ -348,3 +351,33 @@ def test_verify_records_compare_like_a_dataclass(cls):
     assert getattr(value, names[1]) == 7 and value != copy
     assert twin_of(value) == dataclasses.replace(twin_of(copy), **{names[1]: 7})
 
+
+
+# The values a record caches in its __init__, beside its fields.
+INIT_CACHES = {WedgeSignature: ("label_set",), TargetModel: ("charge_set", "inv_action")}
+
+
+def _round_trips(value: object) -> list:
+    """copy, deepcopy and a default-protocol pickle of value; only deepcopy
+    for a Property, whose generator and check are local functions."""
+    if isinstance(value, Property):
+        return [deepcopy(value)]
+    return [shallow_copy(value), deepcopy(value), pickle.loads(pickle.dumps(value))]
+
+
+def test_copy_deepcopy_and_pickle_keep_the_record():
+    rng = random.Random("value-classes:copy")
+    sig = PuncturedSignature(ManifoldModel.default(2), 2)
+    push_braid(sig, BraidElement((rand_word(rng, 2, 4),) * 2, (1, 0)))
+    assert {"punctures", "cells", "wedge"} <= set(vars(sig))   # caches filled later
+    values = [value for cls in CLASSES for value in instances(cls)[:10]]
+    values += [build_record(cls, rng) for cls in VERIFY_FIELDS for _ in range(10)]
+    values += [prop for build in _SUITE_BUILDERS.values() for prop in build()]
+    values += [sig, sig.model, sig.wedge]
+    for value in values:
+        for other in _round_trips(value):
+            assert type(other) is type(value) and other == value
+            assert repr(other) == repr(value)
+            assert list(vars(other)) == list(vars(value))
+            for name in INIT_CACHES.get(type(value), ()):
+                assert getattr(other, name) == getattr(value, name)
