@@ -7,21 +7,25 @@ PushcalcError or ValueError, and _run alone prints it as a single line
 
 A run loads only what its subcommand uses: each cmd_* imports the
 modules it calls when it runs, and each subcommand's flags are added
-when that subcommand parses.
+when that subcommand parses.  Argv in the plain shape (see _plain_args)
+is read without argparse.  Only help and argv outside that shape, which
+takes in every argv argparse refuses as well as `--flag=value`, `-g7`,
+`--max-l`, `--` and a negative value, import argparse and build its
+parser, which answers or refuses them as it always has.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
-from collections.abc import Callable
 
 from .errors import HypothesisViolation, ParseError, PushcalcError, TooLarge, clip
 
 # typing.TYPE_CHECKING without importing typing, which no run needs.
 TYPE_CHECKING = False
 if TYPE_CHECKING:
+    import argparse
+    from collections.abc import Callable
     from typing import NoReturn, TextIO
 
     from .pushing import PuncturedSignature
@@ -61,40 +65,6 @@ def _terminal_columns() -> int:
     if sys.version_info >= (3, 11):
         return columns or 80
     return columns
-
-
-class _Formatter(argparse.HelpFormatter):
-    """argparse's help formatter, with its default width worked out by
-    _terminal_columns: argparse builds one for every flag it adds, and its
-    own imports shutil."""
-
-    def __init__(self, prog: str, **kwargs) -> None:
-        if kwargs.get("width") is None:
-            kwargs["width"] = _terminal_columns() - 2   # argparse's own margin
-        super().__init__(prog, **kwargs)
-
-
-class _Parser(argparse.ArgumentParser):
-    """Parser whose usage errors are raised to _run, not printed.
-
-    `flags` adds the parser's own arguments the first time it parses, so
-    a run builds only the flags of the one subcommand it names.
-    """
-
-    def __init__(self, *args, flags: Callable[[argparse.ArgumentParser], None] | None = None,
-                 **kwargs) -> None:
-        kwargs.setdefault("formatter_class", _Formatter)
-        super().__init__(*args, **kwargs)
-        self._flags = flags
-
-    def parse_known_args(self, args=None, namespace=None):  # type: ignore[override]
-        if self._flags is not None:
-            flags, self._flags = self._flags, None
-            flags(self)
-        return super().parse_known_args(args, namespace)
-
-    def error(self, message: str) -> None:  # type: ignore[override]
-        raise _CliError("usage", message)
 
 
 def _print_json(obj: object) -> None:
@@ -459,27 +429,159 @@ def _verify_flags(p: argparse.ArgumentParser) -> None:
     p.set_defaults(func=cmd_verify)
 
 
+def _json_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--json", action="store_true")
+
+
+# Each subcommand: the function that adds its flags, whether it also takes
+# --json, and its line in the top-level help.
+_COMMANDS: dict[str, tuple[Callable[[argparse.ArgumentParser], None], bool, str]] = {
+    "push-word": (_push_word_flags, True, "push a puncture around a loop word"),
+    "push-braid": (_push_braid_flags, True, "push punctures along a braid"),
+    "compose": (_compose_flags, True, "compose two self-map JSON files"),
+    "embed": (_embed_flags, True, "matrix form of a self-map"),
+    "recover": (_recover_flags, True, "recover the braid behind a self-map"),
+    "kernel": (_kernel_flags, True, "search for braids acting trivially"),
+    "components": (_components_flags, True, "count components of a mapping space"),
+    "verify": (_verify_flags, False, "run seeded property suites"),
+}
+
+
+class _DeclaredFlags:
+    """The flags of one subcommand, recorded by running its flag functions
+    on this stand-in for the parser, so that _plain_args reads the same
+    flags argparse would."""
+
+    def __init__(self, command: str) -> None:
+        self.options: dict[str, dict] = {}   # '--slot' -> its add_argument keywords
+        self.positionals: list[tuple[str, dict]] = []
+        self.defaults: dict[str, object] = {"command": command}
+        add_flags, takes_json, _ = _COMMANDS[command]
+        if takes_json:
+            _json_flag(self)
+        add_flags(self)
+
+    def add_argument(self, name: str, **spec: object) -> None:
+        if name.startswith("-"):
+            dest = name.lstrip("-").replace("-", "_")
+            self.options[name] = {"dest": dest, **spec}
+            store_true = spec.get("action") == "store_true"
+            self.defaults[dest] = False if store_true else spec.get("default")
+        else:
+            self.positionals.append((name, spec))
+            self.defaults[name] = spec.get("default")
+
+    def set_defaults(self, **defaults: object) -> None:
+        self.defaults.update(defaults)
+
+
+def _typed(spec: dict, text: str) -> object:
+    """text as argparse stores it: through the type, then in the choices;
+    ValueError where argparse would refuse it."""
+    value = spec.get("type", str)(text)
+    if "choices" in spec and value not in spec["choices"]:
+        raise ValueError(value)
+    return value
+
+
+def _plain_args(argv: list[str]) -> object | None:
+    """The namespace argparse parses argv to, read without argparse; None
+    for argv outside the plain shape, which build_parser's parser then
+    answers or refuses.
+
+    The plain shape is a known subcommand, then flags named in full, each
+    at most once, each value its own next token, and positionals; no
+    token but a flag starts with '-', every required flag is present, the
+    positional count is in range, and every value passes its type and
+    choices.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    flags = _DeclaredFlags(argv[0])
+    values = dict(flags.defaults)
+    seen: set[str] = set()
+    words: list[str] = []
+    tokens = iter(argv[1:])
+    try:
+        for token in tokens:
+            if not token.startswith("-"):
+                words.append(token)
+                continue
+            spec = flags.options.get(token)
+            if spec is None or token in seen:
+                return None
+            seen.add(token)
+            if spec.get("action") == "store_true":
+                values[spec["dest"]] = True
+                continue
+            value = next(tokens, "-")
+            if value.startswith("-"):
+                return None
+            values[spec["dest"]] = _typed(spec, value)
+        required = sum("nargs" not in spec for _, spec in flags.positionals)   # not '?'
+        if not required <= len(words) <= len(flags.positionals):
+            return None
+        if any(spec.get("required") and name not in seen
+               for name, spec in flags.options.items()):
+            return None
+        for (dest, spec), word in zip(flags.positionals, words):
+            values[dest] = _typed(spec, word)
+    except ValueError:
+        return None
+    return type(sys.implementation)(**values)   # types.SimpleNamespace, as argparse's Namespace
+
+
+def _parser_class() -> type[argparse.ArgumentParser]:
+    """argparse's parser as the CLI uses it, with its help formatter,
+    defined when build_parser runs: a request in _plain_args's shape never
+    imports argparse."""
+    import argparse
+
+    class _Formatter(argparse.HelpFormatter):
+        """argparse's help formatter, with its default width worked out by
+        _terminal_columns: argparse builds one for every flag it adds, and its
+        own imports shutil."""
+
+        def __init__(self, prog: str, **kwargs) -> None:
+            if kwargs.get("width") is None:
+                kwargs["width"] = _terminal_columns() - 2   # argparse's own margin
+            super().__init__(prog, **kwargs)
+
+    class _Parser(argparse.ArgumentParser):
+        """Parser whose usage errors are raised to _run, not printed.
+
+        `flags` adds the parser's own arguments the first time it parses, so
+        a run builds only the flags of the one subcommand it names.
+        """
+
+        def __init__(self, *args, flags: Callable[[argparse.ArgumentParser], None] | None = None,
+                     **kwargs) -> None:
+            kwargs.setdefault("formatter_class", _Formatter)
+            super().__init__(*args, **kwargs)
+            self._flags = flags
+
+        def parse_known_args(self, args=None, namespace=None):  # type: ignore[override]
+            if self._flags is not None:
+                flags, self._flags = self._flags, None
+                flags(self)
+            return super().parse_known_args(args, namespace)
+
+        def error(self, message: str) -> None:  # type: ignore[override]
+            raise _CliError("usage", message)
+
+    return _Parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The pushcalc parser; each subcommand's flags are added when it parses."""
-    parser = _Parser(prog="pushcalc", description=__doc__.splitlines()[0])
+    parser_class = _parser_class()
+    parser = parser_class(prog="pushcalc", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    json_flag = argparse.ArgumentParser(add_help=False, formatter_class=_Formatter)
-    json_flag.add_argument("--json", action="store_true")
-    sub.add_parser("push-word", parents=[json_flag], flags=_push_word_flags,
-                   help="push a puncture around a loop word")
-    sub.add_parser("push-braid", parents=[json_flag], flags=_push_braid_flags,
-                   help="push punctures along a braid")
-    sub.add_parser("compose", parents=[json_flag], flags=_compose_flags,
-                   help="compose two self-map JSON files")
-    sub.add_parser("embed", parents=[json_flag], flags=_embed_flags,
-                   help="matrix form of a self-map")
-    sub.add_parser("recover", parents=[json_flag], flags=_recover_flags,
-                   help="recover the braid behind a self-map")
-    sub.add_parser("kernel", parents=[json_flag], flags=_kernel_flags,
-                   help="search for braids acting trivially")
-    sub.add_parser("components", parents=[json_flag], flags=_components_flags,
-                   help="count components of a mapping space")
-    sub.add_parser("verify", flags=_verify_flags, help="run seeded property suites")
+    json_flag = parser_class(add_help=False)
+    _json_flag(json_flag)
+    for name, (add_flags, takes_json, help_line) in _COMMANDS.items():
+        sub.add_parser(name, parents=[json_flag] if takes_json else [], flags=add_flags,
+                       help=help_line)
     return parser
 
 
@@ -522,7 +624,9 @@ def _drop_buffered(stream: TextIO) -> None:
 def _run(argv: list[str] | None) -> int:
     """Answer, or print the one error line of any refusal."""
     try:
-        args = build_parser().parse_args(argv)
+        args = _plain_args(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            args = build_parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:   # argparse has printed --help
         return exc.code

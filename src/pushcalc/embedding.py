@@ -202,15 +202,23 @@ def truncated_product(ta: TruncatedMatrix, tb: TruncatedMatrix) -> TruncatedMatr
 
 
 def to_tsv(t: TruncatedMatrix) -> str:
-    """Tab-separated dump with 'label:word' headers, rows in window order."""
+    """Tab-separated dump with 'label:word' headers, rows in window order.
+
+    Each row starts as '0' cells and gets its nonzero entries by column
+    index: the writer reads each entry once instead of probing every cell.
+    """
+    col_at = {col: i for i, col in enumerate(t.cols)}
+    by_row: dict[IndexKey, list[tuple[int, int]]] = {}
+    for (row, col), v in t.entries.items():
+        by_row.setdefault(row, []).append((col_at[col], v))
     header = "\t".join([""] + [f"{lab}:{format_word(w)}" for lab, w in t.cols])
     lines = [header]
     for row in t.rows:
         lab, w = row
-        cells = [f"{lab}:{format_word(w)}"]
-        for col in t.cols:
-            cells.append(str(t.entries.get((row, col), 0)))
-        lines.append("\t".join(cells))
+        cells = ["0"] * len(col_at)
+        for i, v in by_row.get(row, ()):
+            cells[i] = str(v)
+        lines.append("\t".join([f"{lab}:{format_word(w)}", *cells]))
     return "\n".join(lines) + "\n"
 
 

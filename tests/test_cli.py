@@ -143,7 +143,9 @@ def test_help_exits_zero_with_usage(capsys, monkeypatch, command):
 @pytest.mark.parametrize("stdout", ["captured", "none", "terminal"])
 def test_help_width_is_argparse_default(monkeypatch, columns, stdout):
     # The CLI's formatter reads the width without shutil; it must read what
-    # argparse's own formatter reads through shutil.get_terminal_size.
+    # argparse's own formatter reads through shutil.get_terminal_size.  The
+    # formatter is defined when a parser is built, so the test builds one.
+    formatter = cli.build_parser().formatter_class
     if columns is None:
         monkeypatch.delenv("COLUMNS", raising=False)
     else:
@@ -154,7 +156,7 @@ def test_help_width_is_argparse_default(monkeypatch, columns, stdout):
         leader, follower = os.openpty()
         monkeypatch.setattr(sys, "__stdout__", open(follower, "w"))
     try:
-        assert cli._Formatter("pushcalc")._width == argparse.HelpFormatter("pushcalc")._width
+        assert formatter("pushcalc")._width == argparse.HelpFormatter("pushcalc")._width
     finally:
         if stdout == "terminal":
             sys.__stdout__.close()
@@ -170,6 +172,72 @@ USAGE_GOLDENS = [line.split("\t") for line in
                          ids=[argv or "no-command" for argv, _ in USAGE_GOLDENS])
 def test_usage_error_golden(capsys, argv, err):
     assert run_cli(capsys, *shlex.split(argv)) == (2, "", err)
+
+
+# Tokens outside the plain shape, or that argparse refuses: help, '--', an
+# attached value, a short flag with its value, an abbreviation, a negative
+# number, an unknown flag, an empty string and a lone '-'.
+ODD_TOKENS = ["", "-", "--", "-h", "--slot=1", "-g7", "--max-l", "-1", "--bogus", "--json"]
+# Values that argparse reads in some other way than the plain shape, or refuses.
+ODD_VALUES = ["-1", "x", "", "1.5", "-", "--", " 3", "+2", "1_0", "ring", "all"]
+WORDS = ["a1", "a1 A2", "[a1 | e ; (1 2)]", "map.json", ""]
+
+
+def draw_argv(rng: random.Random) -> list[str]:
+    """A shuffled argv of one subcommand's flags, mostly well formed, with a
+    share of odd tokens, odd values, repeats and dropped tokens mixed in."""
+    command = rng.choice(list(cli._COMMANDS))
+    record = cli._DeclaredFlags(command)
+    groups = []
+    for name, spec in record.options.items():
+        if rng.random() > (0.95 if spec.get("required") else 0.4):
+            continue
+        if spec.get("action") == "store_true":
+            groups.append([name])
+        elif rng.random() < 0.1:
+            groups.append([name, rng.choice(ODD_VALUES)])
+        elif "choices" in spec:
+            groups.append([name, rng.choice([*spec["choices"], "x"])])
+        elif spec.get("type") is int:
+            groups.append([name, str(rng.randrange(5))])
+        else:
+            groups.append([name, rng.choice(WORDS)])
+    n_words = len(record.positionals)
+    if rng.random() < 0.2:
+        n_words = rng.randrange(n_words + 2)
+    groups += [[rng.choice(WORDS)] for _ in range(n_words)]
+    if groups and rng.random() < 0.1:
+        groups.append(list(rng.choice(groups)))
+    for _ in range(rng.choice([0, 0, 0, 0, 0, 1, 2])):
+        groups.append([rng.choice(ODD_TOKENS)])
+    rng.shuffle(groups)
+    argv = [command, *itertools.chain.from_iterable(groups)]
+    if rng.random() < 0.05:
+        del argv[rng.randrange(len(argv))]
+    return argv
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_plain_reader_agrees_with_argparse(capsys, seed):
+    # argparse is the oracle: an argv the plain reader accepts must parse to
+    # the same namespace under argparse, and an argv argparse refuses (or
+    # answers with help) must be left to argparse.
+    rng = random.Random(seed)
+    outcomes = {"same": 0, "argparse alone": 0, "refused": 0}
+    for _ in range(600):
+        argv = draw_argv(rng)
+        try:
+            parsed = vars(cli.build_parser().parse_args(argv))
+        except (cli._CliError, SystemExit):
+            parsed = None
+        plain = cli._plain_args(argv)
+        if plain is not None:
+            assert vars(plain) == parsed, argv
+            outcomes["same"] += 1
+        else:
+            outcomes["argparse alone" if parsed is not None else "refused"] += 1
+    capsys.readouterr()   # the help that -h printed
+    assert min(outcomes.values()) >= 20, outcomes
 
 
 def test_push_braid_golden(capsys):

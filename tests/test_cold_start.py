@@ -51,11 +51,12 @@ REQUESTS = [
 ]
 
 
-def imported(args: list[str], cwd=None) -> set[str]:
-    """The modules a child `python -X importtime ARGS` imports; it must exit 0."""
+def imported(args: list[str], cwd=None, code: int = 0) -> set[str]:
+    """The modules a child `python -X importtime ARGS` imports; it must exit
+    with code."""
     proc = subprocess.run([sys.executable, "-X", "importtime", *args], cwd=cwd, env=ENV,
                           capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.returncode == code, proc.stderr[-2000:]
     return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
             if line.startswith("import time:") and "|" in line}
 
@@ -106,7 +107,7 @@ AVOIDED = {"dataclasses", "inspect", "ast", "dis", "tokenize", "pathlib", "typin
 
 @pytest.fixture(scope="module")
 def bare_start() -> set[str]:
-    return imported(["-S", "-c", "import argparse, re, contextlib"])
+    return imported(["-S", "-c", "import re, contextlib"])
 
 
 @pytest.mark.parametrize("argv", [a for a, _ in REQUESTS], ids=" ".join)
@@ -116,3 +117,22 @@ def test_each_subcommand_loads_no_avoided_stdlib_module(tmp_path, bare_start, ar
     loaded = imported(["-S", "-m", "pushcalc", *argv], cwd=tmp_path)
     allowed = {"random"} if argv[0] == "verify" else set()
     assert (loaded - bare_start) & AVOIDED <= allowed
+
+
+# argparse and what it loads.  A request in the plain shape reads its argv
+# without them (cli._plain_args); help and a usage error build the argparse
+# parser.
+ARGPARSE = {"argparse", "gettext", "locale"}
+
+
+@pytest.mark.parametrize("argv", [a for a, _ in REQUESTS if a != ["--help"]], ids=" ".join)
+def test_plain_request_loads_no_argparse(tmp_path, argv):
+    (tmp_path / "map.json").write_text(json.dumps(MAP))
+    (tmp_path / "target.json").write_text(json.dumps(TARGET))
+    assert imported(["-S", "-m", "pushcalc", *argv], cwd=tmp_path) & ARGPARSE == set()
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["kernel", "-g", "1"], 2)],
+                         ids=["help", "usage-error"])
+def test_help_and_usage_error_load_argparse(argv, code):
+    assert imported(["-S", "-m", "pushcalc", *argv], code=code) >= ARGPARSE

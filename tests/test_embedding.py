@@ -30,6 +30,7 @@ from pushcalc.words import (
     FreeWord,
     endo_apply,
     enumerate_words,
+    format_word,
     parse_word,
 )
 
@@ -209,6 +210,37 @@ def test_tsv_goldens():
         "t1:a1\t0\t0\n"
         "t1:A1\t0\t0\n"
     )
+
+
+def dense_tsv(t: TruncatedMatrix) -> str:
+    """to_tsv's oracle: the dense writer, which probes every cell."""
+    header = "\t".join([""] + [f"{lab}:{format_word(w)}" for lab, w in t.cols])
+    lines = [header]
+    for row in t.rows:
+        lab, w = row
+        cells = [f"{lab}:{format_word(w)}"]
+        for col in t.cols:
+            cells.append(str(t.entries.get((row, col), 0)))
+        lines.append("\t".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def test_sparse_tsv_matches_dense():
+    # Seeded windows, each also with one cell changed, and the smallest
+    # windows: no labels at all, and radius 0.
+    rng = random.Random(204)
+    windows = [materialize(identity_map(WedgeSignature(1, ())), 0),
+               materialize(identity_map(SIG1), 0)]
+    for _ in range(40):
+        a, _b = rand_small_pair(rng)
+        t = materialize(a, rng.choice([0, 1]))
+        windows += [t, perturb(rng, t)]
+    for t in windows:
+        assert to_tsv(t) == dense_tsv(t)
+    assert windows[0].rows == ()
+    assert any(v < 0 for t in windows for v in t.entries.values())
+    # rows with no nonzero entry, written as all '0' cells
+    assert all(len({row for row, _ in t.entries}) < len(t.rows) for t in windows[2:])
 
 
 def test_block_matrix_json():

@@ -93,9 +93,8 @@ def _is_not_isinstance(node: ast.AST) -> bool:
 
 
 def _is_rank_read(node: ast.AST) -> bool:
-    """_max_generator(...) or x.max_generator"""
-    return (_is_call(node, "_max_generator")
-            or isinstance(node, ast.Attribute) and node.attr == "max_generator")
+    """_max_generator(...)"""
+    return _is_call(node, "_max_generator")
 
 
 def _is_power(node: ast.AST) -> bool:
@@ -154,9 +153,8 @@ def rule_sites(source: str, module: str) -> list[tuple[str, str]]:
     at top level).  A bool test is isinstance with bool among its types; a
     sign test is `in` or `not in` against (1, -1); a rank formula is a min()
     call that is negated or compared with a negated value; a rank check is
-    a comparison with a _max_generator(...) or .max_generator operand.  A
-    type test is
-    an `if` on `not isinstance(...)` whose body raises ValueError; a
+    a comparison with a _max_generator(...) operand.  A type test is an
+    `if` on `not isinstance(...)` whose body raises ValueError; a
     sequence test is a `try` that catches TypeError; a permutation test
     compares sorted(...) with list(range(...)).  A reader type test is an
     `if` on `not isinstance(...)` whose body raises ParseError; a
@@ -226,7 +224,7 @@ def test_checker_sees_each_rule_written_out():
         "    def ok(self, g):\n"
         "        return min(self.t) >= -g\n"
         "def push(w, g):\n"
-        "    return w.max_generator > g or g < _max_generator(w.t)\n"
+        "    return _max_generator(w.t) > g or g < _max_generator(w.t)\n"
         "fine = isinstance(1, int) and min(3, 4) < 5 and -max(1, 2) and _max_generator(t)\n"
         "class Record:\n"
         "    def _set_fields(self, *values):\n"
