@@ -223,7 +223,7 @@ class Record:
     (_set_fields) and supplies repr, as ``Name(field=value, ...)``, and ==
     between two instances of the same class, from the fields; a subclass
     writes only its checks, and its __init__ ends in one _set_fields call.
-    A value cached in the instance __dict__ under another name is not a field.
+    A value _set_fields stores under another name is not a field.
     """
 
     __dataclass_fields__ = _DataclassFields()

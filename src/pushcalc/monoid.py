@@ -62,7 +62,7 @@ class WedgeSignature(FrozenRecord):
             raise ValueError(f"duplicate sphere labels in {labs}")
         self._set_fields(g, labs, d, label_set=label_set)
 
-    # Cached in the instance __dict__ like label_set; FreeEndo is immutable, so
+    # Built on first read, as g has no cap here; FreeEndo is immutable, so
     # every identity class and push on this signature shares the one object.
     @functools.cached_property
     def identity_endo(self) -> FreeEndo:
@@ -161,12 +161,12 @@ class SelfMapClass:
 
 
 def identity_map(sig: WedgeSignature) -> SelfMapClass:
-    """The class of the identity map: identity endo, unit sphere images."""
-    return SelfMapClass(
-        sig,
-        sig.identity_endo,
-        {lab: {lab: RingElem.one()} for lab in sig.labels},
-    )
+    """The class of the identity map: identity endo, unit sphere images.
+    Built with the trusted SelfMapClass._wrap once check_type has passed sig:
+    each label maps to itself by the unit, so every image is dense and valid."""
+    check_type("signature", sig, WedgeSignature)
+    return SelfMapClass._wrap(
+        sig, sig.identity_endo, {lab: {lab: RingElem.one()} for lab in sig.labels})
 
 
 # Terms of the ring unit: a product with it is skipped, not computed.

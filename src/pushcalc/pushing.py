@@ -24,7 +24,6 @@ decoded braid against the same closed form.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import re
 
@@ -86,6 +85,27 @@ def _check_sign(what: str, x: object) -> None:
         raise ValueError(f"{what} must be +1 or -1, got {x!r}")
 
 
+def _plain_steps(
+    rows: tuple[tuple[tuple[int, int, FreeWord], ...], ...], character: tuple[int, ...]
+) -> dict[int, tuple[int, int, int, int]] | None:
+    """Per signed letter x of a plain model: (cell index from 0, prefix
+    offset, signed crossing sign, character), so that x at position pos
+    of a word adds c(u)*e times letters[:pos + offset] to that cell, u
+    being the letters before x; None if the model is not plain."""
+    steps: dict[int, tuple[int, int, int, int]] = {}
+    seen: set[int] = set()
+    for i, (row, ch) in enumerate(zip(rows, character), 1):
+        if len(row) != 1:
+            return None
+        (cell, eps, prefix), = row
+        if prefix.letters or cell in seen:
+            return None
+        seen.add(cell)
+        steps[i] = (cell - 1, 0, eps, ch)
+        steps[-i] = (cell - 1, 1, -eps * ch, ch)
+    return steps
+
+
 class ManifoldModel(FrozenRecord):
     """Loops, orientation character, and loop-cell crossing data.
 
@@ -103,6 +123,14 @@ class ManifoldModel(FrozenRecord):
     to opt into them (`components --assume-hypotheses` sets it); the
     default models have maximal handle dimension, so it is False for them
     and the orbit ops refuse them unless g = 0.
+
+    The constructor also stores, beside the fields that ==, hash and repr
+    read, the _plain_steps table and _last_push, a one-slot list holding
+    the record of the model's last push_braid: slot word letters ->
+    _slot_terms of that word, for that braid's words only.  An entry is a
+    pure function of the model and the letters, so one left by any earlier
+    push is still right; threads sharing a model need no lock, as a push
+    replaces the record in one store.  Its dicts are never handed out.
     """
 
     g: int
@@ -145,7 +173,9 @@ class ManifoldModel(FrozenRecord):
                 _check_rank("crossing prefix", prefix.letters, g)
                 rows[-1].append(crossing)
         check_type("low_handle_dim", low_handle_dim, bool)
-        self._set_fields(g, d, character, tuple(map(tuple, rows)), low_handle_dim)
+        rows = tuple(map(tuple, rows))
+        self._set_fields(g, d, character, rows, low_handle_dim,
+                         _plain_steps=_plain_steps(rows, character), _last_push=[{}])
 
     @classmethod
     def default(cls, g: int, d: int = 3) -> "ManifoldModel":
@@ -157,31 +187,12 @@ class ManifoldModel(FrozenRecord):
             crossings=tuple(((i, 1, FreeWord()),) for i in range(1, g + 1)),
         )
 
-    # Cached in the instance __dict__, like PuncturedSignature's labels.
-    @functools.cached_property
-    def _plain_steps(self) -> dict[int, tuple[int, int, int, int]] | None:
-        """Per signed letter x of a plain model: (cell index from 0, prefix
-        offset, signed crossing sign, character), so that x at position pos
-        of a word adds c(u)*e times letters[:pos + offset] to that cell, u
-        being the letters before x; None if the model is not plain."""
-        steps: dict[int, tuple[int, int, int, int]] = {}
-        seen: set[int] = set()
-        for i, (row, ch) in enumerate(zip(self.crossings, self.character), 1):
-            if len(row) != 1:
-                return None
-            (cell, eps, prefix), = row
-            if prefix.letters or cell in seen:
-                return None
-            seen.add(cell)
-            steps[i] = (cell - 1, 0, eps, ch)
-            steps[-i] = (cell - 1, 1, -eps * ch, ch)
-        return steps
-
 
 class PuncturedSignature(FrozenRecord):
     """A manifold model with k punctures removed.
 
-    It owns the wedge's label order: punctures p1..pk, then cells t1..tg."""
+    It owns the wedge's label order: punctures p1..pk, then cells t1..tg.
+    punctures, cells and wedge are stored beside the fields model and k."""
 
     model: ManifoldModel
     k: int
@@ -189,21 +200,12 @@ class PuncturedSignature(FrozenRecord):
     def __init__(self, model: ManifoldModel, k: int) -> None:
         check_count("puncture count", k)
         check_type("model", model, ManifoldModel)
-        _check_model_size(model.g + k)   # before any label is built
-        self._set_fields(model, k)
-
-    # Cached in the instance __dict__: equality, hash and repr read only model and k.
-    @functools.cached_property
-    def punctures(self) -> tuple[SphereLabel, ...]:
-        return tuple(SphereLabel("p", i) for i in range(1, self.k + 1))
-
-    @functools.cached_property
-    def cells(self) -> tuple[SphereLabel, ...]:
-        return tuple(SphereLabel("t", j) for j in range(1, self.model.g + 1))
-
-    @functools.cached_property
-    def wedge(self) -> WedgeSignature:
-        return WedgeSignature(self.model.g, self.punctures + self.cells, self.model.d)
+        g = model.g
+        _check_model_size(g + k)   # before any label is built
+        punctures = tuple(SphereLabel("p", i) for i in range(1, k + 1))
+        cells = tuple(SphereLabel("t", j) for j in range(1, g + 1))
+        self._set_fields(model, k, punctures=punctures, cells=cells,
+                         wedge=WedgeSignature(g, punctures + cells, model.d))
 
 
 class BraidElement(FrozenRecord):
@@ -223,6 +225,14 @@ class BraidElement(FrozenRecord):
         if not is_permutation(perm_tuple):
             raise ValueError(f"perm {perm} is not a permutation of 0..k-1")
         self._set_fields(slot_words, perm_tuple)
+
+    @classmethod
+    def _wrap(cls, words: tuple[FreeWord, ...], perm: tuple[int, ...]) -> "BraidElement":
+        # Trusted fast path, as SelfMapClass._wrap: no check runs, and the
+        # callers are listed in tests/test_trusted_constructor.py.
+        b = cls.__new__(cls)
+        b._set_fields(words, perm)
+        return b
 
     @property
     def k(self) -> int:
@@ -247,13 +257,15 @@ def _inverse_perm(perm: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def braid_mul(a: BraidElement, b: BraidElement) -> BraidElement:
-    """Semidirect product: (a; s)(b; r) = ((a_i b_{s^-1(i)})_i; s r)."""
+    """Semidirect product: (a; s)(b; r) = ((a_i b_{s^-1(i)})_i; s r), built
+    with the trusted BraidElement._wrap: the sizes are checked equal, each
+    slot word is a FreeWord product and s r composes two permutations."""
     if a.k != b.k:
         raise SizeMismatch(f"braid sizes differ: {a.k} vs {b.k}")
     inv = _inverse_perm(a.perm)
     words = tuple(a.words[i] * b.words[inv[i]] for i in range(a.k))
     perm = tuple(a.perm[b.perm[i]] for i in range(a.k))
-    return BraidElement(words, perm)
+    return BraidElement._wrap(words, perm)
 
 
 def _check_slot(sig: PuncturedSignature, slot: int) -> None:
@@ -291,17 +303,18 @@ def push_letter(sig: PuncturedSignature, letter: int, slot: int) -> SelfMapClass
 
 
 def push_word(sig: PuncturedSignature, w: FreeWord, slot: int) -> SelfMapClass:
-    """Fold push_letter over the letters of w, first letter outermost."""
+    """Fold push_letter over the letters of w, first letter outermost,
+    starting at the first letter's class; the empty word's is the identity."""
     _check_slot(sig, slot)
     _check_rank("word", w.letters, sig.model.g)
-    acc = identity_map(sig.wedge)
+    acc = None
     letter_maps: dict[int, SelfMapClass] = {}
     for letter in w.letters:
         step = letter_maps.get(letter)
         if step is None:
             step = letter_maps[letter] = push_letter(sig, letter, slot)
-        acc = compose(acc, step)
-    return acc
+        acc = step if acc is None else compose(acc, step)
+    return identity_map(sig.wedge) if acc is None else acc
 
 
 def _slot_terms(
@@ -317,9 +330,9 @@ def _slot_terms(
     F(uv) = F(u) + c(u)*u*F(v), which is what folding push_letter by
     compose computes, for any crossing data and character.  This is the
     one implementation of that cocycle, and its result is what the
-    model's last-push record holds (see _last_push).  A letter beyond the
-    model's rank raises ValueError as the pass reaches it, on both paths,
-    so the rank is checked with no pass of its own.
+    model's last-push record holds (see ManifoldModel).  A letter beyond
+    the model's rank raises ValueError as the pass reaches it, on both
+    paths, so the rank is checked with no pass of its own.
 
     On a plain model (see ManifoldModel) cell c hears only from the one
     loop i crossing it, with an empty prefix: a_i at position n adds the
@@ -402,9 +415,9 @@ def push_braid(sig: PuncturedSignature, braid: BraidElement) -> SelfMapClass:
     push_braid(braid_mul(a, b)) = compose(push_braid(a), push_braid(b)).
     Each slot word's cocycle is computed once, by _slot_terms as it walks
     the word (which also checks its rank), or taken from the model's
-    record of its last push; the record then holds this braid's words, and
-    each cell entry gets a copy of its F_c dict.  The letterwise fold
-    push_word is only the oracle the tests compare this with.
+    record of its last push (ManifoldModel._last_push); the record then
+    holds this braid's words, and each cell entry gets a copy of its F_c
+    dict.  The letterwise fold push_word is only the oracle for this.
 
     The class is built with the trusted SelfMapClass._wrap: the checks
     here (braid size, slot word rank), BraidElement's permutation check
@@ -415,14 +428,14 @@ def push_braid(sig: PuncturedSignature, braid: BraidElement) -> SelfMapClass:
     if braid.k != sig.k:
         raise SizeMismatch(f"braid has {braid.k} slots, signature has {sig.k}")
     model = sig.model
-    last = _last_push(model)
+    last = model._last_push[0]
     record: dict[tuple[int, ...], tuple[int, list[dict[tuple[int, ...], int]]]] = {}
     for w in reversed(braid.words):  # slot k is reported first
         letters = w.letters
         if letters not in record:
             entry = last.get(letters)
             record[letters] = _slot_terms(model, letters) if entry is None else entry
-    vars(model)["_last_push"] = record
+    model._last_push[0] = record   # one store: see ManifoldModel
     pushes = [record[w.letters] for w in braid.words]
     punctures, cells = sig.punctures, sig.cells
     spheres: dict[SphereLabel, dict[SphereLabel, RingElem]] = {}
@@ -439,24 +452,6 @@ def push_braid(sig: PuncturedSignature, braid: BraidElement) -> SelfMapClass:
     return SelfMapClass._wrap(sig.wedge, sig.wedge.identity_endo, spheres)
 
 
-def _last_push(
-    model: ManifoldModel,
-) -> dict[tuple[int, ...], tuple[int, list[dict[tuple[int, ...], int]]]]:
-    """The model's record of its last push_braid: slot word letters ->
-    _slot_terms of that word, for that braid's words only.
-
-    It lives in the instance __dict__, like _plain_steps, so equality,
-    hash and repr are unchanged.  An entry is a pure function of the model
-    and the letters, so an entry left by any earlier push is still right;
-    the record holds at most one braid's cocycle, no more than the class
-    that push returned, and threads sharing a model need no lock: a push
-    replaces the record in one store.  Its dicts are never handed out:
-    push_braid's cells get copies and recover_braid only compares with
-    them.
-    """
-    return vars(model).get("_last_push", {})
-
-
 def recover_braid(sig: PuncturedSignature, h: SelfMapClass) -> BraidElement:
     """Decode the braid whose push is h, or raise NotInImage saying why not.
 
@@ -468,14 +463,19 @@ def recover_braid(sig: PuncturedSignature, h: SelfMapClass) -> BraidElement:
     the terms of each cell t_c must be exactly {(): 1} at t_c and the
     _slot_terms dict F_c(w_j) at each p_j where it is nonzero.  A word of
     the model's last push_braid takes its cocycle from that push's record
-    (see _last_push); any other word is walked by _slot_terms.
+    (see ManifoldModel); any other word is walked by _slot_terms.
+
+    Built with the trusted BraidElement._wrap: each j read off indexes a p
+    label of h.sig == sig.wedge, so lies in 1..k, and the "two puncture
+    spheres land on p{j}" check makes i -> j injective, so perm fills all
+    k slots with a permutation of 0..k-1.
     """
     if h.sig != sig.wedge:
         raise SignatureMismatch("class does not live on this punctured model")
     if not h.circle_part.is_identity:
         raise NotInImage("circle part is not the identity")
     model = sig.model
-    last = _last_push(model)
+    last = model._last_push[0]
     k = sig.k
     punctures, cells = sig.punctures, sig.cells
     perm: list[int | None] = [None] * k
@@ -506,7 +506,7 @@ def recover_braid(sig: PuncturedSignature, h: SelfMapClass) -> BraidElement:
     for c, cell in enumerate(cells):
         if not _cell_matches(h.sphere_part[cell], cell, c, punctures, slot_terms):  # type: ignore[arg-type]
             raise NotInImage("cell images do not match the decoded braid")
-    return BraidElement(tuple(words), tuple(perm))  # type: ignore[arg-type]
+    return BraidElement._wrap(tuple(words), tuple(perm))  # type: ignore[arg-type]
 
 
 def _cell_matches(

@@ -332,6 +332,26 @@ def test_compose_output_passes_revalidation():
                 assert_revalidates(h)
 
 
+def test_identity_map_output_passes_revalidation():
+    # identity_map builds its class with the trusted SelfMapClass._wrap once
+    # check_type has passed the signature; the validating constructor must
+    # accept it, and a non-signature still gets the constructor's ValueError.
+    for sig in (SIG1, WedgeSignature(2, (P1, T1, T2)), WedgeSignature(0, ()),
+                WedgeSignature(3, (T2, P1), 5)):
+        h = identity_map(sig)
+        assert_revalidates(h)
+        assert h == SelfMapClass(sig, FreeEndo.identity(sig.g),
+                                 {lab: {lab: RingElem.one()} for lab in sig.labels})
+        assert h.circle_part is sig.identity_endo
+    for bad in (object(), None, (1, (P1,), 3), SIG1.labels):
+        with pytest.raises(ValueError) as got:
+            identity_map(bad)
+        with pytest.raises(ValueError) as want:
+            SelfMapClass(bad, FreeEndo.identity(1), {})
+        assert type(got.value) is type(want.value) is ValueError
+        assert str(got.value) == str(want.value)
+
+
 def test_compose_functorialities():
     rng = random.Random(84)
     sig2 = WedgeSignature(2, (P1, T1, T2))

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
+import itertools
 import random
 from fractions import Fraction
 
@@ -465,6 +467,29 @@ def test_push_braid_output_passes_revalidation(monkeypatch):
         assert len(checked) == 200
 
 
+def test_recovered_braids_and_products_pass_revalidation():
+    # recover_braid and braid_mul build their braids with the trusted
+    # BraidElement._wrap; the checked constructor must accept every one,
+    # recovered from the model's last-push record or walked afresh.
+    rng = random.Random(121)
+    seen = {"plain": 0, "not plain": 0, "non-orientable": 0, "k = 4": 0}
+    for sig, braid in random_model_cases():
+        model, k = sig.model, sig.k
+        seen["plain" if model._plain_steps is not None else "not plain"] += 1
+        seen["non-orientable"] += -1 in model.character
+        seen["k = 4"] += k == 4
+        other = rand_braid(rng, model.g, k, 8) if model.g else identity_braid(k)
+        product = braid_mul(braid, other)
+        fresh = PuncturedSignature(dataclasses.replace(model), k)   # an empty record
+        recovered = recover_braid(sig, push_braid(sig, braid))
+        walked = recover_braid(fresh, push_braid(sig, product))
+        assert (recovered, walked) == (braid, product)
+        for b in (product, recovered, walked):
+            again = BraidElement(b.words, b.perm)
+            assert again == b and hash(again) == hash(b)
+    assert all(seen.values()), seen
+
+
 def test_push_braid_shares_the_identity_circle_part(monkeypatch):
     sig = PuncturedSignature(ManifoldModel.default(2), 3)
     braids = [parse_braid(t) for t in
@@ -491,6 +516,29 @@ def test_push_braid_shares_the_identity_circle_part(monkeypatch):
 # g = 1, non-orientable, one crossing read after a1: not a plain model,
 # so _slot_terms runs _accumulated_terms on it.
 TWISTED = ManifoldModel(g=1, d=3, character=(-1,), crossings=(((1, 1, parse_word("a1")),),))
+
+
+# Loop 1 crosses cell 1 twice with opposite signs and equal prefixes, so the
+# two gains of push_letter cancel and its constructor drops the zero.
+CANCELLING = ManifoldModel(1, 3, (1,), (((1, 1, IDENTITY), (1, -1, FreeWord((-1, 1)))),))
+
+
+def test_push_word_is_the_fold_from_the_identity():
+    # push_word starts its fold at the first letter's class; the oracle is
+    # the fold that starts at the identity class, on words of 0, 1 and more
+    # letters, on plain, non-plain, non-orientable and cancelling models.
+    rng = random.Random(122)
+    models = [ManifoldModel.default(2), TWISTED, CANCELLING,
+              dataclasses.replace(CANCELLING, character=(-1,)),
+              *(rand_model(rng, 3) for _ in range(4))]
+    for model in models:
+        sig = PuncturedSignature(model, 2)
+        words = [IDENTITY, FreeWord([1]), FreeWord([-1]), FreeWord([1, 1]),
+                 *(rand_word(rng, model.g, 6) for _ in range(12))]
+        for w, slot in itertools.product(words, (1, 2)):
+            oracle = functools.reduce(
+                compose, [push_letter(sig, x, slot) for x in w.letters], identity_map(sig.wedge))
+            assert push_word(sig, w, slot) == oracle
 
 
 def test_push_braid_errors():
@@ -958,7 +1006,7 @@ def test_wedge_is_built_once():
     assert sig.wedge is sig.wedge
     labels = [SphereLabel("p", i) for i in (1, 2, 3)] + [SphereLabel("t", j) for j in (1, 2)]
     assert sig.wedge == WedgeSignature(2, labels, 4)
-    # The cache is not a field: equality and hash ignore whether it is filled.
+    # The cache is not a field: equality and hash ignore it.
     fresh = PuncturedSignature(ManifoldModel.default(2, 4), 3)
     assert fresh == sig and hash(fresh) == hash(sig)
     assert [f.name for f in dataclasses.fields(sig)] == ["model", "k"]
@@ -1097,7 +1145,7 @@ def test_signature_owns_the_label_order():
 
 def test_pushes_build_no_label_once_the_signature_has_them(monkeypatch):
     sig = PuncturedSignature(ManifoldModel.default(2), 3)
-    assert sig.wedge.labels   # fills the label caches
+    assert sig.wedge.labels   # the signature built its labels
     b = parse_braid("[a1 A2 | a2^2 | e ; (1 3 2)]")
     built = []
     original = SphereLabel.__new__

@@ -1,8 +1,9 @@
-"""SelfMapClass._wrap, the constructor that checks nothing, has only listed callers.
+"""SelfMapClass._wrap and BraidElement._wrap, the constructors that check
+nothing, have only listed callers.
 
-Each caller establishes the class by its own checks and names the tier-1
-test that re-validates its output through SelfMapClass.__init__, so a new
-trusted construction cannot land without that oracle.
+Each caller establishes its value by its own checks and names the tier-1
+test that re-validates its output through the class's checked __init__, so
+a new trusted construction cannot land without that oracle.
 """
 from __future__ import annotations
 
@@ -14,20 +15,29 @@ from _helpers import walk_sites
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "pushcalc"
 
-# "module.function" -> "test file::re-validation test"
+TRUSTED = ("SelfMapClass", "BraidElement")
+
+# "Class module.function" -> "test file::re-validation test"
 ALLOWED = {
-    "monoid.compose": "test_monoid.py::test_compose_output_passes_revalidation",
-    "pushing.push_braid": "test_pushing.py::test_push_braid_output_passes_revalidation",
+    "SelfMapClass monoid.compose": "test_monoid.py::test_compose_output_passes_revalidation",
+    "SelfMapClass monoid.identity_map":
+        "test_monoid.py::test_identity_map_output_passes_revalidation",
+    "SelfMapClass pushing.push_braid":
+        "test_pushing.py::test_push_braid_output_passes_revalidation",
+    "BraidElement pushing.recover_braid":
+        "test_pushing.py::test_recovered_braids_and_products_pass_revalidation",
+    "BraidElement pushing.braid_mul":
+        "test_pushing.py::test_recovered_braids_and_products_pass_revalidation",
 }
 
 
 def wrap_users(source: str, module: str) -> list[str]:
-    """'module.function' for every read of SelfMapClass._wrap, call or alias,
-    named after its outermost enclosing function or class ('module' at top
-    level)."""
-    return [where for node, where in walk_sites(source, module)
+    """'Class module.function' for every read of a TRUSTED class's _wrap, call
+    or alias, named after its outermost enclosing function or class ('module'
+    at top level)."""
+    return [f"{node.value.id} {where}" for node, where in walk_sites(source, module)
             if isinstance(node, ast.Attribute) and node.attr == "_wrap"
-            and isinstance(node.value, ast.Name) and node.value.id == "SelfMapClass"]
+            and isinstance(node.value, ast.Name) and node.value.id in TRUSTED]
 
 
 def test_checker_sees_calls_and_aliases():
@@ -41,10 +51,24 @@ def test_checker_sees_calls_and_aliases():
         "    return inner()\n"
         "fast = SelfMapClass._wrap\n"
         "ok = SelfMapClass(None, None, {})\n"
+        "def braid_mul(a, b):\n"
+        "    return BraidElement._wrap(a.words, a.perm)\n"
+        "def compose_braids(a, b):\n"
+        "    make = BraidElement._wrap\n"
+        "    return make(a.words, a.perm)\n"
+        "ok_braid = BraidElement((), ())\n"
+        "word = FreeWord._wrap(())\n"
     )
     users = wrap_users(source, "monoid")
-    assert users == ["monoid.compose", "monoid.shortcut", "monoid"]
-    assert [u for u in users if u not in ALLOWED] == ["monoid.shortcut", "monoid"]
+    assert users == ["SelfMapClass monoid.compose", "SelfMapClass monoid.shortcut",
+                     "SelfMapClass monoid", "BraidElement monoid.braid_mul",
+                     "BraidElement monoid.compose_braids"]
+    assert [u for u in users if u not in ALLOWED] == [
+        "SelfMapClass monoid.shortcut", "SelfMapClass monoid", "BraidElement monoid.braid_mul",
+        "BraidElement monoid.compose_braids"]
+    # A caller listed for one class is not thereby allowed the other.
+    users = wrap_users("def compose(a):\n    return BraidElement._wrap((), ())\n", "monoid")
+    assert users == ["BraidElement monoid.compose"] and users[0] not in ALLOWED
 
 
 def test_wrap_has_only_listed_callers():

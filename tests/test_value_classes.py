@@ -1,8 +1,8 @@
 """The seven public value classes behave as frozen dataclasses with the same
 fields: repr, == and hash agree with a frozen dataclass twin built here,
 assignment and deletion raise FrozenInstanceError, dataclasses.fields and
-dataclasses.replace work on them, and a value cached in the instance
-__dict__ changes neither equality nor hash.  A subclass keeps these fields,
+dataclasses.replace work on them, and a value a constructor caches beside
+the fields changes neither equality nor hash.  A subclass keeps these fields,
 the three mutable verify records compare like a dataclass and do not hash,
 and no record writes its own == or hash: errors.Record and FrozenRecord
 supply them.  copy, deepcopy and pickle give back an equal record with the
@@ -31,6 +31,7 @@ from pushcalc import (
     TargetModel,
     WedgeSignature,
     push_braid,
+    recover_braid,
 )
 from pushcalc.errors import FrozenRecord, Record
 from pushcalc.ring import SphereLabel
@@ -199,13 +200,19 @@ def test_replace_runs_the_constructor():
 def test_filling_a_cache_changes_neither_equality_nor_hash():
     sig, fresh = (PuncturedSignature(ManifoldModel.default(2), 2) for _ in range(2))
     key, model_key = hash(fresh), hash(fresh.model)
-    push_braid(sig, BraidElement((rand_word(random.Random(1), 2, 4),) * 2, (1, 0)))
+    # The signature's and the model's caches are stored by their constructors,
+    # after the fields, and a push and a recovery add none.
+    values = (sig, sig.model)
+    for value in values:
+        assert list(vars(value)) == [*value.__match_args__, *INIT_CACHES[type(value)]]
+    before = [list(vars(value)) for value in values]
+    braid = BraidElement((rand_word(random.Random(1), 2, 4),) * 2, (1, 0))
+    assert recover_braid(sig, push_braid(sig, braid)) == braid
+    assert [list(vars(value)) for value in values] == before
+    assert sig.model._last_push[0] and not fresh.model._last_push[0]
     wedge = sig.wedge
     assert wedge.identity_endo.rank == 2
-    assert {"punctures", "cells", "wedge"} <= set(vars(sig))
-    assert {"_plain_steps", "_last_push"} <= set(vars(sig.model))
-    assert "identity_endo" in vars(wedge)
-    assert "wedge" not in vars(fresh) and "_last_push" not in vars(fresh.model)
+    assert "identity_endo" in vars(wedge)   # built on first read: g has no cap
     assert sig == fresh and hash(sig) == key
     assert sig.model == fresh.model and hash(sig.model) == model_key
     assert repr(sig) == repr(fresh)
@@ -354,7 +361,9 @@ def test_verify_records_compare_like_a_dataclass(cls):
 
 
 # The values a record caches in its __init__, beside its fields.
-INIT_CACHES = {WedgeSignature: ("label_set",), TargetModel: ("charge_set", "inv_action")}
+INIT_CACHES = {WedgeSignature: ("label_set",), TargetModel: ("charge_set", "inv_action"),
+               ManifoldModel: ("_plain_steps", "_last_push"),
+               PuncturedSignature: ("punctures", "cells", "wedge")}
 
 
 def _round_trips(value: object) -> list:
@@ -369,7 +378,7 @@ def test_copy_deepcopy_and_pickle_keep_the_record():
     rng = random.Random("value-classes:copy")
     sig = PuncturedSignature(ManifoldModel.default(2), 2)
     push_braid(sig, BraidElement((rand_word(rng, 2, 4),) * 2, (1, 0)))
-    assert {"punctures", "cells", "wedge"} <= set(vars(sig))   # caches filled later
+    assert {"punctures", "cells", "wedge"} <= set(vars(sig))
     values = [value for cls in CLASSES for value in instances(cls)[:10]]
     values += [build_record(cls, rng) for cls in VERIFY_FIELDS for _ in range(10)]
     values += [prop for build in _SUITE_BUILDERS.values() for prop in build()]
