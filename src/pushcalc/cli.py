@@ -6,20 +6,23 @@ PushcalcError or ValueError, and _run alone prints it as a single line
 ``error:<code>: message`` to stderr: exit 2 for a usage error, else 1.
 
 A run loads only what its subcommand uses: each cmd_* imports the
-modules it calls when it runs, and each subcommand's flags are added
-when that subcommand parses.  Argv in the plain shape (see _plain_args)
-is read without argparse.  Only help and argv outside that shape, which
-takes in every argv argparse refuses as well as `--flag=value`, `-g7`,
-`--max-l`, `--` and a negative value, import argparse and build its
-parser, which answers or refuses them as it always has.
+modules it calls when it runs.  Each subcommand's flags are data in
+_COMMANDS, read by both argv readers.  Argv in the plain shape (see
+_plain_args) is read without argparse.  Only help and argv outside that
+shape, which takes in every argv argparse refuses as well as
+`--flag=value`, `-g7`, `--max-l`, `--` and a negative value, import
+argparse; build_parser then adds the flags of the one subcommand argv
+names, and its parser answers or refuses argv as it always has.
 """
 
 from __future__ import annotations
 
 import os
 import sys
+import types
 
-from .errors import HypothesisViolation, ParseError, PushcalcError, TooLarge, clip
+from .errors import (HypothesisViolation, ParseError, PushcalcError, TooLarge, clip,
+                     read_decimal)
 
 # typing.TYPE_CHECKING without importing typing, which no run needs.
 TYPE_CHECKING = False
@@ -101,10 +104,12 @@ def _load_json(path: str) -> object:
     import json
 
     try:
-        with open(path) as file:
+        with open(path, encoding="utf-8") as file:
             text = file.read()
     except OSError as exc:
         raise _CliError("io", f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _CliError("io", f"{path} is not valid JSON: {exc}") from exc
     try:
         return json.loads(text, parse_int=_json_int, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
@@ -333,12 +338,10 @@ def _max_states_from_env() -> int:
     if raw is None:
         return DEFAULT_MAX_STATES
     try:
-        cap = int(raw)
+        return read_decimal(raw)
     except ValueError:
-        cap = -1   # refused with the negative ones
-    if cap < 0:
-        raise _CliError("io", f"PUSHCALC_MAX_STATES must be a non-negative integer, got {raw!r}")
-    return cap
+        raise _CliError(
+            "io", f"PUSHCALC_MAX_STATES must be a non-negative integer, got {raw!r}") from None
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -352,127 +355,92 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("-g", type=int, required=True, help="number of handles")
-    p.add_argument("-d", type=int, default=3, help="ambient dimension (default 3)")
-    p.add_argument("-k", type=int, required=True, help="number of punctures")
+# The model flags, and --json, which every subcommand but verify takes.
+_MODEL = (
+    ("-g", {"type": int, "required": True, "help": "number of handles"}),
+    ("-d", {"type": int, "default": 3, "help": "ambient dimension (default 3)"}),
+    ("-k", {"type": int, "required": True, "help": "number of punctures"}),
+)
+_JSON = ("--json", {"action": "store_true"})
 
 
-def _push_word_flags(p: argparse.ArgumentParser) -> None:
-    _model_flags(p)
-    p.add_argument("--slot", type=int, required=True, help="which puncture moves")
-    p.add_argument("word", help="loop word, e.g. 'a1 A2'")
-    p.add_argument("--closed-form", action="store_true",
-                   help="also print the loop coefficients f_i and cross-check the answer "
-                        "against the letterwise composite of single-letter pushes")
-    p.add_argument("--matrix", action="store_true", help="also print the matrix form")
-    p.set_defaults(func=cmd_push_word)
-
-
-def _push_braid_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("-g", type=int, required=True)
-    p.add_argument("-d", type=int, default=3)
-    p.add_argument("braid", help="braid text, e.g. '[a1 | e ; (1 2)]'")
-    p.set_defaults(func=cmd_push_braid)
-
-
-def _compose_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("outer", help="JSON file of the map applied second")
-    p.add_argument("inner", help="JSON file of the map applied first")
-    p.set_defaults(func=cmd_compose)
-
-
-def _embed_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--map", default=None, help="self-map JSON file")
-    p.add_argument("-g", type=int, default=None)
-    p.add_argument("-d", type=int, default=None, help="ambient dimension (default 3)")
-    p.add_argument("-k", type=int, default=None)
-    p.add_argument("--slot", type=int, default=None)
-    p.add_argument("word", nargs="?", default=None)
-    p.add_argument("--truncate", type=int, default=None, metavar="RADIUS",
-                   help="print the finite window as TSV")
-    p.set_defaults(func=cmd_embed)
-
-
-def _recover_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--map", required=True, help="self-map JSON file")
-    p.set_defaults(func=cmd_recover)
-
-
-def _kernel_flags(p: argparse.ArgumentParser) -> None:
-    _model_flags(p)
-    p.add_argument("--max-len", type=int, default=4, help="slot word length bound")
-    p.add_argument("--max-braids", type=int, default=20000,
-                   help="exhaustive below this count, sampled above")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_kernel)
-
-
-def _components_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--target", required=True, help="target model JSON file")
-    _model_flags(p)
-    p.add_argument("--brute-force", action="store_true",
-                   help="also count by exploring the state graph")
-    p.add_argument("--assume-hypotheses", action="store_true",
-                   help="assert the counting hypotheses hold for your manifold")
-    p.set_defaults(func=cmd_components)
-
-
-def _verify_flags(p: argparse.ArgumentParser) -> None:
+def _verify_flags() -> tuple[tuple[str, dict], ...]:
     from .verification import SUITES
 
-    p.add_argument("--suite", choices=SUITES, default="all")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=int, default=100)
-    p.add_argument("--inject-fault", action="store_true",
-                   help="add a deliberately false property (negative control)")
-    p.set_defaults(func=cmd_verify)
+    return (
+        ("--suite", {"choices": SUITES, "default": "all"}),
+        ("--seed", {"type": int, "default": 0}),
+        ("--cases", {"type": int, "default": 100}),
+        ("--inject-fault", {"action": "store_true",
+                            "help": "add a deliberately false property (negative control)"}),
+    )
 
 
-def _json_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--json", action="store_true")
-
-
-# Each subcommand: the function that adds its flags, whether it also takes
-# --json, and its line in the top-level help.
-_COMMANDS: dict[str, tuple[Callable[[argparse.ArgumentParser], None], bool, str]] = {
-    "push-word": (_push_word_flags, True, "push a puncture around a loop word"),
-    "push-braid": (_push_braid_flags, True, "push punctures along a braid"),
-    "compose": (_compose_flags, True, "compose two self-map JSON files"),
-    "embed": (_embed_flags, True, "matrix form of a self-map"),
-    "recover": (_recover_flags, True, "recover the braid behind a self-map"),
-    "kernel": (_kernel_flags, True, "search for braids acting trivially"),
-    "components": (_components_flags, True, "count components of a mapping space"),
-    "verify": (_verify_flags, False, "run seeded property suites"),
+# Each subcommand: its handler, its line in the top-level help, and a function
+# that returns its flags in help order, as (flag, add_argument keywords) pairs.
+# A flag not starting with '-' is a positional.
+_COMMANDS: dict[str, tuple[Callable[[argparse.Namespace], int], str,
+                           Callable[[], tuple[tuple[str, dict], ...]]]] = {
+    "push-word": (cmd_push_word, "push a puncture around a loop word", lambda: (
+        _JSON, *_MODEL,
+        ("--slot", {"type": int, "required": True, "help": "which puncture moves"}),
+        ("word", {"help": "loop word, e.g. 'a1 A2'"}),
+        ("--closed-form", {"action": "store_true",
+                           "help": "also print the loop coefficients f_i and cross-check the "
+                                   "answer against the letterwise composite of single-letter "
+                                   "pushes"}),
+        ("--matrix", {"action": "store_true", "help": "also print the matrix form"}),
+    )),
+    "push-braid": (cmd_push_braid, "push punctures along a braid", lambda: (
+        _JSON,
+        ("-g", {"type": int, "required": True}),
+        ("-d", {"type": int, "default": 3}),
+        ("braid", {"help": "braid text, e.g. '[a1 | e ; (1 2)]'"}),
+    )),
+    "compose": (cmd_compose, "compose two self-map JSON files", lambda: (
+        _JSON,
+        ("outer", {"help": "JSON file of the map applied second"}),
+        ("inner", {"help": "JSON file of the map applied first"}),
+    )),
+    "embed": (cmd_embed, "matrix form of a self-map", lambda: (
+        _JSON,
+        ("--map", {"help": "self-map JSON file"}),
+        ("-g", {"type": int}),
+        ("-d", {"type": int, "help": "ambient dimension (default 3)"}),
+        ("-k", {"type": int}),
+        ("--slot", {"type": int}),
+        ("word", {"nargs": "?"}),
+        ("--truncate", {"type": int, "metavar": "RADIUS",
+                        "help": "print the finite window as TSV"}),
+    )),
+    "recover": (cmd_recover, "recover the braid behind a self-map", lambda: (
+        _JSON,
+        ("--map", {"required": True, "help": "self-map JSON file"}),
+    )),
+    "kernel": (cmd_kernel, "search for braids acting trivially", lambda: (
+        _JSON, *_MODEL,
+        ("--max-len", {"type": int, "default": 4, "help": "slot word length bound"}),
+        ("--max-braids", {"type": int, "default": 20000,
+                          "help": "exhaustive below this count, sampled above"}),
+        ("--seed", {"type": int, "default": 0}),
+    )),
+    "components": (cmd_components, "count components of a mapping space", lambda: (
+        _JSON,
+        ("--target", {"required": True, "help": "target model JSON file"}),
+        *_MODEL,
+        ("--brute-force", {"action": "store_true",
+                           "help": "also count by exploring the state graph"}),
+        ("--assume-hypotheses", {"action": "store_true",
+                                 "help": "assert the counting hypotheses hold for your "
+                                         "manifold"}),
+    )),
+    "verify": (cmd_verify, "run seeded property suites", _verify_flags),
 }
 
 
-class _DeclaredFlags:
-    """The flags of one subcommand, recorded by running its flag functions
-    on this stand-in for the parser, so that _plain_args reads the same
-    flags argparse would."""
-
-    def __init__(self, command: str) -> None:
-        self.options: dict[str, dict] = {}   # '--slot' -> its add_argument keywords
-        self.positionals: list[tuple[str, dict]] = []
-        self.defaults: dict[str, object] = {"command": command}
-        add_flags, takes_json, _ = _COMMANDS[command]
-        if takes_json:
-            _json_flag(self)
-        add_flags(self)
-
-    def add_argument(self, name: str, **spec: object) -> None:
-        if name.startswith("-"):
-            dest = name.lstrip("-").replace("-", "_")
-            self.options[name] = {"dest": dest, **spec}
-            store_true = spec.get("action") == "store_true"
-            self.defaults[dest] = False if store_true else spec.get("default")
-        else:
-            self.positionals.append((name, spec))
-            self.defaults[name] = spec.get("default")
-
-    def set_defaults(self, **defaults: object) -> None:
-        self.defaults.update(defaults)
+def _dest(flag: str) -> str:
+    """The namespace attribute argparse stores a flag's value in."""
+    return flag.lstrip("-").replace("-", "_")
 
 
 def _typed(spec: dict, text: str) -> object:
@@ -484,7 +452,7 @@ def _typed(spec: dict, text: str) -> object:
     return value
 
 
-def _plain_args(argv: list[str]) -> object | None:
+def _plain_args(argv: list[str]) -> types.SimpleNamespace | None:
     """The namespace argparse parses argv to, read without argparse; None
     for argv outside the plain shape, which build_parser's parser then
     answers or refuses.
@@ -497,8 +465,12 @@ def _plain_args(argv: list[str]) -> object | None:
     """
     if not argv or argv[0] not in _COMMANDS:
         return None
-    flags = _DeclaredFlags(argv[0])
-    values = dict(flags.defaults)
+    flags = _COMMANDS[argv[0]][2]()
+    options = {flag: spec for flag, spec in flags if flag.startswith("-")}
+    positionals = [(flag, spec) for flag, spec in flags if flag not in options]
+    values = {_dest(flag): False if spec.get("action") == "store_true" else spec.get("default")
+              for flag, spec in flags}
+    values["command"] = argv[0]
     seen: set[str] = set()
     words: list[str] = []
     tokens = iter(argv[1:])
@@ -507,34 +479,34 @@ def _plain_args(argv: list[str]) -> object | None:
             if not token.startswith("-"):
                 words.append(token)
                 continue
-            spec = flags.options.get(token)
+            spec = options.get(token)
             if spec is None or token in seen:
                 return None
             seen.add(token)
             if spec.get("action") == "store_true":
-                values[spec["dest"]] = True
+                values[_dest(token)] = True
                 continue
             value = next(tokens, "-")
             if value.startswith("-"):
                 return None
-            values[spec["dest"]] = _typed(spec, value)
-        required = sum("nargs" not in spec for _, spec in flags.positionals)   # not '?'
-        if not required <= len(words) <= len(flags.positionals):
+            values[_dest(token)] = _typed(spec, value)
+        required = sum("nargs" not in spec for _, spec in positionals)   # not '?'
+        if not required <= len(words) <= len(positionals):
             return None
-        if any(spec.get("required") and name not in seen
-               for name, spec in flags.options.items()):
+        if any(spec.get("required") and flag not in seen for flag, spec in options.items()):
             return None
-        for (dest, spec), word in zip(flags.positionals, words):
-            values[dest] = _typed(spec, word)
+        for (flag, spec), word in zip(positionals, words):
+            values[flag] = _typed(spec, word)
     except ValueError:
         return None
-    return type(sys.implementation)(**values)   # types.SimpleNamespace, as argparse's Namespace
+    return types.SimpleNamespace(**values)   # as argparse's Namespace
 
 
-def _parser_class() -> type[argparse.ArgumentParser]:
-    """argparse's parser as the CLI uses it, with its help formatter,
-    defined when build_parser runs: a request in _plain_args's shape never
-    imports argparse."""
+def build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The pushcalc parser, with the flags of the first subcommand argv
+    names: the one argparse hands the rest of argv to, if it gets that far.
+    argparse is imported here, so a request in _plain_args's shape never
+    loads it."""
     import argparse
 
     class _Formatter(argparse.HelpFormatter):
@@ -548,40 +520,20 @@ def _parser_class() -> type[argparse.ArgumentParser]:
             super().__init__(prog, **kwargs)
 
     class _Parser(argparse.ArgumentParser):
-        """Parser whose usage errors are raised to _run, not printed.
+        """Parser whose usage errors are raised to _run, not printed."""
 
-        `flags` adds the parser's own arguments the first time it parses, so
-        a run builds only the flags of the one subcommand it names.
-        """
-
-        def __init__(self, *args, flags: Callable[[argparse.ArgumentParser], None] | None = None,
-                     **kwargs) -> None:
-            kwargs.setdefault("formatter_class", _Formatter)
-            super().__init__(*args, **kwargs)
-            self._flags = flags
-
-        def parse_known_args(self, args=None, namespace=None):  # type: ignore[override]
-            if self._flags is not None:
-                flags, self._flags = self._flags, None
-                flags(self)
-            return super().parse_known_args(args, namespace)
-
-        def error(self, message: str) -> None:  # type: ignore[override]
+        def error(self, message: str) -> NoReturn:  # type: ignore[override]
             raise _CliError("usage", message)
 
-    return _Parser
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """The pushcalc parser; each subcommand's flags are added when it parses."""
-    parser_class = _parser_class()
-    parser = parser_class(prog="pushcalc", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="pushcalc", description=__doc__.splitlines()[0],
+                     formatter_class=_Formatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    json_flag = parser_class(add_help=False)
-    _json_flag(json_flag)
-    for name, (add_flags, takes_json, help_line) in _COMMANDS.items():
-        sub.add_parser(name, parents=[json_flag] if takes_json else [], flags=add_flags,
-                       help=help_line)
+    named = next((token for token in argv if token in _COMMANDS), None)
+    for name, (_, help_line, flags) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_line, formatter_class=_Formatter)
+        if name == named:
+            for flag, spec in flags():
+                command.add_argument(flag, **spec)
     return parser
 
 
@@ -624,10 +576,11 @@ def _drop_buffered(stream: TextIO) -> None:
 def _run(argv: list[str] | None) -> int:
     """Answer, or print the one error line of any refusal."""
     try:
-        args = _plain_args(sys.argv[1:] if argv is None else argv)
+        argv = sys.argv[1:] if argv is None else argv
+        args = _plain_args(argv)
         if args is None:
-            args = build_parser().parse_args(argv)
-        return args.func(args)
+            args = build_parser(argv).parse_args(argv)
+        return _COMMANDS[args.command][0](args)
     except SystemExit as exc:   # argparse has printed --help
         return exc.code
     except PushcalcError as exc:

@@ -3,7 +3,8 @@
 Every error has a stable ``code`` for the CLI's one-line error prefix.
 is_int tests an int that is not a bool; check_count and check_dimension
 build on it.  Shape rules: as_tuple, check_type, is_permutation.  Reader
-rules: check_text, json_array, json_object, json_fields and parsing.
+rules: check_text, json_array, json_object, json_fields, parsing and
+read_decimal.
 Size rules: capped_product here, and embedding._ball_size for a window ball.
 Record and FrozenRecord, the bases of the record classes, store the fields and
 supply repr, == and hash.
@@ -152,6 +153,15 @@ def check_text(what: str, text: object) -> None:
     """Raise ParseError unless text is a str; what names it in the message."""
     if not isinstance(text, str):
         raise ParseError(f"{what} must be a string, got {type(text).__name__}")
+
+
+def read_decimal(text: str) -> int:
+    """The int that text writes in the ASCII digits 0-9 alone; ValueError for
+    any other text.  int() would also take a sign, '_' between digits,
+    surrounding whitespace and the digits of other scripts."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not a decimal integer: {clip(repr(text))}")
+    return int(text)
 
 
 def json_array(value: object, message: str) -> list:

@@ -45,6 +45,7 @@ from .errors import (
     clip,
     is_int,
     is_permutation,
+    read_decimal,
 )
 from .monoid import SelfMapClass, WedgeSignature, compose, identity_map
 from .ring import RingElem, SphereLabel
@@ -651,7 +652,7 @@ def parse_perm(text: str, k: int) -> tuple[int, ...]:
         if not parts:
             continue
         try:
-            entries = [int(p) for p in parts]
+            entries = [read_decimal(p) for p in parts]
         except ValueError:
             raise ParseError(f"bad cycle entry in {clip(repr(m.group(0)))}") from None
         for x in entries:

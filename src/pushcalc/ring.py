@@ -17,7 +17,7 @@ from operator import itemgetter
 
 from . import words as _words
 from .errors import (ParseError, as_tuple, check_text, check_type, clip, is_int, json_array,
-                     json_object, parsing)
+                     json_object, parsing, read_decimal)
 from .words import FreeEndo, FreeWord, _check_rank, format_word, parse_word, shortlex_key
 
 
@@ -72,7 +72,7 @@ def parse_label(text: str) -> SphereLabel:
     if m is None:
         raise ParseError(f"bad sphere label {clip(repr(text))}")
     with parsing():
-        return SphereLabel(m.group(1), int(m.group(2)))
+        return SphereLabel(m.group(1), read_decimal(m.group(2)))
 
 
 class RingElem:

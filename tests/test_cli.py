@@ -127,8 +127,8 @@ def test_push_word_slot_error(capsys):
     ["components"], ["verify"],
 ])
 def test_help_exits_zero_with_usage(capsys, monkeypatch, command):
-    # argparse wraps the help to the terminal's width.  Each subcommand's
-    # flags are added only when it parses, so its help must still list them.
+    # argparse wraps the help to the terminal's width.  build_parser adds the
+    # flags of the one subcommand argv names, so its help must list them.
     # From 3.13 argparse keeps " ..." on the usage line of the command
     # choices, so the top-level help has a golden of its own there.
     monkeypatch.setenv("COLUMNS", "80")
@@ -145,7 +145,7 @@ def test_help_width_is_argparse_default(monkeypatch, columns, stdout):
     # The CLI's formatter reads the width without shutil; it must read what
     # argparse's own formatter reads through shutil.get_terminal_size.  The
     # formatter is defined when a parser is built, so the test builds one.
-    formatter = cli.build_parser().formatter_class
+    formatter = cli.build_parser([]).formatter_class
     if columns is None:
         monkeypatch.delenv("COLUMNS", raising=False)
     else:
@@ -187,9 +187,11 @@ def draw_argv(rng: random.Random) -> list[str]:
     """A shuffled argv of one subcommand's flags, mostly well formed, with a
     share of odd tokens, odd values, repeats and dropped tokens mixed in."""
     command = rng.choice(list(cli._COMMANDS))
-    record = cli._DeclaredFlags(command)
+    flags = cli._COMMANDS[command][2]()
     groups = []
-    for name, spec in record.options.items():
+    for name, spec in flags:
+        if not name.startswith("-"):
+            continue
         if rng.random() > (0.95 if spec.get("required") else 0.4):
             continue
         if spec.get("action") == "store_true":
@@ -202,7 +204,7 @@ def draw_argv(rng: random.Random) -> list[str]:
             groups.append([name, str(rng.randrange(5))])
         else:
             groups.append([name, rng.choice(WORDS)])
-    n_words = len(record.positionals)
+    n_words = sum(not name.startswith("-") for name, _ in flags)
     if rng.random() < 0.2:
         n_words = rng.randrange(n_words + 2)
     groups += [[rng.choice(WORDS)] for _ in range(n_words)]
@@ -227,7 +229,7 @@ def test_plain_reader_agrees_with_argparse(capsys, seed):
     for _ in range(600):
         argv = draw_argv(rng)
         try:
-            parsed = vars(cli.build_parser().parse_args(argv))
+            parsed = vars(cli.build_parser(argv).parse_args(argv))
         except (cli._CliError, SystemExit):
             parsed = None
         plain = cli._plain_args(argv)
@@ -268,6 +270,30 @@ def test_compose_invalid_json(capsys, tmp_path):
     code, out, err = run_cli(capsys, "compose", str(m1), str(bad))
     assert code == 1
     assert err.startswith("error:io: ")
+
+
+# The C locale with UTF-8 mode off is where open() without an encoding reads ASCII.
+@pytest.mark.parametrize("locale", [{}, {"PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}],
+                         ids=["default", "C"])
+def test_json_files_are_read_as_utf8(tmp_path, locale):
+    target = {**TRIVIAL_TARGET, "classes": ["\u00fc", "y", "z"],
+              "action": {"a1": ["\u00fc", "y", "z"]}, "reflection": ["\u00fc", "y", "z"],
+              "charge": ["\u00fc", "y", "z"]}
+    (tmp_path / "target.json").write_bytes(json.dumps(target, ensure_ascii=False).encode())
+    (tmp_path / "bad.json").write_bytes(b'{"g": 1\xff}')
+    package = os.path.dirname(os.path.dirname(cli.__file__))   # for a child in tmp_path
+
+    def run(*argv: str) -> tuple[int, str, str]:
+        proc = subprocess.run([sys.executable, "-X", "utf8=0", "-m", "pushcalc", *argv],
+                              cwd=tmp_path, env={**os.environ, **locale, "PYTHONPATH": package},
+                              capture_output=True, text=True, timeout=60)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    assert run("components", "--target", "target.json", "-g", "1", "-k", "1",
+               "--assume-hypotheses") == (0, "formula: 3\n", "")
+    assert run("recover", "--map", "bad.json") == (
+        1, "", "error:io: bad.json is not valid JSON: 'utf-8' codec can't decode byte 0xff "
+               "in position 7: invalid start byte\n")
 
 
 def test_compose_rejects_bool_rank(capsys, tmp_path):
@@ -926,8 +952,9 @@ def test_components_bad_env(capsys, tmp_path, monkeypatch):
     path = tmp_path / "trivial.json"
     path.write_text(json.dumps(TRIVIAL_TARGET))
     # a negative cap is refused like a non-integer, not taken as a cap
-    # that every state graph is over
-    for raw in ("lots", "-3"):
+    # that every state graph is over; so is any text but the digits 0-9,
+    # which int() would read
+    for raw in ("lots", "-3", "1_000", "+5", " 7 ", "\u0665", ""):
         monkeypatch.setenv("PUSHCALC_MAX_STATES", raw)
         code, out, err = run_cli(capsys, "components", "--target", str(path),
                                  "-g", "1", "-k", "2", "--brute-force",

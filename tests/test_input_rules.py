@@ -24,8 +24,14 @@ The reader rules:
 - A reader's input is of a type: errors.check_text (a str), errors.json_array
   (a list) and errors.json_object (a dict), each raising ParseError.
 - A constructor's ValueError becomes a ParseError with its message:
-  errors.parsing.  pushing.parse_perm's handler of int() raises a message of
-  its own, so it is a different rule.
+  errors.parsing.  pushing.parse_perm's handler of errors.read_decimal
+  raises a message of its own, so it is a different rule.
+- Text is read as an int in the ASCII digits 0-9 alone: errors.read_decimal,
+  which pushing.parse_perm, ring.parse_label and PUSHCALC_MAX_STATES call.
+  int() also takes a sign, '_', whitespace and other scripts' digits, and
+  three other readers want what it takes: cli._terminal_columns reads
+  COLUMNS as shutil does, cli._json_int reads what json's own grammar has
+  checked, and words.parse_word's exponent may be negative.
 
 The size rules:
 
@@ -63,6 +69,8 @@ HOMES = {
     "permutation test": {"errors.is_permutation"},
     "reader type test": {"errors.check_text", "errors.json_array", "errors.json_object"},
     "translation": {"errors.parsing"},
+    "decimal read": {"errors.read_decimal", "cli._terminal_columns", "cli._json_int",
+                     "words.parse_word"},
     "capped product": {"errors.capped_product"},
     "ball size": {"embedding._ball_size", "pushing.kernel_report"},
     "field store": {"errors.Record"},
@@ -137,6 +145,11 @@ def _raises(node: ast.AST, name: str) -> bool:
     return any(isinstance(st, ast.Raise) and _is_call(st.exc, name) for st in node.body)
 
 
+def _is_decimal_read(node: ast.AST) -> bool:
+    """int(...) of one argument: text read as an integer."""
+    return _is_call(node, "int") and len(node.args) == 1 and not node.keywords
+
+
 def _is_translation(node: ast.AST) -> bool:
     """`except ValueError as exc:` whose body raises ParseError(str(exc))."""
     if not (isinstance(node, ast.ExceptHandler) and node.name is not None
@@ -159,7 +172,8 @@ def rule_sites(source: str, module: str) -> list[tuple[str, str]]:
     compares sorted(...) with list(range(...)).  A reader type test is an
     `if` on `not isinstance(...)` whose body raises ParseError; a
     translation is an `except ValueError as exc` that raises
-    ParseError(str(exc)).  A capped product is a comparison with an operand
+    ParseError(str(exc)), and a decimal read is an int() call of one
+    argument.  A capped product is a comparison with an operand
     that holds a ** or a .bit_length() call; a ball size is a call of
     count_words.  A field store is a use of object.__setattr__, an update of
     vars(...) or of a __dict__, or a self.<name> assignment in a class
@@ -196,6 +210,8 @@ def rule_sites(source: str, module: str) -> list[tuple[str, str]]:
                 sites.append(("reader type test", where))
         if _is_translation(node):
             sites.append(("translation", where))
+        if _is_decimal_read(node):
+            sites.append(("decimal read", where))
         if isinstance(node, ast.Try) and any(
                 h.type is not None and "TypeError" in _names(h.type) for h in node.handlers):
             sites.append(("sequence test", where))
@@ -321,14 +337,23 @@ def test_checker_sees_each_reader_rule_written_out():
         "        raise ParseError(f'bad entry: {exc}')\n"
         "    except KeyError as exc:\n"
         "        raise ParseError(str(exc))\n"
+        "def read_decimal(text):\n"
+        "    return int(text)\n"
+        "def parse_perm(parts):\n"
+        "    return [int(p) for p in parts] + [int(parts[0], 10), int('1', base=10)]\n"
     )
     assert rule_sites(source, "errors") == [
         ("reader type test", "errors.check_text"),
         ("reader type test", "errors.ring_from_json"),
         ("translation", "errors.parsing"),
+        ("decimal read", "errors.fine"),
+        ("decimal read", "errors.read_decimal"),
+        ("decimal read", "errors.parse_perm"),
     ]
     assert stray_sites(rule_sites(source, "errors")) == [
         ("reader type test", "errors.ring_from_json"),
+        ("decimal read", "errors.fine"),
+        ("decimal read", "errors.parse_perm"),
     ]
 
 

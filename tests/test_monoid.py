@@ -594,3 +594,19 @@ def test_self_map_json_errors():
         with pytest.raises(ParseError, match=message) as info:
             self_map_from_json(dict(good, **{key: value}))
         assert type(info.value) is ParseError
+
+
+@pytest.mark.parametrize("value", [
+    parse_word("a1"), FreeEndo([parse_word("a1")]), ring_of({1: 2}), identity_map(SIG1),
+], ids=["FreeWord", "FreeEndo", "RingElem", "SelfMapClass"])
+def test_a_foreign_operand_is_left_to_python(value):
+    # Each operator answers NotImplemented for another type, so == with it
+    # is False and + or * with it raises TypeError.
+    for other in (1, "a1", None):
+        assert value != other and not value == other
+    if isinstance(value, (FreeWord, RingElem)):
+        with pytest.raises(TypeError):
+            value * 2
+    if isinstance(value, RingElem):
+        with pytest.raises(TypeError):
+            value + 1

@@ -930,6 +930,13 @@ def test_perm_parse_format():
     for bad in ("(1 5)", "(1 1)", "(x)", "1 2"):
         with pytest.raises(ParseError):
             parse_perm(bad, 3)
+    # int() reads '1_0' as 10, '+1' as 1 and the fullwidth and Arabic-Indic
+    # digits as theirs; the cycle grammar, like the word and label grammars
+    # and format_perm, has the digits 0-9 alone
+    assert parse_perm("(1 10)", 10) == parse_perm("(01 010)", 10) == (9, *range(1, 9), 0)
+    for bad in ("(1 1_0)", "(+1 2)", "(\uff11 2)", "(\u0662 1)", "(-1 2)"):
+        with pytest.raises(ParseError, match=r"^bad cycle entry in "):
+            parse_perm(bad, 10)
 
 
 def test_braid_parse_format():

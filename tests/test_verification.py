@@ -16,6 +16,7 @@ import random
 import pytest
 
 from pushcalc import monoid, orbits, pushing, ring, verification, words
+from pushcalc.errors import NotInImage
 from pushcalc.monoid import SelfMapClass
 from pushcalc.orbits import MapState
 from pushcalc.pushing import BraidElement
@@ -148,6 +149,41 @@ def test_suite_catches_a_planted_fault(monkeypatch, suite, module, name, fault, 
     monkeypatch.setattr(module, name, fault(getattr(module, name)))
     report = verification.run_suite(suite, 0, 100)
     assert [r.name for r in report.results if not r.ok] == failing
+
+
+def _reversed(concat):
+    # the reverse of a reduced word is reduced: a·~a is still empty, but
+    # (a·b)·c and a·(b·c) differ
+    return lambda a, b: concat(a, b)[::-1]
+
+
+def _sign_minus_one(slot_terms):
+    # every nonempty word is given the orientation sign -1
+    def terms(model, letters):
+        sign, acc = slot_terms(model, letters)
+        return -1 if letters else sign, acc
+    return terms
+
+
+def _not_in_image(recover_braid):
+    def recover(sig, h):
+        raise NotInImage("no braid")
+    return recover
+
+
+@pytest.mark.parametrize("suite, module, name, fault, failing, message", [
+    ("ring", words._kernel, "concat", _reversed, "group-axioms",
+     "concatenation is not associative"),
+    ("push", verification, "_slot_terms", _sign_minus_one, "crossing-cocycle",
+     "orientation sign is not multiplicative"),
+    ("push", verification, "recover_braid", _not_in_image, "recover-round-trip",
+     "braid recovery does not round trip"),
+])
+def test_a_planted_fault_gets_its_own_message(monkeypatch, suite, module, name, fault,
+                                              failing, message):
+    monkeypatch.setattr(module, name, fault(getattr(module, name)))
+    failed = {r.name: r for r in verification.run_suite(suite, 0, 100).results if not r.ok}
+    assert failed[failing].counterexample.startswith(message)
 
 
 def test_ring_suite_sees_an_augmentation_that_is_not_additive(monkeypatch):
