@@ -33,7 +33,7 @@ from .ring import (
     vec_from_json,
     vec_to_json,
 )
-from .words import FreeEndo, _check_rank, endo_compose, format_word, parse_word
+from .words import FreeEndo, _check_rank, _rank_error, endo_compose, format_word, parse_word
 
 
 class WedgeSignature(FrozenRecord):
@@ -63,7 +63,9 @@ class WedgeSignature(FrozenRecord):
         self._set_fields(g, labs, d, label_set=label_set)
 
     # Built on first read, as g has no cap here; FreeEndo is immutable, so
-    # every identity class and push on this signature shares the one object.
+    # every identity class and push on this signature shares the one object,
+    # as do all punctured signatures of one shape, which share their wedge
+    # (pushing.PuncturedSignature).
     @functools.cached_property
     def identity_endo(self) -> FreeEndo:
         return FreeEndo.identity(self.g)
@@ -114,15 +116,17 @@ class SelfMapClass:
                     f"image of {lab} must be a mapping, got {type(image).__name__}"
                 )
             vec: dict[SphereLabel, RingElem] = {}
-            term_word = f"image of {lab}: word"
             for tgt, r in image.items():
                 # A plain tuple equals its label, so membership alone is not enough.
                 if not isinstance(tgt, SphereLabel) or tgt not in allowed:
                     raise ValueError(f"image of {lab} hits unknown label {tgt}")
                 if not isinstance(r, RingElem):
                     raise ValueError(f"image of {lab} has a non-RingElem entry {r!r}")
-                for t in r.terms:
-                    _check_rank(term_word, t, g)
+                try:
+                    for t in r.terms:
+                        _check_rank("word", t, g)
+                except ValueError:   # the message names the image only when raised
+                    raise _rank_error(f"image of {lab}: word", t, g) from None
                 if r:
                     vec[tgt] = r
             dense[lab] = vec
@@ -243,7 +247,8 @@ def compose(outer: SelfMapClass, inner: SelfMapClass) -> SelfMapClass:
     MAX_COMPOSE_LETTERS letters (_compose_letters) raises TooLarge before
     any word is built.  An identity outer circle part, which every push
     class has, leaves the inner circle part as it is: endo_compose returns
-    it, and the composite shares it.  The result is built with the trusted
+    it, and the composite shares it; the inner coefficients, already within
+    rank g, are then taken as they are.  The result is built with the trusted
     SelfMapClass._wrap: a composite of two validated classes on one
     signature is a valid class.
     """
@@ -252,8 +257,9 @@ def compose(outer: SelfMapClass, inner: SelfMapClass) -> SelfMapClass:
             f"cannot compose maps of different wedges: {outer.sig} vs {inner.sig}"
         )
     letters, written = _compose_letters(outer, inner)
+    identity = outer.circle_part.is_identity
     # An identity circle part copies the inner words: nothing grows.
-    if not outer.circle_part.is_identity and letters > MAX_COMPOSE_LETTERS:
+    if not identity and letters > MAX_COMPOSE_LETTERS:
         raise TooLarge(
             f"the composite's words would take up to {letters} letters "
             f"before reduction, over the cap {MAX_COMPOSE_LETTERS}"
@@ -268,7 +274,7 @@ def compose(outer: SelfMapClass, inner: SelfMapClass) -> SelfMapClass:
     for b in inner.sig.labels:
         acc: dict[SphereLabel, RingElem] = {}
         for m, r in inner.sphere_part[b].items():
-            moved = ring_endo_apply(outer.circle_part, r)
+            moved = r if identity else ring_endo_apply(outer.circle_part, r)
             unit = moved.terms == _UNIT_TERMS
             for l, r_out in outer.sphere_part[m].items():
                 contrib = r_out if unit else ring_mul(r_out, moved)

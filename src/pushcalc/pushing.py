@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from functools import lru_cache
 
 from . import words as _words
 from .errors import (
@@ -189,11 +190,30 @@ class ManifoldModel(FrozenRecord):
         )
 
 
+def _punctured_wedge(
+    g: int, k: int, d: int
+) -> tuple[tuple[SphereLabel, ...], tuple[SphereLabel, ...], WedgeSignature]:
+    """Puncture labels p1..pk, cell labels t1..tg and the wedge on both."""
+    punctures = tuple(SphereLabel("p", i) for i in range(1, k + 1))
+    cells = tuple(SphereLabel("t", j) for j in range(1, g + 1))
+    return punctures, cells, WedgeSignature(g, punctures + cells, d)
+
+
+# Wedges kept for the life of the process (see PuncturedSignature).
+CACHED_SHAPES = 32
+CACHED_SHAPE_LABELS = 64
+_cached_wedge = lru_cache(maxsize=CACHED_SHAPES)(_punctured_wedge)
+
+
 class PuncturedSignature(FrozenRecord):
     """A manifold model with k punctures removed.
 
     It owns the wedge's label order: punctures p1..pk, then cells t1..tg.
-    punctures, cells and wedge are stored beside the fields model and k."""
+    punctures, cells and wedge are stored beside the fields model and k.
+    Signatures of one shape (g, k, d) share these three values, and so the
+    wedge's identity_endo, when g + k <= CACHED_SHAPE_LABELS (64): the
+    CACHED_SHAPES (32) shapes used last are kept, so at most 2,048 labels
+    are retained.  A larger shape builds its own."""
 
     model: ManifoldModel
     k: int
@@ -203,10 +223,9 @@ class PuncturedSignature(FrozenRecord):
         check_type("model", model, ManifoldModel)
         g = model.g
         _check_model_size(g + k)   # before any label is built
-        punctures = tuple(SphereLabel("p", i) for i in range(1, k + 1))
-        cells = tuple(SphereLabel("t", j) for j in range(1, g + 1))
-        self._set_fields(model, k, punctures=punctures, cells=cells,
-                         wedge=WedgeSignature(g, punctures + cells, model.d))
+        build = _cached_wedge if g + k <= CACHED_SHAPE_LABELS else _punctured_wedge
+        punctures, cells, wedge = build(g, k, model.d)
+        self._set_fields(model, k, punctures=punctures, cells=cells, wedge=wedge)
 
 
 class BraidElement(FrozenRecord):
@@ -283,6 +302,11 @@ def push_letter(sig: PuncturedSignature, letter: int, slot: int) -> SelfMapClass
     crossing prefix, with the crossing sign.  For an inverse letter the
     prefix is premultiplied by that letter and the sign negated and signed
     by its character, so a letter's push inverts its inverse's on any model.
+
+    Built with the trusted SelfMapClass._wrap: the slot and the letter's
+    rank are checked here, ManifoldModel has checked each crossing's cell
+    and prefix rank, every label is the wedge's, the circle part is its
+    shared identity_endo, and a gain that cancels is dropped here.
     """
     _check_slot(sig, slot)
     model = sig.model
@@ -299,8 +323,13 @@ def push_letter(sig: PuncturedSignature, letter: int, slot: int) -> SelfMapClass
             gain = RingElem.from_word(prefix, eps)
         else:
             gain = RingElem.from_word(lw * prefix, -eps * sgn)
-        image[p_slot] = image.get(p_slot, RingElem.zero()) + gain
-    return SelfMapClass(sig.wedge, sig.wedge.identity_endo, spheres)
+        prev = image.get(p_slot)
+        n = gain if prev is None else prev + gain
+        if n:
+            image[p_slot] = n
+        else:
+            del image[p_slot]
+    return SelfMapClass._wrap(sig.wedge, sig.wedge.identity_endo, spheres)
 
 
 def push_word(sig: PuncturedSignature, w: FreeWord, slot: int) -> SelfMapClass:

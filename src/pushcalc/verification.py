@@ -49,7 +49,7 @@ from .ring import RingElem, augment, ring_endo_apply
 from .words import FreeEndo, FreeWord, endo_apply, endo_compose, enumerate_words, shortlex_key
 
 # Most cases run_suite draws per property: `verify --suite all --seed 0`
-# takes about 1.9 s at 1,000 cases and 16 s at this cap, with 17 MB peak
+# takes about 1.4 s at 1,000 cases and 11 s at this cap, with 16 MB peak
 # RSS, on a 2-CPU Xeon under Python 3.11.
 MAX_CASES = 10_000
 
@@ -321,6 +321,7 @@ def _target(spec: tuple) -> TargetModel:
     )
 
 
+@functools.cache   # the orbits suite draws g <= 2: a handful of characters
 def _hyp_model(character: tuple[int, ...]) -> ManifoldModel:
     default = ManifoldModel.default(len(character))
     return ManifoldModel(default.g, default.d, character, default.crossings,

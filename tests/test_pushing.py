@@ -26,11 +26,14 @@ from pushcalc.monoid import (
     self_map_to_json,
 )
 from pushcalc.pushing import (
+    CACHED_SHAPE_LABELS,
+    CACHED_SHAPES,
     MAX_MODEL_SIZE,
     BraidElement,
     ManifoldModel,
     PuncturedSignature,
     _accumulated_terms,
+    _cached_wedge,
     _slot_terms,
     braid_mul,
     format_braid,
@@ -539,6 +542,27 @@ def test_push_word_is_the_fold_from_the_identity():
             oracle = functools.reduce(
                 compose, [push_letter(sig, x, slot) for x in w.letters], identity_map(sig.wedge))
             assert push_word(sig, w, slot) == oracle
+
+
+def test_push_letter_output_passes_revalidation():
+    # push_letter builds its class with the trusted SelfMapClass._wrap; the
+    # validating constructor must accept it and give the same class, with
+    # no zero entry left where two gains cancel, for both letter signs.
+    rng = random.Random(123)
+    models = [ManifoldModel.default(2), TWISTED, CANCELLING,
+              dataclasses.replace(CANCELLING, character=(-1,)),
+              *(rand_model(rng, 3) for _ in range(20))]
+    cancelled = 0
+    for model in models:
+        sig = PuncturedSignature(model, 2)
+        for i, sign, slot in itertools.product(range(1, model.g + 1), (1, -1), (1, 2)):
+            h = push_letter(sig, sign * i, slot)
+            assert SelfMapClass(h.sig, h.circle_part, h.sphere_part) == h
+            assert_revalidates(h)
+            assert all(r for vec in h.sphere_part.values() for r in vec.values())
+            cancelled += any(sig.punctures[slot - 1] not in h.sphere_part[sig.cells[cell - 1]]
+                             for cell, _, _ in model.crossings[i - 1])
+    assert cancelled >= 8   # the CANCELLING models, for each sign and slot
 
 
 def test_push_braid_errors():
@@ -1148,6 +1172,60 @@ def test_signature_owns_the_label_order():
         assert sig.cells == tuple(SphereLabel("t", j) for j in range(1, g + 1))
         assert sig.punctures + sig.cells == sig.wedge.labels
         assert sig.punctures is sig.punctures and sig.cells is sig.cells
+
+
+@pytest.fixture
+def fresh_wedges():
+    """An empty wedge cache, emptied again after the test; yields cache_info."""
+    _cached_wedge.cache_clear()
+    yield _cached_wedge.cache_info
+    _cached_wedge.cache_clear()
+
+
+def test_signatures_of_one_shape_share_their_wedge(fresh_wedges):
+    twisted = ManifoldModel(2, 3, (-1, 1), (((2, 1, parse_word("a1")),), ()))
+    a, b = PuncturedSignature(ManifoldModel.default(2), 3), PuncturedSignature(twisted, 3)
+    assert a != b
+    assert a.wedge is b.wedge and a.punctures is b.punctures and a.cells is b.cells
+    assert push_letter(a, 1, 1).circle_part is push_letter(b, -2, 3).circle_part
+    assert fresh_wedges().currsize == 1
+    # another k or d is another shape
+    c = PuncturedSignature(ManifoldModel.default(2, d=4), 3)
+    d = PuncturedSignature(ManifoldModel.default(2), 2)
+    assert c.wedge != a.wedge and d.wedge != a.wedge
+    assert fresh_wedges().currsize == 3
+
+
+def test_wedge_cache_is_bounded(fresh_wedges):
+    # g + k = 64 is kept; 65 builds its own wedge each time
+    assert CACHED_SHAPE_LABELS == 64
+    kept = [PuncturedSignature(ManifoldModel.default(60), 4) for _ in range(2)]
+    assert kept[0].wedge is kept[1].wedge
+    assert fresh_wedges().currsize == 1
+    own = [PuncturedSignature(ManifoldModel.default(60), 5) for _ in range(2)]
+    assert own[0].wedge == own[1].wedge and own[0].wedge is not own[1].wedge
+    assert own[0].punctures is not own[1].punctures
+    assert fresh_wedges().currsize == 1
+    # 40 shapes: only the 32 used last are kept
+    shapes = [(g, k) for g in range(5) for k in range(8)]
+    assert len(shapes) > CACHED_SHAPES == 32
+    for g, k in shapes:
+        PuncturedSignature(ManifoldModel.default(g), k)
+        assert fresh_wedges().currsize <= 32
+    assert fresh_wedges().currsize == 32
+    misses = fresh_wedges().misses
+    for g, k in shapes[-32:]:
+        PuncturedSignature(ManifoldModel.default(g), k)
+    assert fresh_wedges().misses == misses
+
+
+def test_a_signature_over_the_cap_leaves_the_wedge_cache_alone(fresh_wedges):
+    PuncturedSignature(ManifoldModel.default(1), 1)
+    before = fresh_wedges()
+    with pytest.raises(TooLarge) as err:
+        PuncturedSignature(ManifoldModel.default(1), 20_000)
+    assert str(err.value) == "a punctured model with g + k = 20001 is over the cap 20000"
+    assert fresh_wedges() == before
 
 
 def test_pushes_build_no_label_once_the_signature_has_them(monkeypatch):

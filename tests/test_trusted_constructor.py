@@ -22,6 +22,8 @@ ALLOWED = {
     "SelfMapClass monoid.compose": "test_monoid.py::test_compose_output_passes_revalidation",
     "SelfMapClass monoid.identity_map":
         "test_monoid.py::test_identity_map_output_passes_revalidation",
+    "SelfMapClass pushing.push_letter":
+        "test_pushing.py::test_push_letter_output_passes_revalidation",
     "SelfMapClass pushing.push_braid":
         "test_pushing.py::test_push_braid_output_passes_revalidation",
     "BraidElement pushing.recover_braid":

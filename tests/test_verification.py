@@ -209,6 +209,20 @@ def test_all_suites_report_their_recorded_digest(seed):
     assert hashlib.sha256(report.encode()).hexdigest() == STREAM_DIGESTS[seed]
 
 
+def test_reports_read_the_same_on_cold_and_warm_caches():
+    # The suites share wedges and hypothesis models across cases and runs;
+    # nothing one run leaves in them, such as a model's last-push record,
+    # may change a later report.
+    def cold():
+        for cached in (pushing._cached_wedge, verification._wedge, verification._hyp_model):
+            cached.cache_clear()
+        return verification.run_suite("all", 1, 50).to_json()
+
+    first = cold()
+    assert verification._hyp_model.cache_info().currsize > 0
+    assert first == verification.run_suite("all", 1, 50).to_json() == cold()
+
+
 # The case builders as they were written with choice, randrange and randint.
 
 
