@@ -10,15 +10,20 @@ is the l-component of h's image of b, and the product of two matrices is
 compose of their classes.  materialize() expands an honest finite window
 of the infinite matrix so the product can be checked against literal
 integer matrix multiplication.
+
+A window keys each row and column as (label, reduced letter tuple), the
+word key of RingElem.terms, so its cells hash and compare as plain
+tuples.  A key's word becomes a FreeWord only where it is printed: the
+TSV labels and the reports that name a cell.
 """
 from __future__ import annotations
 
 import functools
 
 from . import words as _words
-from .errors import SignatureMismatch, SizeMismatch, TooLarge, check_count
+from .errors import SignatureMismatch, SizeMismatch, TooLarge, check_count, is_int
 from .monoid import SelfMapClass, WedgeSignature
-from .ring import RingElem, SphereLabel, format_ring, ring_to_json
+from .ring import SphereLabel, format_ring, ring_to_json
 from .words import (
     FreeWord,
     _max_generator,
@@ -29,7 +34,9 @@ from .words import (
     shortlex_key,
 )
 
-IndexKey = tuple[SphereLabel, FreeWord]
+# A row or column of a window: (label, reduced letter tuple), the word key
+# of RingElem.terms, e.g. (SphereLabel("p", 1), (1, -2)) for p1 at a1 A2.
+IndexKey = tuple[SphereLabel, tuple[int, ...]]
 
 # Most rows materialize() lists; the columns are never more than the rows.
 # The embed suite's windows stay within 4,371 rows (radius 6 at g = 2).
@@ -50,6 +57,8 @@ class TruncatedMatrix:
     Columns cover all (label, word) pairs over sig with word length <=
     radius; rows cover the same pairs to row_radius, a larger ball, so that
     every nonzero image coordinate of a column basis vector is present.
+    Each row and column is an IndexKey, (label, reduced letter tuple), as
+    in RingElem.terms: row (p1, a1 A2) is (SphereLabel("p", 1), (1, -2)).
     The window is held as the two radii alone: has_row and has_col test
     membership arithmetically, and rows and cols, the two balls listed in
     window order, are built only when read (to_tsv, a mismatch report).
@@ -97,17 +106,41 @@ class TruncatedMatrix:
                 f"cols={cols}, nonzero={len(self.entries)})")
 
 
-def _in_ball(sig: WedgeSignature, radius: int, key: IndexKey) -> bool:
-    """key in _ball_keys(sig, radius), without listing the ball."""
-    lab, w = key
-    if lab not in sig.label_set or not isinstance(w, FreeWord):
+def _in_ball(sig: WedgeSignature, radius: int, key: object) -> bool:
+    """key in _ball_keys(sig, radius), without listing the ball.
+
+    Any object may be asked about and none raises.  A key that is not a
+    (label, word) pair, or whose word is not a reduced tuple of nonzero
+    ints, is outside: a FreeWord word, an unreduced (1, -1), a bool
+    letter (though True == 1, so a set of the ball's keys would hold it).
+    """
+    if type(key) is not tuple or len(key) != 2:
         return False
-    return len(w) <= radius and _max_generator(w.letters) <= sig.g
+    lab, w = key
+    if (type(w) is not tuple or len(w) > radius
+            or not isinstance(lab, SphereLabel) or lab not in sig.label_set):
+        return False
+    prev = 0
+    for x in w:
+        if not is_int(x) or x == 0 or x == -prev:
+            return False
+        prev = x
+    return _max_generator(w) <= sig.g
 
 
 def _ball_keys(sig: WedgeSignature, radius: int) -> tuple[IndexKey, ...]:
-    words = list(enumerate_words(sig.g, radius)) if sig.labels else ()
+    words = [u.letters for u in enumerate_words(sig.g, radius)] if sig.labels else ()
     return tuple((lab, w) for lab in sig.labels for w in words)
+
+
+def _key_order(key: IndexKey) -> tuple:
+    """Window order of a key: by label, then shortlex word."""
+    return key[0], shortlex_key(FreeWord._wrap(key[1]))
+
+
+def _printable(key: IndexKey) -> tuple[SphereLabel, FreeWord]:
+    """key as a message names it, its word a FreeWord."""
+    return key[0], FreeWord._wrap(key[1])
 
 
 def _ball_size(sig: WedgeSignature, radius: int, cap: int | None = None) -> int | None:
@@ -125,11 +158,12 @@ def materialize(
     v*slope(u)^-1 in block (l, b), the l-component of h's image of b.
     The row ball is padded so every nonzero coordinate of every column's
     image is inside the window.  Only the nonzero entries are built, with
-    slope(u) computed once per column word; neither ball is listed, and
-    the column words only when some block is nonzero.  Both balls are
-    still counted: a window of more than MAX_WINDOW_ROWS rows (or
-    words, when there are no labels), or of more than max_cells rows x
-    columns when given, raises TooLarge, so that to_tsv can list it.
+    slope(u) computed once per column word, as its prefix's slope times one
+    letter's; neither ball is listed, and the column words only when some
+    block is nonzero.  Both balls are still counted: a window of more than
+    MAX_WINDOW_ROWS rows (or words, when there are no labels), or of more
+    than max_cells rows x columns when given, raises TooLarge, so that
+    to_tsv can list it.
     """
     check_count("radius", radius)
     cells = MAX_WINDOW_ROWS ** 2 if max_cells is None else max_cells
@@ -146,20 +180,29 @@ def materialize(
     if n_cols is None or n_cols * n_cols > cells:
         raise too_large(f"window of radius {radius}")
     columns = [(b, vec) for b, vec in h.sphere_part.items() if vec]
-    words = tuple(enumerate_words(h.sig.g, radius)) if columns else ()
-    images = [endo_apply(h.circle_part, u).letters for u in words]
     concat = _words._kernel.concat   # looked up per call, so it can be wrapped
+    # Column word -> its slope image, in window order.  enumerate_words lists
+    # each word after the one it extends by a letter, so each image is the
+    # prefix's image times the letter's.
+    images = {(): ()}
+    if columns and radius:
+        letter_image = {x: endo_apply(h.circle_part, FreeWord._wrap((x,))).letters
+                        for x in _words._alphabet(h.sig.g)}
+        for u in enumerate_words(h.sig.g, radius):
+            w = u.letters
+            if w:
+                images[w] = concat(images[w[:-1]], letter_image[w[-1]])
     arising = 0
     entries: dict[tuple[IndexKey, IndexKey], int] = {}
     for b, column in columns:
-        for u, su in zip(words, images):
+        terms = [(l, w, c) for l, r in column.items() for w, c in r.terms.items()]
+        for u, su in images.items():
             col = (b, u)
-            for l, r in column.items():
-                for w, c in r.terms.items():
-                    w = concat(w, su)
-                    entries[((l, FreeWord._wrap(w)), col)] = c
-                    if len(w) > arising:
-                        arising = len(w)
+            for l, w, c in terms:
+                w = concat(w, su)
+                entries[((l, w), col)] = c
+                if len(w) > arising:
+                    arising = len(w)
     # The pad suffices whenever the slope does not lengthen words (every
     # point-push has identity slope); a stretching slope widens the ball.
     row_radius = max(radius + max_shift(h), arising)
@@ -180,15 +223,15 @@ def truncated_product(ta: TruncatedMatrix, tb: TruncatedMatrix) -> TruncatedMatr
     """
     if ta.sig != tb.sig:
         raise SignatureMismatch("matrix windows live over different wedges")
-    missing = {r for (r, _c) in tb.entries if not ta.has_col(r)}
-    if missing:
-        raise SizeMismatch(
-            f"left window lacks {len(missing)} middle-index columns, "
-            f"e.g. {min(missing, key=lambda k: (k[0], shortlex_key(k[1])))}"
-        )
     by_mid: dict[IndexKey, list[tuple[IndexKey, int]]] = {}
     for (mid, col), v in tb.entries.items():
         by_mid.setdefault(mid, []).append((col, v))
+    missing = [mid for mid in by_mid if not ta.has_col(mid)]
+    if missing:
+        raise SizeMismatch(
+            f"left window lacks {len(missing)} middle-index columns, "
+            f"e.g. {_printable(min(missing, key=_key_order))}"
+        )
     entries: dict[tuple[IndexKey, IndexKey], int] = {}
     for (row, mid), va in ta.entries.items():
         for col, vb in by_mid.get(mid, ()):  # only mids with nonzero tb rows
@@ -211,15 +254,19 @@ def to_tsv(t: TruncatedMatrix) -> str:
     by_row: dict[IndexKey, list[tuple[int, int]]] = {}
     for (row, col), v in t.entries.items():
         by_row.setdefault(row, []).append((col_at[col], v))
-    header = "\t".join([""] + [f"{lab}:{format_word(w)}" for lab, w in t.cols])
+    header = "\t".join([""] + [_tsv_label(col) for col in t.cols])
     lines = [header]
     for row in t.rows:
-        lab, w = row
         cells = ["0"] * len(col_at)
         for i, v in by_row.get(row, ()):
             cells[i] = str(v)
-        lines.append("\t".join([f"{lab}:{format_word(w)}", *cells]))
+        lines.append("\t".join([_tsv_label(row), *cells]))
     return "\n".join(lines) + "\n"
+
+
+def _tsv_label(key: IndexKey) -> str:
+    lab, w = key
+    return f"{lab}:{format_word(FreeWord._wrap(w))}"
 
 
 def format_block_matrix(h: SelfMapClass) -> str:
@@ -227,7 +274,8 @@ def format_block_matrix(h: SelfMapClass) -> str:
     labels = h.sig.labels
     rows = []
     for l in labels:
-        cells = [format_ring(h.sphere_part[b].get(l, RingElem.zero())) for b in labels]
+        cells = [format_ring(h.sphere_part[b][l]) if l in h.sphere_part[b] else "0"
+                 for b in labels]
         rows.append("[" + ", ".join(cells) + "]")
     return "[" + ", ".join(rows) + "]"
 

@@ -297,7 +297,7 @@ def top_homology_matrix(h: SelfMapClass) -> list[list[int]]:
     """
     labels = h.sig.labels
     return [
-        [augment(h.sphere_part[b].get(l, RingElem.zero())) for b in labels]
+        [augment(h.sphere_part[b][l]) if l in h.sphere_part[b] else 0 for b in labels]
         for l in labels
     ]
 

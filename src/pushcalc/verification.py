@@ -13,9 +13,12 @@ import functools
 import random
 from collections.abc import Callable, Iterator
 
+from . import words as _words
 from .embedding import (
     IndexKey,
     TruncatedMatrix,
+    _key_order,
+    _printable,
     materialize,
     truncated_product,
 )
@@ -46,7 +49,7 @@ from .pushing import (
     recover_braid,
 )
 from .ring import RingElem, augment, ring_endo_apply
-from .words import FreeEndo, FreeWord, endo_apply, endo_compose, enumerate_words, shortlex_key
+from .words import FreeEndo, FreeWord, endo_apply, endo_compose, enumerate_words
 
 # Most cases run_suite draws per property: `verify --suite all --seed 0`
 # takes about 1.4 s at 1,000 cases and 11 s at this cap, with 16 MB peak
@@ -342,22 +345,25 @@ def _window_mismatch(
     materialize(), which built the windows being checked.  Window order
     is by row, then column, each by label, then shortlex word.
     """
+    concat = _words._kernel.concat   # looked up per call, so it can be wrapped
+    blocks = [(b, [(l, w, coef) for l, r in c.sphere_part[b].items()
+                   for w, coef in r.terms.items()])
+              for b in t.sig.labels]
     expected: dict[tuple[IndexKey, IndexKey], int] = {}
     for u in enumerate_words(t.sig.g, t.radius):
-        su = endo_apply(c.circle_part, u)
-        for b in t.sig.labels:
-            col = (b, u)
-            for l, r in c.sphere_part[b].items():
-                for w, coef in r.terms.items():
-                    row = (l, FreeWord._wrap(w) * su)
-                    if t.has_row(row):
-                        expected[(row, col)] = coef
+        su = endo_apply(c.circle_part, u).letters
+        for b, terms in blocks:
+            col = (b, u.letters)
+            for l, w, coef in terms:
+                row = (l, concat(w, su))
+                if t.has_row(row):
+                    expected[(row, col)] = coef
     if t.entries == expected:
         return None
     return min(
         (key for key in t.entries.keys() | expected.keys()
          if t.entries.get(key, 0) != expected.get(key, 0)),
-        key=lambda key: [(lab, shortlex_key(w)) for lab, w in key],
+        key=lambda key: (_key_order(key[0]), _key_order(key[1])),
     )
 
 
@@ -549,7 +555,7 @@ def _embed_properties() -> list[Property]:
         radius_log.append([radius, tb_mat.row_radius, ta_mat.row_radius])
         bad = _window_mismatch(prod, compose(a, b))
         if bad is not None:
-            return f"truncated product wrong at {bad[0]}, {bad[1]}"
+            return f"truncated product wrong at {_printable(bad[0])}, {_printable(bad[1])}"
         return None
 
     def fails_diag(case: tuple) -> str | None:

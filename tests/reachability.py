@@ -34,6 +34,8 @@ REPR = "repr, for users and debuggers"
 CHILD = "runs only in a child process"
 FROZEN = "refuses a write to a frozen record, which no program path makes (test_value_classes)"
 HASH = "hash, for users who key a dict or set by the value (test_pushing, test_value_classes)"
+CELL_NAME = ("names a window cell in a truncated_product refusal or a failing embed-suite "
+             "report, which no passing run makes (test_embedding)")
 
 # Qualified name (module.qualname) -> why the function stays unreached.
 ALLOWED: dict[str, str] = {
@@ -42,6 +44,8 @@ ALLOWED: dict[str, str] = {
     "cli._drop_buffered": f"{CHILD}, when stdout is closed (test_cli)",
     "cli.entry": f"{CHILD}: the console script",
     "embedding.TruncatedMatrix.__repr__": REPR,
+    "embedding._key_order": CELL_NAME,
+    "embedding._printable": CELL_NAME,
     "embedding.materialize.<locals>.too_large":
         "the window cap's refusal: test_cli reaches it in child processes, test_embedding "
         "in process",
@@ -57,6 +61,8 @@ ALLOWED: dict[str, str] = {
     "ring.SphereLabel.__repr__": REPR,
     "words.FreeEndo.__hash__": HASH,
     "words.FreeEndo.__repr__": REPR,
+    "words.FreeWord.__hash__": "hash, for users who key a dict or set by a word (test_words); "
+                               "a window keys its cells by letter tuples",
     "words.FreeWord.__repr__": REPR,
     "words._unrank_word": "kernel_report's sampled sweep, over max_braids braids "
                           "(test_pushing, test_words)",

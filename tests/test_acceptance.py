@@ -197,10 +197,11 @@ def test_criterion_5_embedding_and_truncation():
             c = compose(a, b)
 
             def honest(row, col):
-                # block (l, b) of c's matrix is the l-component of c's image of b
+                # block (l, b) of c's matrix is the l-component of c's image of b;
+                # a window key's word is a letter tuple
                 (lab_r, v), (lab_c, u) = row, col
                 return coefficient(c.sphere_part[lab_c].get(lab_r, RingElem.zero()),
-                                   v * ~endo_apply(c.circle_part, u))
+                                   FreeWord(v) * ~endo_apply(c.circle_part, FreeWord(u)))
 
             for (row, col), value in prod.entries.items():
                 assert value == honest(row, col)

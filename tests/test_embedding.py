@@ -108,14 +108,14 @@ def test_embed_examples():
 
 
 def test_collapse_map_materializes_to_row_of_ones():
+    # a cell key is (label, reduced letter tuple): () is e, (1,) a1, (-1,) A1
     t = materialize(collapse_circle(), 1)
-    a1 = parse_word("a1")
-    assert t.entry((P1, IDENTITY), (P1, IDENTITY)) == 1
-    assert t.entry((P1, IDENTITY), (P1, a1)) == 1
-    assert t.entry((P1, IDENTITY), (P1, ~a1)) == 1
-    assert t.entry((P1, a1), (P1, a1)) == 0
-    assert t.entry((T1, IDENTITY), (T1, a1)) == 1
-    assert t.entry((T1, IDENTITY), (P1, a1)) == 0
+    assert t.entry((P1, ()), (P1, ())) == 1
+    assert t.entry((P1, ()), (P1, (1,))) == 1
+    assert t.entry((P1, ()), (P1, (-1,))) == 1
+    assert t.entry((P1, (1,)), (P1, (1,))) == 0
+    assert t.entry((T1, ()), (T1, (1,))) == 1
+    assert t.entry((T1, ()), (P1, (1,))) == 0
 
 
 def test_embed_round_trip_and_injectivity():
@@ -134,12 +134,11 @@ def test_embed_round_trip_and_injectivity():
 def test_materialize_radius0_values():
     t = materialize(push_alpha(), 0)
     assert t.radius == 0 and t.row_radius == 1
-    assert t.cols == ((P1, IDENTITY), (T1, IDENTITY))
-    a1 = parse_word("a1")
-    assert t.entry((P1, a1), (P1, IDENTITY)) == 1
-    assert t.entry((P1, IDENTITY), (T1, IDENTITY)) == 1
-    assert t.entry((T1, IDENTITY), (T1, IDENTITY)) == 1
-    assert t.entry((P1, IDENTITY), (P1, IDENTITY)) == 0
+    assert t.cols == ((P1, ()), (T1, ()))
+    assert t.entry((P1, (1,)), (P1, ())) == 1
+    assert t.entry((P1, ()), (T1, ())) == 1
+    assert t.entry((T1, ()), (T1, ())) == 1
+    assert t.entry((P1, ()), (P1, ())) == 0
     assert len(t.entries) == 3
     assert max_shift(push_alpha()) == 1
     assert max_shift(identity_map(SIG1)) == 0
@@ -179,6 +178,17 @@ def test_truncated_product_coverage_guard():
         truncated_product(ta, tb)
 
 
+def test_long_slopes_place_every_column():
+    # materialize builds each column's slope image from its prefix's and
+    # one letter's; the oracle applies the slope to the whole column word.
+    # Slope images of up to three letters cancel in those products.
+    rng = random.Random(95)
+    for _ in range(30):
+        for sig, circle_len, radius in ((SIG1, 3, 4), (SIG2, 2, 2)):
+            h = rand_map(rng, sig, circle_len=circle_len, word_len=2)
+            assert _window_mismatch(materialize(h, radius), h) is None
+
+
 def test_vertical_finiteness_bound():
     rng = random.Random(94)
     for _ in range(20):
@@ -214,11 +224,11 @@ def test_tsv_goldens():
 
 def dense_tsv(t: TruncatedMatrix) -> str:
     """to_tsv's oracle: the dense writer, which probes every cell."""
-    header = "\t".join([""] + [f"{lab}:{format_word(w)}" for lab, w in t.cols])
+    header = "\t".join([""] + [f"{lab}:{format_word(FreeWord(w))}" for lab, w in t.cols])
     lines = [header]
     for row in t.rows:
         lab, w = row
-        cells = [f"{lab}:{format_word(w)}"]
+        cells = [f"{lab}:{format_word(FreeWord(w))}"]
         for col in t.cols:
             cells.append(str(t.entries.get((row, col), 0)))
         lines.append("\t".join(cells))
@@ -316,7 +326,8 @@ def dense_window_mismatch(t, c: SelfMapClass):
     for row in t.rows:
         for col in t.cols:
             block = c.sphere_part[col[0]].get(row[0], RingElem.zero())
-            want = coefficient(block, row[1] * ~endo_apply(c.circle_part, col[1]))
+            slope = endo_apply(c.circle_part, FreeWord(col[1]))
+            want = coefficient(block, FreeWord(row[1]) * ~slope)
             if t.entry(row, col) != want:
                 return row, col
     return None
@@ -330,7 +341,7 @@ def perturb(rng: random.Random, t):
         return with_entry(t, row, col, rng.choice([0, v + 1, -v]))
     row = rng.choice(t.rows)
     if pick == 1:
-        col = rng.choice([c for c in t.cols if c[1] == IDENTITY])
+        col = rng.choice([c for c in t.cols if c[1] == ()])
     else:
         col = rng.choice(t.cols)
     return with_entry(t, row, col, t.entry(row, col) + rng.choice([-1, 1, 2]))
@@ -388,8 +399,9 @@ def test_truncated_matmul_property_reports_the_dense_first_cell(monkeypatch):
         msg = prop.fails(case)
         _radius, spec_a, spec_b = case
         c = compose(verification._map(spec_a), verification._map(spec_b))
-        row, col = dense_window_mismatch(seen[-1], c)
-        assert msg == f"truncated product wrong at {row}, {col}"
+        # the report names each key with its word as a FreeWord
+        (lr, v), (lc, u) = dense_window_mismatch(seen[-1], c)
+        assert msg == f"truncated product wrong at {(lr, FreeWord(v))}, {(lc, FreeWord(u))}"
 
 
 def test_embed_suite_catches_a_slope_fault(monkeypatch):
@@ -410,6 +422,17 @@ def test_embed_suite_catches_a_slope_fault(monkeypatch):
 
 
 # --- window membership by radius against the listed balls ---
+
+# Keys no window holds.  Each (label, word) pair is within some window's
+# label, length and rank, and only its word is wrong: unreduced, a 0, bool,
+# float or str letter, a list or FreeWord word.  Then things that are no
+# (label, word) pair.
+FOREIGN_KEYS = [
+    (P1, (1, -1)), (T1, (2, -2, 1)),
+    (P1, (0,)), (P1, (1, 0)), (P1, (True,)), (P1, (1, False)), (P1, (1.0,)), (P1, ("a1",)),
+    (P1, [1]), (P1, FreeWord([1])), (P1, FreeWord()),
+    (P1,), (P1, (1,), 0), None, "p1:a1", ([P1], ()), ((1,), P1),
+]
 
 
 def test_window_membership_matches_listed_balls():
@@ -438,16 +461,20 @@ def test_window_membership_matches_listed_balls():
                 probes = list(row_set | col_set)
                 for r in (w.radius, w.row_radius):
                     # one letter too long, generator g + 1, an unknown label
-                    longest = max(enumerate_words(sig.g, r), key=len)
-                    x = longest.letters[-1] if longest.letters else 1
-                    probes += [(P1, longest * FreeWord([x])), (P1, FreeWord([sig.g + 1])),
-                               (P1, FreeWord([-sig.g - 1])), (unknown, FreeWord())]
-                for key in probes:
-                    assert w.has_row(key) == (key in row_set), key
-                    assert w.has_col(key) == (key in col_set), key
-                for row in probes:
-                    for col in (cols[0], cols[-1], (unknown, FreeWord())):
-                        if row in row_set and col in col_set:
+                    longest = max(enumerate_words(sig.g, r), key=len).letters
+                    x = longest[-1] if longest else 1
+                    probes += [(P1, longest + (x,)), (P1, (sig.g + 1,)),
+                               (P1, (-sig.g - 1,)), (unknown, ())]
+                cases = [(key, key in row_set, key in col_set) for key in probes]
+                # no window holds a foreign key, though True == 1 puts
+                # (P1, (True,)) in row_set
+                cases += [(key, False, False) for key in FOREIGN_KEYS]
+                for key, in_row, in_col in cases:
+                    assert w.has_row(key) == in_row, key
+                    assert w.has_col(key) == in_col, key
+                for row, in_row, _ in cases:
+                    for col in (cols[0], cols[-1], (unknown, ())):
+                        if in_row and col in col_set:
                             assert w.entry(row, col) == w.entries.get((row, col), 0)
                         else:
                             with pytest.raises(ValueError, match="outside the window"):

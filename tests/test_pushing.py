@@ -522,7 +522,8 @@ TWISTED = ManifoldModel(g=1, d=3, character=(-1,), crossings=(((1, 1, parse_word
 
 
 # Loop 1 crosses cell 1 twice with opposite signs and equal prefixes, so the
-# two gains of push_letter cancel and its constructor drops the zero.
+# two gains of push_letter cancel, and push_letter drops the zero itself
+# before it builds its class with SelfMapClass._wrap.
 CANCELLING = ManifoldModel(1, 3, (1,), (((1, 1, IDENTITY), (1, -1, FreeWord((-1, 1)))),))
 
 

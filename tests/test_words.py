@@ -288,9 +288,9 @@ def test_word_operations_call_the_kernel_binding(monkeypatch):
     a, b = RingElem._wrap({(1, 2): 1}), RingElem._wrap({(-2, 3): 2})
     assert run(lambda: ring_mul(a, b)) == (RingElem._wrap({(1, 3): 2}), ["concat"])
     assert run(lambda: ring_endo_apply(phi, a)) == (RingElem._wrap({(2, 1): 1}), ["substitute"])
-    p1 = (SphereLabel("p", 1), IDENTITY)
+    p1 = (SphereLabel("p", 1), ())
     window = identity_map(WedgeSignature(1, [p1[0]]))
-    assert run(lambda: materialize(window, 0).entries) == ({(p1, p1): 1}, ["concat", "substitute"])
+    assert run(lambda: materialize(window, 0).entries) == ({(p1, p1): 1}, ["concat"])
     prefixed = ManifoldModel(g=1, d=3, character=(1,), crossings=(((1, 1, parse_word("a1")),),))
     assert prefixed._plain_steps is None
     assert run(lambda: _slot_terms(prefixed, (1,))) == ((1, [{(1,): 1}]), ["concat"])
