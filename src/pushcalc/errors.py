@@ -4,15 +4,16 @@ Every error has a stable ``code`` for the CLI's one-line error prefix.
 is_int tests an int that is not a bool; check_count and check_dimension
 build on it.  Shape rules: as_tuple, check_type, is_permutation.  Reader
 rules: check_text, json_array, json_object, json_fields, parsing and
-read_decimal.
-Size rules: capped_product here, and embedding._ball_size for a window ball.
-Record and FrozenRecord, the bases of the record classes, store the fields and
-supply repr, == and hash.
+read_decimal.  Size rules: capped_product here, and embedding._ball_size for
+a window ball.  What outlives a call: the stores _STORES declares and _store
+makes, which _clear_caches empties.  Record and FrozenRecord, the bases of
+the record classes, store the fields and supply repr, == and hash.
 """
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from contextlib import contextmanager
+from functools import lru_cache
 from operator import attrgetter
 
 
@@ -116,6 +117,29 @@ def capped_product(powers: Sequence[tuple[int, int]], cap: int) -> int | None:
     for base, exp in powers:
         total *= base ** exp
     return total if total <= cap else None
+
+
+# The stores that outlive a call, each an lru_cache that _store puts on a function:
+# name: (values kept, admission bound, key -> value).  A call past the bound builds
+# its value and keeps none.  Only wedges are handed out: a write can reach no other.
+_STORES = {
+    "pushing._cached_wedge": (32, 64, "(g, k, d), g + k <= 64 -> labels, wedge, identity_endo"),
+    "orbits._cached_columns": (32, 1_024, "(m, k) -> a colex table of <= 1,024 ints"),
+    "verification._hyp_model": (7, None, "a character, g <= 2 (all 7) -> a model, its _last_push"),
+}
+_caches: dict[str, Callable] = {}
+
+
+def _store(name: str, build: Callable) -> tuple[Callable, int | None]:
+    """The lru_cache on build that _STORES names name, and its admission bound."""
+    _caches[name] = lru_cache(maxsize=_STORES[name][0])(build)
+    return _caches[name], _STORES[name][1]
+
+
+def _clear_caches() -> None:
+    """Empty every store of _STORES (a store of a module not imported is empty)."""
+    for cached in _caches.values():
+        cached.cache_clear()
 
 
 def check_count(what: str, value: object) -> None:

@@ -62,10 +62,7 @@ class WedgeSignature(FrozenRecord):
             raise ValueError(f"duplicate sphere labels in {labs}")
         self._set_fields(g, labs, d, label_set=label_set)
 
-    # Built on first read, as g has no cap here; FreeEndo is immutable, so
-    # every identity class and push on this signature shares the one object,
-    # as do all punctured signatures of one shape, which share their wedge
-    # (pushing.PuncturedSignature).
+    # Built on first read, as g has no cap here; shared as errors._STORES says.
     @functools.cached_property
     def identity_endo(self) -> FreeEndo:
         return FreeEndo.identity(self.g)

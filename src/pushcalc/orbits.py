@@ -16,7 +16,6 @@ i-th generator of pi_1(X).
 from __future__ import annotations
 
 from collections.abc import Sequence
-from functools import lru_cache
 from itertools import chain
 from math import comb
 
@@ -26,6 +25,7 @@ from .errors import (
     ParseError,
     SizeMismatch,
     TooLarge,
+    _store,
     as_tuple,
     capped_product,
     check_count,
@@ -288,12 +288,6 @@ def components_formula(target: TargetModel, model: ManifoldModel, k: int) -> int
     return sum(comb(c + k - 1, k) for c in orbits)
 
 
-# Colex tables of at most CACHED_TABLE_INTS ints are kept for the life of
-# the process, the CACHED_TABLES most recently used: 32,768 ints at most.
-CACHED_TABLES = 32
-CACHED_TABLE_INTS = 1_024
-
-
 def _colex_columns(m: int, k: int) -> tuple[tuple[int, ...], ...]:
     """Column d of the k-multisets of m positions, for each position d.
 
@@ -317,8 +311,7 @@ def _colex_columns(m: int, k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(cols)
 
 
-# _colex_columns for a table of at most CACHED_TABLE_INTS ints.
-_cached_columns = lru_cache(maxsize=CACHED_TABLES)(_colex_columns)
+_cached_columns, _CACHED_INTS = _store("orbits._cached_columns", _colex_columns)
 
 
 def _component_count(m: int, k: int, tables: Sequence[Sequence[int]]) -> int:
@@ -334,15 +327,14 @@ def _component_count(m: int, k: int, tables: Sequence[Sequence[int]]) -> int:
     column d of _colex_columns lists the numbers of y + d.  The columns of all
     m positions, m * multichoose(m, k - 1) <= m**k ints (inside the state cap
     components_bruteforce checks with errors.capped_product), are shared through
-    _cached_columns when they fit CACHED_TABLE_INTS; a larger table is built
-    whole per call.
+    the colex store of errors._STORES within its bound, and else built per call.
     """
     components = comb(m + k - 1, k)
     moves = {(d, t) if d < t else (t, d)
              for table in tables for d, t in enumerate(table) if t != d}
     if not moves:   # no edge: each multiset is a component
         return components
-    build = _cached_columns if m * comb(m + k - 2, k - 1) <= CACHED_TABLE_INTS else _colex_columns
+    build = _cached_columns if m * comb(m + k - 2, k - 1) <= _CACHED_INTS else _colex_columns
     cols = build(m, k)
     edges = chain.from_iterable(zip(cols[d], cols[t]) for d, t in moves)
     parent = list(range(components))
@@ -377,10 +369,7 @@ def components_bruteforce(
     step a_j applied to charge class p.  The multisets are numbered level
     by level, and a table of at most |charge| * multichoose(|charge|, k - 1)
     <= |classes|^k ints gives the number of each multiset plus one
-    position, so the cap bounds it too.  The table depends only on |charge|
-    and k: one of at most CACHED_TABLE_INTS (1,024) ints is kept for the
-    process, the CACHED_TABLES (32) most recently used, so at most 32,768
-    ints are retained; a larger one is built per call.
+    position, so the cap bounds it too; it depends only on |charge| and k.
     """
     _require_hypothesis(model, "the brute-force component count")
     check_count("puncture count", k)

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from functools import lru_cache
 
 from . import words as _words
 from .errors import (
@@ -37,6 +36,7 @@ from .errors import (
     SizeMismatch,
     SlotOutOfRange,
     TooLarge,
+    _store,
     as_tuple,
     capped_product,
     check_count,
@@ -199,10 +199,7 @@ def _punctured_wedge(
     return punctures, cells, WedgeSignature(g, punctures + cells, d)
 
 
-# Wedges kept for the life of the process (see PuncturedSignature).
-CACHED_SHAPES = 32
-CACHED_SHAPE_LABELS = 64
-_cached_wedge = lru_cache(maxsize=CACHED_SHAPES)(_punctured_wedge)
+_cached_wedge, _CACHED_LABELS = _store("pushing._cached_wedge", _punctured_wedge)
 
 
 class PuncturedSignature(FrozenRecord):
@@ -210,10 +207,8 @@ class PuncturedSignature(FrozenRecord):
 
     It owns the wedge's label order: punctures p1..pk, then cells t1..tg.
     punctures, cells and wedge are stored beside the fields model and k.
-    Signatures of one shape (g, k, d) share these three values, and so the
-    wedge's identity_endo, when g + k <= CACHED_SHAPE_LABELS (64): the
-    CACHED_SHAPES (32) shapes used last are kept, so at most 2,048 labels
-    are retained.  A larger shape builds its own."""
+    Signatures of one shape (g, k, d) share these three values through the
+    wedge store of errors._STORES; a shape past its bound builds its own."""
 
     model: ManifoldModel
     k: int
@@ -223,7 +218,7 @@ class PuncturedSignature(FrozenRecord):
         check_type("model", model, ManifoldModel)
         g = model.g
         _check_model_size(g + k)   # before any label is built
-        build = _cached_wedge if g + k <= CACHED_SHAPE_LABELS else _punctured_wedge
+        build = _cached_wedge if g + k <= _CACHED_LABELS else _punctured_wedge
         punctures, cells, wedge = build(g, k, model.d)
         self._set_fields(model, k, punctures=punctures, cells=cells, wedge=wedge)
 

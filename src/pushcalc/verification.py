@@ -9,7 +9,6 @@ fails) before being reported.
 from __future__ import annotations
 
 import copy
-import functools
 import random
 from collections.abc import Callable, Iterator
 
@@ -22,10 +21,9 @@ from .embedding import (
     materialize,
     truncated_product,
 )
-from .errors import NotInImage, Record, TooLarge, check_count
+from .errors import NotInImage, Record, TooLarge, _store, check_count
 from .monoid import (
     SelfMapClass,
-    WedgeSignature,
     compose,
     identity_map,
     top_homology_matrix,
@@ -41,6 +39,7 @@ from .pushing import (
     BraidElement,
     ManifoldModel,
     PuncturedSignature,
+    _cached_wedge,
     _slot_terms,
     braid_mul,
     push_braid,
@@ -229,14 +228,9 @@ def _rand_map_spec(rng: random.Random, g: int, k: int) -> tuple:
     return (g, k, circ, entries)
 
 
-@functools.cache   # the suites draw g <= 2 and k <= 2: a handful of wedges
-def _wedge(g: int, k: int) -> WedgeSignature:
-    return PuncturedSignature(ManifoldModel.default(g), k).wedge
-
-
 def _map(spec: tuple) -> SelfMapClass:
     g, k, circ, entries = spec
-    sig = _wedge(g, k)
+    sig = _cached_wedge(g, k, 3)[2]   # the default model's wedge
     labels = sig.labels
     spheres: dict = {lab: {} for lab in labels}
     for src, tgt, ring_spec in entries:
@@ -324,11 +318,12 @@ def _target(spec: tuple) -> TargetModel:
     )
 
 
-@functools.cache   # the orbits suite draws g <= 2: a handful of characters
-def _hyp_model(character: tuple[int, ...]) -> ManifoldModel:
+def _hypothesis_model(character: tuple[int, ...]) -> ManifoldModel:
     default = ManifoldModel.default(len(character))
-    return ManifoldModel(default.g, default.d, character, default.crossings,
-                         low_handle_dim=True)
+    return ManifoldModel(default.g, default.d, character, default.crossings, low_handle_dim=True)
+
+
+_hyp_model = _store("verification._hyp_model", _hypothesis_model)[0]
 
 
 def _window_mismatch(

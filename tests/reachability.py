@@ -52,6 +52,8 @@ ALLOWED: dict[str, str] = {
     "errors.FrozenRecord.__delattr__": FROZEN,
     "errors.FrozenRecord.__setattr__": FROZEN,
     "errors._frozen_error": FROZEN,
+    "errors._clear_caches": "empties every process store, for a cold run: the tests "
+                            "(test_process_stores) and in-process timing",
     "errors.FrozenRecord.__hash__": HASH,
     "errors.Record.__repr__": REPR,
     "monoid.SelfMapClass.__repr__": REPR,

@@ -46,6 +46,17 @@ The record rule:
 - A record stores its fields through its base: errors.Record._set_fields,
   the one user of object.__setattr__.  No record class assigns self.<name>.
 
+The process-store rule:
+
+- What outlives a call is a store errors._STORES declares, made by
+  errors._store: errors is the one module that uses functools' cache or
+  lru_cache, and _store the one function that stores into a module-level
+  dict.  Two memos are not stores, as the source fixes their entries, so a
+  clear could only rebuild the same ones: pushcalc.__getattr__ stores each
+  public name it imports into its module's globals(), and
+  errors._DataclassFields.fields, an instance's dict this rule does not read,
+  keeps one dataclass per record class.
+
 A site that writes one of these out again, instead of calling its home,
 fails here.
 """
@@ -74,6 +85,7 @@ HOMES = {
     "capped product": {"errors.capped_product"},
     "ball size": {"embedding._ball_size", "pushing.kernel_report"},
     "field store": {"errors.Record"},
+    "process store": {"errors", "errors._store", "__init__.__getattr__"},
 }
 
 
@@ -140,6 +152,43 @@ def _self_stores(node: ast.AST) -> int:
                for n in ast.walk(node))
 
 
+_MEMOS = {"cache", "lru_cache"}
+
+
+def _is_memo(node: ast.AST) -> bool:
+    """functools' cache or lru_cache: imported, read as <module>.<name>, or named."""
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "functools" and any(a.name in _MEMOS for a in node.names)
+    if isinstance(node, ast.Attribute):
+        return node.attr in _MEMOS and isinstance(node.value, ast.Name)
+    return isinstance(node, ast.Name) and node.id in _MEMOS
+
+
+def _module_dicts(source: str) -> set[str]:
+    """The names the module's top level binds to a dict display, comprehension or
+    dict() call."""
+    names = set()
+    for st in ast.parse(source).body:
+        value = st.value if isinstance(st, (ast.Assign, ast.AnnAssign)) else None
+        if isinstance(value, (ast.Dict, ast.DictComp)) or _is_call(value, "dict"):
+            targets = st.targets if isinstance(st, ast.Assign) else [st.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return names
+
+
+def _is_dict_store(node: ast.AST, dicts: set[str]) -> bool:
+    """A write into one of dicts or into globals(): an item assignment, or a
+    setdefault or update call."""
+    if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+        owner = node.value
+    elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+          and node.func.attr in ("setdefault", "update")):
+        owner = node.func.value
+    else:
+        return False
+    return _is_call(owner, "globals") or isinstance(owner, ast.Name) and owner.id in dicts
+
+
 def _raises(node: ast.AST, name: str) -> bool:
     """The body of node holds a `raise name(...)`."""
     return any(isinstance(st, ast.Raise) and _is_call(st.exc, name) for st in node.body)
@@ -177,9 +226,13 @@ def rule_sites(source: str, module: str) -> list[tuple[str, str]]:
     that holds a ** or a .bit_length() call; a ball size is a call of
     count_words.  A field store is a use of object.__setattr__, an update of
     vars(...) or of a __dict__, or a self.<name> assignment in a class
-    whose bases name a Record."""
+    whose bases name a Record.  A process store is a use of functools' cache
+    or lru_cache, or a function's write into a module-level dict or globals()."""
     sites = []
+    dicts = _module_dicts(source)
     for node, where in walk_sites(source, module):
+        if _is_memo(node) or where != module and _is_dict_store(node, dicts):
+            sites.append(("process store", where))
         if (_is_call(node, "isinstance") and len(node.args) == 2
                 and "bool" in _names(node.args[1])):
             sites.append(("bool test", where))
@@ -391,6 +444,75 @@ def test_checker_sees_each_size_rule_written_out():
     assert stray_sites(rule_sites(balls, "embedding")) == [
         ("ball size", "embedding.TruncatedMatrix"),
     ]
+
+
+def test_checker_sees_each_process_store_written_out():
+    source = (
+        "import functools\n"
+        "from functools import cache, lru_cache as memo, reduce\n"
+        "_seen = {}\n"
+        "_built: dict = dict()\n"
+        "_table = {k: 0 for k in ()}\n"
+        "_names = {'a': 1}\n"
+        "_names['b'] = 2\n"
+        "@functools.lru_cache(maxsize=8)\n"
+        "def by_lru(x):\n"
+        "    return x\n"
+        "@functools.cache\n"
+        "def by_cache(x):\n"
+        "    return x\n"
+        "@cache\n"
+        "def by_name(x):\n"
+        "    return x\n"
+        "kept = lru_cache(maxsize=None)(len)\n"
+        "def memo_dict(x):\n"
+        "    _seen[x] = 1\n"
+        "    _built.setdefault(x, 2)\n"
+        "class Memo:\n"
+        "    def read(self, x):\n"
+        "        _table.update(x=3)\n"
+        "        globals()[x] = 4\n"
+        "def fine(x):\n"
+        "    local = {}\n"
+        "    local[x] = _seen.get(x)\n"
+        "    return functools.cached_property, functools.reduce, local.update(y=1)\n"
+    )
+    assert rule_sites(source, "errors") == [
+        ("process store", "errors"),
+        ("process store", "errors.by_lru"),
+        ("process store", "errors.by_cache"),
+        ("process store", "errors.by_name"),
+        ("process store", "errors"),
+        ("process store", "errors.memo_dict"),
+        ("process store", "errors.memo_dict"),
+        ("process store", "errors.Memo"),
+        ("process store", "errors.Memo"),
+    ]
+    assert stray_sites(rule_sites(source, "orbits")) == [
+        ("process store", "orbits"),
+        ("process store", "orbits.by_lru"),
+        ("process store", "orbits.by_cache"),
+        ("process store", "orbits.by_name"),
+        ("process store", "orbits"),
+        ("process store", "orbits.memo_dict"),
+        ("process store", "orbits.memo_dict"),
+        ("process store", "orbits.Memo"),
+        ("process store", "orbits.Memo"),
+    ]
+    # errors' top level and _store are the home, and globals() in
+    # pushcalc.__getattr__ the one exemption
+    assert stray_sites(rule_sites(source, "errors")) == [
+        ("process store", "errors.by_lru"),
+        ("process store", "errors.by_cache"),
+        ("process store", "errors.by_name"),
+        ("process store", "errors.memo_dict"),
+        ("process store", "errors.memo_dict"),
+        ("process store", "errors.Memo"),
+        ("process store", "errors.Memo"),
+    ]
+    getattr_memo = "def __getattr__(name):\n    globals()[name] = value = 1\n"
+    assert stray_sites(rule_sites(getattr_memo, "__init__")) == []
+    assert stray_sites(rule_sites(getattr_memo, "words")) == [("process store", "words.__getattr__")]
 
 
 def test_each_rule_has_one_home():

@@ -9,7 +9,14 @@ from math import comb
 import pytest
 
 from pushcalc import orbits
-from pushcalc.errors import HypothesisViolation, ParseError, SizeMismatch, TooLarge
+from pushcalc.errors import (
+    HypothesisViolation,
+    ParseError,
+    SizeMismatch,
+    TooLarge,
+    _STORES,
+    _clear_caches,
+)
 from pushcalc.orbits import (
     MapState,
     TargetModel,
@@ -883,12 +890,9 @@ def test_component_count_matches_sorted_tuples_on_wider_charges():
 # --- the colex tables kept for the process ---
 
 
-@pytest.fixture
-def fresh_columns():
-    """An empty table cache, emptied again after the test; yields cache_info."""
-    orbits._cached_columns.cache_clear()
-    yield orbits._cached_columns.cache_info
-    orbits._cached_columns.cache_clear()
+def columns():
+    """cache_info() of the colex store."""
+    return orbits._cached_columns.cache_info()
 
 
 def table_ints(m: int, k: int) -> int:
@@ -906,7 +910,7 @@ def colex_column(m: int, k: int, d: int) -> tuple[int, ...]:
     return tuple(number[tuple(sorted(y + (d,)))] for y in colex(k - 1))
 
 
-def test_cached_columns_equal_an_uncached_build(fresh_columns):
+def test_cached_columns_equal_an_uncached_build(cold_stores):
     for m in range(1, 7):
         for k in range(1, 7):
             cached = orbits._cached_columns(m, k)
@@ -916,7 +920,7 @@ def test_cached_columns_equal_an_uncached_build(fresh_columns):
             assert sum(map(len, cached)) == table_ints(m, k)
 
 
-def test_cold_warm_and_uncached_counts_agree(fresh_columns, monkeypatch):
+def test_cold_warm_and_uncached_counts_agree(cold_stores, monkeypatch):
     cases = [(target, hyp_model(g), k, want) for _, target, g, k, want in BATTERY]
     # two orbits, {w, x} and {y, z}: k + 1 multisets of orbits
     cases += [(TWO_GEN, hyp_model(2), k, k + 1) for k in range(3, 7)]
@@ -926,14 +930,14 @@ def test_cold_warm_and_uncached_counts_agree(fresh_columns, monkeypatch):
 
     want = [row[-1] for row in cases]
     assert counts() == want   # cold
-    assert fresh_columns().currsize > 0
-    hits = fresh_columns().hits
+    assert columns().currsize > 0
+    hits = columns().hits
     assert counts() == want   # warm
-    assert fresh_columns().hits > hits
-    monkeypatch.setattr(orbits, "CACHED_TABLE_INTS", 0)
-    orbits._cached_columns.cache_clear()
+    assert columns().hits > hits
+    monkeypatch.setattr(orbits, "_CACHED_INTS", 0)
+    _clear_caches()
     assert counts() == want   # every table built per call
-    assert fresh_columns().currsize == 0
+    assert columns().currsize == 0
 
 
 def cycle(m: int) -> list[int]:
@@ -941,36 +945,37 @@ def cycle(m: int) -> list[int]:
     return [*range(1, m), 0]
 
 
-def test_column_cache_is_bounded(fresh_columns):
+def test_column_cache_is_bounded(cold_stores):
     shapes = [(m, k) for m in range(2, 12) for k in range(2, 9) if table_ints(m, k) <= 1024]
-    assert len(shapes) > orbits.CACHED_TABLES == 32
+    assert len(shapes) > 32
     for m, k in shapes:
         _component_count(m, k, [cycle(m)])
         _component_count(33, 2, [cycle(33)])   # 1,089 ints: built per call
-    assert fresh_columns().currsize == 32
+    assert columns().currsize == 32
     # the 32 kept are the 32 shapes used last; reading them misses nothing
-    misses = fresh_columns().misses
+    misses = columns().misses
     held = sum(len(col) for m, k in shapes[-32:] for col in orbits._cached_columns(m, k))
-    assert fresh_columns().misses == misses
+    assert columns().misses == misses
     assert held == sum(table_ints(m, k) for m, k in shapes[-32:]) <= 32 * 1024
 
 
-def test_column_cache_takes_tables_of_at_most_1024_ints(fresh_columns, monkeypatch):
+def test_column_cache_takes_tables_of_at_most_1024_ints(cold_stores, monkeypatch):
+    assert _STORES["orbits._cached_columns"][:2] == (32, 1024)
     # no shape has exactly 1,025 ints: (32, 2) and (2, 512) have 1,024,
     # (2, 513) has 1,026 and (33, 2) 1,089
     for m, k in ((32, 2), (2, 512)):
         assert table_ints(m, k) == 1024
-        before = fresh_columns().currsize
+        before = columns().currsize
         _component_count(m, k, [cycle(m)])
-        assert fresh_columns().currsize == before + 1
+        assert columns().currsize == before + 1
     for m, k in ((2, 513), (33, 2)):
         _component_count(m, k, [cycle(m)])
-        assert fresh_columns().currsize == 2
+        assert columns().currsize == 2
     # one int over the bound is refused
-    orbits._cached_columns.cache_clear()
-    monkeypatch.setattr(orbits, "CACHED_TABLE_INTS", 1023)
+    _clear_caches()
+    monkeypatch.setattr(orbits, "_CACHED_INTS", 1023)
     assert _component_count(32, 2, [cycle(32)]) == 1
-    assert fresh_columns().currsize == 0
+    assert columns().currsize == 0
 
 
 def test_bruteforce_wide_charge_equals_formula():

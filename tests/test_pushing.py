@@ -16,6 +16,7 @@ from pushcalc.errors import (
     SizeMismatch,
     SlotOutOfRange,
     TooLarge,
+    _STORES,
 )
 from pushcalc.monoid import (
     SelfMapClass,
@@ -26,8 +27,6 @@ from pushcalc.monoid import (
     self_map_to_json,
 )
 from pushcalc.pushing import (
-    CACHED_SHAPE_LABELS,
-    CACHED_SHAPES,
     MAX_MODEL_SIZE,
     BraidElement,
     ManifoldModel,
@@ -1175,58 +1174,50 @@ def test_signature_owns_the_label_order():
         assert sig.punctures is sig.punctures and sig.cells is sig.cells
 
 
-@pytest.fixture
-def fresh_wedges():
-    """An empty wedge cache, emptied again after the test; yields cache_info."""
-    _cached_wedge.cache_clear()
-    yield _cached_wedge.cache_info
-    _cached_wedge.cache_clear()
-
-
-def test_signatures_of_one_shape_share_their_wedge(fresh_wedges):
+def test_signatures_of_one_shape_share_their_wedge(cold_stores):
     twisted = ManifoldModel(2, 3, (-1, 1), (((2, 1, parse_word("a1")),), ()))
     a, b = PuncturedSignature(ManifoldModel.default(2), 3), PuncturedSignature(twisted, 3)
     assert a != b
     assert a.wedge is b.wedge and a.punctures is b.punctures and a.cells is b.cells
     assert push_letter(a, 1, 1).circle_part is push_letter(b, -2, 3).circle_part
-    assert fresh_wedges().currsize == 1
+    assert _cached_wedge.cache_info().currsize == 1
     # another k or d is another shape
     c = PuncturedSignature(ManifoldModel.default(2, d=4), 3)
     d = PuncturedSignature(ManifoldModel.default(2), 2)
     assert c.wedge != a.wedge and d.wedge != a.wedge
-    assert fresh_wedges().currsize == 3
+    assert _cached_wedge.cache_info().currsize == 3
 
 
-def test_wedge_cache_is_bounded(fresh_wedges):
+def test_wedge_cache_is_bounded(cold_stores):
     # g + k = 64 is kept; 65 builds its own wedge each time
-    assert CACHED_SHAPE_LABELS == 64
+    assert _STORES["pushing._cached_wedge"][:2] == (32, 64)
     kept = [PuncturedSignature(ManifoldModel.default(60), 4) for _ in range(2)]
     assert kept[0].wedge is kept[1].wedge
-    assert fresh_wedges().currsize == 1
+    assert _cached_wedge.cache_info().currsize == 1
     own = [PuncturedSignature(ManifoldModel.default(60), 5) for _ in range(2)]
     assert own[0].wedge == own[1].wedge and own[0].wedge is not own[1].wedge
     assert own[0].punctures is not own[1].punctures
-    assert fresh_wedges().currsize == 1
+    assert _cached_wedge.cache_info().currsize == 1
     # 40 shapes: only the 32 used last are kept
     shapes = [(g, k) for g in range(5) for k in range(8)]
-    assert len(shapes) > CACHED_SHAPES == 32
+    assert len(shapes) > 32
     for g, k in shapes:
         PuncturedSignature(ManifoldModel.default(g), k)
-        assert fresh_wedges().currsize <= 32
-    assert fresh_wedges().currsize == 32
-    misses = fresh_wedges().misses
+        assert _cached_wedge.cache_info().currsize <= 32
+    assert _cached_wedge.cache_info().currsize == 32
+    misses = _cached_wedge.cache_info().misses
     for g, k in shapes[-32:]:
         PuncturedSignature(ManifoldModel.default(g), k)
-    assert fresh_wedges().misses == misses
+    assert _cached_wedge.cache_info().misses == misses
 
 
-def test_a_signature_over_the_cap_leaves_the_wedge_cache_alone(fresh_wedges):
+def test_a_signature_over_the_cap_leaves_the_wedge_cache_alone(cold_stores):
     PuncturedSignature(ManifoldModel.default(1), 1)
-    before = fresh_wedges()
+    before = _cached_wedge.cache_info()
     with pytest.raises(TooLarge) as err:
         PuncturedSignature(ManifoldModel.default(1), 20_000)
     assert str(err.value) == "a punctured model with g + k = 20001 is over the cap 20000"
-    assert fresh_wedges() == before
+    assert _cached_wedge.cache_info() == before
 
 
 def test_pushes_build_no_label_once_the_signature_has_them(monkeypatch):

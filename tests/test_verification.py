@@ -16,7 +16,7 @@ import random
 import pytest
 
 from pushcalc import monoid, orbits, pushing, ring, verification, words
-from pushcalc.errors import NotInImage
+from pushcalc.errors import NotInImage, _clear_caches
 from pushcalc.monoid import SelfMapClass
 from pushcalc.orbits import MapState
 from pushcalc.pushing import BraidElement
@@ -214,8 +214,7 @@ def test_reports_read_the_same_on_cold_and_warm_caches():
     # nothing one run leaves in them, such as a model's last-push record,
     # may change a later report.
     def cold():
-        for cached in (pushing._cached_wedge, verification._wedge, verification._hyp_model):
-            cached.cache_clear()
+        _clear_caches()
         return verification.run_suite("all", 1, 50).to_json()
 
     first = cold()
