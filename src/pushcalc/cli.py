@@ -1,18 +1,15 @@
 """Command line interface.
 
 One subcommand per invocation; output is deterministic for fixed flags
-and seed.  Every refusal, argparse's included, is raised as a
-PushcalcError or ValueError, and _run alone prints it as a single line
-``error:<code>: message`` to stderr: exit 2 for a usage error, else 1.
+and seed.  Every refusal is raised as a PushcalcError or ValueError, and
+_run alone prints it as a single line ``error:<code>: message`` to
+stderr: exit 2 for a usage error, else 1.
 
 A run loads only what its subcommand uses: each cmd_* imports the
 modules it calls when it runs.  Each subcommand's flags are data in
-_COMMANDS, read by both argv readers.  Argv in the plain shape (see
-_plain_args) is read without argparse.  Only help and argv outside that
-shape, which takes in every argv argparse refuses as well as
-`--flag=value`, `-g7`, `--max-l`, `--` and a negative value, import
-argparse; build_parser then adds the flags of the one subcommand argv
-names, and its parser answers or refuses argv as it always has.
+_COMMANDS, the one table _parse reads argv by and _help writes help
+from.  Help and usage errors keep the standard library parser's layout
+at 80 columns and its words.
 """
 
 from __future__ import annotations
@@ -27,8 +24,7 @@ from .errors import (HypothesisViolation, ParseError, PushcalcError, TooLarge, c
 # typing.TYPE_CHECKING without importing typing, which no run needs.
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    import argparse
-    from collections.abc import Callable
+    from collections.abc import Callable, Iterable
     from typing import NoReturn, TextIO
 
     from .pushing import PuncturedSignature
@@ -46,28 +42,6 @@ class _CliError(PushcalcError):
     def __init__(self, code: str, message: str) -> None:
         super().__init__(message)
         self.code = code
-
-
-def _terminal_columns() -> int:
-    """The width shutil.get_terminal_size() reports, without importing shutil
-    (and the bz2, lzma and fnmatch it loads).
-
-    A terminal that reports 0 columns gives 80 from Python 3.11 on and 0
-    before, as shutil does on each.
-    """
-    try:
-        columns = int(os.environ["COLUMNS"])
-    except (KeyError, ValueError):
-        columns = 0
-    if columns > 0:
-        return columns
-    try:
-        columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
-    except (AttributeError, ValueError, OSError):
-        return 80
-    if sys.version_info >= (3, 11):
-        return columns or 80
-    return columns
 
 
 def _print_json(obj: object) -> None:
@@ -124,7 +98,7 @@ def _signature(g: int, d: int, k: int) -> PuncturedSignature:
     return PuncturedSignature(ManifoldModel.default(g, d), k)
 
 
-def cmd_push_word(args: argparse.Namespace) -> int:
+def cmd_push_word(args: types.SimpleNamespace) -> int:
     from .monoid import format_self_map, self_map_to_json
     from .pushing import push_word, push_word_closed
     from .ring import RingElem, format_ring, ring_to_json
@@ -165,7 +139,7 @@ def cmd_push_word(args: argparse.Namespace) -> int:
     return 0 if agrees in (None, True) else 1
 
 
-def cmd_push_braid(args: argparse.Namespace) -> int:
+def cmd_push_braid(args: types.SimpleNamespace) -> int:
     from .monoid import format_self_map, self_map_to_json
     from .pushing import format_braid, parse_braid, push_braid
 
@@ -179,7 +153,7 @@ def cmd_push_braid(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_compose(args: argparse.Namespace) -> int:
+def cmd_compose(args: types.SimpleNamespace) -> int:
     from .monoid import compose, format_self_map, self_map_from_json, self_map_to_json
 
     outer = self_map_from_json(_load_json(args.outer))
@@ -192,7 +166,7 @@ def cmd_compose(args: argparse.Namespace) -> int:
     return 0
 
 
-def _map_from_args(args: argparse.Namespace) -> object:
+def _map_from_args(args: types.SimpleNamespace) -> object:
     word_mode = (args.word, args.g, args.k, args.slot)
     if args.map is not None:
         if any(x is not None for x in word_mode):
@@ -228,7 +202,7 @@ def _check_grid(n_labels: int) -> None:
         )
 
 
-def cmd_embed(args: argparse.Namespace) -> int:
+def cmd_embed(args: types.SimpleNamespace) -> int:
     from .embedding import block_matrix_to_json, format_block_matrix, materialize, to_tsv
 
     h = _map_from_args(args)
@@ -252,7 +226,7 @@ def cmd_embed(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_recover(args: argparse.Namespace) -> int:
+def cmd_recover(args: types.SimpleNamespace) -> int:
     from .monoid import self_map_from_json
     from .pushing import format_braid, recover_braid
 
@@ -266,7 +240,7 @@ def cmd_recover(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_kernel(args: argparse.Namespace) -> int:
+def cmd_kernel(args: types.SimpleNamespace) -> int:
     from .pushing import format_braid, kernel_report
 
     sig = _signature(args.g, args.d, args.k)
@@ -292,7 +266,7 @@ def cmd_kernel(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-def cmd_components(args: argparse.Namespace) -> int:
+def cmd_components(args: types.SimpleNamespace) -> int:
     from .orbits import components_bruteforce, components_formula, target_from_json
     from .pushing import ManifoldModel
 
@@ -344,7 +318,7 @@ def _max_states_from_env() -> int:
             "io", f"PUSHCALC_MAX_STATES must be a non-negative integer, got {raw!r}") from None
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: types.SimpleNamespace) -> int:
     from .verification import run_suite
 
     report = run_suite(
@@ -355,11 +329,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
+def _int(text: str) -> int:
+    """An integer flag's value: read_decimal's ASCII digits after an optional '-'."""
+    return -read_decimal(text[1:]) if text[:1] == "-" else read_decimal(text)
+
+
 # The model flags, and --json, which every subcommand but verify takes.
 _MODEL = (
-    ("-g", {"type": int, "required": True, "help": "number of handles"}),
-    ("-d", {"type": int, "default": 3, "help": "ambient dimension (default 3)"}),
-    ("-k", {"type": int, "required": True, "help": "number of punctures"}),
+    ("-g", {"type": _int, "required": True, "help": "number of handles"}),
+    ("-d", {"type": _int, "default": 3, "help": "ambient dimension (default 3)"}),
+    ("-k", {"type": _int, "required": True, "help": "number of punctures"}),
 )
 _JSON = ("--json", {"action": "store_true"})
 
@@ -369,8 +348,8 @@ def _verify_flags() -> tuple[tuple[str, dict], ...]:
 
     return (
         ("--suite", {"choices": SUITES, "default": "all"}),
-        ("--seed", {"type": int, "default": 0}),
-        ("--cases", {"type": int, "default": 100}),
+        ("--seed", {"type": _int, "default": 0}),
+        ("--cases", {"type": _int, "default": 100}),
         ("--inject-fault", {"action": "store_true",
                             "help": "add a deliberately false property (negative control)"}),
     )
@@ -379,11 +358,11 @@ def _verify_flags() -> tuple[tuple[str, dict], ...]:
 # Each subcommand: its handler, its line in the top-level help, and a function
 # that returns its flags in help order, as (flag, add_argument keywords) pairs.
 # A flag not starting with '-' is a positional.
-_COMMANDS: dict[str, tuple[Callable[[argparse.Namespace], int], str,
+_COMMANDS: dict[str, tuple[Callable[[types.SimpleNamespace], int], str,
                            Callable[[], tuple[tuple[str, dict], ...]]]] = {
     "push-word": (cmd_push_word, "push a puncture around a loop word", lambda: (
         _JSON, *_MODEL,
-        ("--slot", {"type": int, "required": True, "help": "which puncture moves"}),
+        ("--slot", {"type": _int, "required": True, "help": "which puncture moves"}),
         ("word", {"help": "loop word, e.g. 'a1 A2'"}),
         ("--closed-form", {"action": "store_true",
                            "help": "also print the loop coefficients f_i and cross-check the "
@@ -393,8 +372,8 @@ _COMMANDS: dict[str, tuple[Callable[[argparse.Namespace], int], str,
     )),
     "push-braid": (cmd_push_braid, "push punctures along a braid", lambda: (
         _JSON,
-        ("-g", {"type": int, "required": True}),
-        ("-d", {"type": int, "default": 3}),
+        ("-g", {"type": _int, "required": True}),
+        ("-d", {"type": _int, "default": 3}),
         ("braid", {"help": "braid text, e.g. '[a1 | e ; (1 2)]'"}),
     )),
     "compose": (cmd_compose, "compose two self-map JSON files", lambda: (
@@ -405,12 +384,12 @@ _COMMANDS: dict[str, tuple[Callable[[argparse.Namespace], int], str,
     "embed": (cmd_embed, "matrix form of a self-map", lambda: (
         _JSON,
         ("--map", {"help": "self-map JSON file"}),
-        ("-g", {"type": int}),
-        ("-d", {"type": int, "help": "ambient dimension (default 3)"}),
-        ("-k", {"type": int}),
-        ("--slot", {"type": int}),
+        ("-g", {"type": _int}),
+        ("-d", {"type": _int, "help": "ambient dimension (default 3)"}),
+        ("-k", {"type": _int}),
+        ("--slot", {"type": _int}),
         ("word", {"nargs": "?"}),
-        ("--truncate", {"type": int, "metavar": "RADIUS",
+        ("--truncate", {"type": _int, "metavar": "RADIUS",
                         "help": "print the finite window as TSV"}),
     )),
     "recover": (cmd_recover, "recover the braid behind a self-map", lambda: (
@@ -419,10 +398,10 @@ _COMMANDS: dict[str, tuple[Callable[[argparse.Namespace], int], str,
     )),
     "kernel": (cmd_kernel, "search for braids acting trivially", lambda: (
         _JSON, *_MODEL,
-        ("--max-len", {"type": int, "default": 4, "help": "slot word length bound"}),
-        ("--max-braids", {"type": int, "default": 20000,
+        ("--max-len", {"type": _int, "default": 4, "help": "slot word length bound"}),
+        ("--max-braids", {"type": _int, "default": 20000,
                           "help": "exhaustive below this count, sampled above"}),
-        ("--seed", {"type": int, "default": 0}),
+        ("--seed", {"type": _int, "default": 0}),
     )),
     "components": (cmd_components, "count components of a mapping space", lambda: (
         _JSON,
@@ -439,102 +418,139 @@ _COMMANDS: dict[str, tuple[Callable[[argparse.Namespace], int], str,
 
 
 def _dest(flag: str) -> str:
-    """The namespace attribute argparse stores a flag's value in."""
+    """The namespace attribute a flag's value is stored in."""
     return flag.lstrip("-").replace("-", "_")
 
 
-def _typed(spec: dict, text: str) -> object:
-    """text as argparse stores it: through the type, then in the choices;
-    ValueError where argparse would refuse it."""
-    value = spec.get("type", str)(text)
-    if "choices" in spec and value not in spec["choices"]:
-        raise ValueError(value)
-    return value
+def _is_flag(token: str) -> bool:
+    """token names a flag: it starts with '-' and is not a negative number."""
+    return token[:1] == "-" and not token[1:].isdecimal()
 
 
-def _plain_args(argv: list[str]) -> types.SimpleNamespace | None:
-    """The namespace argparse parses argv to, read without argparse; None
-    for argv outside the plain shape, which build_parser's parser then
-    answers or refuses.
+def _invalid_choice(name: str, value: str, choices: Iterable[str]) -> _CliError:
+    return _CliError("usage", f"argument {name}: invalid choice: {value!r} "
+                              f"(choose from {', '.join(map(repr, choices))})")
 
-    The plain shape is a known subcommand, then flags named in full, each
-    at most once, each value its own next token, and positionals; no
-    token but a flag starts with '-', every required flag is present, the
-    positional count is in range, and every value passes its type and
-    choices.
+
+def _typed(flag: str, spec: dict, text: str) -> object:
+    """text as the flag's value, through its choices and type."""
+    if "choices" in spec and text not in spec["choices"]:
+        raise _invalid_choice(flag, text, spec["choices"])
+    if "type" not in spec:
+        return text
+    try:
+        return spec["type"](text)
+    except ValueError:
+        raise _CliError("usage", f"argument {flag}: invalid int value: {text!r}") from None
+
+
+def _parse(argv: list[str]) -> types.SimpleNamespace | str:
+    """The namespace argv asks for, or the help text if argv holds -h or
+    --help; a usage _CliError for any other argv.
+
+    argv is a subcommand, then its flags and positionals in any order: each
+    flag named in full, with its value, if it takes one, as the next token.
+    A token that starts with '-' is a flag unless it is a negative number,
+    and a repeated flag keeps its last value.
     """
-    if not argv or argv[0] not in _COMMANDS:
-        return None
+    if not argv:
+        raise _CliError("usage", "the following arguments are required: command")
+    if argv[0] in ("-h", "--help"):
+        return _help(None)
+    if argv[0] not in _COMMANDS:
+        raise _invalid_choice("command", argv[0], _COMMANDS)
+    if "-h" in argv or "--help" in argv:
+        return _help(argv[0])
     flags = _COMMANDS[argv[0]][2]()
-    options = {flag: spec for flag, spec in flags if flag.startswith("-")}
-    positionals = [(flag, spec) for flag, spec in flags if flag not in options]
-    values = {_dest(flag): False if spec.get("action") == "store_true" else spec.get("default")
+    options = {flag: spec for flag, spec in flags if flag[0] == "-"}
+    unfilled = [flag for flag, _ in flags if flag not in options]   # positionals
+    values = {_dest(flag): spec.get("default", False if "action" in spec else None)
               for flag, spec in flags}
     values["command"] = argv[0]
     seen: set[str] = set()
-    words: list[str] = []
+    extras: list[str] = []
     tokens = iter(argv[1:])
-    try:
-        for token in tokens:
-            if not token.startswith("-"):
-                words.append(token)
-                continue
-            spec = options.get(token)
-            if spec is None or token in seen:
-                return None
-            seen.add(token)
-            if spec.get("action") == "store_true":
-                values[_dest(token)] = True
-                continue
-            value = next(tokens, "-")
-            if value.startswith("-"):
-                return None
-            values[_dest(token)] = _typed(spec, value)
-        required = sum("nargs" not in spec for _, spec in positionals)   # not '?'
-        if not required <= len(words) <= len(positionals):
-            return None
-        if any(spec.get("required") and flag not in seen for flag, spec in options.items()):
-            return None
-        for (flag, spec), word in zip(positionals, words):
-            values[flag] = _typed(spec, word)
-    except ValueError:
-        return None
-    return types.SimpleNamespace(**values)   # as argparse's Namespace
+    for token in tokens:
+        spec = options.get(token)
+        if spec is None:
+            if _is_flag(token) or not unfilled:
+                extras.append(token)
+            else:
+                values[unfilled.pop(0)] = token
+            continue
+        seen.add(token)
+        if "action" in spec:   # store_true
+            values[_dest(token)] = True
+            continue
+        value = next(tokens, "-")   # argv's end reads as a flag: no value
+        if _is_flag(value):
+            raise _CliError("usage", f"argument {token}: expected one argument")
+        values[_dest(token)] = _typed(token, spec, value)
+    # A positional is required unless its nargs is '?'.
+    missing = [flag for flag, spec in flags if spec.get("required") and flag not in seen
+               or flag in unfilled and "nargs" not in spec]
+    if missing:
+        raise _CliError("usage", f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise _CliError("usage", f"unrecognized arguments: {' '.join(extras)}")
+    return types.SimpleNamespace(**values)
 
 
-def build_parser(argv: list[str]) -> argparse.ArgumentParser:
-    """The pushcalc parser, with the flags of the first subcommand argv
-    names: the one argparse hands the rest of argv to, if it gets that far.
-    argparse is imported here, so a request in _plain_args's shape never
-    loads it."""
-    import argparse
+def _help(command: str | None) -> str:
+    """The help of a subcommand, or of pushcalc for None, laid out as the
+    standard library parser lays it out at 80 columns."""
+    import textwrap
 
-    class _Formatter(argparse.HelpFormatter):
-        """argparse's help formatter, with its default width worked out by
-        _terminal_columns: argparse builds one for every flag it adds, and its
-        own imports shutil."""
-
-        def __init__(self, prog: str, **kwargs) -> None:
-            if kwargs.get("width") is None:
-                kwargs["width"] = _terminal_columns() - 2   # argparse's own margin
-            super().__init__(prog, **kwargs)
-
-    class _Parser(argparse.ArgumentParser):
-        """Parser whose usage errors are raised to _run, not printed."""
-
-        def error(self, message: str) -> NoReturn:  # type: ignore[override]
-            raise _CliError("usage", message)
-
-    parser = _Parser(prog="pushcalc", description=__doc__.splitlines()[0],
-                     formatter_class=_Formatter)
-    sub = parser.add_subparsers(dest="command", required=True)
-    named = next((token for token in argv if token in _COMMANDS), None)
-    for name, (_, help_line, flags) in _COMMANDS.items():
-        command = sub.add_parser(name, help=help_line, formatter_class=_Formatter)
-        if name == named:
-            for flag, spec in flags():
-                command.add_argument(flag, **spec)
-    return parser
+    rows = {"positional arguments": [], "options": [("-h, --help",
+                                                     "show this help message and exit")]}
+    options, positionals = ["[-h]"], []
+    if command is None:
+        choices = "{" + ",".join(_COMMANDS) + "}"
+        positionals += [choices, "..."]
+        rows["positional arguments"] += [(choices, ""), *(
+            (f"  {name}", line) for name, (_, line, _) in _COMMANDS.items())]
+    for flag, spec in _COMMANDS[command][2]() if command else ():
+        if flag[0] != "-":
+            positionals.append(f"[{flag}]" if "nargs" in spec else flag)
+            rows["positional arguments"].append((flag, spec.get("help", "")))
+            continue
+        invocation = flag
+        if "action" not in spec:
+            choices = spec.get("choices")
+            invocation += " " + spec.get("metavar", "{" + ",".join(choices) + "}" if choices
+                                         else _dest(flag).upper())
+        options.append(invocation if spec.get("required") else f"[{invocation}]")
+        rows["options"].append((invocation, spec.get("help", "")))
+    # Help is 78 columns wide.  A usage line too long for them is filled
+    # part by part, the positionals from a new line.
+    head = f"usage: pushcalc {command}" if command else "usage: pushcalc"
+    out = [" ".join([head, *options, *positionals])]
+    if len(out[0]) > 78:
+        out, fresh = [], " " * len(head)
+        for line, parts in ((head, options), (fresh, positionals)):
+            for part in parts:
+                if len(line) + 1 + len(part) > 78 and line != fresh:
+                    out.append(line)
+                    line = fresh
+                line += " " + part
+            if line != fresh:
+                out.append(line)
+    out += [""] if command else ["", __doc__.splitlines()[0], ""]
+    # The help column: two past the longest invocation, at most 24.
+    column = min(24, 4 + max(len(invocation) for section in rows.values()
+                             for invocation, _ in section))
+    for title, section in rows.items():
+        if section:
+            out.append(f"{title}:")
+        for invocation, text in section:
+            lines = textwrap.wrap(text, 78 - column)
+            line = f"  {invocation}"
+            if lines and len(line) <= column - 2:
+                line = line.ljust(column) + lines.pop(0)
+            out += [line, *(" " * column + rest for rest in lines)]
+        if section:
+            out.append("")
+    return "\n".join(out)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -576,13 +592,11 @@ def _drop_buffered(stream: TextIO) -> None:
 def _run(argv: list[str] | None) -> int:
     """Answer, or print the one error line of any refusal."""
     try:
-        argv = sys.argv[1:] if argv is None else argv
-        args = _plain_args(argv)
-        if args is None:
-            args = build_parser(argv).parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
+        if isinstance(args, str):
+            print(args, end="")
+            return 0
         return _COMMANDS[args.command][0](args)
-    except SystemExit as exc:   # argparse has printed --help
-        return exc.code
     except PushcalcError as exc:
         code, message = exc.code, str(exc)
     except ValueError as exc:

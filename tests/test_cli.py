@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import collections
 import itertools
 import json
 import math
@@ -127,40 +128,9 @@ def test_push_word_slot_error(capsys):
     ["components"], ["verify"],
 ])
 def test_help_exits_zero_with_usage(capsys, monkeypatch, command):
-    # argparse wraps the help to the terminal's width.  build_parser adds the
-    # flags of the one subcommand argv names, so its help must list them.
-    # From 3.13 argparse keeps " ..." on the usage line of the command
-    # choices, so the top-level help has a golden of its own there.
-    monkeypatch.setenv("COLUMNS", "80")
-    name = command[0] if command else "pushcalc"
-    if not command and sys.version_info >= (3, 13):
-        name = "pushcalc-py313"
-    golden = GOLDEN / "help" / f"{name}.txt"
+    monkeypatch.setenv("COLUMNS", "40")   # help is 80 columns wide on any terminal
+    golden = GOLDEN / "help" / f"{command[0] if command else 'pushcalc'}.txt"
     assert run_cli(capsys, *command, "--help") == (0, golden.read_bytes().decode(), "")
-
-
-@pytest.mark.parametrize("columns", [None, "120", " 50 ", "0", "-3", "wide"])
-@pytest.mark.parametrize("stdout", ["captured", "none", "terminal"])
-def test_help_width_is_argparse_default(monkeypatch, columns, stdout):
-    # The CLI's formatter reads the width without shutil; it must read what
-    # argparse's own formatter reads through shutil.get_terminal_size.  The
-    # formatter is defined when a parser is built, so the test builds one.
-    formatter = cli.build_parser([]).formatter_class
-    if columns is None:
-        monkeypatch.delenv("COLUMNS", raising=False)
-    else:
-        monkeypatch.setenv("COLUMNS", columns)
-    if stdout == "none":
-        monkeypatch.setattr(sys, "__stdout__", None)
-    elif stdout == "terminal":   # a new pseudo-terminal reports 0 columns
-        leader, follower = os.openpty()
-        monkeypatch.setattr(sys, "__stdout__", open(follower, "w"))
-    try:
-        assert formatter("pushcalc")._width == argparse.HelpFormatter("pushcalc")._width
-    finally:
-        if stdout == "terminal":
-            sys.__stdout__.close()
-            os.close(leader)
 
 
 # Each line of usage_errors.txt is 'argv<TAB>error line', argv in shell quoting.
@@ -174,44 +144,60 @@ def test_usage_error_golden(capsys, argv, err):
     assert run_cli(capsys, *shlex.split(argv)) == (2, "", err)
 
 
-# Tokens outside the plain shape, or that argparse refuses: help, '--', an
-# attached value, a short flag with its value, an abbreviation, a negative
-# number, an unknown flag, an empty string and a lone '-'.
-ODD_TOKENS = ["", "-", "--", "-h", "--slot=1", "-g7", "--max-l", "-1", "--bogus", "--json"]
-# Values that argparse reads in some other way than the plain shape, or refuses.
-ODD_VALUES = ["-1", "x", "", "1.5", "-", "--", " 3", "+2", "1_0", "ring", "all"]
+@pytest.mark.parametrize("flag, value", [
+    ("-g", "\u0662"), ("-k", "1_0"), ("--slot", "+1"), ("-g", " 2"), ("-k", "9" * 5000),
+])
+def test_int_flags_take_ascii_digits(capsys, flag, value):
+    # as every other integer the CLI reads, here after an optional '-'
+    flags = {"-g": "1", "-k": "1", "--slot": "1", flag: value}
+    message = clip(f"argument {flag}: invalid int value: {value!r}", cli.MAX_MESSAGE_BYTES)
+    assert run_cli(capsys, "push-word", *itertools.chain(*flags.items()), "a1") == (
+        2, "", f"error:usage: {message}\n")
+
+
+def test_negative_int_flags_are_values(capsys):
+    assert run_cli(capsys, "push-word", "-g", "1", "-d", "-1", "-k", "1", "--slot", "1",
+                   "a1") == (1, "", "error:invalid: dimension must be an int >= 3, got -1\n")
+    assert run_cli(capsys, "kernel", "-g", "1", "-k", "1", "--max-len", "1", "--seed", "-1") \
+        == (0, "mode: exhaustive\nchecked: 3\nkernel: trivial\n", "")
+
+
+# Forms argparse reads and _parse refuses on purpose: '--', a lone '-', a
+# flag with its value attached and an abbreviation.  Odd tokens and values add
+# help, a negative number, an unknown flag, '' and ints in other spellings.
+REFUSED = {"-", "--", "--slot=1", "-g7", "--max-l"}
+ODD_TOKENS = [*sorted(REFUSED), "", "-h", "-1", "--bogus", "--json"]
+ODD_VALUES = ["-1", "x", "", "1.5", "-", "--", " 3", "+2", "1_0", "\u0662", "ring", "all"]
 WORDS = ["a1", "a1 A2", "[a1 | e ; (1 2)]", "map.json", ""]
 
 
 def draw_argv(rng: random.Random) -> list[str]:
     """A shuffled argv of one subcommand's flags, mostly well formed, with a
-    share of odd tokens, odd values, repeats and dropped tokens mixed in."""
+    share of odd tokens, odd values, repeated flags and dropped tokens."""
     command = rng.choice(list(cli._COMMANDS))
     flags = cli._COMMANDS[command][2]()
-    groups = []
-    for name, spec in flags:
-        if not name.startswith("-"):
-            continue
-        if rng.random() > (0.95 if spec.get("required") else 0.4):
-            continue
+    options = [(name, spec) for name, spec in flags if name.startswith("-")]
+
+    def group(name: str, spec: dict) -> list[str]:
         if spec.get("action") == "store_true":
-            groups.append([name])
-        elif rng.random() < 0.1:
-            groups.append([name, rng.choice(ODD_VALUES)])
-        elif "choices" in spec:
-            groups.append([name, rng.choice([*spec["choices"], "x"])])
-        elif spec.get("type") is int:
-            groups.append([name, str(rng.randrange(5))])
-        else:
-            groups.append([name, rng.choice(WORDS)])
-    n_words = sum(not name.startswith("-") for name, _ in flags)
+            return [name]
+        if rng.random() < 0.1:
+            return [name, rng.choice(ODD_VALUES)]
+        if "choices" in spec:
+            return [name, rng.choice([*spec["choices"], "x"])]
+        if "type" in spec:
+            return [name, str(rng.randrange(5))]
+        return [name, rng.choice(WORDS)]
+
+    groups = [group(name, spec) for name, spec in options
+              if rng.random() < (0.95 if spec.get("required") else 0.4)]
+    n_words = len(flags) - len(options)
     if rng.random() < 0.2:
         n_words = rng.randrange(n_words + 2)
     groups += [[rng.choice(WORDS)] for _ in range(n_words)]
-    if groups and rng.random() < 0.1:
-        groups.append(list(rng.choice(groups)))
-    for _ in range(rng.choice([0, 0, 0, 0, 0, 1, 2])):
-        groups.append([rng.choice(ODD_TOKENS)])
+    if rng.random() < 0.1:
+        groups.append(group(*rng.choice(options)))   # a repeat, mostly of a new value
+    groups += [[rng.choice(ODD_TOKENS)] for _ in range(rng.choice([0, 0, 0, 0, 0, 1, 2]))]
     rng.shuffle(groups)
     argv = [command, *itertools.chain.from_iterable(groups)]
     if rng.random() < 0.05:
@@ -219,27 +205,59 @@ def draw_argv(rng: random.Random) -> list[str]:
     return argv
 
 
+def oracle_int(text: str) -> int:   # the CLI's rule, written apart from cli._int
+    return int(re.fullmatch(r"-?[0-9]+", text)[0])   # argparse reads a TypeError as ValueError
+
+
+oracle_int.__name__ = "int"   # argparse names the type in "invalid int value"
+
+
+def oracle_parser() -> argparse.ArgumentParser:
+    """The argparse parser of _COMMANDS' flags, which read argv before _parse."""
+    parser = argparse.ArgumentParser(prog="pushcalc", description=cli.__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_line, flags) in cli._COMMANDS.items():
+        command = sub.add_parser(name, help=help_line)
+        for flag, spec in flags():
+            command.add_argument(flag, **{**spec, "type": oracle_int} if "type" in spec else spec)
+    return parser
+
+
+def reading(capsys, parse, argv: list[str]) -> object:
+    """What a reader makes of argv: 'help', the namespace's dict or the error line."""
+    try:
+        parsed = parse(argv)
+    except SystemExit as exc:   # argparse has printed help, or usage and an error line
+        err = capsys.readouterr().err
+        return "help" if exc.code == 0 else "error:usage: " + err.rpartition(": error: ")[2]
+    except cli._CliError as exc:
+        return f"error:usage: {exc}\n"
+    return "help" if isinstance(parsed, str) else vars(parsed)
+
+
 @pytest.mark.parametrize("seed", range(4))
-def test_plain_reader_agrees_with_argparse(capsys, seed):
-    # argparse is the oracle: an argv the plain reader accepts must parse to
-    # the same namespace under argparse, and an argv argparse refuses (or
-    # answers with help) must be left to argparse.
+def test_reader_agrees_with_argparse(capsys, seed):
+    # argparse is the oracle: both readers give equal namespaces, the same
+    # error line or help.  Left out: a flag before the subcommand, and -h
+    # after a bad value (or as one), which _parse answers with help.  An
+    # argv with a refused form must end in one usage error line.
+    parser = oracle_parser()
     rng = random.Random(seed)
-    outcomes = {"same": 0, "argparse alone": 0, "refused": 0}
-    for _ in range(600):
-        argv = draw_argv(rng)
-        try:
-            parsed = vars(cli.build_parser(argv).parse_args(argv))
-        except (cli._CliError, SystemExit):
-            parsed = None
-        plain = cli._plain_args(argv)
-        if plain is not None:
-            assert vars(plain) == parsed, argv
-            outcomes["same"] += 1
-        else:
-            outcomes["argparse alone" if parsed is not None else "refused"] += 1
-    capsys.readouterr()   # the help that -h printed
-    assert min(outcomes.values()) >= 20, outcomes
+    outcomes = collections.Counter()
+    for argv in [draw_argv(rng) for _ in range(600)]:
+        ours = reading(capsys, cli._parse, argv)
+        if ours != "help" and REFUSED.intersection(argv):
+            assert ours.startswith("error:usage: ") and run_cli(capsys, *argv) == (2, "", ours)
+            outcomes["refused form"] += 1
+            continue
+        theirs = reading(capsys, parser.parse_args, argv)
+        if argv and cli._is_flag(argv[0]) or ours == "help" != theirs:
+            outcomes["left out"] += 1
+            continue
+        assert ours == theirs, argv
+        outcomes["help" if ours == "help" else type(ours).__name__] += 1   # dict or error line
+    assert min(outcomes[kind] for kind in ("refused form", "help", "dict", "str")) >= 15 \
+        and outcomes["left out"] <= 30, outcomes
 
 
 def test_push_braid_golden(capsys):
@@ -662,7 +680,7 @@ _BUFFERED_ENV = {key: val for key, val in os.environ.items() if key != "PYTHONUN
 _PIPE_ARGVS = [
     ("verify", "--suite", "ring", "--cases", "2"),   # still buffered at exit
     ("embed", "-g", "2", "-k", "1", "--slot", "1", "a1 a2", "--truncate", "2"),  # 55 KB
-    ("--help",),   # argparse's help, printed before its own exit
+    ("--help",),
     ("push-word", "--help"),
 ]
 
@@ -710,6 +728,8 @@ def test_closed_stderr_pipe_keeps_the_refusal_code(entry, argv, code):
                   "--closed-form", "--matrix", "--json")),
         ("parse", ("push-word", "-g", "1", "-k", "1", "--slot", "1", "a0")),
         ("usage", ("push-word", "-g", "1", "a1")),
+        ("no-command", ()),
+        ("bad-command", ("no-such-command",)),
         ("too-large", ("push-word", "-g", "1", "-k", "1", "--slot", "1", "a1^300000000")),
     )
     for suffix, entry in _ENTRY_FORMS.items()
@@ -721,7 +741,7 @@ def test_each_entry_form_prints_what_main_prints(capsys, entry, argv):
                           env=_BUFFERED_ENV, timeout=60)
     code, out, err = run_cli(capsys, *argv)
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), err.encode())
-    assert out or err
+    assert out or re.fullmatch(r"error:[a-z-]+: [^\n]*\n", err)
 
 
 def _map_json(**change) -> str:
@@ -1291,17 +1311,6 @@ def test_cli_contract_on_hostile_inputs(tmp_path):
     assert 10 <= answers <= 250
 
 
-def test_usage_errors_are_single_line():
-    for argv in ([], ["no-such-command"], ["push-word", "-g", "1"]):
-        proc = subprocess.run(
-            [sys.executable, "-m", "pushcalc.cli", *argv],
-            capture_output=True, text=True,
-        )
-        assert proc.returncode == 2
-        assert proc.stderr.startswith("error:usage: ")
-        assert proc.stderr.count("\n") == 1
-
-
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "pushcalc", "push-word", "-g", "1", "-k", "1",
@@ -1342,15 +1351,11 @@ def test_readme_examples_print_what_they_show(capsys):
 
 
 def stderr_writers(source: str) -> set[str]:
-    """Outermost functions of source that name sys.stderr, or call an exit
-    method with a message, as argparse's exit(status, message) does."""
+    """Outermost functions of source that name sys.stderr."""
     writers = set()
 
     def visit(node: ast.AST, where: str) -> None:
         if isinstance(node, ast.Attribute) and node.attr in ("stderr", "__stderr__"):
-            writers.add(where)
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "exit" and len(node.args) + len(node.keywords) > 1):
             writers.add(where)
         for child in ast.iter_child_nodes(node):
             inner = where
@@ -1369,13 +1374,13 @@ def test_stderr_checker_sees_each_way_of_writing():
         "    print('error:x: y', file=sys.stderr)\n"
         "def die():\n"
         "    sys.stderr.write('error:x: y')\n"
-        "class Parser:\n"
-        "    def error(self, message):\n"
-        "        self.exit(2, message)\n"
+        "class Log:\n"
+        "    def write(self, line):\n"
+        "        print(line, file=sys.__stderr__)\n"
         "def quiet():\n"
         "    sys.exit(1)\n"
     )
-    assert stderr_writers(source) == {"_run", "die", "Parser"}
+    assert stderr_writers(source) == {"_run", "die", "Log"}
 
 
 def test_run_alone_writes_error_lines():

@@ -101,12 +101,12 @@ def test_unknown_name_and_dir():
     assert "__all__" in listing and set(pushcalc.__all__) <= set(listing)
 
 
-# Standard-library modules no request loads, beyond what a bare `python -S`
-# start with the modules the CLI always uses loads: dataclasses and what it
-# pulls in, pathlib, typing, random (verify draws its cases with it), and
-# shutil, which argparse's own help formatter imports for the terminal width.
+# Standard-library modules no request loads, help included, beyond what a
+# bare `python -S` start with the modules the CLI always uses loads:
+# dataclasses and what it pulls in, pathlib, typing, random (verify draws its
+# cases with it), shutil, and argparse with the gettext and locale it loads.
 AVOIDED = {"dataclasses", "inspect", "ast", "dis", "tokenize", "pathlib", "typing", "random",
-           "shutil"}
+           "shutil", "argparse", "gettext", "locale"}
 
 
 @pytest.fixture(scope="module")
@@ -123,20 +123,7 @@ def test_each_subcommand_loads_no_avoided_stdlib_module(tmp_path, bare_start, ar
     assert (loaded - bare_start) & AVOIDED <= allowed
 
 
-# argparse and what it loads.  A request in the plain shape reads its argv
-# without them (cli._plain_args); help and a usage error build the argparse
-# parser.
-ARGPARSE = {"argparse", "gettext", "locale"}
-
-
-@pytest.mark.parametrize("argv", [a for a, _ in REQUESTS if "--help" not in a], ids=" ".join)
-def test_plain_request_loads_no_argparse(tmp_path, argv):
-    (tmp_path / "map.json").write_text(json.dumps(MAP))
-    (tmp_path / "target.json").write_text(json.dumps(TARGET))
-    assert imported(["-S", "-m", "pushcalc", *argv], cwd=tmp_path) & ARGPARSE == set()
-
-
 @pytest.mark.parametrize("argv, code", [(["--help"], 0), (["kernel", "-g", "1"], 2)],
                          ids=["help", "usage-error"])
-def test_help_and_usage_error_load_argparse(argv, code):
-    assert imported(["-S", "-m", "pushcalc", *argv], code=code) >= ARGPARSE
+def test_help_and_usage_error_load_no_argparse(argv, code):
+    assert not imported(["-S", "-m", "pushcalc", *argv], code=code) & AVOIDED

@@ -27,11 +27,11 @@ The reader rules:
   errors.parsing.  pushing.parse_perm's handler of errors.read_decimal
   raises a message of its own, so it is a different rule.
 - Text is read as an int in the ASCII digits 0-9 alone: errors.read_decimal,
-  which pushing.parse_perm, ring.parse_label and PUSHCALC_MAX_STATES call.
-  int() also takes a sign, '_', whitespace and other scripts' digits, and
-  three other readers want what it takes: cli._terminal_columns reads
-  COLUMNS as shutil does, cli._json_int reads what json's own grammar has
-  checked, and words.parse_word's exponent may be negative.
+  which pushing.parse_perm, ring.parse_label, PUSHCALC_MAX_STATES and
+  cli._int (after an optional '-') call.  int(), or int handed on as a
+  flag's type, also takes a sign, '_', whitespace and other scripts' digits;
+  cli._json_int reads what json's own grammar has checked, and
+  words.parse_word's exponent may be negative.
 
 The size rules:
 
@@ -80,8 +80,7 @@ HOMES = {
     "permutation test": {"errors.is_permutation"},
     "reader type test": {"errors.check_text", "errors.json_array", "errors.json_object"},
     "translation": {"errors.parsing"},
-    "decimal read": {"errors.read_decimal", "cli._terminal_columns", "cli._json_int",
-                     "words.parse_word"},
+    "decimal read": {"errors.read_decimal", "cli._json_int", "words.parse_word"},
     "capped product": {"errors.capped_product"},
     "ball size": {"embedding._ball_size", "pushing.kernel_report"},
     "field store": {"errors.Record"},
@@ -195,8 +194,14 @@ def _raises(node: ast.AST, name: str) -> bool:
 
 
 def _is_decimal_read(node: ast.AST) -> bool:
-    """int(...) of one argument: text read as an integer."""
-    return _is_call(node, "int") and len(node.args) == 1 and not node.keywords
+    """int(...) of one argument: text read as an integer; or int handed on
+    as a call's argument (but isinstance's), a keyword's or a dict's value."""
+    if _is_call(node, "int"):
+        return len(node.args) == 1 and not node.keywords
+    values = (node.values if isinstance(node, ast.Dict) else [node.value]
+              if isinstance(node, ast.keyword) else node.args
+              if isinstance(node, ast.Call) and not _is_call(node, "isinstance") else [])
+    return any(isinstance(value, ast.Name) and value.id == "int" for value in values)
 
 
 def _is_translation(node: ast.AST) -> bool:
@@ -222,10 +227,10 @@ def rule_sites(source: str, module: str) -> list[tuple[str, str]]:
     `if` on `not isinstance(...)` whose body raises ParseError; a
     translation is an `except ValueError as exc` that raises
     ParseError(str(exc)), and a decimal read is an int() call of one
-    argument.  A capped product is a comparison with an operand
-    that holds a ** or a .bit_length() call; a ball size is a call of
-    count_words.  A field store is a use of object.__setattr__, an update of
-    vars(...) or of a __dict__, or a self.<name> assignment in a class
+    argument or int handed on as a value.  A capped product is a comparison
+    with an operand that holds a ** or a .bit_length() call; a ball size is
+    a call of count_words.  A field store is a use of object.__setattr__, an
+    update of vars(...) or of a __dict__, or a self.<name> assignment in a class
     whose bases name a Record.  A process store is a use of functools' cache
     or lru_cache, or a function's write into a module-level dict or globals()."""
     sites = []
@@ -408,6 +413,8 @@ def test_checker_sees_each_reader_rule_written_out():
         ("decimal read", "errors.fine"),
         ("decimal read", "errors.parse_perm"),
     ]
+    handed_on = "T = {'-g': {'type': int}}, f(type=int), map(int, 'a'), isinstance(1, int)\n"
+    assert rule_sites(handed_on, "cli") == [("decimal read", "cli")] * 3
 
 
 def test_checker_sees_each_size_rule_written_out():
