@@ -123,14 +123,24 @@ def test_push_word_slot_error(capsys):
     assert err.startswith("error:slot-out-of-range: ")
 
 
-@pytest.mark.parametrize("command", [
-    [], ["push-word"], ["push-braid"], ["compose"], ["embed"], ["recover"], ["kernel"],
-    ["components"], ["verify"],
-])
-def test_help_exits_zero_with_usage(capsys, monkeypatch, command):
-    monkeypatch.setenv("COLUMNS", "40")   # help is 80 columns wide on any terminal
+@pytest.mark.parametrize("command", [[], *([name] for name in cli._COMMANDS)])
+def test_help_exits_zero_with_usage(capsys, command):
     golden = GOLDEN / "help" / f"{command[0] if command else 'pushcalc'}.txt"
     assert run_cli(capsys, *command, "--help") == (0, golden.read_bytes().decode(), "")
+
+
+@pytest.mark.parametrize("columns", [None, "120", " 50 ", "0", "-3", "wide"])
+@pytest.mark.parametrize("stdout", ["captured", "none", "terminal"])
+def test_help_ignores_the_terminal_width(capsys, monkeypatch, columns, stdout):
+    # 80 columns, whatever COLUMNS holds or stdout is (a new pseudo-terminal has 0)
+    monkeypatch.delenv("COLUMNS", raising=False)
+    if columns:
+        monkeypatch.setenv("COLUMNS", columns)
+    leader, follower = os.openpty()
+    with open(leader, "rb"), open(follower, "w") as terminal:
+        streams = {"captured": sys.__stdout__, "none": None, "terminal": terminal}
+        monkeypatch.setattr(sys, "__stdout__", streams[stdout])
+        test_help_exits_zero_with_usage(capsys, ["components"])
 
 
 # Each line of usage_errors.txt is 'argv<TAB>error line', argv in shell quoting.
@@ -1309,16 +1319,6 @@ def test_cli_contract_on_hostile_inputs(tmp_path):
             assert len(err.encode()) < 200, (where, err[:300])
     # both outcomes occur: most hostile inputs are refused, a few still answer
     assert 10 <= answers <= 250
-
-
-def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "pushcalc", "push-word", "-g", "1", "-k", "1",
-         "--slot", "1", "a1"],
-        capture_output=True, text=True,
-    )
-    assert proc.returncode == 0
-    assert proc.stdout == "(a1, a1·p1, t1 + p1)\n"
 
 
 def readme_examples() -> list[tuple[list[str], str]]:
