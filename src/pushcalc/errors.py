@@ -121,7 +121,8 @@ def capped_product(powers: Sequence[tuple[int, int]], cap: int) -> int | None:
 
 # The stores that outlive a call, each an lru_cache that _store puts on a function:
 # name: (values kept, admission bound, key -> value).  A call past the bound builds
-# its value and keeps none.  Only wedges are handed out: a write can reach no other.
+# its value and keeps none.  Only wedges are handed out, and a wedge and its
+# identity_endo refuse every write, so a holder can change nothing another shares.
 _STORES = {
     "pushing._cached_wedge": (32, 64, "(g, k, d), g + k <= 64 -> labels, wedge, identity_endo"),
     "orbits._cached_columns": (32, 1_024, "(m, k) -> a colex table of <= 1,024 ints"),

@@ -96,8 +96,8 @@ class SelfMapClass:
                 f"circle part has rank {circle_part.rank}, signature needs {g}"
             )
         allowed = sig.label_set
-        for img in circle_part.images:
-            _check_rank("circle image", img.letters, g)
+        for letters in circle_part._letters:
+            _check_rank("circle image", letters, g)
         if not isinstance(sphere_part, Mapping):
             raise ValueError(
                 f"sphere part must be a mapping, got {type(sphere_part).__name__}"
@@ -211,7 +211,7 @@ def _compose_letters(outer: SelfMapClass, inner: SelfMapClass) -> tuple[int, int
         length = len
     else:
         lens = [0] * (2 * inner.sig.g + 1)   # index x and -x: the letter's generator
-        for i, img in enumerate(outer.circle_part.images, start=1):
+        for i, img in enumerate(outer.circle_part._letters, start=1):
             lens[i] = lens[-i] = len(img)
         length_of = lens.__getitem__
 
@@ -223,7 +223,7 @@ def _compose_letters(outer: SelfMapClass, inner: SelfMapClass) -> tuple[int, int
         words = [t for r in vec.values() for t in r.terms]
         outer_terms[m] = len(words)
         outer_letters[m] = sum(map(len, words))
-    substituted = sum(length(w.letters) for w in inner.circle_part.images)
+    substituted = sum(map(length, inner.circle_part._letters))
     products = 0
     for vec in inner.sphere_part.values():
         for m, r in vec.items():

@@ -519,7 +519,8 @@ def recover_braid(sig: PuncturedSignature, h: SelfMapClass) -> BraidElement:
         entry = last.get(u)
         sign, terms = _slot_terms(model, u) if entry is None else entry
         if c != sign:
-            raise NotInImage(f"image of p{i} has coefficient {c}, expected a unit")
+            raise NotInImage(
+                f"image of p{i} has coefficient {c}, expected the orientation sign {sign}")
         j = lab.index
         if words[j - 1] is not None:
             raise NotInImage(f"two puncture spheres land on p{j}")

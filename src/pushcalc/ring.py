@@ -175,8 +175,6 @@ def ring_endo_apply(phi: FreeEndo, a: RingElem) -> RingElem:
     """Apply an endomorphism to every support word; collided images add."""
     for t in a.terms:
         _check_rank("word", t, phi.rank)
-    if phi.is_identity:
-        return a
     substitute = _words._kernel.substitute
     acc: dict[tuple[int, ...], int] = {}
     for t, c in a.terms.items():

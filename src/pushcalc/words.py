@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Iterator
+from operator import itemgetter
 
 from .errors import (ParseError, TooLarge, as_tuple, capped_product, check_count, check_text,
                      check_type, clip, is_int)
@@ -161,40 +162,52 @@ def shortlex_key(u: FreeWord) -> tuple:
     return (len(u.letters), tuple([2 * abs(x) + (x < 0) for x in u.letters]))
 
 
-class FreeEndo:
-    """An endomorphism of F_g, given by the images of the g generators."""
+class FreeEndo(tuple):
+    """An endomorphism of F_g, given by the images of the g generators.
 
-    __slots__ = ("images", "_letters", "_is_id")
+    An endomorphism is the validated pair (the images' letter tuples,
+    whether they are a1..ag) stored as an immutable tuple, as a
+    ring.SphereLabel is: hashing and equality run in C, and no attribute
+    can be assigned, so a circle part can be shared.  Being a tuple, an
+    endomorphism also equals the plain tuple of the same pair.  images
+    builds the FreeWords when read.
 
-    def __init__(self, images: Iterable[FreeWord]) -> None:
+    >>> FreeEndo([parse_word("a1")]) == FreeEndo.identity(1)
+    True
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, images: Iterable[FreeWord]) -> "FreeEndo":
         imgs = as_tuple("endomorphism images", images)
         for w in imgs:
             check_type("endomorphism images", w, FreeWord)
-        self.images = imgs
-        self._letters = tuple(w.letters for w in imgs)
-        self._is_id = all(
-            w.letters == (i,) for i, w in enumerate(imgs, start=1)
-        )
+        return cls._wrap(tuple(w.letters for w in imgs))
+
+    @classmethod
+    def _wrap(cls, letters: tuple[tuple[int, ...], ...]) -> "FreeEndo":
+        # Internal fast path for reduced letter tuples; every endomorphism
+        # is built here.
+        return tuple.__new__(cls, (letters, all(t == (i,) for i, t in enumerate(letters, 1))))
 
     @classmethod
     def identity(cls, g: int) -> "FreeEndo":
-        return cls(FreeWord._wrap((i,)) for i in range(1, g + 1))
+        return cls._wrap(tuple((i,) for i in range(1, g + 1)))
+
+    _letters = property(itemgetter(0), doc="The images' letter tuples, generator by generator.")
+    is_identity = property(itemgetter(1), doc="True when each a_i maps to itself.")
 
     @property
     def rank(self) -> int:
-        return len(self.images)
+        return len(self[0])
 
     @property
-    def is_identity(self) -> bool:
-        return self._is_id
+    def images(self) -> tuple[FreeWord, ...]:
+        return tuple(map(FreeWord._wrap, self[0]))
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FreeEndo):
-            return NotImplemented
-        return self._letters == other._letters
-
-    def __hash__(self) -> int:
-        return hash(self._letters)
+    def __getnewargs__(self) -> tuple[tuple[FreeWord, ...]]:
+        # copy and pickle rebuild an endomorphism through __new__(cls, images).
+        return (self.images,)
 
     def __repr__(self) -> str:
         return f"FreeEndo([{', '.join(format_word(w) for w in self.images)}])"
@@ -214,15 +227,15 @@ def endo_apply(phi: FreeEndo, u: FreeWord) -> FreeWord:
 def endo_compose(outer: FreeEndo, inner: FreeEndo) -> FreeEndo:
     """Composite endomorphism: apply inner first, then outer.
 
-    An identity outer, as every push class's circle part is, gives inner
-    itself (a FreeEndo is immutable), once its words are checked to lie
-    within outer's rank as endo_apply checks them.
+    Inner's words are checked to lie within outer's rank as endo_apply
+    checks them.  An identity outer, as every push class's circle part is,
+    then gives inner itself (a FreeEndo is immutable).
     """
+    for letters in inner._letters:
+        _check_rank("word", letters, outer.rank)
     if outer.is_identity:
-        for letters in inner._letters:
-            _check_rank("word", letters, outer.rank)
         return inner
-    return FreeEndo(endo_apply(outer, w) for w in inner.images)
+    return FreeEndo._wrap(tuple(_kernel.substitute(outer._letters, t) for t in inner._letters))
 
 
 # A generator index has at most 9 digits, leading zeros aside: no model has

@@ -61,7 +61,7 @@ ALLOWED: dict[str, str] = {
     "ring.RingElem.__repr__": REPR,
     "ring.SphereLabel.__getnewargs__": "copy and pickle support",
     "ring.SphereLabel.__repr__": REPR,
-    "words.FreeEndo.__hash__": HASH,
+    "words.FreeEndo.__getnewargs__": "copy and pickle support",
     "words.FreeEndo.__repr__": REPR,
     "words.FreeWord.__hash__": "hash, for users who key a dict or set by a word (test_words); "
                                "a window keys its cells by letter tuples",

@@ -490,7 +490,7 @@ RECOVER_BASE = {
     ({"spheres": {"p2": {"t1": [[1, "e"]]}}}, "image of p2 lands on t1"),
     ({"spheres": {"p1": {"p1": [[1, "a1"], [1, "e"]]}}}, "image of p1 has 2 group terms"),
     ({"spheres": {"p1": {"p1": [[-1, "a1"]]}}},
-     "image of p1 has coefficient -1, expected a unit"),
+     "image of p1 has coefficient -1, expected the orientation sign 1"),
     ({"spheres": {"p2": {"p1": [[1, "e"]]}}}, "two puncture spheres land on p1"),
     ({"spheres": {"t1": {"t1": [[1, "e"]]}}}, "cell images do not match the decoded braid"),
     ({"spheres": {"t1": {"p1": [[1, "e"]], "t1": [[1, "e"]], "p2": [[1, "a1"]]}}},

@@ -165,9 +165,9 @@ def test_truncated_product_matches_closed_form():
         tc = materialize(c, 1)
         assert set(tc.rows) <= set(tp.rows)
         assert tc.cols == tp.cols
-        for row in tc.rows:
-            for col in tc.cols:
-                assert tc.entry(row, col) == tp.entry(row, col)
+        # Both windows hold only their nonzero entries, so equal dicts on
+        # tc's rows mean equal entries in every cell of tc.
+        assert {key: v for key, v in tp.entries.items() if tc.has_row(key[0])} == tc.entries
 
 
 def test_truncated_product_coverage_guard():

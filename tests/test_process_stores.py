@@ -16,6 +16,7 @@ import pytest
 
 from pushcalc import errors, orbits, pushing, verification
 from pushcalc.errors import _STORES, _clear_caches
+from pushcalc.monoid import identity_map
 from pushcalc.orbits import components_bruteforce
 from pushcalc.pushing import (
     BraidElement,
@@ -25,6 +26,7 @@ from pushcalc.pushing import (
     recover_braid,
 )
 from pushcalc.verification import run_suite
+from pushcalc.words import FreeEndo, parse_word
 
 from _helpers import rand_word
 
@@ -115,6 +117,27 @@ def report(suite, seed, cases):
 def test_reports_agree_cold_warm_and_cleared():
     cases = [(suite, seed, 15) for seed in range(3) for suite in ("push", "orbits", "all")]
     assert_cold_warm_and_cleared_agree(report, cases)
+
+
+# --- what a store shares cannot be written ---
+
+
+def test_a_shared_circle_part_refuses_every_write():
+    # Two signatures of one shape share one wedge from the store, and so its
+    # identity circle part, which is also every push's circle part: a write
+    # into it would reach the other signature's classes.
+    a = PuncturedSignature(ManifoldModel.default(2, 3), 1)
+    b = PuncturedSignature(ManifoldModel.default(2, 3), 1)
+    assert a.wedge is b.wedge
+    pushed = push_braid(a, BraidElement((rand_word(random.Random(SEED), 2, 4),), (0,)))
+    writes = {"images": (parse_word("a1 a2"), parse_word("a2")), "_letters": ((1, 2), (2,)),
+              "_is_id": True, "anything": 0}
+    for endo in (a.wedge.identity_endo, pushed.circle_part):
+        for name, value in writes.items():
+            with pytest.raises(AttributeError):
+                setattr(endo, name, value)
+        assert endo == FreeEndo.identity(2) and endo.is_identity
+    assert repr(identity_map(b.wedge)) == "SelfMapClass(a1, a2, p1, t1, t2)"
 
 
 # --- planted stores whose key is too short ---

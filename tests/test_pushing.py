@@ -498,13 +498,13 @@ def test_push_braid_shares_the_identity_circle_part(monkeypatch):
               ("[a1 A2 | a2^2 | e ; (1 3 2)]", "[e | e | e ; id]", "[A1 | a1 a2 | A2 ; (1 2)]")]
     first = push_braid(sig, braids[0])
     built = []
-    original = FreeEndo.__init__
+    original = FreeEndo._wrap
 
-    def counted(self, images):
-        built.append(self)
-        original(self, images)
+    def counted(cls, letters):
+        built.append(letters)
+        return original(letters)
 
-    monkeypatch.setattr(FreeEndo, "__init__", counted)
+    monkeypatch.setattr(FreeEndo, "_wrap", classmethod(counted))
     FreeEndo([])
     assert len(built) == 1   # the counter works
     built.clear()
@@ -741,8 +741,10 @@ def _recover_braid_by_round_trip(sig: PuncturedSignature, h: SelfMapClass):
         if len(r.terms) != 1:
             raise NotInImage(f"image of p{i} has {len(r.terms)} group terms")
         (u, c), = r.items_shortlex()
-        if c != char_sign(sig.model.character, u):
-            raise NotInImage(f"image of p{i} has coefficient {c}, expected a unit")
+        sign = char_sign(sig.model.character, u)
+        if c != sign:
+            raise NotInImage(
+                f"image of p{i} has coefficient {c}, expected the orientation sign {sign}")
         j = lab.index
         if words[j - 1] is not None:
             raise NotInImage(f"two puncture spheres land on p{j}")
@@ -1246,6 +1248,9 @@ def test_reprs_str_and_hash_read_as_documented():
     assert repr(RingElem([(a1, 2), (IDENTITY, -1)])) == "RingElem<-1 + 2 a1>"
     endo = FreeEndo([a1 * a2, a2])
     assert repr(endo) == "FreeEndo([a1 a2, a2])"
+    assert [repr(FreeEndo(images)) for images in ([], [IDENTITY], [a1 * a1 * ~a2, ~a1])] == [
+        "FreeEndo([])", "FreeEndo([e])", "FreeEndo([a1^2 A2, A1])"]
+    assert repr(FreeEndo.identity(2)) == "FreeEndo([a1, a2])"
     twin = FreeEndo([parse_word("a1 a2"), parse_word("a2")])
     assert twin == endo and hash(twin) == hash(endo)
     assert repr(push_braid(SIG11, parse_braid("[a1 ; id]"))) == "SelfMapClass(a1, a1·p1, t1 + p1)"

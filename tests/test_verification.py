@@ -1,8 +1,8 @@
 """Each property suite can fail: a planted fault is caught by exactly the
 properties that should see it.  A fault is patched where the suite reads the
 name: on verification for the names it imports, on words._kernel for the
-word kernel, and on orbits for _move, which act reads from there at call
-time.  (A slope fault in the embed suite is in test_embedding.py.)
+word kernel, on words.FreeWord for the word product, and on orbits for
+_move, which act reads from there at call time.  (A slope fault in the embed suite is in test_embedding.py.)
 
 The suites draw their cases on a pinned random stream: the reports at seeds
 1-3 keep their recorded digests, and each case builder draws exactly what,
@@ -44,6 +44,12 @@ def _plus_one(orbit_count):
 
 def _no_cancelling(concat):
     return lambda a, b: a + b
+
+
+def _empty_right_wins(mul):
+    # a * e gives e, dropping a.  a * ~a is still empty, and the shrunk case
+    # ((x,), (), ()) is still associative, so it fails on the identity law.
+    return lambda a, b: b if isinstance(b, words.FreeWord) and not b.letters else mul(a, b)
 
 
 def _one_pass(reduce_letters):
@@ -131,6 +137,7 @@ def _no_reflection_after_an_inverse_letter(move):
     ("ring", words._kernel, "concat", _no_cancelling,
      ["group-axioms", "induced-ring-map-multiplicative"]),
     ("ring", words._kernel, "reduce_letters", _one_pass, ["reduce-idempotent"]),
+    ("ring", words.FreeWord, "__mul__", _empty_right_wins, ["group-axioms"]),
     ("ring", verification, "augment", _absolute, ["augmentation-homomorphism"]),
     ("monoid", verification, "identity_map", _first_unit_doubled, ["identity-laws"]),
     ("monoid", verification, "top_homology_matrix", _transposed, ["homology-functor"]),
@@ -174,6 +181,8 @@ def _not_in_image(recover_braid):
 @pytest.mark.parametrize("suite, module, name, fault, failing, message", [
     ("ring", words._kernel, "concat", _reversed, "group-axioms",
      "concatenation is not associative"),
+    ("ring", words.FreeWord, "__mul__", _empty_right_wins, "group-axioms",
+     "identity law fails"),
     ("push", verification, "_slot_terms", _sign_minus_one, "crossing-cocycle",
      "orientation sign is not multiplicative"),
     ("push", verification, "recover_braid", _not_in_image, "recover-round-trip",

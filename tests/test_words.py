@@ -1,6 +1,8 @@
 """Free-group words: canonical reduction, group arithmetic, the word grammar."""
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -251,6 +253,62 @@ def test_endo_compose_with_an_identity_outer_is_the_substitution():
     with pytest.raises(ValueError) as walk:
         endo_apply(FreeEndo.identity(2), wide.images[1])
     assert str(shortcut.value) == str(walk.value) == "word a1 A3 exceeds rank 2"
+
+
+def seeded_endos(seed: int, count: int) -> list[tuple[tuple, FreeEndo]]:
+    """(letter tuples, FreeEndo) pairs; short images over small ranks, so
+    that equal endomorphisms are drawn as well as different ones."""
+    rng = random.Random(seed)
+    pairs = []
+    for _ in range(count):
+        g = rng.randrange(0, 3)
+        images = [rand_word(rng, g, 2) for _ in range(g)]
+        pairs.append((tuple(w.letters for w in images), FreeEndo(images)))
+    return pairs
+
+
+def test_endomorphisms_are_equal_exactly_when_their_letters_are():
+    # a validated tuple: == and hash are tuple's, and there are no slots to write
+    assert issubclass(FreeEndo, tuple) and FreeEndo.__slots__ == ()
+    assert not {"__init__", "__eq__", "__hash__"} & set(vars(FreeEndo))
+    pairs = seeded_endos(608, 150)
+    equal_pairs = 0
+    for letters_a, a in pairs:
+        assert a._letters == letters_a and a.rank == len(letters_a)
+        assert a.images == tuple(map(FreeWord, letters_a))
+        assert a.is_identity == (letters_a == tuple((i,) for i in range(1, a.rank + 1)))
+        for letters_b, b in pairs:
+            assert (a == b) == (letters_a == letters_b) == (not a != b)
+            if a == b:
+                equal_pairs += 1
+                assert hash(a) == hash(b)
+    assert equal_pairs > len(pairs)   # some drawn twice, so the check can fail
+
+
+def test_endomorphisms_copy_and_pickle():
+    for _, endo in seeded_endos(609, 40) + [(None, FreeEndo.identity(3))]:
+        copies = [copy.copy(endo), copy.deepcopy(endo)]
+        copies += [pickle.loads(pickle.dumps(endo, protocol))
+                   for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in copies:
+            assert type(twin) is FreeEndo and twin == endo
+            assert (twin.is_identity, twin.rank) == (endo.is_identity, endo.rank)
+
+
+@pytest.mark.parametrize("images, message", [
+    (None, "endomorphism images must be a sequence, got NoneType"),
+    (5, "endomorphism images must be a sequence, got int"),
+    (object(), "endomorphism images must be a sequence, got object"),
+    ("x", "endomorphism images must be FreeWord, got 'x'"),
+    ([None], "endomorphism images must be FreeWord, got None"),
+    ((5,), "endomorphism images must be FreeWord, got 5"),
+    ({"a": 1}, "endomorphism images must be FreeWord, got 'a'"),
+    ([parse_word("a1"), (1,)], "endomorphism images must be FreeWord, got (1,)"),
+])
+def test_endomorphism_constructor_refusals(images, message):
+    with pytest.raises(ValueError) as info:
+        FreeEndo(images)
+    assert str(info.value) == message
 
 
 def test_words_are_hashable_and_interchangeable():
