@@ -74,19 +74,31 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
     return obj
 
 
+# Most bytes of a JSON input file, read before any is decoded.  json.loads
+# takes up to about 25 bytes of memory per byte of text (an array of empty
+# arrays: +412 MB and 3.1 s for 16 MiB on a 2-CPU Xeon), so a file at the cap
+# parses under a 1 GiB limit.  Pushes and their composites are far under it:
+# `push-word --json` of a 1,000-letter word at g = k = 3 is 1.5 MB, and a
+# composite of two pushes near MAX_COMPOSE_LETTERS 2.6 MB.  A composite with
+# many entries can pass it: two maps on 1,000 labels, each image 31 labels
+# wide, compose into 53 MB, which does not read back.
+MAX_JSON_BYTES = 16 << 20
+
+
 def _load_json(path: str) -> object:
     import json
 
     try:
-        with open(path, encoding="utf-8") as file:
-            text = file.read()
+        with open(path, "rb") as file:
+            data = file.read(MAX_JSON_BYTES + 1)
     except OSError as exc:
         raise _CliError("io", f"cannot read {path}: {exc.strerror or exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise _CliError("io", f"{path} is not valid JSON: {exc}") from exc
+    if len(data) > MAX_JSON_BYTES:
+        raise TooLarge(f"{path} is over the cap of {MAX_JSON_BYTES} bytes for a JSON file")
     try:
-        return json.loads(text, parse_int=_json_int, object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as exc:
+        return json.loads(data.decode("utf-8"), parse_int=_json_int,
+                          object_pairs_hook=_unique_keys)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise _CliError("io", f"{path} is not valid JSON: {exc}") from exc
     except RecursionError:
         raise _CliError("io", f"{path} is not valid JSON: nested too deeply") from None

@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 
 from . import words as _words
-from .errors import SignatureMismatch, SizeMismatch, TooLarge, check_count, is_int
+from .errors import FrozenRecord, SignatureMismatch, SizeMismatch, TooLarge, check_count, is_int
 from .monoid import SelfMapClass, WedgeSignature
 from .ring import SphereLabel, format_ring, ring_to_json
 from .words import (
@@ -51,7 +51,7 @@ def max_shift(h: SelfMapClass) -> int:
     )
 
 
-class TruncatedMatrix:
+class TruncatedMatrix(FrozenRecord):
     """Honest finite window of the infinite matrix, with integer entries.
 
     Columns cover all (label, word) pairs over sig with word length <=
@@ -62,20 +62,19 @@ class TruncatedMatrix:
     The window is held as the two radii alone: has_row and has_col test
     membership arithmetically, and rows and cols, the two balls listed in
     window order, are built only when read (to_tsv, a mismatch report).
-    entries holds only the nonzero int entries, all inside the window.
+    entries holds only the nonzero int entries, all inside the window.  As
+    a FrozenRecord, a window refuses writes, == compares the fields, and
+    hash raises TypeError, since entries is a dict.
     """
 
-    def __init__(
-        self,
-        sig: WedgeSignature,
-        radius: int,
-        row_radius: int,
-        entries: dict[tuple[IndexKey, IndexKey], int],
-    ) -> None:
-        self.sig = sig
-        self.radius = radius
-        self.row_radius = row_radius
-        self.entries = entries
+    sig: WedgeSignature
+    radius: int
+    row_radius: int
+    entries: dict[tuple[IndexKey, IndexKey], int]
+
+    def __init__(self, sig: WedgeSignature, radius: int, row_radius: int,
+                 entries: dict[tuple[IndexKey, IndexKey], int]) -> None:
+        self._set_fields(sig, radius, row_radius, entries)
 
     @functools.cached_property
     def rows(self) -> tuple[IndexKey, ...]:

@@ -3,11 +3,13 @@
 Every error has a stable ``code`` for the CLI's one-line error prefix.
 is_int tests an int that is not a bool; check_count and check_dimension
 build on it.  Shape rules: as_tuple, check_type, is_permutation.  Reader
-rules: check_text, json_array, json_object, json_fields, parsing and
-read_decimal.  Size rules: capped_product here, and embedding._ball_size for
-a window ball.  What outlives a call: the stores _STORES declares and _store
-makes, which _clear_caches empties.  Record and FrozenRecord, the bases of
-the record classes, store the fields and supply repr, == and hash.
+rules: check_text, json_array, json_object, json_fields, parsing,
+read_decimal, and LetterBudget, the letters one document's words may
+expand to.  Size rules: capped_product here, and embedding._ball_size for a
+window ball.  What outlives a call: the stores _STORES declares and _store
+makes, which _clear_caches empties.  FrozenRecord, the one base of the
+record classes, stores the fields, supplies repr, == and hash, and refuses
+every write.
 """
 from __future__ import annotations
 
@@ -77,7 +79,9 @@ class TooLarge(PushcalcError, ValueError):
     - orbits: DEFAULT_MAX_STATES (brute-force states, or PUSHCALC_MAX_STATES)
       and MAX_COUNT_BITS (formula count);
     - verification: MAX_CASES (cases of a verify run);
-    - cli: MAX_JSON_INT_DIGITS (JSON integers) and TSV_MAX_CELLS (block grid).
+    - cli: MAX_JSON_BYTES (a JSON file), MAX_JSON_INT_DIGITS (JSON integers)
+      and TSV_MAX_CELLS (block grid);
+    - errors: MAX_DOCUMENT_LETTERS (the words of one JSON document together).
     """
 
     code = "too-large"
@@ -212,6 +216,33 @@ def json_fields(obj: object, what: str, names: tuple[str, ...]) -> list:
     return [obj[name] for name in names]
 
 
+# Most letters the words of one JSON document may expand to, together.  A
+# composite's sphere words hold at most monoid.MAX_COMPOSE_LETTERS (1,000,000)
+# letters, which leaves as many again for its circle words.  A self-map of
+# 2,000 labels with 50 entries of 999 letters each (10^8 letters in 1.6 MB of
+# JSON) is refused after about 2,000 words.
+MAX_DOCUMENT_LETTERS = 2_000_000
+
+
+class LetterBudget:
+    """The letters the words of one JSON document may still expand to.
+
+    A reader makes one per document and hands it, with each word, to
+    words.parse_word, which refuses a word past it and then spends the
+    word's letters.
+    """
+
+    __slots__ = ("left",)
+
+    def __init__(self) -> None:
+        self.left = MAX_DOCUMENT_LETTERS
+
+    @staticmethod
+    def refusal() -> TooLarge:
+        return TooLarge(f"the words of a JSON document expand to more than "
+                        f"{MAX_DOCUMENT_LETTERS} letters, over the letter budget of one document")
+
+
 @contextmanager
 def parsing() -> Iterator[None]:
     """Turn a plain ValueError raised inside into a ParseError; a PushcalcError passes."""
@@ -250,15 +281,23 @@ class _DataclassFields:
         return fields
 
 
-class Record:
+def _frozen_error(verb: str, name: str) -> Exception:
+    from dataclasses import FrozenInstanceError
+
+    return FrozenInstanceError(f"cannot {verb} field {name!r}")
+
+
+class FrozenRecord:
     """Base of a class whose annotated class attributes are its fields.
 
     The fields, the base's and then the class's own new annotations in
     order, are its __match_args__.  The base stores the fields
-    (_set_fields) and supplies repr, as ``Name(field=value, ...)``, and ==
-    between two instances of the same class, from the fields; a subclass
-    writes only its checks, and its __init__ ends in one _set_fields call.
-    A value _set_fields stores under another name is not a field.
+    (_set_fields), supplies repr, as ``Name(field=value, ...)``, == between
+    two instances of the same class and hash, from the fields, and refuses
+    assignment and deletion of any attribute with FrozenInstanceError.  A
+    subclass writes only its checks, and its __init__ ends in one
+    _set_fields call.  A value _set_fields stores under another name is not
+    a field.
     """
 
     __dataclass_fields__ = _DataclassFields()
@@ -275,8 +314,8 @@ class Record:
 
     def _set_fields(self, *values: object, **cached: object) -> None:
         """Store values as the fields, in __match_args__ order, and each cached value
-        under its name, past a FrozenRecord's __setattr__.  Not with vars(self), which
-        on Python 3.11 and 3.12 makes every later field read about 3 times slower."""
+        under its name, past __setattr__.  Not with vars(self), which on Python 3.11
+        and 3.12 makes every later field read about 3 times slower."""
         for name, value in zip(self.__match_args__, values):
             object.__setattr__(self, name, value)
         for name, value in cached.items():
@@ -293,18 +332,6 @@ class Record:
             return NotImplemented
         values = self._field_values
         return values(self) == values(other)
-
-
-def _frozen_error(verb: str, name: str) -> Exception:
-    from dataclasses import FrozenInstanceError
-
-    return FrozenInstanceError(f"cannot {verb} field {name!r}")
-
-
-class FrozenRecord(Record):
-    """A Record that refuses assignment and deletion of any attribute with
-    dataclasses.FrozenInstanceError, and hashes as the tuple of its fields.
-    Its __init__ stores the fields, as a Record's does, with _set_fields."""
 
     def __setattr__(self, name: str, value: object) -> None:
         raise _frozen_error("assign to", name)

@@ -19,8 +19,8 @@ from __future__ import annotations
 import functools
 from collections.abc import Mapping
 
-from .errors import (FrozenRecord, ParseError, SignatureMismatch, TooLarge, as_tuple,
-                     check_count, check_dimension, check_type, json_array, json_fields,
+from .errors import (FrozenRecord, LetterBudget, ParseError, SignatureMismatch, TooLarge,
+                     as_tuple, check_count, check_dimension, check_type, json_array, json_fields,
                      json_object, parsing)
 from .ring import (
     RingElem,
@@ -326,13 +326,14 @@ def self_map_from_json(obj: object) -> SelfMapClass:
     for array in (raw_labels, circles):
         json_array(array, "self-map 'labels' and 'circles' must be arrays")
     json_object(spheres, "self-map 'spheres' must be an object")
+    budget = LetterBudget()   # one for the circles and spheres together
     with parsing():
         sig = WedgeSignature(g, [parse_label(s) for s in raw_labels], d)
-        endo = FreeEndo([parse_word(w) for w in circles])
+        endo = FreeEndo([parse_word(w, budget) for w in circles])
         part = {}
         for key, val in spheres.items():
             lab = parse_label(key)
             if lab in part:
                 raise ParseError(f"duplicate sphere image for label {lab}")
-            part[lab] = vec_from_json(val)
+            part[lab] = vec_from_json(val, budget)
         return SelfMapClass(sig, endo, part)

@@ -22,6 +22,7 @@ from math import comb
 from .errors import (
     FrozenRecord,
     HypothesisViolation,
+    LetterBudget,
     ParseError,
     SizeMismatch,
     TooLarge,
@@ -443,10 +444,10 @@ def target_from_json(obj: object) -> TargetModel:
         raise ParseError(f"action has unexpected keys: {sorted(extra)}")
     json_array(refl, "reflection must be an array of class ids")
     json_array(charge, "charge must be an array of class ids")
-    f_classes = []
+    f_classes, budget = [], LetterBudget()
     for ws in json_array(f_json, "f_classes must be an array of word arrays"):
         ws = json_array(ws, "each f class must be an array of words")
-        f_classes.append(tuple(parse_word(w) for w in ws))
+        f_classes.append(tuple(parse_word(w, budget) for w in ws))
     with parsing():
         return TargetModel(
             pi1_gens=pi1_gens,

@@ -16,8 +16,8 @@ from collections.abc import Iterable
 from operator import itemgetter
 
 from . import words as _words
-from .errors import (ParseError, as_tuple, check_text, check_type, clip, is_int, json_array,
-                     json_object, parsing, read_decimal)
+from .errors import (LetterBudget, ParseError, as_tuple, check_text, check_type, clip, is_int,
+                     json_array, json_object, parsing, read_decimal)
 from .words import FreeEndo, FreeWord, _check_rank, format_word, parse_word, shortlex_key
 
 
@@ -224,13 +224,16 @@ def ring_to_json(a: RingElem) -> list:
     return [[c, format_word(w)] for w, c in a.items_shortlex()]
 
 
-def ring_from_json(obj: object) -> RingElem:
+def ring_from_json(obj: object, budget: LetterBudget | None = None) -> RingElem:
+    """The RingElem of a JSON ring element; its words spend from budget, the
+    letter budget of the document it is part of (its own if None)."""
+    budget = LetterBudget() if budget is None else budget
     terms = []
     for pair in json_array(obj, f"ring element must be a JSON array, got {type(obj).__name__}"):
         bad_term = f"ring term must be [coefficient, word], got {pair!r}"
         if len(json_array(pair, bad_term)) != 2:
             raise ParseError(bad_term)
-        terms.append((parse_word(pair[1]), pair[0]))
+        terms.append((parse_word(pair[1], budget), pair[0]))
     with parsing():
         return RingElem(terms)
 
@@ -268,12 +271,15 @@ def vec_to_json(v: dict[SphereLabel, RingElem]) -> dict:
     return {str(lab): ring_to_json(v[lab]) for lab in sorted(v)}
 
 
-def vec_from_json(obj: object) -> dict[SphereLabel, RingElem]:
-    """The dict of a JSON vector; keys naming one label ('p1', 'p01') add."""
+def vec_from_json(obj: object,
+                  budget: LetterBudget | None = None) -> dict[SphereLabel, RingElem]:
+    """The dict of a JSON vector; keys naming one label ('p1', 'p01') add.
+    Its words spend from budget, as in ring_from_json."""
+    budget = LetterBudget() if budget is None else budget
     acc: dict[SphereLabel, RingElem] = {}
     message = f"module vector must be a JSON object, got {type(obj).__name__}"
     for key, val in json_object(obj, message).items():
         lab = parse_label(key)
-        r = ring_from_json(val)
+        r = ring_from_json(val, budget)
         acc[lab] = acc[lab] + r if lab in acc else r
     return {lab: r for lab, r in acc.items() if r}

@@ -21,7 +21,7 @@ from .embedding import (
     materialize,
     truncated_product,
 )
-from .errors import NotInImage, Record, TooLarge, _store, check_count
+from .errors import FrozenRecord, NotInImage, TooLarge, _store, check_count
 from .monoid import (
     SelfMapClass,
     compose,
@@ -56,7 +56,7 @@ from .words import FreeEndo, FreeWord, endo_apply, endo_compose, enumerate_words
 MAX_CASES = 10_000
 
 
-class PropertyResult(Record):
+class PropertyResult(FrozenRecord):
     name: str
     cases: int
     ok: bool
@@ -79,7 +79,7 @@ class PropertyResult(Record):
         return out
 
 
-class SuiteReport(Record):
+class SuiteReport(FrozenRecord):
     suite: str
     seed: int
     requested_cases: int
@@ -103,7 +103,7 @@ class SuiteReport(Record):
         }
 
 
-class Property(Record):
+class Property(FrozenRecord):
     name: str
     gen: Callable[[random.Random], tuple]
     fails: Callable[[tuple], str | None]

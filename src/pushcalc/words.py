@@ -25,8 +25,8 @@ import re
 from collections.abc import Iterable, Iterator
 from operator import itemgetter
 
-from .errors import (ParseError, TooLarge, as_tuple, capped_product, check_count, check_text,
-                     check_type, clip, is_int)
+from .errors import (LetterBudget, ParseError, TooLarge, as_tuple, capped_product, check_count,
+                     check_text, check_type, clip, is_int)
 
 # Name of the word kernel in use; the benchmark harness records it per run.
 KERNEL_BACKEND = "pure-python"
@@ -250,12 +250,13 @@ _TOKEN_RE = re.compile(r"([aA])0*([0-9]{1,9})(?:\^(-?[0-9]+))?\Z")
 MAX_WORD_LETTERS = 1_000
 
 
-def parse_word(text: str) -> FreeWord:
+def parse_word(text: str, budget: LetterBudget | None = None) -> FreeWord:
     """Parse the word grammar: a1, A1 (inverse), a1^-3 (power), e (identity).
 
     Tokens are whitespace-separated; the empty string also denotes the
-    identity.  A word that expands to more than MAX_WORD_LETTERS letters
-    raises TooLarge before the letters are listed.
+    identity.  A word that expands to more than MAX_WORD_LETTERS letters,
+    or past the letters left in a document's budget, raises TooLarge before
+    the letters are listed; the word's letters are then spent from budget.
 
     >>> parse_word("a1 A2 a1^2").letters
     (1, -2, 1, 1)
@@ -263,6 +264,7 @@ def parse_word(text: str) -> FreeWord:
     True
     """
     check_text("a word", text)
+    left = MAX_WORD_LETTERS if budget is None else budget.left
     out: list[int] = []
     for m in re.finditer(r"\S+", text):
         tok = m.group()
@@ -285,7 +287,11 @@ def parse_word(text: str) -> FreeWord:
                 f"word expands to more than {MAX_WORD_LETTERS} letters "
                 f"(at position {m.start()}); use a shorter word or a smaller exponent"
             )
+        if len(out) + abs(exp) > left:
+            raise LetterBudget.refusal()
         out.extend([letter] * abs(exp))
+    if budget is not None:
+        budget.left -= len(out)
     return FreeWord(out)
 
 

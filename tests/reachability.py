@@ -55,7 +55,7 @@ ALLOWED: dict[str, str] = {
     "errors._clear_caches": "empties every process store, for a cold run: the tests "
                             "(test_process_stores) and in-process timing",
     "errors.FrozenRecord.__hash__": HASH,
-    "errors.Record.__repr__": REPR,
+    "errors.FrozenRecord.__repr__": REPR,
     "monoid.SelfMapClass.__repr__": REPR,
     "pushing.BraidElement.__str__": "str, for users",
     "ring.RingElem.__repr__": REPR,

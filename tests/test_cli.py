@@ -18,14 +18,15 @@ from pathlib import Path
 import pytest
 
 from pushcalc import cli
-from pushcalc.cli import MAX_JSON_INT_DIGITS, TSV_MAX_CELLS, _check_grid, main
-from pushcalc.errors import TooLarge, check_count, clip
+from pushcalc.cli import MAX_JSON_BYTES, MAX_JSON_INT_DIGITS, TSV_MAX_CELLS, _check_grid, main
+from pushcalc.embedding import block_matrix_to_json
+from pushcalc.errors import MAX_DOCUMENT_LETTERS, TooLarge, check_count, clip
 from pushcalc.monoid import self_map_from_json
 from pushcalc.orbits import target_from_json
 from pushcalc.pushing import ManifoldModel, PuncturedSignature, parse_braid, push_word
-from pushcalc.ring import parse_label
+from pushcalc.ring import parse_label, ring_from_json
 from pushcalc.verification import MAX_CASES, run_suite
-from pushcalc.words import parse_word
+from pushcalc.words import format_word, parse_word
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -610,14 +611,16 @@ def test_too_large_refused_before_allocating(argv):
     _assert_refused_in_child(argv)
 
 
-def _assert_refused_in_child(argv) -> None:
+def _assert_refused_in_child(argv, timeout: float = 60) -> str:
+    """Run argv in a child under 1 GiB; assert one error:too-large line, and return it."""
     proc = subprocess.run(
         [sys.executable, "-m", "pushcalc", *argv],
-        capture_output=True, text=True, timeout=60, preexec_fn=_limit_memory,
+        capture_output=True, text=True, timeout=timeout, preexec_fn=_limit_memory,
     )
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr.startswith("error:too-large: ")
     assert proc.stderr.count("\n") == 1
+    return proc.stderr
 
 
 def test_oversized_compose_refused_before_allocating(tmp_path):
@@ -630,6 +633,102 @@ def test_oversized_compose_refused_before_allocating(tmp_path):
         {"g": g, "d": 3, "labels": [], "circles": circles, "spheres": {}}
     ))
     _assert_refused_in_child(("compose", str(big), str(big)))
+
+
+# 2,000 labels, each image 50 terms of 999 letters, and a target with as
+# many f-class words: every word is under the word cap, but each document
+# expands to 10^8 letters.
+DENSE_MAP = {"g": 1, "d": 3, "labels": [f"p{i}" for i in range(1, 2001)], "circles": ["a1"],
+             "spheres": {f"p{i}": {f"p{i}": [[1, "a1^999"]] * 50} for i in range(1, 2001)}}
+DENSE_TARGET = {**TRIVIAL_TARGET, "f_classes": [["a1^999"] * 50] * 2000}
+BYTE_CAP = f"is over the cap of {MAX_JSON_BYTES} bytes for a JSON file"
+LETTER_BUDGET = f"more than {MAX_DOCUMENT_LETTERS} letters"
+
+
+def _sparse_file(tmp_path) -> str:
+    path = tmp_path / "sparse.json"   # 120 MB of NUL bytes, no disk block written
+    path.touch()
+    os.truncate(path, 120_000_000)
+    return str(path)
+
+
+def _dense_file(tmp_path, doc: dict) -> str:
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (lambda tmp: ("compose", "/dev/zero", "/dev/zero"), BYTE_CAP),
+    (lambda tmp: ("recover", "--map", _sparse_file(tmp)), BYTE_CAP),
+    (lambda tmp: ("compose", *[_dense_file(tmp, DENSE_MAP)] * 2), LETTER_BUDGET),
+    (lambda tmp: ("embed", "--map", _dense_file(tmp, DENSE_MAP)), LETTER_BUDGET),
+    (lambda tmp: ("components", "--target", _dense_file(tmp, DENSE_TARGET), "-g", "1", "-k",
+                  "1"), LETTER_BUDGET),
+], ids=["dev-zero", "sparse-file", "dense-map-compose", "dense-map-embed", "dense-target"])
+def test_oversized_document_refused_before_allocating(tmp_path, argv, reason):
+    assert reason in _assert_refused_in_child(argv(tmp_path), timeout=5)
+
+
+def test_json_byte_cap_edge(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    text = push_map_file(tmp_path, "id.json", 1, 1, 1, "e").read_text()
+    padded = tmp_path / "padded.json"
+    padded.write_text(text + " " * (MAX_JSON_BYTES - len(text)))
+    assert run_cli(capsys, "compose", "padded.json", "id.json") == (0, "(a1, p1, t1)\n", "")
+    padded.write_text(text + " " * (MAX_JSON_BYTES + 1 - len(text)))
+    assert run_cli(capsys, "compose", "id.json", "padded.json") == (
+        1, "", f"error:too-large: padded.json {BYTE_CAP}\n")
+
+
+def _budget_map(extra: int) -> dict:
+    # MAX_DOCUMENT_LETTERS + extra letters: 1 + extra in the circle, the rest
+    # in sphere words of at most 1,000 letters.
+    n = MAX_DOCUMENT_LETTERS - 1
+    words = ["a1^1000"] * (n // 1000) + [f"a1^{n % 1000}"]
+    return {"g": 1, "d": 3, "labels": ["p1"], "circles": [f"a1^{1 + extra}"],
+            "spheres": {"p1": {"p1": [[1, w] for w in words]}}}
+
+
+def test_document_letter_budget_edge(capsys, tmp_path):
+    # The circles and the spheres spend one budget; reduction comes after it.
+    assert self_map_from_json(_budget_map(0)).circle_part.images[0].letters == (1,)
+    with pytest.raises(TooLarge, match=LETTER_BUDGET):
+        self_map_from_json(_budget_map(1))
+    path = tmp_path / "over.json"
+    path.write_text(json.dumps(_budget_map(1)))
+    assert run_cli(capsys, "recover", "--map", str(path)) == (1, "", (
+        f"error:too-large: the words of a JSON document expand to {LETTER_BUDGET}, "
+        "over the letter budget of one document\n"))
+    words = ["a1^1000", "A1^1000"] * (MAX_DOCUMENT_LETTERS // 2000)
+    target = target_from_json({**TRIVIAL_TARGET, "f_classes": [words]})
+    assert sum(map(len, target.f_classes[0])) == MAX_DOCUMENT_LETTERS
+    with pytest.raises(TooLarge, match=LETTER_BUDGET):
+        target_from_json({**TRIVIAL_TARGET, "f_classes": [words, ["a1"]]})
+    # A ring element read on its own is a document of its own.
+    with pytest.raises(TooLarge, match=LETTER_BUDGET):
+        ring_from_json([[1, "a1^1000"]] * (MAX_DOCUMENT_LETTERS // 1000 + 1))
+
+
+def test_largest_push_word_map_reads_back(capsys, tmp_path):
+    # push-word's own --json map of a 1,000-letter word at g = k = 3, 1.5 MB
+    # and 500,500 letters, answers through each command that reads a map.
+    word = " ".join(f"a{i % 3 + 1}" for i in range(1000))
+    code, out, err = run_cli(capsys, "push-word", "-g", "3", "-k", "3", "--slot", "1",
+                             word, "--json")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)["map"]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc, indent=2))
+    assert 1_400_000 < path.stat().st_size < MAX_JSON_BYTES
+    ident = push_map_file(tmp_path, "id.json", 3, 3, 1, "e")
+    code, out, err = run_cli(capsys, "recover", "--map", str(path))
+    assert (code, out, err) == (0, f"[{format_word(parse_word(word))} | e | e ; id]\n", "")
+    code, out, err = run_cli(capsys, "embed", "--map", str(path), "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == block_matrix_to_json(self_map_from_json(doc))
+    code, out, err = run_cli(capsys, "compose", str(path), str(ident), "--json")
+    assert (code, json.loads(out), err) == (0, doc, "")
 
 
 @pytest.mark.parametrize("g, radius", [(2, 1000), (1, 100_000_000)])

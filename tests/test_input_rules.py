@@ -43,8 +43,9 @@ The size rules:
 
 The record rule:
 
-- A record stores its fields through its base: errors.Record._set_fields,
-  the one user of object.__setattr__.  No record class assigns self.<name>.
+- A record stores its fields through its one base:
+  errors.FrozenRecord._set_fields, the one user of object.__setattr__.  No
+  record class assigns self.<name>.
 
 The process-store rule:
 
@@ -83,7 +84,7 @@ HOMES = {
     "decimal read": {"errors.read_decimal", "cli._json_int", "words.parse_word"},
     "capped product": {"errors.capped_product"},
     "ball size": {"embedding._ball_size", "pushing.kernel_report"},
-    "field store": {"errors.Record"},
+    "field store": {"errors.FrozenRecord"},
     "process store": {"errors", "errors._store", "__init__.__getattr__"},
 }
 
@@ -300,7 +301,7 @@ def test_checker_sees_each_rule_written_out():
         "def push(w, g):\n"
         "    return _max_generator(w.t) > g or g < _max_generator(w.t)\n"
         "fine = isinstance(1, int) and min(3, 4) < 5 and -max(1, 2) and _max_generator(t)\n"
-        "class Record:\n"
+        "class FrozenRecord:\n"
         "    def _set_fields(self, *values):\n"
         "        store = object.__setattr__\n"
         "class Model(errors.FrozenRecord):\n"
@@ -325,7 +326,7 @@ def test_checker_sees_each_rule_written_out():
         ("rank formula", "errors.Word"),
         ("rank check", "errors.push"),
         ("rank check", "errors.push"),
-        ("field store", "errors.Record"),
+        ("field store", "errors.FrozenRecord"),
         ("field store", "errors.Model"),
         ("field store", "errors.Model"),
         ("field store", "errors.Model"),

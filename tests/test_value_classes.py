@@ -3,10 +3,11 @@ fields: repr, == and hash agree with a frozen dataclass twin built here,
 assignment and deletion raise FrozenInstanceError, dataclasses.fields and
 dataclasses.replace work on them, and a value a constructor caches beside
 the fields changes neither equality nor hash.  A subclass keeps these fields,
-the three mutable verify records compare like a dataclass and do not hash,
-and no record writes its own == or hash: errors.Record and FrozenRecord
-supply them.  copy, deepcopy and pickle give back an equal record with the
-same instance __dict__, caches included.
+the three verify records compare and hash like a frozen dataclass, they and
+a truncation window refuse every write, and no record writes its own == or
+hash: errors.FrozenRecord, the one record base, supplies them.  copy,
+deepcopy and pickle give back an equal record with the same instance
+__dict__, caches included.
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ import dataclasses
 import importlib
 import inspect
 import itertools
+import operator
 import pickle
 import pkgutil
 import random
@@ -33,7 +35,8 @@ from pushcalc import (
     push_braid,
     recover_braid,
 )
-from pushcalc.errors import FrozenRecord, Record
+from pushcalc.embedding import TruncatedMatrix, materialize
+from pushcalc.errors import FrozenRecord
 from pushcalc.ring import SphereLabel
 from pushcalc.verification import _SUITE_BUILDERS, Property, PropertyResult, SuiteReport
 
@@ -293,15 +296,15 @@ def test_no_record_writes_its_own_eq_or_hash():
     for module in pkgutil.iter_modules(pushcalc.__path__):
         if module.name != "__main__":
             importlib.import_module(f"pushcalc.{module.name}")
-    records = {cls for cls in _record_subclasses(Record)
-               if cls.__module__.startswith("pushcalc.")} - {FrozenRecord}
-    assert set(CLASSES) | set(VERIFY_FIELDS) <= records
+    records = {cls for cls in _record_subclasses(FrozenRecord)
+               if cls.__module__.startswith("pushcalc.")}
+    assert set(CLASSES) | set(VERIFY_FIELDS) | {TruncatedMatrix} <= records
     assert [cls.__qualname__ for cls in records
             if "__eq__" in vars(cls) or "__hash__" in vars(cls)] == []
 
 
-# The three verify records: mutable, so compared with a plain (unfrozen,
-# unhashable) dataclass twin.
+# The three verify records, compared with a frozen dataclass twin; a field
+# that holds a list or a dict makes both unhashable.
 VERIFY_FIELDS = {
     PropertyResult: [("name", MISSING), ("cases", MISSING), ("ok", MISSING),
                      ("counterexample", None), ("extra", None)],
@@ -310,7 +313,8 @@ VERIFY_FIELDS = {
     Property: [("name", MISSING), ("gen", MISSING), ("fails", MISSING), ("cap", None),
                ("extra", None)],
 }
-VERIFY_TWINS = {cls: dataclasses.make_dataclass(cls.__name__, [name for name, _ in fields])
+VERIFY_TWINS = {cls: dataclasses.make_dataclass(cls.__name__, [name for name, _ in fields],
+                                                frozen=True)
                 for cls, fields in VERIFY_FIELDS.items()}
 
 
@@ -326,6 +330,14 @@ def build_record(cls: type, rng: random.Random) -> object:
     assert cls is Property
     return Property(rng.choice("ab"), rng.choice((len, repr)), rng.choice((len, repr)),
                     rng.choice((None, 5)), extra)
+
+
+def hash_or_error(value: object) -> object:
+    """hash(value), or the message of the TypeError it raises."""
+    try:
+        return hash(value)
+    except TypeError as exc:
+        return str(exc)
 
 
 @pytest.mark.parametrize("cls", list(VERIFY_FIELDS), ids=lambda cls: cls.__name__)
@@ -347,17 +359,57 @@ def test_verify_records_compare_like_a_dataclass(cls):
         assert (a != b) == (twin_of(a) != twin_of(b))
         equal_pairs += a is not b and a == b
     assert equal_pairs
+    hashed = 0
     for a in values:
         assert repr(a) == repr(twin_of(a))
         assert a.__eq__(twin_of(a)) is NotImplemented and a != twin_of(a)
-        with pytest.raises(TypeError, match="unhashable type"):
-            hash(a)
-    value, copy = values[0], dataclasses.replace(values[0])
-    assert copy == value and copy is not value
-    setattr(value, names[1], 7)
-    assert getattr(value, names[1]) == 7 and value != copy
-    assert twin_of(value) == dataclasses.replace(twin_of(copy), **{names[1]: 7})
+        assert hash_or_error(a) == hash_or_error(twin_of(a))
+        hashed += isinstance(hash_or_error(a), int)
+    # Both kinds occur, but a report holds a list: never hashable.
+    assert hashed == 0 if cls is SuiteReport else 0 < hashed < len(values)
+    value = values[0]
+    changed = dataclasses.replace(value, **{names[1]: 7})
+    assert getattr(changed, names[1]) == 7 and changed != value
+    assert twin_of(changed) == dataclasses.replace(twin_of(value), **{names[1]: 7})
 
+
+def a_window() -> TruncatedMatrix:
+    sig = PuncturedSignature(ManifoldModel.default(2), 2)
+    braid = BraidElement((rand_word(random.Random(3), 2, 3),) * 2, (1, 0))
+    return materialize(push_braid(sig, braid), 1)
+
+
+@pytest.mark.parametrize("cls", [*VERIFY_FIELDS, TruncatedMatrix], ids=lambda cls: cls.__name__)
+def test_verify_records_and_windows_refuse_every_write(cls):
+    value = (a_window() if cls is TruncatedMatrix
+             else build_record(cls, random.Random(f"refuse:{cls.__name__}")))
+    before = [getattr(value, name) for name in cls.__match_args__]
+    text = repr(value)
+    for name in [*cls.__match_args__, "other"]:
+        with pytest.raises(dataclasses.FrozenInstanceError,
+                           match=f"^cannot assign to field '{name}'$"):
+            setattr(value, name, 1)
+        with pytest.raises(dataclasses.FrozenInstanceError,
+                           match=f"^cannot delete field '{name}'$"):
+            delattr(value, name)
+    after = [getattr(value, name) for name in cls.__match_args__]
+    assert all(map(operator.is_, after, before)) and repr(value) == text
+
+
+def test_a_window_compares_its_fields_and_does_not_hash():
+    t = a_window()
+    assert list(vars(t)) == ["sig", "radius", "row_radius", "entries"]
+    same = a_window()
+    assert same is not t and same == t and not same != t
+    entries = dict(t.entries)
+    entries.popitem()
+    for other in (TruncatedMatrix(t.sig, t.radius, t.row_radius, entries),
+                  TruncatedMatrix(t.sig, t.radius + 1, t.row_radius, t.entries)):
+        assert other != t and not other == t
+    # The balls a window lists when read are not fields.
+    assert len(t.rows) > len(t.cols) > 0 and t == same
+    with pytest.raises(TypeError, match="^unhashable type: 'dict'$"):
+        hash(t)
 
 
 # The values a record caches in its __init__, beside its fields.

@@ -10,7 +10,7 @@ import pytest
 import pushcalc
 from pushcalc import words
 from pushcalc.embedding import materialize
-from pushcalc.errors import ParseError, TooLarge
+from pushcalc.errors import MAX_DOCUMENT_LETTERS, LetterBudget, ParseError, TooLarge
 from pushcalc.monoid import WedgeSignature, identity_map
 from pushcalc.pushing import ManifoldModel, _slot_terms
 from pushcalc.ring import RingElem, SphereLabel, ring_endo_apply, ring_mul
@@ -130,6 +130,24 @@ def test_parse_word_length_cap():
     for text in (f"a1^{n + 1}", f"a1^{n} A1", f"a2 a1^-{n}", "a1^300000000"):
         with pytest.raises(TooLarge, match=f"more than {n} letters"):
             parse_word(text)
+
+
+def test_parse_word_spends_a_document_budget():
+    budget = LetterBudget()
+    assert budget.left == MAX_DOCUMENT_LETTERS
+    budget.left = 5
+    # Letters are spent as expanded, before free reduction.
+    assert parse_word("a1^3", budget).letters == (1, 1, 1) and budget.left == 2
+    assert parse_word("a2 A2", budget) == IDENTITY and budget.left == 0
+    assert parse_word("e", budget) == IDENTITY and budget.left == 0
+    with pytest.raises(TooLarge, match=f"^the words of a JSON document expand to more than "
+                                       f"{MAX_DOCUMENT_LETTERS} letters"):
+        parse_word("a1", budget)
+    assert budget.left == 0
+    # The word cap is checked first, and a word of its own spends from no budget.
+    with pytest.raises(TooLarge, match=f"more than {MAX_WORD_LETTERS} letters"):
+        parse_word(f"a1^{MAX_WORD_LETTERS + 1}", budget)
+    assert len(parse_word(f"a1^{MAX_WORD_LETTERS}")) == MAX_WORD_LETTERS
 
 
 def test_parse_errors_carry_position():
